@@ -2,8 +2,10 @@
 
 ``tests/fixtures/runstats_pr3.json`` was generated at the last pre-columnar
 revision (tuple-of-records traces, record-at-a-time interpreter) for three
-workloads x five protocol families at fixed seeds.  These tests assert the
-columnar pipeline reproduces those fixtures **bit-identically** - scalar
+workloads x five protocol families at fixed seeds;
+``runstats_phase_release.json`` adds the phase family and Neat release mode
+on the same traces.  These tests assert the columnar pipeline reproduces
+those fixtures **bit-identically** - scalar
 trace summaries and complete ``RunStats`` payloads - plus the tracefile
 v1 -> v2 story: v2 round-trips, v1 files remain loadable, and both decode
 to equal traces.
@@ -26,7 +28,12 @@ from repro.workloads import tracefile
 from repro.workloads.base import Trace, TraceBuilder
 from repro.workloads.registry import load_workload
 
-FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures" / "runstats_pr3.json"
+FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
+#: ``runstats_pr3.json``: five families at the last pre-columnar revision.
+#: ``runstats_phase_release.json``: the phase family and Neat release mode,
+#: which postdate it, generated before their miss paths were folded into
+#: the shared directory / chained shapes.  Both share one arch.
+FIXTURES = ("runstats_pr3.json", "runstats_phase_release.json")
 
 #: The four accelerator combinations (mesh x sched, each on/off).  The
 #: fixtures were generated pre-accelerator, so every combo must reproduce
@@ -51,7 +58,9 @@ def kernel_combo(request, monkeypatch):
 
 @pytest.fixture(scope="module")
 def fixture_data():
-    return json.loads(FIXTURES.read_text())
+    files = [json.loads((FIXTURE_DIR / name).read_text()) for name in FIXTURES]
+    assert all(data["arch"] == files[0]["arch"] for data in files)
+    return {"arch": files[0]["arch"], "entries": [e for data in files for e in data["entries"]]}
 
 
 @pytest.fixture(scope="module")
@@ -110,10 +119,10 @@ class TestRunStatsMatchSeedRevision:
             proto = ProtocolConfig.from_dict(entry["proto"])
             stats = Simulator(arch, proto, warmup=entry["warmup"]).run(trace)
             got = json.loads(json.dumps(stats.to_dict(), sort_keys=True))
-            # Counters born after the fixture was generated (e.g. the phase
-            # family's, PR 7) cannot appear in it; for these pre-phase
-            # families they must be exactly zero - anything else is a
-            # behavior change the fixture should have caught.
+            # Counters born after a fixture was generated (e.g. the phase
+            # family's, in runstats_pr3.json) cannot appear in it; for the
+            # families it covers they must be exactly zero - anything else
+            # is a behavior change the fixture should have caught.
             new_keys = got.keys() - entry["stats"].keys()
             assert all(not got[key] for key in new_keys), (
                 f"post-fixture counters nonzero: "
