@@ -10,20 +10,18 @@ classes from it:
   cursors, min-clock heap and the inline L1-hit fast path - behind
   ``Simulator._execute``.
 
-Selection rules, per kernel and in order:
+There are two implementations - both kernels compiled, or both pure
+Python - and one decision between them:
 
-1. ``REPRO_NO_ACCEL=1`` (any non-empty value) forces the pure-Python
-   implementations of *both* kernels; ``REPRO_NO_ACCEL_MESH`` /
-   ``REPRO_NO_ACCEL_SCHED`` force one kernel's fallback independently.
-   All three are checked per construction, so tests can flip them with
+1. ``REPRO_NO_ACCEL=1`` (any non-empty value) selects the pure-Python
+   implementations.  It is checked per call, so tests can flip it with
    ``monkeypatch.setenv`` without reloading modules.
-2. Otherwise the module is compiled/loaded once per process and each
-   kernel resolved once; **any** failure (no compiler, no headers,
-   compile error, import error, constant mismatch with the Python
-   definitions, an ``accel.build_fail`` fault at that kernel's gate) logs
-   one warning per kernel and pins that kernel's fallback for the rest of
-   the process.
-3. The pure-Python implementations are the ungated fallback either way -
+2. Otherwise the module is compiled/loaded and its constants checked
+   against the Python definitions once per process; **any** failure (no
+   compiler, no headers, compile error, import error, constant mismatch,
+   an injected ``accel.build_fail``) logs one warning and pins the
+   pure-Python implementations for the rest of the process.
+3. The pure-Python implementations are the ungated reference either way -
    bit-identical by the property/fixture suites, just slower.
 
 ``status()`` is the introspection payload behind ``repro accel-info``.
@@ -41,10 +39,7 @@ from repro.accel.build import CACHE_ENV, NO_ACCEL_ENV
 __all__ = [
     "CACHE_ENV",
     "NO_ACCEL_ENV",
-    "NO_ACCEL_MESH_ENV",
-    "NO_ACCEL_SCHED_ENV",
     "active_impl",
-    "kernel_impl",
     "mesh_kernel_class",
     "reset",
     "sched_kernel_class",
@@ -53,20 +48,19 @@ __all__ = [
 
 log = logging.getLogger("repro.accel")
 
-#: Force one kernel's pure-Python fallback without touching the other.
-NO_ACCEL_MESH_ENV = "REPRO_NO_ACCEL_MESH"
-NO_ACCEL_SCHED_ENV = "REPRO_NO_ACCEL_SCHED"
+#: Kernel name -> the class the module must export; ``status()`` reports
+#: one entry per name.
+_KERNEL_CLASSES = {"mesh": "MeshKernel", "sched": "SchedKernel"}
 
-#: One-shot module load state: ``None`` = not attempted yet,
-#: ``(module, info)`` afterwards (``module`` is None when the build/load
-#: failed).
+#: One-shot load state: ``None`` = not attempted yet, ``(module, info)``
+#: afterwards (``module`` is None when the build, load or check failed).
 _state: tuple[Any, dict] | None = None
 
-#: One-shot per-kernel resolution: name -> (cls_or_None, reason_or_None).
-_kernels: dict[str, tuple[Any, str | None]] = {}
 
-
-def _mesh_constants() -> dict[str, int]:
+def _constants() -> dict[str, int]:
+    """Python-side definitions the compiled module must agree with."""
+    from repro.common import addr
+    from repro.common.types import Op
     from repro.network import mesh
 
     return {
@@ -74,14 +68,6 @@ def _mesh_constants() -> dict[str, int]:
         "EPOCH_SHIFT": mesh.EPOCH_SHIFT,
         "WINDOW_EPOCHS": mesh.WINDOW_EPOCHS,
         "SLOT_SHIFT": mesh._SLOT_SHIFT,
-    }
-
-
-def _sched_constants() -> dict[str, int]:
-    from repro.common import addr
-    from repro.common.types import Op
-
-    return {
         "OP_READ": int(Op.READ),
         "OP_WRITE": int(Op.WRITE),
         "OP_BARRIER": int(Op.BARRIER),
@@ -92,14 +78,8 @@ def _sched_constants() -> dict[str, int]:
     }
 
 
-#: kernel name -> (module attribute, constants to cross-check, label).
-_KERNEL_SPECS = {
-    "mesh": ("MeshKernel", _mesh_constants, "mesh accelerator"),
-    "sched": ("SchedKernel", _sched_constants, "scheduler accelerator"),
-}
-
-
-def _load_module() -> tuple[Any, dict]:
+def _load() -> tuple[Any, dict]:
+    """Build, load and check the module once per process."""
     global _state
     if _state is not None:
         return _state
@@ -112,129 +92,79 @@ def _load_module() -> tuple[Any, dict]:
             info["reason"] = f"built kernel failed to import: {exc}"
         else:
             info["abi_version"] = getattr(module, "ABI_VERSION", None)
+            mismatch = {
+                const: (value, getattr(module, const, None))
+                for const, value in _constants().items()
+                if getattr(module, const, None) != value
+            }
+            missing = [attr for attr in _KERNEL_CLASSES.values() if not hasattr(module, attr)]
+            if mismatch:
+                info["reason"] = f"kernel constant mismatch: {mismatch}"
+                module = None
+            elif missing:
+                info["reason"] = f"built module exports no {', '.join(missing)}"
+                module = None
+    if module is None:
+        log.warning("accelerator unavailable, using pure-Python fallback: %s", info["reason"])
     _state = (module, info)
     return _state
 
 
-def _kernel(name: str) -> tuple[Any, str | None]:
-    """Resolve one kernel class once per process (None = fallback)."""
-    cached = _kernels.get(name)
-    if cached is not None:
-        return cached
-    module, info = _load_module()
-    attr, constants_fn, label = _KERNEL_SPECS[name]
-    cls = None
-    reason = info.get("reason")
-    if module is not None:
-        from repro.faults import FAULTS
-
-        if FAULTS.active and FAULTS.trigger("accel.build_fail", kernel=name) is not None:
-            # Per-kernel chaos gate: `args={"kernel": "sched"}` forces only
-            # this kernel's fallback while the other stays compiled.
-            reason = f"fault injected: accel.build_fail (kernel={name})"
-        else:
-            mismatch = {
-                const: (value, getattr(module, const, None))
-                for const, value in constants_fn().items()
-                if getattr(module, const, None) != value
-            }
-            if mismatch:
-                reason = f"kernel constant mismatch ({name}): {mismatch}"
-            else:
-                cls = getattr(module, attr, None)
-                if cls is None:
-                    reason = f"built module exports no {attr}"
-    if cls is None:
-        log.warning(
-            "%s unavailable, using pure-Python fallback: %s", label, reason
-        )
-    _kernels[name] = (cls, reason)
-    return _kernels[name]
+def _module() -> Any | None:
+    """The compiled module, or ``None`` for the pure-Python implementations."""
+    if os.environ.get(NO_ACCEL_ENV):
+        return None
+    return _load()[0]
 
 
 def reset() -> None:
     """Forget the cached load attempt (build-cache tests only)."""
     global _state
     _state = None
-    _kernels.clear()
 
 
 def mesh_kernel_class() -> Any | None:
-    """The compiled ``MeshKernel`` class, or ``None`` to use the fallback.
-
-    Honors ``REPRO_NO_ACCEL``/``REPRO_NO_ACCEL_MESH`` on every call; the
-    expensive build/load is attempted at most once per process.
-    """
-    if os.environ.get(NO_ACCEL_ENV) or os.environ.get(NO_ACCEL_MESH_ENV):
-        return None
-    return _kernel("mesh")[0]
+    """The compiled ``MeshKernel`` class, or ``None`` to use the fallback."""
+    module = _module()
+    return None if module is None else module.MeshKernel
 
 
 def sched_kernel_class() -> Any | None:
-    """The compiled ``SchedKernel`` class, or ``None`` to use the fallback.
-
-    Honors ``REPRO_NO_ACCEL``/``REPRO_NO_ACCEL_SCHED`` on every call; the
-    expensive build/load is attempted at most once per process.
-    """
-    if os.environ.get(NO_ACCEL_ENV) or os.environ.get(NO_ACCEL_SCHED_ENV):
-        return None
-    return _kernel("sched")[0]
+    """The compiled ``SchedKernel`` class, or ``None`` to use the fallback."""
+    module = _module()
+    return None if module is None else module.SchedKernel
 
 
 def active_impl() -> str:
-    """The implementation a ``MeshNetwork`` built right now would select."""
-    return kernel_impl("mesh")
-
-
-def kernel_impl(name: str) -> str:
-    """``"accel"``/``"fallback"`` for one kernel, as selected right now."""
-    getter = mesh_kernel_class if name == "mesh" else sched_kernel_class
-    return "accel" if getter() is not None else "fallback"
-
-
-_KERNEL_ENVS = {"mesh": NO_ACCEL_MESH_ENV, "sched": NO_ACCEL_SCHED_ENV}
+    """``"accel"`` or ``"fallback"``: the implementation selected right now."""
+    return "fallback" if _module() is None else "accel"
 
 
 def status() -> dict:
-    """JSON-ready kernel status (the ``repro accel-info`` payload).
+    """JSON-ready accelerator status (the ``repro accel-info`` payload).
 
-    Top-level ``implementation``/``compiled``/``reason`` describe the mesh
-    kernel (schema-2 compatibility); ``kernels`` carries the per-kernel
-    form the bench provenance and the CI matrix assert on.
+    ``kernels`` keeps one entry per kernel - the shape the bench
+    provenance and the CI checks read - and both report the one decision.
+    ``REPRO_NO_ACCEL`` short-circuits before any build is attempted.
     """
-    disabled_all = bool(os.environ.get(NO_ACCEL_ENV))
-    kernels: dict[str, dict] = {}
-    for name, env in _KERNEL_ENVS.items():
-        disabled = disabled_all or bool(os.environ.get(env))
-        if name in _kernels:
-            cls, reason = _kernels[name]
-        elif not disabled:
-            cls, reason = _kernel(name)
-        else:
-            cls, reason = None, None
-        compiled = cls is not None
-        if disabled_all:
-            reason = f"{NO_ACCEL_ENV} is set"
-        elif disabled:
-            reason = f"{env} is set"
-        kernels[name] = {
-            "implementation": "fallback" if (disabled or not compiled) else "accel",
-            "compiled": compiled,
-            "disabled_by_env": disabled,
-            "reason": reason,
-        }
-    info = _state[1] if _state is not None else {}
-    mesh = kernels["mesh"]
+    disabled = bool(os.environ.get(NO_ACCEL_ENV))
+    module, info = _load() if _state is not None or not disabled else (None, {})
+    compiled = module is not None
+    reason = f"{NO_ACCEL_ENV} is set" if disabled else info.get("reason")
+    implementation = "accel" if compiled and not disabled else "fallback"
+    kernel = {
+        "implementation": implementation,
+        "compiled": compiled,
+        "disabled_by_env": disabled,
+        "reason": reason,
+    }
     return {
-        "implementation": mesh["implementation"],
-        "compiled": mesh["compiled"],
-        "disabled_by_env": disabled_all,
+        **kernel,
         "cache_dir": info.get("cache_dir", str(build.cache_dir())),
         "artifact": info.get("artifact"),
         "compiler": info.get("compiler"),
-        "reason": mesh["reason"],
         "source": info.get(
             "source", ", ".join(str(s) for s in build.kernel_sources())
         ),
-        "kernels": kernels,
+        "kernels": {name: dict(kernel) for name in _KERNEL_CLASSES},
     }

@@ -177,7 +177,7 @@ def build_artifact(sources=None) -> tuple[Path | None, dict]:
     }
     from repro.faults import FAULTS
 
-    if FAULTS.active and FAULTS.trigger("accel.build_fail", kernel="build") is not None:
+    if FAULTS.active and FAULTS.trigger("accel.build_fail") is not None:
         # Chaos failpoint: a broken toolchain at first import.  Taking the
         # same degrade-to-None path as a real compiler failure proves the
         # pure-Python fallback keeps RunStats bit-identical.

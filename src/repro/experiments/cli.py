@@ -118,8 +118,11 @@ def main(argv: list[str] | None = None) -> int:
             start = time.time()
             result = FIGURES[figure_id](runner)
             print(result.text)
-            print(f"[{result.figure} in {time.time() - start:.1f}s, "
-                  f"{runner.cached_runs} cached runs, {runner.simulations} simulated]\n")
+            # Every point came from the result store or a simulation, so
+            # the store's share needs no counter of its own.
+            points, simulated = runner.points, runner.simulations
+            print(f"[{result.figure} in {time.time() - start:.1f}s, {points} points, "
+                  f"{points - simulated} from the result store, {simulated} simulated]\n")
     return 0
 
 

@@ -28,8 +28,9 @@ from typing import Iterable, Sequence
 
 from repro.common.params import ArchConfig, CacheGeometry, ProtocolConfig, baseline_protocol
 from repro.runner.backends import ExecutionBackend
+from repro.runner.backends.local import build_trace
 from repro.runner.job import Job
-from repro.runner.parallel import ParallelRunner, build_trace, format_progress
+from repro.runner.parallel import ParallelRunner, format_progress
 from repro.runner.store import ResultStore
 from repro.sim.stats import RunStats
 from repro.workloads.base import Trace
@@ -156,7 +157,9 @@ class ExperimentRunner:
         return self.run(workload, baseline_protocol())
 
     @property
-    def cached_runs(self) -> int:
+    def points(self) -> int:
+        """Distinct points this session has results for, each either
+        loaded from the result store or simulated."""
         return len(self._results)
 
     @property

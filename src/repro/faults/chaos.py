@@ -65,15 +65,6 @@ FAULT_CATALOG: dict[str, tuple[FaultRule, ...]] = {
     # times=0: every process that builds the accelerator fails the build,
     # so spawn workers (fresh imports) all land on the pure-Python fallback.
     "build-fail": (FaultRule("accel.build_fail", times=0),),
-    # Site-filtered variants: only the named kernel falls back, the other
-    # stays compiled - proving the per-kernel selection seam degrades
-    # independently (DESIGN.md section 14).
-    "mesh-fallback": (
-        FaultRule("accel.build_fail", times=0, args={"kernel": "mesh"}),
-    ),
-    "sched-fallback": (
-        FaultRule("accel.build_fail", times=0, args={"kernel": "sched"}),
-    ),
     "sink-dead": (FaultRule("obs.sink_dead", hit=1),),
 }
 
@@ -93,8 +84,6 @@ DEFAULT_MATRIX: tuple[tuple[str, str], ...] = (
     ("crash", "process"),
     ("hang", "process"),
     ("build-fail", "process"),
-    ("mesh-fallback", "process"),
-    ("sched-fallback", "process"),
     ("sink-dead", "process"),
     ("crash", "remote"),
     ("frame-drop", "remote"),

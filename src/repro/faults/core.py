@@ -94,11 +94,8 @@ FAILPOINTS: dict[str, str] = {
         "stall_s (default 5.0)"
     ),
     "accel.build_fail": (
-        "accel kernel build/selection fails; the affected kernels fall "
-        "back to pure Python.  Site arg kernel: 'build' at build_artifact "
-        "(both kernels fall back), 'mesh' / 'sched' at per-kernel "
-        "selection - a rule with args={'kernel': 'sched'} forces only the "
-        "scheduler kernel's fallback"
+        "accel kernel build fails at build_artifact; both kernels fall "
+        "back to pure Python"
     ),
     "obs.sink_dead": (
         "Telemetry.emit raises OSError mid-run; telemetry self-disables "
@@ -279,15 +276,8 @@ class FaultInjector:
         return self._hits.get(point, 0)
 
     # ------------------------------------------------------------------
-    def trigger(self, point: str, **site) -> FaultRule | None:
+    def trigger(self, point: str) -> FaultRule | None:
         """Count one hit of ``point``; the firing rule, or ``None``.
-
-        ``site`` identifies *which* instance of the failpoint is consulting
-        the injector (e.g. ``accel.build_fail`` passes ``kernel="mesh"``):
-        a rule skips any site that names one of its ``args`` keys with a
-        different value, so ``args={"kernel": "sched"}`` fires only at the
-        scheduler kernel's gate while arg-less rules keep matching every
-        site.  Rule args unknown to the site remain payload (``stall_s``).
 
         The hot-path contract mirrors telemetry's: with no schedule active
         this is one attribute check and an immediate return, so threaded
@@ -304,11 +294,6 @@ class FaultInjector:
             self._hits[point] = n
             for rule in rules:
                 if rule.scope != "any" and rule.scope != self.role:
-                    continue
-                if site and any(
-                    key in rule.args and rule.args[key] != value
-                    for key, value in site.items()
-                ):
                     continue
                 if not self._fires(rule, n):
                     continue

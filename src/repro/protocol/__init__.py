@@ -6,7 +6,6 @@ from repro.protocol.engine import (
     DLSEngine,
     DirectoryEngine,
     NeatEngine,
-    ProtocolEngine,
     VictimReplicationEngine,
     make_engine,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "DLSEngine",
     "DirectoryEngine",
     "NeatEngine",
-    "ProtocolEngine",
     "ProtocolEngineBase",
     "VictimReplicationEngine",
     "make_engine",

@@ -1,5 +1,5 @@
-"""The ``ProtocolEngine`` interface: shared machinery for every coherence
-protocol family.
+"""The ``ProtocolEngineBase`` interface: shared machinery for every
+coherence protocol family.
 
 A protocol engine services every memory reference of one simulated multicore:
 ``access(core, is_write, address, now)`` returns an :class:`AccessResult`
@@ -9,6 +9,13 @@ engine owns the substrate every family shares:
 * the mesh network, memory subsystem and R-NUCA home placement;
 * the per-core L1s and per-tile L2 slices (with their statistics);
 * energy counters, miss statistics and the utilization histograms;
+* the home-side request sequence of every miss, in one of two shapes
+  chosen by line state alone: the *chained* shape (memoized home, line
+  resident there: ``_chain_probe`` + ``_chain_request_reply`` reserve the
+  request and its reply in one ``traverse_chain`` call) and the *general*
+  shape (``_request_at_home``: home resolution, delivery, serialization,
+  off-chip fill).  The compiled and pure-Python implementations take the
+  same shape for the same state;
 * the off-chip path: ``_l2_fill`` (inclusive-fill from DRAM) and
   ``_evict_l2_line`` (write-back + the per-family L1-purge hook);
 * golden-memory verification plumbing (write tokens, the DRAM image, and
@@ -18,7 +25,8 @@ engine owns the substrate every family shares:
 Concrete families implement :meth:`access` plus the purge hooks:
 
 * ``repro.protocol.directory`` - the directory-based families (``baseline``,
-  ``adaptive``; ``victim`` extends it with local-L2 victim replication);
+  ``adaptive``; ``victim`` extends it with local-L2 victim replication,
+  ``phase`` replaces its requester classifier with the phase policy);
 * ``repro.protocol.dls`` - the directoryless shared-LLC comparison baseline;
 * ``repro.protocol.neat`` - the self-invalidation/self-downgrade comparison
   baseline.
@@ -124,7 +132,6 @@ class ProtocolEngineBase:
         "_net_chain",
         "_net_many",
         "_net_flits",
-        "_chain_enabled",
     )
 
     def __init__(
@@ -174,12 +181,6 @@ class ProtocolEngineBase:
         self._net_chain = self.network.traverse_chain
         self._net_many = self.network.traverse_many
         self._net_flits = [self.network.flits_for(msg) for msg in MsgType]
-        #: The chained miss shapes only engage when each chain call
-        #: actually saves an FFI crossing; without the kernel the probe
-        #: and precheck are pure overhead, so the fallback runs the
-        #: original inlined sequences (bit-identical either way - the
-        #: chain composition is exact).
-        self._chain_enabled = self.network.implementation == "accel"
 
         #: Shared L1-hit result: every field of a hit is constant (zero
         #: latency decomposition, ``hit=True``), so the hit fast path returns
@@ -451,17 +452,17 @@ class ProtocolEngineBase:
 
     # ------------------------------------------------------------------
     # Chained request -> home -> reply delivery (one FFI crossing per
-    # miss with the compiled kernel; identical composition without it).
+    # miss with the compiled kernel; the exact composition of two
+    # traverse_path calls without it).
     # ------------------------------------------------------------------
     def _chain_probe(self, core: int, line: int):
         """Cheap preconditions for a chained miss: memoized home, line
         present at the home L2.  Returns ``(home, slice_, l2line)`` or
         ``None`` when the general path (home resolution side effects, or
         an off-chip fill whose timing interleaves with the reply) must
-        run instead.
+        run instead.  Both implementations take the same shape for the
+        same line state.
         """
-        if not self._chain_enabled:
-            return None
         cached = self._line_home_cache.get(line)
         if cached is None or not (cached[1] < 0 or cached[1] == core):
             return None

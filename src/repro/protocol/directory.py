@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from repro.common import addr as addrmod
 from repro.common.errors import CoherenceError, SimulationError
-from repro.common.types import MESIState, MissType, RemovalReason, SharerMode
+from repro.common.types import MESIState, RemovalReason, SharerMode
 from repro.coherence.directory import DirectoryEntry
 from repro.mem.cache import CacheLine
 from repro.mem.l2 import L2Line, L2Slice
@@ -180,22 +180,14 @@ class DirectoryEngine(ProtocolEngineBase):
         result = AccessResult()
 
         # ---- request to the home slice (tag + directory lookup there).
-        # The home-memo hit (stable line home) plus uncontended delivery is
-        # the common case, so ``_request_at_home``/``_deliver_request`` are
-        # inlined here: reserved-path traversal, per-line serialization, L2
-        # tag access.  Memo misses (first touch, private -> shared
-        # transitions) take the shared slow path.
         if is_write:
             req_msg = _UPGRADE_REQ if upgrade else _WRITE_REQ
         else:
             req_msg = _READ_REQ
         reply_t = None
-        cached = self._line_home_cache.get(line)
-        if cached is not None and (cached[1] < 0 or cached[1] == core):
-            home = cached[0]
-            slice_ = self.l2[home]
-            store = slice_.store
-            l2line = store._sets[line & store._set_mask].get(line)
+        probe = self._chain_probe(core, line)
+        if probe is not None:
+            home, slice_, l2line = probe
             # Clean precheck for the chained shape: when no invalidation
             # round (writes: no foreign sharer) and no synchronous
             # write-back (reads: no foreign exclusive owner) can fire, the
@@ -204,101 +196,40 @@ class DirectoryEngine(ProtocolEngineBase):
             # classification: _remove_own_copy - the only directory
             # mutation classification can make - removes the requester
             # itself, which cannot make a clean line dirty.
-            if l2line is not None and self._chain_enabled:
-                dirent = l2line.directory
-                if is_write:
-                    sharers = dirent.sharers
-                    clean = not sharers or (len(sharers) == 1 and core in sharers)
-                else:
-                    clean = dirent.owner < 0 or dirent.owner == core
-                if clean:
-                    energy.directory_lookups += 1
-                    serviced_remote, upgrade = self._classify_requester(
-                        l1, l2line, core, line, upgrade
-                    )
-                    if serviced_remote:
-                        reply_msg = _WORD_WRITE_ACK if is_write else _WORD_REPLY
-                    elif is_write and upgrade:
-                        reply_msg = _WORD_WRITE_ACK
-                    else:
-                        reply_msg = _LINE_REPLY
-                    t, reply_t = self._chain_request_reply(
-                        core, home, l2line, slice_, req_msg, reply_msg, now, result
-                    )
-            if reply_t is None:
-                path = self._net_paths[core * self._num_tiles + home]
-                if path is None:
-                    path = self._net_resolve(core, home)
-                t = self._net_traverse(path, now, self._net_flits[req_msg])
-                if l2line is not None and l2line.busy_until > t:
-                    result.l2_waiting = l2line.busy_until - t
-                    t = l2line.busy_until
-                t += self._l2_latency
-                energy.l2_tag_accesses += 1
-                if l2line is None:
-                    slice_.misses += 1
-                    l2line, t, result.l2_offchip = self._l2_fill(home, line, t)
-                else:
-                    slice_.hits += 1
-        else:
-            home, slice_, l2line, t = self._request_at_home(core, line, req_msg, now, result)
-        if reply_t is None:
-            energy.directory_lookups += 1
-            # ---- classify the requester: private or remote sharer.
-            # Inlined copy of _classify_requester (the chained branch's
-            # canonical version above) - one method call per miss is
-            # measurable in this loop, and the unchained path is what the
-            # pure-Python fallback always runs.
-            classifier = self.classifier
-            if classifier is None:
-                mode, centry = _PRIVATE_MODE, None
+            dirent = l2line.directory
+            if is_write:
+                sharers = dirent.sharers
+                clean = not sharers or (len(sharers) == 1 and core in sharers)
             else:
-                entries = l2line.locality
-                centry = entries.get(core) if entries is not None else None
-                if centry is None:
-                    centry = classifier.locality_entry(l2line, core, True)
-                if centry is not None:
-                    mode = centry.mode
-                else:
-                    classifier.vote_decisions += 1
-                    tracked = remote_votes = 0
-                    for e in entries.values():
-                        tracked += 1
-                        if e.mode is _REMOTE_MODE:
-                            remote_votes += 1
-                    mode = _REMOTE_MODE if 2 * remote_votes > tracked else _PRIVATE_MODE
-
-            if upgrade and mode is _REMOTE_MODE:
-                # Rare: the classifier lost this core's slot and votes
-                # remote while it still holds an S copy - fold it back.
-                self._remove_own_copy(core, line, l2line)
-                upgrade = False
-
-            serviced_remote = False
-            if mode is _REMOTE_MODE:
-                l1_min = l1.min_set_last_access(line)
-                promoted = classifier.on_remote_access(
-                    l2line, centry, l1_min, l1_min is None
+                clean = dirent.owner < 0 or dirent.owner == core
+            if clean:
+                energy.directory_lookups += 1
+                serviced_remote, upgrade = self._classify_requester(
+                    l1, l2line, core, line, is_write, upgrade
                 )
-                serviced_remote = not promoted
+                if serviced_remote:
+                    reply_msg = _WORD_WRITE_ACK if is_write else _WORD_REPLY
+                elif is_write and upgrade:
+                    reply_msg = _WORD_WRITE_ACK
+                else:
+                    reply_msg = _LINE_REPLY
+                t, reply_t = self._chain_request_reply(
+                    core, home, l2line, slice_, req_msg, reply_msg, now, result
+                )
+        if reply_t is None:
+            home, slice_, l2line, t = self._request_at_home(core, line, req_msg, now, result)
+            energy.directory_lookups += 1
+            serviced_remote, upgrade = self._classify_requester(
+                l1, l2line, core, line, is_write, upgrade
+            )
 
-        # ---- miss classification uses the pre-service history
-        # (_classify_miss, inlined - Section 4.4).
+        # ---- miss classification uses the pre-service history (Section 4.4).
         history = self._history[core]
         flags = history.get(line, 0)
-        if upgrade:
-            miss_type = MissType.UPGRADE
-        elif serviced_remote and flags & _EVER_REMOTE:
-            miss_type = MissType.WORD
-        elif not flags & _EVER_CACHED:
-            miss_type = MissType.COLD
-        elif flags & _LAST_REMOVAL_INVAL:
-            miss_type = MissType.SHARING
-        else:
-            miss_type = MissType.CAPACITY
+        miss_type = self._classify_miss(flags, upgrade, serviced_remote)
         result.miss_type = miss_type
         result.remote = serviced_remote
-        self.miss_stats._miss_counts[miss_type] += 1
+        self.miss_stats.record_miss(miss_type)
 
         dirent = l2line.directory
 
@@ -353,11 +284,7 @@ class DirectoryEngine(ProtocolEngineBase):
                 l2line.busy_until = busy
         else:
             l2line.busy_until = t
-        # slice_.touch, inlined (bump LRU + last-access timestamp).
-        store = slice_.store
-        store._use_counter = counter = store._use_counter + 1
-        l2line.last_use = counter
-        l2line.last_access = t
+        slice_.touch(l2line, t)
         energy.directory_updates += 1
 
         result.latency = reply_t - now
@@ -372,7 +299,7 @@ class DirectoryEngine(ProtocolEngineBase):
     # Requester classification (private vs remote sharer)
     # ------------------------------------------------------------------
     def _classify_requester(
-        self, l1, l2line: L2Line, core: int, line: int, upgrade: bool
+        self, l1, l2line: L2Line, core: int, line: int, is_write: bool, upgrade: bool
     ) -> tuple[bool, bool]:
         """Ask the locality classifier how to service this requester
         (classifier.resolve_mode inlined, including the tracked-entry
@@ -383,7 +310,10 @@ class DirectoryEngine(ProtocolEngineBase):
         front) or after it arrives (general path).  Returns
         ``(serviced_remote, upgrade)``; ``upgrade`` folds to False when
         the classifier votes remote for a core still holding an S copy
-        (the copy is folded back via ``_remove_own_copy``).
+        (the copy is folded back via ``_remove_own_copy``).  This is the
+        one policy seam of the miss path: a family with a different
+        service policy (``PhaseEngine``, which needs ``is_write``)
+        overrides it and inherits everything else.
         """
         classifier = self.classifier
         if classifier is None:

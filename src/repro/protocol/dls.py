@@ -79,7 +79,7 @@ class DLSEngine(ProtocolEngineBase):
         req_msg = MsgType.WRITE_REQ if is_write else MsgType.READ_REQ
         home, flush_owner = self.placement.data_word_home(line, word, core)
         l2line = None
-        if flush_owner is None and self._chain_enabled:
+        if flush_owner is None:
             slice_ = self.l2[home]
             store = slice_.store
             l2line = store._sets[line & store._set_mask].get(line)

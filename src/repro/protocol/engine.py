@@ -1,4 +1,4 @@
-"""Protocol-engine factory and backward-compatible entry point.
+"""Protocol-engine factory.
 
 The engine itself lives in per-family modules:
 
@@ -12,10 +12,7 @@ The engine itself lives in per-family modules:
 * :mod:`repro.protocol.neat` - self-invalidation/self-downgrade coherence;
 * :mod:`repro.protocol.phase` - phase-priority directory coherence.
 
-:func:`make_engine` maps ``ProtocolConfig.protocol`` to the family class;
-``ProtocolEngine`` remains the name of the directory engine, which predates
-the split (the locality-aware protocol of the source paper *is* a directory
-protocol).
+:func:`make_engine` maps ``ProtocolConfig.protocol`` to the family class.
 """
 
 from __future__ import annotations
@@ -28,9 +25,6 @@ from repro.protocol.dls import DLSEngine
 from repro.protocol.neat import NeatEngine
 from repro.protocol.phase import PhaseEngine
 from repro.protocol.victim import VictimReplicationEngine
-
-#: Backward-compatible name: the directory engine (baseline/adaptive).
-ProtocolEngine = DirectoryEngine
 
 #: ``ProtocolConfig.protocol`` -> engine class.
 ENGINE_CLASSES: dict[str, type[ProtocolEngineBase]] = {
@@ -61,7 +55,6 @@ __all__ = [
     "DirectoryEngine",
     "NeatEngine",
     "PhaseEngine",
-    "ProtocolEngine",
     "ProtocolEngineBase",
     "VictimReplicationEngine",
     "make_engine",

@@ -5,7 +5,7 @@ Measures the two hot paths the columnar trace IR was built for:
 * **build** - records/second constructing the workload trace (generator
   kernels appending into the column arrays, one validation pass);
 * **simulate** - records/second executing the trace through the simulator
-  (the ``Simulator._execute`` / ``ProtocolEngine.access`` inner loops),
+  (the ``Simulator._execute`` / ``ProtocolEngineBase.access`` inner loops),
   counting every executed record: with warmup enabled a trace is executed
   twice, so one run executes ``2 * total_records`` records.
 
@@ -165,9 +165,6 @@ def run_bench(
         # ``repro trend`` refuses comparisons where any shared kernel's
         # implementation differs (unless --allow-impl-mismatch), because
         # such a diff measures the kernel, not the change under test.
-        # "implementation" is the legacy schema-3 mesh-only stamp, kept so
-        # older tooling keeps reading these files.
-        "implementation": status["implementation"],
         "implementations": {
             name: kstat["implementation"]
             for name, kstat in status["kernels"].items()
@@ -195,17 +192,10 @@ def run_bench(
 
 
 def implementations_map(report: dict) -> dict:
-    """Per-kernel implementation stamps of a bench report.
-
-    Schema-4 reports carry ``implementations`` (mesh AND sched); schema-3
-    reports stamp only the mesh implementation, normalized here to
-    ``{"mesh": ...}``.  Pre-provenance reports return ``{}``.
-    """
+    """Per-kernel implementation stamps of a bench report (schema 4:
+    ``implementations``, mesh AND sched); ``{}`` when it carries none."""
     impls = report.get("implementations")
-    if isinstance(impls, dict):
-        return dict(impls)
-    impl = report.get("implementation")
-    return {"mesh": impl} if isinstance(impl, str) else {}
+    return dict(impls) if isinstance(impls, dict) else {}
 
 
 def format_report(report: dict) -> str:

@@ -253,19 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     accel_info = sub.add_parser(
         "accel-info",
-        help="show the compiled kernel status (mesh + sched): per-kernel "
-        "implementation, build cache, compiler, or why a pure-Python "
-        "fallback is active (REPRO_NO_ACCEL=1 forces both fallbacks, "
-        "REPRO_NO_ACCEL_MESH/_SCHED one each)",
+        help="show the compiled kernel status (mesh + sched): "
+        "implementation, build cache, compiler, or why the pure-Python "
+        "fallback is active (REPRO_NO_ACCEL=1 forces it)",
     )
     accel_info.add_argument("--json", action="store_true",
                             help="emit the status as one JSON object")
-    accel_info.add_argument("--require-compiled", nargs="?", const="mesh,sched",
-                            metavar="KERNELS", default=None,
-                            help="exit 1 unless the named compiled kernels are "
-                            "active (comma-separated subset of mesh,sched; "
-                            "bare flag requires both - CI guard against "
-                            "silently benching a fallback)")
+    accel_info.add_argument("--require-compiled", action="store_true",
+                            help="exit 1 unless the compiled kernels are "
+                            "active (CI guard against silently benching "
+                            "the fallback)")
 
     events = sub.add_parser(
         "events",
@@ -521,24 +518,10 @@ def _cmd_accel_info(args) -> int:
         if status["artifact"]:
             print(f"artifact:       {status['artifact']}")
         print(f"source:         {status['source']}")
-    if args.require_compiled:
-        required = [k.strip() for k in args.require_compiled.split(",") if k.strip()]
-        unknown = [k for k in required if k not in status["kernels"]]
-        if unknown:
-            log.error("unknown kernel(s) %s (known: %s)",
-                      ", ".join(unknown), ", ".join(sorted(status["kernels"])))
-            return 2
-        failed = False
-        for name in required:
-            kstat = status["kernels"][name]
-            if kstat["implementation"] != "accel":
-                log.error(
-                    "compiled %s kernel required but not active: %s",
-                    name, kstat["reason"] or "unknown reason",
-                )
-                failed = True
-        if failed:
-            return 1
+    if args.require_compiled and status["implementation"] != "accel":
+        log.error("compiled kernels required but not active: %s",
+                  status["reason"] or "unknown reason")
+        return 1
     return 0
 
 

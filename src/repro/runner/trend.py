@@ -98,40 +98,23 @@ def _load_cache(path: Path) -> dict:
     return points
 
 
-def source_implementation(path: str | Path) -> dict | str | None:
-    """The kernel implementation(s) a bench report records, if any.
+def source_implementation(path: str | Path) -> dict:
+    """The per-kernel implementations a bench report records.
 
-    Schema-4 bench reports (PR 10+) stamp ``implementations`` - a
-    per-kernel dict like ``{"mesh": "accel", "sched": "fallback"}`` -
-    returned as-is.  Schema-3 reports (PR 8/9) stamp only the mesh
-    implementation and return that string.  Older reports and cache logs
-    return ``None`` (no provenance - the mismatch guard lets those
-    through).
+    Schema-4 bench reports stamp ``implementations``, a per-kernel dict
+    like ``{"mesh": "accel", "sched": "accel"}``.  Reports without it and
+    cache logs return ``{}`` (no provenance - the mismatch guard lets
+    those through).
     """
     p = Path(path)
     if p.is_dir() or p.suffix == ".jsonl" or p.name == "results.jsonl":
-        return None
+        return {}
     try:
         payload = json.loads(p.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if isinstance(payload, dict):
-        impls = payload.get("implementations")
-        if isinstance(impls, dict):
-            return impls
-        impl = payload.get("implementation")
-        if isinstance(impl, str):
-            return impl
-    return None
-
-
-def _impl_map(provenance: dict | str | None) -> dict:
-    """Normalize provenance to a per-kernel dict ({} when absent)."""
-    if isinstance(provenance, dict):
-        return provenance
-    if isinstance(provenance, str):
-        return {"mesh": provenance}  # legacy schema-3 mesh-only stamp
-    return {}
+        return {}
+    impls = payload.get("implementations") if isinstance(payload, dict) else None
+    return impls if isinstance(impls, dict) else {}
 
 
 def load_source(path: str | Path) -> tuple[str, dict]:
@@ -237,11 +220,8 @@ def run_trend(
             f"cannot compare a {old_kind} source against a {new_kind} source"
         )
     if old_kind == "bench" and not allow_impl_mismatch:
-        old_impl = _impl_map(source_implementation(old_path))
-        new_impl = _impl_map(source_implementation(new_path))
-        # Only kernels stamped on BOTH sides are comparable: a schema-3
-        # report says nothing about the sched kernel, so it cannot clash
-        # with a schema-4 report's sched stamp.
+        old_impl = source_implementation(old_path)
+        new_impl = source_implementation(new_path)
         mismatched = sorted(
             name for name in old_impl.keys() & new_impl.keys()
             if old_impl[name] != new_impl[name]

@@ -1,7 +1,8 @@
 """Trace-driven multicore timing simulator.
 
 Executes one ``Trace`` (per-core instruction/reference streams) over the
-``ProtocolEngine``.  Cores are in-order single-issue @ 1 GHz (Table 1):
+protocol engine of the configured family (``repro.protocol.make_engine``).
+Cores are in-order single-issue @ 1 GHz (Table 1):
 every instruction costs one cycle of compute, memory references additionally
 pay the L1 latency on a hit or the decomposed miss latency returned by the
 protocol engine.
@@ -23,6 +24,12 @@ With ``warmup=True`` the trace is executed twice over the same engine and
 only the second execution is measured - the standard warmup/measurement
 methodology.  Short synthetic traces are otherwise dominated by the initial
 cold-miss burst into DRAM, which belongs to neither protocol.
+
+Two implementations, one switch (``repro.accel``): with the compiled
+kernels the record walk runs natively in ``SchedKernel`` and the mesh
+reservations in ``MeshKernel``; ``REPRO_NO_ACCEL=1`` selects the pure-Python
+loop below and the pure-Python ring buffer, the bit-identical reference.
+The engines' miss paths take the same shape under both.
 """
 
 from __future__ import annotations
@@ -204,7 +211,7 @@ class Simulator:
         DESIGN.md sec. 14) the walk below runs natively instead, exiting
         to :meth:`_execute_kernel`'s trampoline only on synchronization
         records; this pure-Python loop stays the ungated, bit-identical
-        reference (``REPRO_NO_ACCEL``/``REPRO_NO_ACCEL_SCHED`` force it).
+        reference (``REPRO_NO_ACCEL`` forces it).
         """
         kernel_cls = accel.sched_kernel_class()
         if kernel_cls is not None:

@@ -41,7 +41,7 @@ from repro.common import addr as addrmod
 from repro.common.errors import TraceError
 from repro.common.types import Op
 
-#: Logical trace record, used by the text/v1 binary formats and the
+#: Logical trace record, used by the text trace format and the
 #: ``per_core`` compatibility view: (op, address, work_before).
 TraceRecord = tuple[int, int, int]
 

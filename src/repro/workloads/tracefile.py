@@ -1,6 +1,6 @@
 """Trace file I/O: persist and reload multithreaded memory-access traces.
 
-Three interchangeable on-disk formats, all self-describing and validated on
+Two interchangeable on-disk formats, both self-describing and validated on
 load through the normal ``Trace`` construction path:
 
 * **text** (``.trace``) - a line-oriented format meant for humans and for
@@ -19,17 +19,14 @@ load through the normal ``Trace`` construction path:
   comments are ignored.  Records may be interleaved across threads in any
   order - each thread's records keep their relative order.
 
-* **binary v2** (``.traceb``, the current write format) - the columnar IR
+* **binary v2** (``.traceb``) - the columnar IR
   laid out verbatim: after the header, each core's stream is a record count
   followed by three contiguous little-endian ``int64`` blocks (ops,
   addresses, works).  Loading memory-maps the file and bulk-copies each
   block straight into the IR's ``array('q')`` columns - no per-record
   parsing at all, which makes loading a multi-million-record trace a few
-  ``memcpy``-sized operations.
-
-* **binary v1** (legacy ``.traceb``) - the original struct-packed
-  record-at-a-time format (13 bytes per record).  Still readable; new
-  files are always written as v2.
+  ``memcpy``-sized operations.  Any other version in the header (such
+  as the retired record-packed v1) is refused with a ``TraceError``.
 
 Round-tripping through any format reproduces the trace exactly
 (``trace_equal`` checks record-for-record equality).
@@ -50,7 +47,7 @@ from repro.workloads.base import Trace, TraceRecord
 
 #: Current text-format version.
 FORMAT_VERSION = 1
-#: Current binary-format version (v2 = columnar; v1 = packed records).
+#: Current binary-format version (v2 = columnar), the only one read.
 BINARY_FORMAT_VERSION = 2
 
 _TEXT_OPCODES = {
@@ -64,8 +61,6 @@ _TEXT_OPCODES = {
 _TEXT_MNEMONICS = {v: k for k, v in _TEXT_OPCODES.items()}
 
 _BINARY_MAGIC = b"RPTR"
-#: v1 per-record packing: opcode (u8), address (u64), work (u32).
-_RECORD = struct.Struct("<BQI")
 #: File header: magic, version (u16), num_cores (u16), name length (u16).
 _HEADER = struct.Struct("<4sHHH")
 #: Per-stream header: record count (u64).
@@ -202,31 +197,6 @@ def save_trace_binary(trace: Trace, path: str | pathlib.Path) -> None:
     pathlib.Path(path).write_bytes(out.getvalue())
 
 
-def _load_binary_v1(path, blob, num_cores: int, name: str, offset: int) -> Trace:
-    """Legacy record-at-a-time payload (13 bytes per record)."""
-    streams: list[list[TraceRecord]] = []
-    unpack_stream = _STREAM.unpack_from
-    unpack_record = _RECORD.unpack_from
-    for _tid in range(num_cores):
-        if offset + _STREAM.size > len(blob):
-            raise TraceError(f"{path}: truncated stream header for thread {_tid}")
-        (count,) = unpack_stream(blob, offset)
-        offset += _STREAM.size
-        needed = count * _RECORD.size
-        if offset + needed > len(blob):
-            raise TraceError(f"{path}: truncated records for thread {_tid}")
-        stream: list[TraceRecord] = []
-        append = stream.append
-        for _ in range(count):
-            op, address, work = unpack_record(blob, offset)
-            offset += _RECORD.size
-            append((op, address, work))
-        streams.append(stream)
-    if offset != len(blob):
-        raise TraceError(f"{path}: {len(blob) - offset} trailing bytes after last stream")
-    return Trace(name, num_cores, streams)
-
-
 def _load_binary_v2(path, blob, num_cores: int, name: str, offset: int) -> Trace:
     """Columnar payload: bulk-copy each int64 block into an IR column."""
     ops: list[array] = []
@@ -259,9 +229,9 @@ def _load_binary_v2(path, blob, num_cores: int, name: str, offset: int) -> Trace
 
 
 def load_trace_binary(path: str | pathlib.Path) -> Trace:
-    """Read a binary trace file (v1 or v2); raises :class:`TraceError` on
-    corruption.  v2 files are memory-mapped so the column blocks flow into
-    the IR without per-record parsing."""
+    """Read a binary (v2) trace file; raises :class:`TraceError` on
+    corruption or any other version.  The file is memory-mapped so the
+    column blocks flow into the IR without per-record parsing."""
     p = pathlib.Path(path)
     with p.open("rb") as fh:
         try:
@@ -278,14 +248,12 @@ def load_trace_binary(path: str | pathlib.Path) -> Trace:
             offset = _HEADER.size
             name = bytes(blob[offset : offset + name_len]).decode("utf-8")
             offset += name_len
-            if version == 1:
-                return _load_binary_v1(path, blob, num_cores, name, offset)
-            if version == BINARY_FORMAT_VERSION:
-                return _load_binary_v2(path, blob, num_cores, name, offset)
-            raise TraceError(
-                f"{path}: unsupported trace version {version} (this build reads "
-                f"versions 1 and {BINARY_FORMAT_VERSION})"
-            )
+            if version != BINARY_FORMAT_VERSION:
+                raise TraceError(
+                    f"{path}: unsupported trace version {version} (this build "
+                    f"reads version {BINARY_FORMAT_VERSION})"
+                )
+            return _load_binary_v2(path, blob, num_cores, name, offset)
         finally:
             if mm is not None:
                 mm.close()

@@ -3,17 +3,16 @@
 The compile-at-import machinery (``repro.accel.build``) keys its artifact
 cache on the fingerprints of *every* C source (mtime + content hash), the
 compiler id and the ABI tag, and every failure mode degrades to the
-pure-Python implementations with one warning per kernel and *identical*
-simulation results.  These tests pin:
+pure-Python implementations with one warning and *identical* simulation
+results.  These tests pin:
 
 * a fresh cache compiles once and then reuses the artifact,
 * touching any kernel source (mtime) forces a recompile - including the
   second translation unit (``_sched.c``), which a single-source
   fingerprint would miss,
-* ``REPRO_NO_ACCEL=1`` forces both fallbacks, and the per-kernel
-  ``REPRO_NO_ACCEL_MESH``/``REPRO_NO_ACCEL_SCHED`` force exactly one,
-* a missing compiler falls back with one warning per kernel and
-  bit-identical ``RunStats``.
+* ``REPRO_NO_ACCEL=1`` forces both fallbacks,
+* a missing compiler falls back with one warning and bit-identical
+  ``RunStats``.
 
 All tests point ``REPRO_ACCEL_CACHE`` at a tmp dir and copy the kernel
 sources, so the user-level cache and the repo tree are never mutated.
@@ -46,8 +45,6 @@ def isolated_cache(tmp_path, monkeypatch):
     (before AND after, so the rest of the suite re-selects normally)."""
     monkeypatch.setenv(build.CACHE_ENV, str(tmp_path / "cache"))
     monkeypatch.delenv(build.NO_ACCEL_ENV, raising=False)
-    monkeypatch.delenv(accel.NO_ACCEL_MESH_ENV, raising=False)
-    monkeypatch.delenv(accel.NO_ACCEL_SCHED_ENV, raising=False)
     accel.reset()
     yield tmp_path
     accel.reset()
@@ -143,19 +140,6 @@ class TestSelection:
         monkeypatch.delenv(build.NO_ACCEL_ENV)
         assert MeshNetwork(self.ARCH).implementation == "accel"
 
-    def test_per_kernel_env_forces_one_fallback(self, monkeypatch):
-        monkeypatch.setenv(accel.NO_ACCEL_SCHED_ENV, "1")
-        assert accel.mesh_kernel_class() is not None
-        assert accel.sched_kernel_class() is None
-        status = accel.status()
-        assert status["kernels"]["mesh"]["implementation"] == "accel"
-        assert status["kernels"]["sched"]["implementation"] == "fallback"
-        assert accel.NO_ACCEL_SCHED_ENV in status["kernels"]["sched"]["reason"]
-        monkeypatch.delenv(accel.NO_ACCEL_SCHED_ENV)
-        monkeypatch.setenv(accel.NO_ACCEL_MESH_ENV, "1")
-        assert accel.mesh_kernel_class() is None
-        assert accel.sched_kernel_class() is not None
-
     def test_missing_compiler_falls_back_with_single_warning(
         self, monkeypatch, caplog
     ):
@@ -168,9 +152,9 @@ class TestSelection:
         warnings = [
             r for r in caplog.records if "accelerator unavailable" in r.message
         ]
-        # One warning per kernel, not per probe.
-        assert len(warnings) == 2
-        assert all("no C compiler" in w.getMessage() for w in warnings)
+        # One warning for both kernels, not one per kernel or per probe.
+        assert len(warnings) == 1
+        assert "no C compiler" in warnings[0].getMessage()
         status = accel.status()
         assert status["implementation"] == "fallback"
         assert status["compiled"] is False
@@ -185,11 +169,9 @@ class TestSelection:
             trace
         )
         assert accel.active_impl() == "accel"
-        assert accel.kernel_impl("sched") == "accel"
 
         accel.reset()
         monkeypatch.setattr(build, "find_compiler", lambda: None)
         without = Simulator(self.ARCH, baseline_protocol(), warmup=True).run(trace)
         assert accel.active_impl() == "fallback"
-        assert accel.kernel_impl("sched") == "fallback"
         assert with_kernel.to_dict() == without.to_dict()

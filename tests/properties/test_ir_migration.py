@@ -5,15 +5,14 @@ revision (tuple-of-records traces, record-at-a-time interpreter) for three
 workloads x five protocol families at fixed seeds;
 ``runstats_phase_release.json`` adds the phase family and Neat release mode
 on the same traces.  These tests assert the columnar pipeline reproduces
-those fixtures **bit-identically** - scalar
+those fixtures **bit-identically** under both implementations - scalar
 trace summaries and complete ``RunStats`` payloads - plus the tracefile
-v1 -> v2 story: v2 round-trips, v1 files remain loadable, and both decode
-to equal traces.
+version story: v2 is the only binary version read, and a retired v1
+header is refused with a typed error.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import pathlib
 import pickle
@@ -21,6 +20,7 @@ import struct
 
 import pytest
 
+from repro.common.errors import TraceError
 from repro.common.params import ArchConfig, ProtocolConfig
 from repro.common.types import Op
 from repro.sim.multicore import Simulator
@@ -34,26 +34,6 @@ FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
 #: which postdate it, generated before their miss paths were folded into
 #: the shared directory / chained shapes.  Both share one arch.
 FIXTURES = ("runstats_pr3.json", "runstats_phase_release.json")
-
-#: The four accelerator combinations (mesh x sched, each on/off).  The
-#: fixtures were generated pre-accelerator, so every combo must reproduce
-#: them bit-identically; on hosts without a C compiler all four collapse
-#: to the pure-Python fallback and still must pass.
-KERNEL_COMBOS = {
-    "mesh+sched": (),
-    "sched-only": ("REPRO_NO_ACCEL_MESH",),
-    "mesh-only": ("REPRO_NO_ACCEL_SCHED",),
-    "fallback": ("REPRO_NO_ACCEL_MESH", "REPRO_NO_ACCEL_SCHED"),
-}
-
-
-@pytest.fixture(params=sorted(KERNEL_COMBOS), ids=sorted(KERNEL_COMBOS))
-def kernel_combo(request, monkeypatch):
-    for env in ("REPRO_NO_ACCEL_MESH", "REPRO_NO_ACCEL_SCHED"):
-        monkeypatch.delenv(env, raising=False)
-    for env in KERNEL_COMBOS[request.param]:
-        monkeypatch.setenv(env, "1")
-    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -109,10 +89,10 @@ class TestTraceSummariesMatchSeedRevision:
 
 class TestRunStatsMatchSeedRevision:
     def test_all_families_bit_identical(
-        self, fixture_data, fixture_traces, kernel_combo
+        self, fixture_data, fixture_traces, implementation
     ):
         """Every fixture entry: columnar RunStats == pre-refactor RunStats,
-        under every accelerator combination."""
+        under both implementations."""
         arch, traces = fixture_traces
         for entry in fixture_data["entries"]:
             trace = traces[(entry["workload"], entry["scale"])]
@@ -200,7 +180,7 @@ class TestSchedulerFastPathEquivalence:
     RunStats.
     """
 
-    def test_fast_path_on_equals_off(self, monkeypatch, kernel_combo):
+    def test_fast_path_on_equals_off(self, monkeypatch, implementation):
         from repro.protocol.base import ProtocolEngineBase
         from repro.protocol.directory import DirectoryEngine
 
@@ -227,54 +207,26 @@ class TestSchedulerFastPathEquivalence:
 
 
 class TestTracefileV1Compat:
-    def _write_v1(self, trace: Trace, path: pathlib.Path) -> None:
-        """Emit the legacy v1 binary layout (13-byte packed records)."""
-        header = struct.Struct("<4sHHH")
-        stream_hdr = struct.Struct("<Q")
-        record = struct.Struct("<BQI")
-        out = io.BytesIO()
-        name = trace.name.encode()
-        out.write(header.pack(b"RPTR", 1, trace.num_cores, len(name)))
-        out.write(name)
-        for tid in range(trace.num_cores):
-            ops = trace.ops[tid]
-            out.write(stream_hdr.pack(len(ops)))
-            for i in range(len(ops)):
-                out.write(
-                    record.pack(ops[i], trace.addresses[tid][i], trace.works[tid][i])
-                )
-        path.write_bytes(out.getvalue())
-
-    def test_v1_file_still_loads(self, tmp_path):
-        trace = small_trace()
-        path = tmp_path / "legacy.traceb"
-        self._write_v1(trace, path)
-        loaded = tracefile.load_trace_binary(path)
-        assert tracefile.trace_equal(trace, loaded)
-
-    def test_v1_to_v2_round_trip(self, tmp_path):
-        """Load a v1 file, save as v2, reload: identical trace."""
-        trace = small_trace()
-        v1 = tmp_path / "legacy.traceb"
-        self._write_v1(trace, v1)
-        loaded_v1 = tracefile.load_trace_binary(v1)
-        v2 = tmp_path / "modern.traceb"
-        tracefile.save_trace_binary(loaded_v1, v2)
-        loaded_v2 = tracefile.load_trace_binary(v2)
-        assert tracefile.trace_equal(trace, loaded_v2)
-        # The v2 file declares the current version in its header.
-        version = struct.unpack_from("<H", v2.read_bytes(), 4)[0]
-        assert version == tracefile.BINARY_FORMAT_VERSION
-
-    def test_unknown_version_rejected(self, tmp_path):
-        trace = small_trace()
-        path = tmp_path / "future.traceb"
+    @staticmethod
+    def _with_version(trace: Trace, path: pathlib.Path, version: int) -> None:
+        """Save ``trace`` as v2, then stamp ``version`` into its header."""
         tracefile.save_trace_binary(trace, path)
         blob = bytearray(path.read_bytes())
-        struct.pack_into("<H", blob, 4, 99)
+        assert struct.unpack_from("<H", blob, 4)[0] == tracefile.BINARY_FORMAT_VERSION
+        struct.pack_into("<H", blob, 4, version)
         path.write_bytes(bytes(blob))
-        from repro.common.errors import TraceError
 
+    def test_v1_header_refused(self, tmp_path):
+        """The record-packed v1 reader is retired: a v1 header fails with
+        the typed error, never a misparse of the payload."""
+        path = tmp_path / "legacy.traceb"
+        self._with_version(small_trace(), path, 1)
+        with pytest.raises(TraceError, match="unsupported trace version 1"):
+            tracefile.load_trace_binary(path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "future.traceb"
+        self._with_version(small_trace(), path, 99)
         with pytest.raises(TraceError, match="unsupported trace version"):
             tracefile.load_trace_binary(path)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.params import ArchConfig, CacheGeometry, ProtocolConfig, baseline_protocol
 from repro.common.types import MESIState, MissType
-from repro.protocol.engine import ProtocolEngine
+from repro.protocol.directory import DirectoryEngine
 
 WORD = 8
 LINE = 64
@@ -23,7 +23,7 @@ def small_arch() -> ArchConfig:
 
 
 def make_engine(proto=None, verify=True):
-    return ProtocolEngine(small_arch(), proto or baseline_protocol(), verify=verify)
+    return DirectoryEngine(small_arch(), proto or baseline_protocol(), verify=verify)
 
 
 def share_page(engine, now=0.0):

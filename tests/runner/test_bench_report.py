@@ -27,9 +27,9 @@ def report(impl: str, simulate: int, *, extra_point: bool = False) -> dict:
     if extra_point:
         points.append(dict(points[0], workload="radix"))
     return {
-        "schema": 3,
+        "schema": 4,
         "metric": "records/second",
-        "implementation": impl,
+        "implementations": {"mesh": impl, "sched": impl},
         "accel": {
             "compiled": impl == "accel",
             "compiler": "cc (test)" if impl == "accel" else None,
@@ -48,7 +48,7 @@ class TestReportStamp:
 
     def test_legacy_report_formats_without_stamp(self):
         legacy = report("accel", 100_000)
-        del legacy["implementation"]
+        del legacy["implementations"]
         assert format_report(legacy).startswith("workload")
 
     def test_live_bench_report_carries_provenance(self, tmp_path, capsys):
@@ -60,7 +60,7 @@ class TestReportStamp:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["schema"] == 4
-        assert payload["implementation"] in ("accel", "fallback")
+        assert "implementation" not in payload  # the schema-3 stamp is gone
         assert set(payload["implementations"]) == {"mesh", "sched"}
         assert all(
             impl in ("accel", "fallback")
@@ -92,26 +92,15 @@ class TestAccelInfo:
         monkeypatch.setenv("REPRO_NO_ACCEL", "1")
         assert cli_main(["accel-info", "--require-compiled"]) == 1
         err = capsys.readouterr().err
-        # The bare flag requires both kernels, so both are reported.
-        assert "compiled mesh kernel required" in err
-        assert "compiled sched kernel required" in err
-
-    def test_require_compiled_named_kernel(self, monkeypatch, capsys):
-        # Only the sched kernel is disabled: requiring mesh alone passes
-        # (when a compiler exists), requiring sched fails.
-        from repro.accel import build
-
-        if build.find_compiler() is None:
-            pytest.skip("no C compiler on this host")
-        monkeypatch.setenv("REPRO_NO_ACCEL_SCHED", "1")
-        assert cli_main(["accel-info", "--require-compiled", "mesh"]) == 0
-        capsys.readouterr()
-        assert cli_main(["accel-info", "--require-compiled", "sched"]) == 1
-        assert "compiled sched kernel required" in capsys.readouterr().err
+        assert "compiled kernels required but not active" in err
+        assert "REPRO_NO_ACCEL is set" in err
 
     def test_require_compiled_unknown_kernel_rejected(self, capsys):
-        assert cli_main(["accel-info", "--require-compiled", "gpu"]) == 2
-        assert "unknown kernel" in capsys.readouterr().err
+        # The flag takes no kernel list: both kernels are one decision.
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["accel-info", "--require-compiled", "gpu"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: gpu" in capsys.readouterr().err
 
 
 class TestBaselineDiff:

@@ -14,9 +14,9 @@ import pytest
 
 from repro.common.params import baseline_protocol
 from repro.experiments.harness import adaptive_protocol, bench_arch
-from repro.runner.backends.local import run_task
+from repro.runner.backends.local import build_trace, execute_job, run_task
 from repro.runner.job import Job
-from repro.runner.parallel import ParallelRunner, build_trace, execute_job
+from repro.runner.parallel import ParallelRunner
 from repro.runner.store import ResultStore
 from repro.sim.stats import RunStats
 

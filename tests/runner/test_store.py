@@ -7,8 +7,8 @@ import json
 import pytest
 
 from repro.experiments.harness import adaptive_protocol, bench_arch
+from repro.runner.backends.local import execute_job
 from repro.runner.job import Job
-from repro.runner.parallel import execute_job
 from repro.runner.store import ResultStore
 
 

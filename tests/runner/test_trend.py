@@ -109,22 +109,19 @@ class TestBenchTrend:
 
 
 class TestImplementationGuard:
-    """Bench reports stamp kernel implementations (schema 3: mesh only;
-    schema 4: mesh AND sched); trend refuses to compare accel against
-    fallback on any shared kernel (the diff would measure the kernel)."""
-
-    def stamped(self, simulate: int, impl: str) -> dict:
-        report = bench_report(simulate)
-        report["schema"] = 3
-        report["implementation"] = impl
-        report["accel"] = {"compiled": impl == "accel", "compiler": None, "reason": None}
-        return report
+    """Bench reports stamp per-kernel implementations (schema 4: mesh AND
+    sched); trend refuses to compare accel against fallback on any shared
+    kernel (the diff would measure the kernel)."""
 
     def stamped4(self, simulate: int, mesh: str, sched: str) -> dict:
-        report = self.stamped(simulate, mesh)
+        report = bench_report(simulate)
         report["schema"] = 4
         report["implementations"] = {"mesh": mesh, "sched": sched}
+        report["accel"] = {"compiled": mesh == "accel", "compiler": None, "reason": None}
         return report
+
+    def stamped(self, simulate: int, impl: str) -> dict:
+        return self.stamped4(simulate, impl, impl)
 
     def test_mismatched_implementations_rejected(self, tmp_path):
         old, new = tmp_path / "old.json", tmp_path / "new.json"
@@ -141,15 +138,6 @@ class TestImplementationGuard:
         write_json(new, self.stamped4(100_000, "accel", "fallback"))
         with pytest.raises(ReproError, match="sched: 'accel' vs 'fallback'"):
             run_trend(str(old), str(new), assert_within=0.30)
-
-    def test_schema3_vs_schema4_compares_shared_kernels_only(self, tmp_path):
-        # A schema-3 report says nothing about sched: only the mesh stamps
-        # are comparable, and they agree here.
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        write_json(old, self.stamped(100_000, "accel"))
-        write_json(new, self.stamped4(100_000, "accel", "fallback"))
-        _rows, code = run_trend(str(old), str(new), assert_within=0.30)
-        assert code == 0
 
     def test_allow_impl_mismatch_overrides(self, tmp_path):
         old, new = tmp_path / "old.json", tmp_path / "new.json"
