@@ -9,13 +9,18 @@ engine owns the substrate every family shares:
 * the mesh network, memory subsystem and R-NUCA home placement;
 * the per-core L1s and per-tile L2 slices (with their statistics);
 * energy counters, miss statistics and the utilization histograms;
-* the home-side request sequence of every miss, in one of two shapes
-  chosen by line state alone: the *chained* shape (memoized home, line
-  resident there: ``_chain_probe`` + ``_chain_request_reply`` reserve the
-  request and its reply in one ``traverse_chain`` call) and the *general*
-  shape (``_request_at_home``: home resolution, delivery, serialization,
-  off-chip fill).  The compiled and pure-Python implementations take the
-  same shape for the same state;
+* the home-side round trip of every miss, written once: R-NUCA placement
+  (``RNucaPlacement.data_home``, which memoizes each line's home), then
+  the request and reply legs - one ``traverse_chain`` call
+  (``_chain_request_reply``) when nothing can intervene between them,
+  else ``_deliver_request`` (page flush, request, per-line serialization,
+  tag access, off-chip fill) followed by ``_reply`` - then the family's
+  time-independent home-side bookkeeping (``_serve_word`` for word
+  accesses), then ``_settle`` (line occupancy + LRU touch).  DLS and Neat
+  reach the legs through ``_round_trip``; the directory families call
+  them directly, because their invalidation and write-back rounds sit
+  between the legs.  The compiled and pure-Python implementations take
+  the same shape for the same line state;
 * the off-chip path: ``_l2_fill`` (inclusive-fill from DRAM) and
   ``_evict_l2_line`` (write-back + the per-family L1-purge hook);
 * golden-memory verification plumbing (write tokens, the DRAM image, and
@@ -50,7 +55,6 @@ from repro.mem.l2 import L2Line, L2Slice
 from repro.mem.memctrl import MemorySubsystem
 from repro.network.mesh import MeshNetwork
 from repro.network.messages import MsgType
-from repro.rnuca.page_table import PageKind
 from repro.rnuca.placement import RNucaPlacement
 from repro.sim.stats import MissStats, UtilizationHistogram
 
@@ -124,7 +128,6 @@ class ProtocolEngineBase:
         "_l2_latency",
         "_words_per_line",
         "_hit_result",
-        "_line_home_cache",
         "_num_tiles",
         "_net_paths",
         "_net_resolve",
@@ -187,11 +190,6 @@ class ProtocolEngineBase:
         #: this one immutable-by-convention instance instead of allocating.
         self._hit_result = AccessResult()
         self._hit_result.hit = True
-
-        #: line -> home-slice memo.  ``data_home`` is stable per line except
-        #: across a private -> shared page transition, which is one-way; the
-        #: transition handler drops the page's lines from this cache.
-        self._line_home_cache: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
@@ -311,52 +309,41 @@ class ProtocolEngineBase:
         return MissType.CAPACITY
 
     # ------------------------------------------------------------------
-    # Home-side access preamble, shared by every family's miss path.
+    # The home round trip, shared by every family's miss path.
     # ------------------------------------------------------------------
-    def _request_at_home(
-        self, core: int, line: int, req_msg: MsgType, now: float, result: AccessResult
-    ) -> tuple[int, L2Slice, L2Line, float]:
-        """Deliver a request to the line's home slice, ready for service.
+    def _round_trip(
+        self,
+        core: int,
+        line: int,
+        home: int,
+        flush_owner: int | None,
+        req_msg: MsgType,
+        reply_msg: MsgType,
+        now: float,
+        result: AccessResult,
+    ) -> tuple[L2Slice, L2Line, float, float]:
+        """Reserve a miss's request and reply legs when the reply type is
+        known up front and nothing happens at the home between them.
 
-        Performs the sequence every protocol family shares: R-NUCA home
-        resolution (flushing a private page's old slice on a private ->
-        shared transition), the request unicast, per-line serialization
-        ("L2 cache waiting time", recorded into ``result``), the L2 tag
-        access, and the off-chip fill on an L2 miss (recorded into
-        ``result.l2_offchip``).  Returns ``(home, slice_, l2line, t)`` with
-        ``t`` the time service at the home may begin.
+        With no page flush and the line resident at ``home``, both legs
+        ride one ``traverse_chain`` call; otherwise the general request leg
+        (flush, off-chip fill) runs, then the reply leg.  Returns
+        ``(slice_, l2line, t, reply_t)``: the home service time and the
+        reply's tail arrival at the requester.
         """
-        # Memoized home: a line's home is stable while its page's
-        # classification is stable - shared pages never reclassify and a
-        # private page keeps its home for accesses by the owner.  Only an
-        # access by a *different* core can move the home (the one-way
-        # private -> shared transition); those fall through to the page
-        # table via _resolve_data_home.
-        cached = self._line_home_cache.get(line)
-        if cached is not None and (cached[1] < 0 or cached[1] == core):
-            return self._deliver_request(core, line, cached[0], None, req_msg, now, result)
-        home, flush_owner = self._resolve_data_home(core, line)
-        return self._deliver_request(core, line, home, flush_owner, req_msg, now, result)
-
-    def _resolve_data_home(self, core: int, line: int) -> tuple[int, int | None]:
-        """Home-memo miss path: classify through the page table and refill
-        the memo.  Performs the first-touch classification side effects
-        exactly as the unmemoized path did; on a private -> shared
-        transition the page's stale memo entries are dropped."""
-        placement = self.placement
-        page = addrmod.page_of(line << addrmod.LINE_BITS, self.arch.page_size)
-        kind, owner, previous_owner = placement.page_table.classify_data(page, core)
-        if kind is PageKind.PRIVATE:
-            self._line_home_cache[line] = (owner, owner)
-            return owner, None
-        if previous_owner is not None:
-            # Transition: this page's lines were memoized at the old
-            # private owner's slice; forget them before they mislead.
-            for pline in addrmod.lines_in_page(page, self.arch.page_size):
-                self._line_home_cache.pop(pline, None)
-        home = placement.shared_home(line)
-        self._line_home_cache[line] = (home, -1)
-        return home, previous_owner
+        if flush_owner is None:
+            slice_ = self.l2[home]
+            store = slice_.store
+            l2line = store._sets[line & store._set_mask].get(line)
+            if l2line is not None:
+                t, reply_t = self._chain_request_reply(
+                    core, home, l2line, slice_, req_msg, reply_msg, now, result
+                )
+                return slice_, l2line, t, reply_t
+        slice_, l2line, t = self._deliver_request(
+            core, line, home, flush_owner, req_msg, now, result
+        )
+        return slice_, l2line, t, self._reply(home, core, reply_msg, t)
 
     def _deliver_request(
         self,
@@ -367,13 +354,16 @@ class ProtocolEngineBase:
         req_msg: MsgType,
         now: float,
         result: AccessResult,
-    ) -> tuple[int, L2Slice, L2Line, float]:
-        """Home-resolution-agnostic half of :meth:`_request_at_home`.
+    ) -> tuple[L2Slice, L2Line, float]:
+        """The general request leg: deliver a request to the home slice,
+        ready for service.
 
-        Split out so families with a different home function (DLS's
-        word-interleaved LLC) can resolve the home themselves and reuse the
-        shared delivery path (flush, unicast, serialization, tag access,
-        off-chip fill).
+        Flushes a private page's old slice on a private -> shared
+        transition, reserves the request, applies per-line serialization
+        ("L2 cache waiting time", recorded into ``result``), accesses the
+        L2 tag and fills the line from off-chip on an L2 miss (recorded
+        into ``result.l2_offchip``).  Returns ``(slice_, l2line, t)`` with
+        ``t`` the time service at the home may begin.
         """
         if flush_owner is not None:
             self._flush_private_page(line, flush_owner, now)
@@ -394,85 +384,15 @@ class ProtocolEngineBase:
             l2line, t, result.l2_offchip = self._l2_fill(home, line, t)
         else:
             slice_.hits += 1
-        return home, slice_, l2line, t
+        return slice_, l2line, t
 
-    # ------------------------------------------------------------------
-    # Word service at the home L2 (shared by the remote path of the
-    # adaptive protocol and by the DLS / Neat families).
-    # ------------------------------------------------------------------
-    def _word_service_bookkeeping(
-        self,
-        core: int,
-        is_write: bool,
-        line: int,
-        word: int,
-        l2line: L2Line,
-        slice_: L2Slice,
-    ) -> MsgType:
-        """The home-side word access minus the reply traversal.
-
-        Split from :meth:`_service_word_at_home` so the chained fast paths
-        (which reserve request + reply in one ``traverse_chain`` call) can
-        run the bookkeeping separately; none of it depends on time or on
-        network state, so the split cannot change results.  Returns the
-        reply message type (always determined by ``is_write`` alone).
-        """
-        if is_write:
-            slice_.word_writes += 1
-            self.energy.l2_word_writes += 1
-            l2line.dirty = True
-            l2line.dirty_words |= 1 << word
-            if self.verify:
-                token = self._issue_write_token(core)
-                l2line.data[word] = token
-                self.golden.write_word(line, word, token)
-            return MsgType.WORD_WRITE_ACK
-        slice_.word_reads += 1
-        self.energy.l2_word_reads += 1
-        if self.verify:
-            self.golden.check_read(line, word, l2line.data[word], f"remote read core {core}")
-        return MsgType.WORD_REPLY
-
-    def _service_word_at_home(
-        self,
-        core: int,
-        is_write: bool,
-        line: int,
-        word: int,
-        l2line: L2Line,
-        home: int,
-        slice_: L2Slice,
-        t: float,
-    ) -> float:
-        reply = self._word_service_bookkeeping(core, is_write, line, word, l2line, slice_)
+    def _reply(self, home: int, core: int, reply_msg: MsgType, t: float) -> float:
+        """The general reply leg: reserve ``reply_msg`` from the home at
+        ``t``; returns its tail arrival at the requester."""
         path = self._net_paths[home * self._num_tiles + core]
         if path is None:
             path = self._net_resolve(home, core)
-        return self._net_traverse(path, t, self._net_flits[reply])
-
-    # ------------------------------------------------------------------
-    # Chained request -> home -> reply delivery (one FFI crossing per
-    # miss with the compiled kernel; the exact composition of two
-    # traverse_path calls without it).
-    # ------------------------------------------------------------------
-    def _chain_probe(self, core: int, line: int):
-        """Cheap preconditions for a chained miss: memoized home, line
-        present at the home L2.  Returns ``(home, slice_, l2line)`` or
-        ``None`` when the general path (home resolution side effects, or
-        an off-chip fill whose timing interleaves with the reply) must
-        run instead.  Both implementations take the same shape for the
-        same line state.
-        """
-        cached = self._line_home_cache.get(line)
-        if cached is None or not (cached[1] < 0 or cached[1] == core):
-            return None
-        home = cached[0]
-        slice_ = self.l2[home]
-        store = slice_.store
-        l2line = store._sets[line & store._set_mask].get(line)
-        if l2line is None:
-            return None
-        return home, slice_, l2line
+        return self._net_traverse(path, t, self._net_flits[reply_msg])
 
     def _chain_request_reply(
         self,
@@ -486,11 +406,11 @@ class ProtocolEngineBase:
         result: AccessResult,
     ) -> tuple[float, float]:
         """Reserve the request and reply legs in one ``traverse_chain``
-        call, with the same serialization/latency arithmetic and the same
-        counter updates as ``_deliver_request`` + a reply traversal.
-        Returns ``(t, reply_t)``: the home service time and the reply's
-        tail arrival at the requester.  Only valid when the reply message
-        type is known up front (the L2-hit fast shapes).
+        call (one FFI crossing per miss with the compiled kernel; the exact
+        composition of two ``traverse_path`` calls without it), with the
+        same serialization/latency arithmetic and the same counter updates
+        as ``_deliver_request`` + ``_reply`` on a resident line.  Returns
+        ``(t, reply_t)``.
         """
         paths = self._net_paths
         num_tiles = self._num_tiles
@@ -513,6 +433,51 @@ class ProtocolEngineBase:
         self.energy.l2_tag_accesses += 1
         slice_.hits += 1
         return t, reply_t
+
+    def _serve_word(
+        self,
+        core: int,
+        is_write: bool,
+        line: int,
+        word: int,
+        l2line: L2Line,
+        slice_: L2Slice,
+    ) -> None:
+        """Word access at the home L2 (the remote service of the adaptive
+        protocol, every DLS access, Neat's eager write-through).  Touches
+        no time or network state, so it runs after the reply is reserved.
+        """
+        if is_write:
+            slice_.word_writes += 1
+            self.energy.l2_word_writes += 1
+            l2line.dirty = True
+            l2line.dirty_words |= 1 << word
+            if self.verify:
+                token = self._issue_write_token(core)
+                l2line.data[word] = token
+                self.golden.write_word(line, word, token)
+            return
+        slice_.word_reads += 1
+        self.energy.l2_word_reads += 1
+        if self.verify:
+            self.golden.check_read(line, word, l2line.data[word], f"remote read core {core}")
+
+    def _settle(self, slice_: L2Slice, l2line: L2Line, t: float, owned: bool) -> None:
+        """Release the home line after service at ``t``.
+
+        A request that owns the line (writes, directory line grants, Neat
+        flushes) holds it until ``t``; word reads and Neat's line fetches
+        take no ownership and pipeline through the banked L2, occupying
+        the line for one cycle - why "a word miss only contributes
+        marginally to the L2 cache waiting time" (Section 5.1.2).
+        """
+        if owned:
+            l2line.busy_until = t
+        else:
+            busy = t - self._l2_latency + 1.0
+            if busy > l2line.busy_until:
+                l2line.busy_until = busy
+        slice_.touch(l2line, t)
 
     # ------------------------------------------------------------------
     # L2 miss: fetch the line from off-chip memory.

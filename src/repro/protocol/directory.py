@@ -27,6 +27,18 @@ This engine services every L1 miss the way the paper's hardware would:
   directory access (for the energy model) and the four L2-side latency
   components of Section 4.4.
 
+Each miss takes the substrate's steps (``repro.protocol.base``): the home
+from ``RNucaPlacement.data_home``, the request and reply legs, the
+time-independent bookkeeping (``_serve_word`` or ``_grant_private``), then
+``_settle``.  The invalidation or write-back round sits between the legs,
+so the engine checks the line itself rather than calling ``_round_trip``:
+with no page flush, the line resident at the home and no round to run,
+request and reply ride one ``_chain_request_reply`` call; otherwise
+``_deliver_request``, the round, then ``_reply``.  Either way the
+requester is classified once (``_classify_requester``, the one policy
+seam the phase family overrides) and the reply is reserved before the
+bookkeeping.
+
 The engine is *globally magic*: requests are serviced atomically in
 simulation order while all latencies come from the network/DRAM/serialization
 models.  This is the standard trace-driven methodology; per-line
@@ -179,48 +191,49 @@ class DirectoryEngine(ProtocolEngineBase):
         energy.l1d_tag_accesses += 1
         result = AccessResult()
 
-        # ---- request to the home slice (tag + directory lookup there).
+        # ---- request to the R-NUCA home (tag + directory lookup there).
         if is_write:
             req_msg = _UPGRADE_REQ if upgrade else _WRITE_REQ
         else:
             req_msg = _READ_REQ
-        reply_t = None
-        probe = self._chain_probe(core, line)
-        if probe is not None:
-            home, slice_, l2line = probe
-            # Clean precheck for the chained shape: when no invalidation
-            # round (writes: no foreign sharer) and no synchronous
-            # write-back (reads: no foreign exclusive owner) can fire, the
-            # request and reply are the only traversals of this miss, so
-            # both ride one traverse_chain call.  The check runs BEFORE
-            # classification: _remove_own_copy - the only directory
-            # mutation classification can make - removes the requester
-            # itself, which cannot make a clean line dirty.
-            dirent = l2line.directory
-            if is_write:
-                sharers = dirent.sharers
-                clean = not sharers or (len(sharers) == 1 and core in sharers)
-            else:
-                clean = dirent.owner < 0 or dirent.owner == core
-            if clean:
-                energy.directory_lookups += 1
-                serviced_remote, upgrade = self._classify_requester(
-                    l1, l2line, core, line, is_write, upgrade
-                )
-                if serviced_remote:
-                    reply_msg = _WORD_WRITE_ACK if is_write else _WORD_REPLY
-                elif is_write and upgrade:
-                    reply_msg = _WORD_WRITE_ACK
+        home, flush_owner = self.placement.data_home(line, core)
+        slice_ = self.l2[home]
+        # Chained shape: no page flush, the line resident at the home, and
+        # neither an invalidation round (writes: no foreign sharer) nor a
+        # synchronous write-back (reads: no foreign exclusive owner) can
+        # fire, so the request and reply are this miss's only traversals
+        # and ride one traverse_chain call.  The check runs before
+        # classification: _remove_own_copy - the only directory mutation
+        # classification can make - removes the requester itself, which
+        # cannot make a clean line dirty.
+        chained = False
+        if flush_owner is None:
+            store = slice_.store
+            l2line = store._sets[line & store._set_mask].get(line)
+            if l2line is not None:
+                dirent = l2line.directory
+                if is_write:
+                    sharers = dirent.sharers
+                    chained = not sharers or (len(sharers) == 1 and core in sharers)
                 else:
-                    reply_msg = _LINE_REPLY
-                t, reply_t = self._chain_request_reply(
-                    core, home, l2line, slice_, req_msg, reply_msg, now, result
-                )
-        if reply_t is None:
-            home, slice_, l2line, t = self._request_at_home(core, line, req_msg, now, result)
-            energy.directory_lookups += 1
-            serviced_remote, upgrade = self._classify_requester(
-                l1, l2line, core, line, is_write, upgrade
+                    chained = dirent.owner < 0 or dirent.owner == core
+        if not chained:
+            slice_, l2line, t = self._deliver_request(
+                core, line, home, flush_owner, req_msg, now, result
+            )
+        energy.directory_lookups += 1
+        # Classification touches no network or timing state, so in the
+        # chained shape it may run before the request is reserved.
+        serviced_remote, upgrade = self._classify_requester(
+            l1, l2line, core, line, is_write, upgrade
+        )
+        if is_write and (serviced_remote or upgrade):
+            reply_msg = _WORD_WRITE_ACK
+        else:
+            reply_msg = _WORD_REPLY if serviced_remote else _LINE_REPLY
+        if chained:
+            t, reply_t = self._chain_request_reply(
+                core, home, l2line, slice_, req_msg, reply_msg, now, result
             )
 
         # ---- miss classification uses the pre-service history (Section 4.4).
@@ -251,40 +264,22 @@ class DirectoryEngine(ProtocolEngineBase):
             t += sharers_lat
             result.l2_sharers = sharers_lat
 
-        # ---- service: word access at L2 or private line grant.  On the
-        # chained path the reply leg is already reserved; only the
-        # time-independent bookkeeping halves run here.
+        # ---- service: the reply leg (already reserved when chained), then
+        # the time-independent bookkeeping - a word access at the home L2
+        # or a private line grant.
+        if not chained:
+            reply_t = self._reply(home, core, reply_msg, t)
         if serviced_remote:
-            if reply_t is None:
-                reply_t = self._service_word_at_home(
-                    core, is_write, line, word, l2line, home, slice_, t
-                )
-            else:
-                self._word_service_bookkeeping(core, is_write, line, word, l2line, slice_)
+            self._serve_word(core, is_write, line, word, l2line, slice_)
             flags |= _EVER_REMOTE
         else:
-            if reply_t is None:
-                reply_t = self._service_private(
-                    core, is_write, line, word, l2line, home, slice_, t, upgrade
-                )
-            else:
-                self._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
+            self._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
             flags |= _EVER_CACHED
         history[line] = flags
 
-        # ---- settle timing and bookkeeping at the home.
-        # Writes and line grants own the line until the directory settles;
-        # remote word *reads* pipeline through the banked L2 (they take no
-        # ownership), so they only occupy the line for one cycle - this is
-        # why "a word miss only contributes marginally to the L2 cache
-        # waiting time" (Section 5.1.2).
-        if serviced_remote and not is_write:
-            busy = t - self._l2_latency + 1.0
-            if busy > l2line.busy_until:
-                l2line.busy_until = busy
-        else:
-            l2line.busy_until = t
-        slice_.touch(l2line, t)
+        # ---- settle: writes and line grants own the line until the
+        # directory settles; remote word reads only occupy it for a cycle.
+        self._settle(slice_, l2line, t, is_write or not serviced_remote)
         energy.directory_updates += 1
 
         result.latency = reply_t - now
@@ -353,31 +348,8 @@ class DirectoryEngine(ProtocolEngineBase):
         return serviced_remote, upgrade
 
     # ------------------------------------------------------------------
-    # Private (line) service
+    # Private (line) grant
     # ------------------------------------------------------------------
-    def _service_private(
-        self,
-        core: int,
-        is_write: bool,
-        line: int,
-        word: int,
-        l2line: L2Line,
-        home: int,
-        slice_: L2Slice,
-        t: float,
-        upgrade: bool,
-    ) -> float:
-        # The reply type depends only on is_write/upgrade, never on the
-        # E-vs-S grant decision, so the traversal can run first and the
-        # grant bookkeeping (shared with the chained path) after.
-        reply = _WORD_WRITE_ACK if (is_write and upgrade) else _LINE_REPLY
-        path = self._net_paths[home * self._num_tiles + core]
-        if path is None:
-            path = self._net_resolve(home, core)
-        reply_t = self._net_traverse(path, t, self._net_flits[reply])
-        self._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
-        return reply_t
-
     def _grant_private(
         self,
         core: int,
@@ -389,9 +361,9 @@ class DirectoryEngine(ProtocolEngineBase):
         upgrade: bool,
         reply_t: float,
     ) -> None:
-        """Directory/L1 bookkeeping of a private grant: everything
-        :meth:`_service_private` does except the reply traversal (the
-        chained fast path reserves that leg itself)."""
+        """Directory/L1 bookkeeping of a private grant, run after the reply
+        leg is reserved (its type depends only on ``is_write``/``upgrade``,
+        never on the E-vs-S decision made here)."""
         dirent = l2line.directory
         classifier = self.classifier
         if classifier is not None:

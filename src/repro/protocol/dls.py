@@ -38,7 +38,9 @@ What this family models (and what it deliberately does not - see DESIGN.md,
   occupancy), the same Section 5.1.2 rule as the adaptive protocol's
   remote accesses, so DLS and the adaptive protocol's remote mode are
   timed identically - the comparison isolates the *policy*, not the
-  plumbing.
+  plumbing.  Both run the same substrate code (``repro.protocol.base``):
+  an access is ``data_word_home``, ``_round_trip``, ``_serve_word`` and
+  ``_settle``.
 
 Functional verification runs unchanged: word writes update the golden
 memory in service order and word reads are checked against it, so the
@@ -72,31 +74,16 @@ class DLSEngine(ProtocolEngineBase):
         result = AccessResult()
         result.remote = True
 
-        # ---- request to the word's home slice (writes carry the data word).
-        # ``data_word_home`` must run unconditionally (page-classification
-        # side effects); the chained shape only requires that no private
-        # page is being flushed and the line is resident at the home.
-        req_msg = MsgType.WRITE_REQ if is_write else MsgType.READ_REQ
-        home, flush_owner = self.placement.data_word_home(line, word, core)
-        l2line = None
-        if flush_owner is None:
-            slice_ = self.l2[home]
-            store = slice_.store
-            l2line = store._sets[line & store._set_mask].get(line)
-        if l2line is not None:
-            # Resident line: request and reply reserved in one
-            # ``traverse_chain`` call (the reply type depends only on
-            # ``is_write``, so it is known before the request departs).
-            reply_msg = MsgType.WORD_WRITE_ACK if is_write else MsgType.WORD_REPLY
-            t, reply_t = self._chain_request_reply(
-                core, home, l2line, slice_, req_msg, reply_msg, now, result
-            )
-            self._word_service_bookkeeping(core, is_write, line, word, l2line, slice_)
+        # ---- round trip to the word's home slice (writes carry the data
+        # word; the reply type depends only on ``is_write``).
+        if is_write:
+            req_msg, reply_msg = MsgType.WRITE_REQ, MsgType.WORD_WRITE_ACK
         else:
-            home, slice_, l2line, t = self._deliver_request(
-                core, line, home, flush_owner, req_msg, now, result
-            )
-            reply_t = None
+            req_msg, reply_msg = MsgType.READ_REQ, MsgType.WORD_REPLY
+        home, flush_owner = self.placement.data_word_home(line, word, core)
+        slice_, l2line, t, reply_t = self._round_trip(
+            core, line, home, flush_owner, req_msg, reply_msg, now, result
+        )
 
         # ---- every access is a miss: first touch is cold, then word.
         flags = self._history[core].get(line, 0)
@@ -104,19 +91,9 @@ class DLSEngine(ProtocolEngineBase):
         self.miss_stats.record_miss(result.miss_type)
         self._history[core][line] = flags | _EVER_REMOTE
 
-        if reply_t is None:
-            reply_t = self._service_word_at_home(
-                core, is_write, line, word, l2line, home, slice_, t
-            )
-
-        # ---- settle timing: writes serialize, word reads pipeline.
-        if is_write:
-            l2line.busy_until = t
-        else:
-            busy = t - self._l2_latency + 1.0
-            if busy > l2line.busy_until:
-                l2line.busy_until = busy
-        slice_.touch(l2line, t)
+        # ---- word service, then settle: writes serialize, reads pipeline.
+        self._serve_word(core, is_write, line, word, l2line, slice_)
+        self._settle(slice_, l2line, t, is_write)
 
         result.latency = reply_t - now
         result.l1_to_l2 = result.latency - result.l2_waiting - result.l2_offchip

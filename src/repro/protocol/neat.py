@@ -52,6 +52,12 @@ protocol families"):
 The net effect mirrors Neat's published trade-off: directory storage goes to
 zero and invalidation rounds disappear, while store-heavy sharing patterns
 pay per-word write-through traffic and reload misses.
+
+Timing is the substrate's (``repro.protocol.base``); only the bookkeeping
+is Neat's.  A miss or write-allocate is ``data_home``, ``_round_trip``
+(a ``WORD_WRITE_ACK`` for the eager write-through, a ``LINE_REPLY`` fetch
+otherwise), the version and copy bookkeeping, then ``_settle``; a release
+flush is ``data_home``, ``_deliver_request`` and an owning ``_settle``.
 """
 
 from __future__ import annotations
@@ -92,7 +98,7 @@ class NeatEngine(ProtocolEngineBase):
         self._release_batching = proto.neat_downgrade == "release"
         #: Per-core {line: dirty-word bitmask} of buffered (unflushed) stores.
         self._pending: list[dict[int, int]] = [dict() for _ in range(arch.num_cores)]
-        #: Scratch result for flush deliveries: _request_at_home records
+        #: Scratch result for flush deliveries: _deliver_request records
         #: serialization/off-chip latency into it, and a flush (being off
         #: the critical path) discards both.
         self._flush_result = AccessResult()
@@ -166,124 +172,77 @@ class NeatEngine(ProtocolEngineBase):
         self.energy.l1d_tag_accesses += 1
         result = AccessResult()
 
-        # ---- request to the home slice (writes carry the data word).
-        # A memoized home with the line resident chains request and reply
-        # in one ``traverse_chain`` call; the reply type is known up front
-        # (WORD_WRITE_ACK for the eager downgrade, LINE_REPLY for the
-        # line fetch) and the home-side bookkeeping is time-independent.
-        req_msg = MsgType.WRITE_REQ if is_write else MsgType.READ_REQ
-        probe = self._chain_probe(core, line)
-        if probe is not None:
-            home, slice_, l2line = probe
-            reply_msg = MsgType.WORD_WRITE_ACK if is_write else MsgType.LINE_REPLY
-            t, reply_t = self._chain_request_reply(
-                core, home, l2line, slice_, req_msg, reply_msg, now, result
-            )
+        # ---- round trip to the home slice: a write carries its word and is
+        # acknowledged (eager self-downgrade), a read fetches the line.
+        if is_write:
+            req_msg, reply_msg = MsgType.WRITE_REQ, MsgType.WORD_WRITE_ACK
         else:
-            home, slice_, l2line, t = self._request_at_home(core, line, req_msg, now, result)
-            reply_t = None
+            req_msg, reply_msg = MsgType.READ_REQ, MsgType.LINE_REPLY
+        home, flush_owner = self.placement.data_home(line, core)
+        slice_, l2line, t, reply_t = self._round_trip(
+            core, line, home, flush_owner, req_msg, reply_msg, now, result
+        )
 
         flags = self._history[core].get(line, 0)
+        versions = self._copy_version[core]
         if is_write:
             # Classify against the copy the writer holds RIGHT NOW, before
-            # _write_through refreshes or discards it: a write to a held
+            # the write-through refreshes or discards it: a write to a held
             # fresh copy is the upgrade case (store to a read-only line), a
             # write to a held stale copy is a sharing event (another core's
             # write killed the copy), and a copy-less write falls back to
             # the remote-access classification.
-            held = self.l1d[core].lookup(line)
-            if held is not None:
-                fresh = self._copy_version[core].get(line) == self._line_version.get(line, 0)
+            old_version = self._line_version.get(line, 0)
+            entry = l1.lookup(line)
+            fresh = entry is not None and versions.get(line) == old_version
+            if entry is not None:
                 result.miss_type = MissType.UPGRADE if fresh else MissType.SHARING
             else:
                 result.miss_type = self._classify_miss(flags, upgrade=False, serviced_remote=True)
-            if reply_t is None:
-                reply_t = self._write_through(core, line, word, l2line, home, slice_, t)
-            else:
-                old_version = self._line_version.get(line, 0)
-                self._word_service_bookkeeping(core, True, line, word, l2line, slice_)
-                self._downgrade_settle(core, line, word, old_version, reply_t)
-            result.remote = True
-            # History is re-read rather than taken from the pre-service
-            # flags: _write_through may have self-invalidated a stale copy,
-            # setting _LAST_REMOVAL_INVAL.
-            self._history[core][line] = self._history[core].get(line, 0) | _EVER_REMOTE
-            l2line.busy_until = t
-        else:
-            if reply_t is None:
-                reply_t = self._read_line(core, line, word, l2line, home, slice_, t)
-            else:
-                self._fill_line(core, line, word, l2line, slice_, reply_t)
-            result.miss_type = self._classify_miss(flags, upgrade=False, serviced_remote=False)
-            self._history[core][line] = flags | _EVER_CACHED
-            # Reads take no home-side ownership: pipeline through the bank.
-            busy = t - self._l2_latency + 1.0
-            if busy > l2line.busy_until:
-                l2line.busy_until = busy
-        self.miss_stats.record_miss(result.miss_type)
-        slice_.touch(l2line, t)
-
-        result.latency = reply_t - now
-        result.l1_to_l2 = result.latency - result.l2_waiting - result.l2_offchip
-        return result
-
-    # ------------------------------------------------------------------
-    def _write_through(
-        self, core: int, line: int, word: int, l2line, home: int, slice_, t: float
-    ) -> float:
-        """Eager self-downgrade: the word is written at the home (no allocate).
-
-        A resident *fresh* copy is refreshed in place so the writer's own
-        reads keep hitting; a stale resident copy is discarded (refreshing
-        one word of it would revalidate its other, stale words).  Every
-        other core's copy goes stale and self-invalidates on its next use.
-        """
-        old_version = self._line_version.get(line, 0)
-        # _service_word_at_home issues this write's token (verify mode);
-        # self._write_token below refreshes the writer's own copy with it.
-        reply_t = self._service_word_at_home(core, True, line, word, l2line, home, slice_, t)
-        return self._downgrade_settle(core, line, word, old_version, reply_t)
-
-    def _downgrade_settle(
-        self, core: int, line: int, word: int, old_version: int, reply_t: float
-    ) -> float:
-        """Version bump + own-copy refresh half of :meth:`_write_through`,
-        split out so the chained fast path (reply already reserved) can run
-        it after the bookkeeping; nothing here touches the network before
-        ``reply_t``, so the split cannot change results."""
-        self.write_throughs += 1
-        self._line_version[line] = old_version + 1
-        l1 = self.l1d[core]
-        entry = l1.lookup(line)
-        if entry is not None:
-            if self._copy_version[core].get(line) == old_version:
+            # The word is written at the home (no allocate); _serve_word
+            # issues this write's token (verify mode).  Every other core's
+            # copy goes stale and self-invalidates on its next use.
+            self._serve_word(core, True, line, word, l2line, slice_)
+            self.write_throughs += 1
+            self._line_version[line] = old_version + 1
+            if fresh:
+                # Refreshed in place so the writer's own reads keep hitting.
                 l1.store.touch(entry)
                 entry.utilization += 1
                 entry.last_access = reply_t
                 self.energy.l1d_writes += 1
                 if self.verify:
                     entry.data[word] = self._write_token
-                self._copy_version[core][line] = old_version + 1
-            else:
+                versions[line] = old_version + 1
+            elif entry is not None:
+                # A stale copy is discarded: refreshing one word of it would
+                # revalidate its other, stale words.
                 self._self_invalidate(core, line, reply_t)
-        return reply_t
+            result.remote = True
+            # History is re-read rather than taken from the pre-service
+            # flags: _self_invalidate may have set _LAST_REMOVAL_INVAL.
+            self._history[core][line] = self._history[core].get(line, 0) | _EVER_REMOTE
+        else:
+            self._install_line(core, line, l2line, slice_, reply_t)
+            versions[line] = self._line_version.get(line, 0)
+            self.energy.l1d_reads += 1
+            if self.verify:
+                entry = l1.lookup(line)
+                self.golden.check_read(line, word, entry.data[word], f"Neat fill read core {core}")
+            result.miss_type = self._classify_miss(flags, upgrade=False, serviced_remote=False)
+            self._history[core][line] = flags | _EVER_CACHED
+        self.miss_stats.record_miss(result.miss_type)
+        # Reads take no home-side ownership: they pipeline through the bank.
+        self._settle(slice_, l2line, t, is_write)
 
-    # ------------------------------------------------------------------
-    def _read_line(
-        self, core: int, line: int, word: int, l2line, home: int, slice_, t: float
-    ) -> float:
-        """Read miss: fetch the full line, install it clean SHARED."""
-        path = self._net_paths[home * self._num_tiles + core]
-        if path is None:
-            path = self._net_resolve(home, core)
-        reply_t = self._net_traverse(path, t, self._net_flits[int(MsgType.LINE_REPLY)])
-        self._fill_line(core, line, word, l2line, slice_, reply_t)
-        return reply_t
+        result.latency = reply_t - now
+        result.l1_to_l2 = result.latency - result.l2_waiting - result.l2_offchip
+        return result
 
     def _install_line(self, core: int, line: int, l2line, slice_, reply_t: float) -> None:
-        """Install the fetched line clean SHARED (counter half of the
-        fetch, shared by :meth:`_fill_line` and the buffered-write
-        allocate; runs after the reply leg is reserved either way)."""
+        """Install the fetched line clean SHARED (the counter half of a
+        fetch, shared by read misses and the buffered-write allocate; runs
+        after the reply leg is reserved)."""
         slice_.line_reads += 1
         self.energy.l2_line_reads += 1
         l1 = self.l1d[core]
@@ -292,18 +251,6 @@ class NeatEngine(ProtocolEngineBase):
         self.energy.l1d_line_fills += 1
         if evicted is not None:
             self._handle_l1_eviction(core, evicted[0], evicted[1], reply_t)
-
-    def _fill_line(
-        self, core: int, line: int, word: int, l2line, slice_, reply_t: float
-    ) -> None:
-        """Fill bookkeeping of :meth:`_read_line` minus the reply
-        traversal (the chained fast path reserves that leg itself)."""
-        self._install_line(core, line, l2line, slice_, reply_t)
-        self._copy_version[core][line] = self._line_version.get(line, 0)
-        self.energy.l1d_reads += 1
-        if self.verify:
-            entry = self.l1d[core].lookup(line)
-            self.golden.check_read(line, word, entry.data[word], f"Neat fill read core {core}")
 
     # ------------------------------------------------------------------
     # Release-boundary self-downgrade batching (neat_downgrade="release").
@@ -341,20 +288,10 @@ class NeatEngine(ProtocolEngineBase):
             result.miss_type = self._classify_miss(flags, upgrade=False, serviced_remote=False)
         l1.misses += 1
         self.energy.l1d_tag_accesses += 1
-        probe = self._chain_probe(core, line)
-        if probe is not None:
-            home, slice_, l2line = probe
-            t, reply_t = self._chain_request_reply(
-                core, home, l2line, slice_, MsgType.READ_REQ, MsgType.LINE_REPLY, now, result
-            )
-        else:
-            home, slice_, l2line, t = self._request_at_home(
-                core, line, MsgType.READ_REQ, now, result
-            )
-            path = self._net_paths[home * self._num_tiles + core]
-            if path is None:
-                path = self._net_resolve(home, core)
-            reply_t = self._net_traverse(path, t, self._net_flits[int(MsgType.LINE_REPLY)])
+        home, flush_owner = self.placement.data_home(line, core)
+        slice_, l2line, t, reply_t = self._round_trip(
+            core, line, home, flush_owner, MsgType.READ_REQ, MsgType.LINE_REPLY, now, result
+        )
         self._install_line(core, line, l2line, slice_, reply_t)
         versions[line] = self._line_version.get(line, 0)
         self.energy.l1d_writes += 1
@@ -367,10 +304,7 @@ class NeatEngine(ProtocolEngineBase):
         self._history[core][line] = flags | _EVER_CACHED
         self.miss_stats.record_miss(result.miss_type)
         # The fetch is a read at the home: no ownership, bank-pipelined.
-        busy = t - self._l2_latency + 1.0
-        if busy > l2line.busy_until:
-            l2line.busy_until = busy
-        slice_.touch(l2line, t)
+        self._settle(slice_, l2line, t, False)
         result.latency = reply_t - now
         result.l1_to_l2 = result.latency - result.l2_waiting - result.l2_offchip
         return result
@@ -383,8 +317,9 @@ class NeatEngine(ProtocolEngineBase):
         result = self._flush_result
         result.l2_waiting = 0.0
         result.l2_offchip = 0.0
-        home, slice_, l2line, t_at_home = self._request_at_home(
-            core, line, MsgType.WB_DATA, t, result
+        home, flush_owner = self.placement.data_home(line, core)
+        slice_, l2line, t_at_home = self._deliver_request(
+            core, line, home, flush_owner, MsgType.WB_DATA, t, result
         )
         if entry is None:
             entry = self.l1d[core].lookup(line)
@@ -417,8 +352,7 @@ class NeatEngine(ProtocolEngineBase):
             # exhaustive tier: W0(w0) W1(w4) flush0 flush1 R1(w0) read 0
             # where w0 held core 0's store.
             self._copy_version[core][line] = version
-        l2line.busy_until = t_at_home
-        slice_.touch(l2line, t_at_home)
+        self._settle(slice_, l2line, t_at_home, True)
 
     def _release_flush(self, core: int, t: float) -> None:
         """Release boundary: flush every line with buffered stores."""

@@ -244,9 +244,8 @@ class VictimReplicationEngine(DirectoryEngine):
         return MsgType.INV_ACK  # replicas are clean: never any data to return
 
     # ------------------------------------------------------------------
-    # The requester's own replica dies when it receives a private copy.
-    # (_grant_private, not _service_private: both the general path and the
-    # chained fast path dispatch through the grant bookkeeping.)
+    # The requester's own replica dies when it receives a private copy
+    # (both shapes of the directory miss path grant through here).
     # ------------------------------------------------------------------
     def _grant_private(self, core, is_write, line, word, l2line, slice_, upgrade, reply_t):
         own = self.l2[core].lookup(line)

@@ -9,6 +9,18 @@ For a 64-core processor R-NUCA places (Section 2.1):
 * **instructions** replicated at one slice per cluster of 4 cores using
   rotational interleaving - each core finds instruction lines within its
   2x2 mesh neighbourhood.
+
+``data_home`` is the first step of every line-homed miss, so it memoizes
+each line's ``(home, private owner or -1)``.  A line's home is stable
+while its page's classification is: shared pages never reclassify and a
+private page keeps its home for its owner.  Only an access by another
+core can move it (the one-way private -> shared transition), and that
+access reaches the page table, which reports the transition; the
+placement then drops every memoized line of the page.  The placement
+creates its own page table, so nothing outside it can reclassify a page
+behind the memo; ``data_word_home`` (DLS's word-interleaved homes) is
+neither memoized nor memo-aware, so an engine homes its data through one
+of the two.
 """
 
 from __future__ import annotations
@@ -25,9 +37,11 @@ _HASH_MULTIPLIER = 2654435761
 class RNucaPlacement:
     """Computes the home L2 slice for every access."""
 
-    def __init__(self, arch: ArchConfig, page_table: RNucaPageTable | None = None) -> None:
+    def __init__(self, arch: ArchConfig) -> None:
         self.arch = arch
-        self.page_table = page_table if page_table is not None else RNucaPageTable()
+        self.page_table = RNucaPageTable()
+        #: line -> (home slice, private owner or -1); see the module docstring.
+        self._line_home: dict[int, tuple[int, int]] = {}
         self._cluster_tiles_cache: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -40,13 +54,26 @@ class RNucaPlacement:
 
         Returns ``(home_tile, flush_owner)``; ``flush_owner`` is the previous
         private owner's tile when this access just reclassified the page
-        shared (its slice must be flushed), else None.
+        shared (its slice must be flushed), else None.  A memo hit (shared
+        line, or private line accessed by its owner) skips the page table;
+        the classification it would repeat has no side effects.
         """
+        cached = self._line_home.get(line)
+        if cached is not None and (cached[1] < 0 or cached[1] == core):
+            return cached[0], None
         page = addrmod.page_of(line << addrmod.LINE_BITS, self.arch.page_size)
         kind, owner, previous_owner = self.page_table.classify_data(page, core)
         if kind is PageKind.PRIVATE:
+            self._line_home[line] = (owner, owner)
             return owner, None
-        return self.shared_home(line), previous_owner
+        if previous_owner is not None:
+            # Transition: the page's lines were memoized at the old private
+            # owner's slice; forget them before they mislead.
+            for pline in addrmod.lines_in_page(page, self.arch.page_size):
+                self._line_home.pop(pline, None)
+        home = self.shared_home(line)
+        self._line_home[line] = (home, -1)
+        return home, previous_owner
 
     # ------------------------------------------------------------------
     def shared_word_home(self, line: int, word: int) -> int:
@@ -63,7 +90,8 @@ class RNucaPlacement:
         """Per-word home for a DLS data access (same contract as
         :meth:`data_home`: private pages stay at the owner's slice, shared
         words interleave, and ``flush_owner`` reports a private -> shared
-        transition that requires flushing the old owner's slice)."""
+        transition that requires flushing the old owner's slice).  Not
+        memoized, and blind to :meth:`data_home`'s memo."""
         page = addrmod.page_of(line << addrmod.LINE_BITS, self.arch.page_size)
         kind, owner, previous_owner = self.page_table.classify_data(page, core)
         if kind is PageKind.PRIVATE:

@@ -6,14 +6,17 @@ any traffic - including far-future reservations (DRAM replies scheduled
 thousands of cycles ahead) that live in the overflow dict, and traffic that
 then arrives "in the past" relative to those reservations.
 
-Two properties pin it:
+Three properties pin it:
 
 * **flit conservation** - every flit that crosses a link reserves exactly
   one cycle of capacity somewhere (window slot or overflow), so the total
   reserved capacity always equals ``link_flit_traversals``;
 * **reference equivalence** - a randomized message stream produces
   bit-identical arrival times and an identical (epoch, link) -> occupancy
-  map against a reference implementation of the PR-3 flat-dict model.
+  map against a reference implementation of the PR-3 flat-dict model;
+* **chain composition** - ``traverse_chain``, which every chained miss
+  reserves its request and reply through, is exactly ``traverse_path``,
+  then ``max`` with ``busy_until``, then ``traverse_path``.
 """
 
 from __future__ import annotations
@@ -228,3 +231,42 @@ class TestReferenceEquivalence:
                 assert via_unicast == via_path
                 t += 3.0
         assert a.occupancy_map() == b.occupancy_map()
+
+
+class TestChainComposition:
+    @BOTH_IMPLS
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_chain_equals_two_traversals_around_busy_until(self, impl, data):
+        """Same returned ``(t1, t2)``, occupancy and traffic counters as
+        the three-step composition on a twin network, over random routes
+        (same-tile legs included), times, gaps and flit counts, on links
+        carrying prior random load."""
+        chained = make_net(impl)
+        composed = make_net(impl)
+        for src, dst, flits, start in message_stream(data.draw, 16, n_min=0, n_max=30):
+            for net in (chained, composed):
+                net.traverse_path(net.resolve_path(src, dst), start, flits)
+        tiles = st.integers(0, 15)
+        flit_counts = st.sampled_from((1, 2, 9))
+        times = st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 3.0 * EPOCH_CYCLES),
+            st.floats(0.0, 4.0 * WINDOW_EPOCHS * EPOCH_CYCLES),
+        )
+        for _ in range(data.draw(st.integers(1, 12))):
+            src, home, dst = data.draw(tiles), data.draw(tiles), data.draw(tiles)
+            flits1, flits2 = data.draw(flit_counts), data.draw(flit_counts)
+            t0, busy_until = data.draw(times), data.draw(times)
+            gap = data.draw(st.sampled_from((0.0, 1.0, 6.0, 2.5)))
+            got = chained.traverse_chain(
+                chained.resolve_path(src, home), flits1, t0, busy_until, gap,
+                chained.resolve_path(home, dst), flits2,
+            )
+            t1 = composed.traverse_path(composed.resolve_path(src, home), t0, flits1)
+            start = max(t1, busy_until)
+            t2 = composed.traverse_path(composed.resolve_path(home, dst), start + gap, flits2)
+            assert got == (t1, t2), (src, home, dst, flits1, flits2, t0, busy_until, gap)
+        assert chained.occupancy_map() == composed.occupancy_map()
+        for counter in ("messages_sent", "flits_sent", "link_flit_traversals"):
+            assert getattr(chained, counter) == getattr(composed, counter), counter

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.common import addr as addrmod
 from repro.common.params import ArchConfig
+from repro.rnuca.page_table import PageKind, RNucaPageTable
 from repro.rnuca.placement import RNucaPlacement
 
 ARCH = ArchConfig(num_cores=64)
@@ -77,6 +78,35 @@ class TestDataClassification:
         home, flush = placement.data_home(sibling, first)
         assert home == placement.shared_home(sibling)
         assert flush is None  # the flush already happened for this page
+
+
+class TestHomeMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pages=st.integers(2, 3),
+        ops=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3)),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_memoized_home_matches_the_page_table_rule(self, pages, ops):
+        """At every step the memoized ``data_home`` returns what the
+        unmemoized rule returns (a fresh page table, ``classify_data``,
+        ``shared_home``) - so a private -> shared transition must drop the
+        page's memoized lines, including lines other than the one whose
+        access triggered it."""
+        placement = RNucaPlacement(ARCH)
+        table = RNucaPageTable()
+        for page_index, slot, core in ops:
+            line = (page_index % pages) * LINES_PER_PAGE + slot
+            page = addrmod.page_of(line << addrmod.LINE_BITS, ARCH.page_size)
+            kind, owner, previous_owner = table.classify_data(page, core)
+            if kind is PageKind.PRIVATE:
+                want = (owner, None)
+            else:
+                want = (placement.shared_home(line), previous_owner)
+            assert placement.data_home(line, core) == want, (line, core)
 
 
 class TestInstructionPlacement:
