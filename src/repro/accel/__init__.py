@@ -7,8 +7,9 @@ classes from it:
 * ``MeshKernel`` (phase 1): the epoch ring-buffer bandwidth accounting
   behind ``MeshNetwork.traverse_path``;
 * ``SchedKernel`` (phase 2): the simulator's columnar record walk -
-  cursors, min-clock heap and the inline L1-hit fast path - behind
-  ``Simulator._execute``.
+  cursors, min-clock heap and the inline L1-hit fast path.  It is one of
+  the two record walks ``Simulator._execute`` drives; the other is its
+  pure-Python twin, ``repro.sim.multicore.PySchedKernel``.
 
 There are two implementations - both kernels compiled, or both pure
 Python - and one decision between them:

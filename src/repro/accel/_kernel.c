@@ -575,16 +575,6 @@ Kernel_overflow_items(KernelObject *self, PyObject *Py_UNUSED(ignored))
 }
 
 static PyObject *
-Kernel_overflow_get(KernelObject *self, PyObject *arg)
-{
-    long long key = PyLong_AsLongLong(arg);
-    if (key == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    return PyLong_FromLongLong(ov_lookup(self, key));
-}
-
-static PyObject *
 Kernel_get_recycles(KernelObject *self, void *Py_UNUSED(closure))
 {
     return PyLong_FromLongLong(self->recycles);
@@ -626,7 +616,6 @@ static PyMethodDef Kernel_methods[] = {
      "forget all reservations (slots + overflow)"},
     {"overflow_len", (PyCFunction)Kernel_overflow_len, METH_NOARGS, NULL},
     {"overflow_items", (PyCFunction)Kernel_overflow_items, METH_NOARGS, NULL},
-    {"overflow_get", (PyCFunction)Kernel_overflow_get, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };
 

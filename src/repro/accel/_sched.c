@@ -1,7 +1,9 @@
 /* Compiled scheduler kernel: the simulator's columnar record walk in C.
  *
  * Accelerator phase 2 (DESIGN.md section 14).  One SchedKernel instance
- * owns a single `Simulator._execute` pass natively:
+ * walks a single `Simulator._execute` pass natively.  Its pure-Python
+ * twin and reference, `PySchedKernel` in repro/sim/multicore.py, has the
+ * same constructor, methods and exits; the two differ only in the walk:
  *
  *   - per-core int64 cursors directly over the trace's array('q') columns,
  *     adopted zero-copy through the buffer protocol (no list
@@ -13,7 +15,7 @@
  *     bit-identical to heapq's regardless of internal layout;
  *   - per-core compute/latency accumulators as C doubles.  CPython floats
  *     are C doubles and the per-record addition order is unchanged, so
- *     every accumulated value is bit-identical to the pure-Python loop;
+ *     every accumulated value is bit-identical to PySchedKernel;
  *   - an open-addressing (core, line) -> CacheLine map mirroring the
  *     scheduler_fast_path() L1 buckets (the same Fibonacci-hash + linear
  *     probe machinery as the mesh kernel's overflow map), with *deferred*
@@ -25,10 +27,11 @@
  * The kernel exits to Python only on cold events: an access() miss calls
  * the engine directly (the loop stays native around it), while
  * barrier/lock/unlock records return an exit tuple *before* the record is
- * processed and a thin Python trampoline performs the synchronization
- * bookkeeping (sync_boundary_hook, lock queues, deadlock accounting),
- * re-entering through continue_at()/advance()/wake().  Thousands of hit
- * records retire per FFI crossing.
+ * processed and `Simulator._execute`, the trampoline shared with
+ * PySchedKernel, performs the synchronization bookkeeping
+ * (sync_boundary_hook, lock queues, deadlock accounting), re-entering
+ * through continue_at()/advance()/wake().  Thousands of hit records
+ * retire per FFI crossing.
  *
  * Exactness invariants (pinned by the fixture + differential suites):
  *
@@ -37,7 +40,7 @@
  *     CacheLine objects and the store's _use_counter before *every*
  *     access() call and every exit, so the engine's victim selection,
  *     min_last_access scans, purges and histograms read exactly the state
- *     the pure-Python loop would have produced;
+ *     PySchedKernel would have produced;
  *   - LRU-counter replay: the kernel never owns store._use_counter.  It
  *     counts hits per core since the last flush; at flush it reads the
  *     counter (the engine may have bumped it during misses), assigns each
@@ -884,8 +887,8 @@ Sched_run(SchedObject *k, PyObject *Py_UNUSED(ignored))
                     }
                 }
                 else {
-                    /* Cold: hand the reference engine the exact state the
-                     * pure-Python loop would (flush first), then absorb
+                    /* Cold: hand the reference engine the exact state
+                     * PySchedKernel would (flush first), then absorb
                      * the miss result natively. */
                     k->indices[core] = i;
                     k->compute[core] = acc;
@@ -1064,7 +1067,9 @@ Sched_continue_at(SchedObject *k, PyObject *const *args, Py_ssize_t nargs)
     }
     k->indices[core] = i;
     k->compute[core] = acc;
-    /* The pure-Python loop's post-record tail, verbatim. */
+    /* The walk's post-record step, as in run() and
+     * PySchedKernel.continue_at: keep running, yield to the heap root,
+     * or retire. */
     if (i < k->lengths[core]) {
         if (k->heap_len > 0) {
             const HeapEntry *root = &k->heap[0];
@@ -1240,15 +1245,6 @@ fail:
     return NULL;
 }
 
-static PyObject *
-Sched_stats(SchedObject *k, PyObject *Py_UNUSED(ignored))
-{
-    return Py_BuildValue(
-        "{s:L,s:n,s:n,s:n,s:n,s:L}", "num_cores", k->num_cores, "map_cap",
-        k->map_cap, "map_len", k->map_len, "dirty_len", k->dirty_len,
-        "heap_len", k->heap_len, "current", k->current);
-}
-
 static PyMethodDef Sched_methods[] = {
     {"run", (PyCFunction)Sched_run, METH_NOARGS,
      "Run until a sync record, an error, or completion; returns None when "
@@ -1269,8 +1265,6 @@ static PyMethodDef Sched_methods[] = {
     {"finish", (PyCFunction)Sched_finish, METH_NOARGS,
      "Flush deferred state; return (hits_r, hits_w, per-core breakdown "
      "rows (compute, l1_to_l2, l2_waiting, l2_sharers, l2_offchip))."},
-    {"stats", (PyCFunction)Sched_stats, METH_NOARGS,
-     "Introspection counters (tests only)."},
     {NULL, NULL, 0, NULL},
 };
 

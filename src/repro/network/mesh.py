@@ -82,10 +82,9 @@ class _KernelOverflow:
     """Dict facade over the compiled kernel's overflow hash map.
 
     Kept API-compatible with the subset of ``dict`` the rest of the code
-    (and the property tests) use on ``MeshNetwork._overflow``: truthiness,
-    ``len``, ``items``/``values`` for the introspection methods, ``get``
-    for debugging.  Stored occupancies are never zero, so absent-vs-zero
-    is not ambiguous.
+    (and the property tests) use on ``MeshNetwork._overflow``: ``len``
+    (and with it truthiness), ``items``/``values`` for the introspection
+    methods.
     """
 
     __slots__ = ("_kernel",)
@@ -96,18 +95,11 @@ class _KernelOverflow:
     def __len__(self) -> int:
         return self._kernel.overflow_len()
 
-    def __bool__(self) -> bool:
-        return self._kernel.overflow_len() > 0
-
     def items(self) -> list[tuple[int, int]]:
         return self._kernel.overflow_items()
 
     def values(self) -> list[int]:
         return [value for _key, value in self._kernel.overflow_items()]
-
-    def get(self, key: int, default: int = 0) -> int:
-        value = self._kernel.overflow_get(key)
-        return value if value else default
 
 
 class MeshNetwork:

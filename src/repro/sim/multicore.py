@@ -28,8 +28,11 @@ cold-miss burst into DRAM, which belongs to neither protocol.
 Two implementations, one switch (``repro.accel``): with the compiled
 kernels the record walk runs natively in ``SchedKernel`` and the mesh
 reservations in ``MeshKernel``; ``REPRO_NO_ACCEL=1`` selects the pure-Python
-loop below and the pure-Python ring buffer, the bit-identical reference.
-The engines' miss paths take the same shape under both.
+record walk (``PySchedKernel``, below) and the pure-Python ring buffer, the
+bit-identical reference.  ``Simulator._execute`` is the one trampoline
+that drives either record walk, so barrier, lock and release-boundary
+handling is written once; the two implementations differ only in the walk
+itself.  The engines' miss paths take the same shape under both.
 """
 
 from __future__ import annotations
@@ -58,6 +61,246 @@ class _LockState:
     def __init__(self) -> None:
         self.held_by = -1
         self.queue: deque[tuple[int, float]] = deque()  # (core, arrival time)
+
+
+class PySchedKernel:
+    """The pure-Python record walk: the compiled ``SchedKernel``'s twin.
+
+    Same constructor, same methods, same exits, so ``Simulator._execute``
+    drives either one.  ``run()`` retires READ, WRITE and WORK records and
+    returns ``(op, core, now, i, acc)`` at a synchronization record,
+    before processing it (cursor still on it), or ``None`` once no core
+    is runnable; ``advance``/``continue_at``/``wake`` are the trampoline's
+    re-entry points; ``finish()`` hands back the per-core hit counts and
+    ``(compute, l1_to_l2, l2_waiting, l2_sharers, l2_offchip)`` rows.
+    This is the ungated, bit-identical reference for the compiled kernel
+    (``REPRO_NO_ACCEL=1`` selects it).
+
+    The walk reads the trace's columnar IR directly (per-core columns, a
+    cursor each) and schedules with a ``(t, core)`` min-heap; the running
+    core is never *in* the heap, and a pre-check against the heap root
+    keeps it running without any heap movement while it remains the
+    min-clock choice.  Every transformation preserves the exact min-clock
+    schedule and float-addition order of a record-at-a-time interpreter.
+    """
+
+    def __init__(self, ops, addresses, works, start_clocks, l1_hit_latency,
+                 access, result_type, fast) -> None:
+        # ``result_type`` only tells the compiled kernel where the
+        # ``AccessResult`` slots sit; the Python walk reads attributes.
+        num_cores = len(ops)
+        # Materialized list views of the columnar IR: indexing an
+        # ``array('q')`` boxes a fresh int object per read, while a list
+        # returns the already-boxed object.  One bulk conversion per
+        # execution buys back three boxings per record in the walk.
+        self._ops = [list(col) for col in ops]
+        self._addresses = [list(col) for col in addresses]
+        self._works = [list(col) for col in works]
+        self._lengths = [len(col) for col in self._ops]
+        self._indices = [0] * num_cores
+        self._clocks = list(start_clocks)
+        self._compute = [0.0] * num_cores
+        self._latency = [LatencyBreakdown() for _ in range(num_cores)]
+        #: Deferred hit counters, flushed by the trampoline at the end of
+        #: the pass, keeping the per-hit work to list updates.
+        self._hits_r = [0] * num_cores
+        self._hits_w = [0] * num_cores
+        self._l1_hit_latency = l1_hit_latency
+        self._access = access
+        # Inline L1-hit fast path (see ProtocolEngineBase.scheduler_fast_path):
+        # families with bookkeeping-only hits let the walk service them
+        # without an ``access`` call.
+        if fast is not None:
+            self._fast = (fast["buckets"], fast["set_bits"], fast["stores"],
+                          fast["set_mask"], fast["exclusive"], fast["modified"])
+        else:
+            # No inline hit path: probe permanently-empty surrogate buckets
+            # (the engine fills its own L1 structures, never these), so the
+            # walk needs no per-record "is there a fast path?" check - every
+            # probe misses and every access takes the full path.
+            self._fast = ([{}] * num_cores, 0, None, 0, None, None)
+        self._ready = [(self._clocks[c], c) for c in range(num_cores) if self._lengths[c]]
+        heapq.heapify(self._ready)
+        self._current = -1  # core to keep running, -1 = pop the heap
+        self._now = 0.0
+
+    def run(self):
+        """Walk records until a sync record (exit tuple) or the end (None)."""
+        ready = self._ready
+        core = self._current
+        if core >= 0:
+            now = self._now
+        elif ready:
+            now, core = heapq.heappop(ready)
+        else:
+            return None
+        ops_cols = self._ops
+        addr_cols = self._addresses
+        work_cols = self._works
+        lengths = self._lengths
+        indices = self._indices
+        clocks = self._clocks
+        compute = self._compute
+        latency = self._latency
+        hits_r = self._hits_r
+        hits_w = self._hits_w
+        l1_hit_latency = self._l1_hit_latency
+        access = self._access
+        f_buckets, f_set_bits, f_stores, f_mask, f_exclusive, f_modified = self._fast
+        line_bits = addrmod.LINE_BITS
+        heappop, heappushpop = heapq.heappop, heapq.heappushpop
+        op_read, op_write, op_work = int(Op.READ), int(Op.WRITE), int(Op.WORK)
+        while True:
+            ops = ops_cols[core]
+            addresses = addr_cols[core]
+            works = work_cols[core]
+            n = lengths[core]
+            i = indices[core]
+            bd = latency[core]
+            acc = compute[core]
+            core_sets = core << f_set_bits
+            while True:
+                op = ops[i]
+                work = works[i]
+
+                if op == op_read:
+                    work += l1_hit_latency
+                    acc += work
+                    t = now + work
+                    address = addresses[i]
+                    i += 1
+                    line = address >> line_bits
+                    entry = f_buckets[core_sets | (line & f_mask)].get(line)
+                    if entry is not None:
+                        # Inline L1 read hit: exactly the bookkeeping the
+                        # engine's access() hit branch performs (the
+                        # hit/energy counters are deferred, see above).
+                        store = f_stores[core]
+                        counter = store._use_counter + 1
+                        store._use_counter = counter
+                        entry.last_use = counter
+                        entry.utilization += 1
+                        entry.last_access = t
+                        hits_r[core] += 1
+                    else:
+                        result = access(core, False, address, t)
+                        if not result.hit:
+                            bd.l1_to_l2 += result.l1_to_l2
+                            bd.l2_waiting += result.l2_waiting
+                            bd.l2_sharers += result.l2_sharers
+                            bd.l2_offchip += result.l2_offchip
+                            t += result.latency
+                elif op == op_write:
+                    work += l1_hit_latency
+                    acc += work
+                    t = now + work
+                    address = addresses[i]
+                    i += 1
+                    line = address >> line_bits
+                    entry = f_buckets[core_sets | (line & f_mask)].get(line)
+                    if entry is not None and entry.state >= f_exclusive:
+                        # Inline L1 write hit (the silent E -> M upgrade).
+                        store = f_stores[core]
+                        counter = store._use_counter + 1
+                        store._use_counter = counter
+                        entry.last_use = counter
+                        entry.utilization += 1
+                        entry.last_access = t
+                        entry.state = f_modified
+                        hits_w[core] += 1
+                    else:
+                        result = access(core, True, address, t)
+                        if not result.hit:
+                            bd.l1_to_l2 += result.l1_to_l2
+                            bd.l2_waiting += result.l2_waiting
+                            bd.l2_sharers += result.l2_sharers
+                            bd.l2_offchip += result.l2_offchip
+                            t += result.latency
+                elif op == op_work:
+                    t = now + work
+                    i += 1
+                    acc += work
+                else:  # BARRIER, LOCK or UNLOCK: the trampoline's business
+                    indices[core] = i
+                    compute[core] = acc
+                    self._current = core
+                    self._now = now
+                    return op, core, now, i, acc
+
+                if i < n:
+                    if ready:
+                        # Keep-running pre-check against the heap root: the
+                        # same (t, core) tuple order heappushpop applies,
+                        # without allocating the entry or sifting when this
+                        # core remains the min-clock choice.
+                        r0 = ready[0]
+                        rt = r0[0]
+                        if t < rt or (t == rt and core < r0[1]):
+                            now = t  # still the min-clock core: keep going
+                            continue
+                        indices[core] = i
+                        clocks[core] = t
+                        compute[core] = acc
+                        now, core = heappushpop(ready, (t, core))
+                    else:
+                        now = t  # only runnable core left
+                        continue
+                else:
+                    indices[core] = i
+                    clocks[core] = t
+                    compute[core] = acc
+                    if not ready:
+                        self._current = -1
+                        return None
+                    now, core = heappop(ready)
+                break
+
+    def advance(self, core: int, i: int, acc: float) -> None:
+        """Store ``core``'s cursor and park it (pop the heap next)."""
+        self._indices[core] = i
+        self._compute[core] = acc
+        self._current = -1
+
+    def continue_at(self, core: int, i: int, acc: float, t: float) -> None:
+        """Store ``core``'s cursor and take the walk's post-record step at
+        ``t``: keep running, yield to the heap root, or retire."""
+        self._indices[core] = i
+        self._compute[core] = acc
+        ready = self._ready
+        if i < self._lengths[core]:
+            if ready and (t, core) > ready[0]:
+                self._clocks[core] = t
+                self._now, self._current = heapq.heappushpop(ready, (t, core))
+            else:
+                self._now, self._current = t, core
+        else:
+            self._clocks[core] = t
+            if ready:
+                self._now, self._current = heapq.heappop(ready)
+            else:
+                self._current = -1
+
+    def wake(self, core: int, t: float) -> bool:
+        """Set ``core``'s clock; re-queue it if records remain (and say so)."""
+        self._clocks[core] = t
+        if self._indices[core] < self._lengths[core]:
+            heapq.heappush(self._ready, (t, core))
+            return True
+        return False
+
+    def note(self, core: int, event: int, line: int, entry) -> None:
+        """L1 membership observer: nothing to mirror, the walk probes the
+        live buckets."""
+
+    def clocks(self) -> list[float]:
+        return list(self._clocks)
+
+    def finish(self) -> tuple[list[int], list[int], list[tuple]]:
+        rows = [
+            (compute, bd.l1_to_l2, bd.l2_waiting, bd.l2_sharers, bd.l2_offchip)
+            for compute, bd in zip(self._compute, self._latency)
+        ]
+        return self._hits_r, self._hits_w, rows
 
 
 class Simulator:
@@ -195,335 +438,30 @@ class Simulator:
     ) -> list[float]:
         """Run every core through its stream once; return final clocks.
 
-        This is the simulator's hottest loop.  It walks the trace's
-        columnar IR directly (one ``array('q')`` triple per core, a cursor
-        each) instead of unpacking record tuples, and it schedules with a
-        single ``heappushpop`` per record - one sift instead of the
-        pop-then-push pair of the record-at-a-time interpreter.  When the
-        executing core remains the min-clock choice, ``heappushpop``
-        returns its own entry untouched and the core keeps running without
-        any heap movement.  All transformations preserve the exact
-        min-clock schedule - ``(t, core)`` tuple order is the heap order -
-        so the produced statistics are bit-identical to the interpreter
-        this replaces.
+        The one trampoline over either scheduler kernel: the compiled
+        ``SchedKernel`` or its pure-Python twin :class:`PySchedKernel`
+        (``REPRO_NO_ACCEL=1``).  The kernel owns cursors, heap, compute
+        and miss-latency accumulators and the inline L1-hit path, and
+        returns at each synchronization record before processing it.
+        Everything synchronization-shaped happens here, once for both:
+        barrier rendezvous, lock FIFOs, ``sync_boundary_hook`` boundaries,
+        deadlock detection, then the end-of-pass flush of the kernel's
+        accumulators into the breakdowns and hit counters.  Each kernel
+        row starts at 0.0 and lands on a fresh breakdown field, so every
+        sum is bit-identical to adding the terms in place.
 
-        With the compiled scheduler kernel available (accelerator phase 2,
-        DESIGN.md sec. 14) the walk below runs natively instead, exiting
-        to :meth:`_execute_kernel`'s trampoline only on synchronization
-        records; this pure-Python loop stays the ungated, bit-identical
-        reference (``REPRO_NO_ACCEL`` forces it).
+        ``accel.sched_kernel_class`` is looked up per call: the benchmark's
+        traced run patches it.
         """
-        kernel_cls = accel.sched_kernel_class()
-        if kernel_cls is not None:
-            return self._execute_kernel(
-                kernel_cls, engine, trace, start_clocks, breakdowns
-            )
         arch = self.arch
         num_cores = arch.num_cores
-        # Materialized list views of the columnar IR: indexing an
-        # ``array('q')`` boxes a fresh int object per read, while a list
-        # returns the already-boxed object.  One bulk conversion per
-        # execution buys back three boxings per record in the loop below.
-        ops_cols = [list(col) for col in trace.ops]
-        addr_cols = [list(col) for col in trace.addresses]
-        work_cols = [list(col) for col in trace.works]
-        lengths = [len(col) for col in ops_cols]
-        indices = [0] * num_cores
-        clocks = list(start_clocks)
-        l1_hit_latency = float(arch.l1d.latency)
         barrier_latency = arch.barrier_latency
         lock_latency = arch.lock_latency
-        access = engine.access
         #: Release-boundary callback (Neat self-downgrade batching): only
-        #: consulted at unlock/barrier/end-of-trace, so families without
-        #: one (the default None) add a single is-not-None test to those
-        #: rare opcodes and nothing to the record loop.
-        sync_cb = engine.sync_boundary_hook()
-        heappush, heappop = heapq.heappush, heapq.heappop
-        heappushpop = heapq.heappushpop
-
-        # Inline L1-hit fast path (see ProtocolEngineBase.scheduler_fast_path):
-        # families with bookkeeping-only hits let the scheduler service them
-        # without an ``access`` call.  Hoisted to locals once per execution.
-        fast = engine.scheduler_fast_path()
-        if fast is not None:
-            f_buckets = fast["buckets"]
-            f_set_bits = fast["set_bits"]
-            f_stores = fast["stores"]
-            f_mask = fast["set_mask"]
-            f_exclusive = fast["exclusive"]
-            f_modified = fast["modified"]
-        else:
-            # No inline hit path: probe permanently-empty surrogate buckets
-            # (the engine fills its own L1 structures, never these), so the
-            # record loop needs no per-record "is there a fast path?" check
-            # - every probe misses and every access takes the full path.
-            f_buckets = [{}] * num_cores
-            f_set_bits = 0
-            f_stores = None
-            f_mask = 0
-            f_exclusive = f_modified = None
-        #: Deferred hit counters, flushed into the engine's aggregate
-        #: counters (plain integer sums - order-independent) at the end
-        #: of this execution, keeping the per-hit work to list updates.
-        hits_r = [0] * num_cores
-        hits_w = [0] * num_cores
-        line_bits = addrmod.LINE_BITS
-
-        ready: list[tuple[float, int]] = [
-            (clocks[core], core) for core in range(num_cores) if lengths[core]
-        ]
-        heapq.heapify(ready)
-        blocked = 0  # cores parked at barriers or lock queues
-
-        #: Per-core compute-cycle accumulator, flushed into the breakdowns
-        #: at the end: a local float add per record instead of an attribute
-        #: round-trip.  Addition order per core is unchanged, and the final
-        #: flush adds to a zero field, so the result is bit-identical.
-        compute = [0.0] * num_cores
-
-        barrier_waiters: dict[int, list[tuple[int, float]]] = {}
-        locks: dict[int, _LockState] = {}
-
-        op_read, op_write = int(Op.READ), int(Op.WRITE)
-        op_barrier, op_lock, op_unlock = int(Op.BARRIER), int(Op.LOCK), int(Op.UNLOCK)
-
-        if ready:
-            now, core = heappop(ready)
-        else:
-            core = -1
-        while core >= 0:
-            ops = ops_cols[core]
-            addresses = addr_cols[core]
-            works = work_cols[core]
-            n = lengths[core]
-            i = indices[core]
-            bd = breakdowns[core]
-            acc = compute[core]
-            core_sets = core << f_set_bits
-            while True:
-                op = ops[i]
-                work = works[i]
-
-                if op == op_read:
-                    work += l1_hit_latency
-                    acc += work
-                    t = now + work
-                    address = addresses[i]
-                    i += 1
-                    line = address >> line_bits
-                    entry = f_buckets[core_sets | (line & f_mask)].get(line)
-                    if entry is not None:
-                        # Inline L1 read hit: exactly the bookkeeping the
-                        # engine's access() hit branch performs (the
-                        # hit/energy counters are deferred, see above).
-                        store = f_stores[core]
-                        counter = store._use_counter + 1
-                        store._use_counter = counter
-                        entry.last_use = counter
-                        entry.utilization += 1
-                        entry.last_access = t
-                        hits_r[core] += 1
-                    else:
-                        result = access(core, False, address, t)
-                        if not result.hit:
-                            bd.l1_to_l2 += result.l1_to_l2
-                            bd.l2_waiting += result.l2_waiting
-                            bd.l2_sharers += result.l2_sharers
-                            bd.l2_offchip += result.l2_offchip
-                            t += result.latency
-                elif op == op_write:
-                    work += l1_hit_latency
-                    acc += work
-                    t = now + work
-                    address = addresses[i]
-                    i += 1
-                    line = address >> line_bits
-                    entry = f_buckets[core_sets | (line & f_mask)].get(line)
-                    if entry is not None and entry.state >= f_exclusive:
-                        # Inline L1 write hit (the silent E -> M upgrade).
-                        store = f_stores[core]
-                        counter = store._use_counter + 1
-                        store._use_counter = counter
-                        entry.last_use = counter
-                        entry.utilization += 1
-                        entry.last_access = t
-                        entry.state = f_modified
-                        hits_w[core] += 1
-                    else:
-                        result = access(core, True, address, t)
-                        if not result.hit:
-                            bd.l1_to_l2 += result.l1_to_l2
-                            bd.l2_waiting += result.l2_waiting
-                            bd.l2_sharers += result.l2_sharers
-                            bd.l2_offchip += result.l2_offchip
-                            t += result.latency
-                elif op == op_barrier:
-                    t = now + work
-                    i += 1
-                    if sync_cb is not None:
-                        sync_cb(core, t)  # a barrier arrival is a release
-                    indices[core] = i  # release below may re-queue this core
-                    compute[core] = acc + work
-                    address = addresses[i - 1]
-                    waiters = barrier_waiters.setdefault(address, [])
-                    waiters.append((core, t))
-                    if len(waiters) == num_cores:
-                        release = max(at for _, at in waiters) + barrier_latency
-                        for wcore, at in waiters:
-                            breakdowns[wcore].sync += release - at
-                            clocks[wcore] = release
-                            if indices[wcore] < lengths[wcore]:
-                                heappush(ready, (release, wcore))
-                        blocked -= len(waiters) - 1
-                        del barrier_waiters[address]
-                    else:
-                        blocked += 1
-                    # This core's clock is set by the release; move on.
-                    if ready:
-                        now, core = heappop(ready)
-                    else:
-                        core = -1
-                    break
-                elif op == op_lock:
-                    t = now + work
-                    i += 1
-                    acc += work
-                    state = locks.setdefault(addresses[i - 1], _LockState())
-                    if state.held_by < 0:
-                        state.held_by = core
-                        bd.sync += lock_latency
-                        t += lock_latency
-                    else:
-                        indices[core] = i
-                        compute[core] = acc
-                        state.queue.append((core, t))
-                        blocked += 1
-                        # Parked; the unlocking core re-queues us.
-                        if ready:
-                            now, core = heappop(ready)
-                        else:
-                            core = -1
-                        break
-                elif op == op_unlock:
-                    t = now + work
-                    i += 1
-                    indices[core] = i
-                    acc += work
-                    address = addresses[i - 1]
-                    state = locks.get(address)
-                    if state is None or state.held_by != core:
-                        raise SimulationError(
-                            f"core {core} unlocks lock {address} it does not hold"
-                        )
-                    t += lock_latency
-                    bd.sync += lock_latency
-                    if sync_cb is not None:
-                        sync_cb(core, t)  # flush before the lock hand-off
-                    if state.queue:
-                        wcore, arrival = state.queue.popleft()
-                        state.held_by = wcore
-                        breakdowns[wcore].sync += t - arrival
-                        clocks[wcore] = t
-                        blocked -= 1
-                        if indices[wcore] < lengths[wcore]:
-                            heappush(ready, (t, wcore))
-                        elif state.queue:
-                            raise SimulationError(
-                                f"core {wcore} acquired lock {address} at end of trace "
-                                "while others wait"
-                            )
-                    else:
-                        state.held_by = -1
-                else:  # Op.WORK
-                    t = now + work
-                    i += 1
-                    acc += work
-
-                if i < n:
-                    if ready:
-                        # Keep-running pre-check against the heap root: the
-                        # same (t, core) tuple order heappushpop applies,
-                        # without allocating the entry or sifting when this
-                        # core remains the min-clock choice.
-                        r0 = ready[0]
-                        rt = r0[0]
-                        if t < rt or (t == rt and core < r0[1]):
-                            now = t  # still the min-clock core: keep going
-                            continue
-                        indices[core] = i
-                        clocks[core] = t
-                        compute[core] = acc
-                        now, core = heappushpop(ready, (t, core))
-                    else:
-                        now = t  # only runnable core left
-                        continue
-                else:
-                    indices[core] = i
-                    clocks[core] = t
-                    compute[core] = acc
-                    if ready:
-                        now, core = heappop(ready)
-                    else:
-                        core = -1
-                break
-
-        if blocked:
-            raise SimulationError(
-                f"deadlock: {blocked} cores still blocked at end of trace "
-                f"(barriers awaiting: {sorted(barrier_waiters)})"
-            )
-        if sync_cb is not None:
-            # End of the trace is its final release: no buffered store may
-            # outlive the execution (the verify-mode final-state sweep and
-            # the warmup -> measure transition both rely on this).
-            for core in range(num_cores):
-                sync_cb(core, clocks[core])
-        for core in range(num_cores):
-            breakdowns[core].compute += compute[core]
-        reads = 0
-        writes = 0
-        if fast is not None:
-            l1s = fast["l1s"]
-            for core in range(num_cores):
-                r, w = hits_r[core], hits_w[core]
-                l1s[core].hits += r + w
-                reads += r
-                writes += w
-            engine.miss_stats.hits += reads + writes
-            engine.energy.l1d_reads += reads
-            engine.energy.l1d_writes += writes
-        # Scheduler fast-path hit counts of the most recent execution, read
-        # by the telemetry snapshot (two attribute stores; no stats impact).
-        self._fast_read_hits = reads
-        self._fast_write_hits = writes
-        return clocks
-
-    # ------------------------------------------------------------------
-    def _execute_kernel(
-        self,
-        kernel_cls,
-        engine: ProtocolEngineBase,
-        trace: Trace,
-        start_clocks: list[float],
-        breakdowns: list[LatencyBreakdown],
-    ) -> list[float]:
-        """One execution pass on the compiled scheduler kernel.
-
-        The kernel owns cursors, heap, compute accumulators and the inline
-        L1-hit path over the raw ``array('q')`` columns; this trampoline
-        owns everything synchronization-shaped - barrier rendezvous, lock
-        FIFOs, ``sync_boundary_hook`` boundaries, deadlock detection - at
-        one FFI crossing per sync record.  Every arithmetic step below is
-        the corresponding ``_execute`` branch verbatim, so the produced
-        statistics stay bit-identical to the pure-Python loop.
-        """
-        arch = self.arch
-        num_cores = arch.num_cores
-        barrier_latency = arch.barrier_latency
-        lock_latency = arch.lock_latency
+        #: consulted at unlock/barrier/end-of-trace, never per record.
         sync_cb = engine.sync_boundary_hook()
         fast = engine.scheduler_fast_path()
+        kernel_cls = accel.sched_kernel_class() or PySchedKernel
         kernel = kernel_cls(
             trace.ops,
             trace.addresses,
@@ -540,7 +478,7 @@ class Simulator:
         op_barrier, op_lock = int(Op.BARRIER), int(Op.LOCK)
         barrier_waiters: dict[int, list[tuple[int, float]]] = {}
         locks: dict[int, _LockState] = {}
-        blocked = 0
+        blocked = 0  # cores parked at barriers or lock queues
         run = kernel.run
         wake = kernel.wake
         continue_at = kernel.continue_at
@@ -559,6 +497,7 @@ class Simulator:
                     t = now + work
                     if sync_cb is not None:
                         sync_cb(core, t)  # a barrier arrival is a release
+                    # Parked; the core's clock is set by the release.
                     kernel.advance(core, i + 1, acc + work)
                     waiters = barrier_waiters.setdefault(address, [])
                     waiters.append((core, t))
@@ -581,6 +520,7 @@ class Simulator:
                         t += lock_latency
                         continue_at(core, i + 1, acc, t)
                     else:
+                        # Parked; the unlocking core wakes us.
                         kernel.advance(core, i + 1, acc)
                         state.queue.append((core, t))
                         blocked += 1
@@ -616,6 +556,9 @@ class Simulator:
                 )
             clocks = kernel.clocks()
             if sync_cb is not None:
+                # End of the trace is its final release: no buffered store
+                # may outlive the execution (the verify-mode final-state
+                # sweep and the warmup -> measure transition rely on this).
                 for core in range(num_cores):
                     sync_cb(core, clocks[core])
             hits_r, hits_w, rows = kernel.finish()
@@ -627,6 +570,7 @@ class Simulator:
                 bd.l2_waiting += l2_waiting
                 bd.l2_sharers += l2_sharers
                 bd.l2_offchip += l2_offchip
+            # Deferred hit counters: plain integer sums, order-independent.
             reads = 0
             writes = 0
             if fast is not None:
@@ -639,6 +583,8 @@ class Simulator:
                 engine.miss_stats.hits += reads + writes
                 engine.energy.l1d_reads += reads
                 engine.energy.l1d_writes += writes
+            # Fast-path hit counts of this pass, read by the telemetry
+            # snapshot (two attribute stores; no stats impact).
             self._fast_read_hits = reads
             self._fast_write_hits = writes
             return clocks

@@ -143,6 +143,9 @@ class TestSelection:
     def test_missing_compiler_falls_back_with_single_warning(
         self, monkeypatch, caplog
     ):
+        # The CLI may have installed a non-propagating "repro" logger in
+        # this process; caplog captures at the root, so re-open the path.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
         monkeypatch.setattr(build, "find_compiler", lambda: None)
         with caplog.at_level(logging.WARNING, logger="repro.accel"):
             assert accel.mesh_kernel_class() is None

@@ -1,10 +1,11 @@
 """Scheduler-kernel equivalence and seam tests (DESIGN.md section 14).
 
-The compiled ``SchedKernel`` owns the record walk, the min-clock heap and
-the L1-hit fast path natively, exiting to Python only on cold events
-(misses, barriers, locks).  Its single contract is **bit-identical**
-``RunStats`` against the pure-Python loop - these tests pin that contract
-where the kernel's deferred state is most at risk:
+``Simulator._execute`` is one trampoline over either record walk: the
+compiled ``SchedKernel``, which owns the walk, the min-clock heap and the
+L1-hit fast path natively, or its pure-Python twin ``PySchedKernel``, the
+reference.  Both exit at the same synchronization records with the same
+state, so their contract is **bit-identical** ``RunStats`` - these tests
+pin it where the compiled kernel's deferred state is most at risk:
 
 * sync-heavy traces (tsp locks, radix barriers) under both
   implementations,
@@ -14,24 +15,33 @@ where the kernel's deferred state is most at risk:
   flush must have reconciled,
 * the build fault gate (``accel.build_fail`` takes both kernels down
   together - there is one selection, not one per kernel),
-* observer detach: caches never retain a membership hook after a run.
+* observer detach: caches never retain a membership hook after a run,
+* the kernel contract itself: on random lock/barrier programs both kernels
+  return the same ``run()`` exits, clocks and ``finish()`` rows.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import accel
 from repro.accel import build
+from repro.common import addr as addrmod
 from repro.common.params import (
     ArchConfig,
+    CacheGeometry,
     baseline_protocol,
     dls_protocol,
     neat_protocol,
 )
 from repro.faults import FAULTS, FaultRule, FaultSchedule
 from repro.mem.cache import SetAssocCache
-from repro.sim.multicore import Simulator
+from repro.sim.multicore import PySchedKernel, Simulator
+from repro.workloads.base import TraceBuilder
 from repro.workloads.registry import load_workload
 
 pytestmark = pytest.mark.skipif(
@@ -134,3 +144,111 @@ class TestSeams:
         sim_off.run(trace)
         assert on == (sim_off._fast_read_hits, sim_off._fast_write_hits)
         assert on[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# The kernel contract: the one trampoline relies on both kernels exiting at
+# the same records with the same state.
+# ---------------------------------------------------------------------------
+
+CONTRACT_ARCH = ArchConfig(
+    num_cores=4, num_memory_controllers=2, l1d=CacheGeometry(1, 2, 1)
+)
+LINES = 16
+#: Lines sit 4 apart, so the 16 of them share two of the 2-way L1's eight
+#: sets: evictions (the compiled kernel's observer path) are frequent.
+LINE_STRIDE = 4 * addrmod.LINE_SIZE
+
+_access = st.tuples(
+    st.sampled_from(("read", "write")),
+    st.integers(0, LINES - 1),
+    st.integers(0, addrmod.WORDS_PER_LINE - 1),
+)
+_work = st.tuples(st.just("work"), st.integers(1, 300))
+_plain = st.one_of(_access, _work)
+_locked = st.tuples(st.just("locked"), st.integers(1, 2), st.lists(_plain, max_size=3))
+_segment = st.lists(st.one_of(_plain, _locked), max_size=6)
+#: Up to three segments of four per-core step lists, with ``barrier_all``
+#: between segments but not after the last, so a core may end on UNLOCK.
+programs = st.lists(st.tuples(*[_segment] * CONTRACT_ARCH.num_cores), min_size=1, max_size=3)
+
+
+def _emit(thread, step, base: int) -> None:
+    kind = step[0]
+    if kind == "work":
+        thread.work(step[1])
+    elif kind == "locked":
+        thread.lock(step[1])
+        for inner in step[2]:
+            _emit(thread, inner, base)
+        thread.unlock(step[1])
+    else:
+        address = base + step[1] * LINE_STRIDE + step[2] * addrmod.WORD_SIZE
+        (thread.write if kind == "write" else thread.read)(address)
+
+
+def _build(program):
+    builder = TraceBuilder("contract", CONTRACT_ARCH.num_cores)
+    base = builder.address_space.alloc("lines", LINES * LINE_STRIDE)
+    for number, segment in enumerate(program):
+        if number:
+            builder.barrier_all()
+        for tid, steps in enumerate(segment):
+            for step in steps:
+                _emit(builder.thread(tid), step, base)
+    return builder.build()
+
+
+def _recording(kernel_cls, log: list):
+    """``kernel_cls`` with every ``run()`` return and the ``clocks()`` and
+    ``finish()`` results appended to ``log``."""
+
+    class Recorded:
+        def __init__(self, *args) -> None:
+            self._kernel = kernel_cls(*args)
+
+        def run(self):
+            exit_ = self._kernel.run()
+            log.append(("run", exit_))
+            return exit_
+
+        def clocks(self):
+            clocks = self._kernel.clocks()
+            log.append(("clocks", clocks))
+            return clocks
+
+        def finish(self):
+            out = self._kernel.finish()
+            log.append(("finish", out))
+            return out
+
+        def __getattr__(self, name: str):
+            return getattr(self._kernel, name)
+
+    return Recorded
+
+
+class TestKernelContract:
+    @pytest.mark.parametrize(
+        "proto",
+        [baseline_protocol(), neat_protocol(downgrade="release"), dls_protocol()],
+        ids=["baseline", "neat-release", "dls"],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(program=programs)
+    def test_python_twin_exits_like_compiled(self, proto, program):
+        """baseline has the inline hit path, Neat release mode the sync
+        hook, dls neither: each kernel's record log and the RunStats must
+        agree exactly."""
+        compiled = accel.sched_kernel_class()
+        assert compiled is not None
+        trace = _build(program)
+        runs = []
+        for kernel_cls in (compiled, PySchedKernel):
+            log: list = []
+            with mock.patch.object(
+                accel, "sched_kernel_class", lambda: _recording(kernel_cls, log)
+            ):
+                stats = Simulator(CONTRACT_ARCH, proto, warmup=True).run(trace)
+            runs.append((log, stats.to_dict()))
+        assert runs[0] == runs[1]

@@ -107,9 +107,10 @@ class TestTraceValidation:
         with pytest.raises(TraceError, match="out of range"):
             Trace("bad", 1, [[(int(Op.READ), 1 << 60, 0)]])
 
-    def test_runtime_unlock_of_unheld_lock_raises(self):
+    def test_runtime_unlock_of_unheld_lock_raises(self, implementation):
         # Build-time validation rejects unlock-before-lock, so the runtime
-        # guard is defensive; bypass validation to prove it still fires.
+        # guard is defensive; bypass validation to prove it still fires
+        # under both scheduler kernels.
         bad = raw_trace("bad", 16, [[(int(Op.UNLOCK), 1, 0)]] + [[] for _ in range(15)])
         sim = Simulator(small_arch(), baseline_protocol())
         with pytest.raises(SimulationError, match="does not hold"):
@@ -117,7 +118,7 @@ class TestTraceValidation:
 
 
 class TestDeadlockDetection:
-    def test_unreleased_lock_blocks_and_is_reported(self):
+    def test_unreleased_lock_blocks_and_is_reported(self, implementation):
         # Both threads end their streams fighting over lock 1 (thread 0
         # never releases): the simulator must report the deadlock instead
         # of silently dropping the parked thread.  Built unvalidated because
@@ -130,4 +131,20 @@ class TestDeadlockDetection:
         bad = raw_trace("deadlock", 16, streams)
         sim = Simulator(small_arch(), baseline_protocol())
         with pytest.raises(SimulationError, match="deadlock"):
+            sim.run(bad)
+
+    def test_lock_handed_to_finished_core_while_others_wait(self, implementation):
+        # Core 0 holds lock 1 while cores 1 and 2 queue on it as their last
+        # record.  The unlock hands the lock to core 1, which has nothing
+        # left to run and so can never release it to core 2.
+        streams = [
+            [(int(Op.LOCK), 1, 0), (int(Op.WORK), 0, 500), (int(Op.UNLOCK), 1, 0)],
+            [(int(Op.WORK), 0, 1), (int(Op.LOCK), 1, 0)],
+            [(int(Op.WORK), 0, 2), (int(Op.LOCK), 1, 0)],
+        ] + [[] for _ in range(13)]
+        bad = raw_trace("stranded", 16, streams)
+        sim = Simulator(small_arch(), baseline_protocol())
+        with pytest.raises(
+            SimulationError, match="core 1 acquired lock 1 at end of trace while others wait"
+        ):
             sim.run(bad)
