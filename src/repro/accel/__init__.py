@@ -5,7 +5,10 @@ on first use (see :mod:`repro.accel.build`) and hands out two kernel
 classes from it:
 
 * ``MeshKernel`` (phase 1): the epoch ring-buffer bandwidth accounting
-  behind ``MeshNetwork.traverse_path``;
+  and traffic counters of one ``MeshNetwork``.  It is one of the mesh
+  kernels ``MeshNetwork`` picks from once per construction; the others are
+  its pure-Python twin, ``repro.network.mesh.PyMeshKernel``, and the two
+  link-model ablations, which have no compiled form;
 * ``SchedKernel`` (phase 2): the simulator's columnar record walk -
   cursors, min-clock heap and the inline L1-hit fast path.  It is one of
   the two record walks ``Simulator._execute`` drives; the other is its
@@ -125,7 +128,8 @@ def reset() -> None:
 
 
 def mesh_kernel_class() -> Any | None:
-    """The compiled ``MeshKernel`` class, or ``None`` to use the fallback."""
+    """The compiled ``MeshKernel`` class, or ``None`` to use its twin,
+    ``repro.network.mesh.PyMeshKernel``."""
     module = _module()
     return None if module is None else module.MeshKernel
 

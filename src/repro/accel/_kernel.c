@@ -1,16 +1,16 @@
-/* Compiled mesh-traversal kernel behind MeshNetwork.traverse_path.
+/* Compiled mesh kernel: the epoch ring buffer behind MeshNetwork.
  *
  * This is a CPython extension module (built at import by repro.accel.build;
- * see DESIGN.md section 12) that owns the epoch ring-buffer state of one
- * MeshNetwork instance - the WINDOW_EPOCHS x num_links slot table, the
- * overflow hash map and the slot-recycle counter - and reserves whole
- * pre-resolved paths per call.  Python keeps everything else: route
- * resolution, message flit tables, the traffic counters (integer sums,
- * order-independent) and the naive/no-contention modes.
+ * see DESIGN.md section 12) that owns the reservation state of one
+ * MeshNetwork - the WINDOW_EPOCHS x num_links slot table, the overflow hash
+ * map, the path arena - and its traffic and slot-recycle counters, and
+ * reserves whole registered paths per call.  Its pure-Python twin, with the
+ * same constructor, methods and attributes, is repro.network.mesh's
+ * PyMeshKernel.
  *
- * Exactness contract (pinned by tests/properties/test_mesh_contention.py
- * run against both implementations): every arithmetic step mirrors the
- * pure-Python walk in repro/network/mesh.py.
+ * Exactness contract (pinned by the kernel contract property and the
+ * contention properties in tests/properties/test_mesh_contention.py): every
+ * arithmetic step mirrors the pure-Python walk in repro/network/mesh.py.
  *
  *   - The head time accumulates `t += hop` per link as an IEEE-754 double,
  *     NOT one `hops * hop` add at the end: float addition of the hop
@@ -22,21 +22,23 @@
  *   - occ_load/occ_store reproduce _occ_load/_occ_store including the
  *     recycle counter and the retired-occupancy flush into overflow, so
  *     slots + overflow partition the epoch->occupancy map identically.
+ *   - A zero-hop (same-tile) route returns t_head and counts nothing.
  *
- * The Python fast pass in traverse_path is an *optimization* of the
- * reference per-link walk (same reservations, same departures, same
+ * The Python fast pass in PyMeshKernel.traverse is an *optimization* of
+ * the reference per-link walk (same reservations, same departures, same
  * recycle counts - the stale-slot claim is exactly occ_store on an epoch
  * the overflow dict provably has no entry for); this kernel implements the
  * reference walk directly, which is branch-simpler and equally exact.
  *
- * The slot table is exposed to Python through the buffer protocol
- * (memoryview(kernel).cast("q")), so MeshNetwork introspection -
+ * The `slots` attribute is a flat int64 memoryview of the slot table
+ * (through the buffer protocol), so MeshNetwork introspection -
  * reserved_flits, occupancy_map - reads the *same memory* the kernel
  * mutates; there is no shadow copy to drift.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 
 #include <stdint.h>
 #include <string.h>
@@ -50,7 +52,7 @@
 #define K_WINDOW_MASK (K_WINDOW_EPOCHS - 1)
 #define K_SLOT_SHIFT 6
 #define K_SLOT_OCC_MASK ((1 << K_SLOT_SHIFT) - 1)
-#define K_ABI_VERSION 1
+#define K_ABI_VERSION 2
 
 typedef struct {
     PyObject_HEAD
@@ -58,7 +60,10 @@ typedef struct {
     long long link_bits;
     long long hop_int;    /* integral hop latency for the shadow clock */
     double hop;           /* the same value as a double for head times */
-    long long recycles;   /* MeshNetwork.slot_recycles when accelerated */
+    long long recycles;   /* counters: plain attributes for Python */
+    long long messages_sent;
+    long long flits_sent;
+    long long link_flit_traversals;
     long long *slots;     /* K_WINDOW_EPOCHS * num_links packed cells */
     Py_ssize_t slot_count;
     /* Overflow map: open addressing, linear probing, no deletions (the
@@ -242,11 +247,18 @@ traverse_one(KernelObject *k, long long link, double t_head, long long flits,
     return traverse_congested(k, link, epoch, t_head, flits, err);
 }
 
-/* Reserve a whole registered path; return the TAIL arrival time. */
+/* Reserve a whole registered path and count it; return the TAIL arrival
+ * time.  The zero-hop route (a same-tile message) is free and uncounted. */
 static double
 traverse_links(KernelObject *k, const int32_t *links, long long hops,
                double t_head, long long flits, int *err)
 {
+    if (hops == 0) {
+        return t_head;
+    }
+    k->messages_sent++;
+    k->flits_sent += flits;
+    k->link_flit_traversals += flits * hops;
     double hop = k->hop;
     long long hop_int = k->hop_int;
     long long t_int = (long long)t_head;
@@ -293,9 +305,11 @@ path_at(KernelObject *k, Py_ssize_t handle, long long *hops)
 static PyObject *
 Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
+    static char *kwlist[] = {"num_links", "link_bits", "hop", NULL};
     long long num_links, link_bits;
     double hop;
-    if (!PyArg_ParseTuple(args, "LLd", &num_links, &link_bits, &hop)) {
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LLd", kwlist, &num_links,
+                                     &link_bits, &hop)) {
         return NULL;
     }
     if (num_links <= 0 || link_bits < 0 || link_bits > 40) {
@@ -316,14 +330,9 @@ Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->link_bits = link_bits;
     self->hop = hop;
     self->hop_int = (long long)hop;
-    self->recycles = 0;
+    /* tp_alloc zero-fills: the counters start at 0, the arena empty. */
     self->slot_count = (Py_ssize_t)(K_WINDOW_EPOCHS * num_links);
     self->slots = PyMem_Calloc((size_t)self->slot_count, sizeof(long long));
-    self->okeys = NULL;
-    self->ovals = NULL;
-    self->arena = NULL;
-    self->arena_len = 0;
-    self->arena_cap = 0;
     if (self->slots == NULL || ov_alloc(self, 256) < 0) {
         Py_DECREF(self);
         return PyErr_NoMemory();
@@ -505,7 +514,7 @@ Kernel_traverse_many(KernelObject *self, PyObject *const *args,
         return NULL;
     }
     Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    PyObject *out = PyTuple_New(n);
+    PyObject *out = PyList_New(n);
     if (out == NULL) {
         Py_DECREF(seq);
         return NULL;
@@ -528,7 +537,13 @@ Kernel_traverse_many(KernelObject *self, PyObject *const *args,
             Py_DECREF(out);
             return PyErr_NoMemory();
         }
-        PyTuple_SET_ITEM(out, i, PyFloat_FromDouble(tail));
+        PyObject *item = PyFloat_FromDouble(tail);
+        if (item == NULL) {
+            Py_DECREF(seq);
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, item);
     }
     Py_DECREF(seq);
     return out;
@@ -575,21 +590,15 @@ Kernel_overflow_items(KernelObject *self, PyObject *Py_UNUSED(ignored))
 }
 
 static PyObject *
-Kernel_get_recycles(KernelObject *self, void *Py_UNUSED(closure))
+Kernel_get_slots(KernelObject *self, void *Py_UNUSED(closure))
 {
-    return PyLong_FromLongLong(self->recycles);
-}
-
-static int
-Kernel_set_recycles(KernelObject *self, PyObject *value,
-                    void *Py_UNUSED(closure))
-{
-    long long v = PyLong_AsLongLong(value);
-    if (v == -1 && PyErr_Occurred()) {
-        return -1;
+    PyObject *raw = PyMemoryView_FromObject((PyObject *)self);
+    if (raw == NULL) {
+        return NULL;
     }
-    self->recycles = v;
-    return 0;
+    PyObject *view = PyObject_CallMethod(raw, "cast", "s", "q");
+    Py_DECREF(raw);
+    return view;
 }
 
 static int
@@ -611,7 +620,7 @@ static PyMethodDef Kernel_methods[] = {
      METH_FASTCALL,
      "traverse_chain(h1, f1, t0, busy, gap, h2, f2) -> (t1, t2)"},
     {"traverse_many", (PyCFunction)(void (*)(void))Kernel_traverse_many,
-     METH_FASTCALL, "traverse_many(t_head, flits, handles) -> tuple"},
+     METH_FASTCALL, "traverse_many(t_head, flits, handles) -> list"},
     {"reset", (PyCFunction)Kernel_reset, METH_NOARGS,
      "forget all reservations (slots + overflow)"},
     {"overflow_len", (PyCFunction)Kernel_overflow_len, METH_NOARGS, NULL},
@@ -619,9 +628,21 @@ static PyMethodDef Kernel_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+#define K_MEMBER(name, flags) \
+    {#name, T_LONGLONG, offsetof(KernelObject, name), flags, NULL}
+
+static PyMemberDef Kernel_members[] = {
+    K_MEMBER(recycles, 0),
+    K_MEMBER(messages_sent, 0),
+    K_MEMBER(flits_sent, 0),
+    K_MEMBER(link_flit_traversals, 0),
+    K_MEMBER(link_bits, READONLY),
+    {NULL, 0, 0, 0, NULL},
+};
+
 static PyGetSetDef Kernel_getset[] = {
-    {"recycles", (getter)Kernel_get_recycles, (setter)Kernel_set_recycles,
-     "slots recycled for a newer epoch", NULL},
+    {"slots", (getter)Kernel_get_slots, NULL,
+     "flat int64 view of the slot table", NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
@@ -638,6 +659,7 @@ static PyTypeObject KernelType = {
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "Epoch ring-buffer bandwidth accounting for one MeshNetwork",
     .tp_methods = Kernel_methods,
+    .tp_members = Kernel_members,
     .tp_getset = Kernel_getset,
     .tp_as_buffer = &Kernel_as_buffer,
     .tp_new = Kernel_new,

@@ -481,7 +481,7 @@ call_access(SchedObject *k, long long core, int is_write, long long address,
 }
 
 static int
-slot_double(SchedObject *k, PyObject *obj, Py_ssize_t off, double *out)
+slot_double(PyObject *obj, Py_ssize_t off, double *out)
 {
     PyObject *v = *SLOT(obj, off);
     if (v == NULL) {
@@ -914,27 +914,27 @@ Sched_run(SchedObject *k, PyObject *Py_UNUSED(ignored))
                     }
                     if (!truth) {
                         double v;
-                        if (slot_double(k, res, k->off_r_l1l2, &v) < 0) {
+                        if (slot_double(res, k->off_r_l1l2, &v) < 0) {
                             Py_DECREF(res);
                             return NULL;
                         }
                         k->bd_l1_to_l2[core] += v;
-                        if (slot_double(k, res, k->off_r_l2w, &v) < 0) {
+                        if (slot_double(res, k->off_r_l2w, &v) < 0) {
                             Py_DECREF(res);
                             return NULL;
                         }
                         k->bd_l2_waiting[core] += v;
-                        if (slot_double(k, res, k->off_r_l2s, &v) < 0) {
+                        if (slot_double(res, k->off_r_l2s, &v) < 0) {
                             Py_DECREF(res);
                             return NULL;
                         }
                         k->bd_l2_sharers[core] += v;
-                        if (slot_double(k, res, k->off_r_l2o, &v) < 0) {
+                        if (slot_double(res, k->off_r_l2o, &v) < 0) {
                             Py_DECREF(res);
                             return NULL;
                         }
                         k->bd_l2_offchip[core] += v;
-                        if (slot_double(k, res, k->off_r_latency, &v) < 0) {
+                        if (slot_double(res, k->off_r_latency, &v) < 0) {
                             Py_DECREF(res);
                             return NULL;
                         }

@@ -18,8 +18,9 @@ invalidate an artifact:
 
 Every failure mode - no compiler, no Python headers, cc exits non-zero,
 the built module will not import or disagrees with the mesh constants -
-degrades to ``None`` with a machine-readable reason: the caller falls back
-to the pure-Python ring buffer, which stays the ungated implementation.
+degrades to ``None`` with a machine-readable reason: the callers fall back
+to the pure-Python twins of both kernels, which stay the ungated
+implementation.
 Nothing in this module raises on a broken toolchain.
 """
 

@@ -168,6 +168,10 @@ class ArchConfig:
                 raise ConfigError(f"memory controller tile {tile} out of range")
         if self.link_model not in ("epoch", "naive", "none"):
             raise ConfigError(f"unknown link_model {self.link_model!r}")
+        # The mesh kernels advance an integer shadow clock by the hop latency.
+        hop = self.hop_latency
+        if isinstance(hop, bool) or not isinstance(hop, int) or hop < 1:
+            raise ConfigError(f"hop_latency must be an integer >= 1, got {hop!r}")
 
     def to_dict(self) -> dict:
         """JSON-ready mapping that round-trips through :meth:`from_dict`.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from repro.common.errors import ReproError
 from repro.common.params import baseline_protocol
@@ -83,18 +84,20 @@ def _cmd_stats(args) -> int:
 
 def _cmd_dump(args) -> int:
     trace = load_trace(args.path)
-    for tid, stream in enumerate(trace.per_core):
-        shown = stream[: args.limit]
-        if not shown:
+    limit = max(args.limit, 0)
+    for tid in range(trace.num_cores):
+        length = trace.stream_length(tid)
+        if not (length and limit):
             continue
-        print(f"thread {tid} ({len(stream):,} records):")
-        for op, address, work in shown:
+        print(f"thread {tid} ({length:,} records):")
+        # Only the printed records are read from the columns.
+        for op, address, work in islice(trace.records(tid), limit):
             mnemonic = _MNEMONIC[int(op)]
             operand = f"{work}" if mnemonic == "K" else f"{address:#x}"
             suffix = f" work={work}" if mnemonic != "K" and work else ""
             print(f"  {mnemonic} {operand}{suffix}")
-        if len(stream) > args.limit:
-            print(f"  ... {len(stream) - args.limit:,} more")
+        if length > limit:
+            print(f"  ... {length - limit:,} more")
     return 0
 
 

@@ -11,7 +11,7 @@ engine owns the substrate every family shares:
 * energy counters, miss statistics and the utilization histograms;
 * the home-side round trip of every miss, written once: R-NUCA placement
   (``RNucaPlacement.data_home``, which memoizes each line's home), then
-  the request and reply legs - one ``traverse_chain`` call
+  the request and reply legs - one mesh-kernel ``traverse_chain`` call
   (``_chain_request_reply``) when nothing can intervene between them,
   else ``_deliver_request`` (page flush, request, per-line serialization,
   tag access, off-chip fill) followed by ``_reply`` - then the family's
@@ -175,14 +175,16 @@ class ProtocolEngineBase:
 
         #: Reserved-path traversal plumbing, hoisted once: the multi-hop
         #: request -> home -> reply chains probe the network's route memo
-        #: directly and reserve whole paths in one ``traverse_path`` call
-        #: (no per-message ``unicast`` wrapper, no MsgType dispatch).
+        #: directly and reserve whole paths through the mesh kernel's own
+        #: methods (no per-message ``unicast`` wrapper, no MsgType
+        #: dispatch; one FFI crossing per call with the compiled kernel).
+        kernel = self.network.kernel
         self._num_tiles = arch.num_cores
         self._net_paths = self.network.paths
         self._net_resolve = self.network.resolve_path
-        self._net_traverse = self.network.traverse_path
-        self._net_chain = self.network.traverse_chain
-        self._net_many = self.network.traverse_many
+        self._net_traverse = kernel.traverse
+        self._net_chain = kernel.traverse_chain
+        self._net_many = kernel.traverse_many
         self._net_flits = [self.network.flits_for(msg) for msg in MsgType]
 
         #: Shared L1-hit result: every field of a hit is constant (zero
@@ -204,12 +206,7 @@ class ProtocolEngineBase:
         self.miss_stats = MissStats()
         self.inval_histogram = UtilizationHistogram()
         self.evict_histogram = UtilizationHistogram()
-        net = self.network
-        # router_flit_traversals is derived from these two; no reset needed.
-        net.link_flit_traversals = 0
-        net.messages_sent = 0
-        net.flits_sent = 0
-        net.slot_recycles = 0
+        self.network.reset_counters()
         for ctrl in self.memsys.controllers.values():
             ctrl.requests = 0
             ctrl.bytes_transferred = 0
@@ -407,7 +404,7 @@ class ProtocolEngineBase:
     ) -> tuple[float, float]:
         """Reserve the request and reply legs in one ``traverse_chain``
         call (one FFI crossing per miss with the compiled kernel; the exact
-        composition of two ``traverse_path`` calls without it), with the
+        composition of two ``traverse`` calls in every kernel), with the
         same serialization/latency arithmetic and the same counter updates
         as ``_deliver_request`` + ``_reply`` on a resident line.  Returns
         ``(t, reply_t)``.

@@ -464,7 +464,7 @@ class DirectoryEngine(ProtocolEngineBase):
                     path = resolve(home, c)
                 inv_paths.append(path)
             inv_flits = flits_tab[_INV_REQ]
-            arrivals = dict(zip(targets, self._net_many(inv_paths, t, inv_flits)))
+            arrivals = dict(zip(targets, self._net_many(t, inv_flits, inv_paths)))
             self.sharer_policy.unicast_invalidations += len(targets)
         done = t
         for c in targets:

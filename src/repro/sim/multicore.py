@@ -27,9 +27,10 @@ cold-miss burst into DRAM, which belongs to neither protocol.
 
 Two implementations, one switch (``repro.accel``): with the compiled
 kernels the record walk runs natively in ``SchedKernel`` and the mesh
-reservations in ``MeshKernel``; ``REPRO_NO_ACCEL=1`` selects the pure-Python
-record walk (``PySchedKernel``, below) and the pure-Python ring buffer, the
-bit-identical reference.  ``Simulator._execute`` is the one trampoline
+reservations in ``MeshKernel``; ``REPRO_NO_ACCEL=1`` selects their
+pure-Python twins, the record walk ``PySchedKernel`` (below) and the ring
+buffer ``repro.network.mesh.PyMeshKernel``, the bit-identical reference.
+``Simulator._execute`` is the one trampoline
 that drives either record walk, so barrier, lock and release-boundary
 handling is written once; the two implementations differ only in the walk
 itself.  The engines' miss paths take the same shape under both.
@@ -425,7 +426,7 @@ class Simulator:
         tel.count("mesh.flits", network.flits_sent)
         tel.count("mesh.link_flit_traversals", network.link_flit_traversals)
         tel.count("mesh.slot_recycles", network.slot_recycles)
-        tel.count("mesh.overflow_entries", len(network._overflow))
+        tel.count("mesh.overflow_entries", network.kernel.overflow_len())
         tel.count("dram.requests", engine.memsys.total_requests)
 
     # ------------------------------------------------------------------

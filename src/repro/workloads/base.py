@@ -22,8 +22,8 @@ single typed pass, and never mutated afterwards; the simulator walks them
 with per-core cursors, the binary trace format v2 maps them straight to
 disk, and the parallel runner ships them to workers as a handful of
 contiguous buffers (one ``memcpy``-style pickle per column) instead of a
-per-record tuple graph.  ``Trace.per_core`` remains available as a
-materialized tuple *view* for tooling and tests.
+per-record tuple graph.  ``Trace.records(tid)`` iterates one core's
+stream as ``(op, address, work)`` tuples, lazily, for tooling and tests.
 
 Conventions:
 
@@ -36,13 +36,14 @@ Conventions:
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 
 from repro.common import addr as addrmod
 from repro.common.errors import TraceError
 from repro.common.types import Op
 
-#: Logical trace record, used by the text trace format and the
-#: ``per_core`` compatibility view: (op, address, work_before).
+#: Logical trace record, used by the text trace format, the ``Trace``
+#: constructor and ``Trace.records``: (op, address, work_before).
 TraceRecord = tuple[int, int, int]
 
 #: One core's stream as parallel columns: (ops, addresses, works).
@@ -236,17 +237,10 @@ class Trace:
         self._footprint_lines = len(lines)
 
     # ------------------------------------------------------------------
-    @property
-    def per_core(self) -> list[list[TraceRecord]]:
-        """Materialized tuple view of the columns (compatibility/tooling).
-
-        Returns fresh lists on every call; mutating them never affects the
-        trace.  Hot paths must walk the columns directly.
-        """
-        return [
-            list(zip(self.ops[tid], self.addresses[tid], self.works[tid]))
-            for tid in range(self.num_cores)
-        ]
+    def records(self, tid: int) -> Iterator[TraceRecord]:
+        """Core ``tid``'s records, in order, read lazily from the columns
+        (tooling and tests; hot paths walk the columns directly)."""
+        return zip(self.ops[tid], self.addresses[tid], self.works[tid])
 
     def stream_length(self, tid: int) -> int:
         return len(self.ops[tid])

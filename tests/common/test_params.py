@@ -87,6 +87,16 @@ class TestArchConfig:
         with pytest.raises(ConfigError):
             ArchConfig(num_cores=64, instruction_cluster_size=3)
 
+    @pytest.mark.parametrize("hop", [0, -1, 2.5, 2.0, True, "2"])
+    def test_rejects_non_integral_hop_latency(self, hop):
+        """Both mesh walks advance an integer shadow clock by the hop
+        latency; the serialized form reaches the same check."""
+        with pytest.raises(ConfigError, match="hop_latency"):
+            ArchConfig(num_cores=16, num_memory_controllers=4, hop_latency=hop)
+        data = ArchConfig(num_cores=16, num_memory_controllers=4).to_dict()
+        with pytest.raises(ConfigError, match="hop_latency"):
+            ArchConfig.from_dict({**data, "hop_latency": hop})
+
 
 class TestProtocolConfig:
     def test_paper_defaults(self):

@@ -6,9 +6,10 @@ import dataclasses
 
 import pytest
 
+from repro import accel
 from repro.common.errors import ConfigError
 from repro.common.params import ArchConfig
-from repro.network.mesh import MeshNetwork
+from repro.network.mesh import FreeMeshKernel, MeshNetwork, NaiveMeshKernel, PyMeshKernel
 from repro.network.messages import MsgType
 
 ARCH = ArchConfig(num_cores=16, num_memory_controllers=4)
@@ -24,11 +25,16 @@ class TestConfig:
             ArchConfig(num_cores=16, num_memory_controllers=4, link_model="magic")
 
     def test_none_model_disables_contention(self):
-        assert not net_for("none").model_contention
+        net = net_for("none")
+        assert isinstance(net.kernel, FreeMeshKernel)
+        first = net.unicast(0, 1, MsgType.LINE_REPLY, 0.0)
+        assert net.unicast(0, 1, MsgType.LINE_REPLY, 0.0) == first
 
-    def test_explicit_override_wins(self):
-        net = MeshNetwork(dataclasses.replace(ARCH, link_model="epoch"), model_contention=False)
-        assert not net.model_contention
+    def test_link_model_picks_the_kernel(self):
+        assert type(net_for("naive").kernel) is NaiveMeshKernel
+        assert type(net_for("none").kernel) is FreeMeshKernel
+        # The epoch model runs the compiled kernel or its Python twin.
+        assert type(net_for("epoch").kernel) is (accel.mesh_kernel_class() or PyMeshKernel)
 
 
 class TestNaiveModel:

@@ -1,5 +1,7 @@
 """Mesh timing/contention/traffic-accounting tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.params import ArchConfig
@@ -59,7 +61,7 @@ class TestUnicast:
         assert arrivals[-1] > arrivals[0]  # bandwidth is finite
 
     def test_no_contention_model(self, arch):
-        net = MeshNetwork(arch, model_contention=False)
+        net = MeshNetwork(dataclasses.replace(arch, link_model="none"))
         assert net.unicast(0, 1, MsgType.LINE_REPLY, 0.0) == 10.0
         assert net.unicast(0, 1, MsgType.LINE_REPLY, 0.0) == 10.0
 

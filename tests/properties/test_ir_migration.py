@@ -74,7 +74,7 @@ class TestTraceSummariesMatchSeedRevision:
         """The cached one-pass summaries equal the old per-record formulas."""
         _arch, traces = fixture_traces
         for trace in traces.values():
-            records = [r for stream in trace.per_core for r in stream]
+            records = [r for tid in range(trace.num_cores) for r in trace.records(tid)]
             assert trace.total_records == len(records)
             assert trace.memory_accesses == sum(
                 1 for op, _a, _w in records if op in (Op.READ, Op.WRITE)
@@ -145,17 +145,19 @@ class TestColumnarRepresentation:
                 == len(trace.works[tid])
             )
 
-    def test_per_core_view_matches_columns(self):
+    def test_records_match_columns(self):
         trace = small_trace()
-        view = trace.per_core
         for tid in range(trace.num_cores):
-            assert [r[0] for r in view[tid]] == list(trace.ops[tid])
-            assert [r[1] for r in view[tid]] == list(trace.addresses[tid])
-            assert [r[2] for r in view[tid]] == list(trace.works[tid])
+            records = trace.records(tid)
+            assert iter(records) is records  # lazy: nothing materialized
+            records = list(records)
+            assert [r[0] for r in records] == list(trace.ops[tid])
+            assert [r[1] for r in records] == list(trace.addresses[tid])
+            assert [r[2] for r in records] == list(trace.works[tid])
 
     def test_legacy_tuple_constructor_equals_builder(self):
         a = small_trace()
-        b = Trace(a.name, a.num_cores, a.per_core)
+        b = Trace(a.name, a.num_cores, [list(a.records(t)) for t in range(a.num_cores)])
         assert tracefile.trace_equal(a, b)
 
     def test_pickle_round_trip_is_zero_reparse(self):

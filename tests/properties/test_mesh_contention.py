@@ -1,4 +1,4 @@
-"""Ring-buffer contention-accounting properties (DESIGN.md section 8).
+"""Mesh-kernel properties (DESIGN.md sections 8 and 12).
 
 The windowed ring buffer replacing PR 3's flat epoch dict must be
 *observationally invisible*: same departure times, same occupancy map, under
@@ -6,8 +6,11 @@ any traffic - including far-future reservations (DRAM replies scheduled
 thousands of cycles ahead) that live in the overflow dict, and traffic that
 then arrives "in the past" relative to those reservations.
 
-Three properties pin it:
+Five properties pin the mesh kernels:
 
+* **kernel contract** - ``PyMeshKernel`` and the compiled ``MeshKernel``,
+  driven through one random stream of calls, return the same values and
+  end with the same counters, recycles, overflow and slot table;
 * **flit conservation** - every flit that crosses a link reserves exactly
   one cycle of capacity somewhere (window slot or overflow), so the total
   reserved capacity always equals ``link_flit_traversals``;
@@ -15,34 +18,66 @@ Three properties pin it:
   bit-identical arrival times and an identical (epoch, link) -> occupancy
   map against a reference implementation of the PR-3 flat-dict model;
 * **chain composition** - ``traverse_chain``, which every chained miss
-  reserves its request and reply through, is exactly ``traverse_path``,
-  then ``max`` with ``busy_until``, then ``traverse_path``.
+  reserves its request and reply through, is exactly ``traverse``, then
+  ``max`` with ``busy_until``, then ``traverse``;
+* **counters** - every kernel counts each non-empty message once and a
+  same-tile message not at all.
+
+Conservation and reference equivalence run over the two epoch kernels
+(the Python twin and the compiled kernel); chain composition and the
+counters also run over the ``naive`` and ``none`` link-model kernels.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import accel as accel_pkg
+from repro.accel.build import NO_ACCEL_ENV
 from repro.common.params import ArchConfig
-from repro.network.mesh import EPOCH_CYCLES, EPOCH_SHIFT, WINDOW_EPOCHS, MeshNetwork
+from repro.network.mesh import (
+    EPOCH_CYCLES,
+    EPOCH_SHIFT,
+    WINDOW_EPOCHS,
+    MeshNetwork,
+    PyMeshKernel,
+)
 from repro.network.messages import MsgType
 
 ARCH16 = ArchConfig(num_cores=16, num_memory_controllers=4)
 
-#: Every property in this module runs against BOTH traversal
-#: implementations: the pure-Python ring buffer and the compiled kernel
-#: (skipped where no compiler is available).  The kernel's contract is
-#: bit-identity, so the same assertions pin both.
-BOTH_IMPLS = pytest.mark.parametrize("impl", ["fallback", "accel"])
+EPOCH_KERNELS = pytest.mark.parametrize("kernel", ["python", "compiled"])
+ALL_KERNELS = pytest.mark.parametrize("kernel", ["python", "compiled", "naive", "none"])
 
 
-def make_net(impl: str, arch: ArchConfig = ARCH16) -> MeshNetwork:
-    if impl == "accel" and accel_pkg.mesh_kernel_class() is None:
+def compiled_kernel_class():
+    """The compiled ``MeshKernel`` whatever ``REPRO_NO_ACCEL`` says (the
+    tests pick their kernel explicitly); skips where it cannot build."""
+    with mock.patch.dict(os.environ, {NO_ACCEL_ENV: ""}):
+        kernel_cls = accel_pkg.mesh_kernel_class()
+    if kernel_cls is None:
         pytest.skip("compiled mesh kernel unavailable")
-    return MeshNetwork(arch, accel=(impl == "accel"))
+    return kernel_cls
+
+
+def make_net(kernel: str, arch: ArchConfig = ARCH16) -> MeshNetwork:
+    """A network on the named kernel: ``python`` / ``compiled`` (the epoch
+    model) or the ``naive`` / ``none`` link model."""
+    if kernel in ("naive", "none"):
+        return MeshNetwork(dataclasses.replace(arch, link_model=kernel))
+    kernel_cls = PyMeshKernel if kernel == "python" else compiled_kernel_class()
+    with mock.patch.object(accel_pkg, "mesh_kernel_class", lambda: kernel_cls):
+        return MeshNetwork(arch)
+
+
+def send(net: MeshNetwork, src: int, dst: int, start: float, flits: int) -> float:
+    return net.kernel.traverse(net.resolve_path(src, dst), start, flits)
 
 
 class ReferenceEpochModel:
@@ -54,14 +89,19 @@ class ReferenceEpochModel:
     """
 
     def __init__(self, net: MeshNetwork) -> None:
-        self.net = net
+        self.topology = topology = net.topology
+        num_tiles = topology.num_tiles
+        self.dense = {
+            src * num_tiles + dst: i
+            for i, (src, dst) in enumerate(topology.directed_links())
+        }
         self.use: dict[tuple[int, int], int] = {}
         self.hop = net.arch.hop_latency
 
-    def traverse_path(self, path: tuple, t_head: float, flits: int) -> float:
+    def send(self, src: int, dst: int, t_head: float, flits: int) -> float:
         """PR 3's inlined unicast loop: one dict probe per link, a shadow
         integer clock advanced by the (integral) hop latency per link."""
-        links = path[0]  # reserved-path descriptor: (links, hops, span, limit)
+        links = [self.dense[link] for link in self.topology.route(src, dst)]
         if not links:
             return t_head
         hop = self.hop
@@ -100,153 +140,198 @@ class ReferenceEpochModel:
         return {key: value for key, value in self.use.items() if value}
 
 
+def next_start(draw, t: float) -> tuple[float, float]:
+    """``(start, t)``: a bursty advance of the running time ``t``, or a
+    far-future jump (overflow reservations), or a return to the past."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        # Far-future reservation: several windows ahead (overflow side).
+        return t + draw(st.integers(1, 4)) * WINDOW_EPOCHS * EPOCH_CYCLES, t
+    if kind == 1:
+        # Revisit the past relative to the max time seen so far.
+        return max(0.0, t - draw(st.integers(0, 3 * EPOCH_CYCLES))), t
+    t += draw(st.floats(0.0, 2.5 * EPOCH_CYCLES))
+    return t, t
+
+
 def message_stream(draw, num_tiles: int, n_min: int = 1, n_max: int = 60):
     """A randomized stream of (src, dst, flits, start) with bursty times,
     far-future jumps (overflow reservations) and returns to the past."""
     tiles = st.integers(0, num_tiles - 1)
-    n = draw(st.integers(n_min, n_max))
     stream = []
     t = 0.0
-    for _ in range(n):
+    for _ in range(draw(st.integers(n_min, n_max))):
         src, dst = draw(tiles), draw(tiles)
         flits = draw(st.sampled_from((1, 2, 9)))
-        kind = draw(st.integers(0, 9))
-        if kind == 0:
-            # Far-future reservation: several windows ahead (overflow side).
-            offset = draw(st.integers(1, 4)) * WINDOW_EPOCHS * EPOCH_CYCLES
-            start = t + offset
-        elif kind == 1:
-            # Revisit the past relative to the max time seen so far.
-            start = max(0.0, t - draw(st.integers(0, 3 * EPOCH_CYCLES)))
-        else:
-            t += draw(st.floats(0.0, 2.5 * EPOCH_CYCLES))
-            start = t
+        start, t = next_start(draw, t)
         stream.append((src, dst, flits, start))
     return stream
 
 
-class TestFlitConservation:
-    @BOTH_IMPLS
+class TestKernelContract:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_total_reserved_equals_flits_times_links_crossed(self, impl, data):
-        net = make_net(impl)
+    def test_python_twin_matches_compiled(self, data):
+        """The compiled kernel's contract is bit-identity, not mere
+        closeness: one random stream of ``register_path``, ``traverse``,
+        ``traverse_chain``, ``traverse_many``, ``traverse_link`` and
+        ``reset`` calls - same-tile routes, far-future reservations and
+        returns to the past included - yields identical return values,
+        counters, recycles, overflow entries and slot tables."""
+        num_links, link_bits, hop = 48, 6, 2
+        twin = PyMeshKernel(num_links, link_bits, hop)
+        compiled = compiled_kernel_class()(num_links=num_links, link_bits=link_bits, hop=hop)
+        kernels = (twin, compiled)
+        # Per route, one handle per kernel; route 0 is the same-tile route.
+        routes = [tuple(k.register_path(()) for k in kernels)]
+        links = st.integers(0, num_links - 1)
+        flit_counts = st.sampled_from((1, 2, 9, 32))
+        draw = data.draw
+        t = 0.0
+        for _ in range(draw(st.integers(1, 60))):
+            op = draw(st.sampled_from(
+                ("register", "traverse", "traverse", "chain", "many", "link", "reset")
+            ))
+            route = draw(st.integers(0, len(routes) - 1))
+            flits = draw(flit_counts)
+            start, t = next_start(draw, t)
+            if op == "register":
+                path = draw(st.lists(links, unique=True, min_size=1, max_size=6))
+                routes.append(tuple(k.register_path(path) for k in kernels))
+                continue
+            if op == "traverse":
+                calls = [(k.traverse, (h, start, flits)) for k, h in zip(kernels, routes[route])]
+            elif op == "chain":
+                other = draw(st.integers(0, len(routes) - 1))
+                busy, _ = next_start(draw, t)
+                gap = draw(st.sampled_from((0.0, 1.0, 6.0, 2.5)))
+                flits2 = draw(flit_counts)
+                calls = [
+                    (k.traverse_chain, (h1, flits, start, busy, gap, h2, flits2))
+                    for k, h1, h2 in zip(kernels, routes[route], routes[other])
+                ]
+            elif op == "many":
+                picks = draw(st.lists(st.integers(0, len(routes) - 1), max_size=5))
+                calls = [
+                    (k.traverse_many, (start, flits, [routes[p][i] for p in picks]))
+                    for i, k in enumerate(kernels)
+                ]
+            elif op == "link":
+                link = draw(links)
+                calls = [(k.traverse_link, (link, start, flits)) for k in kernels]
+            else:
+                calls = [(k.reset, ()) for k in kernels]
+            got, want = (method(*args) for method, args in calls)
+            assert got == want, (op, calls[0][1])
+        for attr in ("messages_sent", "flits_sent", "link_flit_traversals",
+                     "recycles", "link_bits"):
+            assert getattr(twin, attr) == getattr(compiled, attr), attr
+        assert twin.overflow_len() == compiled.overflow_len()
+        assert sorted(twin.overflow_items()) == sorted(compiled.overflow_items())
+        assert list(twin.slots) == list(compiled.slots)
+
+
+class TestFlitConservation:
+    @EPOCH_KERNELS
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_total_reserved_equals_flits_times_links_crossed(self, kernel, data):
+        net = make_net(kernel)
         for src, dst, flits, start in message_stream(data.draw, 16):
-            path = net.resolve_path(src, dst)
-            net.traverse_path(path, start, flits)
+            send(net, src, dst, start, flits)
         assert net.reserved_flits() == net.link_flit_traversals
 
-    @BOTH_IMPLS
-    def test_conservation_includes_far_future_overflow(self, impl):
-        net = make_net(impl)
-        path = net.resolve_path(0, 3)
+    @EPOCH_KERNELS
+    def test_conservation_includes_far_future_overflow(self, kernel):
+        net = make_net(kernel)
         # A reservation far beyond the window must land in overflow...
         far = float(10 * WINDOW_EPOCHS * EPOCH_CYCLES)
-        net.traverse_path(path, far, 9)
+        send(net, 0, 3, far, 9)
         # ...then near-time traffic claims the window slots.
         for i in range(8):
-            net.traverse_path(path, float(i), 2)
+            send(net, 0, 3, float(i), 2)
         assert net.reserved_flits() == net.link_flit_traversals
-        assert net._overflow, "far-future reservation should sit in overflow"
+        assert net.kernel.overflow_len(), "far-future reservation should sit in overflow"
 
-    @BOTH_IMPLS
-    def test_broadcast_reserves_one_slot_per_tree_edge_flit(self, impl):
-        net = make_net(impl)
+    @EPOCH_KERNELS
+    def test_broadcast_reserves_one_slot_per_tree_edge_flit(self, kernel):
+        net = make_net(kernel)
         net.broadcast(5, MsgType.INV_BROADCAST, 0.0)
         assert net.reserved_flits() == net.link_flit_traversals == 15
 
-    @BOTH_IMPLS
-    def test_reset_contention_clears_all_reservations(self, impl):
-        net = make_net(impl)
-        net.traverse_path(net.resolve_path(0, 15), 0.0, 9)
-        net.traverse_path(net.resolve_path(0, 15), 1e6, 9)  # overflow side
+    @EPOCH_KERNELS
+    def test_reset_contention_clears_all_reservations(self, kernel):
+        net = make_net(kernel)
+        send(net, 0, 15, 0.0, 9)
+        send(net, 0, 15, 1e6, 9)  # overflow side
         net.reset_contention()
         assert net.reserved_flits() == 0
         assert net.occupancy_map() == {}
 
 
 class TestReferenceEquivalence:
-    @BOTH_IMPLS
+    @EPOCH_KERNELS
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_randomized_stream_matches_reference_model(self, impl, data):
-        net = make_net(impl)
+    def test_randomized_stream_matches_reference_model(self, kernel, data):
+        net = make_net(kernel)
         ref = ReferenceEpochModel(net)
         for src, dst, flits, start in message_stream(data.draw, 16):
-            path = net.resolve_path(src, dst)
-            got = net.traverse_path(path, start, flits)
-            want = ref.traverse_path(path, start, flits)
+            got = send(net, src, dst, start, flits)
+            want = ref.send(src, dst, start, flits)
             assert got == want, (src, dst, flits, start)
         assert net.occupancy_map() == ref.occupancy_map()
 
-    @BOTH_IMPLS
-    def test_window_recycling_preserves_retired_epochs(self, impl):
+    @EPOCH_KERNELS
+    def test_window_recycling_preserves_retired_epochs(self, kernel):
         """Traffic sweeping far past the window must not lose retired
         occupancy: a later message 'in the past' sees the original load."""
-        net = make_net(impl)
+        net = make_net(kernel)
         ref = ReferenceEpochModel(net)
-        path = net.resolve_path(0, 1)
         # Saturate epoch 0 on the link.
         for _ in range(4):
-            assert net.traverse_path(path, 0.0, 9) == ref.traverse_path(path, 0.0, 9)
+            assert send(net, 0, 1, 0.0, 9) == ref.send(0, 1, 0.0, 9)
         # Sweep time far beyond the window so the slot recycles.
         far = float((WINDOW_EPOCHS + 3) * EPOCH_CYCLES)
-        assert net.traverse_path(path, far, 2) == ref.traverse_path(path, far, 2)
+        assert send(net, 0, 1, far, 2) == ref.send(0, 1, far, 2)
         # A message back at epoch 0 must still see the saturated epoch.
-        got = net.traverse_path(path, 1.0, 9)
-        want = ref.traverse_path(path, 1.0, 9)
+        got = send(net, 0, 1, 1.0, 9)
+        want = ref.send(0, 1, 1.0, 9)
         assert got == want
         assert got > 1.0 + net.arch.hop_latency + 8  # it was, in fact, delayed
         assert net.occupancy_map() == ref.occupancy_map()
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_accel_matches_fallback_bit_for_bit(self, data):
-        """The compiled kernel's contract is bit-identity, not mere
-        closeness: identical departure floats and occupancy under the
-        same stream."""
-        kernel = make_net("accel")
-        python = make_net("fallback")
-        for src, dst, flits, start in message_stream(data.draw, 16):
-            got = kernel.traverse_path(kernel.resolve_path(src, dst), start, flits)
-            want = python.traverse_path(python.resolve_path(src, dst), start, flits)
-            assert got == want, (src, dst, flits, start)
-        assert kernel.occupancy_map() == python.occupancy_map()
-        assert kernel.reserved_flits() == python.reserved_flits()
-
-    @BOTH_IMPLS
-    def test_unicast_equals_traverse_path_on_resolved_route(self, impl):
-        a = make_net(impl)
-        b = make_net(impl)
+    @ALL_KERNELS
+    def test_unicast_equals_traverse_path_on_resolved_route(self, kernel):
+        """``unicast`` is the kernel's ``traverse`` on the memoized route,
+        same-tile messages included."""
+        a = make_net(kernel)
+        b = make_net(kernel)
         t = 0.0
         for src in range(16):
             for dst in range(16):
                 via_unicast = a.unicast(src, dst, MsgType.LINE_REPLY, t)
-                path = b.resolve_path(src, dst)
-                via_path = (
-                    b.traverse_path(path, t, b.flits_for(MsgType.LINE_REPLY))
-                    if src != dst
-                    else t
-                )
-                assert via_unicast == via_path
+                via_kernel = send(b, src, dst, t, b.flits_for(MsgType.LINE_REPLY))
+                assert via_unicast == via_kernel
                 t += 3.0
         assert a.occupancy_map() == b.occupancy_map()
+        assert a.messages_sent == b.messages_sent == 16 * 15
 
 
 class TestChainComposition:
-    @BOTH_IMPLS
+    @ALL_KERNELS
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_chain_equals_two_traversals_around_busy_until(self, impl, data):
+    def test_chain_equals_two_traversals_around_busy_until(self, kernel, data):
         """Same returned ``(t1, t2)``, occupancy and traffic counters as
         the three-step composition on a twin network, over random routes
         (same-tile legs included), times, gaps and flit counts, on links
         carrying prior random load."""
-        chained = make_net(impl)
-        composed = make_net(impl)
+        chained = make_net(kernel)
+        composed = make_net(kernel)
         for src, dst, flits, start in message_stream(data.draw, 16, n_min=0, n_max=30):
             for net in (chained, composed):
-                net.traverse_path(net.resolve_path(src, dst), start, flits)
+                send(net, src, dst, start, flits)
         tiles = st.integers(0, 15)
         flit_counts = st.sampled_from((1, 2, 9))
         times = st.one_of(
@@ -259,14 +344,43 @@ class TestChainComposition:
             flits1, flits2 = data.draw(flit_counts), data.draw(flit_counts)
             t0, busy_until = data.draw(times), data.draw(times)
             gap = data.draw(st.sampled_from((0.0, 1.0, 6.0, 2.5)))
-            got = chained.traverse_chain(
+            got = chained.kernel.traverse_chain(
                 chained.resolve_path(src, home), flits1, t0, busy_until, gap,
                 chained.resolve_path(home, dst), flits2,
             )
-            t1 = composed.traverse_path(composed.resolve_path(src, home), t0, flits1)
+            t1 = send(composed, src, home, t0, flits1)
             start = max(t1, busy_until)
-            t2 = composed.traverse_path(composed.resolve_path(home, dst), start + gap, flits2)
+            t2 = send(composed, home, dst, start + gap, flits2)
             assert got == (t1, t2), (src, home, dst, flits1, flits2, t0, busy_until, gap)
         assert chained.occupancy_map() == composed.occupancy_map()
         for counter in ("messages_sent", "flits_sent", "link_flit_traversals"):
             assert getattr(chained, counter) == getattr(composed, counter), counter
+
+
+class TestCounters:
+    @ALL_KERNELS
+    def test_each_non_empty_message_counts_once(self, kernel):
+        """Unicast, chain, batch and broadcast traffic lands in the kernel's
+        counters; same-tile messages are free and uncounted; and
+        ``reset_counters`` zeroes them while the reservations stay."""
+        net = make_net(kernel)
+        k = net.kernel
+        assert send(net, 3, 3, 7.0, 9) == 7.0
+        assert net.kernel.traverse_chain(
+            net.resolve_path(5, 5), 2, 4.0, 0.0, 0.0, net.resolve_path(5, 5), 9
+        ) == (4.0, 4.0)
+        assert k.traverse_many(1.0, 9, [net.resolve_path(6, 6)]) == [1.0]
+        assert (net.messages_sent, net.flits_sent, net.link_flit_traversals) == (0, 0, 0)
+        send(net, 0, 2, 0.0, 9)  # 2 hops
+        k.traverse_chain(net.resolve_path(0, 1), 1, 0.0, 0.0, 0.0, net.resolve_path(1, 5), 9)
+        k.traverse_many(0.0, 2, [net.resolve_path(0, 3), net.resolve_path(0, 0)])
+        net.broadcast(0, MsgType.INV_BROADCAST, 0.0)  # 15 tree edges
+        assert net.messages_sent == 5
+        assert net.flits_sent == 9 + 1 + 9 + 2 + 1
+        assert net.link_flit_traversals == 18 + 1 + 9 + 6 + 15
+        assert net.router_flit_traversals == net.link_flit_traversals + net.flits_sent
+        reserved = net.occupancy_map()
+        net.reset_counters()
+        assert (net.messages_sent, net.flits_sent, net.link_flit_traversals,
+                net.slot_recycles) == (0, 0, 0, 0)
+        assert net.occupancy_map() == reserved

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -113,8 +115,8 @@ class TestTimingProperties:
         dst=st.integers(min_value=0, max_value=15),
     )
     def test_longer_messages_arrive_no_earlier(self, src, dst):
-        net = MeshNetwork(ArchConfig(num_cores=16, num_memory_controllers=4),
-                          model_contention=False)
+        net = MeshNetwork(ArchConfig(num_cores=16, num_memory_controllers=4,
+                                     link_model="none"))
         header = net.unicast(src, dst, MsgType.READ_REQ, 0.0)
         line = net.unicast(src, dst, MsgType.LINE_REPLY, 0.0)
         assert line >= header
@@ -130,7 +132,7 @@ class TestTimingProperties:
             )
         )
         contended = MeshNetwork(arch)
-        free = MeshNetwork(arch, model_contention=False)
+        free = MeshNetwork(dataclasses.replace(arch, link_model="none"))
         t = 0.0
         for src, dst in pairs:
             a = contended.unicast(src, dst, MsgType.LINE_REPLY, t)

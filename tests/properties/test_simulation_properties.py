@@ -98,8 +98,8 @@ class TestConservation:
         stats = Simulator(ARCH, proto).run(trace)
         # Each record costs at least its work cycles on its own core.
         per_core_work = max(
-            sum(work + 1 for _op, _a, work in stream) if stream else 0
-            for stream in trace.per_core
+            sum(work + 1 for _op, _a, work in trace.records(tid))
+            for tid in range(trace.num_cores)
         )
         assert stats.completion_time >= per_core_work - 1
 

@@ -34,6 +34,11 @@ def _dumps(stats: RunStats) -> str:
     return json.dumps(stats.to_dict(), sort_keys=True)
 
 
+def _columns(trace) -> tuple:
+    """Every record of ``trace``, as its columnar IR."""
+    return trace.ops, trace.addresses, trace.works
+
+
 @pytest.fixture(scope="module")
 def serial_results() -> list[RunStats]:
     return ParallelRunner(workers=1).run(_jobs())
@@ -137,12 +142,12 @@ class TestWorkerDeterminism:
         from repro.runner.backends import local as local_mod
 
         job = _jobs()[0]
-        reference = build_trace(job).per_core
+        reference = _columns(build_trace(job))
         local_mod._TRACE_CACHE.clear()  # force a genuine rebuild
         random.seed(1234)  # deliberately pollute the parent
-        rebuilt = build_trace(
+        rebuilt = _columns(build_trace(
             Job(workload=job.workload, proto=job.proto, arch=job.arch, scale=job.scale)
-        ).per_core
+        ))
         assert rebuilt == reference
 
     def test_seed_variants_produce_different_traces(self):
@@ -151,7 +156,7 @@ class TestWorkerDeterminism:
             workload=base.workload, proto=base.proto, arch=base.arch,
             scale=base.scale, seed=1,
         )
-        assert build_trace(base).per_core != build_trace(salted).per_core
+        assert _columns(build_trace(base)) != _columns(build_trace(salted))
 
     def test_seed_variants_deterministic_across_processes(self):
         job = Job(

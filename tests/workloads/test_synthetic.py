@@ -31,12 +31,12 @@ class TestDeterminism:
         generator = SYNTHETIC_PATTERNS[name]
         a = generator(16, seed=7)
         b = generator(16, seed=7)
-        assert a.per_core == b.per_core
+        assert (a.ops, a.addresses, a.works) == (b.ops, b.addresses, b.works)
 
     def test_different_seed_different_trace(self):
         a = uniform_random(16, seed=1)
         b = uniform_random(16, seed=2)
-        assert a.per_core != b.per_core
+        assert a.addresses != b.addresses
 
 
 class TestShapes:
@@ -49,7 +49,7 @@ class TestShapes:
 
         trace = uniform_random(16, write_fraction=0.0, accesses_per_core=50)
         writes = sum(
-            1 for s in trace.per_core for op, _a, _w in s if op == Op.WRITE
+            1 for tid in range(16) for op, _a, _w in trace.records(tid) if op == Op.WRITE
         )
         assert writes == 0
 
@@ -59,8 +59,8 @@ class TestShapes:
         # 4 hot lines absorb ~90% of accesses: footprint stays large but
         # the per-line access histogram is extremely skewed.
         counts: dict[int, int] = {}
-        for stream in trace.per_core:
-            for _op, address, _w in stream:
+        for tid in range(trace.num_cores):
+            for _op, address, _w in trace.records(tid):
                 counts[address // 64] = counts.get(address // 64, 0) + 1
         top4 = sum(sorted(counts.values(), reverse=True)[:4])
         assert top4 > 0.8 * sum(counts.values())
@@ -77,7 +77,7 @@ class TestShapes:
         for pair in range(8):
             lines = set()
             for tid in (2 * pair, 2 * pair + 1):
-                for op, address, _w in trace.per_core[tid]:
+                for op, address, _w in trace.records(tid):
                     if op in (Op.READ, Op.WRITE):
                         lines.add(address // 64)
             pair_lines.append(lines)
@@ -89,8 +89,8 @@ class TestShapes:
         from repro.common.types import Op
 
         trace = migratory(16, rounds=2)
-        for stream in trace.per_core:
-            ops = [op for op, _a, _w in stream]
+        for tid in range(trace.num_cores):
+            ops = [op for op, _a, _w in trace.records(tid)]
             assert ops.count(Op.LOCK) == ops.count(Op.UNLOCK) == 2
 
 

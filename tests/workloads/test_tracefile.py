@@ -62,7 +62,7 @@ class TestTextRoundTrip:
             "T0 W 4160 2\n"
         )
         trace = load_trace_text(path)
-        assert trace.per_core[0] == [(int(Op.READ), 0x1000, 0), (int(Op.WRITE), 4160, 2)]
+        assert list(trace.records(0)) == [(int(Op.READ), 0x1000, 0), (int(Op.WRITE), 4160, 2)]
 
     def test_interleaved_thread_records_keep_order(self, tmp_path):
         path = tmp_path / "interleave.trace"
@@ -73,7 +73,7 @@ class TestTextRoundTrip:
             "T1 W 0xc0\n"
         )
         trace = load_trace_text(path)
-        assert [a for _, a, _ in trace.per_core[1]] == [0x40, 0xC0]
+        assert [a for _, a, _ in trace.records(1)] == [0x40, 0xC0]
 
     def test_work_records_round_trip(self, tmp_path):
         path = tmp_path / "unit.trace"
@@ -227,14 +227,6 @@ class TestTraceSummaryAndEquality:
         a, b = small_trace(), small_trace()
         b.ops[1].pop(), b.addresses[1].pop(), b.works[1].pop()
         assert not trace_equal(a, b)
-
-    def test_per_core_view_is_a_copy(self):
-        """Mutating the compatibility view must not corrupt the IR."""
-        a = small_trace()
-        view = a.per_core
-        view[0][0] = (int(Op.WRITE), 0x9999, 0)
-        assert a.per_core[0][0] != (int(Op.WRITE), 0x9999, 0)
-        assert trace_equal(a, small_trace())
 
 
 class TestGeneratedWorkloadRoundTrip:

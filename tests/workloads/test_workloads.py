@@ -39,7 +39,7 @@ class TestTraceBuilder:
         tb = TraceBuilder("t", 1)
         tb.thread(0).work(7)
         trace = tb.build()
-        assert trace.per_core[0] == [(Op.WORK, 0, 7)]
+        assert list(trace.records(0)) == [(Op.WORK, 0, 7)]
 
     def test_work_attaches_to_next_access(self):
         tb = TraceBuilder("t", 1)
@@ -47,7 +47,7 @@ class TestTraceBuilder:
         tp.work(5)
         tp.read(64)
         trace = tb.build()
-        assert trace.per_core[0] == [(Op.READ, 64, 5)]
+        assert list(trace.records(0)) == [(Op.READ, 64, 5)]
 
     def test_read_write_words(self):
         tb = TraceBuilder("t", 1)
@@ -55,7 +55,7 @@ class TestTraceBuilder:
         tp.read_words(0, 3)
         tp.write_words(64, 2, stride_words=8)
         trace = tb.build()
-        ops = trace.per_core[0]
+        ops = list(trace.records(0))
         assert [op for op, _, _ in ops] == [Op.READ] * 3 + [Op.WRITE] * 2
         assert ops[1][1] == 8  # consecutive words
         assert ops[4][1] == 64 + 64  # stride of one line
@@ -117,7 +117,7 @@ class TestRegistry:
     def test_traces_are_deterministic(self, arch, name):
         a = load_workload(name, arch, scale="tiny")
         b = load_workload(name, arch, scale="tiny")
-        assert a.per_core == b.per_core
+        assert (a.ops, a.addresses, a.works) == (b.ops, b.addresses, b.works)
 
     def test_scales_grow(self, arch):
         tiny = load_workload("canneal", arch, scale="tiny")
