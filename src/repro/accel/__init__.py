@@ -1,7 +1,7 @@
-"""Optional compiled accelerators (DESIGN.md sections 12 and 14).
+"""Optional compiled accelerators (DESIGN.md sections 12, 14 and 15).
 
 ``repro.accel`` builds the package's C sources into one CPython extension
-on first use (see :mod:`repro.accel.build`) and hands out two kernel
+on first use (see :mod:`repro.accel.build`) and hands out three kernel
 classes from it:
 
 * ``MeshKernel`` (phase 1): the epoch ring-buffer bandwidth accounting
@@ -12,23 +12,32 @@ classes from it:
 * ``SchedKernel`` (phase 2): the simulator's columnar record walk -
   cursors, min-clock heap and the inline L1-hit fast path.  It is one of
   the two record walks ``Simulator._execute`` drives; the other is its
-  pure-Python twin, ``repro.sim.multicore.PySchedKernel``.
+  pure-Python twin, ``repro.sim.multicore.PySchedKernel``;
+* ``HomeKernel`` (phase 3): the family-agnostic home side of every miss
+  of one protocol engine - placement, the legs, the L2 tag access and
+  off-chip fill, the word service and the settle - on the engine's own
+  objects.  An engine builds it exactly when its mesh kernel is the
+  compiled one (it reserves through that kernel in C), else its
+  pure-Python twin, ``repro.protocol.home.PyHomeKernel``.
 
-There are two implementations - both kernels compiled, or both pure
-Python - and one decision between them:
+There are two implementations - every kernel compiled, or every kernel
+pure Python - and one decision between them:
 
 1. ``REPRO_NO_ACCEL=1`` (any non-empty value) selects the pure-Python
    implementations.  It is checked per call, so tests can flip it with
    ``monkeypatch.setenv`` without reloading modules.
-2. Otherwise the module is compiled/loaded and its constants checked
-   against the Python definitions once per process; **any** failure (no
-   compiler, no headers, compile error, import error, constant mismatch,
-   an injected ``accel.build_fail``) logs one warning and pins the
-   pure-Python implementations for the rest of the process.
+2. Otherwise the module is compiled/loaded, its three kernel classes
+   required and its constants checked against the Python definitions
+   once per process; **any** failure (no compiler, no headers, compile
+   error, import error, a missing class, constant mismatch, an injected
+   ``accel.build_fail``) logs one warning and pins the pure-Python
+   implementations for the rest of the process.
 3. The pure-Python implementations are the ungated reference either way -
    bit-identical by the property/fixture suites, just slower.
 
-``status()`` is the introspection payload behind ``repro accel-info``.
+``status()`` is the introspection payload behind ``repro accel-info``;
+it keeps one entry each for the mesh and scheduler kernels, and the home
+kernel is compiled exactly when the ``mesh`` entry says ``accel``.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ __all__ = [
     "CACHE_ENV",
     "NO_ACCEL_ENV",
     "active_impl",
+    "home_kernel_class",
     "mesh_kernel_class",
     "reset",
     "sched_kernel_class",
@@ -52,9 +62,12 @@ __all__ = [
 
 log = logging.getLogger("repro.accel")
 
-#: Kernel name -> the class the module must export; ``status()`` reports
-#: one entry per name.
+#: Kernel name -> its class in the module; ``status()`` reports one entry
+#: per name.  The home kernel has no entry of its own: it is compiled
+#: exactly when the ``mesh`` entry says ``accel``.
 _KERNEL_CLASSES = {"mesh": "MeshKernel", "sched": "SchedKernel"}
+#: Every class the module must export, or it is refused.
+_EXPORTS = (*_KERNEL_CLASSES.values(), "HomeKernel")
 
 #: One-shot load state: ``None`` = not attempted yet, ``(module, info)``
 #: afterwards (``module`` is None when the build, load or check failed).
@@ -66,6 +79,9 @@ def _constants() -> dict[str, int]:
     from repro.common import addr
     from repro.common.types import Op
     from repro.network import mesh
+    from repro.network.messages import MsgType
+    from repro.rnuca import placement
+    from repro.rnuca.page_table import PageKind
 
     return {
         "EPOCH_CYCLES": mesh.EPOCH_CYCLES,
@@ -79,6 +95,12 @@ def _constants() -> dict[str, int]:
         "OP_UNLOCK": int(Op.UNLOCK),
         "OP_WORK": int(Op.WORK),
         "LINE_BITS": addr.LINE_BITS,
+        "RNUCA_HASH_MULTIPLIER": placement._HASH_MULTIPLIER,
+        "RNUCA_HASH_SHIFT": placement._HASH_SHIFT,
+        "PAGE_PRIVATE": int(PageKind.PRIVATE),
+        "PAGE_SHARED": int(PageKind.SHARED),
+        "MSG_MEM_READ_REQ": int(MsgType.MEM_READ_REQ),
+        "MSG_MEM_READ_REPLY": int(MsgType.MEM_READ_REPLY),
     }
 
 
@@ -101,7 +123,7 @@ def _load() -> tuple[Any, dict]:
                 for const, value in _constants().items()
                 if getattr(module, const, None) != value
             }
-            missing = [attr for attr in _KERNEL_CLASSES.values() if not hasattr(module, attr)]
+            missing = [attr for attr in _EXPORTS if not hasattr(module, attr)]
             if mismatch:
                 info["reason"] = f"kernel constant mismatch: {mismatch}"
                 module = None
@@ -138,6 +160,14 @@ def sched_kernel_class() -> Any | None:
     """The compiled ``SchedKernel`` class, or ``None`` to use the fallback."""
     module = _module()
     return None if module is None else module.SchedKernel
+
+
+def home_kernel_class() -> Any | None:
+    """The compiled ``HomeKernel`` class, or ``None`` to use its twin,
+    ``repro.protocol.home.PyHomeKernel``.  An engine asks only when its
+    mesh kernel is the compiled one: the home kernel reserves through it."""
+    module = _module()
+    return None if module is None else module.HomeKernel
 
 
 def active_impl() -> str:

@@ -30,14 +30,18 @@
  * the overflow dict provably has no entry for); this kernel implements the
  * reference walk directly, which is branch-simpler and equally exact.
  *
+ * The home kernel (_home.c) reserves its legs through this kernel's own
+ * path walk, repro_mesh_traverse (declared in _accel.h): a miss crosses
+ * the FFI boundary once for both the home-side work and its traffic.
+ *
  * The `slots` attribute is a flat int64 memoryview of the slot table
  * (through the buffer protocol), so MeshNetwork introspection -
  * reserved_flits, occupancy_map - reads the *same memory* the kernel
  * mutates; there is no shadow copy to drift.
  */
 
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
+#include "_accel.h"
+
 #include <structmember.h>
 
 #include <stdint.h>
@@ -52,7 +56,7 @@
 #define K_WINDOW_MASK (K_WINDOW_EPOCHS - 1)
 #define K_SLOT_SHIFT 6
 #define K_SLOT_OCC_MASK ((1 << K_SLOT_SHIFT) - 1)
-#define K_ABI_VERSION 2
+#define K_ABI_VERSION 3
 
 typedef struct {
     PyObject_HEAD
@@ -486,13 +490,7 @@ Kernel_traverse_chain(KernelObject *self, PyObject *const *args,
     if (err) {
         return PyErr_NoMemory();
     }
-    PyObject *out = PyTuple_New(2);
-    if (out == NULL) {
-        return NULL;
-    }
-    PyTuple_SET_ITEM(out, 0, PyFloat_FromDouble(t1));
-    PyTuple_SET_ITEM(out, 1, PyFloat_FromDouble(t2));
-    return out;
+    return Py_BuildValue("(dd)", t1, t2);
 }
 
 static PyObject *
@@ -665,8 +663,35 @@ static PyTypeObject KernelType = {
     .tp_new = Kernel_new,
 };
 
-/* Defined in _sched.c (same shared object). */
-extern int repro_sched_register(PyObject *mod);
+/* ------------------------------------------------------------------ */
+/* The traversal entry of the home kernel (_home.c, via _accel.h)      */
+/* ------------------------------------------------------------------ */
+
+int
+repro_mesh_check(PyObject *obj)
+{
+    return PyObject_TypeCheck(obj, &KernelType);
+}
+
+int
+repro_mesh_traverse(PyObject *mesh, Py_ssize_t handle, double t_head,
+                    long long flits, double *out)
+{
+    KernelObject *k = (KernelObject *)mesh;
+    long long hops;
+    const int32_t *links = path_at(k, handle, &hops);
+    if (links == NULL) {
+        return -1;
+    }
+    int err = 0;
+    double tail = traverse_links(k, links, hops, t_head, flits, &err);
+    if (err) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *out = tail;
+    return 0;
+}
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
@@ -694,9 +719,9 @@ PyInit__repro_mesh_kernel(void)
         Py_DECREF(mod);
         return NULL;
     }
-    /* Scheduler kernel (accelerator phase 2), compiled from the sibling
-     * _sched.c into this same module. */
-    if (repro_sched_register(mod) < 0) {
+    /* The scheduler kernel and the home kernel, compiled from the
+     * sibling _sched.c and _home.c into this same module. */
+    if (repro_sched_register(mod) < 0 || repro_home_register(mod) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

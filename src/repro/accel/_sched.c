@@ -58,22 +58,22 @@
  * ABI gate and fallback rules.
  */
 
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
+#include "_accel.h"
+
 #include <structmember.h>
 
 #include <stdint.h>
 #include <string.h>
 
 /* Mirrors of repro.common constants; cross-checked against the Python
- * definitions at load time by repro.accel (mismatch -> fallback). */
+ * definitions at load time by repro.accel (mismatch -> fallback).
+ * K_LINE_BITS comes from _accel.h. */
 #define K_OP_READ 0
 #define K_OP_WRITE 1
 #define K_OP_BARRIER 2
 #define K_OP_LOCK 3
 #define K_OP_UNLOCK 4
 #define K_OP_WORK 5
-#define K_LINE_BITS 6
 #define K_SCHED_ABI_VERSION 1
 
 #define MAP_EMPTY (-1)
@@ -500,8 +500,8 @@ slot_double(PyObject *obj, Py_ssize_t off, double *out)
 /* Construction                                                        */
 /* ------------------------------------------------------------------ */
 
-static Py_ssize_t
-member_offset(PyObject *type, const char *name)
+Py_ssize_t
+repro_member_offset(PyObject *type, const char *name)
 {
     PyObject *descr = PyObject_GetAttrString(type, name);
     if (descr == NULL) {
@@ -714,12 +714,12 @@ Sched_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     }
 
-    k->off_r_latency = member_offset(result_type, "latency");
-    k->off_r_l1l2 = member_offset(result_type, "l1_to_l2");
-    k->off_r_l2w = member_offset(result_type, "l2_waiting");
-    k->off_r_l2s = member_offset(result_type, "l2_sharers");
-    k->off_r_l2o = member_offset(result_type, "l2_offchip");
-    k->off_r_hit = member_offset(result_type, "hit");
+    k->off_r_latency = repro_member_offset(result_type, "latency");
+    k->off_r_l1l2 = repro_member_offset(result_type, "l1_to_l2");
+    k->off_r_l2w = repro_member_offset(result_type, "l2_waiting");
+    k->off_r_l2s = repro_member_offset(result_type, "l2_sharers");
+    k->off_r_l2o = repro_member_offset(result_type, "l2_offchip");
+    k->off_r_hit = repro_member_offset(result_type, "hit");
     if (k->off_r_latency < 0 || k->off_r_l1l2 < 0 || k->off_r_l2w < 0
         || k->off_r_l2s < 0 || k->off_r_l2o < 0 || k->off_r_hit < 0) {
         Py_DECREF(k);
@@ -744,10 +744,10 @@ Sched_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
             Py_DECREF(k);
             return NULL;
         }
-        k->off_state = member_offset(line_type, "state");
-        k->off_last_use = member_offset(line_type, "last_use");
-        k->off_last_access = member_offset(line_type, "last_access");
-        k->off_utilization = member_offset(line_type, "utilization");
+        k->off_state = repro_member_offset(line_type, "state");
+        k->off_last_use = repro_member_offset(line_type, "last_use");
+        k->off_last_access = repro_member_offset(line_type, "last_access");
+        k->off_utilization = repro_member_offset(line_type, "utilization");
         if (k->off_state < 0 || k->off_last_use < 0 || k->off_last_access < 0
             || k->off_utilization < 0) {
             Py_DECREF(k);

@@ -1,7 +1,8 @@
 """Compile-at-import machinery for the accelerator kernels.
 
-The package's C sources (``_kernel.c`` mesh kernel + ``_sched.c`` scheduler
-kernel, plus any headers) are compiled into one CPython extension module
+The package's C sources (``_kernel.c`` mesh kernel, ``_sched.c`` scheduler
+kernel, ``_home.c`` home kernel, plus the shared ``_accel.h`` header) are
+compiled into one CPython extension module
 the first time a process asks for it, then dlopen'd from a per-version
 cache directory on every later import (compile once, load forever - the
 juno ``cffi.py`` pattern).  The cache key is everything that can
@@ -44,9 +45,10 @@ MODULE_NAME = "_repro_mesh_kernel"
 def kernel_sources() -> tuple[Path, ...]:
     """Every C translation unit and header that feeds the artifact.
 
-    ``_kernel.c`` (mesh) and ``_sched.c`` (scheduler) compile into the one
-    shared object; headers do not compile but must fingerprint - an edited
-    inline helper has to invalidate the cache exactly like a ``.c`` edit.
+    ``_kernel.c`` (mesh), ``_sched.c`` (scheduler) and ``_home.c`` (home)
+    compile into the one shared object; headers do not compile but must
+    fingerprint - an edited declaration has to invalidate the cache
+    exactly like a ``.c`` edit.
     """
     here = Path(__file__).parent
     return tuple(sorted(here.glob("*.c")) + sorted(here.glob("*.h")))

@@ -50,10 +50,22 @@ class SetAssocCache:
     ``obs(2, -1, None)`` for a clear.  ``touch`` needs no hook: membership
     is unchanged and the LRU counter is reconciled by the kernel's
     counter-replay flush.  Default None; the attribute test costs one
-    class-level lookup on the miss path and nothing on hits.
+    slot load on the miss path and nothing on hits.
+
+    Slotted: the compiled home kernel (DESIGN.md section 15) reads
+    ``_sets`` and ``_observer`` and bumps ``_use_counter`` through the
+    slot offsets, on this object, keeping no copy.
     """
 
-    _observer = None
+    __slots__ = (
+        "geometry",
+        "num_sets",
+        "associativity",
+        "_set_mask",
+        "_sets",
+        "_use_counter",
+        "_observer",
+    )
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
@@ -62,6 +74,7 @@ class SetAssocCache:
         self._set_mask = geometry.set_mask
         self._sets: list[dict[int, object]] = [dict() for _ in range(self.num_sets)]
         self._use_counter = 0
+        self._observer = None
 
     # ------------------------------------------------------------------
     def set_index(self, line: int) -> int:

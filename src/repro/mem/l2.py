@@ -52,7 +52,23 @@ class L2Line:
 
 
 class L2Slice:
-    """One tile's slice of the distributed shared L2 cache."""
+    """One tile's slice of the distributed shared L2 cache.
+
+    Slotted: the compiled home kernel (DESIGN.md section 15) updates the
+    hit, miss and word counters through the slot offsets.
+    """
+
+    __slots__ = (
+        "geometry",
+        "store",
+        "keep_data",
+        "hits",
+        "misses",
+        "word_reads",
+        "word_writes",
+        "line_reads",
+        "line_writes",
+    )
 
     def __init__(self, geometry: CacheGeometry, keep_data: bool = False) -> None:
         self.geometry = geometry

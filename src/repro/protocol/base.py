@@ -9,20 +9,25 @@ engine owns the substrate every family shares:
 * the mesh network, memory subsystem and R-NUCA home placement;
 * the per-core L1s and per-tile L2 slices (with their statistics);
 * energy counters, miss statistics and the utilization histograms;
-* the home-side round trip of every miss, written once: R-NUCA placement
-  (``RNucaPlacement.data_home``, which memoizes each line's home), then
-  the request and reply legs - one mesh-kernel ``traverse_chain`` call
-  (``_chain_request_reply``) when nothing can intervene between them,
-  else ``_deliver_request`` (page flush, request, per-line serialization,
-  tag access, off-chip fill) followed by ``_reply`` - then the family's
-  time-independent home-side bookkeeping (``_serve_word`` for word
-  accesses), then ``_settle`` (line occupancy + LRU touch).  DLS and Neat
-  reach the legs through ``_round_trip``; the directory families call
-  them directly, because their invalidation and write-back rounds sit
-  between the legs.  The compiled and pure-Python implementations take
-  the same shape for the same line state;
-* the off-chip path: ``_l2_fill`` (inclusive-fill from DRAM) and
-  ``_evict_l2_line`` (write-back + the per-family L1-purge hook);
+* the home side of every miss, run by the engine's *home kernel*
+  (``home_kernel``; :mod:`repro.protocol.home`, DESIGN.md section 15):
+  R-NUCA placement (``data_home``, or DLS's ``data_word_home``), the
+  request and reply legs - one ``chain_request_reply`` when nothing can
+  intervene between them, else ``deliver_request`` (page flush, request,
+  per-line serialization, tag access, off-chip fill) followed by
+  ``reply`` - then the family's time-independent home-side bookkeeping
+  (``serve_word`` for word accesses), then ``settle`` (line occupancy +
+  LRU touch).  DLS and Neat reach the legs through ``round_trip``; the
+  directory families call them directly, because their invalidation and
+  write-back rounds sit between the legs.  The kernel is the compiled
+  ``HomeKernel`` exactly when the mesh kernel is compiled, else its
+  pure-Python twin ``PyHomeKernel``; both take the same steps in the same
+  order;
+* the home kernel's callbacks: the off-chip fill's family hooks
+  (``_evict_l2_line``: write-back + the per-family L1-purge hook;
+  ``_install_line_state``), the page flush of a private -> shared
+  transition (``_flush_private_page``) and the verify-mode golden steps of
+  a word access (``_verify_word``);
 * golden-memory verification plumbing (write tokens, the DRAM image, and
   the end-of-run ``check_final_state`` sweep used by the differential
   property harness).
@@ -42,6 +47,7 @@ family class.
 
 from __future__ import annotations
 
+from repro import accel
 from repro.common import addr as addrmod
 from repro.common.errors import SimulationError
 from repro.common.params import ArchConfig, ProtocolConfig
@@ -55,6 +61,7 @@ from repro.mem.l2 import L2Line, L2Slice
 from repro.mem.memctrl import MemorySubsystem
 from repro.network.mesh import MeshNetwork
 from repro.network.messages import MsgType
+from repro.protocol.home import PyHomeKernel
 from repro.rnuca.placement import RNucaPlacement
 from repro.sim.stats import MissStats, UtilizationHistogram
 
@@ -101,7 +108,8 @@ class ProtocolEngineBase:
 
     Slotted: the engine's attributes are read on every simulated access,
     and slot loads beat instance-dict lookups on the hot path.  Subclasses
-    declare their own ``__slots__`` for any extra state.
+    declare their own ``__slots__`` for any extra state.  Weakly
+    referenceable: its home kernel refers back to it weakly.
     """
 
     __slots__ = (
@@ -125,6 +133,7 @@ class ProtocolEngineBase:
         "_write_token",
         "_history",
         "_home_of_line",
+        "home_kernel",
         "_l2_latency",
         "_words_per_line",
         "_hit_result",
@@ -135,6 +144,7 @@ class ProtocolEngineBase:
         "_net_chain",
         "_net_many",
         "_net_flits",
+        "__weakref__",
     )
 
     def __init__(
@@ -173,11 +183,12 @@ class ProtocolEngineBase:
         self._l2_latency = arch.l2.latency
         self._words_per_line = arch.words_per_line
 
-        #: Reserved-path traversal plumbing, hoisted once: the multi-hop
-        #: request -> home -> reply chains probe the network's route memo
-        #: directly and reserve whole paths through the mesh kernel's own
-        #: methods (no per-message ``unicast`` wrapper, no MsgType
-        #: dispatch; one FFI crossing per call with the compiled kernel).
+        #: Reserved-path traversal plumbing for the family-side traffic
+        #: (invalidation and write-back rounds, eviction notices), hoisted
+        #: once: the route memo is probed directly and whole paths are
+        #: reserved through the mesh kernel's own methods (no per-message
+        #: ``unicast`` wrapper; one FFI crossing per call with the
+        #: compiled kernel).
         kernel = self.network.kernel
         self._num_tiles = arch.num_cores
         self._net_paths = self.network.paths
@@ -192,6 +203,13 @@ class ProtocolEngineBase:
         #: this one immutable-by-convention instance instead of allocating.
         self._hit_result = AccessResult()
         self._hit_result.hit = True
+
+        #: The home kernel: compiled exactly when the mesh kernel is (it
+        #: reserves the legs through the mesh kernel's C traversal), else
+        #: the pure-Python twin.  Built last: it reads the engine's
+        #: structures above.
+        compiled = accel.home_kernel_class() if self.network.implementation == "accel" else None
+        self.home_kernel = (compiled or PyHomeKernel)(self, L2Line, AccessResult)
 
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
@@ -306,203 +324,20 @@ class ProtocolEngineBase:
         return MissType.CAPACITY
 
     # ------------------------------------------------------------------
-    # The home round trip, shared by every family's miss path.
+    # Callbacks of the home kernel (repro.protocol.home): the verify-mode
+    # golden steps of a word access, the fill's family hooks and the page
+    # flush of a private -> shared transition.
     # ------------------------------------------------------------------
-    def _round_trip(
-        self,
-        core: int,
-        line: int,
-        home: int,
-        flush_owner: int | None,
-        req_msg: MsgType,
-        reply_msg: MsgType,
-        now: float,
-        result: AccessResult,
-    ) -> tuple[L2Slice, L2Line, float, float]:
-        """Reserve a miss's request and reply legs when the reply type is
-        known up front and nothing happens at the home between them.
-
-        With no page flush and the line resident at ``home``, both legs
-        ride one ``traverse_chain`` call; otherwise the general request leg
-        (flush, off-chip fill) runs, then the reply leg.  Returns
-        ``(slice_, l2line, t, reply_t)``: the home service time and the
-        reply's tail arrival at the requester.
-        """
-        if flush_owner is None:
-            slice_ = self.l2[home]
-            store = slice_.store
-            l2line = store._sets[line & store._set_mask].get(line)
-            if l2line is not None:
-                t, reply_t = self._chain_request_reply(
-                    core, home, l2line, slice_, req_msg, reply_msg, now, result
-                )
-                return slice_, l2line, t, reply_t
-        slice_, l2line, t = self._deliver_request(
-            core, line, home, flush_owner, req_msg, now, result
-        )
-        return slice_, l2line, t, self._reply(home, core, reply_msg, t)
-
-    def _deliver_request(
-        self,
-        core: int,
-        line: int,
-        home: int,
-        flush_owner: int | None,
-        req_msg: MsgType,
-        now: float,
-        result: AccessResult,
-    ) -> tuple[L2Slice, L2Line, float]:
-        """The general request leg: deliver a request to the home slice,
-        ready for service.
-
-        Flushes a private page's old slice on a private -> shared
-        transition, reserves the request, applies per-line serialization
-        ("L2 cache waiting time", recorded into ``result``), accesses the
-        L2 tag and fills the line from off-chip on an L2 miss (recorded
-        into ``result.l2_offchip``).  Returns ``(slice_, l2line, t)`` with
-        ``t`` the time service at the home may begin.
-        """
-        if flush_owner is not None:
-            self._flush_private_page(line, flush_owner, now)
-        path = self._net_paths[core * self._num_tiles + home]
-        if path is None:
-            path = self._net_resolve(core, home)
-        t = self._net_traverse(path, now, self._net_flits[req_msg])
-        slice_ = self.l2[home]
-        store = slice_.store
-        l2line = store._sets[line & store._set_mask].get(line)
-        if l2line is not None and l2line.busy_until > t:
-            result.l2_waiting = l2line.busy_until - t
-            t = l2line.busy_until
-        t += self._l2_latency
-        self.energy.l2_tag_accesses += 1
-        if l2line is None:
-            slice_.misses += 1
-            l2line, t, result.l2_offchip = self._l2_fill(home, line, t)
-        else:
-            slice_.hits += 1
-        return slice_, l2line, t
-
-    def _reply(self, home: int, core: int, reply_msg: MsgType, t: float) -> float:
-        """The general reply leg: reserve ``reply_msg`` from the home at
-        ``t``; returns its tail arrival at the requester."""
-        path = self._net_paths[home * self._num_tiles + core]
-        if path is None:
-            path = self._net_resolve(home, core)
-        return self._net_traverse(path, t, self._net_flits[reply_msg])
-
-    def _chain_request_reply(
-        self,
-        core: int,
-        home: int,
-        l2line: L2Line,
-        slice_: L2Slice,
-        req_msg: MsgType,
-        reply_msg: MsgType,
-        now: float,
-        result: AccessResult,
-    ) -> tuple[float, float]:
-        """Reserve the request and reply legs in one ``traverse_chain``
-        call (one FFI crossing per miss with the compiled kernel; the exact
-        composition of two ``traverse`` calls in every kernel), with the
-        same serialization/latency arithmetic and the same counter updates
-        as ``_deliver_request`` + ``_reply`` on a resident line.  Returns
-        ``(t, reply_t)``.
-        """
-        paths = self._net_paths
-        num_tiles = self._num_tiles
-        flits = self._net_flits
-        path1 = paths[core * num_tiles + home]
-        if path1 is None:
-            path1 = self._net_resolve(core, home)
-        path2 = paths[home * num_tiles + core]
-        if path2 is None:
-            path2 = self._net_resolve(home, core)
-        busy = l2line.busy_until
-        t1, reply_t = self._net_chain(
-            path1, flits[req_msg], now, busy, self._l2_latency, path2, flits[reply_msg]
-        )
-        if busy > t1:
-            result.l2_waiting = busy - t1
-            t = busy + self._l2_latency
-        else:
-            t = t1 + self._l2_latency
-        self.energy.l2_tag_accesses += 1
-        slice_.hits += 1
-        return t, reply_t
-
-    def _serve_word(
-        self,
-        core: int,
-        is_write: bool,
-        line: int,
-        word: int,
-        l2line: L2Line,
-        slice_: L2Slice,
-    ) -> None:
-        """Word access at the home L2 (the remote service of the adaptive
-        protocol, every DLS access, Neat's eager write-through).  Touches
-        no time or network state, so it runs after the reply is reserved.
-        """
+    def _verify_word(self, core: int, is_write: bool, line: int, word: int, l2line: L2Line) -> None:
+        """Golden steps of a word access at the home, right after the home
+        kernel's ``serve_word``: a write mints its token into the line and
+        the golden image, a read is checked against it."""
         if is_write:
-            slice_.word_writes += 1
-            self.energy.l2_word_writes += 1
-            l2line.dirty = True
-            l2line.dirty_words |= 1 << word
-            if self.verify:
-                token = self._issue_write_token(core)
-                l2line.data[word] = token
-                self.golden.write_word(line, word, token)
-            return
-        slice_.word_reads += 1
-        self.energy.l2_word_reads += 1
-        if self.verify:
-            self.golden.check_read(line, word, l2line.data[word], f"remote read core {core}")
-
-    def _settle(self, slice_: L2Slice, l2line: L2Line, t: float, owned: bool) -> None:
-        """Release the home line after service at ``t``.
-
-        A request that owns the line (writes, directory line grants, Neat
-        flushes) holds it until ``t``; word reads and Neat's line fetches
-        take no ownership and pipeline through the banked L2, occupying
-        the line for one cycle - why "a word miss only contributes
-        marginally to the L2 cache waiting time" (Section 5.1.2).
-        """
-        if owned:
-            l2line.busy_until = t
+            token = self._issue_write_token(core)
+            l2line.data[word] = token
+            self.golden.write_word(line, word, token)
         else:
-            busy = t - self._l2_latency + 1.0
-            if busy > l2line.busy_until:
-                l2line.busy_until = busy
-        slice_.touch(l2line, t)
-
-    # ------------------------------------------------------------------
-    # L2 miss: fetch the line from off-chip memory.
-    # ------------------------------------------------------------------
-    def _l2_fill(self, home: int, line: int, t: float) -> tuple[L2Line, float, float]:
-        slice_ = self.l2[home]
-        victim = slice_.victim(line)
-        if victim is not None:
-            self._evict_l2_line(home, victim[0], victim[1], t)
-            slice_.remove(victim[0])
-
-        ctrl = self.memsys.controller_for_line(line)
-        req_t = self.network.unicast(home, ctrl.tile, MsgType.MEM_READ_REQ, t)
-        finish, _queue = ctrl.access(req_t, self.arch.line_size)
-        reply_t = self.network.unicast(ctrl.tile, home, MsgType.MEM_READ_REPLY, finish)
-
-        data = None
-        if self.verify:
-            data = self._dram_image.get(line)
-            data = list(data) if data is not None else [0] * self._words_per_line
-        evicted = slice_.fill(line, reply_t, data)
-        if evicted is not None:  # cannot happen: victim handled above
-            raise SimulationError("L2 fill evicted after explicit victim handling")
-        l2line = slice_.lookup(line)
-        self._install_line_state(l2line)
-        self.energy.l2_line_writes += 1
-        self._home_of_line[line] = home
-        return l2line, reply_t, reply_t - t
+            self.golden.check_read(line, word, l2line.data[word], f"remote read core {core}")
 
     def _install_line_state(self, l2line: L2Line) -> None:
         """Attach per-family home-side state to a freshly filled L2 line.

@@ -27,14 +27,14 @@ This engine services every L1 miss the way the paper's hardware would:
   directory access (for the energy model) and the four L2-side latency
   components of Section 4.4.
 
-Each miss takes the substrate's steps (``repro.protocol.base``): the home
-from ``RNucaPlacement.data_home``, the request and reply legs, the
-time-independent bookkeeping (``_serve_word`` or ``_grant_private``), then
-``_settle``.  The invalidation or write-back round sits between the legs,
-so the engine checks the line itself rather than calling ``_round_trip``:
-with no page flush, the line resident at the home and no round to run,
-request and reply ride one ``_chain_request_reply`` call; otherwise
-``_deliver_request``, the round, then ``_reply``.  Either way the
+Each miss takes the home kernel's steps (``repro.protocol.home``): the
+home from ``data_home``, the request and reply legs, the time-independent
+bookkeeping (``serve_word`` or ``_grant_private``), then ``settle``.  The
+invalidation or write-back round sits between the legs, so the engine
+checks the line itself rather than calling ``round_trip``: with no page
+flush, the line resident at the home and no round to run, request and
+reply ride one ``chain_request_reply`` call; otherwise
+``deliver_request``, the round, then ``reply``.  Either way the
 requester is classified once (``_classify_requester``, the one policy
 seam the phase family overrides) and the reply is reserved before the
 bookkeeping.
@@ -196,7 +196,8 @@ class DirectoryEngine(ProtocolEngineBase):
             req_msg = _UPGRADE_REQ if upgrade else _WRITE_REQ
         else:
             req_msg = _READ_REQ
-        home, flush_owner = self.placement.data_home(line, core)
+        home_kernel = self.home_kernel
+        home, flush_owner = home_kernel.data_home(line, core)
         slice_ = self.l2[home]
         # Chained shape: no page flush, the line resident at the home, and
         # neither an invalidation round (writes: no foreign sharer) nor a
@@ -218,7 +219,7 @@ class DirectoryEngine(ProtocolEngineBase):
                 else:
                     chained = dirent.owner < 0 or dirent.owner == core
         if not chained:
-            slice_, l2line, t = self._deliver_request(
+            slice_, l2line, t = home_kernel.deliver_request(
                 core, line, home, flush_owner, req_msg, now, result
             )
         energy.directory_lookups += 1
@@ -232,7 +233,7 @@ class DirectoryEngine(ProtocolEngineBase):
         else:
             reply_msg = _WORD_REPLY if serviced_remote else _LINE_REPLY
         if chained:
-            t, reply_t = self._chain_request_reply(
+            t, reply_t = home_kernel.chain_request_reply(
                 core, home, l2line, slice_, req_msg, reply_msg, now, result
             )
 
@@ -268,9 +269,9 @@ class DirectoryEngine(ProtocolEngineBase):
         # the time-independent bookkeeping - a word access at the home L2
         # or a private line grant.
         if not chained:
-            reply_t = self._reply(home, core, reply_msg, t)
+            reply_t = home_kernel.reply(home, core, reply_msg, t)
         if serviced_remote:
-            self._serve_word(core, is_write, line, word, l2line, slice_)
+            home_kernel.serve_word(core, is_write, line, word, l2line, slice_)
             flags |= _EVER_REMOTE
         else:
             self._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
@@ -279,7 +280,7 @@ class DirectoryEngine(ProtocolEngineBase):
 
         # ---- settle: writes and line grants own the line until the
         # directory settles; remote word reads only occupy it for a cycle.
-        self._settle(slice_, l2line, t, is_write or not serviced_remote)
+        home_kernel.settle(slice_, l2line, t, is_write or not serviced_remote)
         energy.directory_updates += 1
 
         result.latency = reply_t - now

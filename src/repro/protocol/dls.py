@@ -38,9 +38,9 @@ What this family models (and what it deliberately does not - see DESIGN.md,
   occupancy), the same Section 5.1.2 rule as the adaptive protocol's
   remote accesses, so DLS and the adaptive protocol's remote mode are
   timed identically - the comparison isolates the *policy*, not the
-  plumbing.  Both run the same substrate code (``repro.protocol.base``):
-  an access is ``data_word_home``, ``_round_trip``, ``_serve_word`` and
-  ``_settle``.
+  plumbing.  Both run the same home kernel (``repro.protocol.home``):
+  an access is ``word_round_trip`` (``data_word_home`` + ``round_trip``),
+  the miss bookkeeping, then ``serve_word_settle``.
 
 Functional verification runs unchanged: word writes update the golden
 memory in service order and word reads are checked against it, so the
@@ -54,8 +54,20 @@ own dirty words into the DRAM image.
 from __future__ import annotations
 
 from repro.common import addr as addrmod
+from repro.common.types import MissType
 from repro.network.messages import MsgType
 from repro.protocol.base import _EVER_REMOTE, AccessResult, ProtocolEngineBase
+
+_LINE_BITS = addrmod.LINE_BITS
+_WORD_BITS = addrmod.WORD_BITS
+_WORD = MissType.WORD
+_COLD = MissType.COLD
+
+# Message types as plain ints: the flit tables index by value.
+_READ_REQ = int(MsgType.READ_REQ)
+_WRITE_REQ = int(MsgType.WRITE_REQ)
+_WORD_REPLY = int(MsgType.WORD_REPLY)
+_WORD_WRITE_ACK = int(MsgType.WORD_WRITE_ACK)
 
 
 class DLSEngine(ProtocolEngineBase):
@@ -65,8 +77,8 @@ class DLSEngine(ProtocolEngineBase):
 
     def access(self, core: int, is_write: bool, address: int, now: float) -> AccessResult:
         """Service one load/store as a word round-trip to the word's home."""
-        line = address >> addrmod.LINE_BITS
-        word = (address >> addrmod.WORD_BITS) & (self._words_per_line - 1)
+        line = address >> _LINE_BITS
+        word = (address >> _WORD_BITS) & (self._words_per_line - 1)
         # The core model pays the 1-cycle L1-D probe on every reference
         # (sim/multicore.py); charge the matching tag-access energy so the
         # timing and energy models agree (see module docstring).
@@ -77,26 +89,31 @@ class DLSEngine(ProtocolEngineBase):
         # ---- round trip to the word's home slice (writes carry the data
         # word; the reply type depends only on ``is_write``).
         if is_write:
-            req_msg, reply_msg = MsgType.WRITE_REQ, MsgType.WORD_WRITE_ACK
+            req_msg, reply_msg = _WRITE_REQ, _WORD_WRITE_ACK
         else:
-            req_msg, reply_msg = MsgType.READ_REQ, MsgType.WORD_REPLY
-        home, flush_owner = self.placement.data_word_home(line, word, core)
-        slice_, l2line, t, reply_t = self._round_trip(
-            core, line, home, flush_owner, req_msg, reply_msg, now, result
+            req_msg, reply_msg = _READ_REQ, _WORD_REPLY
+        home_kernel = self.home_kernel
+        slice_, l2line, t, reply_t = home_kernel.word_round_trip(
+            core, line, word, req_msg, reply_msg, now, result
         )
 
         # ---- every access is a miss: first touch is cold, then word.
-        flags = self._history[core].get(line, 0)
-        result.miss_type = self._classify_miss(flags, upgrade=False, serviced_remote=True)
-        self.miss_stats.record_miss(result.miss_type)
-        self._history[core][line] = flags | _EVER_REMOTE
+        # (``_classify_miss`` for a remote service, inlined: DLS never
+        # caches a line privately, so _EVER_REMOTE is the only history
+        # bit it ever sets; ``MissStats.record_miss`` inlined too.)
+        history = self._history[core]
+        flags = history.get(line, 0)
+        miss_type = _WORD if flags & _EVER_REMOTE else _COLD
+        result.miss_type = miss_type
+        self.miss_stats._miss_counts[miss_type] += 1
+        history[line] = flags | _EVER_REMOTE
 
         # ---- word service, then settle: writes serialize, reads pipeline.
-        self._serve_word(core, is_write, line, word, l2line, slice_)
-        self._settle(slice_, l2line, t, is_write)
+        home_kernel.serve_word_settle(core, is_write, line, word, l2line, slice_, t, is_write)
 
-        result.latency = reply_t - now
-        result.l1_to_l2 = result.latency - result.l2_waiting - result.l2_offchip
+        latency = reply_t - now
+        result.latency = latency
+        result.l1_to_l2 = latency - result.l2_waiting - result.l2_offchip
         return result
 
     # ------------------------------------------------------------------

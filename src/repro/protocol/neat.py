@@ -53,11 +53,12 @@ The net effect mirrors Neat's published trade-off: directory storage goes to
 zero and invalidation rounds disappear, while store-heavy sharing patterns
 pay per-word write-through traffic and reload misses.
 
-Timing is the substrate's (``repro.protocol.base``); only the bookkeeping
-is Neat's.  A miss or write-allocate is ``data_home``, ``_round_trip``
-(a ``WORD_WRITE_ACK`` for the eager write-through, a ``LINE_REPLY`` fetch
-otherwise), the version and copy bookkeeping, then ``_settle``; a release
-flush is ``data_home``, ``_deliver_request`` and an owning ``_settle``.
+Timing is the home kernel's (``repro.protocol.home``); only the
+bookkeeping is Neat's.  A miss or write-allocate is ``data_home``,
+``round_trip`` (a ``WORD_WRITE_ACK`` for the eager write-through, a
+``LINE_REPLY`` fetch otherwise), the version and copy bookkeeping, then
+``settle``; a release flush is ``data_home``, ``deliver_request`` and an
+owning ``settle``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ from repro.protocol.base import (
     AccessResult,
     ProtocolEngineBase,
 )
+
+# Message types as plain ints: the flit tables index by value.
+_READ_REQ = int(MsgType.READ_REQ)
+_WRITE_REQ = int(MsgType.WRITE_REQ)
+_LINE_REPLY = int(MsgType.LINE_REPLY)
+_WORD_WRITE_ACK = int(MsgType.WORD_WRITE_ACK)
+_WB_DATA = int(MsgType.WB_DATA)
 
 
 class NeatEngine(ProtocolEngineBase):
@@ -98,7 +106,7 @@ class NeatEngine(ProtocolEngineBase):
         self._release_batching = proto.neat_downgrade == "release"
         #: Per-core {line: dirty-word bitmask} of buffered (unflushed) stores.
         self._pending: list[dict[int, int]] = [dict() for _ in range(arch.num_cores)]
-        #: Scratch result for flush deliveries: _deliver_request records
+        #: Scratch result for flush deliveries: deliver_request records
         #: serialization/off-chip latency into it, and a flush (being off
         #: the critical path) discards both.
         self._flush_result = AccessResult()
@@ -175,11 +183,12 @@ class NeatEngine(ProtocolEngineBase):
         # ---- round trip to the home slice: a write carries its word and is
         # acknowledged (eager self-downgrade), a read fetches the line.
         if is_write:
-            req_msg, reply_msg = MsgType.WRITE_REQ, MsgType.WORD_WRITE_ACK
+            req_msg, reply_msg = _WRITE_REQ, _WORD_WRITE_ACK
         else:
-            req_msg, reply_msg = MsgType.READ_REQ, MsgType.LINE_REPLY
-        home, flush_owner = self.placement.data_home(line, core)
-        slice_, l2line, t, reply_t = self._round_trip(
+            req_msg, reply_msg = _READ_REQ, _LINE_REPLY
+        home_kernel = self.home_kernel
+        home, flush_owner = home_kernel.data_home(line, core)
+        slice_, l2line, t, reply_t = home_kernel.round_trip(
             core, line, home, flush_owner, req_msg, reply_msg, now, result
         )
 
@@ -199,10 +208,10 @@ class NeatEngine(ProtocolEngineBase):
                 result.miss_type = MissType.UPGRADE if fresh else MissType.SHARING
             else:
                 result.miss_type = self._classify_miss(flags, upgrade=False, serviced_remote=True)
-            # The word is written at the home (no allocate); _serve_word
+            # The word is written at the home (no allocate); serve_word
             # issues this write's token (verify mode).  Every other core's
             # copy goes stale and self-invalidates on its next use.
-            self._serve_word(core, True, line, word, l2line, slice_)
+            home_kernel.serve_word(core, True, line, word, l2line, slice_)
             self.write_throughs += 1
             self._line_version[line] = old_version + 1
             if fresh:
@@ -233,7 +242,7 @@ class NeatEngine(ProtocolEngineBase):
             self._history[core][line] = flags | _EVER_CACHED
         self.miss_stats.record_miss(result.miss_type)
         # Reads take no home-side ownership: they pipeline through the bank.
-        self._settle(slice_, l2line, t, is_write)
+        home_kernel.settle(slice_, l2line, t, is_write)
 
         result.latency = reply_t - now
         result.l1_to_l2 = result.latency - result.l2_waiting - result.l2_offchip
@@ -288,9 +297,10 @@ class NeatEngine(ProtocolEngineBase):
             result.miss_type = self._classify_miss(flags, upgrade=False, serviced_remote=False)
         l1.misses += 1
         self.energy.l1d_tag_accesses += 1
-        home, flush_owner = self.placement.data_home(line, core)
-        slice_, l2line, t, reply_t = self._round_trip(
-            core, line, home, flush_owner, MsgType.READ_REQ, MsgType.LINE_REPLY, now, result
+        home_kernel = self.home_kernel
+        home, flush_owner = home_kernel.data_home(line, core)
+        slice_, l2line, t, reply_t = home_kernel.round_trip(
+            core, line, home, flush_owner, _READ_REQ, _LINE_REPLY, now, result
         )
         self._install_line(core, line, l2line, slice_, reply_t)
         versions[line] = self._line_version.get(line, 0)
@@ -304,7 +314,7 @@ class NeatEngine(ProtocolEngineBase):
         self._history[core][line] = flags | _EVER_CACHED
         self.miss_stats.record_miss(result.miss_type)
         # The fetch is a read at the home: no ownership, bank-pipelined.
-        self._settle(slice_, l2line, t, False)
+        home_kernel.settle(slice_, l2line, t, False)
         result.latency = reply_t - now
         result.l1_to_l2 = result.latency - result.l2_waiting - result.l2_offchip
         return result
@@ -317,9 +327,10 @@ class NeatEngine(ProtocolEngineBase):
         result = self._flush_result
         result.l2_waiting = 0.0
         result.l2_offchip = 0.0
-        home, flush_owner = self.placement.data_home(line, core)
-        slice_, l2line, t_at_home = self._deliver_request(
-            core, line, home, flush_owner, MsgType.WB_DATA, t, result
+        home_kernel = self.home_kernel
+        home, flush_owner = home_kernel.data_home(line, core)
+        slice_, l2line, t_at_home = home_kernel.deliver_request(
+            core, line, home, flush_owner, _WB_DATA, t, result
         )
         if entry is None:
             entry = self.l1d[core].lookup(line)
@@ -352,7 +363,7 @@ class NeatEngine(ProtocolEngineBase):
             # exhaustive tier: W0(w0) W1(w4) flush0 flush1 R1(w0) read 0
             # where w0 held core 0's store.
             self._copy_version[core][line] = version
-        self._settle(slice_, l2line, t_at_home, True)
+        home_kernel.settle(slice_, l2line, t_at_home, True)
 
     def _release_flush(self, core: int, t: float) -> None:
         """Release boundary: flush every line with buffered stores."""

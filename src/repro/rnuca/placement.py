@@ -10,17 +10,18 @@ For a 64-core processor R-NUCA places (Section 2.1):
   rotational interleaving - each core finds instruction lines within its
   2x2 mesh neighbourhood.
 
-``data_home`` is the first step of every line-homed miss, so it memoizes
-each line's ``(home, private owner or -1)``.  A line's home is stable
-while its page's classification is: shared pages never reclassify and a
-private page keeps its home for its owner.  Only an access by another
-core can move it (the one-way private -> shared transition), and that
-access reaches the page table, which reports the transition; the
-placement then drops every memoized line of the page.  The placement
-creates its own page table, so nothing outside it can reclassify a page
-behind the memo; ``data_word_home`` (DLS's word-interleaved homes) is
-neither memoized nor memo-aware, so an engine homes its data through one
-of the two.
+``data_home`` (and DLS's word-interleaved ``data_word_home``) is the first
+step of every miss, so both answer from the page table's own dict
+(``RNucaPageTable._pages``) whenever the classification would have no side
+effect: a shared page, or a private page accessed by its owner.  Any other
+access - a first touch, a second core touching a private page (the
+one-way private -> shared transition, which reports the old owner whose
+slice must be flushed), an instruction page accessed as data - goes
+through ``RNucaPageTable.classify_data``.  The page table is the only
+placement state: a line's home is recomputed from its page's entry, so a
+transition needs no memo to drop.  The engines reach these methods through
+their home kernel (``repro.protocol.home``); the compiled kernel applies
+the same rule to the same dict.
 """
 
 from __future__ import annotations
@@ -29,9 +30,19 @@ from repro.common import addr as addrmod
 from repro.common.params import ArchConfig
 from repro.rnuca.page_table import PageKind, RNucaPageTable
 
+_LINE_BITS = addrmod.LINE_BITS
+
 #: Knuth multiplicative hash constant - spreads consecutive lines across
-#: slices without the striding artifacts of a plain modulo.
+#: slices without the striding artifacts of a plain modulo.  The home is
+#: ``((line * _HASH_MULTIPLIER) >> _HASH_SHIFT) % num_cores``, exact in
+#: Python's unbounded ints: the product needs more than 64 bits once the
+#: line number passes 2**64 // _HASH_MULTIPLIER = 6,949,403,087, well
+#: inside the 48-bit physical address space.
 _HASH_MULTIPLIER = 2654435761
+_HASH_SHIFT = 16
+
+_SHARED = PageKind.SHARED
+_PRIVATE = PageKind.PRIVATE
 
 
 class RNucaPlacement:
@@ -40,40 +51,36 @@ class RNucaPlacement:
     def __init__(self, arch: ArchConfig) -> None:
         self.arch = arch
         self.page_table = RNucaPageTable()
-        #: line -> (home slice, private owner or -1); see the module docstring.
-        self._line_home: dict[int, tuple[int, int]] = {}
+        self._pages = self.page_table._pages
+        self._page_size = arch.page_size
+        self._num_cores = arch.num_cores
+        self._words_per_line = arch.words_per_line
         self._cluster_tiles_cache: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     def shared_home(self, line: int) -> int:
         """Fixed chip-wide home slice for a shared line (address hash)."""
-        return ((line * _HASH_MULTIPLIER) >> 16) % self.arch.num_cores
+        return ((line * _HASH_MULTIPLIER) >> _HASH_SHIFT) % self._num_cores
 
     def data_home(self, line: int, core: int) -> tuple[int, int | None]:
         """Home slice for a data access.
 
         Returns ``(home_tile, flush_owner)``; ``flush_owner`` is the previous
         private owner's tile when this access just reclassified the page
-        shared (its slice must be flushed), else None.  A memo hit (shared
-        line, or private line accessed by its owner) skips the page table;
-        the classification it would repeat has no side effects.
+        shared (its slice must be flushed), else None.
         """
-        cached = self._line_home.get(line)
-        if cached is not None and (cached[1] < 0 or cached[1] == core):
-            return cached[0], None
-        page = addrmod.page_of(line << addrmod.LINE_BITS, self.arch.page_size)
+        page = (line << _LINE_BITS) // self._page_size
+        entry = self._pages.get(page)
+        if entry is not None:
+            kind, owner = entry
+            if kind is _SHARED:
+                return ((line * _HASH_MULTIPLIER) >> _HASH_SHIFT) % self._num_cores, None
+            if owner == core:
+                return owner, None
         kind, owner, previous_owner = self.page_table.classify_data(page, core)
-        if kind is PageKind.PRIVATE:
-            self._line_home[line] = (owner, owner)
+        if kind is _PRIVATE:
             return owner, None
-        if previous_owner is not None:
-            # Transition: the page's lines were memoized at the old private
-            # owner's slice; forget them before they mislead.
-            for pline in addrmod.lines_in_page(page, self.arch.page_size):
-                self._line_home.pop(pline, None)
-        home = self.shared_home(line)
-        self._line_home[line] = (home, -1)
-        return home, previous_owner
+        return self.shared_home(line), previous_owner
 
     # ------------------------------------------------------------------
     def shared_word_home(self, line: int, word: int) -> int:
@@ -84,17 +91,24 @@ class RNucaPlacement:
         a line's 8 words spread over 8 slices and a streaming scan loads
         every slice evenly instead of hammering one line home.
         """
-        return (line * self.arch.words_per_line + word) % self.arch.num_cores
+        return (line * self._words_per_line + word) % self._num_cores
 
     def data_word_home(self, line: int, word: int, core: int) -> tuple[int, int | None]:
-        """Per-word home for a DLS data access (same contract as
-        :meth:`data_home`: private pages stay at the owner's slice, shared
-        words interleave, and ``flush_owner`` reports a private -> shared
-        transition that requires flushing the old owner's slice).  Not
-        memoized, and blind to :meth:`data_home`'s memo."""
-        page = addrmod.page_of(line << addrmod.LINE_BITS, self.arch.page_size)
+        """Per-word home for a DLS data access (same contract and the same
+        page-table rule as :meth:`data_home`: private pages stay at the
+        owner's slice, shared words interleave, and ``flush_owner`` reports
+        a private -> shared transition that requires flushing the old
+        owner's slice)."""
+        page = (line << _LINE_BITS) // self._page_size
+        entry = self._pages.get(page)
+        if entry is not None:
+            kind, owner = entry
+            if kind is _SHARED:
+                return (line * self._words_per_line + word) % self._num_cores, None
+            if owner == core:
+                return owner, None
         kind, owner, previous_owner = self.page_table.classify_data(page, core)
-        if kind is PageKind.PRIVATE:
+        if kind is _PRIVATE:
             return owner, None
         return self.shared_word_home(line, word), previous_owner
 

@@ -22,7 +22,6 @@ from repro.runner.backends import (
     ExecutionBackend,
     LocalBackend,
     ProcessBackend,
-    RemoteBackend,
     make_backend,
 )
 from repro.runner.backends.local import build_trace, execute_job
@@ -37,6 +36,17 @@ from repro.runner.sweep import (
     sweep_rows,
     sweep_table,
 )
+
+
+
+def __getattr__(name: str):
+    # The remote backend loads on first use (see repro.runner.backends).
+    if name == "RemoteBackend":
+        from repro.runner import backends
+
+        return backends.RemoteBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_CACHE_DIR",

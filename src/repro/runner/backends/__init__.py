@@ -16,25 +16,40 @@ Every backend consumes ``(payload, trace | None)`` tasks and yields
 ``(job key, RunStats.to_dict())`` pairs - the exact representation the cache
 persists - so results are bit-identical across backends by construction
 (pinned by ``tests/runner/test_backends.py``).
+
+The remote backend's module (asyncio, ssl, sockets) loads on first use:
+its names resolve through the module ``__getattr__``, and
+``make_backend("remote")`` imports it, so ``import repro`` pays nothing
+for a backend most processes never start.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.common.errors import ConfigError
 from repro.runner.backends.local import LocalBackend, Task, build_trace, execute_job, run_task
 from repro.runner.backends.process import ProcessBackend
-from repro.runner.backends.remote import (
-    DEFAULT_PORT,
-    DEFAULT_WINDOW,
-    STATS_SCHEMA,
-    Daemon,
-    RemoteBackend,
-    fetch_stats,
-    parse_hosts,
-    serve_forever,
-)
+
+#: Names served from ``repro.runner.backends.remote`` on first access.
+_REMOTE_NAMES = frozenset({
+    "DEFAULT_PORT",
+    "DEFAULT_WINDOW",
+    "STATS_SCHEMA",
+    "Daemon",
+    "RemoteBackend",
+    "fetch_stats",
+    "parse_hosts",
+    "serve_forever",
+})
+
+
+def __getattr__(name: str):
+    if name in _REMOTE_NAMES:
+        remote = importlib.import_module("repro.runner.backends.remote")
+        return getattr(remote, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: CLI-selectable backend names ("auto" resolves from workers/hosts).
 BACKEND_NAMES = ("auto", "local", "process", "remote")
@@ -98,9 +113,10 @@ def make_backend(
         )
     if not hosts:
         raise ConfigError("remote backend needs --hosts host:port[,host:port...]")
-    return RemoteBackend(
-        hosts=parse_hosts(hosts),
-        window=DEFAULT_WINDOW if window is None else window,
+    remote = importlib.import_module("repro.runner.backends.remote")
+    return remote.RemoteBackend(
+        hosts=remote.parse_hosts(hosts),
+        window=remote.DEFAULT_WINDOW if window is None else window,
         frame_timeout=frame_timeout,
     )
 

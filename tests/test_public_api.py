@@ -3,6 +3,11 @@ README quickstart without reaching into submodules."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -23,6 +28,25 @@ class TestSurface:
             obj = getattr(repro, name)
             if callable(obj):
                 assert obj.__doc__, f"{name} lacks a docstring"
+
+
+    def test_import_leaves_the_remote_backend_unloaded(self):
+        """``import repro`` must not pay for the remote backend (asyncio,
+        ssl, sockets); its names load on first use."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys, repro\n"
+            "heavy = ('asyncio', 'ssl', 'repro.runner.backends.remote')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "from repro.runner import RemoteBackend\n"
+            "from repro.runner.backends import DEFAULT_PORT, serve_forever\n"
+            "print(RemoteBackend.__module__, 'repro.runner.backends.remote' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines() == ["[]", "repro.runner.backends.remote True"]
 
 
 class TestQuickstartContract:
