@@ -9,9 +9,9 @@ the whole gallery takes about a minute, then draws:
 * Figure 10 - the miss-mix shift (capacity/sharing -> word) vs PCT;
 * Figure 14 - Adapt1-way vs Adapt2-way grouped bars.
 
-For publication-fidelity tables use the benchmark harness
-(``pytest benchmarks/ --benchmark-only``) or the CLI
-(``repro-experiments --figure 11``).
+For tables at the paper configuration use the CLI
+(``repro figures --figure 11``); ``repro figures --report`` checks every
+paper claim and rewrites EXPERIMENTS.md.
 
 Run with::
 

@@ -450,6 +450,50 @@ def neat_protocol(downgrade: str = "eager") -> ProtocolConfig:
     return ProtocolConfig(protocol="neat", pct=1, directory="none", neat_downgrade=downgrade)
 
 
+# The evaluation convention, shared by the figure harness and `repro sweep`
+# so a point of either reuses the other's cached results.
+#: The Figure 11 PCT grid (the widest sweep in the paper).
+FIGURE11_PCTS: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 18, 20)
+
+
+def bench_arch(num_cores: int = 64) -> ArchConfig:
+    """The evaluation system: Table 1 with capacity-scaled caches (DESIGN.md
+    section 2: L1-I 4KB, L1-D 8KB, L2 64KB per slice, all else verbatim)."""
+    return ArchConfig(
+        num_cores=num_cores,
+        l1i=CacheGeometry(4, 4, 1),
+        l1d=CacheGeometry(8, 4, 1),
+        l2=CacheGeometry(64, 8, 7),
+    )
+
+
+def adaptive_protocol(pct: int = 4, **overrides) -> ProtocolConfig:
+    """The paper's default adaptive configuration at a given PCT.
+
+    The RAT ladder starts at PCT (Section 3.3), so for sweep points beyond
+    the default RATmax of 16 (Figure 11 reaches PCT=20) the ceiling follows
+    PCT unless explicitly overridden.
+    """
+    params = dict(
+        protocol="adaptive",
+        pct=pct,
+        classifier="limited",
+        limited_k=3,
+        remote_policy="rat",
+        rat_max=max(16, pct),
+        n_rat_levels=2,
+    )
+    params.update(overrides)
+    return ProtocolConfig(**params)
+
+
+def protocol_for_pct(pct: int, **overrides) -> ProtocolConfig:
+    """PCT sweep convention: PCT=1 *is* the baseline directory protocol."""
+    if pct <= 1 and not overrides:
+        return baseline_protocol()
+    return adaptive_protocol(pct, **overrides)
+
+
 @dataclass(frozen=True)
 class EnergyConfig:
     """Per-event dynamic energies in pJ (11 nm, DSENT/McPAT-flavoured).

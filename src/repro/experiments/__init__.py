@@ -1,6 +1,10 @@
-"""Experiment harness: figure reproductions, sweeps, storage arithmetic."""
+"""Experiment harness: figure reproductions, sweeps, storage arithmetic.
 
-from repro.experiments.figures import FIGURES, FigureResult
+The experiment registry and its paper-claim checks live in
+:mod:`repro.experiments.report`, which the figures CLI imports.
+"""
+
+from repro.experiments.figures import FigureResult
 from repro.experiments.harness import (
     PCT_SWEEP_DETAIL,
     PCT_SWEEP_MISS,
@@ -9,12 +13,10 @@ from repro.experiments.harness import (
     adaptive_protocol,
     bench_arch,
     protocol_for_pct,
-    shared_runner,
 )
 from repro.experiments.storage import StorageReport, storage_report, storage_table
 
 __all__ = [
-    "FIGURES",
     "FigureResult",
     "ExperimentRunner",
     "PCT_SWEEP_DETAIL",
@@ -24,7 +26,6 @@ __all__ = [
     "adaptive_protocol",
     "bench_arch",
     "protocol_for_pct",
-    "shared_runner",
     "storage_report",
     "storage_table",
 ]

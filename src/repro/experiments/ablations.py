@@ -30,8 +30,6 @@ from repro.experiments.harness import (
     adaptive_protocol,
     bench_arch,
 )
-from repro.runner.job import Job
-from repro.runner.parallel import ParallelRunner
 
 #: Network-sensitive subset used by the ablations (kept small: every
 #: ablation point is a fresh simulation that cannot reuse the PCT sweep).
@@ -127,32 +125,29 @@ def ackwise_pointer_sweep(
 
 # ----------------------------------------------------------------------
 def core_count_scaling(
+    runner: ExperimentRunner,
     core_counts: tuple[int, ...] = (16, 36, 64),
     workloads: tuple[str, ...] = ("streamcluster", "dijkstra-ss"),
-    scale: str = "small",
-    warmup: bool = True,
-    workers: int = 1,
 ) -> FigureResult:
     """Adaptive-vs-baseline benefit as the mesh grows.
 
     The paper's motivation: network distance (and with it the cost of
     line movement and invalidation rounds) grows with the mesh diameter,
     so the adaptive protocol's advantage should not shrink at higher core
-    counts.  Spans multiple architectures, so it runs on its own batch
-    runner rather than a figure ``ExperimentRunner``.
+    counts.  Each point runs on ``bench_arch(n)`` at the runner's scale and
+    warmup, whatever the runner's own core count.
     """
     title = "Core-count scaling: adaptive/baseline completion time & energy"
     lines = _header("Ablation: core scaling", title)
     lines.append(f"{'benchmark':<15}{'cores':>7}{'T ratio':>9}{'E ratio':>9}")
     protos = (baseline_protocol(), adaptive_protocol())
     jobs = [
-        Job(workload=name, proto=proto, arch=bench_arch(n), scale=scale, warmup=warmup)
+        runner.job(name, proto, arch=bench_arch(n))
         for name in workloads
         for n in core_counts
         for proto in protos
     ]
-    with ParallelRunner(workers=workers) as runner:
-        stats = iter(runner.run(jobs))
+    stats = iter(runner.run_jobs(jobs))
     data: dict[str, dict[int, tuple[float, float]]] = {}
     for name in workloads:
         per_n: dict[int, tuple[float, float]] = {}

@@ -4,7 +4,8 @@ Examples::
 
     repro-experiments --figure 11                 # geomean PCT sweep
     repro-experiments --figure 8 --scale full     # energy stacks, full scale
-    repro-experiments --all                       # every figure
+    repro-experiments --all                       # every experiment of the registry
+    repro-experiments --report                    # check the claims, write EXPERIMENTS.md
     repro-experiments --storage                   # Section 3.6 arithmetic
     repro-experiments --list                      # available figures/workloads
 """
@@ -16,7 +17,7 @@ import sys
 import time
 
 from repro.common.errors import ReproError
-from repro.experiments.figures import FIGURES
+from repro.experiments import report
 from repro.experiments.harness import ExperimentRunner, bench_arch
 from repro.experiments.storage import storage_table
 from repro.runner.backends import BACKEND_NAMES, make_backend
@@ -31,13 +32,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the evaluation figures of the Locality-Aware "
         "Adaptive Cache Coherence Protocol (ISCA 2013).",
     )
-    parser.add_argument("--figure", action="append", choices=sorted(FIGURES),
+    parser.add_argument("--figure", action="append",
+                        choices=[entry.id for entry in report.REGISTRY],
                         help="figure id to reproduce (repeatable)")
-    parser.add_argument("--all", action="store_true", help="reproduce every figure")
+    parser.add_argument("--all", action="store_true",
+                        help="reproduce every experiment of the registry")
     parser.add_argument("--storage", action="store_true",
                         help="print the Section 3.6 storage-overhead table")
     parser.add_argument("--report", action="store_true",
-                        help="regenerate EXPERIMENTS.md from archived bench results")
+                        help="run every experiment at the paper configuration, "
+                        "write EXPERIMENTS.md and exit 1 if a paper claim fails")
     parser.add_argument("--list", action="store_true",
                         help="list available figures and workloads")
     parser.add_argument("--scale", default="small", choices=("tiny", "small", "full"),
@@ -70,25 +74,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    entries = {entry.id: entry for entry in report.REGISTRY}
     if args.list:
-        print("figures  :", ", ".join(sorted(FIGURES)))
+        print("figures  :", ", ".join(entries))
         print("workloads:", ", ".join(WORKLOAD_NAMES))
         return 0
+    paper = (args.scale, args.cores, args.workloads, args.no_warmup) == (
+        report.PAPER_SCALE, report.PAPER_CORES, None, False)
+    if args.report and not paper:
+        parser.error("--report checks the paper configuration and takes no --scale, "
+                     "--cores, --workloads or --no-warmup")
     if args.storage:
         print(storage_table())
         if not (args.all or args.figure or args.report):
             return 0
-    if args.report:
-        from repro.experiments import report
 
-        report.main()
-        if not (args.all or args.figure):
-            return 0
-
-    wanted = sorted(FIGURES) if args.all else (args.figure or [])
+    wanted = list(entries) if args.all or args.report else (args.figure or [])
     if not wanted:
-        build_parser().print_help()
+        parser.print_help()
         return 1
 
     workloads = tuple(args.workloads) if args.workloads else WORKLOAD_NAMES
@@ -114,16 +119,18 @@ def main(argv: list[str] | None = None) -> int:
         store=ResultStore(args.cache) if args.cache else None,
         backend=backend,
     ) as runner:
+        results = []
         for figure_id in wanted:
             start = time.time()
-            result = FIGURES[figure_id](runner)
+            result = entries[figure_id].generate(runner)
+            results.append((entries[figure_id], result))
             print(result.text)
             # Every point came from the result store or a simulation, so
             # the store's share needs no counter of its own.
             points, simulated = runner.points, runner.simulations
             print(f"[{result.figure} in {time.time() - start:.1f}s, {points} points, "
                   f"{points - simulated} from the result store, {simulated} simulated]\n")
-    return 0
+    return report.write_report(results) if args.report else 0
 
 
 if __name__ == "__main__":

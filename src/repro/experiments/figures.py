@@ -1,10 +1,11 @@
 """Per-figure reproduction: generates the rows/series of every evaluation
-table and figure in the paper (see DESIGN.md section 4 for the index).
+table and figure in the paper.
 
 Each ``figure*`` function consumes an ``ExperimentRunner`` (which memoizes
 simulations) and returns a ``FigureResult`` holding both structured data and
-a rendered text table, so the same code backs the pytest-benchmark harness,
-the CLI and EXPERIMENTS.md.
+a rendered text table, so the same code backs the CLI, the paper-claim
+checks of the experiment registry (:mod:`repro.experiments.report`) and
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -466,19 +467,3 @@ def protocol_families_comparison(runner: ExperimentRunner) -> FigureResult:
     )
     return FigureResult("Extension Families", title, data, "\n".join(lines))
 
-
-#: Registry used by the CLI: figure id -> generator.
-FIGURES = {
-    "1": figure1_invalidations,
-    "2": figure2_evictions,
-    "8": figure8_energy,
-    "9": figure9_completion_time,
-    "10": figure10_miss_breakdown,
-    "11": figure11_geomean_sweep,
-    "12": figure12_rat_sensitivity,
-    "13": figure13_limited_classifier,
-    "14": figure14_one_way,
-    "ackwise-vs-fullmap": ackwise_vs_fullmap,
-    "victim-replication": victim_replication_comparison,
-    "protocol-families": protocol_families_comparison,
-}

@@ -2,13 +2,10 @@
 
 The harness is the engine behind every figure reproduction.  It provides
 
-* ``bench_arch()`` - the Table-1 system with *capacity-scaled* caches.  The
-  paper simulates full benchmark executions (billions of references); our
-  traces are ~10^5 references, so the caches are scaled by the same factor
-  as the problem sizes (L1-I 4KB, L1-D 8KB, L2 64KB per slice, associativity
-  and latencies unchanged) to preserve the working-set:cache pressure ratios
-  the classifier reacts to.  Everything else (64 cores, mesh, ACKwise_4,
-  DRAM) is Table 1 verbatim.
+* the evaluation convention, defined once in :mod:`repro.common.params` and
+  re-exported here: ``bench_arch()`` (Table 1 with capacity-scaled caches,
+  DESIGN.md section 2), ``adaptive_protocol()``, ``protocol_for_pct()``
+  (PCT=1 *is* the baseline) and the Figure 11 grid ``PCT_SWEEP_WIDE``;
 * ``ExperimentRunner`` - a thin figure-facing façade over the sweep engine
   in ``repro.runner``: every simulation point becomes a content-addressed
   :class:`~repro.runner.job.Job`, executed through a
@@ -26,7 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.common.params import ArchConfig, CacheGeometry, ProtocolConfig, baseline_protocol
+from repro.common.params import (
+    FIGURE11_PCTS as PCT_SWEEP_WIDE,
+    ArchConfig,
+    ProtocolConfig,
+    adaptive_protocol,
+    baseline_protocol,
+    bench_arch,
+    protocol_for_pct,
+)
 from repro.runner.backends import ExecutionBackend
 from repro.runner.backends.local import build_trace
 from repro.runner.job import Job
@@ -38,47 +43,8 @@ from repro.workloads.registry import WORKLOAD_NAMES
 
 #: PCT sweep of Figures 8-10 (per-benchmark stacks).
 PCT_SWEEP_DETAIL: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
-#: Extended sweep of Figure 11 (geometric means).
-PCT_SWEEP_WIDE: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 18, 20)
 #: Miss-breakdown sweep of Figure 10.
 PCT_SWEEP_MISS: tuple[int, ...] = (1, 2, 3, 4, 6, 8)
-
-
-def bench_arch(num_cores: int = 64) -> ArchConfig:
-    """The evaluation system: Table 1 with capacity-scaled caches."""
-    return ArchConfig(
-        num_cores=num_cores,
-        l1i=CacheGeometry(4, 4, 1),
-        l1d=CacheGeometry(8, 4, 1),
-        l2=CacheGeometry(64, 8, 7),
-    )
-
-
-def adaptive_protocol(pct: int = 4, **overrides) -> ProtocolConfig:
-    """The paper's default adaptive configuration at a given PCT.
-
-    The RAT ladder starts at PCT (Section 3.3), so for sweep points beyond
-    the default RATmax of 16 (Figure 11 reaches PCT=20) the ceiling follows
-    PCT unless explicitly overridden.
-    """
-    params = dict(
-        protocol="adaptive",
-        pct=pct,
-        classifier="limited",
-        limited_k=3,
-        remote_policy="rat",
-        rat_max=max(16, pct),
-        n_rat_levels=2,
-    )
-    params.update(overrides)
-    return ProtocolConfig(**params)
-
-
-def protocol_for_pct(pct: int, **overrides) -> ProtocolConfig:
-    """PCT sweep convention: PCT=1 *is* the baseline directory protocol."""
-    if pct <= 1 and not overrides:
-        return baseline_protocol()
-    return adaptive_protocol(pct, **overrides)
 
 
 @dataclass
@@ -183,13 +149,7 @@ class ExperimentRunner:
         self.close()
 
 
-#: Process-wide runner shared by the pytest-benchmark suite so figures that
-#: reuse sweep points never re-simulate within one session.
-_shared_runner: ExperimentRunner | None = None
-
-
-def shared_runner() -> ExperimentRunner:
-    global _shared_runner
-    if _shared_runner is None:
-        _shared_runner = ExperimentRunner()
-    return _shared_runner
+__all__ = [
+    "PCT_SWEEP_DETAIL", "PCT_SWEEP_MISS", "PCT_SWEEP_WIDE", "ExperimentRunner",
+    "adaptive_protocol", "bench_arch", "protocol_for_pct",
+]

@@ -104,25 +104,18 @@ class DirectoryEngine(ProtocolEngineBase):
     def access(self, core: int, is_write: bool, address: int, now: float) -> AccessResult:
         """Service one load/store issued by ``core`` at time ``now``.
 
-        The L1-hit branch is the simulator's single hottest basic block
-        (~80% of all accesses in steady state), so the lookup and the hit
-        bookkeeping of ``L1Cache.lookup``/``L1Cache.hit`` are inlined here
-        and the constant all-zero hit result is a shared per-engine
-        instance instead of a fresh allocation.
+        Plain runs never hit in L1 here: both scheduler kernels retire
+        every hit inline through :meth:`scheduler_fast_path`.  Hits reach
+        this method in verify mode, which checks each one against the
+        golden memory, so the hit branch is plain bookkeeping.
         """
         line = address >> _LINE_BITS
         l1 = self.l1d[core]
-        store = l1.store
-        entry = store._sets[line & store._set_mask].get(line)
+        entry = l1.lookup(line)
         if entry is not None and (not is_write or entry.state >= _EXCLUSIVE):
             # L1 hit (E -> M upgrade is silent).
-            l1.hits += 1
-            counter = store._use_counter + 1
-            store._use_counter = counter
-            entry.last_use = counter
-            entry.utilization += 1
-            entry.last_access = now
-            self.miss_stats.hits += 1
+            l1.hit(entry, now)
+            self.miss_stats.record_hit()
             if is_write:
                 entry.state = _MODIFIED
                 self.energy.l1d_writes += 1

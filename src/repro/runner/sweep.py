@@ -22,13 +22,17 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigError
 from repro.common.params import (
+    FIGURE11_PCTS,
     ArchConfig,
     EnergyConfig,
     ProtocolConfig,
+    adaptive_protocol,
     baseline_protocol,
+    bench_arch,
     dls_protocol,
     neat_protocol,
     phase_protocol,
+    protocol_for_pct,
     victim_replication_protocol,
 )
 from repro.common.statsutil import geomean
@@ -36,37 +40,28 @@ from repro.runner.job import Job
 from repro.sim.stats import RunStats
 from repro.workloads.registry import WORKLOAD_NAMES
 
-#: The Figure-11 PCT grid (the widest sweep in the paper).
-FIGURE11_PCTS: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 18, 20)
-
-#: Protocol families selectable in a sweep.  "pct" follows the paper's sweep
-#: convention (PCT=1 *is* the baseline directory protocol); "adaptive" forces
-#: the adaptive protocol even at PCT=1.  "dls", "neat" and "phase" are the
-#: related-work comparison baselines (PAPERS.md): each is a single grid
-#: point - none has a PCT axis.
+#: Protocol families selectable in a sweep.  "pct" follows the figures'
+#: convention (``protocol_for_pct``: PCT=1 *is* the baseline directory
+#: protocol), so a sweep point and a figure point share one job key;
+#: "adaptive" forces the adaptive protocol even at PCT=1.  "dls", "neat" and
+#: "phase" are the related-work comparison baselines (PAPERS.md): each is a
+#: single grid point - none has a PCT axis.
 PROTOCOL_FAMILIES = ("pct", "adaptive", "baseline", "victim", "dls", "neat", "phase")
+
+_SINGLE_POINT_FAMILIES = {
+    "baseline": baseline_protocol,
+    "victim": victim_replication_protocol,
+    "dls": dls_protocol,
+    "neat": neat_protocol,
+    "phase": phase_protocol,
+}
 
 
 def _family_protocols(family: str, pcts: tuple[int, ...]) -> list[ProtocolConfig]:
-    if family == "baseline":
-        return [baseline_protocol()]
-    if family == "victim":
-        return [victim_replication_protocol()]
-    if family == "dls":
-        return [dls_protocol()]
-    if family == "neat":
-        return [neat_protocol()]
-    if family == "phase":
-        return [phase_protocol()]
-    protos = []
-    for pct in pcts:
-        if family == "pct" and pct <= 1:
-            protos.append(baseline_protocol())
-        else:
-            protos.append(
-                ProtocolConfig(protocol="adaptive", pct=pct, rat_max=max(16, pct))
-            )
-    return protos
+    if family in _SINGLE_POINT_FAMILIES:
+        return [_SINGLE_POINT_FAMILIES[family]()]
+    rule = protocol_for_pct if family == "pct" else adaptive_protocol
+    return [rule(pct) for pct in pcts]
 
 
 @dataclass(frozen=True)
@@ -252,13 +247,7 @@ def grid_from_args(
     num_seeds: int = 1,
     verify: bool = False,
 ) -> SweepGrid:
-    """Build a grid from CLI-style arguments, using the benchmark arch.
-
-    Imported lazily from the CLI to keep ``repro.runner`` importable without
-    the experiments layer.
-    """
-    from repro.experiments.harness import bench_arch
-
+    """Build a grid from CLI-style arguments, using the benchmark arch."""
     return SweepGrid(
         workloads=workloads,
         families=families,

@@ -4,8 +4,9 @@ Each entry records the paper's original problem size and the parameters used
 at the three reproduction scales:
 
 * ``tiny``  - unit/integration tests (seconds, small core counts welcome);
-* ``small`` - the benchmark harness default (all 21 workloads x all sweep
-  points complete in minutes at 64 cores);
+* ``small`` - the figure CLI default and the paper configuration its claims
+  are checked at (all 21 workloads x all sweep points complete in minutes
+  at 64 cores);
 * ``full``  - CLI/examples, higher-fidelity shapes.
 
 Sizes scale the *pressure ratios* (working set vs 32KB L1-D, sharing degree,

@@ -1,9 +1,10 @@
-"""Ablation-generator tests at tiny scale (fast versions of the benches)."""
+"""Ablation-generator tests at tiny scale (the registry checks the paper configuration)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.common.params import baseline_protocol
 from repro.experiments.ablations import (
     ackwise_pointer_sweep,
     core_count_scaling,
@@ -53,12 +54,20 @@ class TestAckwisePointerSweep:
 
 
 class TestCoreCountScaling:
-    def test_single_point_runs(self):
+    def test_single_point_runs(self, tiny_runner):
         result = core_count_scaling(
-            core_counts=(16,), workloads=("streamcluster",), scale="tiny"
+            tiny_runner, core_counts=(16,), workloads=("streamcluster",)
         )
         t, e = result.data["streamcluster"][16]
         assert t > 0 and e > 0
+
+    def test_points_go_through_the_runner(self):
+        # Jobs of the figure runner (memo, store, backend) on bench_arch(n):
+        # a direct read of one point afterwards simulates nothing.
+        runner = ExperimentRunner(arch=bench_arch(16), scale="tiny")
+        core_count_scaling(runner, core_counts=(16, 36), workloads=("radix",))
+        runner.run_jobs([runner.job("radix", baseline_protocol(), arch=bench_arch(36))])
+        assert runner.simulations == 4
 
 
 class TestVoteInitAblation:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.common.params import ArchConfig, ProtocolConfig
+from repro.common.params import (
+    ArchConfig, ProtocolConfig, baseline_protocol, dls_protocol, neat_protocol,
+)
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.harness import (
     ExperimentRunner,
@@ -11,12 +13,12 @@ from repro.experiments.harness import (
     protocol_for_pct,
 )
 from repro.experiments.figures import (
-    FIGURES,
     ackwise_vs_fullmap,
     figure1_invalidations,
     figure11_geomean_sweep,
     figure14_one_way,
 )
+from repro.experiments.report import REGISTRY
 from repro.experiments.storage import storage_report, storage_table, utilization_counter_bits
 
 
@@ -54,6 +56,17 @@ class TestStorageArithmetic:
         complete = storage_report(ArchConfig(), ProtocolConfig(classifier="complete"))
         assert limited.overhead_fraction == pytest.approx(0.057, abs=0.005)
         assert complete.overhead_fraction == pytest.approx(0.60, abs=0.02)
+
+    def test_each_family_charged_what_its_engine_builds(self):
+        # Directoryless families keep no sharer bits, and only the adaptive
+        # protocol has a classifier and L1 utilization counters.
+        expected = [(dls_protocol(), 0), (neat_protocol(), 0), (baseline_protocol(), 24),
+                    (baseline_protocol("fullmap"), 64)]
+        for proto, sharer_bits in expected:
+            report = storage_report(ArchConfig(), proto)
+            assert report.sharer_bits_per_entry == sharer_bits, proto
+            assert report.classifier_bits_per_entry == 0, proto
+            assert report.overhead_fraction == 0.0, proto
 
     def test_table_renders(self):
         text = storage_table()
@@ -107,7 +120,7 @@ def tiny_runner():
 
 class TestFigureGenerators:
     def test_registry_covers_all_figures(self):
-        assert set(FIGURES) == {
+        assert {entry.id for entry in REGISTRY} >= {
             "1", "2", "8", "9", "10", "11", "12", "13", "14",
             "ackwise-vs-fullmap", "victim-replication", "protocol-families",
         }

@@ -1,8 +1,9 @@
 """Integration tests asserting the paper's qualitative claims.
 
 These run real workloads through the full stack (at reduced scale) and check
-the *direction* of every headline result - the quantitative tables live in
-the benchmark harness and EXPERIMENTS.md.
+the *direction* of every headline result - the quantitative claims, checked
+at the paper configuration, live in the experiment registry
+(``repro.experiments.report``) and EXPERIMENTS.md.
 """
 
 import pytest

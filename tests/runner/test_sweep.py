@@ -7,9 +7,11 @@ import json
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.experiments.harness import bench_arch
+from repro.experiments.harness import (
+    PCT_SWEEP_WIDE, ExperimentRunner, adaptive_protocol, bench_arch, protocol_for_pct,
+)
 from repro.runner.cli import main as cli_main
-from repro.runner.sweep import FIGURE11_PCTS, SweepGrid, sweep_rows, sweep_table
+from repro.runner.sweep import FIGURE11_PCTS, SweepGrid, grid_from_args, sweep_rows, sweep_table
 
 
 class TestSweepGrid:
@@ -55,6 +57,18 @@ class TestSweepGrid:
             SweepGrid(families=("nope",))
         with pytest.raises(ConfigError):
             SweepGrid(pcts=())
+
+    def test_sweep_and_figure_points_share_job_keys(self):
+        # One evaluation convention: a `repro sweep` store keeps serving
+        # `repro figures`, because both build the same job per point.
+        assert FIGURE11_PCTS == PCT_SWEEP_WIDE
+        workloads, pcts = ("radix", "tsp"), (1, 2, 4, 20)
+        runner = ExperimentRunner(arch=bench_arch(16), scale="tiny", workloads=workloads)
+        for family, rule in (("pct", protocol_for_pct), ("adaptive", adaptive_protocol)):
+            grid = grid_from_args(workloads, (family,), pcts, 16, "tiny", True, 0)
+            assert [job.key for job in grid.jobs()] == [
+                runner.job(w, rule(p)).key for w in workloads for p in pcts
+            ]
 
     def test_describe_counts_jobs(self):
         grid = SweepGrid(workloads=("tsp", "matmul"), pcts=(1, 4), arch=bench_arch(16))
