@@ -178,8 +178,9 @@ def active_impl() -> str:
 def status() -> dict:
     """JSON-ready accelerator status (the ``repro accel-info`` payload).
 
-    ``kernels`` keeps one entry per kernel - the shape the bench
-    provenance and the CI checks read - and both report the one decision.
+    ``kernels`` keeps one entry per kernel - the shape CI's accelerator
+    checks and perfbench's environment report read - and both report the
+    one decision.
     ``REPRO_NO_ACCEL`` short-circuits before any build is attempted.
     """
     disabled = bool(os.environ.get(NO_ACCEL_ENV))

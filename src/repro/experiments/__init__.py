@@ -14,7 +14,7 @@ from repro.experiments.harness import (
     bench_arch,
     protocol_for_pct,
 )
-from repro.experiments.storage import StorageReport, storage_report, storage_table
+from repro.experiments.storage import StorageReport, storage_report
 
 __all__ = [
     "FigureResult",
@@ -27,5 +27,4 @@ __all__ = [
     "bench_arch",
     "protocol_for_pct",
     "storage_report",
-    "storage_table",
 ]

@@ -6,7 +6,7 @@ Examples::
     repro-experiments --figure 8 --scale full     # energy stacks, full scale
     repro-experiments --all                       # every experiment of the registry
     repro-experiments --report                    # check the claims, write EXPERIMENTS.md
-    repro-experiments --storage                   # Section 3.6 arithmetic
+    repro-experiments --figure storage            # Section 3.6 arithmetic
     repro-experiments --list                      # available figures/workloads
 """
 
@@ -19,7 +19,6 @@ import time
 from repro.common.errors import ReproError
 from repro.experiments import report
 from repro.experiments.harness import ExperimentRunner, bench_arch
-from repro.experiments.storage import storage_table
 from repro.runner.backends import BACKEND_NAMES, make_backend
 from repro.runner.backends.remote import DEFAULT_WINDOW
 from repro.runner.store import DEFAULT_CACHE_DIR, ResultStore
@@ -37,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="figure id to reproduce (repeatable)")
     parser.add_argument("--all", action="store_true",
                         help="reproduce every experiment of the registry")
-    parser.add_argument("--storage", action="store_true",
-                        help="print the Section 3.6 storage-overhead table")
     parser.add_argument("--report", action="store_true",
                         help="run every experiment at the paper configuration, "
                         "write EXPERIMENTS.md and exit 1 if a paper claim fails")
@@ -86,11 +83,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.report and not paper:
         parser.error("--report checks the paper configuration and takes no --scale, "
                      "--cores, --workloads or --no-warmup")
-    if args.storage:
-        print(storage_table())
-        if not (args.all or args.figure or args.report):
-            return 0
-
     wanted = list(entries) if args.all or args.report else (args.figure or [])
     if not wanted:
         parser.print_help()

@@ -130,8 +130,3 @@ def storage_overheads(runner=None) -> FigureResult:
     ]
     data = {"limited": limited, "complete": complete}
     return FigureResult("Section 3.6", "Storage overheads", data, "\n".join(lines))
-
-
-def storage_table() -> str:
-    """Render the Section 3.6 comparison at Table-1 parameters."""
-    return storage_overheads().text

@@ -14,12 +14,12 @@ file) and three primitives:
 * **events** - point-in-time facts with attributes (``remote.requeue``
   with host/attempts/outstanding, for example).
 
-**Disabled-path contract** (pinned by the neutrality property test and the
-CI bench gate): instrumentation sites gate on the single attribute check
-``TELEMETRY.enabled`` and all per-record hot loops stay untouched - the
-simulator emits per *run*, not per access, so ``RunStats`` are bit-identical
-and ``repro bench`` throughput is unchanged with telemetry off (and within
-2% with it on).
+**Disabled-path contract** (pinned by the neutrality property test and
+CI's telemetry-overhead gate, ``.github/perf_gate.py``): instrumentation
+sites gate on the single attribute check ``TELEMETRY.enabled`` and all
+per-record hot loops stay untouched - the simulator emits per *run*, not
+per access, so ``RunStats`` are bit-identical and ``Simulator.run`` is
+unchanged with telemetry off (and within 2% with it on).
 
 **Multi-process discipline**: every record is serialized to one line and
 written with a single ``O_APPEND`` ``os.write`` - the same atomic-append

@@ -290,9 +290,10 @@ class DirectoryEngine(ProtocolEngineBase):
     def _classify_requester(
         self, l1, l2line: L2Line, core: int, line: int, is_write: bool, upgrade: bool
     ) -> tuple[bool, bool]:
-        """Ask the locality classifier how to service this requester
-        (classifier.resolve_mode inlined, including the tracked-entry
-        probe of LimitedClassifier.locality_entry - one dict get).
+        """Ask the locality classifier how to service this requester: the
+        requester's tracked entry (the probe of
+        LimitedClassifier.locality_entry inlined - one dict get), else,
+        when no slot is free, the majority vote of the tracked modes.
 
         Touches no network or timing state, so it runs identically before
         the request departs (chained shape, which needs the reply type up

@@ -81,7 +81,6 @@ def make_backend(
     spec: str = "auto",
     *,
     workers: int = 1,
-    start_method: str = "spawn",
     hosts: str | Iterable[tuple[str, int]] | None = None,
     window: int | None = None,
     job_timeout: float | None = None,
@@ -106,11 +105,7 @@ def make_backend(
     if spec == "local":
         return LocalBackend()
     if spec == "process":
-        return ProcessBackend(
-            workers=max(1, workers),
-            start_method=start_method,
-            job_timeout=job_timeout,
-        )
+        return ProcessBackend(workers=max(1, workers), job_timeout=job_timeout)
     if not hosts:
         raise ConfigError("remote backend needs --hosts host:port[,host:port...]")
     remote = importlib.import_module("repro.runner.backends.remote")

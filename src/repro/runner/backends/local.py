@@ -9,8 +9,7 @@ This module owns the two building blocks every other backend reuses:
 * the **uniform task kernel** (:func:`run_task`) - the one entry point
   through which every backend executes a job.  A task is always a
   ``(payload, trace | None)`` tuple: the serialized job dict plus an
-  optionally pre-compiled columnar trace.  The pre-PR-3 bare-payload-dict
-  shape is gone; shipping it is now an error.
+  optionally pre-compiled columnar trace.
 
 ``LocalBackend`` is the trivial :class:`~repro.runner.backends.ExecutionBackend`:
 it runs each task in the calling process, in order.  It is both the
@@ -25,7 +24,6 @@ import time
 from typing import Iterable, Iterator
 
 from repro.common import rng
-from repro.common.errors import RunnerError
 from repro.faults import FAULTS
 from repro.obs import TELEMETRY
 from repro.runner.job import Job
@@ -96,10 +94,6 @@ def run_task(task: Task) -> tuple[str, dict]:
     from the payload alone - the remote backend relies on this to keep job
     frames trace-free.
     """
-    if isinstance(task, dict):
-        raise RunnerError(
-            "bare-payload task shape was removed: dispatch (payload, trace|None) tuples"
-        )
     payload, trace = task
     if FAULTS.active:
         # Failpoints for the chaos tier: a worker that dies or wedges

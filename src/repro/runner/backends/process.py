@@ -58,9 +58,6 @@ class ProcessBackend:
     """Shards task batches over a lazily created ``multiprocessing`` pool."""
 
     workers: int = 2
-    #: ``multiprocessing`` start method.  "spawn" works everywhere and proves
-    #: workers carry no inherited state; "fork" is faster where available.
-    start_method: str = "spawn"
     #: Per-job wall-clock budget (seconds).  ``None`` disables the watchdog
     #: and keeps the historical lazy ``imap_unordered`` path.  The clock
     #: measures *batch progress*: it restarts whenever any result lands, so
@@ -72,6 +69,9 @@ class ProcessBackend:
     max_strikes: int = 2
 
     wants_traces = True
+    #: ``multiprocessing`` start method: "spawn" works everywhere and proves
+    #: workers carry no inherited state.
+    START_METHOD = "spawn"
     #: Per-batch progress label: "parallel" for pooled batches, "serial" when
     #: a single-task batch runs inline in the parent (no pool spin-up).
     source: str = field(default="parallel", init=False)
@@ -97,7 +97,7 @@ class ProcessBackend:
     # ------------------------------------------------------------------
     def _ensure_pool(self):
         if self._pool is None:
-            context = multiprocessing.get_context(self.start_method)
+            context = multiprocessing.get_context(self.START_METHOD)
             self._pool = context.Pool(
                 processes=self.workers, initializer=_worker_init
             )

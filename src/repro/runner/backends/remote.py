@@ -152,14 +152,13 @@ class Daemon:
         self,
         workers: int = 1,
         store: ResultStore | None = None,
-        start_method: str = "spawn",
         job_timeout: float | None = None,
     ) -> None:
         if job_timeout is not None and job_timeout <= 0:
             raise ConfigError(f"job_timeout must be > 0, got {job_timeout}")
         self.workers = max(1, workers)
         self.store = store
-        self.backend = ProcessBackend(workers=self.workers, start_method=start_method)
+        self.backend = ProcessBackend(workers=self.workers)
         #: Per-job wall-clock budget: a pool worker that wedges past this is
         #: killed with its pool (a fresh one spawns on demand) and the client
         #: gets an ``error`` frame instead of an eternally silent daemon.

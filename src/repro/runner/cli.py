@@ -226,31 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the cell report as JSON to PATH "
                        "('-' = stdout) instead of a table")
 
-    bench = sub.add_parser(
-        "bench",
-        help="time trace build + simulate throughput on fixed grid points",
-    )
-    bench.add_argument("--workloads", nargs="+", metavar="NAME", default=None,
-                       help="grid-point workloads (default: the fixed bench set)")
-    bench.add_argument("--pct", type=int, default=4,
-                       help="PCT for the benchmarked points (default 4)")
-    bench.add_argument("--family", default="pct",
-                       choices=("pct", "baseline", "victim", "dls", "neat", "phase"),
-                       help="protocol family for the --workloads points "
-                       "(pct = the paper sweep convention; requires "
-                       "--workloads, the default point set has fixed "
-                       "families)")
-    bench.add_argument("--cores", type=int, default=64)
-    bench.add_argument("--scale", default="small", choices=("tiny", "small", "full"))
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="repetitions per metric; best-of is reported")
-    bench.add_argument("--json", metavar="PATH", default=None,
-                       help="write the report as JSON to PATH")
-    bench.add_argument("--baseline", metavar="FILE", default=None,
-                       help="diff the fresh run against a saved bench report "
-                       "(BENCH_*.json / bench --json): per-point speedups, "
-                       "with the mesh implementation of both sides called out")
-
     accel_info = sub.add_parser(
         "accel-info",
         help="show the compiled kernel status (mesh + sched): "
@@ -261,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="emit the status as one JSON object")
     accel_info.add_argument("--require-compiled", action="store_true",
                             help="exit 1 unless the compiled kernels are "
-                            "active (CI guard against silently benching "
-                            "the fallback)")
+                            "active (CI guard against silently testing "
+                            "only the fallback)")
 
     events = sub.add_parser(
         "events",
@@ -302,24 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     trend = sub.add_parser(
         "trend",
-        help="diff bench reports or result-cache logs across revisions",
+        help="diff two result-cache logs across revisions",
     )
-    trend.add_argument("old", help="older source: BENCH_*.json / bench --json "
-                       "report, or a results.jsonl cache log (or its directory)")
-    trend.add_argument("new", help="newer source of the same kind")
+    trend.add_argument("old", help="older results.jsonl cache log (or its "
+                       "directory)")
+    trend.add_argument("new", help="newer results.jsonl cache log")
     trend.add_argument("--metric", default=None,
                        help="restrict the comparison (and the regression "
                        "gate) to one metric")
     trend.add_argument("--assert-within", type=float, default=None,
                        metavar="FRACTION",
-                       help="exit 1 when any compared metric regressed by "
-                       "more than FRACTION (bench sources gate on simulate "
-                       "throughput, e.g. 0.30 = fail on a >30%% drop)")
-    trend.add_argument("--allow-impl-mismatch", action="store_true",
-                       help="compare bench reports even when one was produced "
-                       "by the compiled mesh kernel and the other by the "
-                       "pure-Python fallback (normally an error: such a diff "
-                       "measures the accelerator, not the change under test)")
+                       help="exit 1 when any compared metric drifted up by "
+                       "more than FRACTION (e.g. 0.05 = fail on a >5%% rise "
+                       "in completion time or energy)")
 
     # Delegating verbs: argument parsing happens in the delegate (main()
     # forwards everything after the verb verbatim; argparse's REMAINDER
@@ -459,42 +429,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.runner.bench import (
-        DEFAULT_POINTS,
-        format_baseline_diff,
-        format_report,
-        load_baseline,
-        run_bench,
-    )
-
-    if args.workloads:
-        points = tuple((name, args.pct, args.family) for name in args.workloads)
-    else:
-        if args.family != "pct":
-            log.error("--family requires --workloads (the default bench "
-                      "points carry fixed families)")
-            return 2
-        points = DEFAULT_POINTS
-    # Load the baseline before spending minutes benching: a bad path or a
-    # non-bench file should fail immediately.
-    baseline = load_baseline(args.baseline) if args.baseline else None
-    report = run_bench(
-        points,
-        cores=args.cores,
-        scale=args.scale,
-        repeats=args.repeats,
-        json_path=args.json,
-    )
-    print(format_report(report))
-    if baseline is not None:
-        print()
-        print(format_baseline_diff(baseline, report))
-    if args.json:
-        log.info("wrote %s", args.json)
-    return 0
-
-
 def _cmd_accel_info(args) -> int:
     from repro import accel
 
@@ -566,15 +500,11 @@ def _cmd_trend(args) -> int:
     from repro.runner.trend import format_rows, run_trend, worst_regression
 
     rows, code = run_trend(
-        args.old, args.new, assert_within=args.assert_within, metric=args.metric,
-        allow_impl_mismatch=args.allow_impl_mismatch,
+        args.old, args.new, assert_within=args.assert_within, metric=args.metric
     )
     print(format_rows(rows))
     if args.assert_within is not None:
-        metric = args.metric
-        if metric is None and rows and rows[0]["metric"].endswith("records_per_second"):
-            metric = "simulate_records_per_second"
-        worst = worst_regression(rows, metric)
+        worst = worst_regression(rows, args.metric)
         if worst is not None:
             log.info(
                 "worst regression: %s %s %+.1f%% (gate: %.0f%%)",
@@ -644,7 +574,6 @@ _COMMANDS = {
     "cache": _cmd_cache,
     "serve": _cmd_serve,
     "chaos": _cmd_chaos,
-    "bench": _cmd_bench,
     "accel-info": _cmd_accel_info,
     "trend": _cmd_trend,
     "events": _cmd_events,

@@ -52,10 +52,6 @@ class ParallelRunner:
     store: ResultStore | None = None
     workers: int = 1
     progress: ProgressFn | None = None
-    #: ``multiprocessing`` start method for the default process backend.
-    #: "spawn" works everywhere and proves workers carry no inherited state;
-    #: "fork" is faster where available.
-    start_method: str = "spawn"
     #: Execution backend.  ``None`` picks the historical default from
     #: ``workers``: a process pool when ``workers > 1``, else serial
     #: in-process execution.  Passing a backend hands its lifetime to the
@@ -129,9 +125,7 @@ class ParallelRunner:
             elif self.workers <= 1:
                 self._backend = LocalBackend()
             else:
-                self._backend = ProcessBackend(
-                    workers=self.workers, start_method=self.start_method
-                )
+                self._backend = ProcessBackend(workers=self.workers)
         return self._backend
 
     def _run_pending(

@@ -358,8 +358,8 @@ class Simulator:
                 records=trace.total_records,
             )
             # Which implementation each kernel actually uses this run
-            # (compiled vs pure Python) - the provenance the bench reports
-            # and the trend gate rely on (DESIGN.md secs. 12 and 14).
+            # (compiled vs pure Python), so an event file says which code
+            # produced its numbers (DESIGN.md secs. 12 and 14).
             tel.event(
                 "accel.active",
                 implementation=engine.network.implementation,

@@ -12,7 +12,8 @@ results.  These tests pin:
   fingerprint would miss,
 * ``REPRO_NO_ACCEL=1`` forces both fallbacks,
 * a missing compiler falls back with one warning and bit-identical
-  ``RunStats``.
+  ``RunStats``,
+* ``repro accel-info`` prints that status, as text or JSON.
 
 All tests point ``REPRO_ACCEL_CACHE`` at a tmp dir and copy the kernel
 sources, so the user-level cache and the repo tree are never mutated.
@@ -31,6 +32,7 @@ from repro import accel
 from repro.accel import build
 from repro.common.params import ArchConfig, baseline_protocol
 from repro.network.mesh import MeshNetwork
+from repro.runner.cli import main as cli_main
 from repro.sim.multicore import Simulator
 from repro.workloads.registry import load_workload
 
@@ -178,3 +180,35 @@ class TestSelection:
         without = Simulator(self.ARCH, baseline_protocol(), warmup=True).run(trace)
         assert accel.active_impl() == "fallback"
         assert with_kernel.to_dict() == without.to_dict()
+
+
+class TestAccelInfo:
+    """``repro accel-info``: the status ``accel.status()`` reports."""
+
+    def test_text_output_names_both_kernels(self, capsys):
+        assert cli_main(["accel-info"]) == 0
+        out = capsys.readouterr().out
+        assert "mesh:" in out
+        assert "sched:" in out
+        assert "cache dir:" in out
+
+    def test_json_output_is_the_status_payload(self, capsys):
+        assert cli_main(["accel-info", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["implementation"] in ("accel", "fallback")
+        assert {"compiled", "cache_dir", "reason", "source"} <= set(payload)
+        assert set(payload["kernels"]) == {"mesh", "sched"}
+
+    def test_require_compiled_fails_under_no_accel(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_NO_ACCEL", "1")
+        assert cli_main(["accel-info", "--require-compiled"]) == 1
+        err = capsys.readouterr().err
+        assert "compiled kernels required but not active" in err
+        assert "REPRO_NO_ACCEL is set" in err
+
+    def test_require_compiled_unknown_kernel_rejected(self, capsys):
+        # The flag takes no kernel list: both kernels are one decision.
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["accel-info", "--require-compiled", "gpu"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: gpu" in capsys.readouterr().err

@@ -19,7 +19,11 @@ from repro.experiments.figures import (
     figure14_one_way,
 )
 from repro.experiments.report import REGISTRY
-from repro.experiments.storage import storage_report, storage_table, utilization_counter_bits
+from repro.experiments.storage import (
+    storage_overheads,
+    storage_report,
+    utilization_counter_bits,
+)
 
 
 class TestStorageArithmetic:
@@ -69,7 +73,7 @@ class TestStorageArithmetic:
             assert report.overhead_fraction == 0.0, proto
 
     def test_table_renders(self):
-        text = storage_table()
+        text = storage_overheads().text
         assert "18.00 KB" in text
         assert "192.00 KB" in text
 

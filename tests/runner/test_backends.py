@@ -39,7 +39,6 @@ from repro.runner.backends import (
     RemoteBackend,
     make_backend,
     parse_hosts,
-    run_task,
 )
 from repro.runner.backends.remote import (
     JOB_SCHEMA,
@@ -154,12 +153,6 @@ class TestConformance:
         assert backend.source == "serial"
         assert backend._pool is None  # no pool was spawned for one task
         assert _canon(got)[job.key] == reference[job.key]
-
-
-class TestTaskShape:
-    def test_bare_payload_dict_is_rejected(self):
-        with pytest.raises(RunnerError, match="bare-payload"):
-            run_task(_jobs()[0].to_dict())
 
 
 class TestFactory:

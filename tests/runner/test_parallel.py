@@ -250,24 +250,12 @@ class TestRunnerLifecycle:
 
 
 class TestBenchVerb:
-    def test_bench_point_reports_throughput(self):
-        from repro.runner.bench import bench_point
-
-        row = bench_point("tsp", pct=4, cores=16, scale="tiny", repeats=1)
-        assert row["records"] > 0
-        assert row["build_records_per_second"] > 0
-        assert row["simulate_records_per_second"] > 0
-
-    def test_bench_cli_writes_json(self, tmp_path, capsys):
+    def test_bench_verb_removed(self, capsys):
+        # Throughput is perfbench's (perfbench/run.py): the old verb is an
+        # argparse rejection now, not a second benchmark.
         from repro.runner.cli import main
 
-        out = tmp_path / "bench.json"
-        rc = main([
-            "bench", "--workloads", "tsp", "--pct", "4", "--cores", "16",
-            "--scale", "tiny", "--repeats", "1", "--json", str(out),
-        ])
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert report["points"][0]["workload"] == "tsp"
-        assert report["points"][0]["simulate_records_per_second"] > 0
-        assert "simulate rec/s" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--scale", "tiny"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
