@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Render the paper's headline figures as terminal charts.
 
-Runs a reduced sweep (16 cores, tiny problem sizes, a benchmark subset) so
-the whole gallery takes about a minute, then draws:
+Runs a reduced sweep (16 cores, tiny problem sizes, a benchmark subset),
+then draws:
 
 * Figure 11 - the PCT U-curve (geomean completion time & energy);
 * Figure 8  - per-benchmark energy stacks at PCT 1 vs 4;

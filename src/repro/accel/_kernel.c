@@ -71,7 +71,7 @@ typedef struct {
     long long *slots;     /* K_WINDOW_EPOCHS * num_links packed cells */
     Py_ssize_t slot_count;
     /* Overflow map: open addressing, linear probing, no deletions (the
-     * Python dict never deletes entries either - reset clears wholesale).
+     * Python dict never deletes entries either).
      * Empty cells carry key -1; real keys (epoch << link_bits) | link are
      * always non-negative. */
     long long *okeys;
@@ -548,17 +548,6 @@ Kernel_traverse_many(KernelObject *self, PyObject *const *args,
 }
 
 static PyObject *
-Kernel_reset(KernelObject *self, PyObject *Py_UNUSED(ignored))
-{
-    memset(self->slots, 0, (size_t)self->slot_count * sizeof(long long));
-    for (Py_ssize_t i = 0; i < self->ocap; i++) {
-        self->okeys[i] = -1;
-    }
-    self->olen = 0;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 Kernel_overflow_len(KernelObject *self, PyObject *Py_UNUSED(ignored))
 {
     return PyLong_FromSsize_t(self->olen);
@@ -619,8 +608,6 @@ static PyMethodDef Kernel_methods[] = {
      "traverse_chain(h1, f1, t0, busy, gap, h2, f2) -> (t1, t2)"},
     {"traverse_many", (PyCFunction)(void (*)(void))Kernel_traverse_many,
      METH_FASTCALL, "traverse_many(t_head, flits, handles) -> list"},
-    {"reset", (PyCFunction)Kernel_reset, METH_NOARGS,
-     "forget all reservations (slots + overflow)"},
     {"overflow_len", (PyCFunction)Kernel_overflow_len, METH_NOARGS, NULL},
     {"overflow_items", (PyCFunction)Kernel_overflow_items, METH_NOARGS, NULL},
     {NULL, NULL, 0, NULL},

@@ -18,24 +18,9 @@ DEFAULT_PAGE_SIZE = 4096
 MAX_ADDRESS = (1 << PHYSICAL_ADDRESS_BITS) - 1
 
 
-def line_of(addr: int) -> int:
-    """Return the cache-line number containing byte address ``addr``."""
-    return addr >> LINE_BITS
-
-
 def line_base(addr: int) -> int:
     """Return the byte address of the first byte of ``addr``'s cache line."""
     return addr & ~(LINE_SIZE - 1)
-
-
-def word_of(addr: int) -> int:
-    """Return the global word number containing byte address ``addr``."""
-    return addr >> WORD_BITS
-
-
-def word_in_line(addr: int) -> int:
-    """Return the word offset (0..7) of ``addr`` within its cache line."""
-    return (addr >> WORD_BITS) & (WORDS_PER_LINE - 1)
 
 
 def page_of(addr: int, page_size: int = DEFAULT_PAGE_SIZE) -> int:

@@ -124,9 +124,6 @@ class ArchConfig:
     # Directory.
     ackwise_pointers: int = 4
 
-    # R-NUCA instruction replication cluster size.
-    instruction_cluster_size: int = 4
-
     # Synchronization primitive costs (cycles).  Barriers/locks are modeled
     # as abstract primitives with fixed service latencies plus queueing;
     # their waiting time feeds the "Synchronization" component of Figure 9.
@@ -147,11 +144,6 @@ class ArchConfig:
             raise ConfigError("more memory controllers than tiles")
         if self.ackwise_pointers < 1:
             raise ConfigError("ACKwise needs at least one hardware pointer")
-        if self.instruction_cluster_size < 1 or self.num_cores % self.instruction_cluster_size:
-            raise ConfigError(
-                "instruction_cluster_size must divide num_cores "
-                f"({self.instruction_cluster_size} vs {self.num_cores})"
-            )
         if not self.memory_controller_tiles:
             object.__setattr__(
                 self,
@@ -374,23 +366,6 @@ class ProtocolConfig:
         steps = self.n_rat_levels - 1
         return tuple(self.pct + round(span * i / steps) for i in range(self.n_rat_levels))
 
-    def replaced(self, **changes) -> "ProtocolConfig":
-        """Return a copy with ``changes`` applied (convenience for sweeps).
-
-        Switching a directoryless config back to a directory family would
-        carry the pinned ``directory="none"`` into a config that rejects
-        it, so the directory reverts to the default unless the caller
-        chooses one explicitly.
-        """
-        target = changes.get("protocol", self.protocol)
-        if (
-            "directory" not in changes
-            and self.directory == "none"
-            and target not in DIRECTORYLESS_PROTOCOLS
-        ):
-            changes["directory"] = "ackwise"
-        return dataclasses.replace(self, **changes)
-
     def to_dict(self) -> dict:
         """JSON-ready mapping that round-trips through :meth:`from_dict`."""
         return dataclasses.asdict(self)
@@ -509,7 +484,6 @@ class EnergyConfig:
     """
 
     l1i_read: float = 1.0
-    l1i_fill: float = 4.0
 
     l1d_read: float = 1.6
     l1d_write: float = 1.9

@@ -25,11 +25,6 @@ from typing import Iterator
 _seed_salt: int = 0
 
 
-def current_seed_salt() -> int:
-    """The salt currently mixed into ``derive_seed`` (0 = unsalted)."""
-    return _seed_salt
-
-
 @contextlib.contextmanager
 def seed_scope(salt: int) -> Iterator[None]:
     """Mix ``salt`` into every ``derive_seed`` call inside the block.

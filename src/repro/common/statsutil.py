@@ -25,13 +25,6 @@ def geomean(values: Iterable[float]) -> float:
     return math.exp(sum(logs) / len(logs))
 
 
-def arithmetic_mean(values: Iterable[float]) -> float:
-    vals = list(values)
-    if not vals:
-        raise ValueError("mean of empty sequence")
-    return sum(vals) / len(vals)
-
-
 def normalize(values: Sequence[float], anchor: float) -> list[float]:
     """Divide every value by ``anchor`` (the paper normalizes to PCT=1)."""
     if anchor == 0:
@@ -60,10 +53,3 @@ def bucket_percentages(counts: Mapping[str, int]) -> dict[str, float]:
     if total == 0:
         return {b: 0.0 for b in UTILIZATION_BUCKETS}
     return {b: 100.0 * counts.get(b, 0) / total for b in UTILIZATION_BUCKETS}
-
-
-def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> float:
-    """``numerator / denominator`` with an explicit default for a zero base."""
-    if denominator == 0:
-        return default
-    return numerator / denominator

@@ -17,15 +17,6 @@ class MESIState(enum.IntEnum):
     EXCLUSIVE = 2
     MODIFIED = 3
 
-    @property
-    def is_valid(self) -> bool:
-        return self is not MESIState.INVALID
-
-    @property
-    def can_write(self) -> bool:
-        """Exclusive lines can be written (E upgrades to M silently)."""
-        return self in (MESIState.EXCLUSIVE, MESIState.MODIFIED)
-
 
 class DirState(enum.IntEnum):
     """Aggregate directory-visible state of a line across all L1 caches."""

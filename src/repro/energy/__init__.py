@@ -1,45 +1,16 @@
 """Dynamic energy model for caches, directory and network.
 
-Two ways to obtain the per-event energy constants:
-
-* the calibrated defaults in :class:`repro.common.params.EnergyConfig`
-  (used by all figure reproductions), or
-* the analytical backends :mod:`repro.energy.mcpat` (caches/directory) and
-  :mod:`repro.energy.dsent` (routers/links), which derive the constants
-  from cache geometry, router microarchitecture and a technology node -
-  see :func:`repro.energy.mcpat.derive_energy_config`.
+The simulator counts events and :class:`EnergyModel` charges each one the
+calibrated per-event constant of :class:`repro.common.params.EnergyConfig`
+(pJ at the paper's 11 nm node).  The paper derives its constants with
+McPAT (caches, directory) and DSENT (routers, links); this reproduction
+takes them as given and does not model either tool.
 """
 
-from repro.energy.dsent import (
-    LinkEnergyModel,
-    RouterEnergyModel,
-    crossover_node,
-    link_energy_per_flit,
-    router_energy_per_flit,
-)
-from repro.energy.mcpat import (
-    CacheEnergyModel,
-    DirectoryEnergyModel,
-    derive_energy_config,
-)
 from repro.energy.model import EnergyBreakdown, EnergyCounters, EnergyModel
-from repro.energy.technology import NODE_11NM, NODE_45NM, NODES, TechnologyNode, node
 
 __all__ = [
-    "NODES",
-    "NODE_11NM",
-    "NODE_45NM",
-    "CacheEnergyModel",
-    "DirectoryEnergyModel",
     "EnergyBreakdown",
     "EnergyCounters",
     "EnergyModel",
-    "LinkEnergyModel",
-    "RouterEnergyModel",
-    "TechnologyNode",
-    "crossover_node",
-    "derive_energy_config",
-    "link_energy_per_flit",
-    "node",
-    "router_energy_per_flit",
 ]

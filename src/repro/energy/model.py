@@ -28,7 +28,6 @@ class EnergyCounters:
 
     __slots__ = (
         "l1i_reads",
-        "l1i_fills",
         "l1d_reads",
         "l1d_writes",
         "l1d_tag_accesses",
@@ -113,7 +112,7 @@ class EnergyModel:
 
     def breakdown(self, counters: EnergyCounters, network: MeshNetwork) -> EnergyBreakdown:
         cfg = self.config
-        l1i = counters.l1i_reads * cfg.l1i_read + counters.l1i_fills * cfg.l1i_fill
+        l1i = counters.l1i_reads * cfg.l1i_read
         l1d = (
             counters.l1d_reads * cfg.l1d_read
             + counters.l1d_writes * cfg.l1d_write

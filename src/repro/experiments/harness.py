@@ -115,10 +115,6 @@ class ExperimentRunner:
         return self.run_jobs([self.job(workload, proto)])[0]
 
     # ------------------------------------------------------------------
-    def pct_sweep(self, workload: str, pcts: tuple[int, ...]) -> dict[int, RunStats]:
-        stats = self.run_jobs([self.job(workload, protocol_for_pct(p)) for p in pcts])
-        return dict(zip(pcts, stats))
-
     def baseline(self, workload: str) -> RunStats:
         return self.run(workload, baseline_protocol())
 

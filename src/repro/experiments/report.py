@@ -165,6 +165,11 @@ REGISTRY: tuple[Entry, ...] = (
                   lambda d: abs(d["water-sp"][4]["total"] - 1.0), "<", 0.1),
             Claim("|susan energy at PCT 4 - 1|",
                   lambda d: abs(d["susan"][4]["total"] - 1.0), "<", 0.1),
+            Claim("lowest link/router energy ratio at PCT 1, over benchmarks with "
+                  "network energy",
+                  lambda d: min(row[1]["link"] / row[1]["router"]
+                                for row in _benchmarks(d) if row[1]["router"] > 0),
+                  ">", 1.0, paper="> 1"),
         ),
     ),
     Entry(

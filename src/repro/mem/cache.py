@@ -77,9 +77,6 @@ class SetAssocCache:
         self._observer = None
 
     # ------------------------------------------------------------------
-    def set_index(self, line: int) -> int:
-        return line & self._set_mask
-
     def get(self, line: int):
         """Return the resident object for ``line`` or None. Does NOT touch LRU."""
         return self._sets[line & self._set_mask].get(line)

@@ -73,11 +73,6 @@ class L1Cache:
     # ------------------------------------------------------------------
     # Hints communicated to the home L2 with each miss (Sections 3.2-3.3).
     # ------------------------------------------------------------------
-    def has_invalid_way(self, line: int) -> bool:
-        """True if the set ``line`` maps to has a free way (the promotion
-        short-cut: filling it cannot pollute the cache)."""
-        return self.store.has_free_way(line)
-
     def min_set_last_access(self, line: int) -> float | None:
         """Minimum last-access time of valid lines in the target set, or
         None when an invalid way exists (Timestamp check trivially true)."""

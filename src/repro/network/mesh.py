@@ -140,11 +140,6 @@ class PyMeshKernel:
         hop = self._hop
         return links, hops, hops * hop, EPOCH_CYCLES - 1 - (hops - 1) * hop
 
-    def reset(self) -> None:
-        """Forget all reservations; the counters keep their values."""
-        self.slots = [0] * len(self.slots)
-        self._overflow.clear()
-
     def overflow_len(self) -> int:
         return len(self._overflow)
 
@@ -396,10 +391,6 @@ class NaiveMeshKernel(PyMeshKernel):
         super().__init__(num_links, link_bits, hop)
         self._free_at = [0.0] * num_links
 
-    def reset(self) -> None:
-        super().reset()
-        self._free_at = [0.0] * self._num_links
-
     def traverse(self, path: tuple, t_head: float, flits: int) -> float:
         links, hops, _span, _limit = path
         if not hops:
@@ -530,10 +521,6 @@ class MeshNetwork:
         """The flat route memo of path handles (see :meth:`resolve_path`);
         entries may be ``None`` until resolved."""
         return self._routes
-
-    def reset_contention(self) -> None:
-        """Forget all link reservations (used between independent runs)."""
-        self.kernel.reset()
 
     def flits_for(self, msg: MsgType) -> int:
         return self._flits_table[msg]

@@ -6,7 +6,10 @@ file) and three primitives:
 * **spans** - nested wall-clock timers.  ``begin``/``end`` (or the
   ``span(...)`` context manager) emit one ``span`` record per completed
   span carrying its id, parent id, depth and duration, so a renderer can
-  rebuild the tree without any in-band nesting markers;
+  rebuild the tree without any in-band nesting markers.  ``record_span``
+  emits a span the caller timed itself, with its child spans and the
+  counter increments it observed in the same record (``load_events``
+  expands them into ordinary records);
 * **counters** - monotonic increments.  ``count(name, value)`` emits an
   increment record; aggregation (summing increments per name across
   processes) happens at read time, so emitters are stateless and a
@@ -18,14 +21,24 @@ file) and three primitives:
 CI's telemetry-overhead gate, ``.github/perf_gate.py``): instrumentation
 sites gate on the single attribute check ``TELEMETRY.enabled`` and all
 per-record hot loops stay untouched - the simulator emits per *run*, not
-per access, so ``RunStats`` are bit-identical and ``Simulator.run`` is
-unchanged with telemetry off (and within 2% with it on).
+per access, so ``RunStats`` are bit-identical; with telemetry off
+``Simulator.run`` adds only its phase clock readings, and with it on it is
+at most 2% slower.
 
 **Multi-process discipline**: every record is serialized to one line and
 written with a single ``O_APPEND`` ``os.write`` - the same atomic-append
 discipline as :class:`~repro.runner.store.ResultStore` - so a sweep parent,
 its spawn-children and a serving daemon may all stream into one sink file.
 Records carry ``pid``; span ids are unique per ``(pid, id)``.
+
+**One record per simulation**: ``Simulator.run`` takes two clock readings
+per phase and, after its last phase, writes one ``sim.run`` record that
+carries its phase spans and its counters.  What a killed worker
+(``Pool.terminate``, a crash, a hang's timeout) loses is therefore every
+record of the run it was in, the phases that had already finished
+included.  Records emitted outside a run - job spans, runner and backend
+events - are written at once, so nothing emitted before that run began is
+lost.
 
 A sink failure after enablement (disk full, deleted directory) **disables
 telemetry and keeps the run alive**: observability must never turn a
@@ -56,6 +69,10 @@ EVENT_SCHEMA = 1
 TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 log = logging.getLogger("repro.obs")
+
+#: One encoder for every record (``json.dumps`` with keyword arguments
+#: builds a fresh encoder per call).
+_ENCODE = json.JSONEncoder(sort_keys=True, default=str).encode
 
 #: Shared no-op context manager returned by :meth:`Telemetry.span` when
 #: disabled - allocation-free, so unconditional ``with tel.span(...):``
@@ -141,7 +158,7 @@ class Telemetry:
                 # Chaos failpoint: the sink dying mid-run must take the
                 # warn-and-self-disable path below, never the sweep.
                 raise OSError("fault injected: telemetry sink died")
-            data = (json.dumps(record, sort_keys=True, default=str) + "\n").encode("utf-8")
+            data = (_ENCODE(record) + "\n").encode("utf-8")
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view):]
@@ -198,6 +215,37 @@ class Telemetry:
             )
             if sid == span_id:
                 return
+
+    def record_span(self, name: str, start: float, end: float, children=(),
+                    counters: dict[str, int] | None = None, **attrs) -> None:
+        """Emit a span that has already ended, under the innermost open span.
+
+        ``start`` and ``end`` are the caller's ``time.perf_counter()``
+        readings.  ``children`` are ``(name, start, end)`` spans nested in
+        it and ``counters`` the counter increments it observed; both ride
+        in the span's own record, as ``[id, name, start, dur]`` lists and a
+        name-to-increment mapping, so a hot caller pays two clock readings
+        per span and one write.
+        """
+        if not self.enabled:
+            return
+        frames = self._frames()
+        sid = next(self._ids)
+        origin = self._origin
+        fields: dict = {}
+        if children:
+            fields["children"] = [
+                [next(self._ids), child, round(child_start - origin, 6),
+                 round(child_end - child_start, 6)]
+                for child, child_start, child_end in children
+            ]
+        if counters:
+            fields["counters"] = counters
+        self.emit(
+            "span", name, attrs or None,
+            id=sid, parent=frames[-1][0] if frames else 0, depth=len(frames),
+            start=round(start - origin, 6), dur=round(end - start, 6), **fields,
+        )
 
     def span(self, name: str, **attrs):
         """Context manager over :meth:`begin`/:meth:`end` (exception-safe).

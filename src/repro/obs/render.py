@@ -28,7 +28,12 @@ from repro.obs.core import EVENT_SCHEMA
 
 
 def load_events(path: str | Path) -> list[dict]:
-    """Parse one sink file; skips malformed lines and foreign schemas."""
+    """Parse one sink file; skips malformed lines and foreign schemas.
+
+    A span record's ``children`` and ``counters`` (see
+    :meth:`~repro.obs.core.Telemetry.record_span`) come back as ordinary
+    ``span`` and ``counter`` records, listed before the span itself.
+    """
     target = Path(path)
     if not target.exists():
         raise ReproError(f"no telemetry sink at {target}")
@@ -46,8 +51,28 @@ def load_events(path: str | Path) -> list[dict]:
                 continue
             if "kind" not in record or "name" not in record:
                 continue
+            if record["kind"] == "span":
+                try:
+                    records.extend(_nested(record))
+                except (AttributeError, TypeError, ValueError):
+                    continue  # nested fields malformed
             records.append(record)
     return records
+
+
+def _nested(span: dict) -> list[dict]:
+    """The child spans and counters ``span`` carries, as plain records
+    (popped from it)."""
+    stamp = {"v": span["v"], "pid": span.get("pid"), "ts": span.get("ts")}
+    depth = span.get("depth", 0) + 1
+    nested = [
+        {**stamp, "kind": "span", "name": name, "id": sid, "parent": span.get("id"),
+         "depth": depth, "start": start, "dur": dur}
+        for sid, name, start, dur in span.pop("children", None) or ()
+    ]
+    nested += [{**stamp, "kind": "counter", "name": name, "value": value}
+               for name, value in (span.pop("counters", None) or {}).items()]
+    return nested
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,11 @@ shared *at page granularity using OS page tables* (Section 2.1 of the paper):
 
 * a data page is **private** to the first core that touches it;
 * when a second core touches the page it is reclassified **shared** for the
-  rest of the execution (transitions are one-way in R-NUCA);
-* **instruction** pages are classified on first fetch and replicated per
-  cluster of 4 cores.
+  rest of the execution (transitions are one-way in R-NUCA).
+
+R-NUCA also replicates instruction pages per cluster of 4 cores; the
+simulator charges instruction fetch as one L1-I read per instruction and
+places no instruction lines, so the table holds data pages only.
 
 The transition private -> shared requires flushing the page's lines from the
 old home slice (placement changes); the protocol engine performs the flush
@@ -18,13 +20,10 @@ from __future__ import annotations
 
 import enum
 
-from repro.common.errors import SimulationError
-
 
 class PageKind(enum.IntEnum):
     PRIVATE = 0
     SHARED = 1
-    INSTRUCTION = 2
 
 
 class RNucaPageTable:
@@ -36,7 +35,6 @@ class RNucaPageTable:
         # Statistics.
         self.private_pages = 0
         self.shared_pages = 0
-        self.instruction_pages = 0
         self.transitions = 0
 
     # ------------------------------------------------------------------
@@ -54,10 +52,6 @@ class RNucaPageTable:
             self.private_pages += 1
             return PageKind.PRIVATE, core, None
         kind, owner = entry
-        if kind is PageKind.INSTRUCTION:
-            raise SimulationError(
-                f"page {page:#x} classified as instruction but accessed as data"
-            )
         if kind is PageKind.SHARED or owner == core:
             return kind, owner, None
         # Second core touched a private page: reclassify shared, one-way.
@@ -66,25 +60,6 @@ class RNucaPageTable:
         self.shared_pages += 1
         self.transitions += 1
         return PageKind.SHARED, -1, owner
-
-    def classify_instruction(self, page: int) -> PageKind:
-        """Mark/confirm ``page`` as an instruction page."""
-        entry = self._pages.get(page)
-        if entry is None:
-            self._pages[page] = (PageKind.INSTRUCTION, -1)
-            self.instruction_pages += 1
-            return PageKind.INSTRUCTION
-        kind, _ = entry
-        if kind is not PageKind.INSTRUCTION:
-            raise SimulationError(
-                f"page {page:#x} already classified as {kind.name}, cannot be instruction"
-            )
-        return kind
-
-    def kind_of(self, page: int) -> PageKind | None:
-        """Current classification of ``page`` (None if never touched)."""
-        entry = self._pages.get(page)
-        return entry[0] if entry else None
 
     def owner_of(self, page: int) -> int | None:
         """Owning core of a PRIVATE page, else None."""

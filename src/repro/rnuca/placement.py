@@ -5,10 +5,10 @@ For a 64-core processor R-NUCA places (Section 2.1):
 * **private data** at the L2 slice of the owning (requesting) core - local
   L2 access, no network traversal;
 * **shared data** at a single slice determined by a hash of the line
-  address - one fixed home for the whole chip;
-* **instructions** replicated at one slice per cluster of 4 cores using
-  rotational interleaving - each core finds instruction lines within its
-  2x2 mesh neighbourhood.
+  address - one fixed home for the whole chip.
+
+(R-NUCA's third class, instructions replicated per 4-core cluster, is not
+modelled: instruction fetch is one L1-I read per instruction.)
 
 ``data_home`` (and DLS's word-interleaved ``data_word_home``) is the first
 step of every miss, so both answer from the page table's own dict
@@ -16,12 +16,11 @@ step of every miss, so both answer from the page table's own dict
 effect: a shared page, or a private page accessed by its owner.  Any other
 access - a first touch, a second core touching a private page (the
 one-way private -> shared transition, which reports the old owner whose
-slice must be flushed), an instruction page accessed as data - goes
-through ``RNucaPageTable.classify_data``.  The page table is the only
-placement state: a line's home is recomputed from its page's entry, so a
-transition needs no memo to drop.  The engines reach these methods through
-their home kernel (``repro.protocol.home``); the compiled kernel applies
-the same rule to the same dict.
+slice must be flushed) - goes through ``RNucaPageTable.classify_data``.
+The page table is the only placement state: a line's home is recomputed
+from its page's entry, so a transition needs no memo to drop.  The engines
+reach these methods through their home kernel (``repro.protocol.home``);
+the compiled kernel applies the same rule to the same dict.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class RNucaPlacement:
         self._page_size = arch.page_size
         self._num_cores = arch.num_cores
         self._words_per_line = arch.words_per_line
-        self._cluster_tiles_cache: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     def shared_home(self, line: int) -> int:
@@ -111,36 +109,3 @@ class RNucaPlacement:
         if kind is _PRIVATE:
             return owner, None
         return self.shared_word_home(line, word), previous_owner
-
-    # ------------------------------------------------------------------
-    def cluster_tiles(self, core: int) -> tuple[int, ...]:
-        """Tiles of ``core``'s instruction-replication cluster (2x2 block)."""
-        cached = self._cluster_tiles_cache.get(core)
-        if cached is not None:
-            return cached
-        width = self.arch.mesh_width
-        side = int(self.arch.instruction_cluster_size**0.5)
-        if side * side != self.arch.instruction_cluster_size:
-            # Non-square cluster: fall back to consecutive tile ids.
-            base = core - core % self.arch.instruction_cluster_size
-            tiles = tuple(range(base, base + self.arch.instruction_cluster_size))
-        else:
-            x, y = core % width, core // width
-            bx, by = x - x % side, y - y % side
-            tiles = tuple(
-                (by + dy) * width + (bx + dx) for dy in range(side) for dx in range(side)
-            )
-        self._cluster_tiles_cache[core] = tiles
-        return tiles
-
-    def instruction_home(self, line: int, core: int) -> int:
-        """Rotationally-interleaved instruction home within the cluster.
-
-        Consecutive instruction lines rotate over the cluster's 4 slices, so
-        each slice replicates 1/4 of the code and every fetch stays within
-        one hop of the requester.
-        """
-        page = addrmod.page_of(line << addrmod.LINE_BITS, self.arch.page_size)
-        self.page_table.classify_instruction(page)
-        tiles = self.cluster_tiles(core)
-        return tiles[line % len(tiles)]

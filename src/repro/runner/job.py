@@ -24,13 +24,19 @@ from functools import cached_property
 from repro.common.errors import ConfigError
 from repro.common.params import ArchConfig, EnergyConfig, ProtocolConfig
 
-#: Bump when the meaning of a job's fields (or the stats schema) changes in a
-#: way that invalidates previously cached results.
+#: The model epoch, hashed into every job key (``to_dict`` carries it).
+#: Bump it whenever cached results go stale: a job field changes meaning,
+#: the stats schema changes, or a model change alters any ``RunStats``.
+#: The last case rewrites ``tests/fixtures/runstats_*.json``, whose sha256
+#: ``tests/runner/test_job.py`` pins per epoch, so a model change cannot
+#: land without a bump.  Results stored under another epoch are skipped.
 #: 2: RunStats gained the Neat counters (self_invalidations, write_throughs)
 #:    and ProtocolConfig the dls/neat families with directory="none".
 #: 3: ProtocolConfig gained ``neat_downgrade`` (release-boundary batched
 #:    self-downgrade), changing the canonical proto serialization.
-JOB_SCHEMA = 3
+#: 4: ArchConfig and EnergyConfig each lost a field no simulation read
+#:    (R-NUCA's instruction cluster size, the L1-I fill energy).
+JOB_SCHEMA = 4
 
 
 def canonical_json(payload: dict) -> str:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import time
 from collections import deque
 from functools import partial
 
@@ -343,60 +344,46 @@ class Simulator:
                 f"architecture has {arch.num_cores}"
             )
         engine = make_engine(arch, self.proto, verify=self.verify)
-        # Telemetry is per *phase*, never per record: with the sink disabled
-        # this is one attribute check per run, and with it enabled the hot
-        # loops below are untouched - RunStats stay bit-identical either way
-        # (the neutrality property test pins this).
+        # Telemetry is per *run*, never per record: the run takes two clock
+        # readings per phase, and with the sink enabled it emits all of its
+        # records after the last phase.  The hot loops are untouched either
+        # way, so RunStats stay bit-identical (the neutrality property test
+        # pins this).
         tel = TELEMETRY if TELEMETRY.enabled else None
-        run_span = 0
-        if tel is not None:
-            run_span = tel.begin(
-                "sim.run",
-                benchmark=trace.name,
-                protocol=self.proto.protocol,
-                cores=arch.num_cores,
-                records=trace.total_records,
-            )
-            # Which implementation each kernel actually uses this run
-            # (compiled vs pure Python), so an event file says which code
-            # produced its numbers (DESIGN.md secs. 12 and 14).
-            tel.event(
-                "accel.active",
-                implementation=engine.network.implementation,
-                sched="accel" if accel.sched_kernel_class() is not None else "fallback",
-            )
+        run_start = time.perf_counter()
+        phases: list[tuple[str, float, float]] = []
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
             clocks = [0.0] * arch.num_cores
             if self.warmup:
-                phase = tel.begin("sim.phase.warmup") if tel is not None else 0
+                start = time.perf_counter()
                 warm_bd = [LatencyBreakdown() for _ in range(arch.num_cores)]
                 clocks = self._execute(engine, trace, clocks, warm_bd)
                 engine.reset_stats()
-                if tel is not None:
-                    tel.end(phase)
+                phases.append(("sim.phase.warmup", start, time.perf_counter()))
             measure_start = max(clocks) if clocks else 0.0
-            phase = tel.begin("sim.phase.simulate") if tel is not None else 0
+            start = time.perf_counter()
             breakdowns = [LatencyBreakdown() for _ in range(arch.num_cores)]
             clocks = self._execute(engine, trace, clocks, breakdowns)
             completion = (max(clocks) if clocks else 0.0) - measure_start
-            if tel is not None:
-                tel.end(phase)
+            phases.append(("sim.phase.simulate", start, time.perf_counter()))
             if self.verify:
-                phase = tel.begin("sim.phase.verify") if tel is not None else 0
+                start = time.perf_counter()
                 # Beyond the per-access golden checks: no write may be lost
                 # even if the trace never re-reads it.
                 engine.check_final_state()
-                if tel is not None:
-                    tel.end(phase)
+                phases.append(("sim.phase.verify", start, time.perf_counter()))
         finally:
-            if gc_was_enabled:
-                gc.enable()
-            if tel is not None:
-                self._emit_run_telemetry(tel, engine)
-                tel.end(run_span)
+            # Emitted before the collector resumes, so the records'
+            # allocations cannot trigger a collection of the run's garbage.
+            try:
+                if tel is not None:
+                    self._emit_run_telemetry(tel, engine, trace, run_start, phases)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
         #: The engine of the most recent run, kept for post-run inspection
         #: (the trace-level differential harness compares golden memories
         #: across protocol families after full simulations).
@@ -404,30 +391,52 @@ class Simulator:
         return self._collect(trace, engine, completion, breakdowns)
 
     # ------------------------------------------------------------------
-    def _emit_run_telemetry(self, tel, engine: ProtocolEngineBase) -> None:
-        """Counter snapshot of the measured pass (the internal rates the
+    def _emit_run_telemetry(
+        self,
+        tel,
+        engine: ProtocolEngineBase,
+        trace: Trace,
+        run_start: float,
+        phases: list[tuple[str, float, float]],
+    ) -> None:
+        """The run's one record: the ``sim.run`` span with its phases and a
+        counter snapshot of the measured pass (the internal rates the
         paper's claims rest on: fast-path hits, classification mix, mesh
         slot recycling).  Counters are increments, so concurrent runs in
         one process sum cleanly at render time."""
         miss = engine.miss_stats
-        tel.count("sim.l1d.accesses", miss.accesses)
-        tel.count("sim.l1d.hits", miss.hits)
-        tel.count("sim.fastpath.read_hits", self._fast_read_hits)
-        tel.count("sim.fastpath.write_hits", self._fast_write_hits)
+        network = engine.network
+        # Which implementation each kernel actually used (compiled vs pure
+        # Python), so an event file says which code produced its numbers
+        # (DESIGN.md secs. 12 and 14).
+        sched = "accel" if accel.sched_kernel_class() is not None else "fallback"
+        values = {
+            "sim.l1d.accesses": miss.accesses,
+            "sim.l1d.hits": miss.hits,
+            "sim.fastpath.read_hits": self._fast_read_hits,
+            "sim.fastpath.write_hits": self._fast_write_hits,
+            f"sim.runs.{network.implementation}": 1,
+            f"sim.sched.{sched}": 1,
+            "mesh.messages": network.messages_sent,
+            "mesh.flits": network.flits_sent,
+            "mesh.link_flit_traversals": network.link_flit_traversals,
+            "mesh.slot_recycles": network.slot_recycles,
+            "mesh.overflow_entries": network.kernel.overflow_len(),
+            "dram.requests": engine.memsys.total_requests,
+        }
         classifier = engine.classifier
         if classifier is not None:
-            tel.count("classifier.promotions", classifier.promotions)
-            tel.count("classifier.demotions", classifier.demotions)
-            tel.count("classifier.remote_accesses", classifier.remote_accesses)
-            tel.count("classifier.vote_decisions", classifier.vote_decisions)
-        network = engine.network
-        tel.count(f"sim.runs.{network.implementation}")
-        tel.count("mesh.messages", network.messages_sent)
-        tel.count("mesh.flits", network.flits_sent)
-        tel.count("mesh.link_flit_traversals", network.link_flit_traversals)
-        tel.count("mesh.slot_recycles", network.slot_recycles)
-        tel.count("mesh.overflow_entries", network.kernel.overflow_len())
-        tel.count("dram.requests", engine.memsys.total_requests)
+            values["classifier.promotions"] = classifier.promotions
+            values["classifier.demotions"] = classifier.demotions
+            values["classifier.remote_accesses"] = classifier.remote_accesses
+            values["classifier.vote_decisions"] = classifier.vote_decisions
+        tel.record_span(
+            "sim.run", run_start, time.perf_counter(), phases, values,
+            benchmark=trace.name,
+            protocol=self.proto.protocol,
+            cores=self.arch.num_cores,
+            records=trace.total_records,
+        )
 
     # ------------------------------------------------------------------
     def _execute(

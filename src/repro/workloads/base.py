@@ -289,9 +289,6 @@ class AddressSpace:
         self.regions[name] = (base, nbytes)
         return base
 
-    def alloc_words(self, name: str, nwords: int) -> int:
-        return self.alloc(name, nwords * addrmod.WORD_SIZE)
-
 
 class ThreadProgram:
     """Per-thread trace recorder handed to workload kernels.

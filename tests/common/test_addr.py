@@ -13,22 +13,10 @@ def test_line_constants_consistent():
     assert addr.WORDS_PER_LINE == addr.LINE_SIZE // addr.WORD_SIZE
 
 
-def test_line_of_basic():
-    assert addr.line_of(0) == 0
-    assert addr.line_of(63) == 0
-    assert addr.line_of(64) == 1
-    assert addr.line_of(128) == 2
-
-
 def test_line_base():
     assert addr.line_base(0) == 0
     assert addr.line_base(65) == 64
     assert addr.line_base(127) == 64
-
-
-def test_word_in_line_cycles():
-    assert [addr.word_in_line(i * 8) for i in range(8)] == list(range(8))
-    assert addr.word_in_line(64) == 0
 
 
 def test_page_of_default():
@@ -64,15 +52,10 @@ def test_lines_in_page_covers_page():
 
 @given(st.integers(min_value=0, max_value=addr.MAX_ADDRESS))
 def test_line_roundtrip(address):
-    line = addr.line_of(address)
+    line = address >> addr.LINE_BITS
     base = addr.line_base(address)
     assert base == line * addr.LINE_SIZE
     assert base <= address < base + addr.LINE_SIZE
-
-
-@given(st.integers(min_value=0, max_value=addr.MAX_ADDRESS))
-def test_word_in_line_bounds(address):
-    assert 0 <= addr.word_in_line(address) < addr.WORDS_PER_LINE
 
 
 @given(st.integers(min_value=0, max_value=1 << 40), st.sampled_from([8, 64, 4096]))

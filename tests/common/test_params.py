@@ -1,5 +1,7 @@
 """Configuration dataclass tests: Table-1 defaults and validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -83,10 +85,6 @@ class TestArchConfig:
         arch = ArchConfig(num_cores=16, num_memory_controllers=4)
         assert arch.mesh_width == 4
 
-    def test_rejects_bad_cluster(self):
-        with pytest.raises(ConfigError):
-            ArchConfig(num_cores=64, instruction_cluster_size=3)
-
     @pytest.mark.parametrize("hop", [0, -1, 2.5, 2.0, True, "2"])
     def test_rejects_non_integral_hop_latency(self, hop):
         """Both mesh walks advance an integer shadow clock by the hop
@@ -131,9 +129,11 @@ class TestProtocolConfig:
         assert base.pct == 1
 
     def test_replaced(self):
-        proto = ProtocolConfig().replaced(pct=8)
+        proto = dataclasses.replace(ProtocolConfig(), pct=8)
         assert proto.pct == 8
         assert proto.limited_k == 3
+        with pytest.raises(ConfigError, match="pct must be"):
+            dataclasses.replace(proto, pct=0)  # a copy is validated anew
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -197,9 +197,10 @@ class TestDirectorylessValidation:
     def test_replaced_escapes_directoryless_family(self):
         from repro.common.params import dls_protocol
 
-        proto = dls_protocol().replaced(protocol="adaptive", pct=4)
-        assert proto.protocol == "adaptive"
-        assert proto.directory == "ackwise"
-        # An explicit choice still wins.
-        full = dls_protocol().replaced(protocol="baseline", directory="fullmap")
+        # A copy that leaves the directoryless family must name its
+        # directory: the pinned "none" is rejected, not silently swapped.
+        with pytest.raises(ConfigError, match="requires a sharer-tracking directory"):
+            dataclasses.replace(dls_protocol(), protocol="adaptive", pct=4)
+        full = dataclasses.replace(dls_protocol(), protocol="baseline", directory="fullmap")
+        assert full.protocol == "baseline"
         assert full.directory == "fullmap"

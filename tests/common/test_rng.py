@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.rng import current_seed_salt, derive_seed, make_rng, seed_scope
+from repro.common.rng import derive_seed, make_rng, seed_scope
 
 
 def test_derive_seed_deterministic():
@@ -45,17 +45,17 @@ class TestSeedScope:
         assert one != two
 
     def test_scope_restores_on_exit_and_error(self):
-        assert current_seed_salt() == 0
+        unsalted = derive_seed("radix", 3)
         with seed_scope(5):
-            assert current_seed_salt() == 5
+            five = derive_seed("radix", 3)
             with seed_scope(9):
-                assert current_seed_salt() == 9
-            assert current_seed_salt() == 5
-        assert current_seed_salt() == 0
+                assert derive_seed("radix", 3) not in (unsalted, five)
+            assert derive_seed("radix", 3) == five
+        assert derive_seed("radix", 3) == unsalted != five
         with pytest.raises(RuntimeError):
             with seed_scope(3):
                 raise RuntimeError("boom")
-        assert current_seed_salt() == 0
+        assert derive_seed("radix", 3) == unsalted
 
     def test_salted_derivation_still_deterministic(self):
         with seed_scope(42):

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from repro.common.statsutil import (
     UTILIZATION_BUCKETS,
-    arithmetic_mean,
     bucket_percentages,
     geomean,
     normalize,
-    safe_ratio,
     utilization_bucket,
 )
 
@@ -42,12 +40,6 @@ def test_geomean_bounded_by_min_max(values):
 def test_geomean_scales_linearly(values, factor):
     scaled = geomean([v * factor for v in values])
     assert scaled == pytest.approx(geomean(values) * factor, rel=1e-9)
-
-
-def test_arithmetic_mean():
-    assert arithmetic_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        arithmetic_mean([])
 
 
 def test_normalize():
@@ -87,9 +79,3 @@ def test_bucket_percentages_sum_to_100():
 
 def test_bucket_percentages_empty():
     assert all(v == 0.0 for v in bucket_percentages({}).values())
-
-
-def test_safe_ratio():
-    assert safe_ratio(4, 2) == 2.0
-    assert safe_ratio(4, 0) == 0.0
-    assert safe_ratio(4, 0, default=math.inf) == math.inf

@@ -51,7 +51,7 @@ class TestExperimentIndex:
 
     def test_no_row_dropped(self):
         # Every row gates, so removing one must be a deliberate change here.
-        assert sum(len(entry.claims) for entry in REGISTRY) == 46
+        assert sum(len(entry.claims) for entry in REGISTRY) == 47
         assert [e.id for e in REGISTRY if not e.claims] == ["protocol-families"]
 
 
@@ -67,6 +67,15 @@ class TestClaims:
         for target, tol in ((0.057, 0.005), (18.0, None)):
             claim = Claim("x", lambda d: d, "approx", target, tol=tol)
             assert claim.check(measured).holds is (measured == pytest.approx(target, abs=tol))
+
+    @pytest.mark.parametrize("link, holds", [(1.8, True), (0.4, False)])
+    def test_link_router_row_skips_benchmarks_without_traffic(self, link, holds):
+        claim = _row("8", "lowest link/router energy ratio at PCT 1, over benchmarks "
+                          "with network energy")
+        data = {"lu-nc": {1: {"link": link, "router": 0.5}},
+                "susan": {1: {"link": 0.0, "router": 0.0}},
+                "geomean": {1: 1.0}}
+        assert claim.check(data).holds is holds
 
     def test_deviation_never_exempts(self):
         assert not Claim("x", lambda d: d, "<", 1.0, deviation="known").check(2.0).holds

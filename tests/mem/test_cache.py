@@ -29,9 +29,11 @@ class TestBasics:
         assert cache.get(5) is entry
 
     def test_same_set_mapping(self, cache):
-        # Lines 0 and 8 map to set 0 (8 sets).
-        assert cache.set_index(0) == cache.set_index(8)
-        assert cache.set_index(0) != cache.set_index(1)
+        # Lines 0 and 8 map to set 0 (8 sets); line 1 does not.
+        cache.insert(0, _line())
+        cache.insert(8, _line())
+        assert not cache.has_free_way(16)
+        assert cache.has_free_way(1)
 
     def test_free_way_tracking(self, cache):
         assert cache.has_free_way(0)
@@ -113,8 +115,8 @@ def test_lru_matches_reference_model(accesses):
     reference: dict[int, list[int]] = {}  # set -> lines in LRU order (front = LRU)
 
     for line in accesses:
-        set_index = line & geometry.set_mask
-        order = reference.setdefault(set_index, [])
+        set_no = line & geometry.set_mask
+        order = reference.setdefault(set_no, [])
         entry = cache.get(line)
         if entry is not None:
             cache.touch(entry)
@@ -129,6 +131,6 @@ def test_lru_matches_reference_model(accesses):
                 assert cache.insert(line, CacheLine(MESIState.SHARED)) is None
             order.append(line)
 
-    for set_index, order in reference.items():
-        resident = {ln for ln, _ in cache.lines() if ln & geometry.set_mask == set_index}
+    for set_no, order in reference.items():
+        resident = {ln for ln, _ in cache.lines() if ln & geometry.set_mask == set_no}
         assert resident == set(order)

@@ -66,12 +66,6 @@ class TestNaiveModel:
         second = naive.unicast(0, 1, MsgType.LINE_REPLY, 0.0)
         assert second > first
 
-    def test_reset_contention_clears_high_water_marks(self):
-        naive = net_for("naive")
-        naive.unicast(0, 1, MsgType.LINE_REPLY, 10_000.0)
-        naive.reset_contention()
-        assert naive.unicast(0, 1, MsgType.READ_REQ, 0.0) == ARCH.hop_latency
-
     def test_traffic_counters_identical_across_models(self):
         counts = []
         for model in ("epoch", "naive", "none"):

@@ -98,11 +98,3 @@ class TestBroadcast:
         # One flit over each of the 15 tree links.
         assert net.link_flit_traversals == 15
         assert net.flits_sent == 1
-
-
-class TestReset:
-    def test_reset_contention_clears_reservations(self, arch):
-        net = MeshNetwork(arch)
-        net.unicast(0, 1, MsgType.LINE_REPLY, 0.0)
-        net.reset_contention()
-        assert net.unicast(0, 1, MsgType.LINE_REPLY, 0.0) == 10.0

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.obs import TELEMETRY
+from repro.obs import TELEMETRY, load_events
 from repro.runner.backends.local import execute_job
 from repro.runner.sweep import grid_from_args
 
@@ -56,13 +56,16 @@ def test_instrumented_run_emits_spans_and_counters(tmp_path):
         execute_job(job)
     finally:
         TELEMETRY.disable()
-    records = [json.loads(line) for line in sink.read_text().splitlines() if line.strip()]
+    records = load_events(sink)
     spans = {r["name"] for r in records if r["kind"] == "span"}
     counters = {r["name"] for r in records if r["kind"] == "counter"}
     assert "sim.run" in spans
     assert {"sim.phase.warmup", "sim.phase.simulate"} <= spans
     assert {"sim.l1d.accesses", "sim.l1d.hits", "mesh.flits",
             "mesh.slot_recycles", "sim.fastpath.read_hits"} <= counters
+    # The run writes one line: its phases and counters ride in it.
+    lines = [json.loads(line) for line in sink.read_text().splitlines() if line.strip()]
+    assert [r["name"] for r in lines if r["name"].startswith("sim.")] == ["sim.run"]
 
 
 def test_disabled_run_touches_no_sink(tmp_path):

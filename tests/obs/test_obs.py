@@ -140,6 +140,23 @@ class TestSpans:
         tel.end(424242)
         assert [r for r in _records(tel.path) if r["kind"] == "span"] == []
 
+    def test_recorded_span_carries_children_and_counters(self, tel):
+        with tel.span("job"):
+            tel.record_span("run", 1.0, 4.0, [("warm", 1.0, 2.0), ("sim", 2.0, 4.0)],
+                            {"hits": 7}, cores=16)
+        (run,) = [r for r in _records(tel.path) if r["name"] == "run"]
+        assert [child[1] for child in run["children"]] == ["warm", "sim"]
+        records = load_events(tel.path)
+        spans = {r["name"]: r for r in records if r["kind"] == "span"}
+        assert spans["run"]["parent"] == spans["job"]["id"]
+        assert spans["run"]["dur"] == 3.0 and spans["run"]["attrs"] == {"cores": 16}
+        for name, dur in (("warm", 1.0), ("sim", 2.0)):
+            assert spans[name]["parent"] == spans["run"]["id"]
+            assert spans[name]["depth"] == 2 and spans[name]["dur"] == dur
+        assert [(r["name"], r["value"]) for r in records if r["kind"] == "counter"] == [("hits", 7)]
+        out = render_events(records)
+        assert "      warm" in out and "hits" in out
+
     def test_span_attrs_survive(self, tel):
         with tel.span("job", workload="tsp", pct=4):
             pass
@@ -184,6 +201,12 @@ class TestRenderer:
         records = load_events(tel.path)
         names = [r["name"] for r in records if r["kind"] == "counter"]
         assert names == ["kept"]
+
+    def test_malformed_nested_fields_skip_the_span(self, tel):
+        tel.emit("span", "bad", id=1, parent=0, depth=0, start=0.0, dur=1.0,
+                 children=[["not", "a", "child"]])
+        tel.count("kept", 1)
+        assert [r["name"] for r in load_events(tel.path)] == ["telemetry.enabled", "kept"]
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ReproError):

@@ -20,22 +20,11 @@ class TestLineMath:
         assert base <= a < base + addr.LINE_SIZE
 
     @given(a=addresses)
-    def test_line_of_matches_line_base(self, a):
-        assert addr.line_of(a) == addr.line_base(a) // addr.LINE_SIZE
-
-    @given(a=addresses)
     def test_all_bytes_of_a_line_share_its_number(self, a):
         base = addr.line_base(a)
-        assert addr.line_of(base) == addr.line_of(base + addr.LINE_SIZE - 1)
-        assert addr.line_of(base + addr.LINE_SIZE) == addr.line_of(base) + 1
+        assert addr.line_base(base + addr.LINE_SIZE - 1) == base
+        assert addr.line_base(base + addr.LINE_SIZE) == base + addr.LINE_SIZE
 
-    @given(a=addresses)
-    def test_word_in_line_bounded(self, a):
-        assert 0 <= addr.word_in_line(a) < addr.WORDS_PER_LINE
-
-    @given(a=addresses)
-    def test_word_of_consistent_with_line_and_offset(self, a):
-        assert addr.word_of(a) == addr.line_of(a) * addr.WORDS_PER_LINE + addr.word_in_line(a)
 
 
 class TestPageMath:
@@ -43,7 +32,7 @@ class TestPageMath:
     def test_page_of_consistent_with_lines_in_page(self, a, page_size):
         page = addr.page_of(a, page_size)
         lines = addr.lines_in_page(page, page_size)
-        assert addr.line_of(a) in lines
+        assert a >> addr.LINE_BITS in lines
 
     @given(page=st.integers(min_value=0, max_value=1 << 30), page_size=page_sizes)
     def test_lines_in_page_partition_the_address_space(self, page, page_size):

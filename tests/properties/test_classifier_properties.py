@@ -8,6 +8,8 @@ move only as Section 3.3 prescribes.
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,7 +89,7 @@ class TestStateMachineInvariants:
         # returning core is legitimately re-initialized by majority vote
         # (the paper's one-way variant keeps per-core mode bits precisely
         # to avoid this, Section 3.7).
-        proto = proto.replaced(one_way=True, classifier="complete")
+        proto = dataclasses.replace(proto, one_way=True, classifier="complete")
         classifier = make_classifier(proto)
         l2line = L2Line()
         demoted: set[int] = set()
@@ -107,7 +109,7 @@ class TestStateMachineInvariants:
     def test_one_way_limited_never_counts_promotions(self, proto, seq):
         # The promotion *counter* invariant holds for Limited_k too: slot
         # replacement re-initializes state, it never promotes.
-        proto = proto.replaced(one_way=True, classifier="limited")
+        proto = dataclasses.replace(proto, one_way=True, classifier="limited")
         classifier = make_classifier(proto)
         l2line = L2Line()
         for kind, core, putil in seq:
@@ -117,7 +119,7 @@ class TestStateMachineInvariants:
     @settings(max_examples=60, deadline=None)
     @given(proto=configs, seq=events)
     def test_limited_k_never_tracks_more_than_k(self, proto, seq):
-        proto = proto.replaced(classifier="limited")
+        proto = dataclasses.replace(proto, classifier="limited")
         classifier = make_classifier(proto)
         l2line = L2Line()
         for kind, core, putil in seq:
@@ -127,7 +129,7 @@ class TestStateMachineInvariants:
     @settings(max_examples=60, deadline=None)
     @given(proto=configs, seq=events)
     def test_demotion_iff_utilization_below_pct(self, proto, seq):
-        proto = proto.replaced(one_way=False)
+        proto = dataclasses.replace(proto, one_way=False)
         classifier = make_classifier(proto)
         l2line = L2Line()
         for kind, core, putil in seq:

@@ -174,9 +174,9 @@ class TestKernelContract:
     def test_python_twin_matches_compiled(self, data):
         """The compiled kernel's contract is bit-identity, not mere
         closeness: one random stream of ``register_path``, ``traverse``,
-        ``traverse_chain``, ``traverse_many``, ``traverse_link`` and
-        ``reset`` calls - same-tile routes, far-future reservations and
-        returns to the past included - yields identical return values,
+        ``traverse_chain``, ``traverse_many`` and ``traverse_link`` calls -
+        same-tile routes, far-future reservations and returns to the past
+        included - yields identical return values,
         counters, recycles, overflow entries and slot tables."""
         num_links, link_bits, hop = 48, 6, 2
         twin = PyMeshKernel(num_links, link_bits, hop)
@@ -190,7 +190,7 @@ class TestKernelContract:
         t = 0.0
         for _ in range(draw(st.integers(1, 60))):
             op = draw(st.sampled_from(
-                ("register", "traverse", "traverse", "chain", "many", "link", "reset")
+                ("register", "traverse", "traverse", "chain", "many", "link")
             ))
             route = draw(st.integers(0, len(routes) - 1))
             flits = draw(flit_counts)
@@ -216,11 +216,9 @@ class TestKernelContract:
                     (k.traverse_many, (start, flits, [routes[p][i] for p in picks]))
                     for i, k in enumerate(kernels)
                 ]
-            elif op == "link":
+            else:
                 link = draw(links)
                 calls = [(k.traverse_link, (link, start, flits)) for k in kernels]
-            else:
-                calls = [(k.reset, ()) for k in kernels]
             got, want = (method(*args) for method, args in calls)
             assert got == want, (op, calls[0][1])
         for attr in ("messages_sent", "flits_sent", "link_flit_traversals",
@@ -258,15 +256,6 @@ class TestFlitConservation:
         net = make_net(kernel)
         net.broadcast(5, MsgType.INV_BROADCAST, 0.0)
         assert net.reserved_flits() == net.link_flit_traversals == 15
-
-    @EPOCH_KERNELS
-    def test_reset_contention_clears_all_reservations(self, kernel):
-        net = make_net(kernel)
-        send(net, 0, 15, 0.0, 9)
-        send(net, 0, 15, 1e6, 9)  # overflow side
-        net.reset_contention()
-        assert net.reserved_flits() == 0
-        assert net.occupancy_map() == {}
 
 
 class TestReferenceEquivalence:

@@ -107,37 +107,3 @@ class TestHomeMemo:
             else:
                 want = (placement.shared_home(line), previous_owner)
             assert placement.data_home(line, core) == want, (line, core)
-
-
-class TestInstructionPlacement:
-    @given(line=lines, core=cores)
-    def test_instruction_home_within_cluster(self, line, core):
-        placement = RNucaPlacement(ARCH)
-        home = placement.instruction_home(line, core)
-        assert home in placement.cluster_tiles(core)
-
-    @given(line=lines, core=cores)
-    def test_cluster_is_a_2x2_mesh_block(self, line, core):
-        placement = RNucaPlacement(ARCH)
-        tiles = placement.cluster_tiles(core)
-        assert len(tiles) == ARCH.instruction_cluster_size
-        assert core in tiles
-        width = ARCH.mesh_width
-        xs = sorted({t % width for t in tiles})
-        ys = sorted({t // width for t in tiles})
-        assert len(xs) == 2 and xs[1] - xs[0] == 1
-        assert len(ys) == 2 and ys[1] - ys[0] == 1
-
-    @given(core=cores)
-    def test_rotational_interleaving_covers_the_cluster(self, core):
-        placement = RNucaPlacement(ARCH)
-        homes = {placement.instruction_home(line, core) for line in range(16)}
-        assert homes == set(placement.cluster_tiles(core))
-
-    @settings(max_examples=25, deadline=None)
-    @given(line=lines, a=cores, b=cores)
-    def test_same_cluster_cores_agree_on_instruction_home(self, line, a, b):
-        placement = RNucaPlacement(ARCH)
-        if placement.cluster_tiles(a) != placement.cluster_tiles(b):
-            return
-        assert placement.instruction_home(line, a) == placement.instruction_home(line, b)

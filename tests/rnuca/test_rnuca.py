@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common import addr as addrmod
-from repro.common.errors import SimulationError
 from repro.common.params import ArchConfig
 from repro.rnuca.page_table import PageKind, RNucaPageTable
 from repro.rnuca.placement import RNucaPlacement
@@ -34,19 +33,6 @@ class TestPageTable:
         # One-way: never goes back to private.
         kind, _, previous = table.classify_data(10, core=3)
         assert kind is PageKind.SHARED and previous is None
-
-    def test_instruction_pages(self):
-        table = RNucaPageTable()
-        assert table.classify_instruction(7) is PageKind.INSTRUCTION
-        assert table.kind_of(7) is PageKind.INSTRUCTION
-        with pytest.raises(SimulationError):
-            table.classify_data(7, core=0)
-
-    def test_data_page_cannot_become_instruction(self):
-        table = RNucaPageTable()
-        table.classify_data(7, core=0)
-        with pytest.raises(SimulationError):
-            table.classify_instruction(7)
 
     def test_owner_of(self):
         table = RNucaPageTable()
@@ -83,22 +69,8 @@ class TestPlacement:
         # The hash should use most of the 16 slices for 512 lines.
         assert len(set(homes)) >= 12
 
-    def test_cluster_tiles_are_2x2_blocks(self, placement):
-        # 4x4 mesh, cluster size 4 -> 2x2 blocks.
-        assert placement.cluster_tiles(0) == (0, 1, 4, 5)
-        assert placement.cluster_tiles(5) == (0, 1, 4, 5)
-        assert placement.cluster_tiles(15) == (10, 11, 14, 15)
-
-    def test_instruction_rotational_interleaving(self, placement):
-        page = 999
-        base_line = page * (4096 // 64)
-        homes = [placement.instruction_home(base_line + i, core=0) for i in range(8)]
-        # Rotates over the 4 cluster tiles.
-        assert homes[:4] == homes[4:]
-        assert set(homes) == set(placement.cluster_tiles(0))
-
     def test_all_lines_of_private_page_share_home(self, placement):
         page_base = 1 << 22
-        lines = [addrmod.line_of(page_base + i * 64) for i in range(64)]
+        lines = [(page_base + i * 64) >> addrmod.LINE_BITS for i in range(64)]
         homes = {placement.data_home(line, core=3)[0] for line in lines}
         assert homes == {3}

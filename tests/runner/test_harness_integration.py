@@ -46,12 +46,6 @@ class TestParallelHarness:
         assert a.data == b.data
         assert a.text == b.text
 
-    def test_pct_sweep_batches_in_one_submission(self, serial_runner):
-        sweep = serial_runner.pct_sweep("tsp", PCTS)
-        assert set(sweep) == set(PCTS)
-        for pct, stats in sweep.items():
-            assert stats is serial_runner.run("tsp", protocol_for_pct(pct))
-
 
 class TestStoreBackedHarness:
     def test_warm_store_runs_zero_simulations(self, tmp_path, serial_runner):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import pathlib
 
 import pytest
 
@@ -131,3 +133,26 @@ class TestVerifyTwin:
             scale="tiny", verify=True,
         )
         assert execute_job(plain).to_dict() == execute_job(checked).to_dict()
+
+
+#: sha256 of each RunStats fixture under the current model epoch.  A change
+#: that alters any RunStats rewrites a fixture; it must also bump
+#: ``JOB_SCHEMA`` (and add its row here), so stale cached results of the
+#: old model are skipped instead of served.
+FIXTURE_SHA256 = {
+    4: {
+        "runstats_pr3.json":
+            "5930f1a9426fb175cc618ccb35cc8e4668b9ff32a5efd3a7ef7386384798ff62",
+        "runstats_phase_release.json":
+            "1d1779c6bfb02eba6502c34f77351bcd2a69d85db8561ebcb40ad5714312193a",
+    },
+}
+
+
+def test_fixtures_are_pinned_to_the_model_epoch():
+    fixtures = pathlib.Path(__file__).parents[1] / "fixtures"
+    pinned = FIXTURE_SHA256[JOB_SCHEMA]
+    assert {p.name for p in fixtures.glob("runstats_*.json")} == set(pinned)
+    for name, digest in pinned.items():
+        got = hashlib.sha256((fixtures / name).read_bytes()).hexdigest()
+        assert got == digest, f"{name} changed under JOB_SCHEMA {JOB_SCHEMA}: bump it"

@@ -3,7 +3,7 @@
 Examples are documentation that must not rot: each one needs a module
 docstring with run instructions, a ``main()`` entry point behind the
 standard guard, and imports that resolve against the installed package.
-(Full executions live in the examples themselves; they take minutes.)
+(CI's examples job runs each one to completion.)
 """
 
 from __future__ import annotations
