@@ -1,7 +1,7 @@
-"""Optional compiled accelerators (DESIGN.md sections 12, 14 and 15).
+"""Optional compiled accelerators (DESIGN.md sections 12 and 14-16).
 
 ``repro.accel`` builds the package's C sources into one CPython extension
-on first use (see :mod:`repro.accel.build`) and hands out three kernel
+on first use (see :mod:`repro.accel.build`) and hands out four kernel
 classes from it:
 
 * ``MeshKernel`` (phase 1): the epoch ring-buffer bandwidth accounting
@@ -18,7 +18,12 @@ classes from it:
   off-chip fill, the word service and the settle - on the engine's own
   objects.  An engine builds it exactly when its mesh kernel is the
   compiled one (it reserves through that kernel in C), else its
-  pure-Python twin, ``repro.protocol.home.PyHomeKernel``.
+  pure-Python twin, ``repro.protocol.home.PyHomeKernel``;
+* ``DirectoryKernel`` (phase 4): each L1 miss of one directory-family
+  engine - classification, sharer rounds, line grant and L1 eviction
+  notice - taking the home kernel's steps by direct C calls.  An engine
+  builds it exactly when it builds the compiled home kernel, else its
+  pure-Python twin, ``repro.protocol.directory.PyDirectoryKernel``.
 
 There are two implementations - every kernel compiled, or every kernel
 pure Python - and one decision between them:
@@ -26,7 +31,7 @@ pure Python - and one decision between them:
 1. ``REPRO_NO_ACCEL=1`` (any non-empty value) selects the pure-Python
    implementations.  It is checked per call, so tests can flip it with
    ``monkeypatch.setenv`` without reloading modules.
-2. Otherwise the module is compiled/loaded, its three kernel classes
+2. Otherwise the module is compiled/loaded, its four kernel classes
    required and its constants checked against the Python definitions
    once per process; **any** failure (no compiler, no headers, compile
    error, import error, a missing class, constant mismatch, an injected
@@ -37,7 +42,8 @@ pure Python - and one decision between them:
 
 ``status()`` is the introspection payload behind ``repro accel-info``;
 it keeps one entry each for the mesh and scheduler kernels, and the home
-kernel is compiled exactly when the ``mesh`` entry says ``accel``.
+and directory kernels are compiled exactly when the ``mesh`` entry says
+``accel``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ __all__ = [
     "CACHE_ENV",
     "NO_ACCEL_ENV",
     "active_impl",
+    "directory_kernel_class",
     "home_kernel_class",
     "mesh_kernel_class",
     "reset",
@@ -63,11 +70,11 @@ __all__ = [
 log = logging.getLogger("repro.accel")
 
 #: Kernel name -> its class in the module; ``status()`` reports one entry
-#: per name.  The home kernel has no entry of its own: it is compiled
-#: exactly when the ``mesh`` entry says ``accel``.
+#: per name.  The home and directory kernels have no entry of their own:
+#: they are compiled exactly when the ``mesh`` entry says ``accel``.
 _KERNEL_CLASSES = {"mesh": "MeshKernel", "sched": "SchedKernel"}
 #: Every class the module must export, or it is refused.
-_EXPORTS = (*_KERNEL_CLASSES.values(), "HomeKernel")
+_EXPORTS = (*_KERNEL_CLASSES.values(), "HomeKernel", "DirectoryKernel")
 
 #: One-shot load state: ``None`` = not attempted yet, ``(module, info)``
 #: afterwards (``module`` is None when the build, load or check failed).
@@ -80,10 +87,21 @@ def _constants() -> dict[str, int]:
     from repro.common.types import Op
     from repro.network import mesh
     from repro.network.messages import MsgType
+    from repro.protocol import base
     from repro.rnuca import placement
     from repro.rnuca.page_table import PageKind
 
+    directory_msgs = (
+        "READ_REQ", "WRITE_REQ", "UPGRADE_REQ", "LINE_REPLY", "WORD_REPLY",
+        "WORD_WRITE_ACK", "INV_REQ", "INV_ACK", "WB_REQ", "WB_DATA",
+        "EVICT_NOTIFY", "EVICT_DIRTY",
+    )
     return {
+        **{f"MSG_{name}": int(MsgType[name]) for name in directory_msgs},
+        "WORD_BITS": addr.WORD_BITS,
+        "EVER_CACHED": base._EVER_CACHED,
+        "LAST_REMOVAL_INVAL": base._LAST_REMOVAL_INVAL,
+        "EVER_REMOTE": base._EVER_REMOTE,
         "EPOCH_CYCLES": mesh.EPOCH_CYCLES,
         "EPOCH_SHIFT": mesh.EPOCH_SHIFT,
         "WINDOW_EPOCHS": mesh.WINDOW_EPOCHS,
@@ -168,6 +186,15 @@ def home_kernel_class() -> Any | None:
     mesh kernel is the compiled one: the home kernel reserves through it."""
     module = _module()
     return None if module is None else module.HomeKernel
+
+
+def directory_kernel_class() -> Any | None:
+    """The compiled ``DirectoryKernel`` class, or ``None`` to use its twin,
+    ``repro.protocol.directory.PyDirectoryKernel``.  An engine asks only
+    when its mesh kernel is the compiled one: the directory kernel takes
+    the compiled home kernel's steps."""
+    module = _module()
+    return None if module is None else module.DirectoryKernel
 
 
 def active_impl() -> str:

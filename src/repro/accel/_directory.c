@@ -1,0 +1,2997 @@
+/* Compiled directory kernel: every L1 miss of one directory-family engine.
+ *
+ * One DirectoryKernel serves one engine of the directory families
+ * (baseline, adaptive, victim, phase; DESIGN.md section 16).  Its
+ * pure-Python twin and reference, PyDirectoryKernel in
+ * repro/protocol/directory.py, has the same constructor and methods; an
+ * engine builds this one exactly when it builds the compiled HomeKernel,
+ * whose steps (data_home, deliver_request, chain_request_reply, reply,
+ * serve_word, settle) it takes by direct C calls (_accel.h), and whose
+ * mesh kernel reserves the rounds' messages (repro_mesh_traverse).
+ *
+ * A kernel services a whole miss: the requester classification (Limited_k
+ * or Complete, RAT levels or the Timestamp check, one-way), the
+ * ACKwise/full-map sharer updates, the invalidation and synchronous
+ * write-back rounds, the private line grant with its L1 fill, the L1
+ * eviction notice and the miss-type, history, histogram and energy
+ * bookkeeping.  It keeps no state and no mirror: it works on the engine's
+ * Python objects through their __slots__ offsets - the L1 stores and their
+ * CacheLine entries, the L2 slices and L2Line entries, DirectoryEntry,
+ * the {core: CoreLocality} dicts, the classifier and sharer-policy
+ * counters, the histograms, miss stats and energy counters, each re-read
+ * from the engine per update because reset_stats replaces them.  Every L1
+ * membership change goes through the store's _observer, as
+ * SetAssocCache.insert/pop do.  The classifier and the sharer policy stay
+ * the Python reference of their steps; this kernel reads their
+ * configuration once and takes the same steps.
+ *
+ * It calls back into Python only for the family hooks an engine class
+ * defines (repro.protocol.directory.FAMILY_HOOKS, read once), the
+ * verify-mode golden steps (_verified_l1_write, GoldenMemory.check_read,
+ * DirectoryEntry.check_invariants on a violation), the store observers,
+ * MeshNetwork.broadcast and, on a route-memo miss,
+ * MeshNetwork.resolve_path - the last two on the live network, so a
+ * wrapped method is the one called.
+ *
+ * Exactness (pinned by the directory-kernel contract property and the
+ * RunStats fixtures under both implementations):
+ *
+ *   - the invalidation round reserves its INVs, then its acks, in the
+ *     iteration order of the sharers set itself;
+ *   - Limited_k reuses the first inactive entry in dict order: the vote
+ *     is taken before the delete, then the newcomer is appended;
+ *   - t += sharers_lat with sharers_lat = done - t (not t = done), and
+ *     l1_to_l2 = latency - l2_waiting - l2_sharers - l2_offchip, left to
+ *     right; the Timestamp test is a strict >; -O2 without fast-math;
+ *   - state, mode and miss_type slots hold the enum members, compared by
+ *     identity where Python uses `is`;
+ *   - LRU victims are the first entry in dict order with the smallest
+ *     last_use, as min(bucket, key=...) returns.
+ */
+
+#include "_accel.h"
+
+#include <limits.h>
+#include <stdio.h>
+
+/* Mirrors of Python constants; cross-checked at load by repro.accel. */
+#define K_WORD_BITS 3
+#define K_MSG_READ_REQ 0
+#define K_MSG_WRITE_REQ 1
+#define K_MSG_UPGRADE_REQ 2
+#define K_MSG_LINE_REPLY 3
+#define K_MSG_WORD_REPLY 4
+#define K_MSG_WORD_WRITE_ACK 5
+#define K_MSG_INV_REQ 6
+#define K_MSG_INV_ACK 8
+#define K_MSG_WB_REQ 9
+#define K_MSG_WB_DATA 10
+#define K_MSG_EVICT_NOTIFY 11
+#define K_MSG_EVICT_DIRTY 12
+#define K_EVER_CACHED 1
+#define K_LAST_REMOVAL_INVAL 2
+#define K_EVER_REMOTE 4
+
+/* FAMILY_HOOKS positions. */
+enum { HOOK_CLASSIFY, HOOK_GRANT, HOOK_EVICT, HOOK_PURGE, NUM_HOOKS };
+/* MissType members, by name. */
+enum { MISS_COLD, MISS_CAPACITY, MISS_UPGRADE, MISS_SHARING, MISS_WORD,
+       NUM_MISS };
+/* Classifier storage organizations. */
+enum { CLS_NONE, CLS_LIMITED, CLS_COMPLETE };
+
+static PyObject *str_hook[NUM_HOOKS];
+static PyObject *str_check_read;
+static PyObject *str_verified_l1_write;
+static PyObject *str_check_invariants;
+static PyObject *str_broadcast;
+static PyObject *str_resolve_path;
+
+typedef struct {
+    PyObject_HEAD
+    /* The engine, weakly (it owns this kernel); `engine` is set from it at
+     * the entry of every method and is valid for that call. */
+    PyObject *engine_ref;
+    PyObject *engine;
+    /* Strong references (GC-tracked). */
+    PyObject *home;           /* the compiled HomeKernel */
+    PyObject *l1d;            /* list of L1Cache, by core */
+    PyObject *l2;             /* list of L2Slice, by tile */
+    PyObject *history;        /* list of {line: flags}, by core */
+    PyObject *home_of_line;   /* engine._home_of_line */
+    PyObject *network;        /* MeshNetwork (broadcast, resolve_path) */
+    PyObject *mesh;           /* its compiled MeshKernel */
+    PyObject *paths;          /* its route memo */
+    PyObject *classifier;     /* LocalityClassifier, or NULL */
+    PyObject *policy;         /* SharerTrackingPolicy */
+    PyObject *golden;         /* GoldenMemory, or NULL */
+    PyObject *hit_result;     /* engine._hit_result */
+    PyObject *zero;           /* 0.0 */
+    PyObject *l1_type, *store_type, *cline_type, *l2line_type, *slice_type;
+    PyObject *dirent_type, *loc_type, *result_type, *energy_type;
+    PyObject *stats_type, *hist_type;
+    PyObject *st_shared, *st_excl, *st_mod;
+    PyObject *mode_private, *mode_remote;
+    PyObject *miss[NUM_MISS];
+    PyObject *inv_broadcast;   /* MsgType.INV_BROADCAST */
+    PyObject *bucket_keys[5];  /* UTILIZATION_BUCKETS */
+    PyObject *coherence_error, *simulation_error;
+    /* Configuration (constant per engine). */
+    long long num_tiles;
+    long long words_per_line;
+    long long l1_mask, l2_mask;
+    Py_ssize_t l1_assoc;
+    long long *flits;
+    Py_ssize_t num_msgs;
+    Py_ssize_t miss_index[NUM_MISS];
+    int verify;
+    int hooks[NUM_HOOKS];
+    int cls_kind;
+    long long pct, limit_k, max_rat;
+    int one_way, use_timestamp, vote_init;
+    long long *rat_levels;
+    Py_ssize_t n_rat;
+    int ackwise;
+    long long pointers;
+    /* __slots__ offsets. */
+    Py_ssize_t off_energy, off_miss_stats, off_inval_hist, off_evict_hist;
+    Py_ssize_t off_l1_store, off_l1_hits, off_l1_misses;
+    Py_ssize_t off_st_sets, off_st_use, off_st_observer;
+    Py_ssize_t off_c_state, off_c_last_use, off_c_last_access, off_c_util;
+    Py_ssize_t off_c_data;
+    Py_ssize_t off_sl_store, off_sl_line_reads;
+    Py_ssize_t off_l2_directory, off_l2_locality, off_l2_last_access;
+    Py_ssize_t off_l2_dirty, off_l2_data;
+    Py_ssize_t off_d_sharers, off_d_owner, off_d_overflowed;
+    Py_ssize_t off_lc_core, off_lc_mode, off_lc_util, off_lc_rat;
+    Py_ssize_t off_lc_active;
+    Py_ssize_t off_r_latency, off_r_l1l2, off_r_wait, off_r_sharers;
+    Py_ssize_t off_r_offchip, off_r_hit, off_r_miss_type, off_r_remote;
+    Py_ssize_t off_e_l1d_reads, off_e_l1d_writes, off_e_l1d_tag;
+    Py_ssize_t off_e_l1d_fills, off_e_l1d_line_reads, off_e_l2_line_reads;
+    Py_ssize_t off_e_l2_line_writes, off_e_dir_lookups, off_e_dir_updates;
+    Py_ssize_t off_ms_hits, off_ms_counts, off_h_counts;
+    Py_ssize_t off_cl_promotions, off_cl_demotions, off_cl_remote;
+    Py_ssize_t off_cl_votes, off_cl_replacements, off_cl_failures;
+    Py_ssize_t off_p_bcast, off_p_unicast;
+} DirObject;
+
+/* ------------------------------------------------------------------ */
+/* Small helpers                                                       */
+/* ------------------------------------------------------------------ */
+
+/* `line` as Python's f"{line:#x}", into buf (returned). */
+static const char *
+hex_line(char *buf, size_t size, long long line)
+{
+    snprintf(buf, size, "0x%llx", (unsigned long long)line);
+    return buf;
+}
+
+/* A counter slot of the engine's current `off` object (energy, miss stats,
+ * a histogram), type-checked; borrowed. */
+static PyObject *
+engine_part(DirObject *k, Py_ssize_t off, PyObject *type, const char *what)
+{
+    PyObject *part = slot_get(k->engine, off);
+    if (part == NULL || check_type(part, type, what) < 0) {
+        return NULL;
+    }
+    return part;
+}
+
+static int
+energy_bump(DirObject *k, Py_ssize_t off)
+{
+    PyObject *energy = engine_part(k, k->off_energy, k->energy_type,
+                                   "EnergyCounters");
+    return energy == NULL ? -1 : slot_bump(energy, off);
+}
+
+static int
+slot_add(PyObject *obj, Py_ssize_t off, long long delta)
+{
+    long long x;
+    if (slot_long(obj, off, &x) < 0) {
+        return -1;
+    }
+    return slot_set_long(obj, off, x + delta);
+}
+
+/* Truthiness of a slot holding a bool (or anything). */
+static int
+slot_true(PyObject *obj, Py_ssize_t off)
+{
+    PyObject *v = slot_get(obj, off);
+    if (v == NULL) {
+        return -1;
+    }
+    if (v == Py_True) {
+        return 1;
+    }
+    if (v == Py_False) {
+        return 0;
+    }
+    return PyObject_IsTrue(v);
+}
+
+static void
+slot_set_bool(PyObject *obj, Py_ssize_t off, int value)
+{
+    slot_put(obj, off, Py_NewRef(value ? Py_True : Py_False));
+}
+
+/* A fresh instance of a slotted class, its slots unset (the caller sets
+ * every slot its __init__ would). */
+static PyObject *
+new_slotted(PyObject *type)
+{
+    PyTypeObject *t = (PyTypeObject *)type;
+    return t->tp_alloc(t, 0);
+}
+
+/* The set dict of `line` in a SetAssocCache (borrowed). */
+static PyObject *
+store_bucket(DirObject *k, PyObject *store, long long mask, long long line)
+{
+    if (check_type(store, k->store_type, "SetAssocCache") < 0) {
+        return NULL;
+    }
+    PyObject *sets = slot_get(store, k->off_st_sets);
+    if (sets == NULL) {
+        return NULL;
+    }
+    if (!PyList_CheckExact(sets)) {
+        PyErr_SetString(PyExc_TypeError, "directory kernel: _sets is not a list");
+        return NULL;
+    }
+    Py_ssize_t index = (Py_ssize_t)(line & mask);
+    if (index >= PyList_GET_SIZE(sets)) {
+        PyErr_SetString(PyExc_IndexError,
+                        "directory kernel: set index out of range");
+        return NULL;
+    }
+    PyObject *bucket = PyList_GET_ITEM(sets, index);
+    if (!PyDict_CheckExact(bucket)) {
+        PyErr_SetString(PyExc_TypeError, "directory kernel: set is not a dict");
+        return NULL;
+    }
+    return bucket;
+}
+
+static int
+check_core(DirObject *k, long long core)
+{
+    if (core < 0 || core >= k->num_tiles) {
+        PyErr_Format(PyExc_IndexError,
+                     "directory kernel: core %lld out of range", core);
+        return -1;
+    }
+    return 0;
+}
+
+/* The L1Cache of `core` and its store (both borrowed). */
+static PyObject *
+l1_of(DirObject *k, long long core, PyObject **store)
+{
+    if (check_core(k, core) < 0) {
+        return NULL;
+    }
+    PyObject *l1 = PyList_GET_ITEM(k->l1d, (Py_ssize_t)core);
+    if (check_type(l1, k->l1_type, "L1Cache") < 0) {
+        return NULL;
+    }
+    *store = slot_get(l1, k->off_l1_store);
+    return *store == NULL ? NULL : l1;
+}
+
+/* The L1 entry of (core, line), borrowed; NULL without an exception when
+ * absent. */
+static PyObject *
+l1_lookup(DirObject *k, long long core, long long line, PyObject *line_obj)
+{
+    PyObject *store;
+    if (l1_of(k, core, &store) == NULL) {
+        return NULL;
+    }
+    PyObject *bucket = store_bucket(k, store, k->l1_mask, line);
+    if (bucket == NULL) {
+        return NULL;
+    }
+    PyObject *entry = PyDict_GetItemWithError(bucket, line_obj);
+    if (entry != NULL && check_type(entry, k->cline_type, "CacheLine") < 0) {
+        return NULL;
+    }
+    return entry;
+}
+
+/* The L2 line `line` in slice `tile`, borrowed; NULL without an exception
+ * when absent. */
+static PyObject *
+l2_lookup(DirObject *k, long long tile, long long line, PyObject *line_obj)
+{
+    if (check_core(k, tile) < 0) {
+        return NULL;
+    }
+    PyObject *slice_ = PyList_GET_ITEM(k->l2, (Py_ssize_t)tile);
+    if (check_type(slice_, k->slice_type, "L2Slice") < 0) {
+        return NULL;
+    }
+    PyObject *store = slot_get(slice_, k->off_sl_store);
+    if (store == NULL) {
+        return NULL;
+    }
+    PyObject *bucket = store_bucket(k, store, k->l2_mask, line);
+    if (bucket == NULL) {
+        return NULL;
+    }
+    PyObject *l2line = PyDict_GetItemWithError(bucket, line_obj);
+    if (l2line != NULL && check_type(l2line, k->l2line_type, "L2Line") < 0) {
+        return NULL;
+    }
+    return l2line;
+}
+
+/* The DirectoryEntry of an L2 line (borrowed). */
+static PyObject *
+dirent_of(DirObject *k, PyObject *l2line)
+{
+    if (check_type(l2line, k->l2line_type, "L2Line") < 0) {
+        return NULL;
+    }
+    PyObject *dirent = slot_get(l2line, k->off_l2_directory);
+    if (dirent == NULL) {
+        return NULL;
+    }
+    if (dirent == Py_None) {
+        PyErr_SetString(PyExc_AttributeError,
+                        "'NoneType' object has no attribute 'sharers'");
+        return NULL;
+    }
+    if (check_type(dirent, k->dirent_type, "DirectoryEntry") < 0) {
+        return NULL;
+    }
+    return dirent;
+}
+
+/* The sharers set of a directory entry (borrowed). */
+static PyObject *
+sharers_of(DirObject *k, PyObject *dirent)
+{
+    PyObject *sharers = slot_get(dirent, k->off_d_sharers);
+    if (sharers != NULL && !PySet_CheckExact(sharers)) {
+        PyErr_SetString(PyExc_TypeError, "directory kernel: sharers is not a set");
+        return NULL;
+    }
+    return sharers;
+}
+
+/* Python's list(seq) into slot `off` of obj. */
+static int
+slot_copy_list(PyObject *obj, Py_ssize_t off, PyObject *seq)
+{
+    PyObject *copy = PySequence_List(seq);
+    if (copy == NULL) {
+        return -1;
+    }
+    slot_put(obj, off, copy);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* SetAssocCache steps, observer included                              */
+/* ------------------------------------------------------------------ */
+
+static int
+observe(DirObject *k, PyObject *store, long kind, PyObject *line_obj,
+        PyObject *entry)
+{
+    PyObject *obs = slot_get(store, k->off_st_observer);
+    if (obs == NULL) {
+        return -1;
+    }
+    if (obs == Py_None) {
+        return 0;
+    }
+    Py_INCREF(obs);
+    PyObject *kind_obj = PyLong_FromLong(kind);
+    PyObject *res = NULL;
+    if (kind_obj != NULL) {
+        PyObject *args[3] = {kind_obj, line_obj, entry};
+        res = PyObject_Vectorcall(obs, args, 3, NULL);
+        Py_DECREF(kind_obj);
+    }
+    Py_DECREF(obs);
+    if (res == NULL) {
+        return -1;
+    }
+    Py_DECREF(res);
+    return 0;
+}
+
+/* store._use_counter += 1; entry.last_use = store._use_counter. */
+static int
+store_touch(DirObject *k, PyObject *store, PyObject *entry)
+{
+    long long counter;
+    if (slot_long(store, k->off_st_use, &counter) < 0) {
+        return -1;
+    }
+    PyObject *value = PyLong_FromLongLong(counter + 1);
+    if (value == NULL) {
+        return -1;
+    }
+    slot_put(store, k->off_st_use, Py_NewRef(value));
+    slot_put(entry, k->off_c_last_use, value);
+    return 0;
+}
+
+/* L1 SetAssocCache.pop: the removed entry (new reference), or NULL - with
+ * no exception set when the line was absent. */
+static PyObject *
+l1_pop(DirObject *k, long long core, long long line, PyObject *line_obj)
+{
+    PyObject *store;
+    if (l1_of(k, core, &store) == NULL) {
+        return NULL;
+    }
+    PyObject *bucket = store_bucket(k, store, k->l1_mask, line);
+    if (bucket == NULL) {
+        return NULL;
+    }
+    PyObject *entry = PyDict_GetItemWithError(bucket, line_obj);
+    if (entry == NULL) {
+        return NULL;
+    }
+    if (check_type(entry, k->cline_type, "CacheLine") < 0) {
+        return NULL;
+    }
+    Py_INCREF(entry);
+    Py_INCREF(store);
+    if (PyDict_DelItem(bucket, line_obj) < 0
+        || observe(k, store, 1, line_obj, Py_None) < 0) {
+        Py_DECREF(store);
+        Py_DECREF(entry);
+        return NULL;
+    }
+    Py_DECREF(store);
+    return entry;
+}
+
+/* L1 SetAssocCache.insert of a new `entry`: evicts the LRU way of a full
+ * set into *ev_line / *ev_entry (new references, else NULL). */
+static int
+l1_insert(DirObject *k, PyObject *store, long long line, PyObject *line_obj,
+          PyObject *entry, PyObject **ev_line, PyObject **ev_entry)
+{
+    *ev_line = *ev_entry = NULL;
+    PyObject *bucket = store_bucket(k, store, k->l1_mask, line);
+    if (bucket == NULL) {
+        return -1;
+    }
+    int present = PyDict_Contains(bucket, line_obj);
+    if (present < 0) {
+        return -1;
+    }
+    if (!present && PyDict_GET_SIZE(bucket) >= k->l1_assoc) {
+        Py_ssize_t pos = 0;
+        PyObject *key, *value, *vkey = NULL, *vval = NULL;
+        long long best = LLONG_MAX;
+        while (PyDict_Next(bucket, &pos, &key, &value)) {
+            long long use;
+            if (check_type(value, k->cline_type, "CacheLine") < 0
+                || slot_long(value, k->off_c_last_use, &use) < 0) {
+                return -1;
+            }
+            if (vkey == NULL || use < best) {
+                best = use;
+                vkey = key;
+                vval = value;
+            }
+        }
+        *ev_line = Py_NewRef(vkey);
+        *ev_entry = Py_NewRef(vval);
+        if (PyDict_DelItem(bucket, vkey) < 0) {
+            goto fail;
+        }
+    }
+    if (store_touch(k, store, entry) < 0
+        || PyDict_SetItem(bucket, line_obj, entry) < 0) {
+        goto fail;
+    }
+    if ((*ev_line != NULL && observe(k, store, 1, *ev_line, Py_None) < 0)
+        || observe(k, store, 0, line_obj, entry) < 0) {
+        goto fail;
+    }
+    return 0;
+fail:
+    Py_CLEAR(*ev_line);
+    Py_CLEAR(*ev_entry);
+    return -1;
+}
+
+/* Minimum last_access over a full L1 set; *full = 0 (None in Python) when
+ * the set has an invalid way. */
+static int
+l1_min_last_access(DirObject *k, PyObject *store, long long line, int *full,
+                   double *out)
+{
+    PyObject *bucket = store_bucket(k, store, k->l1_mask, line);
+    if (bucket == NULL) {
+        return -1;
+    }
+    *full = PyDict_GET_SIZE(bucket) >= k->l1_assoc;
+    if (!*full) {
+        return 0;
+    }
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    int first = 1;
+    double best = 0.0;
+    while (PyDict_Next(bucket, &pos, &key, &value)) {
+        double v;
+        if (check_type(value, k->cline_type, "CacheLine") < 0
+            || slot_double(value, k->off_c_last_access, &v) < 0) {
+            return -1;
+        }
+        if (first || v < best) {
+            best = v;
+            first = 0;
+        }
+    }
+    *out = best;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Bookkeeping: histories, histograms                                  */
+/* ------------------------------------------------------------------ */
+
+/* history[core][line] = (history[core].get(line, 0) | set) & ~clear. */
+static int
+history_update(DirObject *k, long long core, PyObject *line_obj,
+               long long set, long long clear)
+{
+    PyObject *hist = PyList_GET_ITEM(k->history, (Py_ssize_t)core);
+    if (!PyDict_CheckExact(hist)) {
+        PyErr_SetString(PyExc_TypeError, "directory kernel: history is not a dict");
+        return -1;
+    }
+    PyObject *v = PyDict_GetItemWithError(hist, line_obj);
+    long long flags = 0;
+    if (v == NULL && PyErr_Occurred()) {
+        return -1;
+    }
+    if (v != NULL && arg_long(v, &flags) < 0) {
+        return -1;
+    }
+    PyObject *out = PyLong_FromLongLong((flags | set) & ~clear);
+    if (out == NULL) {
+        return -1;
+    }
+    int rc = PyDict_SetItem(hist, line_obj, out);
+    Py_DECREF(out);
+    return rc;
+}
+
+/* UtilizationHistogram.record on the engine's current histogram. */
+static int
+hist_record(DirObject *k, Py_ssize_t off, long long util)
+{
+    PyObject *hist = engine_part(k, off, k->hist_type, "UtilizationHistogram");
+    if (hist == NULL) {
+        return -1;
+    }
+    PyObject *counts = slot_get(hist, k->off_h_counts);
+    if (counts == NULL) {
+        return -1;
+    }
+    if (!PyDict_CheckExact(counts)) {
+        PyErr_SetString(PyExc_TypeError, "directory kernel: counts is not a dict");
+        return -1;
+    }
+    int b = util <= 1 ? 0 : util <= 3 ? 1 : util <= 5 ? 2 : util <= 7 ? 3 : 4;
+    PyObject *key = k->bucket_keys[b];
+    PyObject *v = PyDict_GetItemWithError(counts, key);
+    long long c;
+    if (v == NULL) {
+        if (!PyErr_Occurred()) {
+            PyErr_SetObject(PyExc_KeyError, key);
+        }
+        return -1;
+    }
+    if (arg_long(v, &c) < 0) {
+        return -1;
+    }
+    PyObject *out = PyLong_FromLongLong(c + 1);
+    if (out == NULL) {
+        return -1;
+    }
+    int rc = PyDict_SetItem(counts, key, out);
+    Py_DECREF(out);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* The sharer policy (SharerTrackingPolicy / AckwisePolicy steps)      */
+/* ------------------------------------------------------------------ */
+
+static int
+set_owner(DirObject *k, PyObject *dirent, PyObject *core_obj)
+{
+    PyObject *sharers = sharers_of(k, dirent);
+    if (sharers == NULL) {
+        return -1;
+    }
+    slot_put(dirent, k->off_d_owner, Py_NewRef(core_obj));
+    return PySet_Add(sharers, core_obj);
+}
+
+static int
+add_sharer(DirObject *k, PyObject *dirent, PyObject *core_obj)
+{
+    PyObject *sharers = sharers_of(k, dirent);
+    if (sharers == NULL || PySet_Add(sharers, core_obj) < 0) {
+        return -1;
+    }
+    if (k->ackwise) {
+        int over = slot_true(dirent, k->off_d_overflowed);
+        if (over < 0) {
+            return -1;
+        }
+        if (!over && PySet_GET_SIZE(sharers) > k->pointers) {
+            slot_set_bool(dirent, k->off_d_overflowed, 1);
+        }
+    }
+    return 0;
+}
+
+static int
+remove_sharer(DirObject *k, PyObject *dirent, PyObject *core_obj,
+              long long core)
+{
+    PyObject *sharers = sharers_of(k, dirent);
+    long long owner;
+    if (sharers == NULL || PySet_Discard(sharers, core_obj) < 0
+        || slot_long(dirent, k->off_d_owner, &owner) < 0) {
+        return -1;
+    }
+    if (owner == core && slot_set_long(dirent, k->off_d_owner, -1) < 0) {
+        return -1;
+    }
+    if (k->ackwise) {
+        int over = slot_true(dirent, k->off_d_overflowed);
+        if (over < 0) {
+            return -1;
+        }
+        if (over && PySet_GET_SIZE(sharers) == 0) {
+            slot_set_bool(dirent, k->off_d_overflowed, 0);
+        }
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* The locality classifier (LocalityClassifier and its two storages)   */
+/* ------------------------------------------------------------------ */
+
+static int
+classifier_bump(DirObject *k, Py_ssize_t off)
+{
+    return slot_bump(k->classifier, off);
+}
+
+static PyObject *
+new_locality(DirObject *k, PyObject *core_obj, PyObject *mode)
+{
+    PyObject *entry = new_slotted(k->loc_type);
+    PyObject *zero_a = PyLong_FromLong(0), *zero_b = PyLong_FromLong(0);
+    if (entry == NULL || zero_a == NULL || zero_b == NULL) {
+        Py_XDECREF(entry);
+        Py_XDECREF(zero_a);
+        Py_XDECREF(zero_b);
+        return NULL;
+    }
+    slot_put(entry, k->off_lc_core, Py_NewRef(core_obj));
+    slot_put(entry, k->off_lc_mode, Py_NewRef(mode));
+    slot_put(entry, k->off_lc_util, zero_a);
+    slot_put(entry, k->off_lc_rat, zero_b);
+    slot_set_bool(entry, k->off_lc_active, 1);
+    return entry;
+}
+
+static PyObject *
+checked_locality(DirObject *k, PyObject *entry)
+{
+    return check_type(entry, k->loc_type, "CoreLocality") < 0 ? NULL : entry;
+}
+
+/* majority_vote over a {core: CoreLocality} dict: REMOTE only on a strict
+ * majority (ties and empty dicts favour PRIVATE); borrowed member. */
+static PyObject *
+majority(DirObject *k, PyObject *entries)
+{
+    Py_ssize_t pos = 0, tracked = 0, remote = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(entries, &pos, &key, &value)) {
+        PyObject *mode;
+        if (checked_locality(k, value) == NULL
+            || (mode = slot_get(value, k->off_lc_mode)) == NULL) {
+            return NULL;
+        }
+        tracked++;
+        if (mode == k->mode_remote) {
+            remote++;
+        }
+    }
+    return 2 * remote > tracked ? k->mode_remote : k->mode_private;
+}
+
+/* The {core: CoreLocality} dict of a line, created if absent (borrowed). */
+static PyObject *
+locality_dict(DirObject *k, PyObject *l2line)
+{
+    PyObject *entries = slot_get(l2line, k->off_l2_locality);
+    if (entries == NULL) {
+        return NULL;
+    }
+    if (entries == Py_None) {
+        entries = PyDict_New();
+        if (entries == NULL) {
+            return NULL;
+        }
+        slot_put(l2line, k->off_l2_locality, entries);
+    }
+    if (!PyDict_CheckExact(entries)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "directory kernel: locality is not a dict");
+        return NULL;
+    }
+    return entries;
+}
+
+/* locality_entry(l2line, core, allocate=True): *out is the tracked entry
+ * (borrowed from the line's dict), or NULL when the core cannot be
+ * tracked (Limited_k, no free or inactive slot). */
+static int
+locality_entry(DirObject *k, PyObject *l2line, PyObject *core_obj,
+               PyObject **out)
+{
+    *out = NULL;
+    PyObject *entries = locality_dict(k, l2line);
+    if (entries == NULL) {
+        return -1;
+    }
+    PyObject *entry = PyDict_GetItemWithError(entries, core_obj);
+    if (entry != NULL) {
+        *out = checked_locality(k, entry);
+        return *out == NULL ? -1 : 0;
+    }
+    if (PyErr_Occurred()) {
+        return -1;
+    }
+    PyObject *mode = k->mode_private;
+    if (k->cls_kind == CLS_LIMITED) {
+        if (PyDict_GET_SIZE(entries) >= k->limit_k) {
+            /* The first inactive entry, in dict order. */
+            Py_ssize_t pos = 0;
+            PyObject *key, *value, *replacement = NULL;
+            while (PyDict_Next(entries, &pos, &key, &value)) {
+                if (checked_locality(k, value) == NULL) {
+                    return -1;
+                }
+                int active = slot_true(value, k->off_lc_active);
+                if (active < 0) {
+                    return -1;
+                }
+                if (!active) {
+                    replacement = value;
+                    break;
+                }
+            }
+            if (replacement == NULL) {
+                return classifier_bump(k, k->off_cl_failures);
+            }
+            /* The newcomer starts in the majority mode of the entries
+             * tracked before the replacement. */
+            if ((mode = majority(k, entries)) == NULL) {
+                return -1;
+            }
+            PyObject *old = slot_get(replacement, k->off_lc_core);
+            if (old == NULL) {
+                return -1;
+            }
+            Py_INCREF(old);
+            int rc = PyDict_DelItem(entries, old);
+            Py_DECREF(old);
+            if (rc < 0 || classifier_bump(k, k->off_cl_replacements) < 0) {
+                return -1;
+            }
+        }
+    }
+    else if (k->vote_init && PyDict_GET_SIZE(entries) > 0) {
+        if ((mode = majority(k, entries)) == NULL
+            || classifier_bump(k, k->off_cl_votes) < 0) {
+            return -1;
+        }
+    }
+    entry = new_locality(k, core_obj, mode);
+    if (entry == NULL) {
+        return -1;
+    }
+    int rc = PyDict_SetItem(entries, core_obj, entry);
+    Py_DECREF(entry);  /* the dict holds it */
+    if (rc < 0) {
+        return -1;
+    }
+    *out = entry;
+    return 0;
+}
+
+/* on_remote_access: *promoted when the core becomes a private sharer. */
+static int
+on_remote_access(DirObject *k, PyObject *l2line, PyObject *centry, int full,
+                 double l1_min, int *promoted)
+{
+    *promoted = 0;
+    if (classifier_bump(k, k->off_cl_remote) < 0) {
+        return -1;
+    }
+    if (centry == NULL || k->one_way) {
+        return 0;
+    }
+    slot_set_bool(centry, k->off_lc_active, 1);
+    long long util, threshold;
+    if (slot_long(centry, k->off_lc_util, &util) < 0) {
+        return -1;
+    }
+    if (k->use_timestamp) {
+        int passed = !full;
+        if (full) {
+            double last;
+            if (slot_double(l2line, k->off_l2_last_access, &last) < 0) {
+                return -1;
+            }
+            passed = last > l1_min;
+        }
+        util = passed ? util + 1 : 1;
+        threshold = k->pct;
+    }
+    else {
+        long long level;
+        if (slot_long(centry, k->off_lc_rat, &level) < 0) {
+            return -1;
+        }
+        if (level < 0 || level >= k->n_rat) {
+            PyErr_SetString(PyExc_IndexError, "tuple index out of range");
+            return -1;
+        }
+        util += 1;
+        threshold = k->rat_levels[level];
+    }
+    if (slot_set_long(centry, k->off_lc_util, util) < 0) {
+        return -1;
+    }
+    *promoted = util >= threshold || (!full && util >= k->pct);
+    if (*promoted) {
+        slot_put(centry, k->off_lc_mode, Py_NewRef(k->mode_private));
+        return classifier_bump(k, k->off_cl_promotions);
+    }
+    return 0;
+}
+
+/* on_write: every other remote sharer loses its remote utilization and
+ * becomes inactive. */
+static int
+on_write(DirObject *k, PyObject *l2line, long long writer)
+{
+    PyObject *entries = slot_get(l2line, k->off_l2_locality);
+    if (entries == NULL) {
+        return -1;
+    }
+    if (entries == Py_None) {
+        return 0;
+    }
+    if (!PyDict_CheckExact(entries)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "directory kernel: locality is not a dict");
+        return -1;
+    }
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(entries, &pos, &key, &value)) {
+        long long core;
+        PyObject *mode;
+        if (checked_locality(k, value) == NULL
+            || slot_long(value, k->off_lc_core, &core) < 0
+            || (mode = slot_get(value, k->off_lc_mode)) == NULL) {
+            return -1;
+        }
+        if (core != writer && mode == k->mode_remote) {
+            if (slot_set_long(value, k->off_lc_util, 0) < 0) {
+                return -1;
+            }
+            slot_set_bool(value, k->off_lc_active, 0);
+        }
+    }
+    return 0;
+}
+
+/* on_removal: classify `core` as its L1 copy leaves (eviction or not). */
+static int
+on_removal(DirObject *k, PyObject *l2line, PyObject *core_obj,
+           long long private_util, int eviction)
+{
+    PyObject *entry;
+    if (locality_entry(k, l2line, core_obj, &entry) < 0) {
+        return -1;
+    }
+    if (entry == NULL) {
+        return 0;  /* Limited_k with no slot: the classification is lost */
+    }
+    long long util = 0, level;
+    if (!k->one_way && slot_long(entry, k->off_lc_util, &util) < 0) {
+        return -1;
+    }
+    PyObject *mode = slot_get(entry, k->off_lc_mode);
+    if (mode == NULL) {
+        return -1;
+    }
+    PyObject *new_mode = private_util + util >= k->pct ? k->mode_private
+                                                       : k->mode_remote;
+    if (k->one_way && mode == k->mode_remote) {
+        new_mode = k->mode_remote;
+    }
+    if (!k->use_timestamp && !k->one_way) {
+        if (new_mode == k->mode_private) {
+            if (slot_set_long(entry, k->off_lc_rat, 0) < 0) {
+                return -1;
+            }
+        }
+        else if (eviction) {
+            if (slot_long(entry, k->off_lc_rat, &level) < 0
+                || (level < k->max_rat
+                    && slot_set_long(entry, k->off_lc_rat, level + 1) < 0)) {
+                return -1;
+            }
+        }
+    }
+    if (new_mode == k->mode_remote && mode == k->mode_private
+        && classifier_bump(k, k->off_cl_demotions) < 0) {
+        return -1;
+    }
+    slot_put(entry, k->off_lc_mode, Py_NewRef(new_mode));
+    if (slot_set_long(entry, k->off_lc_util, 0) < 0) {
+        return -1;
+    }
+    slot_set_bool(entry, k->off_lc_active, 0);
+    return 0;
+}
+
+static int
+note_private_grant(DirObject *k, PyObject *l2line, PyObject *core_obj)
+{
+    PyObject *entry;
+    if (locality_entry(k, l2line, core_obj, &entry) < 0) {
+        return -1;
+    }
+    if (entry == NULL) {
+        return 0;
+    }
+    PyObject *mode = slot_get(entry, k->off_lc_mode);
+    if (mode == NULL) {
+        return -1;
+    }
+    if (k->one_way && mode == k->mode_remote) {
+        return 0;
+    }
+    slot_put(entry, k->off_lc_mode, Py_NewRef(k->mode_private));
+    slot_set_bool(entry, k->off_lc_active, 1);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Traffic                                                             */
+/* ------------------------------------------------------------------ */
+
+/* The route handle src -> dst, registering it through the live network's
+ * resolve_path on a memo miss; -1 with an exception set. */
+static Py_ssize_t
+route(DirObject *k, long long src, long long dst)
+{
+    if (check_core(k, src) < 0 || check_core(k, dst) < 0) {
+        return -1;
+    }
+    PyObject *handle = PyList_GET_ITEM(k->paths,
+                                       (Py_ssize_t)(src * k->num_tiles + dst));
+    if (handle != Py_None) {
+        return PyLong_AsSsize_t(handle);
+    }
+    PyObject *s = PyLong_FromLongLong(src), *d = PyLong_FromLongLong(dst);
+    PyObject *res = NULL;
+    if (s != NULL && d != NULL) {
+        res = PyObject_CallMethodObjArgs(k->network, str_resolve_path, s, d,
+                                         NULL);
+    }
+    Py_XDECREF(s);
+    Py_XDECREF(d);
+    if (res == NULL) {
+        return -1;
+    }
+    Py_ssize_t h = PyLong_AsSsize_t(res);
+    Py_DECREF(res);
+    return h;
+}
+
+static int
+flits_of(DirObject *k, long long msg, long long *out)
+{
+    if (msg < 0 || msg >= k->num_msgs) {
+        PyErr_SetString(PyExc_IndexError, "directory kernel: bad message type");
+        return -1;
+    }
+    *out = k->flits[msg];
+    return 0;
+}
+
+static int
+traverse(DirObject *k, Py_ssize_t handle, double t, long long msg,
+         double *out)
+{
+    long long flits;
+    if ((handle == -1 && PyErr_Occurred()) || flits_of(k, msg, &flits) < 0) {
+        return -1;
+    }
+    return repro_mesh_traverse(k->mesh, handle, t, flits, out);
+}
+
+/* MeshNetwork.unicast without the wrapper. */
+static int
+unicast(DirObject *k, long long src, long long dst, long long msg, double t,
+        double *out)
+{
+    Py_ssize_t h = route(k, src, dst);
+    return traverse(k, h, t, msg, out);
+}
+
+/* ------------------------------------------------------------------ */
+/* Family hooks and the steps they reach back to                        */
+/* ------------------------------------------------------------------ */
+
+static PyObject *
+call_hook(DirObject *k, int hook, PyObject *const *args, size_t nargs)
+{
+    PyObject *full[9];
+    full[0] = k->engine;
+    for (size_t i = 0; i < nargs; i++) {
+        full[i + 1] = args[i];
+    }
+    return PyObject_VectorcallMethod(str_hook[hook], full,
+                                     (nargs + 1)
+                                         | PY_VECTORCALL_ARGUMENTS_OFFSET,
+                                     NULL);
+}
+
+/* purge_target_copy: kill core's copy of line; the ack message type. */
+static int
+base_purge_target_copy(DirObject *k, long long core, PyObject *core_obj,
+                       long long line, PyObject *line_obj, PyObject *l2line,
+                       int merge, long long *ack)
+{
+    PyObject *removed = l1_pop(k, core, line, line_obj);
+    if (removed == NULL) {
+        if (!PyErr_Occurred()) {
+            char hex[32];
+            PyErr_Format(k->coherence_error,
+                         "directory lists core %lld for line %s but L1 empty",
+                         core, hex_line(hex, sizeof hex, line));
+        }
+        return -1;
+    }
+    long long putil;
+    PyObject *state;
+    int rc = -1;
+    if (slot_long(removed, k->off_c_util, &putil) < 0
+        || hist_record(k, k->off_inval_hist, putil) < 0
+        || history_update(k, core, line_obj, K_LAST_REMOVAL_INVAL, 0) < 0
+        || (merge && k->classifier != NULL
+            && on_removal(k, l2line, core_obj, putil, 0) < 0)
+        || (state = slot_get(removed, k->off_c_state)) == NULL) {
+        goto done;
+    }
+    if (state != k->st_mod) {
+        *ack = K_MSG_INV_ACK;
+        rc = 0;
+        goto done;
+    }
+    if (energy_bump(k, k->off_e_l1d_line_reads) < 0) {
+        goto done;
+    }
+    slot_set_bool(l2line, k->off_l2_dirty, 1);
+    if (merge && energy_bump(k, k->off_e_l2_line_writes) < 0) {
+        goto done;
+    }
+    if (k->verify) {
+        PyObject *data = slot_get(removed, k->off_c_data);
+        if (data == NULL || slot_copy_list(l2line, k->off_l2_data, data) < 0) {
+            goto done;
+        }
+    }
+    *ack = K_MSG_WB_DATA;
+    rc = 0;
+done:
+    Py_DECREF(removed);
+    return rc;
+}
+
+/* handle_l1_eviction: the eviction notice of (core, vline) at time t. */
+static int
+base_handle_l1_eviction(DirObject *k, long long core, PyObject *core_obj,
+                        PyObject *vline_obj, PyObject *ventry, double t)
+{
+    long long vline, vhome, util;
+    if (arg_long(vline_obj, &vline) < 0
+        || check_type(ventry, k->cline_type, "CacheLine") < 0) {
+        return -1;
+    }
+    PyObject *vhome_obj = PyDict_GetItemWithError(k->home_of_line, vline_obj);
+    if (vhome_obj == NULL) {
+        if (!PyErr_Occurred()) {
+            char hex[32];
+            PyErr_Format(k->simulation_error,
+                         "evicting line %s with unknown home",
+                         hex_line(hex, sizeof hex, vline));
+        }
+        return -1;
+    }
+    PyObject *state;
+    if (arg_long(vhome_obj, &vhome) < 0
+        || slot_long(ventry, k->off_c_util, &util) < 0
+        || hist_record(k, k->off_evict_hist, util) < 0
+        || history_update(k, core, vline_obj, K_EVER_CACHED,
+                          K_LAST_REMOVAL_INVAL) < 0
+        || (state = slot_get(ventry, k->off_c_state)) == NULL) {
+        return -1;
+    }
+    int dirty = state == k->st_mod;
+    double arrival;
+    if (unicast(k, core, vhome,
+                dirty ? K_MSG_EVICT_DIRTY : K_MSG_EVICT_NOTIFY, t,
+                &arrival) < 0) {
+        return -1;
+    }
+    PyObject *vl2 = l2_lookup(k, vhome, vline, vline_obj);
+    if (vl2 == NULL) {
+        if (!PyErr_Occurred()) {
+            char hex[32];
+            PyErr_Format(k->coherence_error,
+                         "inclusion violation: L1 evicts %s absent from L2",
+                         hex_line(hex, sizeof hex, vline));
+        }
+        return -1;
+    }
+    Py_INCREF(vl2);
+    int rc = -1;
+    PyObject *dirent;
+    if (dirty) {
+        if (energy_bump(k, k->off_e_l1d_line_reads) < 0
+            || energy_bump(k, k->off_e_l2_line_writes) < 0) {
+            goto done;
+        }
+        slot_set_bool(vl2, k->off_l2_dirty, 1);
+        if (k->verify) {
+            PyObject *data = slot_get(ventry, k->off_c_data);
+            if (data == NULL || slot_copy_list(vl2, k->off_l2_data, data) < 0) {
+                goto done;
+            }
+        }
+    }
+    if ((k->classifier != NULL && on_removal(k, vl2, core_obj, util, 1) < 0)
+        || (dirent = dirent_of(k, vl2)) == NULL
+        || remove_sharer(k, dirent, core_obj, core) < 0
+        || energy_bump(k, k->off_e_dir_updates) < 0) {
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(vl2);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* The steps a family may take over: its hook, else the base step       */
+/* ------------------------------------------------------------------ */
+
+static int
+purge_target_copy(DirObject *k, long long core, PyObject *core_obj,
+                  long long line, PyObject *line_obj, PyObject *l2line,
+                  int merge, long long *ack)
+{
+    if (!k->hooks[HOOK_PURGE]) {
+        return base_purge_target_copy(k, core, core_obj, line, line_obj,
+                                      l2line, merge, ack);
+    }
+    PyObject *args[4] = {core_obj, line_obj, l2line,
+                         merge ? Py_True : Py_False};
+    PyObject *res = call_hook(k, HOOK_PURGE, args, 4);
+    if (res == NULL) {
+        return -1;
+    }
+    int rc = arg_long(res, ack);
+    Py_DECREF(res);
+    return rc;
+}
+
+static int
+handle_l1_eviction(DirObject *k, long long core, PyObject *core_obj,
+                   PyObject *vline_obj, PyObject *ventry, double t)
+{
+    if (!k->hooks[HOOK_EVICT]) {
+        return base_handle_l1_eviction(k, core, core_obj, vline_obj, ventry,
+                                       t);
+    }
+    PyObject *t_obj = PyFloat_FromDouble(t);
+    if (t_obj == NULL) {
+        return -1;
+    }
+    PyObject *args[4] = {core_obj, vline_obj, ventry, t_obj};
+    PyObject *res = call_hook(k, HOOK_EVICT, args, 4);
+    Py_DECREF(t_obj);
+    if (res == NULL) {
+        return -1;
+    }
+    Py_DECREF(res);
+    return 0;
+}
+
+/* remove_own_copy: fold back the requester's own S copy. */
+static int
+remove_own_copy(DirObject *k, long long core, PyObject *core_obj,
+                long long line, PyObject *line_obj, PyObject *l2line)
+{
+    PyObject *removed = l1_pop(k, core, line, line_obj);
+    if (removed == NULL) {
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    long long util;
+    PyObject *dirent;
+    int rc = -1;
+    if (slot_long(removed, k->off_c_util, &util) < 0
+        || hist_record(k, k->off_inval_hist, util) < 0
+        || history_update(k, core, line_obj, K_LAST_REMOVAL_INVAL, 0) < 0
+        || (k->classifier != NULL
+            && on_removal(k, l2line, core_obj, util, 0) < 0)
+        || (dirent = dirent_of(k, l2line)) == NULL
+        || remove_sharer(k, dirent, core_obj, core) < 0) {
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(removed);
+    return rc;
+}
+
+/* classify_requester: *remote for word service, *upgrade folded. */
+static int
+base_classify_requester(DirObject *k, PyObject *l1, PyObject *l2line,
+                        long long core, PyObject *core_obj, long long line,
+                        PyObject *line_obj, int *remote, int *upgrade)
+{
+    *remote = 0;
+    if (k->classifier == NULL) {
+        return 0;
+    }
+    if (check_type(l1, k->l1_type, "L1Cache") < 0
+        || check_type(l2line, k->l2line_type, "L2Line") < 0) {
+        return -1;
+    }
+    PyObject *centry, *mode;
+    if (locality_entry(k, l2line, core_obj, &centry) < 0) {
+        return -1;
+    }
+    if (centry != NULL) {
+        mode = slot_get(centry, k->off_lc_mode);
+        if (mode == NULL) {
+            return -1;
+        }
+    }
+    else {
+        /* Untracked and untrackable: the majority vote decides. */
+        PyObject *entries = locality_dict(k, l2line);
+        if (entries == NULL || classifier_bump(k, k->off_cl_votes) < 0
+            || (mode = majority(k, entries)) == NULL) {
+            return -1;
+        }
+    }
+    if (mode != k->mode_remote) {
+        return 0;
+    }
+    Py_XINCREF(centry);
+    int rc = -1;
+    if (*upgrade) {
+        if (remove_own_copy(k, core, core_obj, line, line_obj, l2line) < 0) {
+            goto done;
+        }
+        *upgrade = 0;
+    }
+    PyObject *store = slot_get(l1, k->off_l1_store);
+    int full, promoted;
+    double l1_min = 0.0;
+    if (store == NULL || l1_min_last_access(k, store, line, &full, &l1_min) < 0
+        || on_remote_access(k, l2line, centry, full, l1_min, &promoted) < 0) {
+        goto done;
+    }
+    *remote = !promoted;
+    rc = 0;
+done:
+    Py_XDECREF(centry);
+    return rc;
+}
+
+/* Verify mode: golden.check_read(line, word, entry.data[word], label). */
+static int
+golden_check(DirObject *k, PyObject *entry, PyObject *line_obj,
+             long long word, const char *what, long long core)
+{
+    PyObject *data = slot_get(entry, k->off_c_data);
+    if (data == NULL) {
+        return -1;
+    }
+    PyObject *value = PySequence_GetItem(data, (Py_ssize_t)word);
+    PyObject *word_obj = PyLong_FromLongLong(word);
+    PyObject *label = PyUnicode_FromFormat("%s core %lld", what, core);
+    PyObject *res = NULL;
+    if (value != NULL && word_obj != NULL && label != NULL) {
+        res = PyObject_CallMethodObjArgs(k->golden, str_check_read, line_obj,
+                                         word_obj, value, label, NULL);
+    }
+    Py_XDECREF(value);
+    Py_XDECREF(word_obj);
+    Py_XDECREF(label);
+    if (res == NULL) {
+        return -1;
+    }
+    Py_DECREF(res);
+    return 0;
+}
+
+/* Verify mode: engine._verified_l1_write(core, entry, line, word). */
+static int
+verified_write(DirObject *k, PyObject *core_obj, PyObject *entry,
+               PyObject *line_obj, long long word)
+{
+    PyObject *word_obj = PyLong_FromLongLong(word);
+    if (word_obj == NULL) {
+        return -1;
+    }
+    PyObject *args[5] = {k->engine, core_obj, entry, line_obj, word_obj};
+    PyObject *res = PyObject_VectorcallMethod(
+        str_verified_l1_write, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    Py_DECREF(word_obj);
+    if (res == NULL) {
+        return -1;
+    }
+    Py_DECREF(res);
+    return 0;
+}
+
+/* grant_private: the directory and L1 side of a private grant. */
+static int
+base_grant_private(DirObject *k, long long core, PyObject *core_obj,
+                   int is_write, long long line, PyObject *line_obj,
+                   long long word, PyObject *l2line, PyObject *slice_,
+                   int upgrade, double reply_t)
+{
+    PyObject *dirent = dirent_of(k, l2line);
+    if (dirent == NULL
+        || check_type(slice_, k->slice_type, "L2Slice") < 0) {
+        return -1;
+    }
+    Py_INCREF(dirent);
+    PyObject *entry = NULL, *ev_line = NULL, *ev_entry = NULL;
+    PyObject *store;
+    int rc = -1;
+    long long owner;
+    if (k->classifier != NULL && note_private_grant(k, l2line, core_obj) < 0) {
+        goto done;
+    }
+    if (is_write) {
+        if (set_owner(k, dirent, core_obj) < 0) {
+            goto done;
+        }
+    }
+    else {
+        PyObject *sharers;
+        if (add_sharer(k, dirent, core_obj) < 0
+            || (sharers = sharers_of(k, dirent)) == NULL
+            || (PySet_GET_SIZE(sharers) == 1
+                && set_owner(k, dirent, core_obj) < 0)) {
+            goto done;
+        }
+    }
+    if (!upgrade
+        && (slot_bump(slice_, k->off_sl_line_reads) < 0
+            || energy_bump(k, k->off_e_l2_line_reads) < 0)) {
+        goto done;
+    }
+    PyObject *l1 = l1_of(k, core, &store);
+    if (l1 == NULL) {
+        goto done;
+    }
+    Py_INCREF(store);
+    if (upgrade) {
+        entry = l1_lookup(k, core, line, line_obj);
+        if (entry == NULL) {
+            if (!PyErr_Occurred()) {
+                char hex[32];
+                PyErr_Format(k->simulation_error,
+                             "upgrade for core %lld but no L1 copy of %s",
+                             core, hex_line(hex, sizeof hex, line));
+            }
+            goto done_store;
+        }
+        Py_INCREF(entry);
+        long long util;
+        slot_put(entry, k->off_c_state, Py_NewRef(k->st_mod));
+        if (store_touch(k, store, entry) < 0
+            || slot_long(entry, k->off_c_util, &util) < 0
+            || slot_set_long(entry, k->off_c_util, util + 1) < 0
+            || slot_set_double(entry, k->off_c_last_access, reply_t) < 0
+            || energy_bump(k, k->off_e_l1d_writes) < 0
+            || (k->verify
+                && verified_write(k, core_obj, entry, line_obj, word) < 0)) {
+            goto done_store;
+        }
+        rc = 0;
+        goto done_store;
+    }
+    PyObject *state;
+    if (is_write) {
+        state = k->st_mod;
+    }
+    else {
+        if (slot_long(dirent, k->off_d_owner, &owner) < 0) {
+            goto done_store;
+        }
+        state = owner == core ? k->st_excl : k->st_shared;
+    }
+    /* L1Cache.fill: a new CacheLine, used once, stamped reply_t. */
+    entry = new_slotted(k->cline_type);
+    if (entry == NULL) {
+        goto done_store;
+    }
+    slot_put(entry, k->off_c_state, Py_NewRef(state));
+    slot_put(entry, k->off_c_last_use, PyLong_FromLong(0));
+    slot_put(entry, k->off_c_util, PyLong_FromLong(1));
+    slot_put(entry, k->off_c_data, Py_NewRef(Py_None));
+    if (slot_set_double(entry, k->off_c_last_access, reply_t) < 0) {
+        goto done_store;
+    }
+    if (k->verify) {
+        PyObject *data = slot_get(l2line, k->off_l2_data);
+        if (data == NULL || slot_copy_list(entry, k->off_c_data, data) < 0) {
+            goto done_store;
+        }
+    }
+    if (l1_insert(k, store, line, line_obj, entry, &ev_line, &ev_entry) < 0
+        || energy_bump(k, k->off_e_l1d_fills) < 0) {
+        goto done_store;
+    }
+    if (ev_line != NULL
+        && handle_l1_eviction(k, core, core_obj, ev_line, ev_entry,
+                              reply_t) < 0) {
+        goto done_store;
+    }
+    if (is_write) {
+        if (energy_bump(k, k->off_e_l1d_writes) < 0) {
+            goto done_store;
+        }
+    }
+    else if (energy_bump(k, k->off_e_l1d_reads) < 0) {
+        goto done_store;
+    }
+    if (k->verify) {
+        /* The entry as l1.lookup(line) finds it after the eviction. */
+        PyObject *now_entry = l1_lookup(k, core, line, line_obj);
+        if (now_entry == NULL) {
+            if (!PyErr_Occurred()) {
+                PyErr_SetString(PyExc_AttributeError,
+                                "'NoneType' object has no attribute 'data'");
+            }
+            goto done_store;
+        }
+        if (is_write ? verified_write(k, core_obj, now_entry, line_obj, word)
+                     : golden_check(k, now_entry, line_obj, word, "fill read",
+                                    core)) {
+            goto done_store;
+        }
+    }
+    rc = 0;
+done_store:
+    Py_DECREF(store);
+done:
+    Py_XDECREF(entry);
+    Py_XDECREF(ev_line);
+    Py_XDECREF(ev_entry);
+    Py_DECREF(dirent);
+    return rc;
+}
+
+static int
+classify_requester(DirObject *k, PyObject *l1, PyObject *l2line,
+                   long long core, PyObject *core_obj, long long line,
+                   PyObject *line_obj, int is_write, int *remote,
+                   int *upgrade)
+{
+    if (!k->hooks[HOOK_CLASSIFY]) {
+        return base_classify_requester(k, l1, l2line, core, core_obj, line,
+                                       line_obj, remote, upgrade);
+    }
+    PyObject *args[6] = {l1, l2line, core_obj, line_obj,
+                         is_write ? Py_True : Py_False,
+                         *upgrade ? Py_True : Py_False};
+    PyObject *res = call_hook(k, HOOK_CLASSIFY, args, 6);
+    if (res == NULL) {
+        return -1;
+    }
+    if (!PyTuple_Check(res) || PyTuple_GET_SIZE(res) != 2) {
+        Py_DECREF(res);
+        PyErr_SetString(PyExc_TypeError,
+                        "_classify_requester must return a pair");
+        return -1;
+    }
+    *remote = PyObject_IsTrue(PyTuple_GET_ITEM(res, 0));
+    *upgrade = PyObject_IsTrue(PyTuple_GET_ITEM(res, 1));
+    Py_DECREF(res);
+    return *remote < 0 || *upgrade < 0 ? -1 : 0;
+}
+
+static int
+grant_private(DirObject *k, long long core, PyObject *core_obj, int is_write,
+              long long line, PyObject *line_obj, long long word,
+              PyObject *l2line, PyObject *slice_, int upgrade, double reply_t)
+{
+    if (!k->hooks[HOOK_GRANT]) {
+        return base_grant_private(k, core, core_obj, is_write, line, line_obj,
+                                  word, l2line, slice_, upgrade, reply_t);
+    }
+    PyObject *word_obj = PyLong_FromLongLong(word);
+    PyObject *t_obj = PyFloat_FromDouble(reply_t);
+    PyObject *res = NULL;
+    if (word_obj != NULL && t_obj != NULL) {
+        PyObject *args[8] = {core_obj, is_write ? Py_True : Py_False,
+                             line_obj, word_obj, l2line, slice_,
+                             upgrade ? Py_True : Py_False, t_obj};
+        res = call_hook(k, HOOK_GRANT, args, 8);
+    }
+    Py_XDECREF(word_obj);
+    Py_XDECREF(t_obj);
+    if (res == NULL) {
+        return -1;
+    }
+    Py_DECREF(res);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* The invalidation and write-back rounds                              */
+/* ------------------------------------------------------------------ */
+
+/* _invalidate_sharers: invalidate every sharer but `requester` (the
+ * caller checked there is one); *lat is the L2-to-sharers latency. */
+static int
+invalidate_sharers(DirObject *k, long long line, PyObject *line_obj,
+                   PyObject *l2line, PyObject *dirent, long long home,
+                   long long requester, double t, double *lat)
+{
+    PyObject *sharers = sharers_of(k, dirent);
+    if (sharers == NULL) {
+        return -1;
+    }
+    /* The targets, in the iteration order of the set itself. */
+    Py_ssize_t cap = PySet_GET_SIZE(sharers), n = 0;
+    long long *targets = PyMem_Malloc((size_t)(cap + 1) * 2 * sizeof(long long));
+    if (targets == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    double *arrivals = (double *)(targets + cap + 1);
+    PyObject *arrival_map = NULL;
+    int rc = -1;
+    PyObject *it = PyObject_GetIter(sharers), *c;
+    if (it == NULL) {
+        goto done;
+    }
+    while ((c = PyIter_Next(it)) != NULL) {
+        long long core;
+        int bad = arg_long(c, &core);
+        Py_DECREF(c);
+        if (bad < 0) {
+            Py_DECREF(it);
+            goto done;
+        }
+        if (core != requester && n < cap) {
+            targets[n++] = core;
+        }
+    }
+    Py_DECREF(it);
+    if (PyErr_Occurred()) {
+        goto done;
+    }
+    int broadcast = 0;
+    if (k->ackwise && (broadcast = slot_true(dirent, k->off_d_overflowed)) < 0) {
+        goto done;
+    }
+    if (broadcast) {
+        PyObject *home_obj = PyLong_FromLongLong(home);
+        PyObject *t_obj = PyFloat_FromDouble(t);
+        if (home_obj != NULL && t_obj != NULL) {
+            arrival_map = PyObject_CallMethodObjArgs(
+                k->network, str_broadcast, home_obj, k->inv_broadcast, t_obj,
+                NULL);
+        }
+        Py_XDECREF(home_obj);
+        Py_XDECREF(t_obj);
+        if (arrival_map == NULL
+            || slot_bump(k->policy, k->off_p_bcast) < 0) {
+            goto done;
+        }
+    }
+    else {
+        /* All INVs depart together at t, reserved in target order after
+         * every route is resolved (traverse_many). */
+        Py_ssize_t *handles = PyMem_Malloc((size_t)(n + 1) * sizeof(Py_ssize_t));
+        if (handles == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        for (Py_ssize_t i = 0; i < n; i++) {
+            handles[i] = route(k, home, targets[i]);
+            if (handles[i] == -1 && PyErr_Occurred()) {
+                PyMem_Free(handles);
+                goto done;
+            }
+        }
+        for (Py_ssize_t i = 0; i < n; i++) {
+            if (traverse(k, handles[i], t, K_MSG_INV_REQ, &arrivals[i]) < 0) {
+                PyMem_Free(handles);
+                goto done;
+            }
+        }
+        PyMem_Free(handles);
+        if (slot_add(k->policy, k->off_p_unicast, n) < 0) {
+            goto done;
+        }
+    }
+    double done_t = t;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        long long ack;
+        double ack_t;
+        PyObject *core_obj = PyLong_FromLongLong(targets[i]);
+        if (core_obj == NULL) {
+            goto done;
+        }
+        int bad = purge_target_copy(k, targets[i], core_obj, line, line_obj,
+                                    l2line, 1, &ack);
+        if (!bad && arrival_map != NULL) {
+            PyObject *at = PyObject_GetItem(arrival_map, core_obj);
+            bad = at == NULL || arg_double(at, &arrivals[i]) < 0;
+            Py_XDECREF(at);
+        }
+        if (!bad) {
+            bad = unicast(k, targets[i], home, ack, arrivals[i], &ack_t) < 0
+                  || remove_sharer(k, dirent, core_obj, targets[i]) < 0;
+        }
+        Py_DECREF(core_obj);
+        if (bad) {
+            goto done;
+        }
+        if (ack_t > done_t) {
+            done_t = ack_t;
+        }
+    }
+    *lat = done_t - t;
+    rc = 0;
+done:
+    Py_XDECREF(arrival_map);
+    PyMem_Free(targets);
+    return rc;
+}
+
+/* sync_writeback: downgrade the exclusive owner; *lat as above. */
+static int
+sync_writeback(DirObject *k, long long line, PyObject *line_obj,
+               PyObject *l2line, PyObject *dirent, long long home, double t,
+               double *lat)
+{
+    long long owner;
+    if (slot_long(dirent, k->off_d_owner, &owner) < 0) {
+        return -1;
+    }
+    PyObject *entry = l1_lookup(k, owner, line, line_obj);
+    if (entry == NULL) {
+        if (!PyErr_Occurred()) {
+            char hex[32];
+            PyErr_Format(k->coherence_error,
+                         "owner %lld of line %s has no L1 copy", owner,
+                         hex_line(hex, sizeof hex, line));
+        }
+        return -1;
+    }
+    PyObject *state = slot_get(entry, k->off_c_state);
+    if (state == NULL) {
+        return -1;
+    }
+    int dirty = state == k->st_mod;
+    Py_INCREF(entry);
+    int rc = -1;
+    /* Both legs ride one traverse_chain(path1, WB_REQ, t, 0.0, 0.0, path2,
+     * ack): the ack departs at the request's arrival. */
+    Py_ssize_t h1 = route(k, home, owner), h2;
+    double t1, ack_t;
+    if ((h1 == -1 && PyErr_Occurred())
+        || ((h2 = route(k, owner, home)) == -1 && PyErr_Occurred())
+        || traverse(k, h1, t, K_MSG_WB_REQ, &t1) < 0
+        || traverse(k, h2, (0.0 > t1 ? 0.0 : t1) + 0.0,
+                    dirty ? K_MSG_WB_DATA : K_MSG_INV_ACK, &ack_t) < 0) {
+        goto done;
+    }
+    if (dirty) {
+        if (energy_bump(k, k->off_e_l1d_line_reads) < 0
+            || energy_bump(k, k->off_e_l2_line_writes) < 0) {
+            goto done;
+        }
+        slot_set_bool(l2line, k->off_l2_dirty, 1);
+        if (k->verify) {
+            PyObject *data = slot_get(entry, k->off_c_data);
+            if (data == NULL || slot_copy_list(l2line, k->off_l2_data, data) < 0) {
+                goto done;
+            }
+        }
+    }
+    slot_put(entry, k->off_c_state, Py_NewRef(k->st_shared));
+    if (slot_set_long(dirent, k->off_d_owner, -1) < 0) {
+        goto done;
+    }
+    *lat = ack_t - t;
+    rc = 0;
+done:
+    Py_DECREF(entry);
+    return rc;
+}
+
+/* purge_copies: the inclusive L2 eviction of vline at home kills every
+ * L1 copy; the data flows straight to memory with the dying line. */
+static int
+purge_copies(DirObject *k, long long home, PyObject *vline_obj,
+             PyObject *ventry, double t)
+{
+    long long vline;
+    PyObject *dirent = dirent_of(k, ventry);
+    if (dirent == NULL || arg_long(vline_obj, &vline) < 0) {
+        return -1;
+    }
+    PyObject *sharers = sharers_of(k, dirent);
+    if (sharers == NULL) {
+        return -1;
+    }
+    PyObject *cores = PySequence_List(sharers);
+    if (cores == NULL) {
+        return -1;
+    }
+    Py_INCREF(dirent);
+    int rc = -1;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(cores); i++) {
+        PyObject *core_obj = PyList_GET_ITEM(cores, i);
+        long long core, ack;
+        double arrival;
+        if (arg_long(core_obj, &core) < 0
+            || unicast(k, home, core, K_MSG_INV_REQ, t, &arrival) < 0
+            || purge_target_copy(k, core, core_obj, vline, vline_obj, ventry,
+                                 0, &ack) < 0
+            || unicast(k, core, home, ack, t, &arrival) < 0
+            || remove_sharer(k, dirent, core_obj, core) < 0) {
+            goto done;
+        }
+    }
+    rc = 0;
+done:
+    Py_DECREF(dirent);
+    Py_DECREF(cores);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* One access                                                          */
+/* ------------------------------------------------------------------ */
+
+static PyObject *
+new_result(DirObject *k)
+{
+    PyObject *result = new_slotted(k->result_type);
+    if (result == NULL) {
+        return NULL;
+    }
+    Py_ssize_t floats[] = {k->off_r_latency, k->off_r_l1l2, k->off_r_wait,
+                           k->off_r_sharers, k->off_r_offchip};
+    for (size_t i = 0; i < sizeof(floats) / sizeof(floats[0]); i++) {
+        slot_put(result, floats[i], Py_NewRef(k->zero));
+    }
+    slot_set_bool(result, k->off_r_hit, 0);
+    slot_put(result, k->off_r_miss_type, Py_NewRef(Py_None));
+    slot_set_bool(result, k->off_r_remote, 0);
+    return result;
+}
+
+static int
+classify_miss(long long flags, int upgrade, int remote)
+{
+    if (upgrade) {
+        return MISS_UPGRADE;
+    }
+    if (remote && (flags & K_EVER_REMOTE)) {
+        return MISS_WORD;
+    }
+    if (!(flags & K_EVER_CACHED)) {
+        return MISS_COLD;
+    }
+    return flags & K_LAST_REMOVAL_INVAL ? MISS_SHARING : MISS_CAPACITY;
+}
+
+static int
+miss_stats_record(DirObject *k, int miss)
+{
+    PyObject *stats = engine_part(k, k->off_miss_stats, k->stats_type,
+                                  "MissStats");
+    if (stats == NULL) {
+        return -1;
+    }
+    PyObject *counts = slot_get(stats, k->off_ms_counts);
+    if (counts == NULL) {
+        return -1;
+    }
+    if (!PyList_CheckExact(counts)
+        || k->miss_index[miss] >= PyList_GET_SIZE(counts)) {
+        PyErr_SetString(PyExc_TypeError, "directory kernel: bad miss counts");
+        return -1;
+    }
+    long long c;
+    if (arg_long(PyList_GET_ITEM(counts, k->miss_index[miss]), &c) < 0) {
+        return -1;
+    }
+    PyObject *out = PyLong_FromLongLong(c + 1);
+    if (out == NULL) {
+        return -1;
+    }
+    return PyList_SetItem(counts, k->miss_index[miss], out);
+}
+
+/* A miss, step for step in the order of PyDirectoryKernel.access. */
+static PyObject *
+service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
+             int is_write, PyObject *line_obj, long long line, long long word,
+             PyObject *now_obj, double now, int upgrade)
+{
+    PyObject *result = NULL, *slice_ = NULL, *l2line = NULL, *dirent = NULL;
+    PyObject *out = NULL, *t_obj = NULL;
+    double t = 0.0, reply_t = 0.0, sharers_lat = 0.0;
+    long long home, flush;
+    if (slot_bump(l1, k->off_l1_misses) < 0
+        || energy_bump(k, k->off_e_l1d_tag) < 0
+        || (result = new_result(k)) == NULL) {
+        goto done;
+    }
+    long long req_msg = is_write ? (upgrade ? K_MSG_UPGRADE_REQ
+                                            : K_MSG_WRITE_REQ)
+                                 : K_MSG_READ_REQ;
+    if (repro_home_data_home(k->home, k->engine, line, core_obj, core, &home,
+                             &flush) < 0
+        || check_core(k, home) < 0) {
+        goto done;
+    }
+    /* Chained shape: no page flush, the line resident at the home, and no
+     * round to run (writes: no foreign sharer; reads: no foreign exclusive
+     * owner), so request and reply ride one chain_request_reply. */
+    int chained = 0;
+    if (flush < 0) {
+        PyObject *resident = l2_lookup(k, home, line, line_obj);
+        if (resident == NULL && PyErr_Occurred()) {
+            goto done;
+        }
+        if (resident != NULL) {
+            PyObject *d = dirent_of(k, resident);
+            if (d == NULL) {
+                goto done;
+            }
+            if (is_write) {
+                PyObject *sharers = sharers_of(k, d);
+                if (sharers == NULL) {
+                    goto done;
+                }
+                Py_ssize_t n = PySet_GET_SIZE(sharers);
+                int mine = n == 1 ? PySet_Contains(sharers, core_obj) : 0;
+                if (mine < 0) {
+                    goto done;
+                }
+                chained = n == 0 || mine;
+            }
+            else {
+                long long owner;
+                if (slot_long(d, k->off_d_owner, &owner) < 0) {
+                    goto done;
+                }
+                chained = owner < 0 || owner == core;
+            }
+            if (chained) {
+                l2line = Py_NewRef(resident);
+                slice_ = Py_NewRef(PyList_GET_ITEM(k->l2, (Py_ssize_t)home));
+            }
+        }
+    }
+    if (!chained) {
+        PyObject *s;
+        l2line = repro_home_deliver_request(k->home, k->engine, core, line_obj,
+                                            line, home, flush, req_msg,
+                                            now_obj, now, result, &s, &t);
+        if (l2line == NULL) {
+            goto done;
+        }
+        slice_ = Py_NewRef(s);
+    }
+    if (energy_bump(k, k->off_e_dir_lookups) < 0) {
+        goto done;
+    }
+    /* Classification touches no network or timing state, so in the
+     * chained shape it runs before the request is reserved. */
+    int remote;
+    if (classify_requester(k, l1, l2line, core, core_obj, line, line_obj,
+                           is_write, &remote, &upgrade) < 0) {
+        goto done;
+    }
+    long long reply_msg;
+    if (is_write && (remote || upgrade)) {
+        reply_msg = K_MSG_WORD_WRITE_ACK;
+    }
+    else {
+        reply_msg = remote ? K_MSG_WORD_REPLY : K_MSG_LINE_REPLY;
+    }
+    if (chained
+        && repro_home_chain_request_reply(k->home, k->engine, core, home,
+                                          l2line, slice_, req_msg, reply_msg,
+                                          now, result, &t, &reply_t) < 0) {
+        goto done;
+    }
+
+    /* Miss classification uses the pre-service history (Section 4.4). */
+    PyObject *hist = PyList_GET_ITEM(k->history, (Py_ssize_t)core);
+    long long flags = 0;
+    if (!PyDict_CheckExact(hist)) {
+        PyErr_SetString(PyExc_TypeError, "directory kernel: history is not a dict");
+        goto done;
+    }
+    PyObject *f = PyDict_GetItemWithError(hist, line_obj);
+    if ((f == NULL && PyErr_Occurred()) || (f != NULL && arg_long(f, &flags) < 0)) {
+        goto done;
+    }
+    int miss = classify_miss(flags, upgrade, remote);
+    slot_put(result, k->off_r_miss_type, Py_NewRef(k->miss[miss]));
+    slot_set_bool(result, k->off_r_remote, remote);
+    if (miss_stats_record(k, miss) < 0) {
+        goto done;
+    }
+
+    /* Coherence actions at the home. */
+    if ((dirent = dirent_of(k, l2line)) == NULL) {
+        goto done;
+    }
+    Py_INCREF(dirent);
+    if (is_write) {
+        PyObject *sharers = sharers_of(k, dirent);
+        if (sharers == NULL) {
+            goto done;
+        }
+        Py_ssize_t n = PySet_GET_SIZE(sharers);
+        int round = n > 0;
+        if (n == 1) {
+            int mine = PySet_Contains(sharers, core_obj);
+            if (mine < 0) {
+                goto done;
+            }
+            round = !mine;
+        }
+        if (round) {
+            if (invalidate_sharers(k, line, line_obj, l2line, dirent, home,
+                                   core, t, &sharers_lat) < 0) {
+                goto done;
+            }
+            t += sharers_lat;
+            if (slot_set_double(result, k->off_r_sharers, sharers_lat) < 0) {
+                goto done;
+            }
+        }
+        if (k->classifier != NULL && on_write(k, l2line, core) < 0) {
+            goto done;
+        }
+    }
+    else {
+        long long owner;
+        if (slot_long(dirent, k->off_d_owner, &owner) < 0) {
+            goto done;
+        }
+        if (owner >= 0 && owner != core) {
+            if (sync_writeback(k, line, line_obj, l2line, dirent, home, t,
+                               &sharers_lat) < 0) {
+                goto done;
+            }
+            t += sharers_lat;
+            if (slot_set_double(result, k->off_r_sharers, sharers_lat) < 0) {
+                goto done;
+            }
+        }
+    }
+
+    /* Service: the reply leg (reserved already when chained), then a word
+     * access at the home or a private line grant. */
+    if (!chained
+        && repro_home_reply(k->home, k->engine, home, core, reply_msg, t,
+                            &reply_t) < 0) {
+        goto done;
+    }
+    if (remote) {
+        if (repro_home_serve_word(k->home, k->engine, core_obj, is_write,
+                                  line_obj, word, l2line, slice_) < 0) {
+            goto done;
+        }
+        flags |= K_EVER_REMOTE;
+    }
+    else {
+        if (grant_private(k, core, core_obj, is_write, line, line_obj, word,
+                          l2line, slice_, upgrade, reply_t) < 0) {
+            goto done;
+        }
+        flags |= K_EVER_CACHED;
+    }
+    PyObject *flags_obj = PyLong_FromLongLong(flags);
+    if (flags_obj == NULL) {
+        goto done;
+    }
+    int bad = PyDict_SetItem(hist, line_obj, flags_obj);
+    Py_DECREF(flags_obj);
+    if (bad < 0) {
+        goto done;
+    }
+
+    /* Settle: writes and line grants own the line until t; remote word
+     * reads occupy it for a cycle. */
+    if ((t_obj = PyFloat_FromDouble(t)) == NULL
+        || repro_home_settle(k->home, k->engine, slice_, l2line, t_obj,
+                             is_write || !remote) < 0
+        || energy_bump(k, k->off_e_dir_updates) < 0) {
+        goto done;
+    }
+
+    double latency = reply_t - now, wait, offchip;
+    if (slot_double(result, k->off_r_wait, &wait) < 0
+        || slot_double(result, k->off_r_offchip, &offchip) < 0
+        || slot_set_double(result, k->off_r_latency, latency) < 0
+        || slot_set_double(result, k->off_r_l1l2,
+                           latency - wait - sharers_lat - offchip) < 0) {
+        goto done;
+    }
+    if (k->verify) {
+        /* check_invariants: an owner is the only sharer. */
+        long long owner;
+        PyObject *sharers = sharers_of(k, dirent);
+        if (sharers == NULL || slot_long(dirent, k->off_d_owner, &owner) < 0) {
+            goto done;
+        }
+        if (owner >= 0) {
+            PyObject *owner_obj = PyLong_FromLongLong(owner);
+            int only = owner_obj == NULL ? -1
+                       : PySet_GET_SIZE(sharers) != 1 ? 0
+                       : PySet_Contains(sharers, owner_obj);
+            Py_XDECREF(owner_obj);
+            if (only < 0) {
+                goto done;
+            }
+            if (!only) {
+                PyObject *res = PyObject_CallMethodNoArgs(dirent,
+                                                          str_check_invariants);
+                if (res == NULL) {
+                    goto done;
+                }
+                Py_DECREF(res);
+            }
+        }
+    }
+    out = Py_NewRef(result);
+done:
+    Py_XDECREF(t_obj);
+    Py_XDECREF(dirent);
+    Py_XDECREF(l2line);
+    Py_XDECREF(slice_);
+    Py_XDECREF(result);
+    return out;
+}
+
+/* True when a CacheLine state allows a silent write (>= EXCLUSIVE). */
+static int
+writable(DirObject *k, PyObject *state)
+{
+    if (state == k->st_excl || state == k->st_mod) {
+        return 1;
+    }
+    if (state == k->st_shared) {
+        return 0;
+    }
+    return PyObject_RichCompareBool(state, k->st_excl, Py_GE);
+}
+
+static PyObject *
+dir_access(DirObject *k, PyObject *core_obj, PyObject *is_write_obj,
+           PyObject *address_obj, PyObject *now_obj)
+{
+    long long core, address;
+    double now;
+    int is_write = PyObject_IsTrue(is_write_obj);
+    if (is_write < 0 || arg_long(core_obj, &core) < 0
+        || arg_long(address_obj, &address) < 0
+        || arg_double(now_obj, &now) < 0) {
+        return NULL;
+    }
+    if (address < 0) {
+        PyErr_SetString(PyExc_ValueError, "directory kernel: negative address");
+        return NULL;
+    }
+    long long line = address >> K_LINE_BITS;
+    long long word = (address >> K_WORD_BITS) & (k->words_per_line - 1);
+    PyObject *store;
+    PyObject *l1 = l1_of(k, core, &store);
+    if (l1 == NULL) {
+        return NULL;
+    }
+    PyObject *line_obj = PyLong_FromLongLong(line);
+    if (line_obj == NULL) {
+        return NULL;
+    }
+    PyObject *out = NULL;
+    PyObject *entry = l1_lookup(k, core, line, line_obj);
+    if (entry == NULL && PyErr_Occurred()) {
+        goto done;
+    }
+    int hit = 0;
+    if (entry != NULL) {
+        PyObject *state = slot_get(entry, k->off_c_state);
+        if (state == NULL || (hit = is_write ? writable(k, state) : 1) < 0) {
+            goto done;
+        }
+    }
+    if (!hit) {
+        out = service_miss(k, l1, core_obj, core, is_write, line_obj, line,
+                           word, now_obj, now, entry != NULL);
+        goto done;
+    }
+    /* L1 hit (E -> M is silent): L1Cache.hit, then the counters. */
+    Py_INCREF(entry);
+    long long util;
+    PyObject *stats = NULL;
+    int bad = slot_bump(l1, k->off_l1_hits) < 0
+              || store_touch(k, store, entry) < 0
+              || slot_long(entry, k->off_c_util, &util) < 0
+              || slot_set_long(entry, k->off_c_util, util + 1) < 0;
+    if (!bad) {
+        slot_put(entry, k->off_c_last_access, Py_NewRef(now_obj));
+        stats = engine_part(k, k->off_miss_stats, k->stats_type, "MissStats");
+        bad = stats == NULL || slot_bump(stats, k->off_ms_hits) < 0;
+    }
+    if (!bad && is_write) {
+        slot_put(entry, k->off_c_state, Py_NewRef(k->st_mod));
+        bad = energy_bump(k, k->off_e_l1d_writes) < 0
+              || (k->verify
+                  && verified_write(k, core_obj, entry, line_obj, word) < 0);
+    }
+    else if (!bad) {
+        bad = energy_bump(k, k->off_e_l1d_reads) < 0
+              || (k->verify
+                  && golden_check(k, entry, line_obj, word, "L1 hit",
+                                  core) < 0);
+    }
+    Py_DECREF(entry);
+    if (!bad) {
+        out = Py_NewRef(k->hit_result);
+    }
+done:
+    Py_DECREF(line_obj);
+    return out;
+}
+
+/* ------------------------------------------------------------------ */
+/* Methods                                                             */
+/* ------------------------------------------------------------------ */
+
+/* A METH_FASTCALL method taking `n` arguments: checks the count, holds
+ * the engine for the call, and runs the body `name##_impl`. */
+#define METHOD(name, n, sig)                                              \
+    static PyObject *name##_impl(DirObject *k, PyObject *const *args);    \
+    static PyObject *                                                     \
+    Dir_##name(DirObject *k, PyObject *const *args, Py_ssize_t nargs)     \
+    {                                                                     \
+        if (nargs != (n)) {                                               \
+            PyErr_SetString(PyExc_TypeError, sig);                        \
+            return NULL;                                                  \
+        }                                                                 \
+        if (k->engine_ref == NULL) {                                      \
+            PyErr_SetString(PyExc_RuntimeError,                           \
+                            "directory kernel was cleared");              \
+            return NULL;                                                  \
+        }                                                                 \
+        PyObject *engine = repro_weak_engine(k->engine_ref,               \
+                                             "directory kernel");         \
+        if (engine == NULL) {                                             \
+            return NULL;                                                  \
+        }                                                                 \
+        PyObject *saved = k->engine;                                      \
+        k->engine = engine;                                               \
+        PyObject *out = name##_impl(k, args);                             \
+        k->engine = saved;                                                \
+        Py_DECREF(engine);                                                \
+        return out;                                                       \
+    }                                                                     \
+    static PyObject *name##_impl(DirObject *k, PyObject *const *args)
+
+METHOD(access, 4, "access(core, is_write, address, now)")
+{
+    return dir_access(k, args[0], args[1], args[2], args[3]);
+}
+
+/* The (core, line) arguments at args[i], args[i + 1]. */
+static int
+arg_core_line(PyObject *const *args, long long *core, long long *line)
+{
+    if (arg_long(args[0], core) < 0 || arg_long(args[1], line) < 0) {
+        return -1;
+    }
+    if (*line < 0) {
+        PyErr_SetString(PyExc_ValueError, "directory kernel: negative line");
+        return -1;
+    }
+    return 0;
+}
+
+METHOD(classify_requester, 6,
+       "classify_requester(l1, l2line, core, line, is_write, upgrade)")
+{
+    long long core, line;
+    int is_write = PyObject_IsTrue(args[4]), upgrade = PyObject_IsTrue(args[5]);
+    int remote;
+    if (is_write < 0 || upgrade < 0 || arg_core_line(args + 2, &core, &line) < 0
+        || check_core(k, core) < 0) {
+        return NULL;
+    }
+    if (base_classify_requester(k, args[0], args[1], core, args[2], line,
+                                args[3], &remote, &upgrade) < 0) {
+        return NULL;
+    }
+    return PyTuple_Pack(2, remote ? Py_True : Py_False,
+                        upgrade ? Py_True : Py_False);
+}
+
+METHOD(grant_private, 8,
+       "grant_private(core, is_write, line, word, l2line, slice_, upgrade, "
+       "reply_t)")
+{
+    long long core, line, word;
+    double reply_t;
+    int is_write = PyObject_IsTrue(args[1]), upgrade = PyObject_IsTrue(args[6]);
+    if (is_write < 0 || upgrade < 0 || arg_long(args[0], &core) < 0
+        || arg_long(args[2], &line) < 0 || arg_long(args[3], &word) < 0
+        || arg_double(args[7], &reply_t) < 0 || check_core(k, core) < 0) {
+        return NULL;
+    }
+    if (base_grant_private(k, core, args[0], is_write, line, args[2], word,
+                           args[4], args[5], upgrade, reply_t) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+METHOD(handle_l1_eviction, 4, "handle_l1_eviction(core, vline, ventry, t)")
+{
+    long long core;
+    double t;
+    if (arg_long(args[0], &core) < 0 || arg_double(args[3], &t) < 0
+        || check_core(k, core) < 0) {
+        return NULL;
+    }
+    if (base_handle_l1_eviction(k, core, args[0], args[1], args[2], t) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+METHOD(purge_target_copy, 4,
+       "purge_target_copy(core, line, l2line, merge_into_l2)")
+{
+    long long core, line, ack;
+    int merge = PyObject_IsTrue(args[3]);
+    if (merge < 0 || arg_core_line(args, &core, &line) < 0
+        || check_core(k, core) < 0
+        || check_type(args[2], k->l2line_type, "L2Line") < 0) {
+        return NULL;
+    }
+    if (base_purge_target_copy(k, core, args[0], line, args[1], args[2],
+                               merge, &ack) < 0) {
+        return NULL;
+    }
+    return PyLong_FromLongLong(ack);
+}
+
+METHOD(remove_own_copy, 3, "remove_own_copy(core, line, l2line)")
+{
+    long long core, line;
+    if (arg_core_line(args, &core, &line) < 0 || check_core(k, core) < 0
+        || check_type(args[2], k->l2line_type, "L2Line") < 0
+        || remove_own_copy(k, core, args[0], line, args[1], args[2]) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+METHOD(purge_copies, 4, "purge_copies(home, vline, ventry, t)")
+{
+    long long home;
+    double t;
+    if (arg_long(args[0], &home) < 0 || arg_double(args[3], &t) < 0
+        || check_core(k, home) < 0
+        || purge_copies(k, home, args[1], args[2], t) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* Construction and GC                                                 */
+/* ------------------------------------------------------------------ */
+
+/* getattr(import_module(module), name), new reference. */
+static PyObject *
+imported(const char *module, const char *name)
+{
+    PyObject *mod = PyImport_ImportModule(module);
+    if (mod == NULL) {
+        return NULL;
+    }
+    PyObject *out = repro_getattr(mod, name);
+    Py_DECREF(mod);
+    return out;
+}
+
+static int
+attr_ll(PyObject *obj, const char *name, long long *out)
+{
+    PyObject *v = repro_getattr(obj, name);
+    if (v == NULL) {
+        return -1;
+    }
+    int rc = arg_long(v, out);
+    Py_DECREF(v);
+    return rc;
+}
+
+static int
+attr_true(PyObject *obj, const char *name, int *out)
+{
+    PyObject *v = repro_getattr(obj, name);
+    if (v == NULL) {
+        return -1;
+    }
+    *out = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    return *out < 0 ? -1 : 0;
+}
+
+/* A type object held by the kernel: type(obj). */
+static PyObject *
+type_of(PyObject *obj)
+{
+    return Py_NewRef((PyObject *)Py_TYPE(obj));
+}
+
+/* The classifier's configuration, read once. */
+static int
+init_classifier(DirObject *k, PyObject *classifier)
+{
+    PyObject *limited = imported("repro.coherence.classifier.limited",
+                                 "LimitedClassifier");
+    PyObject *complete = imported("repro.coherence.classifier.complete",
+                                  "CompleteClassifier");
+    int rc = -1;
+    if (limited == NULL || complete == NULL) {
+        goto done;
+    }
+    PyObject *type = (PyObject *)Py_TYPE(classifier);
+    if (type == limited) {
+        k->cls_kind = CLS_LIMITED;
+        if (attr_ll(classifier, "k", &k->limit_k) < 0) {
+            goto done;
+        }
+        static const char *const names[] = {"replacements",
+                                            "allocation_failures", NULL};
+        Py_ssize_t *const outs[] = {&k->off_cl_replacements,
+                                    &k->off_cl_failures};
+        if (slot_offsets(type, names, outs) < 0) {
+            goto done;
+        }
+    }
+    else if (type == complete) {
+        k->cls_kind = CLS_COMPLETE;
+        PyObject *proto = repro_getattr(classifier, "proto");
+        if (proto == NULL) {
+            goto done;
+        }
+        int bad = attr_true(proto, "complete_vote_init", &k->vote_init);
+        Py_DECREF(proto);
+        if (bad < 0) {
+            goto done;
+        }
+    }
+    else {
+        PyErr_Format(PyExc_TypeError,
+                     "DirectoryKernel: unsupported classifier %s",
+                     Py_TYPE(classifier)->tp_name);
+        goto done;
+    }
+    static const char *const names[] = {"promotions", "demotions",
+                                        "remote_accesses", "vote_decisions",
+                                        NULL};
+    Py_ssize_t *const outs[] = {&k->off_cl_promotions, &k->off_cl_demotions,
+                                &k->off_cl_remote, &k->off_cl_votes};
+    PyObject *levels = NULL, *seq = NULL;
+    if (slot_offsets(type, names, outs) < 0
+        || attr_ll(classifier, "pct", &k->pct) < 0
+        || attr_true(classifier, "one_way", &k->one_way) < 0
+        || attr_true(classifier, "use_timestamp", &k->use_timestamp) < 0
+        || attr_ll(classifier, "_max_rat_level", &k->max_rat) < 0
+        || (levels = repro_getattr(classifier, "_rat_levels")) == NULL
+        || (seq = PySequence_Fast(levels, "_rat_levels")) == NULL) {
+        Py_XDECREF(levels);
+        goto done;
+    }
+    Py_DECREF(levels);
+    k->n_rat = PySequence_Fast_GET_SIZE(seq);
+    k->rat_levels = PyMem_Calloc((size_t)k->n_rat + 1, sizeof(long long));
+    if (k->rat_levels == NULL) {
+        Py_DECREF(seq);
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < k->n_rat; i++) {
+        if (arg_long(PySequence_Fast_GET_ITEM(seq, i), &k->rat_levels[i]) < 0) {
+            Py_DECREF(seq);
+            goto done;
+        }
+    }
+    Py_DECREF(seq);
+    k->classifier = Py_NewRef(classifier);
+    rc = 0;
+done:
+    Py_XDECREF(limited);
+    Py_XDECREF(complete);
+    return rc;
+}
+
+/* The sharer policy: ACKwise (with its pointer count) or full map. */
+static int
+init_policy(DirObject *k, PyObject *policy)
+{
+    PyObject *ackwise = imported("repro.coherence.directory", "AckwisePolicy");
+    PyObject *fullmap = imported("repro.coherence.directory", "FullMapPolicy");
+    PyObject *base = imported("repro.coherence.directory",
+                              "SharerTrackingPolicy");
+    int rc = -1;
+    if (ackwise == NULL || fullmap == NULL || base == NULL) {
+        goto done;
+    }
+    PyObject *type = (PyObject *)Py_TYPE(policy);
+    if (type == ackwise) {
+        k->ackwise = 1;
+        if (attr_ll(policy, "pointers", &k->pointers) < 0) {
+            goto done;
+        }
+    }
+    else if (type != fullmap && type != base) {
+        PyErr_Format(PyExc_TypeError,
+                     "DirectoryKernel: unsupported sharer policy %s",
+                     Py_TYPE(policy)->tp_name);
+        goto done;
+    }
+    static const char *const names[] = {"broadcast_invalidations",
+                                        "unicast_invalidations", NULL};
+    Py_ssize_t *const outs[] = {&k->off_p_bcast, &k->off_p_unicast};
+    if (slot_offsets(type, names, outs) < 0) {
+        goto done;
+    }
+    k->policy = Py_NewRef(policy);
+    rc = 0;
+done:
+    Py_XDECREF(ackwise);
+    Py_XDECREF(fullmap);
+    Py_XDECREF(base);
+    return rc;
+}
+
+/* Enum members, bucket keys, error classes and the family hooks. */
+static int
+init_names(DirObject *k, PyObject *engine)
+{
+    PyObject *mesi = imported("repro.common.types", "MESIState");
+    PyObject *modes = imported("repro.common.types", "SharerMode");
+    PyObject *misses = imported("repro.common.types", "MissType");
+    PyObject *msgs = imported("repro.network.messages", "MsgType");
+    PyObject *buckets = imported("repro.common.statsutil",
+                                 "UTILIZATION_BUCKETS");
+    PyObject *hooks = imported("repro.protocol.directory", "FAMILY_HOOKS");
+    int rc = -1;
+    if (mesi == NULL || modes == NULL || misses == NULL || msgs == NULL
+        || buckets == NULL || hooks == NULL
+        || (k->st_shared = repro_getattr(mesi, "SHARED")) == NULL
+        || (k->st_excl = repro_getattr(mesi, "EXCLUSIVE")) == NULL
+        || (k->st_mod = repro_getattr(mesi, "MODIFIED")) == NULL
+        || (k->mode_private = repro_getattr(modes, "PRIVATE")) == NULL
+        || (k->mode_remote = repro_getattr(modes, "REMOTE")) == NULL
+        || (k->inv_broadcast = repro_getattr(msgs, "INV_BROADCAST")) == NULL
+        || (k->coherence_error = imported("repro.common.errors",
+                                          "CoherenceError")) == NULL
+        || (k->simulation_error = imported("repro.common.errors",
+                                           "SimulationError")) == NULL) {
+        goto done;
+    }
+    static const char *const miss_names[NUM_MISS] = {
+        "COLD", "CAPACITY", "UPGRADE", "SHARING", "WORD"};
+    for (int i = 0; i < NUM_MISS; i++) {
+        long long index;
+        if ((k->miss[i] = repro_getattr(misses, miss_names[i])) == NULL
+            || arg_long(k->miss[i], &index) < 0) {
+            goto done;
+        }
+        k->miss_index[i] = (Py_ssize_t)index;
+    }
+    if (!PyTuple_Check(buckets) || PyTuple_GET_SIZE(buckets) != 5
+        || !PyTuple_Check(hooks) || PyTuple_GET_SIZE(hooks) != NUM_HOOKS) {
+        PyErr_SetString(PyExc_TypeError,
+                        "DirectoryKernel: unexpected bucket or hook names");
+        goto done;
+    }
+    for (int i = 0; i < 5; i++) {
+        k->bucket_keys[i] = Py_NewRef(PyTuple_GET_ITEM(buckets, i));
+    }
+    for (int i = 0; i < NUM_HOOKS; i++) {
+        PyObject *name = PyTuple_GET_ITEM(hooks, i);
+        if (PyUnicode_Compare(name, str_hook[i]) != 0) {
+            if (!PyErr_Occurred()) {
+                PyErr_SetString(PyExc_ValueError,
+                                "DirectoryKernel: FAMILY_HOOKS out of order");
+            }
+            goto done;
+        }
+        k->hooks[i] = PyObject_HasAttr((PyObject *)Py_TYPE(engine), name);
+    }
+    rc = 0;
+done:
+    Py_XDECREF(mesi);
+    Py_XDECREF(modes);
+    Py_XDECREF(misses);
+    Py_XDECREF(msgs);
+    Py_XDECREF(buckets);
+    Py_XDECREF(hooks);
+    return rc;
+}
+
+static int
+init_offsets(DirObject *k, PyObject *engine)
+{
+    static const char *const engine_names[] = {
+        "energy", "miss_stats", "inval_histogram", "evict_histogram", NULL};
+    Py_ssize_t *const engine_outs[] = {&k->off_energy, &k->off_miss_stats,
+                                       &k->off_inval_hist,
+                                       &k->off_evict_hist};
+    static const char *const l1_names[] = {"store", "hits", "misses", NULL};
+    Py_ssize_t *const l1_outs[] = {&k->off_l1_store, &k->off_l1_hits,
+                                   &k->off_l1_misses};
+    static const char *const store_names[] = {"_sets", "_use_counter",
+                                              "_observer", NULL};
+    Py_ssize_t *const store_outs[] = {&k->off_st_sets, &k->off_st_use,
+                                      &k->off_st_observer};
+    static const char *const cline_names[] = {
+        "state", "last_use", "last_access", "utilization", "data", NULL};
+    Py_ssize_t *const cline_outs[] = {&k->off_c_state, &k->off_c_last_use,
+                                      &k->off_c_last_access, &k->off_c_util,
+                                      &k->off_c_data};
+    static const char *const slice_names[] = {"store", "line_reads", NULL};
+    Py_ssize_t *const slice_outs[] = {&k->off_sl_store, &k->off_sl_line_reads};
+    static const char *const l2line_names[] = {
+        "directory", "locality", "last_access", "dirty", "data", NULL};
+    Py_ssize_t *const l2line_outs[] = {
+        &k->off_l2_directory, &k->off_l2_locality, &k->off_l2_last_access,
+        &k->off_l2_dirty, &k->off_l2_data};
+    static const char *const dirent_names[] = {"sharers", "owner",
+                                               "overflowed", NULL};
+    Py_ssize_t *const dirent_outs[] = {&k->off_d_sharers, &k->off_d_owner,
+                                       &k->off_d_overflowed};
+    static const char *const loc_names[] = {
+        "core", "mode", "remote_util", "rat_level", "active", NULL};
+    Py_ssize_t *const loc_outs[] = {&k->off_lc_core, &k->off_lc_mode,
+                                    &k->off_lc_util, &k->off_lc_rat,
+                                    &k->off_lc_active};
+    static const char *const result_names[] = {
+        "latency", "l1_to_l2", "l2_waiting", "l2_sharers", "l2_offchip",
+        "hit", "miss_type", "remote", NULL};
+    Py_ssize_t *const result_outs[] = {
+        &k->off_r_latency, &k->off_r_l1l2, &k->off_r_wait, &k->off_r_sharers,
+        &k->off_r_offchip, &k->off_r_hit, &k->off_r_miss_type,
+        &k->off_r_remote};
+    static const char *const energy_names[] = {
+        "l1d_reads", "l1d_writes", "l1d_tag_accesses", "l1d_line_fills",
+        "l1d_line_reads", "l2_line_reads", "l2_line_writes",
+        "directory_lookups", "directory_updates", NULL};
+    Py_ssize_t *const energy_outs[] = {
+        &k->off_e_l1d_reads, &k->off_e_l1d_writes, &k->off_e_l1d_tag,
+        &k->off_e_l1d_fills, &k->off_e_l1d_line_reads,
+        &k->off_e_l2_line_reads, &k->off_e_l2_line_writes,
+        &k->off_e_dir_lookups, &k->off_e_dir_updates};
+    static const char *const stats_names[] = {"hits", "_miss_counts", NULL};
+    Py_ssize_t *const stats_outs[] = {&k->off_ms_hits, &k->off_ms_counts};
+    static const char *const hist_names[] = {"counts", NULL};
+    Py_ssize_t *const hist_outs[] = {&k->off_h_counts};
+    return slot_offsets((PyObject *)Py_TYPE(engine), engine_names,
+                        engine_outs) < 0
+                   || slot_offsets(k->l1_type, l1_names, l1_outs) < 0
+                   || slot_offsets(k->store_type, store_names, store_outs) < 0
+                   || slot_offsets(k->cline_type, cline_names, cline_outs) < 0
+                   || slot_offsets(k->slice_type, slice_names, slice_outs) < 0
+                   || slot_offsets(k->l2line_type, l2line_names,
+                                   l2line_outs) < 0
+                   || slot_offsets(k->dirent_type, dirent_names,
+                                   dirent_outs) < 0
+                   || slot_offsets(k->loc_type, loc_names, loc_outs) < 0
+                   || slot_offsets(k->result_type, result_names,
+                                   result_outs) < 0
+                   || slot_offsets(k->energy_type, energy_names,
+                                   energy_outs) < 0
+                   || slot_offsets(k->stats_type, stats_names, stats_outs) < 0
+                   || slot_offsets(k->hist_type, hist_names, hist_outs) < 0
+               ? -1
+               : 0;
+}
+
+/* One store geometry for every L1 (resp. L2 slice) of the engine. */
+static int
+init_geometry(PyObject *caches, int l1, long long *mask,
+              Py_ssize_t *assoc)
+{
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(caches); i++) {
+        long long m, a;
+        PyObject *store = repro_getattr(PyList_GET_ITEM(caches, i), "store");
+        if (store == NULL) {
+            return -1;
+        }
+        int bad = attr_ll(store, "_set_mask", &m) < 0
+                  || attr_ll(store, "associativity", &a) < 0;
+        Py_DECREF(store);
+        if (bad) {
+            return -1;
+        }
+        if (i == 0) {
+            *mask = m;
+            if (assoc != NULL) {
+                *assoc = (Py_ssize_t)a;
+            }
+        }
+        else if (m != *mask || (assoc != NULL && a != *assoc)) {
+            PyErr_Format(PyExc_ValueError,
+                         "DirectoryKernel: %s caches differ in geometry",
+                         l1 ? "L1" : "L2");
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static int
+Dir_init_state(DirObject *k, PyObject *engine)
+{
+    if ((k->engine_ref = PyWeakref_NewRef(engine, NULL)) == NULL) {
+        return -1;
+    }
+    long long verify;
+    PyObject *arch = NULL, *classifier = NULL, *policy = NULL, *golden = NULL;
+    PyObject *energy = NULL, *stats = NULL, *hist = NULL, *flits = NULL;
+    int rc = -1;
+    if ((k->home = repro_getattr(engine, "home_kernel")) == NULL
+        || (k->l1d = repro_getattr(engine, "l1d")) == NULL
+        || (k->l2 = repro_getattr(engine, "l2")) == NULL
+        || (k->history = repro_getattr(engine, "_history")) == NULL
+        || (k->home_of_line = repro_getattr(engine, "_home_of_line")) == NULL
+        || (k->network = repro_getattr(engine, "network")) == NULL
+        || (k->mesh = repro_getattr(k->network, "kernel")) == NULL
+        || (k->paths = repro_getattr(k->network, "paths")) == NULL
+        || (k->hit_result = repro_getattr(engine, "_hit_result")) == NULL
+        || (arch = repro_getattr(engine, "arch")) == NULL
+        || attr_ll(arch, "num_cores", &k->num_tiles) < 0
+        || attr_ll(arch, "words_per_line", &k->words_per_line) < 0
+        || attr_ll(engine, "verify", &verify) < 0
+        || (classifier = repro_getattr(engine, "classifier")) == NULL
+        || (policy = repro_getattr(engine, "sharer_policy")) == NULL
+        || (golden = repro_getattr(engine, "golden")) == NULL
+        || (energy = repro_getattr(engine, "energy")) == NULL
+        || (stats = repro_getattr(engine, "miss_stats")) == NULL
+        || (hist = repro_getattr(engine, "inval_histogram")) == NULL
+        || (flits = repro_getattr(engine, "_net_flits")) == NULL) {
+        goto done;
+    }
+    k->verify = verify != 0;
+    if (!repro_home_check(k->home) || !repro_mesh_check(k->mesh)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "DirectoryKernel needs the compiled HomeKernel and "
+                        "MeshKernel");
+        goto done;
+    }
+    if (!PyList_CheckExact(k->l1d) || !PyList_CheckExact(k->l2)
+        || !PyList_CheckExact(k->history) || !PyList_CheckExact(k->paths)
+        || !PyDict_CheckExact(k->home_of_line) || k->num_tiles <= 0
+        || PyList_GET_SIZE(k->l1d) != k->num_tiles
+        || PyList_GET_SIZE(k->l2) != k->num_tiles
+        || PyList_GET_SIZE(k->history) != k->num_tiles
+        || PyList_GET_SIZE(k->paths) != k->num_tiles * k->num_tiles
+        || k->words_per_line <= 0
+        || (k->words_per_line & (k->words_per_line - 1)) != 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "DirectoryKernel: unexpected engine layout");
+        goto done;
+    }
+    if (classifier != Py_None && init_classifier(k, classifier) < 0) {
+        goto done;
+    }
+    if (init_policy(k, policy) < 0 || init_names(k, engine) < 0) {
+        goto done;
+    }
+    if (golden != Py_None) {
+        k->golden = Py_NewRef(golden);
+    }
+    if (k->verify && k->golden == NULL) {
+        PyErr_SetString(PyExc_TypeError,
+                        "DirectoryKernel: verify mode without a golden memory");
+        goto done;
+    }
+
+    /* Types: the engine's own objects, and the classes it fills. */
+    PyObject *l1_0 = PyList_GET_ITEM(k->l1d, 0);
+    PyObject *store0 = repro_getattr(l1_0, "store");
+    if (store0 == NULL) {
+        goto done;
+    }
+    k->l1_type = type_of(l1_0);
+    k->store_type = type_of(store0);
+    Py_DECREF(store0);
+    k->slice_type = type_of(PyList_GET_ITEM(k->l2, 0));
+    k->energy_type = type_of(energy);
+    k->stats_type = type_of(stats);
+    k->hist_type = type_of(hist);
+    k->result_type = type_of(k->hit_result);
+    if ((k->cline_type = imported("repro.mem.cache", "CacheLine")) == NULL
+        || (k->l2line_type = imported("repro.mem.l2", "L2Line")) == NULL
+        || (k->dirent_type = imported("repro.coherence.directory",
+                                      "DirectoryEntry")) == NULL
+        || (k->loc_type = imported("repro.coherence.classifier.base",
+                                   "CoreLocality")) == NULL
+        || (k->zero = PyFloat_FromDouble(0.0)) == NULL
+        || init_offsets(k, engine) < 0
+        || init_geometry(k->l1d, 1, &k->l1_mask, &k->l1_assoc) < 0
+        || init_geometry(k->l2, 0, &k->l2_mask, NULL) < 0) {
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < k->num_tiles; i++) {
+        if (check_type(PyList_GET_ITEM(k->l1d, i), k->l1_type, "L1Cache") < 0
+            || check_type(PyList_GET_ITEM(k->l2, i), k->slice_type,
+                          "L2Slice") < 0) {
+            goto done;
+        }
+    }
+
+    /* Flit table, by message type value. */
+    PyObject *seq = PySequence_Fast(flits, "_net_flits must be a sequence");
+    if (seq == NULL) {
+        goto done;
+    }
+    k->num_msgs = PySequence_Fast_GET_SIZE(seq);
+    k->flits = PyMem_Calloc((size_t)k->num_msgs + 1, sizeof(long long));
+    if (k->flits == NULL) {
+        Py_DECREF(seq);
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < k->num_msgs; i++) {
+        if (arg_long(PySequence_Fast_GET_ITEM(seq, i), &k->flits[i]) < 0) {
+            Py_DECREF(seq);
+            goto done;
+        }
+    }
+    Py_DECREF(seq);
+    if (k->num_msgs <= K_MSG_EVICT_DIRTY) {
+        PyErr_SetString(PyExc_ValueError, "DirectoryKernel: flit table too short");
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(arch);
+    Py_XDECREF(classifier);
+    Py_XDECREF(policy);
+    Py_XDECREF(golden);
+    Py_XDECREF(energy);
+    Py_XDECREF(stats);
+    Py_XDECREF(hist);
+    Py_XDECREF(flits);
+    return rc;
+}
+
+static PyObject *
+Dir_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"engine", NULL};
+    PyObject *engine;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &engine)) {
+        return NULL;
+    }
+    DirObject *k = (DirObject *)type->tp_alloc(type, 0);
+    if (k == NULL) {
+        return NULL;
+    }
+    if (Dir_init_state(k, engine) < 0) {
+        Py_DECREF(k);
+        return NULL;
+    }
+    return (PyObject *)k;
+}
+
+#define DIR_OBJECTS(X)                                                      \
+    X(engine_ref) X(home) X(l1d) X(l2) X(history) X(home_of_line)          \
+    X(network) X(mesh) X(paths) X(classifier) X(policy) X(golden)          \
+    X(hit_result) X(zero) X(l1_type) X(store_type) X(cline_type)           \
+    X(l2line_type) X(slice_type) X(dirent_type) X(loc_type)                \
+    X(result_type) X(energy_type) X(stats_type) X(hist_type) X(st_shared)  \
+    X(st_excl) X(st_mod) X(mode_private) X(mode_remote) X(inv_broadcast)   \
+    X(coherence_error) X(simulation_error)
+
+static int
+Dir_traverse(DirObject *k, visitproc visit, void *arg)
+{
+#define VISIT(name) Py_VISIT(k->name);
+    DIR_OBJECTS(VISIT)
+#undef VISIT
+    for (int i = 0; i < NUM_MISS; i++) {
+        Py_VISIT(k->miss[i]);
+    }
+    for (int i = 0; i < 5; i++) {
+        Py_VISIT(k->bucket_keys[i]);
+    }
+    return 0;
+}
+
+static int
+Dir_clear(DirObject *k)
+{
+#define CLEAR(name) Py_CLEAR(k->name);
+    DIR_OBJECTS(CLEAR)
+#undef CLEAR
+    for (int i = 0; i < NUM_MISS; i++) {
+        Py_CLEAR(k->miss[i]);
+    }
+    for (int i = 0; i < 5; i++) {
+        Py_CLEAR(k->bucket_keys[i]);
+    }
+    k->engine = NULL;
+    return 0;
+}
+
+static void
+Dir_dealloc(DirObject *k)
+{
+    PyObject_GC_UnTrack(k);
+    Dir_clear(k);
+    PyMem_Free(k->flits);
+    PyMem_Free(k->rat_levels);
+    Py_TYPE(k)->tp_free((PyObject *)k);
+}
+
+#define FASTCALL(name, doc) \
+    {#name, (PyCFunction)(void (*)(void))Dir_##name, METH_FASTCALL, doc}
+
+static PyMethodDef Dir_methods[] = {
+    FASTCALL(access, "access(core, is_write, address, now) -> AccessResult"),
+    FASTCALL(classify_requester,
+             "classify_requester(l1, l2line, core, line, is_write, upgrade) "
+             "-> (serviced_remote, upgrade)"),
+    FASTCALL(grant_private,
+             "grant_private(core, is_write, line, word, l2line, slice_, "
+             "upgrade, reply_t)"),
+    FASTCALL(handle_l1_eviction, "handle_l1_eviction(core, vline, ventry, t)"),
+    FASTCALL(purge_target_copy,
+             "purge_target_copy(core, line, l2line, merge_into_l2) -> ack"),
+    FASTCALL(remove_own_copy, "remove_own_copy(core, line, l2line)"),
+    FASTCALL(purge_copies, "purge_copies(home, vline, ventry, t)"),
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject DirType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_repro_mesh_kernel.DirectoryKernel",
+    .tp_basicsize = sizeof(DirObject),
+    .tp_dealloc = (destructor)Dir_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Every L1 miss of one directory-family protocol engine",
+    .tp_traverse = (traverseproc)Dir_traverse,
+    .tp_clear = (inquiry)Dir_clear,
+    .tp_methods = Dir_methods,
+    .tp_new = Dir_new,
+};
+
+int
+repro_directory_register(PyObject *mod)
+{
+    if (PyType_Ready(&DirType) < 0) {
+        return -1;
+    }
+    struct {
+        PyObject **slot;
+        const char *name;
+    } names[] = {
+        {&str_hook[HOOK_CLASSIFY], "_classify_requester"},
+        {&str_hook[HOOK_GRANT], "_grant_private"},
+        {&str_hook[HOOK_EVICT], "_handle_l1_eviction"},
+        {&str_hook[HOOK_PURGE], "_purge_target_copy"},
+        {&str_check_read, "check_read"},
+        {&str_verified_l1_write, "_verified_l1_write"},
+        {&str_check_invariants, "check_invariants"},
+        {&str_broadcast, "broadcast"},
+        {&str_resolve_path, "resolve_path"},
+    };
+    for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
+        if (*names[i].slot == NULL) {
+            *names[i].slot = PyUnicode_InternFromString(names[i].name);
+            if (*names[i].slot == NULL) {
+                return -1;
+            }
+        }
+    }
+    if (PyModule_AddObjectRef(mod, "DirectoryKernel", (PyObject *)&DirType) < 0
+        || PyModule_AddIntConstant(mod, "WORD_BITS", K_WORD_BITS) < 0
+        || PyModule_AddIntConstant(mod, "EVER_CACHED", K_EVER_CACHED) < 0
+        || PyModule_AddIntConstant(mod, "LAST_REMOVAL_INVAL",
+                                   K_LAST_REMOVAL_INVAL) < 0
+        || PyModule_AddIntConstant(mod, "EVER_REMOTE", K_EVER_REMOTE) < 0) {
+        return -1;
+    }
+    static const struct {
+        const char *name;
+        int value;
+    } msgs[] = {
+        {"MSG_READ_REQ", K_MSG_READ_REQ},
+        {"MSG_WRITE_REQ", K_MSG_WRITE_REQ},
+        {"MSG_UPGRADE_REQ", K_MSG_UPGRADE_REQ},
+        {"MSG_LINE_REPLY", K_MSG_LINE_REPLY},
+        {"MSG_WORD_REPLY", K_MSG_WORD_REPLY},
+        {"MSG_WORD_WRITE_ACK", K_MSG_WORD_WRITE_ACK},
+        {"MSG_INV_REQ", K_MSG_INV_REQ},
+        {"MSG_INV_ACK", K_MSG_INV_ACK},
+        {"MSG_WB_REQ", K_MSG_WB_REQ},
+        {"MSG_WB_DATA", K_MSG_WB_DATA},
+        {"MSG_EVICT_NOTIFY", K_MSG_EVICT_NOTIFY},
+        {"MSG_EVICT_DIRTY", K_MSG_EVICT_DIRTY},
+    };
+    for (size_t i = 0; i < sizeof(msgs) / sizeof(msgs[0]); i++) {
+        if (PyModule_AddIntConstant(mod, msgs[i].name, msgs[i].value) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}

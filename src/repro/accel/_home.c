@@ -17,8 +17,8 @@
  * engine on every update, because reset_stats replaces the object at the
  * warmup boundary.  It calls back into Python only for page-table side
  * effects (RNucaPageTable.classify_data), page flushes
- * (_flush_private_page), the off-chip fill's family hooks
- * (_evict_l2_line, _install_line_state), the fill itself (L2Slice.fill),
+ * (_flush_private_page), the off-chip fill's family hook
+ * (_evict_l2_line), the fill itself (L2Slice.fill),
  * the DRAM controller (MemoryController.access), route registration
  * (MeshNetwork.resolve_path) and the verify-mode golden steps
  * (_verify_word).  Every callback is looked up on the live object, so a
@@ -56,12 +56,9 @@
 #define K_MSG_MEM_READ_REQ 13
 #define K_MSG_MEM_READ_REPLY 14
 
-#define SLOT(obj, off) ((PyObject **)((char *)(obj) + (off)))
-
 /* Interned callback names (set once in repro_home_register). */
 static PyObject *str_flush_private_page;
 static PyObject *str_evict_l2_line;
-static PyObject *str_install_line_state;
 static PyObject *str_verify_word;
 static PyObject *str_access;
 static PyObject *str_fill;
@@ -91,6 +88,7 @@ typedef struct {
     PyObject *slice_type;    /* L2Slice */
     PyObject *store_type;    /* SetAssocCache */
     PyObject *energy_type;   /* EnergyCounters */
+    PyObject *entry_type;    /* DirectoryEntry a fill installs, or NULL */
     /* Geometry (constant per engine). */
     long long num_tiles;
     long long num_ctrls;
@@ -113,109 +111,8 @@ typedef struct {
     Py_ssize_t off_busy, off_last_use, off_last_access, off_dirty;
     Py_ssize_t off_dirty_words;
     Py_ssize_t off_r_wait, off_r_offchip;
+    Py_ssize_t off_directory, off_d_sharers, off_d_owner, off_d_overflowed;
 } HomeObject;
-
-/* ------------------------------------------------------------------ */
-/* Slot access                                                         */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-slot_get(PyObject *obj, Py_ssize_t off)
-{
-    PyObject *v = *SLOT(obj, off);
-    if (v == NULL) {
-        PyErr_Format(PyExc_AttributeError, "unset %s slot",
-                     Py_TYPE(obj)->tp_name);
-    }
-    return v;  /* borrowed */
-}
-
-static void
-slot_put(PyObject *obj, Py_ssize_t off, PyObject *value)  /* steals */
-{
-    PyObject **slot = SLOT(obj, off);
-    PyObject *old = *slot;
-    *slot = value;
-    Py_XDECREF(old);
-}
-
-static int
-slot_double(PyObject *obj, Py_ssize_t off, double *out)
-{
-    PyObject *v = slot_get(obj, off);
-    if (v == NULL) {
-        return -1;
-    }
-    if (PyFloat_CheckExact(v)) {
-        *out = PyFloat_AS_DOUBLE(v);
-        return 0;
-    }
-    double d = PyFloat_AsDouble(v);
-    if (d == -1.0 && PyErr_Occurred()) {
-        return -1;
-    }
-    *out = d;
-    return 0;
-}
-
-static int
-slot_set_double(PyObject *obj, Py_ssize_t off, double value)
-{
-    PyObject *v = PyFloat_FromDouble(value);
-    if (v == NULL) {
-        return -1;
-    }
-    slot_put(obj, off, v);
-    return 0;
-}
-
-static int
-slot_long(PyObject *obj, Py_ssize_t off, long long *out)
-{
-    PyObject *v = slot_get(obj, off);
-    if (v == NULL) {
-        return -1;
-    }
-    long long x = PyLong_AsLongLong(v);
-    if (x == -1 && PyErr_Occurred()) {
-        return -1;
-    }
-    *out = x;
-    return 0;
-}
-
-static int
-slot_set_long(PyObject *obj, Py_ssize_t off, long long value)
-{
-    PyObject *v = PyLong_FromLongLong(value);
-    if (v == NULL) {
-        return -1;
-    }
-    slot_put(obj, off, v);
-    return 0;
-}
-
-/* counter += 1 on an int slot. */
-static int
-slot_bump(PyObject *obj, Py_ssize_t off)
-{
-    long long x;
-    if (slot_long(obj, off, &x) < 0) {
-        return -1;
-    }
-    return slot_set_long(obj, off, x + 1);
-}
-
-static int
-check_type(PyObject *obj, PyObject *type, const char *what)
-{
-    if ((PyObject *)Py_TYPE(obj) != type) {
-        PyErr_Format(PyExc_TypeError, "home kernel: expected %s, got %s",
-                     what, Py_TYPE(obj)->tp_name);
-        return -1;
-    }
-    return 0;
-}
 
 /* engine.energy, type-checked (borrowed). */
 static PyObject *
@@ -239,32 +136,6 @@ energy_bump(HomeObject *k, Py_ssize_t off)
 /* ------------------------------------------------------------------ */
 /* Argument helpers                                                    */
 /* ------------------------------------------------------------------ */
-
-static int
-arg_long(PyObject *obj, long long *out)
-{
-    long long x = PyLong_AsLongLong(obj);
-    if (x == -1 && PyErr_Occurred()) {
-        return -1;
-    }
-    *out = x;
-    return 0;
-}
-
-static int
-arg_double(PyObject *obj, double *out)
-{
-    if (PyFloat_CheckExact(obj)) {
-        *out = PyFloat_AS_DOUBLE(obj);
-        return 0;
-    }
-    double d = PyFloat_AsDouble(obj);
-    if (d == -1.0 && PyErr_Occurred()) {
-        return -1;
-    }
-    *out = d;
-    return 0;
-}
 
 /* A line or word number: non-negative, as every address yields. */
 static int
@@ -315,25 +186,8 @@ engine_enter(HomeObject *k)
         PyErr_SetString(PyExc_RuntimeError, "home kernel was cleared");
         return NULL;
     }
-#if PY_VERSION_HEX >= 0x030D0000
-    PyObject *engine;
-    if (PyWeakref_GetRef(k->engine_ref, &engine) < 0) {
-        return NULL;
-    }
-#else
-    PyObject *engine = PyWeakref_GetObject(k->engine_ref);
-    if (engine == NULL) {
-        return NULL;
-    }
-    engine = engine == Py_None ? NULL : Py_NewRef(engine);
-#endif
-    if (engine == NULL) {
-        PyErr_SetString(PyExc_ReferenceError,
-                        "the engine of this home kernel is gone");
-        return NULL;
-    }
-    k->engine = engine;
-    return engine;
+    k->engine = repro_weak_engine(k->engine_ref, "home kernel");
+    return k->engine;
 }
 
 /* ------------------------------------------------------------------ */
@@ -407,7 +261,7 @@ place(HomeObject *k, long long line, int by_word, long long word,
             return 0;
         }
     }
-    PyObject *classify = PyObject_GetAttrString(k->page_table, "classify_data");
+    PyObject *classify = repro_getattr(k->page_table, "classify_data");
     if (classify == NULL) {
         Py_DECREF(page_obj);
         return -1;
@@ -571,15 +425,14 @@ set_result(HomeObject *k, PyObject *result, Py_ssize_t off, double value)
     return slot_set_double(result, off, value);
 }
 
-/* Both legs of a miss on a resident line: chain_request_reply. */
+/* Both legs of a miss on a resident line: chain_request_reply, with the
+ * request and reply legs' flit counts. */
 static int
 chain(HomeObject *k, long long core, long long home, PyObject *l2line,
-      PyObject *slice_, PyObject *req_msg, PyObject *reply_msg, double now,
+      PyObject *slice_, long long f1, long long f2, double now,
       PyObject *result, double *t_out, double *reply_out)
 {
-    long long f1, f2;
-    if (msg_flits(k, req_msg, &f1) < 0 || msg_flits(k, reply_msg, &f2) < 0
-        || check_type(l2line, k->line_type, "L2Line") < 0
+    if (check_type(l2line, k->line_type, "L2Line") < 0
         || check_type(slice_, k->slice_type, "L2Slice") < 0) {
         return -1;
     }
@@ -620,10 +473,36 @@ chain(HomeObject *k, long long core, long long home, PyObject *l2line,
     return 0;
 }
 
+/* A fresh DirectoryEntry (the `entry_type` slots sharers, owner and
+ * overflowed as its __init__ sets them) attached to a filled line. */
+static int
+install_entry(HomeObject *k, PyObject *l2line)
+{
+    PyTypeObject *type = (PyTypeObject *)k->entry_type;
+    PyObject *entry = type->tp_alloc(type, 0);
+    if (entry == NULL) {
+        return -1;
+    }
+    PyObject *sharers = PySet_New(NULL);
+    PyObject *owner = PyLong_FromLong(-1);
+    if (sharers == NULL || owner == NULL) {
+        Py_XDECREF(sharers);
+        Py_XDECREF(owner);
+        Py_DECREF(entry);
+        return -1;
+    }
+    slot_put(entry, k->off_d_sharers, sharers);
+    slot_put(entry, k->off_d_owner, owner);
+    slot_put(entry, k->off_d_overflowed, Py_NewRef(Py_False));
+    slot_put(l2line, k->off_directory, entry);
+    return 0;
+}
+
 /* The off-chip fill of `line` at `home` from t: LRU victim (evicted
  * through the family's _evict_l2_line), MEM_READ_REQ, the controller,
- * MEM_READ_REPLY, L2Slice.fill, _install_line_state.  Returns the new
- * L2Line (new reference) and its arrival time. */
+ * MEM_READ_REPLY, L2Slice.fill and, for a family that tracks sharers, a
+ * fresh directory entry.  Returns the new L2Line (new reference) and its
+ * arrival time. */
 static PyObject *
 fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
      PyObject *line_obj, double t, double *reply_out)
@@ -776,7 +655,7 @@ fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
         if (displaced) {
             PyObject *errors = PyImport_ImportModule("repro.common.errors");
             if (errors != NULL) {
-                PyObject *exc = PyObject_GetAttrString(errors,
+                PyObject *exc = repro_getattr(errors,
                                                        "SimulationError");
                 Py_DECREF(errors);
                 if (exc != NULL) {
@@ -796,16 +675,14 @@ fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
             goto done;
         }
         Py_INCREF(l2line);
-        PyObject *res = PyObject_CallMethodObjArgs(
-            k->engine, str_install_line_state, l2line, NULL);
-        if (res == NULL
+        if ((k->entry_type != NULL
+             && (check_type(l2line, k->line_type, "L2Line") < 0
+                 || install_entry(k, l2line) < 0))
             || energy_bump(k, k->off_e_lwrites) < 0
             || PyDict_SetItem(k->home_of_line, line_obj, home_obj) < 0) {
-            Py_XDECREF(res);
             Py_CLEAR(l2line);
             goto done;
         }
-        Py_DECREF(res);
         *reply_out = reply_t;
     }
 
@@ -821,19 +698,22 @@ done:
  * reference) and stores its slice (borrowed) and the service time. */
 static PyObject *
 deliver(HomeObject *k, long long core, PyObject *line_obj, long long line,
-        long long home, long long flush, PyObject *req_msg, PyObject *now_obj,
+        long long home, long long flush, long long flits, PyObject *now_obj,
         double now, PyObject *result, PyObject **slice_out, double *t_out)
 {
-    long long flits;
-    if (msg_flits(k, req_msg, &flits) < 0) {
-        return NULL;
-    }
     if (check_tile(k, home) < 0) {
         return NULL;
     }
     if (flush >= 0) {
-        PyObject *res = PyObject_CallMethod(k->engine, "_flush_private_page",
-                                            "OLO", line_obj, flush, now_obj);
+        PyObject *owner = PyLong_FromLongLong(flush);
+        if (owner == NULL) {
+            return NULL;
+        }
+        PyObject *args[4] = {k->engine, line_obj, owner, now_obj};
+        PyObject *res = PyObject_VectorcallMethod(
+            str_flush_private_page, args, 4 | PY_VECTORCALL_ARGUMENTS_OFFSET,
+            NULL);
+        Py_DECREF(owner);
         if (res == NULL) {
             return NULL;
         }
@@ -912,6 +792,10 @@ round_trip(HomeObject *k, long long core, PyObject *line_obj, long long line,
 {
     PyObject *slice_, *l2line;
     double t, reply_t;
+    long long f1, f2;
+    if (msg_flits(k, req_msg, &f1) < 0 || msg_flits(k, reply_msg, &f2) < 0) {
+        return NULL;
+    }
     if (flush < 0) {
         slice_ = slice_at(k, home);
         if (slice_ == NULL) {
@@ -927,22 +811,20 @@ round_trip(HomeObject *k, long long core, PyObject *line_obj, long long line,
         }
         if (l2line != NULL) {
             Py_INCREF(l2line);
-            if (chain(k, core, home, l2line, slice_, req_msg, reply_msg, now,
-                      result, &t, &reply_t) < 0) {
+            if (chain(k, core, home, l2line, slice_, f1, f2, now, result, &t,
+                      &reply_t) < 0) {
                 Py_DECREF(l2line);
                 return NULL;
             }
             goto pack;
         }
     }
-    l2line = deliver(k, core, line_obj, line, home, flush, req_msg, now_obj,
-                     now, result, &slice_, &t);
+    l2line = deliver(k, core, line_obj, line, home, flush, f1, now_obj, now,
+                     result, &slice_, &t);
     if (l2line == NULL) {
         return NULL;
     }
-    long long flits;
-    if (msg_flits(k, reply_msg, &flits) < 0
-        || leg(k, home, core, flits, t, &reply_t) < 0) {
+    if (leg(k, home, core, f2, t, &reply_t) < 0) {
         Py_DECREF(l2line);
         return NULL;
     }
@@ -951,22 +833,19 @@ pack:;
                 PyFloat_FromDouble(reply_t));
 }
 
+/* The word access at the home; `word_obj` is the word as a Python int for
+ * the verify-mode callback, or NULL to build it from `word`. */
 static int
-serve_word(HomeObject *k, PyObject *core_obj, PyObject *is_write_obj,
-           PyObject *line_obj, PyObject *word_obj, PyObject *l2line,
-           PyObject *slice_)
+serve_word(HomeObject *k, PyObject *core_obj, int is_write,
+           PyObject *line_obj, long long word, PyObject *word_obj,
+           PyObject *l2line, PyObject *slice_)
 {
-    int is_write = PyObject_IsTrue(is_write_obj);
-    if (is_write < 0
-        || check_type(l2line, k->line_type, "L2Line") < 0
+    if (check_type(l2line, k->line_type, "L2Line") < 0
         || check_type(slice_, k->slice_type, "L2Slice") < 0) {
         return -1;
     }
     if (is_write) {
-        long long word, mask;
-        if (arg_long(word_obj, &word) < 0) {
-            return -1;
-        }
+        long long mask;
         if (word < 0 || word > 62) {
             PyErr_SetString(PyExc_ValueError, "home kernel: word out of range");
             return -1;
@@ -986,10 +865,16 @@ serve_word(HomeObject *k, PyObject *core_obj, PyObject *is_write_obj,
         return -1;
     }
     if (k->verify) {
-        PyObject *args[6] = {k->engine, core_obj, is_write_obj, line_obj,
-                             word_obj, l2line};
+        PyObject *w = word_obj != NULL ? Py_NewRef(word_obj)
+                                       : PyLong_FromLongLong(word);
+        if (w == NULL) {
+            return -1;
+        }
+        PyObject *args[6] = {k->engine, core_obj, is_write ? Py_True : Py_False,
+                             line_obj, w, l2line};
         PyObject *res = PyObject_VectorcallMethod(
             str_verify_word, args, 6 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+        Py_DECREF(w);
         if (res == NULL) {
             return -1;
         }
@@ -1000,11 +885,10 @@ serve_word(HomeObject *k, PyObject *core_obj, PyObject *is_write_obj,
 
 static int
 settle(HomeObject *k, PyObject *slice_, PyObject *l2line, PyObject *t_obj,
-       PyObject *owned_obj)
+       int owned)
 {
-    int owned = PyObject_IsTrue(owned_obj);
     double t;
-    if (owned < 0 || arg_double(t_obj, &t) < 0
+    if (arg_double(t_obj, &t) < 0
         || check_type(l2line, k->line_type, "L2Line") < 0
         || check_type(slice_, k->slice_type, "L2Slice") < 0) {
         return -1;
@@ -1132,15 +1016,16 @@ METHOD(word_round_trip, 7,
 METHOD(deliver_request, 7,
        "deliver_request(core, line, home, flush_owner, req_msg, now, result)")
 {
-    long long core, line, home, flush;
+    long long core, line, home, flush, flits;
     double now, t;
     if (arg_long(args[0], &core) < 0 || arg_index(args[1], &line) < 0
         || arg_long(args[2], &home) < 0 || arg_flush(args[3], &flush) < 0
+        || msg_flits(k, args[4], &flits) < 0
         || arg_double(args[5], &now) < 0) {
         return NULL;
     }
     PyObject *slice_;
-    PyObject *l2line = deliver(k, core, args[1], line, home, flush, args[4],
+    PyObject *l2line = deliver(k, core, args[1], line, home, flush, flits,
                                args[5], now, args[6], &slice_, &t);
     if (l2line == NULL) {
         return NULL;
@@ -1164,23 +1049,39 @@ METHOD(chain_request_reply, 8,
        "chain_request_reply(core, home, l2line, slice_, req_msg, reply_msg, "
        "now, result)")
 {
-    long long core, home;
+    long long core, home, f1, f2;
     double now, t, reply_t;
     if (arg_long(args[0], &core) < 0 || arg_long(args[1], &home) < 0
+        || msg_flits(k, args[4], &f1) < 0 || msg_flits(k, args[5], &f2) < 0
         || arg_double(args[6], &now) < 0
-        || chain(k, core, home, args[2], args[3], args[4], args[5], now,
-                 args[7], &t, &reply_t) < 0) {
+        || chain(k, core, home, args[2], args[3], f1, f2, now, args[7], &t,
+                 &reply_t) < 0) {
         return NULL;
     }
     return pack(2, PyFloat_FromDouble(t), PyFloat_FromDouble(reply_t), NULL,
                 NULL);
 }
 
+/* serve_word's arguments is_write and word. */
+static int
+arg_word_access(PyObject *const *args, int *is_write, long long *word)
+{
+    *is_write = PyObject_IsTrue(args[1]);
+    if (*is_write < 0) {
+        return -1;
+    }
+    *word = 0;
+    return *is_write ? arg_long(args[3], word) : 0;
+}
+
 METHOD(serve_word, 6,
        "serve_word(core, is_write, line, word, l2line, slice_)")
 {
-    if (serve_word(k, args[0], args[1], args[2], args[3], args[4],
-                   args[5]) < 0) {
+    int is_write;
+    long long word;
+    if (arg_word_access(args, &is_write, &word) < 0
+        || serve_word(k, args[0], is_write, args[2], word, args[3], args[4],
+                      args[5]) < 0) {
         return NULL;
     }
     Py_RETURN_NONE;
@@ -1188,7 +1089,8 @@ METHOD(serve_word, 6,
 
 METHOD(settle, 4, "settle(slice_, l2line, t, owned)")
 {
-    if (settle(k, args[0], args[1], args[2], args[3]) < 0) {
+    int owned = PyObject_IsTrue(args[3]);
+    if (owned < 0 || settle(k, args[0], args[1], args[2], owned) < 0) {
         return NULL;
     }
     Py_RETURN_NONE;
@@ -1198,9 +1100,13 @@ METHOD(serve_word_settle, 8,
        "serve_word_settle(core, is_write, line, word, l2line, slice_, t, "
        "owned)")
 {
-    if (serve_word(k, args[0], args[1], args[2], args[3], args[4],
-                   args[5]) < 0
-        || settle(k, args[5], args[4], args[6], args[7]) < 0) {
+    int is_write, owned;
+    long long word;
+    if (arg_word_access(args, &is_write, &word) < 0
+        || serve_word(k, args[0], is_write, args[2], word, args[3], args[4],
+                      args[5]) < 0
+        || (owned = PyObject_IsTrue(args[7])) < 0
+        || settle(k, args[5], args[4], args[6], owned) < 0) {
         return NULL;
     }
     Py_RETURN_NONE;
@@ -1213,11 +1119,11 @@ METHOD(serve_word_settle, 8,
 static PyObject *
 attr_chain(PyObject *obj, const char *a, const char *b)
 {
-    PyObject *mid = PyObject_GetAttrString(obj, a);
+    PyObject *mid = repro_getattr(obj, a);
     if (mid == NULL || b == NULL) {
         return mid;
     }
-    PyObject *out = PyObject_GetAttrString(mid, b);
+    PyObject *out = repro_getattr(mid, b);
     Py_DECREF(mid);
     return out;
 }
@@ -1235,20 +1141,8 @@ attr_long(PyObject *obj, const char *a, const char *b, long long *out)
 }
 
 static int
-offsets(PyObject *type, const char *const *names, Py_ssize_t *const *outs)
-{
-    for (; *names != NULL; names++, outs++) {
-        **outs = repro_member_offset(type, *names);
-        if (**outs < 0) {
-            return -1;
-        }
-    }
-    return 0;
-}
-
-static int
 Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
-                PyObject *result_type)
+                PyObject *result_type, PyObject *entry_type)
 {
     k->engine_ref = PyWeakref_NewRef(engine, NULL);
     if (k->engine_ref == NULL) {
@@ -1256,15 +1150,32 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
     }
     k->line_type = Py_NewRef(line_type);
     k->result_type = Py_NewRef(result_type);
+    if (entry_type != Py_None) {
+        if (!PyType_Check(entry_type)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "HomeKernel: entry_type must be a class or None");
+            return -1;
+        }
+        k->entry_type = Py_NewRef(entry_type);
+        static const char *const entry_names[] = {
+            "sharers", "owner", "overflowed", NULL};
+        Py_ssize_t *const entry_outs[] = {
+            &k->off_d_sharers, &k->off_d_owner, &k->off_d_overflowed};
+        if (slot_offsets(entry_type, entry_names, entry_outs) < 0
+            || (k->off_directory = repro_member_offset(line_type,
+                                                       "directory")) < 0) {
+            return -1;
+        }
+    }
     long long verify;
-    if ((k->l2 = PyObject_GetAttrString(engine, "l2")) == NULL
+    if ((k->l2 = repro_getattr(engine, "l2")) == NULL
         || (k->paths = attr_chain(engine, "network", "paths")) == NULL
         || (k->resolve = attr_chain(engine, "network", "resolve_path")) == NULL
         || (k->mesh = attr_chain(engine, "network", "kernel")) == NULL
         || (k->page_table = attr_chain(engine, "placement", "page_table")) == NULL
-        || (k->pages = PyObject_GetAttrString(k->page_table, "_pages")) == NULL
-        || (k->home_of_line = PyObject_GetAttrString(engine, "_home_of_line")) == NULL
-        || (k->dram_image = PyObject_GetAttrString(engine, "_dram_image")) == NULL
+        || (k->pages = repro_getattr(k->page_table, "_pages")) == NULL
+        || (k->home_of_line = repro_getattr(engine, "_home_of_line")) == NULL
+        || (k->dram_image = repro_getattr(engine, "_dram_image")) == NULL
         || (k->line_size = attr_chain(engine, "arch", "line_size")) == NULL
         || attr_long(engine, "arch", "num_cores", &k->num_tiles) < 0
         || attr_long(engine, "arch", "words_per_line", &k->words_per_line) < 0
@@ -1307,7 +1218,7 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
     k->l2_latency = (double)latency;
 
     /* Flit table, by message type value. */
-    PyObject *flits = PyObject_GetAttrString(engine, "_net_flits");
+    PyObject *flits = repro_getattr(engine, "_net_flits");
     if (flits == NULL) {
         return -1;
     }
@@ -1375,7 +1286,7 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
     Py_DECREF(ctrls);
 
     /* Slot offsets: engine, energy, slices, stores, lines, results. */
-    PyObject *energy = PyObject_GetAttrString(engine, "energy");
+    PyObject *energy = repro_getattr(engine, "energy");
     if (energy == NULL) {
         return -1;
     }
@@ -1383,7 +1294,7 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
     Py_DECREF(energy);
     PyObject *slice0 = PyList_GET_ITEM(k->l2, 0);
     k->slice_type = Py_NewRef((PyObject *)Py_TYPE(slice0));
-    PyObject *store0 = PyObject_GetAttrString(slice0, "store");
+    PyObject *store0 = repro_getattr(slice0, "store");
     if (store0 == NULL) {
         return -1;
     }
@@ -1436,12 +1347,12 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
     static const char *const result_names[] = {
         "l2_waiting", "l2_offchip", NULL};
     Py_ssize_t *const result_outs[] = {&k->off_r_wait, &k->off_r_offchip};
-    if (offsets((PyObject *)Py_TYPE(engine), engine_names, engine_outs) < 0
-        || offsets(k->energy_type, energy_names, energy_outs) < 0
-        || offsets(k->slice_type, slice_names, slice_outs) < 0
-        || offsets(k->store_type, store_names, store_outs) < 0
-        || offsets(line_type, line_names, line_outs) < 0
-        || offsets(result_type, result_names, result_outs) < 0) {
+    if (slot_offsets((PyObject *)Py_TYPE(engine), engine_names, engine_outs) < 0
+        || slot_offsets(k->energy_type, energy_names, energy_outs) < 0
+        || slot_offsets(k->slice_type, slice_names, slice_outs) < 0
+        || slot_offsets(k->store_type, store_names, store_outs) < 0
+        || slot_offsets(line_type, line_names, line_outs) < 0
+        || slot_offsets(result_type, result_names, result_outs) < 0) {
         return -1;
     }
     return 0;
@@ -1450,18 +1361,19 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
 static PyObject *
 Home_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"engine", "line_type", "result_type", NULL};
-    PyObject *engine, *line_type, *result_type;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO!O!", kwlist, &engine,
+    static char *kwlist[] = {"engine", "line_type", "result_type",
+                             "entry_type", NULL};
+    PyObject *engine, *line_type, *result_type, *entry_type;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO!O!O", kwlist, &engine,
                                      &PyType_Type, &line_type, &PyType_Type,
-                                     &result_type)) {
+                                     &result_type, &entry_type)) {
         return NULL;
     }
     HomeObject *k = (HomeObject *)type->tp_alloc(type, 0);
     if (k == NULL) {
         return NULL;
     }
-    if (Home_init_state(k, engine, line_type, result_type) < 0) {
+    if (Home_init_state(k, engine, line_type, result_type, entry_type) < 0) {
         Py_DECREF(k);
         return NULL;
     }
@@ -1487,6 +1399,7 @@ Home_traverse(HomeObject *k, visitproc visit, void *arg)
     Py_VISIT(k->slice_type);
     Py_VISIT(k->store_type);
     Py_VISIT(k->energy_type);
+    Py_VISIT(k->entry_type);
     return 0;
 }
 
@@ -1510,6 +1423,7 @@ Home_clear(HomeObject *k)
     Py_CLEAR(k->slice_type);
     Py_CLEAR(k->store_type);
     Py_CLEAR(k->energy_type);
+    Py_CLEAR(k->entry_type);
     return 0;
 }
 
@@ -1565,6 +1479,116 @@ static PyTypeObject HomeType = {
     .tp_new = Home_new,
 };
 
+/* ------------------------------------------------------------------ */
+/* The steps as C entry points, for the directory kernel (_accel.h)    */
+/* ------------------------------------------------------------------ */
+
+int
+repro_home_check(PyObject *obj)
+{
+    return Py_IS_TYPE(obj, &HomeType);
+}
+
+/* The kernel, bound to the caller's engine for one step. */
+static HomeObject *
+bind(PyObject *home, PyObject *engine)
+{
+    HomeObject *k = (HomeObject *)home;
+    if (k->engine_ref == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "home kernel was cleared");
+        return NULL;
+    }
+    k->engine = engine;
+    return k;
+}
+
+static int
+flits_of(HomeObject *k, long long msg, long long *out)
+{
+    if (msg < 0 || msg >= k->num_msgs) {
+        PyErr_SetString(PyExc_IndexError, "home kernel: bad message type");
+        return -1;
+    }
+    *out = k->flits[msg];
+    return 0;
+}
+
+int
+repro_home_data_home(PyObject *home, PyObject *engine, long long line,
+                     PyObject *core_obj, long long core, long long *home_tile,
+                     long long *flush)
+{
+    HomeObject *k = bind(home, engine);
+    return k == NULL ? -1
+                     : place(k, line, 0, 0, core_obj, core, home_tile, flush);
+}
+
+PyObject *
+repro_home_deliver_request(PyObject *home, PyObject *engine, long long core,
+                           PyObject *line_obj, long long line,
+                           long long home_tile, long long flush,
+                           long long req_msg, PyObject *now_obj, double now,
+                           PyObject *result, PyObject **slice_out,
+                           double *t_out)
+{
+    HomeObject *k = bind(home, engine);
+    long long flits;
+    if (k == NULL || flits_of(k, req_msg, &flits) < 0) {
+        return NULL;
+    }
+    return deliver(k, core, line_obj, line, home_tile, flush, flits, now_obj,
+                   now, result, slice_out, t_out);
+}
+
+int
+repro_home_chain_request_reply(PyObject *home, PyObject *engine,
+                               long long core, long long home_tile,
+                               PyObject *l2line, PyObject *slice_,
+                               long long req_msg, long long reply_msg,
+                               double now, PyObject *result, double *t_out,
+                               double *reply_out)
+{
+    HomeObject *k = bind(home, engine);
+    long long f1, f2;
+    if (k == NULL || flits_of(k, req_msg, &f1) < 0
+        || flits_of(k, reply_msg, &f2) < 0) {
+        return -1;
+    }
+    return chain(k, core, home_tile, l2line, slice_, f1, f2, now, result,
+                 t_out, reply_out);
+}
+
+int
+repro_home_reply(PyObject *home, PyObject *engine, long long home_tile,
+                 long long core, long long reply_msg, double t, double *out)
+{
+    HomeObject *k = bind(home, engine);
+    long long flits;
+    if (k == NULL || flits_of(k, reply_msg, &flits) < 0) {
+        return -1;
+    }
+    return leg(k, home_tile, core, flits, t, out);
+}
+
+int
+repro_home_serve_word(PyObject *home, PyObject *engine, PyObject *core_obj,
+                      int is_write, PyObject *line_obj, long long word,
+                      PyObject *l2line, PyObject *slice_)
+{
+    HomeObject *k = bind(home, engine);
+    return k == NULL ? -1
+                     : serve_word(k, core_obj, is_write, line_obj, word, NULL,
+                                  l2line, slice_);
+}
+
+int
+repro_home_settle(PyObject *home, PyObject *engine, PyObject *slice_,
+                  PyObject *l2line, PyObject *t_obj, int owned)
+{
+    HomeObject *k = bind(home, engine);
+    return k == NULL ? -1 : settle(k, slice_, l2line, t_obj, owned);
+}
+
 int
 repro_home_register(PyObject *mod)
 {
@@ -1577,7 +1601,6 @@ repro_home_register(PyObject *mod)
     } names[] = {
         {&str_flush_private_page, "_flush_private_page"},
         {&str_evict_l2_line, "_evict_l2_line"},
-        {&str_install_line_state, "_install_line_state"},
         {&str_verify_word, "_verify_word"},
         {&str_access, "access"},
         {&str_fill, "fill"},

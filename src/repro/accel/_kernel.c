@@ -56,7 +56,7 @@
 #define K_WINDOW_MASK (K_WINDOW_EPOCHS - 1)
 #define K_SLOT_SHIFT 6
 #define K_SLOT_OCC_MASK ((1 << K_SLOT_SHIFT) - 1)
-#define K_ABI_VERSION 3
+#define K_ABI_VERSION 4
 
 typedef struct {
     PyObject_HEAD
@@ -706,9 +706,10 @@ PyInit__repro_mesh_kernel(void)
         Py_DECREF(mod);
         return NULL;
     }
-    /* The scheduler kernel and the home kernel, compiled from the
-     * sibling _sched.c and _home.c into this same module. */
-    if (repro_sched_register(mod) < 0 || repro_home_register(mod) < 0) {
+    /* The scheduler, home and directory kernels, compiled from the
+     * sibling _sched.c, _home.c and _directory.c into this same module. */
+    if (repro_sched_register(mod) < 0 || repro_home_register(mod) < 0
+        || repro_directory_register(mod) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

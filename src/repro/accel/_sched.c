@@ -149,8 +149,6 @@ typedef struct {
     Py_ssize_t dirty_cap;
 } SchedObject;
 
-#define SLOT(obj, off) ((PyObject **)((char *)(obj) + (off)))
-
 /* ------------------------------------------------------------------ */
 /* Open-addressing map: Fibonacci hash + linear probe (the mesh         */
 /* kernel's overflow-map machinery, keyed by (line, core)).             */
@@ -480,22 +478,6 @@ call_access(SchedObject *k, long long core, int is_write, long long address,
     return res;
 }
 
-static int
-slot_double(PyObject *obj, Py_ssize_t off, double *out)
-{
-    PyObject *v = *SLOT(obj, off);
-    if (v == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "unset AccessResult slot");
-        return -1;
-    }
-    double d = PyFloat_AsDouble(v);
-    if (d == -1.0 && PyErr_Occurred()) {
-        return -1;
-    }
-    *out = d;
-    return 0;
-}
-
 /* ------------------------------------------------------------------ */
 /* Construction                                                        */
 /* ------------------------------------------------------------------ */
@@ -503,7 +485,7 @@ slot_double(PyObject *obj, Py_ssize_t off, double *out)
 Py_ssize_t
 repro_member_offset(PyObject *type, const char *name)
 {
-    PyObject *descr = PyObject_GetAttrString(type, name);
+    PyObject *descr = repro_getattr(type, name);
     if (descr == NULL) {
         return -1;
     }
@@ -772,7 +754,7 @@ Sched_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         /* Adopt the current L1 membership (the warmup pass may have filled
          * the stores); afterwards every change arrives through note(). */
         for (long long c = 0; c < k->num_cores; c++) {
-            PyObject *sets = PyObject_GetAttrString(k->stores[c], "_sets");
+            PyObject *sets = repro_getattr(k->stores[c], "_sets");
             if (sets == NULL || !PyList_Check(sets)) {
                 Py_XDECREF(sets);
                 if (!PyErr_Occurred()) {

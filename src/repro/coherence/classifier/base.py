@@ -46,7 +46,24 @@ class CoreLocality:
 
 
 class LocalityClassifier:
-    """Shared promotion/demotion logic; storage is subclass-specific."""
+    """Shared promotion/demotion logic; storage is subclass-specific.
+
+    Slotted: the compiled directory kernel (DESIGN.md section 16) reads the
+    configuration once and bumps the counters through the slot offsets.
+    """
+
+    __slots__ = (
+        "proto",
+        "pct",
+        "one_way",
+        "use_timestamp",
+        "_rat_levels",
+        "_max_rat_level",
+        "promotions",
+        "demotions",
+        "remote_accesses",
+        "vote_decisions",
+    )
 
     def __init__(self, proto: ProtocolConfig) -> None:
         self.proto = proto

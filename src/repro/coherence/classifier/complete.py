@@ -30,6 +30,8 @@ class CompleteClassifier(LocalityClassifier):
 
     name = "complete"
 
+    __slots__ = ()
+
     def locality_entry(self, l2line: L2Line, core: int, allocate: bool) -> CoreLocality | None:
         table: dict[int, CoreLocality] | None = l2line.locality
         if table is None:

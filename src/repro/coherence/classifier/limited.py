@@ -34,6 +34,8 @@ class LimitedClassifier(LocalityClassifier):
 
     name = "limited"
 
+    __slots__ = ("k", "replacements", "allocation_failures")
+
     def __init__(self, proto: ProtocolConfig) -> None:
         super().__init__(proto)
         self.k = proto.limited_k

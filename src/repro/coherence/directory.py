@@ -46,9 +46,15 @@ class DirectoryEntry:
 
 
 class SharerTrackingPolicy:
-    """Base class: full-map tracking (identities always known)."""
+    """Base class: full-map tracking (identities always known).
+
+    Slotted: the compiled directory kernel (DESIGN.md section 16) bumps the
+    invalidation counters through the slot offsets.
+    """
 
     name = "fullmap"
+
+    __slots__ = ("num_cores", "broadcast_invalidations", "unicast_invalidations")
 
     def __init__(self, num_cores: int) -> None:
         self.num_cores = num_cores
@@ -84,6 +90,8 @@ class SharerTrackingPolicy:
 class FullMapPolicy(SharerTrackingPolicy):
     """Classic full-map directory: one presence bit per core."""
 
+    __slots__ = ()
+
 
 class NullSharerPolicy(SharerTrackingPolicy):
     """No sharer tracking at all (``directory="none"``).
@@ -96,6 +104,8 @@ class NullSharerPolicy(SharerTrackingPolicy):
     """
 
     name = "none"
+
+    __slots__ = ()
 
     def add_sharer(self, entry: DirectoryEntry, core: int) -> None:
         pass
@@ -117,6 +127,8 @@ class AckwisePolicy(SharerTrackingPolicy):
     """ACKwise_p limited directory."""
 
     name = "ackwise"
+
+    __slots__ = ("pointers",)
 
     def __init__(self, num_cores: int, pointers: int) -> None:
         super().__init__(num_cores)

@@ -20,7 +20,13 @@ from repro.mem.cache import CacheLine, SetAssocCache
 
 
 class L1Cache:
-    """One core's private L1 (data or instruction) cache."""
+    """One core's private L1 (data or instruction) cache.
+
+    Slotted: the compiled directory kernel (DESIGN.md section 16) reads
+    ``store`` and bumps the hit and miss counters through the slot offsets.
+    """
+
+    __slots__ = ("geometry", "store", "keep_data", "hits", "misses")
 
     def __init__(self, geometry: CacheGeometry, keep_data: bool = False) -> None:
         self.geometry = geometry

@@ -430,12 +430,49 @@ class FreeMeshKernel(PyMeshKernel):
 _ABLATION_KERNELS = {"naive": NaiveMeshKernel, "none": FreeMeshKernel}
 
 
+class _MeshGeometry:
+    """What every mesh of one width shares in a process: the topology, the
+    dense link numbering, and the XY routes and broadcast trees as dense
+    link ids, each computed on first use.  ``Simulator.run`` builds a new
+    network per run, so without sharing every run would recompute its
+    routes; the kernel path handles stay per network (``register_path``)."""
+
+    __slots__ = ("topology", "num_links", "dense_link", "routes", "bcast_edges")
+
+    def __init__(self, num_tiles: int) -> None:
+        self.topology = Mesh2D(num_tiles)
+        #: Dense link numbering: position in ``topology.directed_links()``.
+        #: ``dense_link`` maps the sparse ``src * num_tiles + dst`` encoding
+        #: to the dense id (-1 for non-links).
+        links = self.topology.directed_links()
+        self.num_links = len(links)
+        self.dense_link = [-1] * (num_tiles * num_tiles)
+        for dense, (src, dst) in enumerate(links):
+            self.dense_link[src * num_tiles + dst] = dense
+        #: ``src * num_tiles + dst`` -> the route's dense link ids.
+        self.routes: list = [None] * (num_tiles * num_tiles)
+        #: Per-root broadcast tree as ``(src, dst, dense link)`` edges.
+        self.bcast_edges: dict[int, tuple[tuple[int, int, int], ...]] = {}
+
+
+_GEOMETRIES: dict[int, _MeshGeometry] = {}
+
+
+def _geometry(num_tiles: int) -> _MeshGeometry:
+    geometry = _GEOMETRIES.get(num_tiles)
+    if geometry is None:
+        geometry = _GEOMETRIES[num_tiles] = _MeshGeometry(num_tiles)
+    return geometry
+
+
 class MeshNetwork:
     """Timing + traffic model for the electrical 2-D mesh.
 
-    Holds the configuration, the route memo and the broadcast trees; the
-    mesh kernel (``kernel``) holds the reservations and the traffic
-    counters.  Slotted: the route memo is probed on every message.
+    Holds the configuration and the route memo of kernel path handles;
+    the topology, dense link ids, routes and broadcast trees are shared by
+    every mesh of the same width (``_MeshGeometry``).  The mesh kernel
+    (``kernel``) holds the reservations and the traffic counters.
+    Slotted: the route memo is probed on every message.
     """
 
     __slots__ = (
@@ -444,26 +481,20 @@ class MeshNetwork:
         "kernel",
         "num_links",
         "_num_tiles",
-        "_dense_link",
+        "_geometry",
         "_routes",
-        "_bcast_edges",
         "_flits_table",
         "_hop_latency",
     )
 
     def __init__(self, arch: ArchConfig) -> None:
         self.arch = arch
-        self.topology = Mesh2D(arch.num_cores)
+        geometry = _geometry(arch.num_cores)
+        self._geometry = geometry
+        self.topology = geometry.topology
         num_tiles = self.topology.num_tiles
         self._num_tiles = num_tiles
-        #: Dense link numbering: position in ``topology.directed_links()``.
-        #: ``_dense_link`` maps the sparse ``src * num_tiles + dst`` encoding
-        #: to the dense id (-1 for non-links).
-        links = self.topology.directed_links()
-        self.num_links = len(links)
-        self._dense_link = [-1] * (num_tiles * num_tiles)
-        for dense, (src, dst) in enumerate(links):
-            self._dense_link[src * num_tiles + dst] = dense
+        self.num_links = geometry.num_links
         #: The mesh kernel, picked once: the ablation ``arch.link_model``
         #: names, else the compiled ``MeshKernel`` (unless REPRO_NO_ACCEL is
         #: set or the build failed), else its pure-Python twin.
@@ -480,8 +511,6 @@ class MeshNetwork:
         #: list directly (via ``paths``) and call :meth:`resolve_path` on a
         #: miss, skipping a method call per message on their hottest chains.
         self._routes: list = [None] * (num_tiles * num_tiles)
-        #: Per-root broadcast tree with pre-resolved dense link ids.
-        self._bcast_edges: dict[int, tuple[tuple[int, int, int], ...]] = {}
         #: Flit count per message type, precomputed once (``message_flits``
         #: depends only on the type and the arch constants).
         self._flits_table = [message_flits(msg, arch) for msg in MsgType]
@@ -535,10 +564,13 @@ class MeshNetwork:
         key = src * self._num_tiles + dst
         path = self._routes[key]
         if path is None:
-            dense = self._dense_link
-            path = self.kernel.register_path(
-                [dense[link] for link in self.topology.route(src, dst)]
-            )
+            geometry = self._geometry
+            links = geometry.routes[key]
+            if links is None:
+                dense = geometry.dense_link
+                links = tuple(dense[link] for link in self.topology.route(src, dst))
+                geometry.routes[key] = links
+            path = self.kernel.register_path(links)
             self._routes[key] = path
         return path
 
@@ -562,15 +594,16 @@ class MeshNetwork:
         """
         flits = self._flits_table[msg]
         arrival: dict[int, float] = {root: start}
-        edges = self._bcast_edges.get(root)
+        bcast_edges = self._geometry.bcast_edges
+        edges = bcast_edges.get(root)
         if edges is None:
-            dense = self._dense_link
+            dense = self._geometry.dense_link
             num_tiles = self._num_tiles
             edges = tuple(
                 (src, dst, dense[src * num_tiles + dst])
                 for src, dst in self.topology.broadcast_tree(root)
             )
-            self._bcast_edges[root] = edges
+            bcast_edges[root] = edges
         hop = self._hop_latency
         tail = flits - 1
         kernel = self.kernel

@@ -23,11 +23,13 @@ engine owns the substrate every family shares:
   ``HomeKernel`` exactly when the mesh kernel is compiled, else its
   pure-Python twin ``PyHomeKernel``; both take the same steps in the same
   order;
-* the home kernel's callbacks: the off-chip fill's family hooks
-  (``_evict_l2_line``: write-back + the per-family L1-purge hook;
-  ``_install_line_state``), the page flush of a private -> shared
-  transition (``_flush_private_page``) and the verify-mode golden steps of
-  a word access (``_verify_word``);
+* the home kernel's callbacks: the off-chip fill's family hook
+  (``_evict_l2_line``: write-back + the per-family L1-purge hook), the
+  page flush of a private -> shared transition (``_flush_private_page``)
+  and the verify-mode golden steps of a word access (``_verify_word``);
+  what a fill installs at the home - a fresh ``DirectoryEntry`` for the
+  families with a sharer-tracking directory, nothing for DLS and Neat -
+  is decided once, when the home kernel is built;
 * golden-memory verification plumbing (write tokens, the DRAM image, and
   the end-of-run ``check_final_state`` sweep used by the differential
   property harness).
@@ -53,7 +55,7 @@ from repro.common.errors import SimulationError
 from repro.common.params import ArchConfig, ProtocolConfig
 from repro.common.types import MESIState, MissType
 from repro.coherence.classifier.limited import make_classifier
-from repro.coherence.directory import make_sharer_policy
+from repro.coherence.directory import DirectoryEntry, make_sharer_policy
 from repro.energy.model import EnergyCounters
 from repro.mem.golden import GoldenMemory
 from repro.mem.l1 import L1Cache
@@ -137,12 +139,6 @@ class ProtocolEngineBase:
         "_l2_latency",
         "_words_per_line",
         "_hit_result",
-        "_num_tiles",
-        "_net_paths",
-        "_net_resolve",
-        "_net_traverse",
-        "_net_chain",
-        "_net_many",
         "_net_flits",
         "__weakref__",
     )
@@ -183,19 +179,8 @@ class ProtocolEngineBase:
         self._l2_latency = arch.l2.latency
         self._words_per_line = arch.words_per_line
 
-        #: Reserved-path traversal plumbing for the family-side traffic
-        #: (invalidation and write-back rounds, eviction notices), hoisted
-        #: once: the route memo is probed directly and whole paths are
-        #: reserved through the mesh kernel's own methods (no per-message
-        #: ``unicast`` wrapper; one FFI crossing per call with the
-        #: compiled kernel).
-        kernel = self.network.kernel
-        self._num_tiles = arch.num_cores
-        self._net_paths = self.network.paths
-        self._net_resolve = self.network.resolve_path
-        self._net_traverse = kernel.traverse
-        self._net_chain = kernel.traverse_chain
-        self._net_many = kernel.traverse_many
+        #: Flits per message type, by value: the home and directory kernels'
+        #: flit table for the traffic they reserve.
         self._net_flits = [self.network.flits_for(msg) for msg in MsgType]
 
         #: Shared L1-hit result: every field of a hit is constant (zero
@@ -207,9 +192,11 @@ class ProtocolEngineBase:
         #: The home kernel: compiled exactly when the mesh kernel is (it
         #: reserves the legs through the mesh kernel's C traversal), else
         #: the pure-Python twin.  Built last: it reads the engine's
-        #: structures above.
+        #: structures above.  Its fills install a fresh ``DirectoryEntry``
+        #: when the family tracks sharers, and nothing otherwise.
         compiled = accel.home_kernel_class() if self.network.implementation == "accel" else None
-        self.home_kernel = (compiled or PyHomeKernel)(self, L2Line, AccessResult)
+        entry_type = DirectoryEntry if proto.directory != "none" else None
+        self.home_kernel = (compiled or PyHomeKernel)(self, L2Line, AccessResult, entry_type)
 
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
@@ -338,14 +325,6 @@ class ProtocolEngineBase:
             self.golden.write_word(line, word, token)
         else:
             self.golden.check_read(line, word, l2line.data[word], f"remote read core {core}")
-
-    def _install_line_state(self, l2line: L2Line) -> None:
-        """Attach per-family home-side state to a freshly filled L2 line.
-
-        The directory families attach a sharer-tracking ``DirectoryEntry``;
-        DLS and Neat keep no home-side coherence state at all, so the
-        default is a no-op (``l2line.directory`` stays None).
-        """
 
     # ------------------------------------------------------------------
     def _evict_l2_line(self, home: int, vline: int, ventry: L2Line, t: float) -> None:

@@ -27,17 +27,18 @@ This engine services every L1 miss the way the paper's hardware would:
   directory access (for the energy model) and the four L2-side latency
   components of Section 4.4.
 
-Each miss takes the home kernel's steps (``repro.protocol.home``): the
-home from ``data_home``, the request and reply legs, the time-independent
-bookkeeping (``serve_word`` or ``_grant_private``), then ``settle``.  The
-invalidation or write-back round sits between the legs, so the engine
-checks the line itself rather than calling ``round_trip``: with no page
-flush, the line resident at the home and no round to run, request and
-reply ride one ``chain_request_reply`` call; otherwise
-``deliver_request``, the round, then ``reply``.  Either way the
-requester is classified once (``_classify_requester``, the one policy
-seam the phase family overrides) and the reply is reserved before the
-bookkeeping.
+Each miss runs in the engine's directory kernel (DESIGN.md section 16):
+the compiled ``DirectoryKernel`` or its pure-Python twin
+:class:`PyDirectoryKernel` below, which takes the home kernel's steps
+(``repro.protocol.home``): the home from ``data_home``, the request and
+reply legs, the time-independent bookkeeping (``serve_word`` or the line
+grant), then ``settle``.  The invalidation or write-back round sits
+between the legs, so the kernel checks the line itself rather than
+calling ``round_trip``: with no page flush, the line resident at the home
+and no round to run, request and reply ride one ``chain_request_reply``
+call; otherwise ``deliver_request``, the round, then ``reply``.  Either
+way the requester is classified once (the one policy step the phase
+family takes over) and the reply is reserved before the bookkeeping.
 
 The engine is *globally magic*: requests are serviced atomically in
 simulation order while all latencies come from the network/DRAM/serialization
@@ -51,10 +52,12 @@ normalizes against.
 
 from __future__ import annotations
 
+import weakref
+
+from repro import accel
 from repro.common import addr as addrmod
 from repro.common.errors import CoherenceError, SimulationError
 from repro.common.types import MESIState, RemovalReason, SharerMode
-from repro.coherence.directory import DirectoryEntry
 from repro.mem.cache import CacheLine
 from repro.mem.l2 import L2Line, L2Slice
 from repro.network.messages import MsgType
@@ -69,8 +72,10 @@ from repro.protocol.base import (
 
 _LINE_BITS = addrmod.LINE_BITS
 _WORD_BITS = addrmod.WORD_BITS
+_SHARED = MESIState.SHARED
 _EXCLUSIVE = MESIState.EXCLUSIVE
 _MODIFIED = MESIState.MODIFIED
+_classify_miss = ProtocolEngineBase._classify_miss
 
 # Message types as plain ints: the mesh's flit table indexes by value, and
 # int indexing skips the enum __index__ dispatch on the hot path.
@@ -94,43 +99,38 @@ _REMOTE_MODE = SharerMode.REMOTE
 
 
 class DirectoryEngine(ProtocolEngineBase):
-    """Directory protocol engine (baseline ACKwise / adaptive classifier)."""
+    """Directory protocol engine (baseline ACKwise / adaptive classifier).
 
-    __slots__ = ()
+    The miss path runs in the engine's *directory kernel*
+    (``directory_kernel``, DESIGN.md section 16): the compiled
+    ``DirectoryKernel`` exactly when the home kernel is compiled, else its
+    pure-Python twin :class:`PyDirectoryKernel`.  The engine keeps the
+    entry point the scheduler calls, the fast-path descriptor and the
+    family hooks a subclass may define (see :class:`PyDirectoryKernel`).
+    """
+
+    __slots__ = ("directory_kernel",)
+
+    def __init__(self, arch, proto, verify: bool = False) -> None:
+        super().__init__(arch, proto, verify)
+        compiled = (
+            accel.directory_kernel_class() if self.network.implementation == "accel" else None
+        )
+        self.directory_kernel = (compiled or PyDirectoryKernel)(self)
 
     # ==================================================================
     # Public entry point
     # ==================================================================
     def access(self, core: int, is_write: bool, address: int, now: float) -> AccessResult:
-        """Service one load/store issued by ``core`` at time ``now``.
+        """Service one load/store issued by ``core`` at time ``now``: one
+        call into the directory kernel.
 
         Plain runs never hit in L1 here: both scheduler kernels retire
         every hit inline through :meth:`scheduler_fast_path`.  Hits reach
         this method in verify mode, which checks each one against the
-        golden memory, so the hit branch is plain bookkeeping.
+        golden memory.
         """
-        line = address >> _LINE_BITS
-        l1 = self.l1d[core]
-        entry = l1.lookup(line)
-        if entry is not None and (not is_write or entry.state >= _EXCLUSIVE):
-            # L1 hit (E -> M upgrade is silent).
-            l1.hit(entry, now)
-            self.miss_stats.record_hit()
-            if is_write:
-                entry.state = _MODIFIED
-                self.energy.l1d_writes += 1
-                if self.verify:
-                    word = (address >> _WORD_BITS) & (self._words_per_line - 1)
-                    self._verified_l1_write(core, entry, line, word)
-            else:
-                self.energy.l1d_reads += 1
-                if self.verify:
-                    word = (address >> _WORD_BITS) & (self._words_per_line - 1)
-                    self.golden.check_read(line, word, entry.data[word], f"L1 hit core {core}")
-            return self._hit_result
-        word = (address >> _WORD_BITS) & (self._words_per_line - 1)
-        upgrade = entry is not None  # write to an S-state copy
-        return self._service_miss(core, is_write, line, word, now, upgrade)
+        return self.directory_kernel.access(core, is_write, address, now)
 
     def scheduler_fast_path(self) -> dict | None:
         """Expose the L1 structures for the scheduler's inline hit path.
@@ -163,24 +163,136 @@ class DirectoryEngine(ProtocolEngineBase):
         }
 
     # ------------------------------------------------------------------
-    def _install_line_state(self, l2line: L2Line) -> None:
-        l2line.directory = DirectoryEntry()
+    # Inclusive-L2 eviction: kill all L1 copies first.
+    # ------------------------------------------------------------------
+    def _purge_copies_for_l2_eviction(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
+        self.directory_kernel.purge_copies(home, vline, ventry, t)
+
+
+#: The steps a directory family may take over, by engine method name.  A
+#: kernel checks once, at construction, which of them the engine's class
+#: defines; the kernel then calls that method where it would take its own
+#: step, and the override reaches the base step through the kernel's
+#: public method of the same name without the underscore.
+FAMILY_HOOKS = (
+    "_classify_requester",
+    "_grant_private",
+    "_handle_l1_eviction",
+    "_purge_target_copy",
+)
+
+
+class PyDirectoryKernel:
+    """The pure-Python directory kernel: the compiled ``DirectoryKernel``'s
+    twin.
+
+    One kernel serves one directory-family engine and runs each of its
+    L1 misses: requester classification, the ACKwise/full-map sharer
+    updates, the invalidation and synchronous write-back rounds, the
+    private line grant with its L1 fill, the L1 eviction notice and the
+    miss-type, history, histogram and energy bookkeeping.  The home side of
+    the miss is the engine's home kernel (:mod:`repro.protocol.home`):
+    ``data_home``, then both legs in one ``chain_request_reply`` when
+    nothing can intervene (no page flush, the line resident at the home
+    and no round to run), else ``deliver_request``, the round and
+    ``reply``; then ``serve_word`` or the line grant, then ``settle``.
+
+    Methods: ``access`` (the whole access; the engine's ``access`` calls
+    it), ``purge_copies`` (the L1 purge of a dying L2 line) and the base
+    steps a family hook reaches back to - ``classify_requester``,
+    ``grant_private``, ``handle_l1_eviction``, ``purge_target_copy`` and
+    ``remove_own_copy``.  Which steps the engine's class takes over
+    (:data:`FAMILY_HOOKS`) is read once, here and in the compiled kernel
+    alike.
+
+    A kernel keeps no state: it works on the engine's objects (L1 and L2
+    arrays, directory entries, classifier and sharer-policy counters, the
+    histories) and re-reads ``energy``, ``miss_stats`` and both histograms
+    from the engine per access, because ``reset_stats`` replaces them.  The
+    classifier and the sharer policy are the reference of their steps, and
+    this kernel calls them.  The engine owns its kernel, so the kernel
+    refers back to it weakly.
+    """
+
+    __slots__ = (
+        "_engine",
+        "_l1d",
+        "_l2",
+        "_history",
+        "_home_of_line",
+        "_classifier",
+        "_policy",
+        "_network",
+        "_paths",
+        "_resolve",
+        "_traverse",
+        "_chain",
+        "_many",
+        "_flits",
+        "_num_tiles",
+        "_words_per_line",
+        "_verify",
+        "_hooks",
+    )
+
+    def __init__(self, engine) -> None:
+        self._engine = weakref.ref(engine)
+        self._l1d = engine.l1d
+        self._l2 = engine.l2
+        self._history = engine._history
+        self._home_of_line = engine._home_of_line
+        self._classifier = engine.classifier
+        self._policy = engine.sharer_policy
+        network = engine.network
+        self._network = network
+        self._paths = network.paths
+        self._resolve = network.resolve_path
+        self._traverse = network.kernel.traverse
+        self._chain = network.kernel.traverse_chain
+        self._many = network.kernel.traverse_many
+        self._flits = engine._net_flits
+        self._num_tiles = engine.arch.num_cores
+        self._words_per_line = engine.arch.words_per_line
+        self._verify = engine.verify
+        cls = type(engine)
+        self._hooks = tuple(hasattr(cls, name) for name in FAMILY_HOOKS)
+
+    def _live(self):
+        engine = self._engine()
+        if engine is None:
+            raise ReferenceError("the engine of this directory kernel is gone")
+        return engine
 
     # ==================================================================
-    # Miss path
+    # One access
     # ==================================================================
-    def _service_miss(
-        self,
-        core: int,
-        is_write: bool,
-        line: int,
-        word: int,
-        now: float,
-        upgrade: bool,
-    ) -> AccessResult:
-        l1 = self.l1d[core]
+    def access(self, core: int, is_write: bool, address: int, now: float) -> AccessResult:
+        engine = self._live()
+        line = address >> _LINE_BITS
+        l1 = self._l1d[core]
+        entry = l1.lookup(line)
+        if entry is not None and (not is_write or entry.state >= _EXCLUSIVE):
+            # L1 hit (E -> M upgrade is silent).
+            l1.hit(entry, now)
+            engine.miss_stats.record_hit()
+            if is_write:
+                entry.state = _MODIFIED
+                engine.energy.l1d_writes += 1
+                if self._verify:
+                    word = (address >> _WORD_BITS) & (self._words_per_line - 1)
+                    engine._verified_l1_write(core, entry, line, word)
+            else:
+                engine.energy.l1d_reads += 1
+                if self._verify:
+                    word = (address >> _WORD_BITS) & (self._words_per_line - 1)
+                    engine.golden.check_read(line, word, entry.data[word], f"L1 hit core {core}")
+            return engine._hit_result
+        word = (address >> _WORD_BITS) & (self._words_per_line - 1)
+        upgrade = entry is not None  # write to an S-state copy
+
+        # ---- the miss.
         l1.misses += 1
-        energy = self.energy
+        energy = engine.energy
         energy.l1d_tag_accesses += 1
         result = AccessResult()
 
@@ -189,15 +301,15 @@ class DirectoryEngine(ProtocolEngineBase):
             req_msg = _UPGRADE_REQ if upgrade else _WRITE_REQ
         else:
             req_msg = _READ_REQ
-        home_kernel = self.home_kernel
+        home_kernel = engine.home_kernel
         home, flush_owner = home_kernel.data_home(line, core)
-        slice_ = self.l2[home]
+        slice_ = self._l2[home]
         # Chained shape: no page flush, the line resident at the home, and
         # neither an invalidation round (writes: no foreign sharer) nor a
         # synchronous write-back (reads: no foreign exclusive owner) can
         # fire, so the request and reply are this miss's only traversals
         # and ride one traverse_chain call.  The check runs before
-        # classification: _remove_own_copy - the only directory mutation
+        # classification: remove_own_copy - the only directory mutation
         # classification can make - removes the requester itself, which
         # cannot make a clean line dirty.
         chained = False
@@ -218,9 +330,17 @@ class DirectoryEngine(ProtocolEngineBase):
         energy.directory_lookups += 1
         # Classification touches no network or timing state, so in the
         # chained shape it may run before the request is reserved.
-        serviced_remote, upgrade = self._classify_requester(
-            l1, l2line, core, line, is_write, upgrade
-        )
+        hooks = self._hooks
+        if hooks[0]:
+            serviced_remote, upgrade = engine._classify_requester(
+                l1, l2line, core, line, is_write, upgrade
+            )
+        elif self._classifier is not None:
+            serviced_remote, upgrade = self._classify_requester(
+                engine, l1, l2line, core, line, is_write, upgrade
+            )
+        else:
+            serviced_remote = False
         if is_write and (serviced_remote or upgrade):
             reply_msg = _WORD_WRITE_ACK
         else:
@@ -233,28 +353,27 @@ class DirectoryEngine(ProtocolEngineBase):
         # ---- miss classification uses the pre-service history (Section 4.4).
         history = self._history[core]
         flags = history.get(line, 0)
-        miss_type = self._classify_miss(flags, upgrade, serviced_remote)
+        miss_type = _classify_miss(flags, upgrade, serviced_remote)
         result.miss_type = miss_type
         result.remote = serviced_remote
-        self.miss_stats.record_miss(miss_type)
+        engine.miss_stats.record_miss(miss_type)
 
         dirent = l2line.directory
 
         # ---- coherence actions at the home.
         if is_write:
             # The no-other-sharers write (the common write miss) skips the
-            # invalidation round without a call; _invalidate_sharers keeps
-            # the same guard for its other callers.
+            # invalidation round.
             sharers = dirent.sharers
             if sharers and not (len(sharers) == 1 and core in sharers):
-                sharers_lat = self._invalidate_sharers(line, l2line, home, core, t)
+                sharers_lat = self._invalidate_sharers(engine, line, l2line, home, core, t)
                 t += sharers_lat
                 result.l2_sharers = sharers_lat
-            classifier = self.classifier
+            classifier = self._classifier
             if classifier is not None:
                 classifier.on_write(l2line, core)
         elif dirent.owner >= 0 and dirent.owner != core:
-            sharers_lat = self._sync_writeback(line, l2line, home, t)
+            sharers_lat = self._sync_writeback(engine, line, l2line, home, t)
             t += sharers_lat
             result.l2_sharers = sharers_lat
 
@@ -267,7 +386,12 @@ class DirectoryEngine(ProtocolEngineBase):
             home_kernel.serve_word(core, is_write, line, word, l2line, slice_)
             flags |= _EVER_REMOTE
         else:
-            self._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
+            if hooks[1]:
+                engine._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
+            else:
+                self._grant_private(
+                    engine, core, is_write, line, word, l2line, slice_, upgrade, reply_t
+                )
             flags |= _EVER_CACHED
         history[line] = flags
 
@@ -280,16 +404,66 @@ class DirectoryEngine(ProtocolEngineBase):
         result.l1_to_l2 = (
             result.latency - result.l2_waiting - result.l2_sharers - result.l2_offchip
         )
-        if self.verify:
+        if self._verify:
             dirent.check_invariants()
         return result
+
+    # ==================================================================
+    # The base steps a family hook reaches back to
+    # ==================================================================
+    def classify_requester(self, l1, l2line: L2Line, core: int, line: int, is_write: bool,
+                           upgrade: bool) -> tuple[bool, bool]:
+        """Private or remote sharer? Returns ``(serviced_remote, upgrade)``."""
+        if self._classifier is None:
+            return False, upgrade
+        return self._classify_requester(self._live(), l1, l2line, core, line, is_write, upgrade)
+
+    def grant_private(self, core: int, is_write: bool, line: int, word: int, l2line: L2Line,
+                      slice_: L2Slice, upgrade: bool, reply_t: float) -> None:
+        self._grant_private(self._live(), core, is_write, line, word, l2line, slice_, upgrade,
+                            reply_t)
+
+    def handle_l1_eviction(self, core: int, vline: int, ventry, t: float) -> None:
+        self._handle_l1_eviction(self._live(), core, vline, ventry, t)
+
+    def purge_target_copy(self, core: int, line: int, l2line: L2Line, merge_into_l2: bool) -> int:
+        return self._purge_target_copy(self._live(), core, line, l2line, merge_into_l2)
+
+    def remove_own_copy(self, core: int, line: int, l2line: L2Line) -> None:
+        """Fold back the requester's own stale S copy (classifier slot
+        churn, or a phase change to write-shared)."""
+        engine = self._live()
+        removed = self._l1d[core].remove(line)
+        if removed is None:
+            return
+        engine.inval_histogram.record(removed.utilization)
+        hist = self._history[core]
+        hist[line] = hist.get(line, 0) | _LAST_REMOVAL_INVAL
+        if self._classifier is not None:
+            self._classifier.on_removal(
+                l2line, core, removed.utilization, RemovalReason.INVALIDATION
+            )
+        self._policy.remove_sharer(l2line.directory, core)
+
+    def purge_copies(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
+        """Inclusive-L2 eviction: invalidate every L1 copy of ``vline``
+        (the data flows straight to memory with the dying line)."""
+        engine = self._live()
+        network = self._network
+        dirent = ventry.directory
+        for c in list(dirent.sharers):
+            network.unicast(home, c, MsgType.INV_REQ, t)
+            if self._hooks[3]:
+                ack_msg = engine._purge_target_copy(c, vline, ventry, False)
+            else:
+                ack_msg = self._purge_target_copy(engine, c, vline, ventry, False)
+            network.unicast(c, home, ack_msg, t)
+            self._policy.remove_sharer(dirent, c)
 
     # ------------------------------------------------------------------
     # Requester classification (private vs remote sharer)
     # ------------------------------------------------------------------
-    def _classify_requester(
-        self, l1, l2line: L2Line, core: int, line: int, is_write: bool, upgrade: bool
-    ) -> tuple[bool, bool]:
+    def _classify_requester(self, engine, l1, l2line, core, line, is_write, upgrade):
         """Ask the locality classifier how to service this requester: the
         requester's tracked entry (the probe of
         LimitedClassifier.locality_entry inlined - one dict get), else,
@@ -297,74 +471,56 @@ class DirectoryEngine(ProtocolEngineBase):
 
         Touches no network or timing state, so it runs identically before
         the request departs (chained shape, which needs the reply type up
-        front) or after it arrives (general path).  Returns
-        ``(serviced_remote, upgrade)``; ``upgrade`` folds to False when
-        the classifier votes remote for a core still holding an S copy
-        (the copy is folded back via ``_remove_own_copy``).  This is the
-        one policy seam of the miss path: a family with a different
-        service policy (``PhaseEngine``, which needs ``is_write``)
-        overrides it and inherits everything else.
+        front) or after it arrives (general path).  ``upgrade`` folds to
+        False when the classifier votes remote for a core still holding an
+        S copy (the copy is folded back via ``remove_own_copy``).  This is
+        the one policy step of the miss path: a family with a different
+        service policy (``PhaseEngine``, which needs ``is_write``) takes it
+        over and inherits everything else.
         """
-        classifier = self.classifier
-        if classifier is None:
-            mode, centry = _PRIVATE_MODE, None
+        classifier = self._classifier
+        entries = l2line.locality
+        centry = entries.get(core) if entries is not None else None
+        if centry is None:
+            centry = classifier.locality_entry(l2line, core, True)
+        if centry is not None:
+            mode = centry.mode
         else:
-            entries = l2line.locality
-            centry = entries.get(core) if entries is not None else None
-            if centry is None:
-                centry = classifier.locality_entry(l2line, core, True)
-            if centry is not None:
-                mode = centry.mode
-            else:
-                # Untracked and untrackable (Limited_k, all slots active):
-                # majority vote, inlined over the same live entry dict that
-                # tracked_entries() would expose.
-                classifier.vote_decisions += 1
-                tracked = remote_votes = 0
-                for e in entries.values():
-                    tracked += 1
-                    if e.mode is _REMOTE_MODE:
-                        remote_votes += 1
-                mode = _REMOTE_MODE if 2 * remote_votes > tracked else _PRIVATE_MODE
+            # Untracked and untrackable (Limited_k, all slots active):
+            # majority vote, inlined over the same live entry dict that
+            # tracked_entries() would expose.
+            classifier.vote_decisions += 1
+            tracked = remote_votes = 0
+            for e in l2line.locality.values():
+                tracked += 1
+                if e.mode is _REMOTE_MODE:
+                    remote_votes += 1
+            mode = _REMOTE_MODE if 2 * remote_votes > tracked else _PRIVATE_MODE
 
-        if upgrade and mode is _REMOTE_MODE:
+        if mode is not _REMOTE_MODE:
+            return False, upgrade
+        if upgrade:
             # Rare: the classifier lost this core's slot and votes remote
             # while it still holds an S copy - fold the copy back first.
-            self._remove_own_copy(core, line, l2line)
+            self.remove_own_copy(core, line, l2line)
             upgrade = False
-
-        serviced_remote = False
-        if mode is _REMOTE_MODE:
-            l1_min = l1.min_set_last_access(line)
-            promoted = classifier.on_remote_access(
-                l2line, centry, l1_min, l1_min is None
-            )
-            serviced_remote = not promoted
-        return serviced_remote, upgrade
+        l1_min = l1.min_set_last_access(line)
+        promoted = classifier.on_remote_access(l2line, centry, l1_min, l1_min is None)
+        return not promoted, upgrade
 
     # ------------------------------------------------------------------
     # Private (line) grant
     # ------------------------------------------------------------------
-    def _grant_private(
-        self,
-        core: int,
-        is_write: bool,
-        line: int,
-        word: int,
-        l2line: L2Line,
-        slice_: L2Slice,
-        upgrade: bool,
-        reply_t: float,
-    ) -> None:
+    def _grant_private(self, engine, core, is_write, line, word, l2line, slice_, upgrade, reply_t):
         """Directory/L1 bookkeeping of a private grant, run after the reply
         leg is reserved (its type depends only on ``is_write``/``upgrade``,
         never on the E-vs-S decision made here)."""
         dirent = l2line.directory
-        classifier = self.classifier
+        classifier = self._classifier
         if classifier is not None:
             classifier.note_private_grant(l2line, core)
-        policy = self.sharer_policy
-        energy = self.energy
+        policy = self._policy
+        energy = engine.energy
 
         if is_write:
             policy.set_owner(dirent, core)
@@ -376,55 +532,52 @@ class DirectoryEngine(ProtocolEngineBase):
             slice_.line_reads += 1
             energy.l2_line_reads += 1
 
-        l1 = self.l1d[core]
+        l1 = self._l1d[core]
         if upgrade:
             entry = l1.lookup(line)
             if entry is None:
                 raise SimulationError(f"upgrade for core {core} but no L1 copy of {line:#x}")
-            entry.state = MESIState.MODIFIED
+            entry.state = _MODIFIED
             # Same side effects as a hit (LRU, utilization, timestamp) but
             # without touching the hit counter: this access is a miss.
             l1.store.touch(entry)
             entry.utilization += 1
             entry.last_access = reply_t
             energy.l1d_writes += 1
-            if self.verify:
-                self._verified_l1_write(core, entry, line, word)
+            if self._verify:
+                engine._verified_l1_write(core, entry, line, word)
             return
 
         if is_write:
-            state = MESIState.MODIFIED
+            state = _MODIFIED
         elif dirent.owner == core:
-            state = MESIState.EXCLUSIVE
+            state = _EXCLUSIVE
         else:
-            state = MESIState.SHARED
-        data = list(l2line.data) if self.verify else None
+            state = _SHARED
+        data = list(l2line.data) if self._verify else None
         evicted = l1.fill(line, state, reply_t, data)
         energy.l1d_line_fills += 1
         if evicted is not None:
-            self._handle_l1_eviction(core, evicted[0], evicted[1], reply_t)
+            if self._hooks[2]:
+                engine._handle_l1_eviction(core, evicted[0], evicted[1], reply_t)
+            else:
+                self._handle_l1_eviction(engine, core, evicted[0], evicted[1], reply_t)
         entry = l1.lookup(line)
         if is_write:
             energy.l1d_writes += 1
-            if self.verify:
-                self._verified_l1_write(core, entry, line, word)
+            if self._verify:
+                engine._verified_l1_write(core, entry, line, word)
         else:
             energy.l1d_reads += 1
-            if self.verify:
-                self.golden.check_read(line, word, entry.data[word], f"fill read core {core}")
+            if self._verify:
+                engine.golden.check_read(line, word, entry.data[word], f"fill read core {core}")
 
     # ------------------------------------------------------------------
     # Invalidations (exclusive requests) - Section 3.2 write handling.
     # ------------------------------------------------------------------
-    def _invalidate_sharers(
-        self,
-        line: int,
-        l2line: L2Line,
-        home: int,
-        requester: int,
-        t: float,
-    ) -> float:
-        """Invalidate every private sharer except ``requester``.
+    def _invalidate_sharers(self, engine, line, l2line, home, requester, t):
+        """Invalidate every private sharer except ``requester`` (the caller
+        checked there is one).
 
         Returns the "L2 cache to sharers" latency: the round-trip until all
         acknowledgements (with piggybacked utilization counters) arrive.
@@ -432,166 +585,137 @@ class DirectoryEngine(ProtocolEngineBase):
         come only from the true sharers.
         """
         dirent = l2line.directory
-        sharers = dirent.sharers
-        if not sharers or (len(sharers) == 1 and requester in sharers):
-            return 0.0  # nobody else to invalidate (the common write miss)
-        targets = [c for c in sharers if c != requester]
-        if not targets:
-            return 0.0
-        paths = self._net_paths
-        resolve = self._net_resolve
-        traverse = self._net_traverse
-        flits_tab = self._net_flits
+        targets = [c for c in dirent.sharers if c != requester]
+        paths = self._paths
+        resolve = self._resolve
+        traverse = self._traverse
+        flits_tab = self._flits
         num_tiles = self._num_tiles
-        if self.sharer_policy.use_broadcast(dirent):
-            arrivals = self.network.broadcast(home, MsgType.INV_BROADCAST, t)
-            self.sharer_policy.broadcast_invalidations += 1
+        policy = self._policy
+        if policy.use_broadcast(dirent):
+            arrivals = self._network.broadcast(home, MsgType.INV_BROADCAST, t)
+            policy.broadcast_invalidations += 1
         else:
             # All INVs depart together at ``t``: one batched traverse_many
-            # reserves them in target order (one FFI crossing with the
-            # compiled kernel).  The acks stay per-target below - each
-            # departs at its own INV arrival and may differ in type - and
-            # the all-INVs-then-acks reservation order is preserved.
+            # reserves them in target order.  The acks stay per-target
+            # below - each departs at its own INV arrival and may differ in
+            # type - and the all-INVs-then-acks reservation order is kept.
             inv_paths = []
             for c in targets:
                 path = paths[home * num_tiles + c]
                 if path is None:
                     path = resolve(home, c)
                 inv_paths.append(path)
-            inv_flits = flits_tab[_INV_REQ]
-            arrivals = dict(zip(targets, self._net_many(t, inv_flits, inv_paths)))
-            self.sharer_policy.unicast_invalidations += len(targets)
+            arrivals = dict(zip(targets, self._many(t, flits_tab[_INV_REQ], inv_paths)))
+            policy.unicast_invalidations += len(targets)
         done = t
+        purge_hook = self._hooks[3]
         for c in targets:
-            ack_msg = self._purge_target_copy(c, line, l2line, merge_into_l2=True)
+            if purge_hook:
+                ack_msg = engine._purge_target_copy(c, line, l2line, True)
+            else:
+                ack_msg = self._purge_target_copy(engine, c, line, l2line, True)
             path = paths[c * num_tiles + home]
             if path is None:
                 path = resolve(c, home)
             ack_t = traverse(path, arrivals[c], flits_tab[ack_msg])
             if ack_t > done:
                 done = ack_t
-            self.sharer_policy.remove_sharer(dirent, c)
+            policy.remove_sharer(dirent, c)
         return done - t
 
     # ------------------------------------------------------------------
-    def _purge_target_copy(self, core: int, line: int, l2line: L2Line, merge_into_l2: bool) -> MsgType:
+    def _purge_target_copy(self, engine, core, line, l2line, merge_into_l2):
         """Kill ``core``'s private copy of ``line``; return the ack type.
 
         Handles histogram/history/classifier bookkeeping and, for MODIFIED
         copies, the write-back of the line data into ``l2line``
         (``merge_into_l2`` charges the L2 write; it is False when the L2
         line itself is dying - its locality state dies with it and the data
-        flows straight to memory).  Subclasses override this to purge
-        protocol-specific copies (e.g. local replicas in victim
-        replication).
+        flows straight to memory).
         """
-        removed = self.l1d[core].remove(line)
+        removed = self._l1d[core].remove(line)
         if removed is None:
             raise CoherenceError(f"directory lists core {core} for line {line:#x} but L1 empty")
         putil = removed.utilization
-        self.inval_histogram.record(putil)
+        engine.inval_histogram.record(putil)
         hist = self._history[core]
         hist[line] = hist.get(line, 0) | _LAST_REMOVAL_INVAL
-        if merge_into_l2 and self.classifier is not None:
-            self.classifier.on_removal(l2line, core, putil, RemovalReason.INVALIDATION)
-        if removed.state is not MESIState.MODIFIED:
+        if merge_into_l2 and self._classifier is not None:
+            self._classifier.on_removal(l2line, core, putil, RemovalReason.INVALIDATION)
+        if removed.state is not _MODIFIED:
             return _INV_ACK
-        self.energy.l1d_line_reads += 1
+        energy = engine.energy
+        energy.l1d_line_reads += 1
         l2line.dirty = True
         if merge_into_l2:
-            self.energy.l2_line_writes += 1
-        if self.verify:
+            energy.l2_line_writes += 1
+        if self._verify:
             l2line.data = list(removed.data)
         return _WB_DATA
 
     # ------------------------------------------------------------------
     # Synchronous write-back (read request hits an exclusive owner).
     # ------------------------------------------------------------------
-    def _sync_writeback(self, line: int, l2line: L2Line, home: int, t: float) -> float:
+    def _sync_writeback(self, engine, line, l2line, home, t):
         # The ack type is readable from the owner's L1 state before the
         # WB_REQ departs, so both legs ride one traverse_chain call (the
         # ack departs exactly at the request's arrival: no gap, no busy).
         dirent = l2line.directory
         owner = dirent.owner
-        entry = self.l1d[owner].lookup(line)
+        entry = self._l1d[owner].lookup(line)
         if entry is None:
             raise CoherenceError(f"owner {owner} of line {line:#x} has no L1 copy")
-        dirty = entry.state is MESIState.MODIFIED
+        dirty = entry.state is _MODIFIED
         msg = _WB_DATA if dirty else _INV_ACK  # data vs clean downgrade ack
-        paths = self._net_paths
+        paths = self._paths
         num_tiles = self._num_tiles
         path1 = paths[home * num_tiles + owner]
         if path1 is None:
-            path1 = self._net_resolve(home, owner)
+            path1 = self._resolve(home, owner)
         path2 = paths[owner * num_tiles + home]
         if path2 is None:
-            path2 = self._net_resolve(owner, home)
-        flits = self._net_flits
-        _, ack_t = self._net_chain(path1, flits[_WB_REQ], t, 0.0, 0.0, path2, flits[msg])
+            path2 = self._resolve(owner, home)
+        flits = self._flits
+        _, ack_t = self._chain(path1, flits[_WB_REQ], t, 0.0, 0.0, path2, flits[msg])
         if dirty:
-            self.energy.l1d_line_reads += 1
-            self.energy.l2_line_writes += 1
+            energy = engine.energy
+            energy.l1d_line_reads += 1
+            energy.l2_line_writes += 1
             l2line.dirty = True
-            if self.verify:
+            if self._verify:
                 l2line.data = list(entry.data)
-        entry.state = MESIState.SHARED
-        self.sharer_policy.clear_owner(dirent)
+        entry.state = _SHARED
+        self._policy.clear_owner(dirent)
         return ack_t - t
 
     # ------------------------------------------------------------------
     # L1 evictions (capacity/conflict) - utilization flows back to the home.
     # ------------------------------------------------------------------
-    def _handle_l1_eviction(self, core: int, vline: int, ventry, t: float) -> None:
+    def _handle_l1_eviction(self, engine, core, vline, ventry, t):
         vhome = self._home_of_line.get(vline)
         if vhome is None:
             raise SimulationError(f"evicting line {vline:#x} with unknown home")
-        self.evict_histogram.record(ventry.utilization)
+        engine.evict_histogram.record(ventry.utilization)
         hist = self._history[core]
         hist[vline] = (hist.get(vline, 0) | _EVER_CACHED) & ~_LAST_REMOVAL_INVAL
-        dirty = ventry.state is MESIState.MODIFIED
+        dirty = ventry.state is _MODIFIED
         msg = _EVICT_DIRTY if dirty else _EVICT_NOTIFY
-        path = self._net_paths[core * self._num_tiles + vhome]
+        path = self._paths[core * self._num_tiles + vhome]
         if path is None:
-            path = self._net_resolve(core, vhome)
-        self._net_traverse(path, t, self._net_flits[msg])  # off the critical path
-        vslice = self.l2[vhome]
-        vl2 = vslice.lookup(vline)
+            path = self._resolve(core, vhome)
+        self._traverse(path, t, self._flits[msg])  # off the critical path
+        vl2 = self._l2[vhome].lookup(vline)
         if vl2 is None:
             raise CoherenceError(f"inclusion violation: L1 evicts {vline:#x} absent from L2")
+        energy = engine.energy
         if dirty:
-            self.energy.l1d_line_reads += 1
-            self.energy.l2_line_writes += 1
+            energy.l1d_line_reads += 1
+            energy.l2_line_writes += 1
             vl2.dirty = True
-            if self.verify:
+            if self._verify:
                 vl2.data = list(ventry.data)
-        if self.classifier is not None:
-            self.classifier.on_removal(vl2, core, ventry.utilization, RemovalReason.EVICTION)
-        self.sharer_policy.remove_sharer(vl2.directory, core)
-        self.energy.directory_updates += 1
-
-    # ------------------------------------------------------------------
-    # Fold back the requester's own stale S copy (classifier slot churn).
-    # ------------------------------------------------------------------
-    def _remove_own_copy(self, core: int, line: int, l2line: L2Line) -> None:
-        removed = self.l1d[core].remove(line)
-        if removed is None:
-            return
-        self.inval_histogram.record(removed.utilization)
-        hist = self._history[core]
-        hist[line] = hist.get(line, 0) | _LAST_REMOVAL_INVAL
-        if self.classifier is not None:
-            self.classifier.on_removal(
-                l2line, core, removed.utilization, RemovalReason.INVALIDATION
-            )
-        self.sharer_policy.remove_sharer(l2line.directory, core)
-
-    # ------------------------------------------------------------------
-    # Inclusive-L2 eviction: kill all L1 copies first.
-    # ------------------------------------------------------------------
-    def _purge_copies_for_l2_eviction(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
-        dirent = ventry.directory
-        for c in list(dirent.sharers):
-            self.network.unicast(home, c, MsgType.INV_REQ, t)
-            ack_msg = self._purge_target_copy(c, vline, ventry, merge_into_l2=False)
-            self.network.unicast(c, home, ack_msg, t)
-            self.sharer_policy.remove_sharer(dirent, c)
+        if self._classifier is not None:
+            self._classifier.on_removal(vl2, core, ventry.utilization, RemovalReason.EVICTION)
+        self._policy.remove_sharer(vl2.directory, core)
+        energy.directory_updates += 1

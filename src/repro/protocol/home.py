@@ -15,8 +15,11 @@ page table, the L2 slices and their ``L2Line`` entries, the mesh kernel's
 reservations, the energy and slice counters - and calls back into the
 engine only for what stays family or verification business: the page
 flush of a private -> shared transition (``_flush_private_page``), the
-fill's family hooks (``_evict_l2_line``, ``_install_line_state``), the DRAM
-controller and the verify-mode golden steps (``_verify_word``).
+fill's family hook (``_evict_l2_line``), the DRAM controller and the
+verify-mode golden steps (``_verify_word``).  What a fill installs at the
+home is the constructor's ``entry_type``: a fresh ``DirectoryEntry`` for
+the families with a sharer-tracking directory, None (nothing) for DLS and
+Neat.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ class PyHomeKernel:
     ``serve_word_settle`` fuse two adjacent steps of the DLS access, where
     no Python runs between them.  ``line_type`` and ``result_type`` only
     tell the compiled kernel where the ``L2Line`` and ``AccessResult``
-    slots sit; this kernel reads attributes.
+    slots sit; this kernel reads attributes.  ``entry_type`` is the class
+    of the directory entry a fill attaches to the new line, or None.
 
     This is the ungated, bit-identical reference of the compiled kernel
     (``REPRO_NO_ACCEL=1`` selects it, and so do the ``naive``/``none``
@@ -72,9 +76,10 @@ class PyHomeKernel:
         "_num_tiles",
         "_l2_latency",
         "_verify",
+        "_entry_type",
     )
 
-    def __init__(self, engine, line_type, result_type) -> None:
+    def __init__(self, engine, line_type, result_type, entry_type) -> None:
         network = engine.network
         placement = engine.placement
         self.data_home = placement.data_home
@@ -89,6 +94,7 @@ class PyHomeKernel:
         self._num_tiles = engine.arch.num_cores
         self._l2_latency = engine.arch.l2.latency
         self._verify = engine.verify
+        self._entry_type = entry_type
 
     # ------------------------------------------------------------------
     def word_round_trip(self, core, line, word, req_msg, reply_msg, now, result):
@@ -238,8 +244,8 @@ class PyHomeKernel:
         """Inclusive fill of ``line`` at ``home`` starting at ``t``: evict
         the set's LRU way if the set is full (the family's
         ``_evict_l2_line``), fetch from the line's DRAM controller, install
-        (``L2Slice.fill``, then the family's ``_install_line_state``).
-        Returns ``(l2line, reply_t, off-chip latency)``."""
+        (``L2Slice.fill``, with a fresh directory entry when the family
+        tracks sharers).  Returns ``(l2line, reply_t, off-chip latency)``."""
         engine = self._engine
         slice_ = self._l2[home]
         victim = slice_.victim(line)
@@ -261,7 +267,8 @@ class PyHomeKernel:
         if evicted is not None:  # cannot happen: victim handled above
             raise SimulationError("L2 fill evicted after explicit victim handling")
         l2line = slice_.lookup(line)
-        engine._install_line_state(l2line)
+        if self._entry_type is not None:
+            l2line.directory = self._entry_type()
         engine.energy.l2_line_writes += 1
         engine._home_of_line[line] = home
         return l2line, reply_t, reply_t - t

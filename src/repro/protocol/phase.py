@@ -33,8 +33,9 @@ interface):
   write-shared eventually earns private copies again.  Decay is lazy (at
   the next touch), costing no sweep.
 * **Timing reuses the directory machinery unchanged**: the engine
-  overrides only ``DirectoryEngine._classify_requester``, the one policy
-  seam of the directory miss path.  Home delivery, the chained
+  takes over only ``_classify_requester``, the one policy step of the
+  directory kernel's miss path (``repro.protocol.directory``
+  ``FAMILY_HOOKS``).  Home delivery, the chained
   request/reply shape, line grants, the invalidation round, the
   synchronous write-back and the word access at the home are the same
   code (and latencies) the baseline/adaptive families run, so the family
@@ -139,7 +140,7 @@ class PhaseEngine(DirectoryEngine):
     # ==================================================================
     # The phase policy is this family's requester classifier: the whole
     # miss path - home delivery, chained shape, invalidation/write-back
-    # rounds, service and settling - is DirectoryEngine's.
+    # rounds, service and settling - is the directory kernel's.
     # ==================================================================
     def _classify_requester(
         self, l1, l2line, core: int, line: int, is_write: bool, upgrade: bool
@@ -158,7 +159,7 @@ class PhaseEngine(DirectoryEngine):
             return False, upgrade
         self.phase_word_accesses += 1
         if upgrade:
-            self._remove_own_copy(core, line, l2line)
+            self.directory_kernel.remove_own_copy(core, line, l2line)
         return True, False
 
     # ------------------------------------------------------------------

@@ -29,6 +29,8 @@ Implementation notes (documented substitutions, see DESIGN.md):
 
 from __future__ import annotations
 
+from repro.common.addr import LINE_BITS as _LINE_BITS
+from repro.common.addr import WORD_BITS as _WORD_BITS
 from repro.common.errors import CoherenceError
 from repro.common.types import MESIState
 from repro.mem.l2 import L2Line, L2Slice
@@ -73,15 +75,19 @@ class VictimReplicationEngine(DirectoryEngine):
         stats.replica_evictions = self.replica_evictions
 
     # ------------------------------------------------------------------
-    # Fast path: L1 miss that hits a local replica.
+    # Fast path: L1 read miss that hits a local replica, checked in front
+    # of the directory kernel (every other access is the kernel's).
     # ------------------------------------------------------------------
-    def _service_miss(self, core, is_write, line, word, now, upgrade):
-        if not is_write and not upgrade:
-            local = self.l2[core]
-            entry = local.lookup(line)
-            if entry is not None and entry.is_replica:
-                return self._replica_hit(core, line, word, entry, local, now)
-        return super()._service_miss(core, is_write, line, word, now, upgrade)
+    def access(self, core, is_write, address, now):
+        if not is_write:
+            line = address >> _LINE_BITS
+            if self.l1d[core].lookup(line) is None:
+                local = self.l2[core]
+                entry = local.lookup(line)
+                if entry is not None and entry.is_replica:
+                    word = (address >> _WORD_BITS) & (self._words_per_line - 1)
+                    return self._replica_hit(core, line, word, entry, local, now)
+        return super().access(core, is_write, address, now)
 
     def _replica_hit(
         self,
@@ -128,6 +134,10 @@ class VictimReplicationEngine(DirectoryEngine):
         return result
 
     # ------------------------------------------------------------------
+    # Family hooks of the directory kernel (repro.protocol.directory
+    # FAMILY_HOOKS): the kernel calls each where it would take its own
+    # step, and each reaches the base step through the kernel.
+    #
     # L1 evictions: try to keep the victim as a local replica.
     # ------------------------------------------------------------------
     def _handle_l1_eviction(self, core, vline, ventry, t):
@@ -136,12 +146,12 @@ class VictimReplicationEngine(DirectoryEngine):
             raise CoherenceError(f"evicting line {vline:#x} with unknown home")
         if vhome == core:
             # The home slice is local: a replica would duplicate it.
-            super()._handle_l1_eviction(core, vline, ventry, t)
+            self.directory_kernel.handle_l1_eviction(core, vline, ventry, t)
             return
         local = self.l2[core]
         if not self._make_room_for_replica(core, vline, local, t):
             self.replication_failures += 1
-            super()._handle_l1_eviction(core, vline, ventry, t)
+            self.directory_kernel.handle_l1_eviction(core, vline, ventry, t)
             return
 
         self.evict_histogram.record(ventry.utilization)
@@ -230,7 +240,7 @@ class VictimReplicationEngine(DirectoryEngine):
     def _purge_target_copy(self, core, line, l2line, merge_into_l2):
         l1entry = self.l1d[core].lookup(line)
         if l1entry is not None:
-            return super()._purge_target_copy(core, line, l2line, merge_into_l2)
+            return self.directory_kernel.purge_target_copy(core, line, l2line, merge_into_l2)
         replica = self.l2[core].lookup(line)
         if replica is None or not replica.is_replica:
             raise CoherenceError(
@@ -252,7 +262,9 @@ class VictimReplicationEngine(DirectoryEngine):
         if own is not None and own.is_replica:
             self.l2[core].remove(line)
             self.replica_evictions += 1
-        super()._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
+        self.directory_kernel.grant_private(
+            core, is_write, line, word, l2line, slice_, upgrade, reply_t
+        )
 
     # ------------------------------------------------------------------
     # L2 victim selection may hit a replica (it has no directory state).

@@ -32,10 +32,6 @@ class RNucaPageTable:
     def __init__(self) -> None:
         # page -> (kind, owner core for PRIVATE pages, else -1)
         self._pages: dict[int, tuple[PageKind, int]] = {}
-        # Statistics.
-        self.private_pages = 0
-        self.shared_pages = 0
-        self.transitions = 0
 
     # ------------------------------------------------------------------
     def classify_data(self, page: int, core: int) -> tuple[PageKind, int, int | None]:
@@ -49,16 +45,12 @@ class RNucaPageTable:
         entry = self._pages.get(page)
         if entry is None:
             self._pages[page] = (PageKind.PRIVATE, core)
-            self.private_pages += 1
             return PageKind.PRIVATE, core, None
         kind, owner = entry
         if kind is PageKind.SHARED or owner == core:
             return kind, owner, None
         # Second core touched a private page: reclassify shared, one-way.
         self._pages[page] = (PageKind.SHARED, -1)
-        self.private_pages -= 1
-        self.shared_pages += 1
-        self.transitions += 1
         return PageKind.SHARED, -1, owner
 
     def owner_of(self, page: int) -> int | None:

@@ -1,0 +1,377 @@
+"""Directory-kernel contract tests (DESIGN.md section 16).
+
+Every miss of a directory-family engine (baseline, adaptive, victim,
+phase) runs in the engine's directory kernel: the compiled
+``DirectoryKernel`` when the home kernel is compiled, else its pure-Python
+twin ``PyDirectoryKernel``.  The two work on the same Python objects, so
+their contract is equal returns and equal effects on those objects:
+
+* the kernel-contract property drives both kernels, on two identical
+  engines, through one random access stream - reads, writes and S -> M
+  upgrades, remote-mode service, Limited_k slot churn and the vote,
+  ACKwise overflow with broadcast, a 2-way L1 and a small L2 that both
+  evict, synchronous write-backs, ``reset_stats`` mid-stream, verify mode
+  on and off - and compares, after every step, the ``AccessResult``, the
+  L1 sets and L2 lines in order with their slots, sharer sets in
+  iteration order, locality dicts, histories, histograms, miss stats,
+  every counter and the mesh reservations;
+* a simulator-level matrix requires equal ``RunStats`` under both
+  implementations for every classifier and sharer-tracking configuration;
+* the leak soak: a finished engine and its kernel are freed by reference
+  counting, and ``tracemalloc`` stays flat over back-to-back runs.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import sys
+import tracemalloc
+import weakref
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import accel
+from repro.accel import build
+from repro.coherence.directory import DirectoryEntry
+from repro.common import addr as addrmod
+from repro.common.params import ArchConfig, CacheGeometry, ProtocolConfig
+from repro.mem.l2 import L2Line
+from repro.protocol.base import AccessResult
+from repro.protocol.directory import PyDirectoryKernel
+from repro.protocol.engine import make_engine
+from repro.protocol.home import PyHomeKernel
+from repro.sim.multicore import Simulator
+from repro.workloads.base import TraceBuilder
+from repro.workloads.registry import load_workload
+
+pytestmark = pytest.mark.skipif(
+    build.find_compiler() is None, reason="no C compiler on this host"
+)
+
+#: 1 KB 2-way caches: eight sets, so a handful of lines fills a set, and
+#: both the L1 and the L2 evict.
+SMALL = CacheGeometry(1, 2, 1)
+SMALL_L2 = CacheGeometry(1, 2, 7)
+LINES_PER_PAGE = addrmod.DEFAULT_PAGE_SIZE // addrmod.LINE_SIZE
+
+#: (id, family, ProtocolConfig overrides, ACKwise pointers or None for
+#: full map).  Every classifier and sharer-tracking option a directory
+#: family accepts appears at least once.
+CONFIGS = [
+    ("limited1-rat2-ack1", "adaptive", {"limited_k": 1}, 1),
+    ("limited3-rat4-ack4", "adaptive", {"n_rat_levels": 4}, 4),
+    ("complete-rat1-fullmap", "adaptive", {"classifier": "complete", "n_rat_levels": 1}, None),
+    ("complete-vote-timestamp-ack1", "adaptive",
+     {"classifier": "complete", "complete_vote_init": True, "remote_policy": "timestamp"}, 1),
+    ("limited3-timestamp-fullmap", "adaptive", {"remote_policy": "timestamp"}, None),
+    ("limited1-oneway-ack4", "adaptive", {"limited_k": 1, "one_way": True}, 4),
+    ("complete-oneway-rat4-ack1", "adaptive",
+     {"classifier": "complete", "one_way": True, "n_rat_levels": 4}, 1),
+    ("baseline-ack1", "baseline", {}, 1),
+    ("baseline-fullmap", "baseline", {}, None),
+    ("victim-ack1", "victim", {}, 1),
+    ("victim-fullmap", "victim", {}, None),
+    ("phase-ack1", "phase", {}, 1),
+    ("phase-fullmap", "phase", {}, None),
+]
+
+
+def _proto(family: str, overrides: dict, pointers, pct: int) -> ProtocolConfig:
+    kwargs = dict(overrides)
+    if family == "adaptive":
+        kwargs.update(pct=pct, rat_max=pct + 6)
+    return ProtocolConfig(
+        protocol=family, directory="ackwise" if pointers else "fullmap", **kwargs
+    )
+
+
+def _arch(pointers, cores: int = 16, **kwargs) -> ArchConfig:
+    return ArchConfig(
+        num_cores=cores, num_memory_controllers=4, ackwise_pointers=pointers or 4, **kwargs
+    )
+
+
+@pytest.fixture(autouse=True)
+def compiled_kernels(monkeypatch):
+    monkeypatch.delenv(build.NO_ACCEL_ENV, raising=False)
+    accel.reset()
+    if accel.directory_kernel_class() is None:
+        pytest.skip("compiled kernels unavailable")
+    yield
+    accel.reset()
+
+
+def _engines(proto: ProtocolConfig, pointers, verify: bool):
+    """Twin engines on the compiled mesh kernel: one runs the compiled home
+    and directory kernels, the other their pure-Python twins."""
+    arch = _arch(pointers, l1d=SMALL, l2=SMALL_L2)
+    compiled = make_engine(arch, proto, verify=verify)
+    assert type(compiled.directory_kernel).__name__ == "DirectoryKernel"
+    twin = make_engine(arch, proto, verify=verify)
+    twin.home_kernel = PyHomeKernel(twin, L2Line, AccessResult, DirectoryEntry)
+    twin.directory_kernel = PyDirectoryKernel(twin)
+    return compiled, twin
+
+
+# ---------------------------------------------------------------------------
+# Snapshots: everything a directory kernel may touch, by value and in order.
+# ---------------------------------------------------------------------------
+
+def _result(result) -> tuple:
+    return tuple(getattr(result, name) for name in AccessResult.__slots__)
+
+
+def _l1(entry) -> tuple:
+    return (entry.state, entry.last_use, entry.last_access, entry.utilization, entry.data)
+
+
+def _locality(entries) -> list | None:
+    if entries is None:
+        return None
+    return [
+        (core, e.core, e.mode, e.remote_util, e.rat_level, e.active)
+        for core, e in entries.items()
+    ]
+
+
+def _l2(entry) -> tuple:
+    dirent = entry.directory
+    return (
+        entry.last_use, entry.last_access, entry.dirty, entry.dirty_words, entry.data,
+        entry.busy_until, entry.is_replica,
+        None if dirent is None else (list(dirent.sharers), dirent.owner, dirent.overflowed),
+        _locality(entry.locality),
+    )
+
+
+def _counters(engine) -> dict:
+    kernel = engine.network.kernel
+    classifier = engine.classifier
+    policy = engine.sharer_policy
+    out = {
+        "energy": engine.energy.as_dict(),
+        "miss": (engine.miss_stats.hits, list(engine.miss_stats._miss_counts)),
+        "histograms": (list(engine.inval_histogram.counts.items()),
+                       list(engine.evict_histogram.counts.items())),
+        "l1": [(l1.hits, l1.misses, l1.store._use_counter) for l1 in engine.l1d],
+        "l2": [(s.hits, s.misses, s.word_reads, s.word_writes, s.line_reads, s.line_writes,
+                s.store._use_counter) for s in engine.l2],
+        "policy": (policy.broadcast_invalidations, policy.unicast_invalidations),
+        "mesh": (kernel.messages_sent, kernel.flits_sent, kernel.link_flit_traversals,
+                 kernel.recycles),
+    }
+    if classifier is not None:
+        out["classifier"] = tuple(
+            getattr(classifier, name, None)
+            for name in ("promotions", "demotions", "remote_accesses", "vote_decisions",
+                         "replacements", "allocation_failures")
+        )
+    stats = type("Stats", (), {})()
+    engine.export_stats(stats)
+    out["family"] = sorted(vars(stats).items())
+    return out
+
+
+def _state(engine) -> dict:
+    kernel = engine.network.kernel
+    return {
+        "counters": _counters(engine),
+        "l1": [[[(line, _l1(e)) for line, e in bucket.items()] for bucket in l1.store._sets]
+               for l1 in engine.l1d],
+        "l2": [[[(line, _l2(e)) for line, e in bucket.items()] for bucket in s.store._sets]
+               for s in engine.l2],
+        "history": [list(h.items()) for h in engine._history],
+        "homes": list(engine._home_of_line.items()),
+        "phase": list(getattr(engine, "_line_phase", {}).items()),
+        "golden": dict(engine.golden._lines) if engine.golden is not None else None,
+        "tokens": list(engine._write_counts),
+        "routes": list(engine.network.paths),
+        "slots": list(kernel.slots),
+        "overflow": sorted(kernel.overflow_items()),
+    }
+
+
+def _step(engine, op) -> tuple:
+    kind = op[0]
+    try:
+        if kind == "reset":
+            engine.reset_stats()
+            return ("reset",)
+        if kind == "release":
+            hook = engine.sync_boundary_hook()
+            if hook is not None:
+                hook(op[1], op[2])
+            return ("release",)
+        _, core, is_write, address, now = op
+        return ("access", _result(engine.access(core, is_write, address, now)))
+    except Exception as exc:  # both kernels must fail alike
+        return ("raised", type(exc).__name__, str(exc))
+
+
+#: Line offsets inside a page: 0/8/16/24 share a set of the eight-set
+#: caches, so a few of them evict; 1 and 9 share another.
+_OFFSETS = [0, 8, 16, 24, 1, 9]
+
+
+@st.composite
+def streams(draw):
+    verify = draw(st.booleans())
+    pct = draw(st.sampled_from([1, 2, 4]))
+    pages = draw(st.lists(st.integers(1, 1 << 20), min_size=1, max_size=2, unique=True))
+    # A few busy cores make sharers, owners and upgrades; the rest of the
+    # chip shows up now and then.
+    busy = draw(st.lists(st.integers(0, 15), min_size=2, max_size=5, unique=True))
+    ops = []
+    now = 0.5
+    for _ in range(draw(st.integers(1, 48))):
+        now = max(0.0, now + draw(st.sampled_from([0.0, 1.5, 9.0, 60.0, 400.0, -200.0])))
+        roll = draw(st.integers(0, 39))
+        if roll == 0:
+            ops.append(("reset",))
+            continue
+        if roll == 1:
+            ops.append(("release", draw(st.sampled_from(busy)), now))
+            continue
+        core = draw(st.sampled_from(busy)) if roll > 4 else draw(st.integers(0, 15))
+        page = draw(st.sampled_from(pages))
+        line = page * LINES_PER_PAGE + draw(st.sampled_from(_OFFSETS))
+        word = draw(st.integers(0, addrmod.WORDS_PER_LINE - 1))
+        address = (line << addrmod.LINE_BITS) | (word << addrmod.WORD_BITS)
+        ops.append(("access", core, draw(st.booleans()), address, now))
+    return verify, pct, ops
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c[0] for c in CONFIGS])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(stream=streams())
+def test_python_twin_matches_compiled(config, stream):
+    _id, family, overrides, pointers = config
+    verify, pct, ops = stream
+    compiled, twin = _engines(_proto(family, overrides, pointers, pct), pointers, verify)
+    for op in ops:
+        got = _step(compiled, op)
+        want = _step(twin, op)
+        assert got == want, op
+        assert _state(compiled) == _state(twin), op
+
+
+def test_counters_follow_reset_stats():
+    """``reset_stats`` replaces the energy, miss and histogram objects: the
+    kernel must count into the new ones, never the retired ones."""
+    compiled, _twin = _engines(_proto("adaptive", {}, 4, 4), 4, False)
+    old = compiled.energy, compiled.miss_stats
+    compiled.reset_stats()
+    compiled.access(3, False, 1 << 30, 10.0)
+    assert old[0].l1d_tag_accesses == 0 and old[1].misses == 0
+    assert compiled.energy.l1d_tag_accesses == 1 and compiled.miss_stats.misses == 1
+
+
+# ---------------------------------------------------------------------------
+# Simulator level: equal RunStats under both implementations.
+# ---------------------------------------------------------------------------
+
+_TRACES: dict = {}
+
+
+def _trace(name: str, arch: ArchConfig):
+    if name not in _TRACES:
+        _TRACES[name] = load_workload(name, arch, scale="tiny")
+    return _TRACES[name]
+
+
+@pytest.mark.parametrize("workload", ["radix", "tsp"])
+@pytest.mark.parametrize("config", CONFIGS, ids=[c[0] for c in CONFIGS])
+def test_runstats_identical_under_both_implementations(config, workload, monkeypatch):
+    _id, family, overrides, pointers = config
+    arch = _arch(pointers)
+    trace = _trace(workload, arch)
+    runs = []
+    for fallback in (False, True):
+        if fallback:
+            monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
+        sim = Simulator(arch, _proto(family, overrides, pointers, 2), warmup=True)
+        runs.append(sim.run(trace).to_dict())
+        kernel = type(sim.last_engine.directory_kernel).__name__
+        assert kernel == ("PyDirectoryKernel" if fallback else "DirectoryKernel")
+    assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# Leak soak: engines and kernels die by reference counting, and repeated
+# runs hold memory flat.
+# ---------------------------------------------------------------------------
+
+FAMILIES = {
+    "adaptive": ProtocolConfig(pct=2),
+    "baseline": ProtocolConfig(protocol="baseline"),
+    "victim": ProtocolConfig(protocol="victim"),
+    "phase": ProtocolConfig(protocol="phase"),
+}
+#: tracemalloc's current size may grow by at most this much from the end
+#: of the fifth run to the end of the twentieth.  Measured: the growth is
+#: within a few hundred bytes for every family under both implementations
+#: (interned ints and the allocator's own free lists), while one leaked
+#: AccessResult per miss adds about 40 KB over those fifteen runs.
+LEAK_BOUND = 8 * 1024
+
+
+def _soak_trace():
+    arch = ArchConfig(num_cores=16, num_memory_controllers=4, l1d=SMALL, l2=SMALL_L2)
+    builder = TraceBuilder("soak", arch.num_cores)
+    for tid in range(arch.num_cores):
+        thread = builder.thread(tid)
+        for i in range(8):
+            address = ((tid * 7 + i * 3) % 40) * 0x400 + (i % 4) * 64
+            (thread.write if (tid + i) % 3 == 0 else thread.read)(address)
+    builder.barrier_all()
+    return arch, builder.build()
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_engine_and_kernel_freed_by_reference_counting(family, fallback, monkeypatch):
+    if fallback:
+        monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
+    arch, trace = _soak_trace()
+    sim = Simulator(arch, FAMILIES[family], warmup=True, verify=True)
+    sim.run(trace)
+    engine = sim.last_engine
+    kernel = engine.directory_kernel
+    assert type(kernel).__name__ == ("PyDirectoryKernel" if fallback else "DirectoryKernel")
+    ref = weakref.ref(engine)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del engine
+        sim.last_engine = None
+        assert ref() is None
+        # Only this frame's name (and getrefcount's argument) still hold
+        # the kernel: dropping it frees it too.
+        assert sys.getrefcount(kernel) == 2
+    finally:
+        if enabled:
+            gc.enable()
+    with pytest.raises(ReferenceError):
+        kernel.access(0, False, 1 << 30, 0.0)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_repeated_runs_hold_memory_flat(family, fallback, monkeypatch):
+    if fallback:
+        monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
+    arch, trace = _soak_trace()
+    sim = Simulator(arch, dataclasses.replace(FAMILIES[family]), warmup=False)
+    sim.run(trace)  # imports, interned names and caches settle first
+    tracemalloc.start()
+    try:
+        sizes = []
+        for _ in range(20):
+            sim.run(trace)
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[-1] - sizes[4] <= LEAK_BOUND, sizes

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro import accel
 from repro.accel import build
+from repro.coherence.directory import DirectoryEntry
 from repro.common import addr as addrmod
 from repro.common.params import (
     ArchConfig,
@@ -84,7 +85,7 @@ def _engines(cores: int, verify: bool):
     compiled = ProtocolEngineBase(arch, baseline_protocol(), verify=verify)
     assert type(compiled.home_kernel).__name__ == "HomeKernel"
     twin = ProtocolEngineBase(arch, baseline_protocol(), verify=verify)
-    twin.home_kernel = PyHomeKernel(twin, L2Line, AccessResult)
+    twin.home_kernel = PyHomeKernel(twin, L2Line, AccessResult, DirectoryEntry)
     return compiled, twin
 
 
@@ -122,8 +123,7 @@ def _state(engine) -> dict:
              for bucket in s.store._sets]
             for s in engine.l2
         ],
-        "pages": (dict(table._pages), table.private_pages, table.shared_pages,
-                  table.transitions),
+        "pages": dict(table._pages),
         "homes": dict(engine._home_of_line),
         "dram": dict(engine._dram_image),
         "golden": dict(engine.golden._lines) if engine.golden is not None else None,

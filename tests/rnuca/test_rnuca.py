@@ -15,7 +15,7 @@ class TestPageTable:
         assert kind is PageKind.PRIVATE
         assert owner == 3
         assert previous is None
-        assert table.private_pages == 1
+        assert table._pages == {10: (PageKind.PRIVATE, 3)}
 
     def test_same_core_stays_private(self):
         table = RNucaPageTable()
@@ -29,7 +29,7 @@ class TestPageTable:
         kind, owner, previous = table.classify_data(10, core=5)
         assert kind is PageKind.SHARED
         assert previous == 3  # caller must flush core 3's slice
-        assert table.transitions == 1
+        assert table._pages == {10: (PageKind.SHARED, -1)}
         # One-way: never goes back to private.
         kind, _, previous = table.classify_data(10, core=3)
         assert kind is PageKind.SHARED and previous is None
