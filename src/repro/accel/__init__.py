@@ -1,4 +1,4 @@
-"""Optional compiled accelerators (DESIGN.md sections 12 and 14-16).
+"""Optional compiled accelerators (DESIGN.md sections 12, 14 and 15).
 
 ``repro.accel`` builds the package's C sources into one CPython extension
 on first use (see :mod:`repro.accel.build`) and hands out four kernel
@@ -13,17 +13,21 @@ classes from it:
   cursors, min-clock heap and the inline L1-hit fast path.  It is one of
   the two record walks ``Simulator._execute`` drives; the other is its
   pure-Python twin, ``repro.sim.multicore.PySchedKernel``;
-* ``HomeKernel`` (phase 3): the family-agnostic home side of every miss
-  of one protocol engine - placement, the legs, the L2 tag access and
-  off-chip fill, the word service and the settle - on the engine's own
-  objects.  An engine builds it exactly when its mesh kernel is the
-  compiled one (it reserves through that kernel in C), else its
-  pure-Python twin, ``repro.protocol.home.PyHomeKernel``;
-* ``DirectoryKernel`` (phase 4): each L1 miss of one directory-family
-  engine - classification, sharer rounds, line grant and L1 eviction
-  notice - taking the home kernel's steps by direct C calls.  An engine
-  builds it exactly when it builds the compiled home kernel, else its
-  pure-Python twin, ``repro.protocol.directory.PyDirectoryKernel``.
+* ``HomeKernel`` (phase 3): the one kernel of a protocol engine - the
+  family-agnostic home side of every miss (placement, the legs, the L2
+  tag access and off-chip fill, the word service and the settle) on the
+  engine's own objects.  Its pure-Python twin is
+  ``repro.protocol.home.PyHomeKernel``;
+* ``DirectoryKernel`` (phase 4): the directory families' engine kernel,
+  a subtype of ``HomeKernel`` that also runs each L1 miss -
+  classification, sharer rounds, line grant and L1 eviction notice -
+  taking the inherited home steps on itself.  Its pure-Python twin is
+  ``repro.protocol.directory.PyDirectoryKernel``, a subclass of
+  ``PyHomeKernel``.
+
+Every engine builds exactly one of the last two (``engine.home_kernel``):
+its family's class, compiled exactly when its mesh kernel is the compiled
+one (the kernel reserves through that kernel in C), else the twin.
 
 There are two implementations - every kernel compiled, or every kernel
 pure Python - and one decision between them:
@@ -41,8 +45,8 @@ pure Python - and one decision between them:
    bit-identical by the property/fixture suites, just slower.
 
 ``status()`` is the introspection payload behind ``repro accel-info``;
-it keeps one entry each for the mesh and scheduler kernels, and the home
-and directory kernels are compiled exactly when the ``mesh`` entry says
+it keeps one entry each for the mesh and scheduler kernels, and the
+engine kernels are compiled exactly when the ``mesh`` entry says
 ``accel``.
 """
 
@@ -70,8 +74,8 @@ __all__ = [
 log = logging.getLogger("repro.accel")
 
 #: Kernel name -> its class in the module; ``status()`` reports one entry
-#: per name.  The home and directory kernels have no entry of their own:
-#: they are compiled exactly when the ``mesh`` entry says ``accel``.
+#: per name.  The engine kernels have no entry of their own: they are
+#: compiled exactly when the ``mesh`` entry says ``accel``.
 _KERNEL_CLASSES = {"mesh": "MeshKernel", "sched": "SchedKernel"}
 #: Every class the module must export, or it is refused.
 _EXPORTS = (*_KERNEL_CLASSES.values(), "HomeKernel", "DirectoryKernel")
@@ -183,16 +187,16 @@ def sched_kernel_class() -> Any | None:
 def home_kernel_class() -> Any | None:
     """The compiled ``HomeKernel`` class, or ``None`` to use its twin,
     ``repro.protocol.home.PyHomeKernel``.  An engine asks only when its
-    mesh kernel is the compiled one: the home kernel reserves through it."""
+    mesh kernel is the compiled one: the kernel reserves through it."""
     module = _module()
     return None if module is None else module.HomeKernel
 
 
 def directory_kernel_class() -> Any | None:
-    """The compiled ``DirectoryKernel`` class, or ``None`` to use its twin,
+    """The compiled ``DirectoryKernel`` class, the directory families'
+    subtype of ``HomeKernel``, or ``None`` to use its twin,
     ``repro.protocol.directory.PyDirectoryKernel``.  An engine asks only
-    when its mesh kernel is the compiled one: the directory kernel takes
-    the compiled home kernel's steps."""
+    when its mesh kernel is the compiled one."""
     module = _module()
     return None if module is None else module.DirectoryKernel
 

@@ -1,10 +1,12 @@
 /* Declarations shared by the translation units of _repro_mesh_kernel.
  *
  * _kernel.c (the mesh kernel and the module init), _sched.c (the
- * scheduler kernel), _home.c (the home kernel) and _directory.c (the
- * directory kernel) compile into one shared object; this header is the
- * only interface between them.  The build cache fingerprints it like the
- * .c files.
+ * scheduler kernel), _home.c (the engine kernel, HomeKernel) and
+ * _directory.c (its directory-family subtype, DirectoryKernel) compile
+ * into one shared object; this header is the only interface between them.
+ * A function one unit shares with another is declared here, hidden from
+ * the module's exports; every other function is static.  The build cache
+ * fingerprints this header like the .c files.
  */
 
 #ifndef REPRO_ACCEL_H
@@ -13,63 +15,40 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <string.h>
+
+#if defined(__GNUC__)
+#define REPRO_SHARED __attribute__((visibility("hidden")))
+#else
+#define REPRO_SHARED
+#endif
+
 /* Mirror of repro.common.addr.LINE_BITS (cross-checked at load). */
 #define K_LINE_BITS 6
 
-/* _kernel.c: the mesh kernel's path reservation, for the home kernel.
+/* _kernel.c: the mesh kernel's path reservation, for the engine kernel.
  * repro_mesh_check is true for a compiled MeshKernel instance;
  * repro_mesh_traverse reserves the registered path `handle` from t_head
  * exactly like MeshKernel.traverse and stores the tail arrival in *out
  * (0), or sets a Python exception (-1). */
-int repro_mesh_check(PyObject *obj);
-int repro_mesh_traverse(PyObject *mesh, Py_ssize_t handle, double t_head,
-                        long long flits, double *out);
+REPRO_SHARED int repro_mesh_check(PyObject *obj);
+REPRO_SHARED int repro_mesh_traverse(PyObject *mesh, Py_ssize_t handle,
+                                     double t_head, long long flits,
+                                     double *out);
 
 /* _sched.c: the byte offset of the __slots__ member `name` of `type`
  * (an object slot), or -1 with a Python exception set. */
-Py_ssize_t repro_member_offset(PyObject *type, const char *name);
-
-/* _home.c: the home kernel's steps, for the directory kernel
- * (_directory.c).  `home` is a compiled HomeKernel (repro_home_check) and
- * `engine` the engine both kernels serve, held by the caller for the
- * call.  Each step is the HomeKernel method of the same name; message
- * types are MsgType values.  Each returns 0 (a new reference) on success,
- * -1 (NULL) with a Python exception set. */
-int repro_home_check(PyObject *obj);
-int repro_home_data_home(PyObject *home, PyObject *engine, long long line,
-                         PyObject *core_obj, long long core,
-                         long long *home_tile, long long *flush);
-PyObject *repro_home_deliver_request(PyObject *home, PyObject *engine,
-                                     long long core, PyObject *line_obj,
-                                     long long line, long long home_tile,
-                                     long long flush, long long req_msg,
-                                     PyObject *now_obj, double now,
-                                     PyObject *result, PyObject **slice_out,
-                                     double *t_out);
-int repro_home_chain_request_reply(PyObject *home, PyObject *engine,
-                                   long long core, long long home_tile,
-                                   PyObject *l2line, PyObject *slice_,
-                                   long long req_msg, long long reply_msg,
-                                   double now, PyObject *result,
-                                   double *t_out, double *reply_out);
-int repro_home_reply(PyObject *home, PyObject *engine, long long home_tile,
-                     long long core, long long reply_msg, double t,
-                     double *out);
-int repro_home_serve_word(PyObject *home, PyObject *engine,
-                          PyObject *core_obj, int is_write,
-                          PyObject *line_obj, long long word,
-                          PyObject *l2line, PyObject *slice_);
-int repro_home_settle(PyObject *home, PyObject *engine, PyObject *slice_,
-                      PyObject *l2line, PyObject *t_obj, int owned);
+REPRO_SHARED Py_ssize_t repro_member_offset(PyObject *type, const char *name);
 
 /* Type registration, called from the module init in _kernel.c. */
-int repro_sched_register(PyObject *mod);
-int repro_home_register(PyObject *mod);
-int repro_directory_register(PyObject *mod);
+REPRO_SHARED int repro_sched_register(PyObject *mod);
+REPRO_SHARED int repro_home_register(PyObject *mod);
+REPRO_SHARED int repro_directory_register(PyObject *mod);
+PyMODINIT_FUNC PyInit__repro_mesh_kernel(void);
 
 /* ------------------------------------------------------------------ */
-/* Helpers of the home and directory kernels, which work on slotted    */
-/* Python objects through their __slots__ offsets.                     */
+/* Helpers of the engine kernels, which work on slotted Python objects */
+/* through their __slots__ offsets.                                    */
 /* ------------------------------------------------------------------ */
 
 #define SLOT(obj, off) ((PyObject **)((char *)(obj) + (off)))
@@ -150,15 +129,27 @@ slot_set_long(PyObject *obj, Py_ssize_t off, long long value)
     return 0;
 }
 
-/* counter += 1 on an int slot. */
+static inline void
+slot_set_bool(PyObject *obj, Py_ssize_t off, int value)
+{
+    slot_put(obj, off, Py_NewRef(value ? Py_True : Py_False));
+}
+
+/* counter += delta on an int slot. */
 static inline int
-slot_bump(PyObject *obj, Py_ssize_t off)
+slot_add(PyObject *obj, Py_ssize_t off, long long delta)
 {
     long long x;
     if (slot_long(obj, off, &x) < 0) {
         return -1;
     }
-    return slot_set_long(obj, off, x + 1);
+    return slot_set_long(obj, off, x + delta);
+}
+
+static inline int
+slot_bump(PyObject *obj, Py_ssize_t off)
+{
+    return slot_add(obj, off, 1);
 }
 
 static inline int
@@ -180,6 +171,20 @@ arg_long(PyObject *obj, long long *out)
         return -1;
     }
     *out = x;
+    return 0;
+}
+
+/* A line or word number: non-negative, as every address yields. */
+static inline int
+arg_index(PyObject *obj, long long *out)
+{
+    if (arg_long(obj, out) < 0) {
+        return -1;
+    }
+    if (*out < 0) {
+        PyErr_SetString(PyExc_ValueError, "kernel: negative line or word");
+        return -1;
+    }
     return 0;
 }
 
@@ -213,6 +218,60 @@ repro_getattr(PyObject *obj, const char *name)
     return out;
 }
 
+/* obj.a, or obj.a.b when b is not NULL (new reference). */
+static inline PyObject *
+attr_chain(PyObject *obj, const char *a, const char *b)
+{
+    PyObject *mid = repro_getattr(obj, a);
+    if (mid == NULL || b == NULL) {
+        return mid;
+    }
+    PyObject *out = repro_getattr(mid, b);
+    Py_DECREF(mid);
+    return out;
+}
+
+static inline int
+attr_long(PyObject *obj, const char *a, const char *b, long long *out)
+{
+    PyObject *v = attr_chain(obj, a, b);
+    if (v == NULL) {
+        return -1;
+    }
+    int rc = arg_long(v, out);
+    Py_DECREF(v);
+    return rc;
+}
+
+/* type(obj), as a new reference the kernel holds. */
+static inline PyObject *
+type_of(PyObject *obj)
+{
+    return Py_NewRef((PyObject *)Py_TYPE(obj));
+}
+
+/* A fresh instance of a slotted class, its slots unset (the caller sets
+ * every slot its __init__ would). */
+static inline PyObject *
+new_slotted(PyObject *type)
+{
+    PyTypeObject *t = (PyTypeObject *)type;
+    return t->tp_alloc(t, 0);
+}
+
+/* getattr(import_module(module), name), new reference. */
+static inline PyObject *
+imported(const char *module, const char *name)
+{
+    PyObject *mod = PyImport_ImportModule(module);
+    if (mod == NULL) {
+        return NULL;
+    }
+    PyObject *out = repro_getattr(mod, name);
+    Py_DECREF(mod);
+    return out;
+}
+
 /* The __slots__ offsets of `names` (NULL-terminated) of `type`, into
  * `outs` in order; -1 with a Python exception set. */
 static inline int
@@ -227,18 +286,91 @@ slot_offsets(PyObject *type, const char *const *names, Py_ssize_t *const *outs)
     return 0;
 }
 
+/* ------------------------------------------------------------------ */
+/* The engine kernel (_home.c): every engine builds exactly one.  The  */
+/* directory families' kernel is a subtype whose object starts with    */
+/* this struct (_directory.c) and takes the home steps below on itself. */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    /* The engine, weakly: it owns this kernel, and a strong reference back
+     * would make every engine garbage only the cyclic collector frees.
+     * `engine` is set from it at the entry of every method and is valid
+     * for that call (KERNEL_METHOD holds a reference). */
+    PyObject *engine_ref;
+    PyObject *engine;
+    /* Strong references (GC-tracked). */
+    PyObject *l2;            /* list of L2Slice, by tile */
+    PyObject *paths;         /* MeshNetwork route memo (list of handles) */
+    PyObject *resolve;       /* MeshNetwork.resolve_path (bound) */
+    PyObject *mesh;          /* the compiled MeshKernel */
+    PyObject *pages;         /* RNucaPageTable._pages */
+    PyObject *page_table;    /* classify_data is looked up on it */
+    PyObject *controllers;   /* list of MemoryController, by line % n */
+    PyObject *home_of_line;  /* engine._home_of_line */
+    PyObject *dram_image;    /* engine._dram_image */
+    PyObject *line_size;     /* int argument of MemoryController.access */
+    PyObject *line_type;     /* L2Line */
+    PyObject *result_type;   /* AccessResult */
+    PyObject *slice_type;    /* L2Slice */
+    PyObject *store_type;    /* SetAssocCache, of the L2 and the L1s */
+    PyObject *energy_type;   /* EnergyCounters */
+    /* DirectoryEntry, which a fill installs: set by the directory subtype,
+     * NULL (install nothing) at a directoryless home. */
+    PyObject *entry_type;
+    /* Geometry (constant per engine). */
+    long long num_tiles;
+    long long num_ctrls;
+    long long *ctrl_tiles;   /* tile of controllers[i] */
+    long long *flits;        /* flits per message type */
+    Py_ssize_t num_msgs;
+    long long set_mask;
+    Py_ssize_t assoc;
+    double l2_latency;
+    long long words_per_line;
+    int page_shift;          /* >= 0: page = line >> page_shift */
+    long long page_size;     /* else page = (line << LINE_BITS) / page_size */
+    int verify;
+    /* __slots__ offsets. */
+    Py_ssize_t off_energy;
+    Py_ssize_t off_slice_store, off_slice_hits, off_slice_misses;
+    Py_ssize_t off_slice_wreads, off_slice_wwrites;
+    Py_ssize_t off_store_sets, off_store_use, off_store_observer;
+    Py_ssize_t off_e_tag, off_e_wreads, off_e_wwrites, off_e_lwrites;
+    Py_ssize_t off_busy, off_last_use, off_last_access, off_dirty;
+    Py_ssize_t off_dirty_words;
+    Py_ssize_t off_r_wait, off_r_offchip;
+    Py_ssize_t off_directory, off_d_sharers, off_d_owner, off_d_overflowed;
+} HomeObject;
+
+REPRO_SHARED extern PyTypeObject HomeType;
+
+/* A kernel's class name, without the module's. */
+static inline const char *
+kernel_name(void *k)
+{
+    const char *name = Py_TYPE((PyObject *)k)->tp_name;
+    const char *dot = strrchr(name, '.');
+    return dot == NULL ? name : dot + 1;
+}
+
 /* The engine behind a kernel's weak reference, as a new reference; NULL
  * with ReferenceError set once it is gone. */
 static inline PyObject *
-repro_weak_engine(PyObject *ref, const char *kernel)
+kernel_engine(HomeObject *k)
 {
+    if (k->engine_ref == NULL) {
+        PyErr_Format(PyExc_RuntimeError, "%s was cleared", kernel_name(k));
+        return NULL;
+    }
 #if PY_VERSION_HEX >= 0x030D0000
     PyObject *engine;
-    if (PyWeakref_GetRef(ref, &engine) < 0) {
+    if (PyWeakref_GetRef(k->engine_ref, &engine) < 0) {
         return NULL;
     }
 #else
-    PyObject *engine = PyWeakref_GetObject(ref);
+    PyObject *engine = PyWeakref_GetObject(k->engine_ref);
     if (engine == NULL) {
         return NULL;
     }
@@ -246,9 +378,99 @@ repro_weak_engine(PyObject *ref, const char *kernel)
 #endif
     if (engine == NULL) {
         PyErr_Format(PyExc_ReferenceError, "the engine of this %s is gone",
-                     kernel);
+                     kernel_name(k));
     }
     return engine;
 }
+
+/* A METH_FASTCALL method `prefix##_##name` of a kernel whose struct
+ * `type` starts with a HomeObject: checks the argument count, holds the
+ * engine for the call and runs the body `name##_impl`.  The engine an
+ * outer call holds is restored at exit, because a family hook the call
+ * runs may re-enter the same kernel. */
+#define KERNEL_METHOD(type, prefix, name, n, sig)                           \
+    static PyObject *name##_impl(type *k, PyObject *const *args);           \
+    static PyObject *                                                       \
+    prefix##_##name(type *k, PyObject *const *args, Py_ssize_t nargs)       \
+    {                                                                       \
+        if (nargs != (n)) {                                                 \
+            PyErr_SetString(PyExc_TypeError, sig);                          \
+            return NULL;                                                    \
+        }                                                                   \
+        HomeObject *hk = (HomeObject *)k;                                   \
+        PyObject *engine = kernel_engine(hk);                               \
+        if (engine == NULL) {                                               \
+            return NULL;                                                    \
+        }                                                                   \
+        PyObject *saved = hk->engine;                                       \
+        hk->engine = engine;                                                \
+        PyObject *out = name##_impl(k, args);                               \
+        hk->engine = saved;                                                 \
+        Py_DECREF(engine);                                                  \
+        return out;                                                         \
+    }                                                                       \
+    static PyObject *name##_impl(type *k, PyObject *const *args)
+
+#define KERNEL_FASTCALL(prefix, name, doc) \
+    {#name, (PyCFunction)(void (*)(void))prefix##_##name, METH_FASTCALL, doc}
+
+/* The home steps and the helpers they share with the directory subtype,
+ * each on a kernel held by its method's entry.  Message types are MsgType
+ * values.  Each returns 0 (or a new reference) on success, -1 (NULL) with
+ * a Python exception set; a lookup that finds nothing returns NULL with
+ * no exception. */
+REPRO_SHARED int home_check_tile(HomeObject *k, long long tile);
+/* The engine's current `off` object (energy, miss stats, a histogram:
+ * reset_stats replaces them), type-checked; borrowed. */
+REPRO_SHARED PyObject *home_engine_part(HomeObject *k, Py_ssize_t off,
+                                        PyObject *type, const char *what);
+REPRO_SHARED int home_energy_bump(HomeObject *k, Py_ssize_t off);
+/* The route handle src -> dst from the route memo, registering it through
+ * MeshNetwork.resolve_path on a memo miss; -1 with an exception set. */
+REPRO_SHARED Py_ssize_t home_route(HomeObject *k, long long src,
+                                   long long dst);
+/* Reserve message `msg` on a route handle (home_route's result, checked
+ * here) from t; the tail arrival in *out. */
+REPRO_SHARED int home_send(HomeObject *k, Py_ssize_t handle, long long msg,
+                           double t, double *out);
+REPRO_SHARED int home_leg(HomeObject *k, long long src, long long dst,
+                          long long msg, double t, double *out);
+/* The set dict of `line` in a SetAssocCache (borrowed). */
+REPRO_SHARED PyObject *home_store_bucket(HomeObject *k, PyObject *store,
+                                         long long mask, long long line);
+/* The L2 line `line` at `tile` (borrowed), or NULL. */
+REPRO_SHARED PyObject *home_lookup(HomeObject *k, long long tile,
+                                   long long line, PyObject *line_obj);
+/* The LRU way of a set: the first entry, in dict order, with the smallest
+ * last_use - what min(bucket, key=...) returns (both borrowed). */
+REPRO_SHARED int home_lru(PyObject *bucket, PyObject *type, const char *what,
+                          Py_ssize_t off_last_use, PyObject **key,
+                          PyObject **entry);
+/* store._use_counter += 1; entry.last_use = store._use_counter. */
+REPRO_SHARED int home_touch(HomeObject *k, PyObject *store, PyObject *entry,
+                            Py_ssize_t off_last_use);
+/* One store geometry (set mask, associativity) over a list of caches of
+ * one `type` (L1Cache or L2Slice). */
+REPRO_SHARED int home_geometry(PyObject *caches, PyObject *type,
+                               long long *mask, Py_ssize_t *assoc);
+REPRO_SHARED int home_place(HomeObject *k, long long line, int by_word,
+                            long long word, PyObject *core_obj, long long core,
+                            long long *home, long long *flush);
+REPRO_SHARED PyObject *home_deliver(HomeObject *k, long long core,
+                                    PyObject *line_obj, long long line,
+                                    long long home, long long flush,
+                                    long long req_msg, PyObject *now_obj,
+                                    double now, PyObject *result,
+                                    PyObject **slice_out, double *t_out);
+REPRO_SHARED int home_chain(HomeObject *k, long long core, long long home,
+                            PyObject *l2line, PyObject *slice_,
+                            long long req_msg, long long reply_msg, double now,
+                            PyObject *result, double *t_out, double *reply_out);
+REPRO_SHARED int home_serve_word(HomeObject *k, PyObject *core_obj,
+                                 int is_write, PyObject *line_obj,
+                                 long long word, PyObject *word_obj,
+                                 PyObject *l2line, PyObject *slice_);
+REPRO_SHARED int home_settle(HomeObject *k, PyObject *slice_,
+                             PyObject *l2line, PyObject *t_obj, int owned);
 
 #endif

@@ -1,13 +1,16 @@
 /* Compiled directory kernel: every L1 miss of one directory-family engine.
  *
- * One DirectoryKernel serves one engine of the directory families
- * (baseline, adaptive, victim, phase; DESIGN.md section 16).  Its
+ * DirectoryKernel is the engine kernel of the directory families
+ * (baseline, adaptive, victim, phase; DESIGN.md section 15): a subtype of
+ * HomeKernel (_home.c) whose object starts with the home kernel's
+ * HomeObject (_accel.h), so each engine builds exactly one kernel.  Its
  * pure-Python twin and reference, PyDirectoryKernel in
- * repro/protocol/directory.py, has the same constructor and methods; an
- * engine builds this one exactly when it builds the compiled HomeKernel,
- * whose steps (data_home, deliver_request, chain_request_reply, reply,
- * serve_word, settle) it takes by direct C calls (_accel.h), and whose
- * mesh kernel reserves the rounds' messages (repro_mesh_traverse).
+ * repro/protocol/directory.py, is a subclass of PyHomeKernel with the same
+ * constructor and methods; an engine builds this one exactly when its mesh
+ * kernel is the compiled MeshKernel.  The directory steps take the home
+ * steps (home_place, home_deliver, home_chain, home_leg, home_serve_word,
+ * home_settle) on the kernel itself, and the rounds' messages are
+ * reserved through the same mesh kernel (home_send).
  *
  * A kernel services a whole miss: the requester classification (Limited_k
  * or Complete, RAT levels or the Timestamp check, one-way), the
@@ -23,15 +26,15 @@
  * membership change goes through the store's _observer, as
  * SetAssocCache.insert/pop do.  The classifier and the sharer policy stay
  * the Python reference of their steps; this kernel reads their
- * configuration once and takes the same steps.
+ * configuration once and takes the same steps.  Its fills install a fresh
+ * DirectoryEntry (the HomeObject's entry_type, set here).
  *
  * It calls back into Python only for the family hooks an engine class
  * defines (repro.protocol.directory.FAMILY_HOOKS, read once), the
  * verify-mode golden steps (_verified_l1_write, GoldenMemory.check_read,
- * DirectoryEntry.check_invariants on a violation), the store observers,
- * MeshNetwork.broadcast and, on a route-memo miss,
- * MeshNetwork.resolve_path - the last two on the live network, so a
- * wrapped method is the one called.
+ * DirectoryEntry.check_invariants on a violation), the store observers
+ * and MeshNetwork.broadcast, on the live network, so a wrapped method is
+ * the one called.
  *
  * Exactness (pinned by the directory-kernel contract property and the
  * RunStats fixtures under both implementations):
@@ -46,12 +49,11 @@
  *   - state, mode and miss_type slots hold the enum members, compared by
  *     identity where Python uses `is`;
  *   - LRU victims are the first entry in dict order with the smallest
- *     last_use, as min(bucket, key=...) returns.
+ *     last_use, as min(bucket, key=...) returns (home_lru).
  */
 
 #include "_accel.h"
 
-#include <limits.h>
 #include <stdio.h>
 
 /* Mirrors of Python constants; cross-checked at load by repro.accel. */
@@ -85,31 +87,21 @@ static PyObject *str_check_read;
 static PyObject *str_verified_l1_write;
 static PyObject *str_check_invariants;
 static PyObject *str_broadcast;
-static PyObject *str_resolve_path;
 
 typedef struct {
-    PyObject_HEAD
-    /* The engine, weakly (it owns this kernel); `engine` is set from it at
-     * the entry of every method and is valid for that call. */
-    PyObject *engine_ref;
-    PyObject *engine;
+    /* The home kernel this one extends: the engine, its L2, mesh, flit
+     * table and the L2Line, DirectoryEntry and AccessResult offsets. */
+    HomeObject base;
     /* Strong references (GC-tracked). */
-    PyObject *home;           /* the compiled HomeKernel */
     PyObject *l1d;            /* list of L1Cache, by core */
-    PyObject *l2;             /* list of L2Slice, by tile */
     PyObject *history;        /* list of {line: flags}, by core */
-    PyObject *home_of_line;   /* engine._home_of_line */
-    PyObject *network;        /* MeshNetwork (broadcast, resolve_path) */
-    PyObject *mesh;           /* its compiled MeshKernel */
-    PyObject *paths;          /* its route memo */
+    PyObject *network;        /* MeshNetwork (broadcast) */
     PyObject *classifier;     /* LocalityClassifier, or NULL */
     PyObject *policy;         /* SharerTrackingPolicy */
     PyObject *golden;         /* GoldenMemory, or NULL */
     PyObject *hit_result;     /* engine._hit_result */
     PyObject *zero;           /* 0.0 */
-    PyObject *l1_type, *store_type, *cline_type, *l2line_type, *slice_type;
-    PyObject *dirent_type, *loc_type, *result_type, *energy_type;
-    PyObject *stats_type, *hist_type;
+    PyObject *l1_type, *cline_type, *loc_type, *stats_type, *hist_type;
     PyObject *st_shared, *st_excl, *st_mod;
     PyObject *mode_private, *mode_remote;
     PyObject *miss[NUM_MISS];
@@ -117,14 +109,9 @@ typedef struct {
     PyObject *bucket_keys[5];  /* UTILIZATION_BUCKETS */
     PyObject *coherence_error, *simulation_error;
     /* Configuration (constant per engine). */
-    long long num_tiles;
-    long long words_per_line;
-    long long l1_mask, l2_mask;
+    long long l1_mask;
     Py_ssize_t l1_assoc;
-    long long *flits;
-    Py_ssize_t num_msgs;
     Py_ssize_t miss_index[NUM_MISS];
-    int verify;
     int hooks[NUM_HOOKS];
     int cls_kind;
     long long pct, limit_k, max_rat;
@@ -134,22 +121,19 @@ typedef struct {
     int ackwise;
     long long pointers;
     /* __slots__ offsets. */
-    Py_ssize_t off_energy, off_miss_stats, off_inval_hist, off_evict_hist;
+    Py_ssize_t off_miss_stats, off_inval_hist, off_evict_hist;
     Py_ssize_t off_l1_store, off_l1_hits, off_l1_misses;
-    Py_ssize_t off_st_sets, off_st_use, off_st_observer;
     Py_ssize_t off_c_state, off_c_last_use, off_c_last_access, off_c_util;
     Py_ssize_t off_c_data;
-    Py_ssize_t off_sl_store, off_sl_line_reads;
-    Py_ssize_t off_l2_directory, off_l2_locality, off_l2_last_access;
-    Py_ssize_t off_l2_dirty, off_l2_data;
-    Py_ssize_t off_d_sharers, off_d_owner, off_d_overflowed;
+    Py_ssize_t off_sl_line_reads;
+    Py_ssize_t off_l2_locality, off_l2_data;
     Py_ssize_t off_lc_core, off_lc_mode, off_lc_util, off_lc_rat;
     Py_ssize_t off_lc_active;
-    Py_ssize_t off_r_latency, off_r_l1l2, off_r_wait, off_r_sharers;
-    Py_ssize_t off_r_offchip, off_r_hit, off_r_miss_type, off_r_remote;
+    Py_ssize_t off_r_latency, off_r_l1l2, off_r_sharers;
+    Py_ssize_t off_r_hit, off_r_miss_type, off_r_remote;
     Py_ssize_t off_e_l1d_reads, off_e_l1d_writes, off_e_l1d_tag;
     Py_ssize_t off_e_l1d_fills, off_e_l1d_line_reads, off_e_l2_line_reads;
-    Py_ssize_t off_e_l2_line_writes, off_e_dir_lookups, off_e_dir_updates;
+    Py_ssize_t off_e_dir_lookups, off_e_dir_updates;
     Py_ssize_t off_ms_hits, off_ms_counts, off_h_counts;
     Py_ssize_t off_cl_promotions, off_cl_demotions, off_cl_remote;
     Py_ssize_t off_cl_votes, off_cl_replacements, off_cl_failures;
@@ -166,36 +150,6 @@ hex_line(char *buf, size_t size, long long line)
 {
     snprintf(buf, size, "0x%llx", (unsigned long long)line);
     return buf;
-}
-
-/* A counter slot of the engine's current `off` object (energy, miss stats,
- * a histogram), type-checked; borrowed. */
-static PyObject *
-engine_part(DirObject *k, Py_ssize_t off, PyObject *type, const char *what)
-{
-    PyObject *part = slot_get(k->engine, off);
-    if (part == NULL || check_type(part, type, what) < 0) {
-        return NULL;
-    }
-    return part;
-}
-
-static int
-energy_bump(DirObject *k, Py_ssize_t off)
-{
-    PyObject *energy = engine_part(k, k->off_energy, k->energy_type,
-                                   "EnergyCounters");
-    return energy == NULL ? -1 : slot_bump(energy, off);
-}
-
-static int
-slot_add(PyObject *obj, Py_ssize_t off, long long delta)
-{
-    long long x;
-    if (slot_long(obj, off, &x) < 0) {
-        return -1;
-    }
-    return slot_set_long(obj, off, x + delta);
 }
 
 /* Truthiness of a slot holding a bool (or anything). */
@@ -215,66 +169,11 @@ slot_true(PyObject *obj, Py_ssize_t off)
     return PyObject_IsTrue(v);
 }
 
-static void
-slot_set_bool(PyObject *obj, Py_ssize_t off, int value)
-{
-    slot_put(obj, off, Py_NewRef(value ? Py_True : Py_False));
-}
-
-/* A fresh instance of a slotted class, its slots unset (the caller sets
- * every slot its __init__ would). */
-static PyObject *
-new_slotted(PyObject *type)
-{
-    PyTypeObject *t = (PyTypeObject *)type;
-    return t->tp_alloc(t, 0);
-}
-
-/* The set dict of `line` in a SetAssocCache (borrowed). */
-static PyObject *
-store_bucket(DirObject *k, PyObject *store, long long mask, long long line)
-{
-    if (check_type(store, k->store_type, "SetAssocCache") < 0) {
-        return NULL;
-    }
-    PyObject *sets = slot_get(store, k->off_st_sets);
-    if (sets == NULL) {
-        return NULL;
-    }
-    if (!PyList_CheckExact(sets)) {
-        PyErr_SetString(PyExc_TypeError, "directory kernel: _sets is not a list");
-        return NULL;
-    }
-    Py_ssize_t index = (Py_ssize_t)(line & mask);
-    if (index >= PyList_GET_SIZE(sets)) {
-        PyErr_SetString(PyExc_IndexError,
-                        "directory kernel: set index out of range");
-        return NULL;
-    }
-    PyObject *bucket = PyList_GET_ITEM(sets, index);
-    if (!PyDict_CheckExact(bucket)) {
-        PyErr_SetString(PyExc_TypeError, "directory kernel: set is not a dict");
-        return NULL;
-    }
-    return bucket;
-}
-
-static int
-check_core(DirObject *k, long long core)
-{
-    if (core < 0 || core >= k->num_tiles) {
-        PyErr_Format(PyExc_IndexError,
-                     "directory kernel: core %lld out of range", core);
-        return -1;
-    }
-    return 0;
-}
-
 /* The L1Cache of `core` and its store (both borrowed). */
 static PyObject *
 l1_of(DirObject *k, long long core, PyObject **store)
 {
-    if (check_core(k, core) < 0) {
+    if (home_check_tile(&k->base, core) < 0) {
         return NULL;
     }
     PyObject *l1 = PyList_GET_ITEM(k->l1d, (Py_ssize_t)core);
@@ -294,7 +193,7 @@ l1_lookup(DirObject *k, long long core, long long line, PyObject *line_obj)
     if (l1_of(k, core, &store) == NULL) {
         return NULL;
     }
-    PyObject *bucket = store_bucket(k, store, k->l1_mask, line);
+    PyObject *bucket = home_store_bucket(&k->base, store, k->l1_mask, line);
     if (bucket == NULL) {
         return NULL;
     }
@@ -305,41 +204,14 @@ l1_lookup(DirObject *k, long long core, long long line, PyObject *line_obj)
     return entry;
 }
 
-/* The L2 line `line` in slice `tile`, borrowed; NULL without an exception
- * when absent. */
-static PyObject *
-l2_lookup(DirObject *k, long long tile, long long line, PyObject *line_obj)
-{
-    if (check_core(k, tile) < 0) {
-        return NULL;
-    }
-    PyObject *slice_ = PyList_GET_ITEM(k->l2, (Py_ssize_t)tile);
-    if (check_type(slice_, k->slice_type, "L2Slice") < 0) {
-        return NULL;
-    }
-    PyObject *store = slot_get(slice_, k->off_sl_store);
-    if (store == NULL) {
-        return NULL;
-    }
-    PyObject *bucket = store_bucket(k, store, k->l2_mask, line);
-    if (bucket == NULL) {
-        return NULL;
-    }
-    PyObject *l2line = PyDict_GetItemWithError(bucket, line_obj);
-    if (l2line != NULL && check_type(l2line, k->l2line_type, "L2Line") < 0) {
-        return NULL;
-    }
-    return l2line;
-}
-
 /* The DirectoryEntry of an L2 line (borrowed). */
 static PyObject *
 dirent_of(DirObject *k, PyObject *l2line)
 {
-    if (check_type(l2line, k->l2line_type, "L2Line") < 0) {
+    if (check_type(l2line, k->base.line_type, "L2Line") < 0) {
         return NULL;
     }
-    PyObject *dirent = slot_get(l2line, k->off_l2_directory);
+    PyObject *dirent = slot_get(l2line, k->base.off_directory);
     if (dirent == NULL) {
         return NULL;
     }
@@ -348,7 +220,7 @@ dirent_of(DirObject *k, PyObject *l2line)
                         "'NoneType' object has no attribute 'sharers'");
         return NULL;
     }
-    if (check_type(dirent, k->dirent_type, "DirectoryEntry") < 0) {
+    if (check_type(dirent, k->base.entry_type, "DirectoryEntry") < 0) {
         return NULL;
     }
     return dirent;
@@ -358,7 +230,7 @@ dirent_of(DirObject *k, PyObject *l2line)
 static PyObject *
 sharers_of(DirObject *k, PyObject *dirent)
 {
-    PyObject *sharers = slot_get(dirent, k->off_d_sharers);
+    PyObject *sharers = slot_get(dirent, k->base.off_d_sharers);
     if (sharers != NULL && !PySet_CheckExact(sharers)) {
         PyErr_SetString(PyExc_TypeError, "directory kernel: sharers is not a set");
         return NULL;
@@ -386,7 +258,7 @@ static int
 observe(DirObject *k, PyObject *store, long kind, PyObject *line_obj,
         PyObject *entry)
 {
-    PyObject *obs = slot_get(store, k->off_st_observer);
+    PyObject *obs = slot_get(store, k->base.off_store_observer);
     if (obs == NULL) {
         return -1;
     }
@@ -409,23 +281,6 @@ observe(DirObject *k, PyObject *store, long kind, PyObject *line_obj,
     return 0;
 }
 
-/* store._use_counter += 1; entry.last_use = store._use_counter. */
-static int
-store_touch(DirObject *k, PyObject *store, PyObject *entry)
-{
-    long long counter;
-    if (slot_long(store, k->off_st_use, &counter) < 0) {
-        return -1;
-    }
-    PyObject *value = PyLong_FromLongLong(counter + 1);
-    if (value == NULL) {
-        return -1;
-    }
-    slot_put(store, k->off_st_use, Py_NewRef(value));
-    slot_put(entry, k->off_c_last_use, value);
-    return 0;
-}
-
 /* L1 SetAssocCache.pop: the removed entry (new reference), or NULL - with
  * no exception set when the line was absent. */
 static PyObject *
@@ -435,7 +290,7 @@ l1_pop(DirObject *k, long long core, long long line, PyObject *line_obj)
     if (l1_of(k, core, &store) == NULL) {
         return NULL;
     }
-    PyObject *bucket = store_bucket(k, store, k->l1_mask, line);
+    PyObject *bucket = home_store_bucket(&k->base, store, k->l1_mask, line);
     if (bucket == NULL) {
         return NULL;
     }
@@ -465,7 +320,7 @@ l1_insert(DirObject *k, PyObject *store, long long line, PyObject *line_obj,
           PyObject *entry, PyObject **ev_line, PyObject **ev_entry)
 {
     *ev_line = *ev_entry = NULL;
-    PyObject *bucket = store_bucket(k, store, k->l1_mask, line);
+    PyObject *bucket = home_store_bucket(&k->base, store, k->l1_mask, line);
     if (bucket == NULL) {
         return -1;
     }
@@ -474,20 +329,10 @@ l1_insert(DirObject *k, PyObject *store, long long line, PyObject *line_obj,
         return -1;
     }
     if (!present && PyDict_GET_SIZE(bucket) >= k->l1_assoc) {
-        Py_ssize_t pos = 0;
-        PyObject *key, *value, *vkey = NULL, *vval = NULL;
-        long long best = LLONG_MAX;
-        while (PyDict_Next(bucket, &pos, &key, &value)) {
-            long long use;
-            if (check_type(value, k->cline_type, "CacheLine") < 0
-                || slot_long(value, k->off_c_last_use, &use) < 0) {
-                return -1;
-            }
-            if (vkey == NULL || use < best) {
-                best = use;
-                vkey = key;
-                vval = value;
-            }
+        PyObject *vkey, *vval;
+        if (home_lru(bucket, k->cline_type, "CacheLine", k->off_c_last_use,
+                     &vkey, &vval) < 0) {
+            return -1;
         }
         *ev_line = Py_NewRef(vkey);
         *ev_entry = Py_NewRef(vval);
@@ -495,7 +340,7 @@ l1_insert(DirObject *k, PyObject *store, long long line, PyObject *line_obj,
             goto fail;
         }
     }
-    if (store_touch(k, store, entry) < 0
+    if (home_touch(&k->base, store, entry, k->off_c_last_use) < 0
         || PyDict_SetItem(bucket, line_obj, entry) < 0) {
         goto fail;
     }
@@ -516,7 +361,7 @@ static int
 l1_min_last_access(DirObject *k, PyObject *store, long long line, int *full,
                    double *out)
 {
-    PyObject *bucket = store_bucket(k, store, k->l1_mask, line);
+    PyObject *bucket = home_store_bucket(&k->base, store, k->l1_mask, line);
     if (bucket == NULL) {
         return -1;
     }
@@ -578,7 +423,8 @@ history_update(DirObject *k, long long core, PyObject *line_obj,
 static int
 hist_record(DirObject *k, Py_ssize_t off, long long util)
 {
-    PyObject *hist = engine_part(k, off, k->hist_type, "UtilizationHistogram");
+    PyObject *hist = home_engine_part(&k->base, off, k->hist_type,
+                                      "UtilizationHistogram");
     if (hist == NULL) {
         return -1;
     }
@@ -623,7 +469,7 @@ set_owner(DirObject *k, PyObject *dirent, PyObject *core_obj)
     if (sharers == NULL) {
         return -1;
     }
-    slot_put(dirent, k->off_d_owner, Py_NewRef(core_obj));
+    slot_put(dirent, k->base.off_d_owner, Py_NewRef(core_obj));
     return PySet_Add(sharers, core_obj);
 }
 
@@ -635,12 +481,12 @@ add_sharer(DirObject *k, PyObject *dirent, PyObject *core_obj)
         return -1;
     }
     if (k->ackwise) {
-        int over = slot_true(dirent, k->off_d_overflowed);
+        int over = slot_true(dirent, k->base.off_d_overflowed);
         if (over < 0) {
             return -1;
         }
         if (!over && PySet_GET_SIZE(sharers) > k->pointers) {
-            slot_set_bool(dirent, k->off_d_overflowed, 1);
+            slot_set_bool(dirent, k->base.off_d_overflowed, 1);
         }
     }
     return 0;
@@ -653,19 +499,19 @@ remove_sharer(DirObject *k, PyObject *dirent, PyObject *core_obj,
     PyObject *sharers = sharers_of(k, dirent);
     long long owner;
     if (sharers == NULL || PySet_Discard(sharers, core_obj) < 0
-        || slot_long(dirent, k->off_d_owner, &owner) < 0) {
+        || slot_long(dirent, k->base.off_d_owner, &owner) < 0) {
         return -1;
     }
-    if (owner == core && slot_set_long(dirent, k->off_d_owner, -1) < 0) {
+    if (owner == core && slot_set_long(dirent, k->base.off_d_owner, -1) < 0) {
         return -1;
     }
     if (k->ackwise) {
-        int over = slot_true(dirent, k->off_d_overflowed);
+        int over = slot_true(dirent, k->base.off_d_overflowed);
         if (over < 0) {
             return -1;
         }
         if (over && PySet_GET_SIZE(sharers) == 0) {
-            slot_set_bool(dirent, k->off_d_overflowed, 0);
+            slot_set_bool(dirent, k->base.off_d_overflowed, 0);
         }
     }
     return 0;
@@ -849,7 +695,7 @@ on_remote_access(DirObject *k, PyObject *l2line, PyObject *centry, int full,
         int passed = !full;
         if (full) {
             double last;
-            if (slot_double(l2line, k->off_l2_last_access, &last) < 0) {
+            if (slot_double(l2line, k->base.off_last_access, &last) < 0) {
                 return -1;
             }
             passed = last > l1_min;
@@ -991,70 +837,6 @@ note_private_grant(DirObject *k, PyObject *l2line, PyObject *core_obj)
 }
 
 /* ------------------------------------------------------------------ */
-/* Traffic                                                             */
-/* ------------------------------------------------------------------ */
-
-/* The route handle src -> dst, registering it through the live network's
- * resolve_path on a memo miss; -1 with an exception set. */
-static Py_ssize_t
-route(DirObject *k, long long src, long long dst)
-{
-    if (check_core(k, src) < 0 || check_core(k, dst) < 0) {
-        return -1;
-    }
-    PyObject *handle = PyList_GET_ITEM(k->paths,
-                                       (Py_ssize_t)(src * k->num_tiles + dst));
-    if (handle != Py_None) {
-        return PyLong_AsSsize_t(handle);
-    }
-    PyObject *s = PyLong_FromLongLong(src), *d = PyLong_FromLongLong(dst);
-    PyObject *res = NULL;
-    if (s != NULL && d != NULL) {
-        res = PyObject_CallMethodObjArgs(k->network, str_resolve_path, s, d,
-                                         NULL);
-    }
-    Py_XDECREF(s);
-    Py_XDECREF(d);
-    if (res == NULL) {
-        return -1;
-    }
-    Py_ssize_t h = PyLong_AsSsize_t(res);
-    Py_DECREF(res);
-    return h;
-}
-
-static int
-flits_of(DirObject *k, long long msg, long long *out)
-{
-    if (msg < 0 || msg >= k->num_msgs) {
-        PyErr_SetString(PyExc_IndexError, "directory kernel: bad message type");
-        return -1;
-    }
-    *out = k->flits[msg];
-    return 0;
-}
-
-static int
-traverse(DirObject *k, Py_ssize_t handle, double t, long long msg,
-         double *out)
-{
-    long long flits;
-    if ((handle == -1 && PyErr_Occurred()) || flits_of(k, msg, &flits) < 0) {
-        return -1;
-    }
-    return repro_mesh_traverse(k->mesh, handle, t, flits, out);
-}
-
-/* MeshNetwork.unicast without the wrapper. */
-static int
-unicast(DirObject *k, long long src, long long dst, long long msg, double t,
-        double *out)
-{
-    Py_ssize_t h = route(k, src, dst);
-    return traverse(k, h, t, msg, out);
-}
-
-/* ------------------------------------------------------------------ */
 /* Family hooks and the steps they reach back to                        */
 /* ------------------------------------------------------------------ */
 
@@ -1062,7 +844,7 @@ static PyObject *
 call_hook(DirObject *k, int hook, PyObject *const *args, size_t nargs)
 {
     PyObject *full[9];
-    full[0] = k->engine;
+    full[0] = k->base.engine;
     for (size_t i = 0; i < nargs; i++) {
         full[i + 1] = args[i];
     }
@@ -1104,14 +886,14 @@ base_purge_target_copy(DirObject *k, long long core, PyObject *core_obj,
         rc = 0;
         goto done;
     }
-    if (energy_bump(k, k->off_e_l1d_line_reads) < 0) {
+    if (home_energy_bump(&k->base, k->off_e_l1d_line_reads) < 0) {
         goto done;
     }
-    slot_set_bool(l2line, k->off_l2_dirty, 1);
-    if (merge && energy_bump(k, k->off_e_l2_line_writes) < 0) {
+    slot_set_bool(l2line, k->base.off_dirty, 1);
+    if (merge && home_energy_bump(&k->base, k->base.off_e_lwrites) < 0) {
         goto done;
     }
-    if (k->verify) {
+    if (k->base.verify) {
         PyObject *data = slot_get(removed, k->off_c_data);
         if (data == NULL || slot_copy_list(l2line, k->off_l2_data, data) < 0) {
             goto done;
@@ -1134,7 +916,8 @@ base_handle_l1_eviction(DirObject *k, long long core, PyObject *core_obj,
         || check_type(ventry, k->cline_type, "CacheLine") < 0) {
         return -1;
     }
-    PyObject *vhome_obj = PyDict_GetItemWithError(k->home_of_line, vline_obj);
+    PyObject *vhome_obj = PyDict_GetItemWithError(k->base.home_of_line,
+                                                  vline_obj);
     if (vhome_obj == NULL) {
         if (!PyErr_Occurred()) {
             char hex[32];
@@ -1155,12 +938,12 @@ base_handle_l1_eviction(DirObject *k, long long core, PyObject *core_obj,
     }
     int dirty = state == k->st_mod;
     double arrival;
-    if (unicast(k, core, vhome,
+    if (home_leg(&k->base, core, vhome,
                 dirty ? K_MSG_EVICT_DIRTY : K_MSG_EVICT_NOTIFY, t,
                 &arrival) < 0) {
         return -1;
     }
-    PyObject *vl2 = l2_lookup(k, vhome, vline, vline_obj);
+    PyObject *vl2 = home_lookup(&k->base, vhome, vline, vline_obj);
     if (vl2 == NULL) {
         if (!PyErr_Occurred()) {
             char hex[32];
@@ -1174,12 +957,12 @@ base_handle_l1_eviction(DirObject *k, long long core, PyObject *core_obj,
     int rc = -1;
     PyObject *dirent;
     if (dirty) {
-        if (energy_bump(k, k->off_e_l1d_line_reads) < 0
-            || energy_bump(k, k->off_e_l2_line_writes) < 0) {
+        if (home_energy_bump(&k->base, k->off_e_l1d_line_reads) < 0
+            || home_energy_bump(&k->base, k->base.off_e_lwrites) < 0) {
             goto done;
         }
-        slot_set_bool(vl2, k->off_l2_dirty, 1);
-        if (k->verify) {
+        slot_set_bool(vl2, k->base.off_dirty, 1);
+        if (k->base.verify) {
             PyObject *data = slot_get(ventry, k->off_c_data);
             if (data == NULL || slot_copy_list(vl2, k->off_l2_data, data) < 0) {
                 goto done;
@@ -1189,7 +972,7 @@ base_handle_l1_eviction(DirObject *k, long long core, PyObject *core_obj,
     if ((k->classifier != NULL && on_removal(k, vl2, core_obj, util, 1) < 0)
         || (dirent = dirent_of(k, vl2)) == NULL
         || remove_sharer(k, dirent, core_obj, core) < 0
-        || energy_bump(k, k->off_e_dir_updates) < 0) {
+        || home_energy_bump(&k->base, k->off_e_dir_updates) < 0) {
         goto done;
     }
     rc = 0;
@@ -1282,7 +1065,7 @@ base_classify_requester(DirObject *k, PyObject *l1, PyObject *l2line,
         return 0;
     }
     if (check_type(l1, k->l1_type, "L1Cache") < 0
-        || check_type(l2line, k->l2line_type, "L2Line") < 0) {
+        || check_type(l2line, k->base.line_type, "L2Line") < 0) {
         return -1;
     }
     PyObject *centry, *mode;
@@ -1364,7 +1147,7 @@ verified_write(DirObject *k, PyObject *core_obj, PyObject *entry,
     if (word_obj == NULL) {
         return -1;
     }
-    PyObject *args[5] = {k->engine, core_obj, entry, line_obj, word_obj};
+    PyObject *args[5] = {k->base.engine, core_obj, entry, line_obj, word_obj};
     PyObject *res = PyObject_VectorcallMethod(
         str_verified_l1_write, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
     Py_DECREF(word_obj);
@@ -1384,7 +1167,7 @@ base_grant_private(DirObject *k, long long core, PyObject *core_obj,
 {
     PyObject *dirent = dirent_of(k, l2line);
     if (dirent == NULL
-        || check_type(slice_, k->slice_type, "L2Slice") < 0) {
+        || check_type(slice_, k->base.slice_type, "L2Slice") < 0) {
         return -1;
     }
     Py_INCREF(dirent);
@@ -1411,7 +1194,7 @@ base_grant_private(DirObject *k, long long core, PyObject *core_obj,
     }
     if (!upgrade
         && (slot_bump(slice_, k->off_sl_line_reads) < 0
-            || energy_bump(k, k->off_e_l2_line_reads) < 0)) {
+            || home_energy_bump(&k->base, k->off_e_l2_line_reads) < 0)) {
         goto done;
     }
     PyObject *l1 = l1_of(k, core, &store);
@@ -1433,12 +1216,12 @@ base_grant_private(DirObject *k, long long core, PyObject *core_obj,
         Py_INCREF(entry);
         long long util;
         slot_put(entry, k->off_c_state, Py_NewRef(k->st_mod));
-        if (store_touch(k, store, entry) < 0
+        if (home_touch(&k->base, store, entry, k->off_c_last_use) < 0
             || slot_long(entry, k->off_c_util, &util) < 0
             || slot_set_long(entry, k->off_c_util, util + 1) < 0
             || slot_set_double(entry, k->off_c_last_access, reply_t) < 0
-            || energy_bump(k, k->off_e_l1d_writes) < 0
-            || (k->verify
+            || home_energy_bump(&k->base, k->off_e_l1d_writes) < 0
+            || (k->base.verify
                 && verified_write(k, core_obj, entry, line_obj, word) < 0)) {
             goto done_store;
         }
@@ -1450,7 +1233,7 @@ base_grant_private(DirObject *k, long long core, PyObject *core_obj,
         state = k->st_mod;
     }
     else {
-        if (slot_long(dirent, k->off_d_owner, &owner) < 0) {
+        if (slot_long(dirent, k->base.off_d_owner, &owner) < 0) {
             goto done_store;
         }
         state = owner == core ? k->st_excl : k->st_shared;
@@ -1467,14 +1250,14 @@ base_grant_private(DirObject *k, long long core, PyObject *core_obj,
     if (slot_set_double(entry, k->off_c_last_access, reply_t) < 0) {
         goto done_store;
     }
-    if (k->verify) {
+    if (k->base.verify) {
         PyObject *data = slot_get(l2line, k->off_l2_data);
         if (data == NULL || slot_copy_list(entry, k->off_c_data, data) < 0) {
             goto done_store;
         }
     }
     if (l1_insert(k, store, line, line_obj, entry, &ev_line, &ev_entry) < 0
-        || energy_bump(k, k->off_e_l1d_fills) < 0) {
+        || home_energy_bump(&k->base, k->off_e_l1d_fills) < 0) {
         goto done_store;
     }
     if (ev_line != NULL
@@ -1483,14 +1266,14 @@ base_grant_private(DirObject *k, long long core, PyObject *core_obj,
         goto done_store;
     }
     if (is_write) {
-        if (energy_bump(k, k->off_e_l1d_writes) < 0) {
+        if (home_energy_bump(&k->base, k->off_e_l1d_writes) < 0) {
             goto done_store;
         }
     }
-    else if (energy_bump(k, k->off_e_l1d_reads) < 0) {
+    else if (home_energy_bump(&k->base, k->off_e_l1d_reads) < 0) {
         goto done_store;
     }
-    if (k->verify) {
+    if (k->base.verify) {
         /* The entry as l1.lookup(line) finds it after the eviction. */
         PyObject *now_entry = l1_lookup(k, core, line, line_obj);
         if (now_entry == NULL) {
@@ -1619,7 +1402,8 @@ invalidate_sharers(DirObject *k, long long line, PyObject *line_obj,
         goto done;
     }
     int broadcast = 0;
-    if (k->ackwise && (broadcast = slot_true(dirent, k->off_d_overflowed)) < 0) {
+    if (k->ackwise
+        && (broadcast = slot_true(dirent, k->base.off_d_overflowed)) < 0) {
         goto done;
     }
     if (broadcast) {
@@ -1646,14 +1430,15 @@ invalidate_sharers(DirObject *k, long long line, PyObject *line_obj,
             goto done;
         }
         for (Py_ssize_t i = 0; i < n; i++) {
-            handles[i] = route(k, home, targets[i]);
+            handles[i] = home_route(&k->base, home, targets[i]);
             if (handles[i] == -1 && PyErr_Occurred()) {
                 PyMem_Free(handles);
                 goto done;
             }
         }
         for (Py_ssize_t i = 0; i < n; i++) {
-            if (traverse(k, handles[i], t, K_MSG_INV_REQ, &arrivals[i]) < 0) {
+            if (home_send(&k->base, handles[i], K_MSG_INV_REQ, t,
+                          &arrivals[i]) < 0) {
                 PyMem_Free(handles);
                 goto done;
             }
@@ -1679,7 +1464,8 @@ invalidate_sharers(DirObject *k, long long line, PyObject *line_obj,
             Py_XDECREF(at);
         }
         if (!bad) {
-            bad = unicast(k, targets[i], home, ack, arrivals[i], &ack_t) < 0
+            bad = home_leg(&k->base, targets[i], home, ack, arrivals[i],
+                           &ack_t) < 0
                   || remove_sharer(k, dirent, core_obj, targets[i]) < 0;
         }
         Py_DECREF(core_obj);
@@ -1705,7 +1491,7 @@ sync_writeback(DirObject *k, long long line, PyObject *line_obj,
                double *lat)
 {
     long long owner;
-    if (slot_long(dirent, k->off_d_owner, &owner) < 0) {
+    if (slot_long(dirent, k->base.off_d_owner, &owner) < 0) {
         return -1;
     }
     PyObject *entry = l1_lookup(k, owner, line, line_obj);
@@ -1727,22 +1513,22 @@ sync_writeback(DirObject *k, long long line, PyObject *line_obj,
     int rc = -1;
     /* Both legs ride one traverse_chain(path1, WB_REQ, t, 0.0, 0.0, path2,
      * ack): the ack departs at the request's arrival. */
-    Py_ssize_t h1 = route(k, home, owner), h2;
+    Py_ssize_t h1 = home_route(&k->base, home, owner), h2;
     double t1, ack_t;
     if ((h1 == -1 && PyErr_Occurred())
-        || ((h2 = route(k, owner, home)) == -1 && PyErr_Occurred())
-        || traverse(k, h1, t, K_MSG_WB_REQ, &t1) < 0
-        || traverse(k, h2, (0.0 > t1 ? 0.0 : t1) + 0.0,
-                    dirty ? K_MSG_WB_DATA : K_MSG_INV_ACK, &ack_t) < 0) {
+        || ((h2 = home_route(&k->base, owner, home)) == -1 && PyErr_Occurred())
+        || home_send(&k->base, h1, K_MSG_WB_REQ, t, &t1) < 0
+        || home_send(&k->base, h2, dirty ? K_MSG_WB_DATA : K_MSG_INV_ACK,
+                     (0.0 > t1 ? 0.0 : t1) + 0.0, &ack_t) < 0) {
         goto done;
     }
     if (dirty) {
-        if (energy_bump(k, k->off_e_l1d_line_reads) < 0
-            || energy_bump(k, k->off_e_l2_line_writes) < 0) {
+        if (home_energy_bump(&k->base, k->off_e_l1d_line_reads) < 0
+            || home_energy_bump(&k->base, k->base.off_e_lwrites) < 0) {
             goto done;
         }
-        slot_set_bool(l2line, k->off_l2_dirty, 1);
-        if (k->verify) {
+        slot_set_bool(l2line, k->base.off_dirty, 1);
+        if (k->base.verify) {
             PyObject *data = slot_get(entry, k->off_c_data);
             if (data == NULL || slot_copy_list(l2line, k->off_l2_data, data) < 0) {
                 goto done;
@@ -1750,7 +1536,7 @@ sync_writeback(DirObject *k, long long line, PyObject *line_obj,
         }
     }
     slot_put(entry, k->off_c_state, Py_NewRef(k->st_shared));
-    if (slot_set_long(dirent, k->off_d_owner, -1) < 0) {
+    if (slot_set_long(dirent, k->base.off_d_owner, -1) < 0) {
         goto done;
     }
     *lat = ack_t - t;
@@ -1786,10 +1572,10 @@ purge_copies(DirObject *k, long long home, PyObject *vline_obj,
         long long core, ack;
         double arrival;
         if (arg_long(core_obj, &core) < 0
-            || unicast(k, home, core, K_MSG_INV_REQ, t, &arrival) < 0
+            || home_leg(&k->base, home, core, K_MSG_INV_REQ, t, &arrival) < 0
             || purge_target_copy(k, core, core_obj, vline, vline_obj, ventry,
                                  0, &ack) < 0
-            || unicast(k, core, home, ack, t, &arrival) < 0
+            || home_leg(&k->base, core, home, ack, t, &arrival) < 0
             || remove_sharer(k, dirent, core_obj, core) < 0) {
             goto done;
         }
@@ -1808,12 +1594,12 @@ done:
 static PyObject *
 new_result(DirObject *k)
 {
-    PyObject *result = new_slotted(k->result_type);
+    PyObject *result = new_slotted(k->base.result_type);
     if (result == NULL) {
         return NULL;
     }
-    Py_ssize_t floats[] = {k->off_r_latency, k->off_r_l1l2, k->off_r_wait,
-                           k->off_r_sharers, k->off_r_offchip};
+    Py_ssize_t floats[] = {k->off_r_latency, k->off_r_l1l2, k->base.off_r_wait,
+                           k->off_r_sharers, k->base.off_r_offchip};
     for (size_t i = 0; i < sizeof(floats) / sizeof(floats[0]); i++) {
         slot_put(result, floats[i], Py_NewRef(k->zero));
     }
@@ -1841,8 +1627,8 @@ classify_miss(long long flags, int upgrade, int remote)
 static int
 miss_stats_record(DirObject *k, int miss)
 {
-    PyObject *stats = engine_part(k, k->off_miss_stats, k->stats_type,
-                                  "MissStats");
+    PyObject *stats = home_engine_part(&k->base, k->off_miss_stats,
+                                       k->stats_type, "MissStats");
     if (stats == NULL) {
         return -1;
     }
@@ -1877,16 +1663,15 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
     double t = 0.0, reply_t = 0.0, sharers_lat = 0.0;
     long long home, flush;
     if (slot_bump(l1, k->off_l1_misses) < 0
-        || energy_bump(k, k->off_e_l1d_tag) < 0
+        || home_energy_bump(&k->base, k->off_e_l1d_tag) < 0
         || (result = new_result(k)) == NULL) {
         goto done;
     }
     long long req_msg = is_write ? (upgrade ? K_MSG_UPGRADE_REQ
                                             : K_MSG_WRITE_REQ)
                                  : K_MSG_READ_REQ;
-    if (repro_home_data_home(k->home, k->engine, line, core_obj, core, &home,
-                             &flush) < 0
-        || check_core(k, home) < 0) {
+    if (home_place(&k->base, line, 0, 0, core_obj, core, &home, &flush) < 0
+        || home_check_tile(&k->base, home) < 0) {
         goto done;
     }
     /* Chained shape: no page flush, the line resident at the home, and no
@@ -1894,7 +1679,7 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
      * owner), so request and reply ride one chain_request_reply. */
     int chained = 0;
     if (flush < 0) {
-        PyObject *resident = l2_lookup(k, home, line, line_obj);
+        PyObject *resident = home_lookup(&k->base, home, line, line_obj);
         if (resident == NULL && PyErr_Occurred()) {
             goto done;
         }
@@ -1917,28 +1702,28 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
             }
             else {
                 long long owner;
-                if (slot_long(d, k->off_d_owner, &owner) < 0) {
+                if (slot_long(d, k->base.off_d_owner, &owner) < 0) {
                     goto done;
                 }
                 chained = owner < 0 || owner == core;
             }
             if (chained) {
                 l2line = Py_NewRef(resident);
-                slice_ = Py_NewRef(PyList_GET_ITEM(k->l2, (Py_ssize_t)home));
+                slice_ = Py_NewRef(PyList_GET_ITEM(k->base.l2,
+                                                   (Py_ssize_t)home));
             }
         }
     }
     if (!chained) {
         PyObject *s;
-        l2line = repro_home_deliver_request(k->home, k->engine, core, line_obj,
-                                            line, home, flush, req_msg,
-                                            now_obj, now, result, &s, &t);
+        l2line = home_deliver(&k->base, core, line_obj, line, home, flush,
+                              req_msg, now_obj, now, result, &s, &t);
         if (l2line == NULL) {
             goto done;
         }
         slice_ = Py_NewRef(s);
     }
-    if (energy_bump(k, k->off_e_dir_lookups) < 0) {
+    if (home_energy_bump(&k->base, k->off_e_dir_lookups) < 0) {
         goto done;
     }
     /* Classification touches no network or timing state, so in the
@@ -1956,9 +1741,8 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
         reply_msg = remote ? K_MSG_WORD_REPLY : K_MSG_LINE_REPLY;
     }
     if (chained
-        && repro_home_chain_request_reply(k->home, k->engine, core, home,
-                                          l2line, slice_, req_msg, reply_msg,
-                                          now, result, &t, &reply_t) < 0) {
+        && home_chain(&k->base, core, home, l2line, slice_, req_msg,
+                      reply_msg, now, result, &t, &reply_t) < 0) {
         goto done;
     }
 
@@ -2015,7 +1799,7 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
     }
     else {
         long long owner;
-        if (slot_long(dirent, k->off_d_owner, &owner) < 0) {
+        if (slot_long(dirent, k->base.off_d_owner, &owner) < 0) {
             goto done;
         }
         if (owner >= 0 && owner != core) {
@@ -2033,13 +1817,12 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
     /* Service: the reply leg (reserved already when chained), then a word
      * access at the home or a private line grant. */
     if (!chained
-        && repro_home_reply(k->home, k->engine, home, core, reply_msg, t,
-                            &reply_t) < 0) {
+        && home_leg(&k->base, home, core, reply_msg, t, &reply_t) < 0) {
         goto done;
     }
     if (remote) {
-        if (repro_home_serve_word(k->home, k->engine, core_obj, is_write,
-                                  line_obj, word, l2line, slice_) < 0) {
+        if (home_serve_word(&k->base, core_obj, is_write, line_obj, word,
+                            NULL, l2line, slice_) < 0) {
             goto done;
         }
         flags |= K_EVER_REMOTE;
@@ -2064,25 +1847,26 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
     /* Settle: writes and line grants own the line until t; remote word
      * reads occupy it for a cycle. */
     if ((t_obj = PyFloat_FromDouble(t)) == NULL
-        || repro_home_settle(k->home, k->engine, slice_, l2line, t_obj,
-                             is_write || !remote) < 0
-        || energy_bump(k, k->off_e_dir_updates) < 0) {
+        || home_settle(&k->base, slice_, l2line, t_obj,
+                       is_write || !remote) < 0
+        || home_energy_bump(&k->base, k->off_e_dir_updates) < 0) {
         goto done;
     }
 
     double latency = reply_t - now, wait, offchip;
-    if (slot_double(result, k->off_r_wait, &wait) < 0
-        || slot_double(result, k->off_r_offchip, &offchip) < 0
+    if (slot_double(result, k->base.off_r_wait, &wait) < 0
+        || slot_double(result, k->base.off_r_offchip, &offchip) < 0
         || slot_set_double(result, k->off_r_latency, latency) < 0
         || slot_set_double(result, k->off_r_l1l2,
                            latency - wait - sharers_lat - offchip) < 0) {
         goto done;
     }
-    if (k->verify) {
+    if (k->base.verify) {
         /* check_invariants: an owner is the only sharer. */
         long long owner;
         PyObject *sharers = sharers_of(k, dirent);
-        if (sharers == NULL || slot_long(dirent, k->off_d_owner, &owner) < 0) {
+        if (sharers == NULL
+            || slot_long(dirent, k->base.off_d_owner, &owner) < 0) {
             goto done;
         }
         if (owner >= 0) {
@@ -2144,7 +1928,7 @@ dir_access(DirObject *k, PyObject *core_obj, PyObject *is_write_obj,
         return NULL;
     }
     long long line = address >> K_LINE_BITS;
-    long long word = (address >> K_WORD_BITS) & (k->words_per_line - 1);
+    long long word = (address >> K_WORD_BITS) & (k->base.words_per_line - 1);
     PyObject *store;
     PyObject *l1 = l1_of(k, core, &store);
     if (l1 == NULL) {
@@ -2176,23 +1960,24 @@ dir_access(DirObject *k, PyObject *core_obj, PyObject *is_write_obj,
     long long util;
     PyObject *stats = NULL;
     int bad = slot_bump(l1, k->off_l1_hits) < 0
-              || store_touch(k, store, entry) < 0
+              || home_touch(&k->base, store, entry, k->off_c_last_use) < 0
               || slot_long(entry, k->off_c_util, &util) < 0
               || slot_set_long(entry, k->off_c_util, util + 1) < 0;
     if (!bad) {
         slot_put(entry, k->off_c_last_access, Py_NewRef(now_obj));
-        stats = engine_part(k, k->off_miss_stats, k->stats_type, "MissStats");
+        stats = home_engine_part(&k->base, k->off_miss_stats, k->stats_type,
+                                 "MissStats");
         bad = stats == NULL || slot_bump(stats, k->off_ms_hits) < 0;
     }
     if (!bad && is_write) {
         slot_put(entry, k->off_c_state, Py_NewRef(k->st_mod));
-        bad = energy_bump(k, k->off_e_l1d_writes) < 0
-              || (k->verify
+        bad = home_energy_bump(&k->base, k->off_e_l1d_writes) < 0
+              || (k->base.verify
                   && verified_write(k, core_obj, entry, line_obj, word) < 0);
     }
     else if (!bad) {
-        bad = energy_bump(k, k->off_e_l1d_reads) < 0
-              || (k->verify
+        bad = home_energy_bump(&k->base, k->off_e_l1d_reads) < 0
+              || (k->base.verify
                   && golden_check(k, entry, line_obj, word, "L1 hit",
                                   core) < 0);
     }
@@ -2209,53 +1994,11 @@ done:
 /* Methods                                                             */
 /* ------------------------------------------------------------------ */
 
-/* A METH_FASTCALL method taking `n` arguments: checks the count, holds
- * the engine for the call, and runs the body `name##_impl`. */
-#define METHOD(name, n, sig)                                              \
-    static PyObject *name##_impl(DirObject *k, PyObject *const *args);    \
-    static PyObject *                                                     \
-    Dir_##name(DirObject *k, PyObject *const *args, Py_ssize_t nargs)     \
-    {                                                                     \
-        if (nargs != (n)) {                                               \
-            PyErr_SetString(PyExc_TypeError, sig);                        \
-            return NULL;                                                  \
-        }                                                                 \
-        if (k->engine_ref == NULL) {                                      \
-            PyErr_SetString(PyExc_RuntimeError,                           \
-                            "directory kernel was cleared");              \
-            return NULL;                                                  \
-        }                                                                 \
-        PyObject *engine = repro_weak_engine(k->engine_ref,               \
-                                             "directory kernel");         \
-        if (engine == NULL) {                                             \
-            return NULL;                                                  \
-        }                                                                 \
-        PyObject *saved = k->engine;                                      \
-        k->engine = engine;                                               \
-        PyObject *out = name##_impl(k, args);                             \
-        k->engine = saved;                                                \
-        Py_DECREF(engine);                                                \
-        return out;                                                       \
-    }                                                                     \
-    static PyObject *name##_impl(DirObject *k, PyObject *const *args)
+#define METHOD(name, n, sig) KERNEL_METHOD(DirObject, Dir, name, n, sig)
 
 METHOD(access, 4, "access(core, is_write, address, now)")
 {
     return dir_access(k, args[0], args[1], args[2], args[3]);
-}
-
-/* The (core, line) arguments at args[i], args[i + 1]. */
-static int
-arg_core_line(PyObject *const *args, long long *core, long long *line)
-{
-    if (arg_long(args[0], core) < 0 || arg_long(args[1], line) < 0) {
-        return -1;
-    }
-    if (*line < 0) {
-        PyErr_SetString(PyExc_ValueError, "directory kernel: negative line");
-        return -1;
-    }
-    return 0;
 }
 
 METHOD(classify_requester, 6,
@@ -2264,8 +2007,9 @@ METHOD(classify_requester, 6,
     long long core, line;
     int is_write = PyObject_IsTrue(args[4]), upgrade = PyObject_IsTrue(args[5]);
     int remote;
-    if (is_write < 0 || upgrade < 0 || arg_core_line(args + 2, &core, &line) < 0
-        || check_core(k, core) < 0) {
+    if (is_write < 0 || upgrade < 0 || arg_long(args[2], &core) < 0
+        || arg_index(args[3], &line) < 0
+        || home_check_tile(&k->base, core) < 0) {
         return NULL;
     }
     if (base_classify_requester(k, args[0], args[1], core, args[2], line,
@@ -2285,7 +2029,8 @@ METHOD(grant_private, 8,
     int is_write = PyObject_IsTrue(args[1]), upgrade = PyObject_IsTrue(args[6]);
     if (is_write < 0 || upgrade < 0 || arg_long(args[0], &core) < 0
         || arg_long(args[2], &line) < 0 || arg_long(args[3], &word) < 0
-        || arg_double(args[7], &reply_t) < 0 || check_core(k, core) < 0) {
+        || arg_double(args[7], &reply_t) < 0
+        || home_check_tile(&k->base, core) < 0) {
         return NULL;
     }
     if (base_grant_private(k, core, args[0], is_write, line, args[2], word,
@@ -2300,7 +2045,7 @@ METHOD(handle_l1_eviction, 4, "handle_l1_eviction(core, vline, ventry, t)")
     long long core;
     double t;
     if (arg_long(args[0], &core) < 0 || arg_double(args[3], &t) < 0
-        || check_core(k, core) < 0) {
+        || home_check_tile(&k->base, core) < 0) {
         return NULL;
     }
     if (base_handle_l1_eviction(k, core, args[0], args[1], args[2], t) < 0) {
@@ -2314,9 +2059,10 @@ METHOD(purge_target_copy, 4,
 {
     long long core, line, ack;
     int merge = PyObject_IsTrue(args[3]);
-    if (merge < 0 || arg_core_line(args, &core, &line) < 0
-        || check_core(k, core) < 0
-        || check_type(args[2], k->l2line_type, "L2Line") < 0) {
+    if (merge < 0 || arg_long(args[0], &core) < 0
+        || arg_index(args[1], &line) < 0
+        || home_check_tile(&k->base, core) < 0
+        || check_type(args[2], k->base.line_type, "L2Line") < 0) {
         return NULL;
     }
     if (base_purge_target_copy(k, core, args[0], line, args[1], args[2],
@@ -2329,8 +2075,9 @@ METHOD(purge_target_copy, 4,
 METHOD(remove_own_copy, 3, "remove_own_copy(core, line, l2line)")
 {
     long long core, line;
-    if (arg_core_line(args, &core, &line) < 0 || check_core(k, core) < 0
-        || check_type(args[2], k->l2line_type, "L2Line") < 0
+    if (arg_long(args[0], &core) < 0 || arg_index(args[1], &line) < 0
+        || home_check_tile(&k->base, core) < 0
+        || check_type(args[2], k->base.line_type, "L2Line") < 0
         || remove_own_copy(k, core, args[0], line, args[1], args[2]) < 0) {
         return NULL;
     }
@@ -2342,7 +2089,7 @@ METHOD(purge_copies, 4, "purge_copies(home, vline, ventry, t)")
     long long home;
     double t;
     if (arg_long(args[0], &home) < 0 || arg_double(args[3], &t) < 0
-        || check_core(k, home) < 0
+        || home_check_tile(&k->base, home) < 0
         || purge_copies(k, home, args[1], args[2], t) < 0) {
         return NULL;
     }
@@ -2352,31 +2099,6 @@ METHOD(purge_copies, 4, "purge_copies(home, vline, ventry, t)")
 /* ------------------------------------------------------------------ */
 /* Construction and GC                                                 */
 /* ------------------------------------------------------------------ */
-
-/* getattr(import_module(module), name), new reference. */
-static PyObject *
-imported(const char *module, const char *name)
-{
-    PyObject *mod = PyImport_ImportModule(module);
-    if (mod == NULL) {
-        return NULL;
-    }
-    PyObject *out = repro_getattr(mod, name);
-    Py_DECREF(mod);
-    return out;
-}
-
-static int
-attr_ll(PyObject *obj, const char *name, long long *out)
-{
-    PyObject *v = repro_getattr(obj, name);
-    if (v == NULL) {
-        return -1;
-    }
-    int rc = arg_long(v, out);
-    Py_DECREF(v);
-    return rc;
-}
 
 static int
 attr_true(PyObject *obj, const char *name, int *out)
@@ -2388,13 +2110,6 @@ attr_true(PyObject *obj, const char *name, int *out)
     *out = PyObject_IsTrue(v);
     Py_DECREF(v);
     return *out < 0 ? -1 : 0;
-}
-
-/* A type object held by the kernel: type(obj). */
-static PyObject *
-type_of(PyObject *obj)
-{
-    return Py_NewRef((PyObject *)Py_TYPE(obj));
 }
 
 /* The classifier's configuration, read once. */
@@ -2412,7 +2127,7 @@ init_classifier(DirObject *k, PyObject *classifier)
     PyObject *type = (PyObject *)Py_TYPE(classifier);
     if (type == limited) {
         k->cls_kind = CLS_LIMITED;
-        if (attr_ll(classifier, "k", &k->limit_k) < 0) {
+        if (attr_long(classifier, "k", NULL, &k->limit_k) < 0) {
             goto done;
         }
         static const char *const names[] = {"replacements",
@@ -2448,10 +2163,10 @@ init_classifier(DirObject *k, PyObject *classifier)
                                 &k->off_cl_remote, &k->off_cl_votes};
     PyObject *levels = NULL, *seq = NULL;
     if (slot_offsets(type, names, outs) < 0
-        || attr_ll(classifier, "pct", &k->pct) < 0
+        || attr_long(classifier, "pct", NULL, &k->pct) < 0
         || attr_true(classifier, "one_way", &k->one_way) < 0
         || attr_true(classifier, "use_timestamp", &k->use_timestamp) < 0
-        || attr_ll(classifier, "_max_rat_level", &k->max_rat) < 0
+        || attr_long(classifier, "_max_rat_level", NULL, &k->max_rat) < 0
         || (levels = repro_getattr(classifier, "_rat_levels")) == NULL
         || (seq = PySequence_Fast(levels, "_rat_levels")) == NULL) {
         Py_XDECREF(levels);
@@ -2495,7 +2210,7 @@ init_policy(DirObject *k, PyObject *policy)
     PyObject *type = (PyObject *)Py_TYPE(policy);
     if (type == ackwise) {
         k->ackwise = 1;
-        if (attr_ll(policy, "pointers", &k->pointers) < 0) {
+        if (attr_long(policy, "pointers", NULL, &k->pointers) < 0) {
             goto done;
         }
     }
@@ -2591,72 +2306,64 @@ static int
 init_offsets(DirObject *k, PyObject *engine)
 {
     static const char *const engine_names[] = {
-        "energy", "miss_stats", "inval_histogram", "evict_histogram", NULL};
-    Py_ssize_t *const engine_outs[] = {&k->off_energy, &k->off_miss_stats,
-                                       &k->off_inval_hist,
+        "miss_stats", "inval_histogram", "evict_histogram", NULL};
+    Py_ssize_t *const engine_outs[] = {&k->off_miss_stats, &k->off_inval_hist,
                                        &k->off_evict_hist};
     static const char *const l1_names[] = {"store", "hits", "misses", NULL};
     Py_ssize_t *const l1_outs[] = {&k->off_l1_store, &k->off_l1_hits,
                                    &k->off_l1_misses};
-    static const char *const store_names[] = {"_sets", "_use_counter",
-                                              "_observer", NULL};
-    Py_ssize_t *const store_outs[] = {&k->off_st_sets, &k->off_st_use,
-                                      &k->off_st_observer};
     static const char *const cline_names[] = {
         "state", "last_use", "last_access", "utilization", "data", NULL};
     Py_ssize_t *const cline_outs[] = {&k->off_c_state, &k->off_c_last_use,
                                       &k->off_c_last_access, &k->off_c_util,
                                       &k->off_c_data};
-    static const char *const slice_names[] = {"store", "line_reads", NULL};
-    Py_ssize_t *const slice_outs[] = {&k->off_sl_store, &k->off_sl_line_reads};
-    static const char *const l2line_names[] = {
-        "directory", "locality", "last_access", "dirty", "data", NULL};
-    Py_ssize_t *const l2line_outs[] = {
-        &k->off_l2_directory, &k->off_l2_locality, &k->off_l2_last_access,
-        &k->off_l2_dirty, &k->off_l2_data};
+    static const char *const slice_names[] = {"line_reads", NULL};
+    Py_ssize_t *const slice_outs[] = {&k->off_sl_line_reads};
+    static const char *const l2line_names[] = {"locality", "data", NULL};
+    Py_ssize_t *const l2line_outs[] = {&k->off_l2_locality, &k->off_l2_data};
     static const char *const dirent_names[] = {"sharers", "owner",
                                                "overflowed", NULL};
-    Py_ssize_t *const dirent_outs[] = {&k->off_d_sharers, &k->off_d_owner,
-                                       &k->off_d_overflowed};
+    Py_ssize_t *const dirent_outs[] = {&k->base.off_d_sharers,
+                                       &k->base.off_d_owner,
+                                       &k->base.off_d_overflowed};
     static const char *const loc_names[] = {
         "core", "mode", "remote_util", "rat_level", "active", NULL};
     Py_ssize_t *const loc_outs[] = {&k->off_lc_core, &k->off_lc_mode,
                                     &k->off_lc_util, &k->off_lc_rat,
                                     &k->off_lc_active};
     static const char *const result_names[] = {
-        "latency", "l1_to_l2", "l2_waiting", "l2_sharers", "l2_offchip",
-        "hit", "miss_type", "remote", NULL};
+        "latency", "l1_to_l2", "l2_sharers", "hit", "miss_type", "remote",
+        NULL};
     Py_ssize_t *const result_outs[] = {
-        &k->off_r_latency, &k->off_r_l1l2, &k->off_r_wait, &k->off_r_sharers,
-        &k->off_r_offchip, &k->off_r_hit, &k->off_r_miss_type,
-        &k->off_r_remote};
+        &k->off_r_latency, &k->off_r_l1l2, &k->off_r_sharers, &k->off_r_hit,
+        &k->off_r_miss_type, &k->off_r_remote};
     static const char *const energy_names[] = {
         "l1d_reads", "l1d_writes", "l1d_tag_accesses", "l1d_line_fills",
-        "l1d_line_reads", "l2_line_reads", "l2_line_writes",
-        "directory_lookups", "directory_updates", NULL};
+        "l1d_line_reads", "l2_line_reads", "directory_lookups",
+        "directory_updates", NULL};
     Py_ssize_t *const energy_outs[] = {
         &k->off_e_l1d_reads, &k->off_e_l1d_writes, &k->off_e_l1d_tag,
         &k->off_e_l1d_fills, &k->off_e_l1d_line_reads,
-        &k->off_e_l2_line_reads, &k->off_e_l2_line_writes,
-        &k->off_e_dir_lookups, &k->off_e_dir_updates};
+        &k->off_e_l2_line_reads, &k->off_e_dir_lookups,
+        &k->off_e_dir_updates};
     static const char *const stats_names[] = {"hits", "_miss_counts", NULL};
     Py_ssize_t *const stats_outs[] = {&k->off_ms_hits, &k->off_ms_counts};
     static const char *const hist_names[] = {"counts", NULL};
     Py_ssize_t *const hist_outs[] = {&k->off_h_counts};
+    HomeObject *h = &k->base;
     return slot_offsets((PyObject *)Py_TYPE(engine), engine_names,
                         engine_outs) < 0
                    || slot_offsets(k->l1_type, l1_names, l1_outs) < 0
-                   || slot_offsets(k->store_type, store_names, store_outs) < 0
                    || slot_offsets(k->cline_type, cline_names, cline_outs) < 0
-                   || slot_offsets(k->slice_type, slice_names, slice_outs) < 0
-                   || slot_offsets(k->l2line_type, l2line_names,
+                   || slot_offsets(h->slice_type, slice_names, slice_outs) < 0
+                   || slot_offsets(h->line_type, l2line_names,
                                    l2line_outs) < 0
-                   || slot_offsets(k->dirent_type, dirent_names,
+                   || slot_offsets(h->entry_type, dirent_names,
                                    dirent_outs) < 0
                    || slot_offsets(k->loc_type, loc_names, loc_outs) < 0
-                   || slot_offsets(k->result_type, result_names,
+                   || slot_offsets(h->result_type, result_names,
                                    result_outs) < 0
-                   || slot_offsets(k->energy_type, energy_names,
+                   || slot_offsets(h->energy_type, energy_names,
                                    energy_outs) < 0
                    || slot_offsets(k->stats_type, stats_names, stats_outs) < 0
                    || slot_offsets(k->hist_type, hist_names, hist_outs) < 0
@@ -2664,203 +2371,93 @@ init_offsets(DirObject *k, PyObject *engine)
                : 0;
 }
 
-/* One store geometry for every L1 (resp. L2 slice) of the engine. */
+/* The directory part of a kernel whose home part HomeType's constructor
+ * has set up on the same engine. */
 static int
-init_geometry(PyObject *caches, int l1, long long *mask,
-              Py_ssize_t *assoc)
+Dir_init_state(DirObject *k)
 {
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(caches); i++) {
-        long long m, a;
-        PyObject *store = repro_getattr(PyList_GET_ITEM(caches, i), "store");
-        if (store == NULL) {
-            return -1;
-        }
-        int bad = attr_ll(store, "_set_mask", &m) < 0
-                  || attr_ll(store, "associativity", &a) < 0;
-        Py_DECREF(store);
-        if (bad) {
-            return -1;
-        }
-        if (i == 0) {
-            *mask = m;
-            if (assoc != NULL) {
-                *assoc = (Py_ssize_t)a;
-            }
-        }
-        else if (m != *mask || (assoc != NULL && a != *assoc)) {
-            PyErr_Format(PyExc_ValueError,
-                         "DirectoryKernel: %s caches differ in geometry",
-                         l1 ? "L1" : "L2");
-            return -1;
-        }
-    }
-    return 0;
-}
-
-static int
-Dir_init_state(DirObject *k, PyObject *engine)
-{
-    if ((k->engine_ref = PyWeakref_NewRef(engine, NULL)) == NULL) {
+    PyObject *engine = kernel_engine(&k->base);
+    if (engine == NULL) {
         return -1;
     }
-    long long verify;
-    PyObject *arch = NULL, *classifier = NULL, *policy = NULL, *golden = NULL;
-    PyObject *energy = NULL, *stats = NULL, *hist = NULL, *flits = NULL;
+    long long tiles = k->base.num_tiles, wpl = k->base.words_per_line;
+    PyObject *classifier = NULL, *policy = NULL, *golden = NULL;
+    PyObject *stats = NULL, *hist = NULL;
     int rc = -1;
-    if ((k->home = repro_getattr(engine, "home_kernel")) == NULL
+    if ((policy = repro_getattr(engine, "sharer_policy")) == NULL
+        || init_policy(k, policy) < 0
         || (k->l1d = repro_getattr(engine, "l1d")) == NULL
-        || (k->l2 = repro_getattr(engine, "l2")) == NULL
         || (k->history = repro_getattr(engine, "_history")) == NULL
-        || (k->home_of_line = repro_getattr(engine, "_home_of_line")) == NULL
         || (k->network = repro_getattr(engine, "network")) == NULL
-        || (k->mesh = repro_getattr(k->network, "kernel")) == NULL
-        || (k->paths = repro_getattr(k->network, "paths")) == NULL
         || (k->hit_result = repro_getattr(engine, "_hit_result")) == NULL
-        || (arch = repro_getattr(engine, "arch")) == NULL
-        || attr_ll(arch, "num_cores", &k->num_tiles) < 0
-        || attr_ll(arch, "words_per_line", &k->words_per_line) < 0
-        || attr_ll(engine, "verify", &verify) < 0
         || (classifier = repro_getattr(engine, "classifier")) == NULL
-        || (policy = repro_getattr(engine, "sharer_policy")) == NULL
         || (golden = repro_getattr(engine, "golden")) == NULL
-        || (energy = repro_getattr(engine, "energy")) == NULL
         || (stats = repro_getattr(engine, "miss_stats")) == NULL
-        || (hist = repro_getattr(engine, "inval_histogram")) == NULL
-        || (flits = repro_getattr(engine, "_net_flits")) == NULL) {
+        || (hist = repro_getattr(engine, "inval_histogram")) == NULL) {
         goto done;
     }
-    k->verify = verify != 0;
-    if (!repro_home_check(k->home) || !repro_mesh_check(k->mesh)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "DirectoryKernel needs the compiled HomeKernel and "
-                        "MeshKernel");
-        goto done;
-    }
-    if (!PyList_CheckExact(k->l1d) || !PyList_CheckExact(k->l2)
-        || !PyList_CheckExact(k->history) || !PyList_CheckExact(k->paths)
-        || !PyDict_CheckExact(k->home_of_line) || k->num_tiles <= 0
-        || PyList_GET_SIZE(k->l1d) != k->num_tiles
-        || PyList_GET_SIZE(k->l2) != k->num_tiles
-        || PyList_GET_SIZE(k->history) != k->num_tiles
-        || PyList_GET_SIZE(k->paths) != k->num_tiles * k->num_tiles
-        || k->words_per_line <= 0
-        || (k->words_per_line & (k->words_per_line - 1)) != 0) {
+    if (!PyList_CheckExact(k->l1d) || !PyList_CheckExact(k->history)
+        || PyList_GET_SIZE(k->l1d) != tiles
+        || PyList_GET_SIZE(k->history) != tiles
+        || wpl <= 0 || (wpl & (wpl - 1)) != 0) {
         PyErr_SetString(PyExc_TypeError,
                         "DirectoryKernel: unexpected engine layout");
         goto done;
     }
-    if (classifier != Py_None && init_classifier(k, classifier) < 0) {
-        goto done;
-    }
-    if (init_policy(k, policy) < 0 || init_names(k, engine) < 0) {
+    if ((classifier != Py_None && init_classifier(k, classifier) < 0)
+        || init_names(k, engine) < 0) {
         goto done;
     }
     if (golden != Py_None) {
         k->golden = Py_NewRef(golden);
     }
-    if (k->verify && k->golden == NULL) {
+    if (k->base.verify && k->golden == NULL) {
         PyErr_SetString(PyExc_TypeError,
                         "DirectoryKernel: verify mode without a golden memory");
         goto done;
     }
 
     /* Types: the engine's own objects, and the classes it fills. */
-    PyObject *l1_0 = PyList_GET_ITEM(k->l1d, 0);
-    PyObject *store0 = repro_getattr(l1_0, "store");
-    if (store0 == NULL) {
-        goto done;
-    }
-    k->l1_type = type_of(l1_0);
-    k->store_type = type_of(store0);
-    Py_DECREF(store0);
-    k->slice_type = type_of(PyList_GET_ITEM(k->l2, 0));
-    k->energy_type = type_of(energy);
+    k->l1_type = type_of(PyList_GET_ITEM(k->l1d, 0));
     k->stats_type = type_of(stats);
     k->hist_type = type_of(hist);
-    k->result_type = type_of(k->hit_result);
     if ((k->cline_type = imported("repro.mem.cache", "CacheLine")) == NULL
-        || (k->l2line_type = imported("repro.mem.l2", "L2Line")) == NULL
-        || (k->dirent_type = imported("repro.coherence.directory",
-                                      "DirectoryEntry")) == NULL
+        || (k->base.entry_type = imported("repro.coherence.directory",
+                                          "DirectoryEntry")) == NULL
         || (k->loc_type = imported("repro.coherence.classifier.base",
                                    "CoreLocality")) == NULL
         || (k->zero = PyFloat_FromDouble(0.0)) == NULL
         || init_offsets(k, engine) < 0
-        || init_geometry(k->l1d, 1, &k->l1_mask, &k->l1_assoc) < 0
-        || init_geometry(k->l2, 0, &k->l2_mask, NULL) < 0) {
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < k->num_tiles; i++) {
-        if (check_type(PyList_GET_ITEM(k->l1d, i), k->l1_type, "L1Cache") < 0
-            || check_type(PyList_GET_ITEM(k->l2, i), k->slice_type,
-                          "L2Slice") < 0) {
-            goto done;
-        }
-    }
-
-    /* Flit table, by message type value. */
-    PyObject *seq = PySequence_Fast(flits, "_net_flits must be a sequence");
-    if (seq == NULL) {
-        goto done;
-    }
-    k->num_msgs = PySequence_Fast_GET_SIZE(seq);
-    k->flits = PyMem_Calloc((size_t)k->num_msgs + 1, sizeof(long long));
-    if (k->flits == NULL) {
-        Py_DECREF(seq);
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < k->num_msgs; i++) {
-        if (arg_long(PySequence_Fast_GET_ITEM(seq, i), &k->flits[i]) < 0) {
-            Py_DECREF(seq);
-            goto done;
-        }
-    }
-    Py_DECREF(seq);
-    if (k->num_msgs <= K_MSG_EVICT_DIRTY) {
-        PyErr_SetString(PyExc_ValueError, "DirectoryKernel: flit table too short");
+        || home_geometry(k->l1d, k->l1_type, &k->l1_mask, &k->l1_assoc) < 0) {
         goto done;
     }
     rc = 0;
 done:
-    Py_XDECREF(arch);
+    Py_DECREF(engine);
     Py_XDECREF(classifier);
     Py_XDECREF(policy);
     Py_XDECREF(golden);
-    Py_XDECREF(energy);
     Py_XDECREF(stats);
     Py_XDECREF(hist);
-    Py_XDECREF(flits);
     return rc;
 }
 
 static PyObject *
 Dir_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"engine", NULL};
-    PyObject *engine;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &engine)) {
-        return NULL;
+    PyObject *k = HomeType.tp_new(type, args, kwds);
+    if (k != NULL && Dir_init_state((DirObject *)k) < 0) {
+        Py_CLEAR(k);
     }
-    DirObject *k = (DirObject *)type->tp_alloc(type, 0);
-    if (k == NULL) {
-        return NULL;
-    }
-    if (Dir_init_state(k, engine) < 0) {
-        Py_DECREF(k);
-        return NULL;
-    }
-    return (PyObject *)k;
+    return k;
 }
 
 #define DIR_OBJECTS(X)                                                      \
-    X(engine_ref) X(home) X(l1d) X(l2) X(history) X(home_of_line)          \
-    X(network) X(mesh) X(paths) X(classifier) X(policy) X(golden)          \
-    X(hit_result) X(zero) X(l1_type) X(store_type) X(cline_type)           \
-    X(l2line_type) X(slice_type) X(dirent_type) X(loc_type)                \
-    X(result_type) X(energy_type) X(stats_type) X(hist_type) X(st_shared)  \
-    X(st_excl) X(st_mod) X(mode_private) X(mode_remote) X(inv_broadcast)   \
-    X(coherence_error) X(simulation_error)
+    X(l1d) X(history) X(network) X(classifier) X(policy) X(golden)         \
+    X(hit_result) X(zero) X(l1_type) X(cline_type) X(loc_type)             \
+    X(stats_type) X(hist_type) X(st_shared) X(st_excl) X(st_mod)           \
+    X(mode_private) X(mode_remote) X(inv_broadcast) X(coherence_error)     \
+    X(simulation_error)
 
 static int
 Dir_traverse(DirObject *k, visitproc visit, void *arg)
@@ -2874,11 +2471,12 @@ Dir_traverse(DirObject *k, visitproc visit, void *arg)
     for (int i = 0; i < 5; i++) {
         Py_VISIT(k->bucket_keys[i]);
     }
-    return 0;
+    return HomeType.tp_traverse((PyObject *)k, visit, arg);
 }
 
-static int
-Dir_clear(DirObject *k)
+/* The references this subtype adds to its home part. */
+static void
+dir_clear_own(DirObject *k)
 {
 #define CLEAR(name) Py_CLEAR(k->name);
     DIR_OBJECTS(CLEAR)
@@ -2889,22 +2487,25 @@ Dir_clear(DirObject *k)
     for (int i = 0; i < 5; i++) {
         Py_CLEAR(k->bucket_keys[i]);
     }
-    k->engine = NULL;
-    return 0;
+}
+
+static int
+Dir_clear(DirObject *k)
+{
+    dir_clear_own(k);
+    return HomeType.tp_clear((PyObject *)k);
 }
 
 static void
 Dir_dealloc(DirObject *k)
 {
     PyObject_GC_UnTrack(k);
-    Dir_clear(k);
-    PyMem_Free(k->flits);
+    dir_clear_own(k);
     PyMem_Free(k->rat_levels);
-    Py_TYPE(k)->tp_free((PyObject *)k);
+    HomeType.tp_dealloc((PyObject *)k);
 }
 
-#define FASTCALL(name, doc) \
-    {#name, (PyCFunction)(void (*)(void))Dir_##name, METH_FASTCALL, doc}
+#define FASTCALL(name, doc) KERNEL_FASTCALL(Dir, name, doc)
 
 static PyMethodDef Dir_methods[] = {
     FASTCALL(access, "access(core, is_write, address, now) -> AccessResult"),
@@ -2928,10 +2529,11 @@ static PyTypeObject DirType = {
     .tp_basicsize = sizeof(DirObject),
     .tp_dealloc = (destructor)Dir_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Every L1 miss of one directory-family protocol engine",
+    .tp_doc = "The kernel of a directory-family engine: every L1 miss",
     .tp_traverse = (traverseproc)Dir_traverse,
     .tp_clear = (inquiry)Dir_clear,
     .tp_methods = Dir_methods,
+    .tp_base = &HomeType,
     .tp_new = Dir_new,
 };
 
@@ -2953,7 +2555,6 @@ repro_directory_register(PyObject *mod)
         {&str_verified_l1_write, "_verified_l1_write"},
         {&str_check_invariants, "check_invariants"},
         {&str_broadcast, "broadcast"},
-        {&str_resolve_path, "resolve_path"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         if (*names[i].slot == NULL) {

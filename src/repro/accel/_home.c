@@ -1,6 +1,9 @@
-/* Compiled home kernel: the family-agnostic home side of every miss.
+/* Compiled engine kernel: the family-agnostic home side of every miss.
  *
- * One HomeKernel serves one protocol engine (DESIGN.md section 15).  Its
+ * Every protocol engine builds exactly one kernel (DESIGN.md section 15):
+ * a HomeKernel, or for the directory families its subtype DirectoryKernel
+ * (_directory.c), whose object starts with this one's HomeObject
+ * (_accel.h) and which takes the home steps below on itself.  The
  * pure-Python twin and reference, PyHomeKernel in repro/protocol/home.py,
  * has the same constructor, methods and attributes; an engine builds this
  * one exactly when its mesh kernel is the compiled MeshKernel, because the
@@ -21,8 +24,10 @@
  * (_evict_l2_line), the fill itself (L2Slice.fill),
  * the DRAM controller (MemoryController.access), route registration
  * (MeshNetwork.resolve_path) and the verify-mode golden steps
- * (_verify_word).  Every callback is looked up on the live object, so a
- * method wrapped after the engine was built is the one called.
+ * (_verify_word).  Every callback but the route registration, bound once
+ * per kernel, is looked up on the live object, so a method wrapped after
+ * the engine was built is the one called.  A fill installs a fresh
+ * DirectoryEntry exactly when the kernel is the directory subtype.
  *
  * Exactness (pinned by the home-kernel contract property and the RunStats
  * fixtures under both implementations):
@@ -64,130 +69,45 @@ static PyObject *str_access;
 static PyObject *str_fill;
 static PyObject *str_pop;
 
-typedef struct {
-    PyObject_HEAD
-    /* The engine, weakly: it owns this kernel, and a strong reference back
-     * would make every engine garbage only the cyclic collector frees.
-     * `engine` is set from it at the entry of every method and is valid
-     * for that call (the entry holds a reference). */
-    PyObject *engine_ref;
-    PyObject *engine;
-    /* Strong references (GC-tracked). */
-    PyObject *l2;            /* list of L2Slice, by tile */
-    PyObject *paths;         /* MeshNetwork route memo (list of handles) */
-    PyObject *resolve;       /* MeshNetwork.resolve_path (bound) */
-    PyObject *mesh;          /* the compiled MeshKernel */
-    PyObject *pages;         /* RNucaPageTable._pages */
-    PyObject *page_table;    /* classify_data is looked up on it */
-    PyObject *controllers;   /* list of MemoryController, by line % n */
-    PyObject *home_of_line;  /* engine._home_of_line */
-    PyObject *dram_image;    /* engine._dram_image */
-    PyObject *line_size;     /* int argument of MemoryController.access */
-    PyObject *line_type;     /* L2Line */
-    PyObject *result_type;   /* AccessResult */
-    PyObject *slice_type;    /* L2Slice */
-    PyObject *store_type;    /* SetAssocCache */
-    PyObject *energy_type;   /* EnergyCounters */
-    PyObject *entry_type;    /* DirectoryEntry a fill installs, or NULL */
-    /* Geometry (constant per engine). */
-    long long num_tiles;
-    long long num_ctrls;
-    long long *ctrl_tiles;   /* tile of controllers[i] */
-    long long *flits;        /* flits per message type */
-    Py_ssize_t num_msgs;
-    long long set_mask;
-    Py_ssize_t assoc;
-    double l2_latency;
-    long long words_per_line;
-    int page_shift;          /* >= 0: page = line >> page_shift */
-    long long page_size;     /* else page = (line << LINE_BITS) / page_size */
-    int verify;
-    /* __slots__ offsets. */
-    Py_ssize_t off_energy;
-    Py_ssize_t off_slice_store, off_slice_hits, off_slice_misses;
-    Py_ssize_t off_slice_wreads, off_slice_wwrites;
-    Py_ssize_t off_store_sets, off_store_use, off_store_observer;
-    Py_ssize_t off_e_tag, off_e_wreads, off_e_wwrites, off_e_lwrites;
-    Py_ssize_t off_busy, off_last_use, off_last_access, off_dirty;
-    Py_ssize_t off_dirty_words;
-    Py_ssize_t off_r_wait, off_r_offchip;
-    Py_ssize_t off_directory, off_d_sharers, off_d_owner, off_d_overflowed;
-} HomeObject;
-
-/* engine.energy, type-checked (borrowed). */
-static PyObject *
-energy_of(HomeObject *k)
+PyObject *
+home_engine_part(HomeObject *k, Py_ssize_t off, PyObject *type,
+                 const char *what)
 {
-    PyObject *energy = slot_get(k->engine, k->off_energy);
-    if (energy == NULL || check_type(energy, k->energy_type,
-                                     "EnergyCounters") < 0) {
+    PyObject *part = slot_get(k->engine, off);
+    if (part == NULL || check_type(part, type, what) < 0) {
         return NULL;
     }
-    return energy;
+    return part;
 }
 
-static int
-energy_bump(HomeObject *k, Py_ssize_t off)
+int
+home_energy_bump(HomeObject *k, Py_ssize_t off)
 {
-    PyObject *energy = energy_of(k);
+    PyObject *energy = home_engine_part(k, k->off_energy, k->energy_type,
+                                        "EnergyCounters");
     return energy == NULL ? -1 : slot_bump(energy, off);
 }
 
-/* ------------------------------------------------------------------ */
-/* Argument helpers                                                    */
-/* ------------------------------------------------------------------ */
-
-/* A line or word number: non-negative, as every address yields. */
-static int
-arg_index(PyObject *obj, long long *out)
-{
-    if (arg_long(obj, out) < 0) {
-        return -1;
-    }
-    if (*out < 0) {
-        PyErr_SetString(PyExc_ValueError, "home kernel: negative line or word");
-        return -1;
-    }
-    return 0;
-}
-
-static int
-check_tile(HomeObject *k, long long tile)
+int
+home_check_tile(HomeObject *k, long long tile)
 {
     if (tile < 0 || tile >= k->num_tiles) {
-        PyErr_Format(PyExc_IndexError, "home kernel: tile %lld out of range",
-                     tile);
+        PyErr_Format(PyExc_IndexError, "%s: tile %lld out of range",
+                     kernel_name(k), tile);
         return -1;
     }
     return 0;
 }
 
 static int
-msg_flits(HomeObject *k, PyObject *msg, long long *out)
+flits_of(HomeObject *k, long long msg, long long *out)
 {
-    long long m;
-    if (arg_long(msg, &m) < 0) {
+    if (msg < 0 || msg >= k->num_msgs) {
+        PyErr_Format(PyExc_IndexError, "%s: bad message type", kernel_name(k));
         return -1;
     }
-    if (m < 0 || m >= k->num_msgs) {
-        PyErr_SetString(PyExc_IndexError, "home kernel: bad message type");
-        return -1;
-    }
-    *out = k->flits[m];
+    *out = k->flits[msg];
     return 0;
-}
-
-/* Resolve the engine for one method call: sets k->engine and returns a
- * new reference the caller releases at exit. */
-static PyObject *
-engine_enter(HomeObject *k)
-{
-    if (k->engine_ref == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "home kernel was cleared");
-        return NULL;
-    }
-    k->engine = repro_weak_engine(k->engine_ref, "home kernel");
-    return k->engine;
 }
 
 /* ------------------------------------------------------------------ */
@@ -217,9 +137,10 @@ shared_word_home(HomeObject *k, long long line, long long word)
  * on a private -> shared transition, else -1.  The page table's dict
  * answers every access whose classification has no side effect; any
  * other goes through classify_data. */
-static int
-place(HomeObject *k, long long line, int by_word, long long word,
-      PyObject *core_obj, long long core, long long *home, long long *flush)
+int
+home_place(HomeObject *k, long long line, int by_word, long long word,
+           PyObject *core_obj, long long core, long long *home,
+           long long *flush)
 {
     long long page;
     if (k->page_shift >= 0) {
@@ -334,12 +255,10 @@ home_pair(long long home, long long flush)
 /* Legs                                                                */
 /* ------------------------------------------------------------------ */
 
-/* The route handle src -> dst from the route memo, registering it through
- * MeshNetwork.resolve_path on a memo miss; -1 with an exception set. */
-static Py_ssize_t
-route(HomeObject *k, long long src, long long dst)
+Py_ssize_t
+home_route(HomeObject *k, long long src, long long dst)
 {
-    if (check_tile(k, src) < 0 || check_tile(k, dst) < 0) {
+    if (home_check_tile(k, src) < 0 || home_check_tile(k, dst) < 0) {
         return -1;
     }
     Py_ssize_t key = (Py_ssize_t)(src * k->num_tiles + dst);
@@ -360,25 +279,50 @@ route(HomeObject *k, long long src, long long dst)
     return h;
 }
 
-static int
-leg(HomeObject *k, long long src, long long dst, long long flits,
-    double t, double *out)
+int
+home_send(HomeObject *k, Py_ssize_t handle, long long msg, double t,
+          double *out)
 {
-    Py_ssize_t h = route(k, src, dst);
-    if (h == -1 && PyErr_Occurred()) {
+    long long flits;
+    if ((handle == -1 && PyErr_Occurred()) || flits_of(k, msg, &flits) < 0) {
         return -1;
     }
-    return repro_mesh_traverse(k->mesh, h, t, flits, out);
+    return repro_mesh_traverse(k->mesh, handle, t, flits, out);
 }
 
-/* The L2 slice of `home` (borrowed). */
-static PyObject *
-slice_at(HomeObject *k, long long home)
+int
+home_leg(HomeObject *k, long long src, long long dst, long long msg,
+         double t, double *out)
 {
-    if (check_tile(k, home) < 0) {
+    return home_send(k, home_route(k, src, dst), msg, t, out);
+}
+
+PyObject *
+home_store_bucket(HomeObject *k, PyObject *store, long long mask,
+                  long long line)
+{
+    if (check_type(store, k->store_type, "SetAssocCache") < 0) {
         return NULL;
     }
-    return PyList_GET_ITEM(k->l2, (Py_ssize_t)home);
+    PyObject *sets = slot_get(store, k->off_store_sets);
+    if (sets == NULL) {
+        return NULL;
+    }
+    if (!PyList_CheckExact(sets)) {
+        PyErr_SetString(PyExc_TypeError, "kernel: _sets is not a list");
+        return NULL;
+    }
+    Py_ssize_t index = (Py_ssize_t)(line & mask);
+    if (index >= PyList_GET_SIZE(sets)) {
+        PyErr_SetString(PyExc_IndexError, "kernel: set index out of range");
+        return NULL;
+    }
+    PyObject *bucket = PyList_GET_ITEM(sets, index);
+    if (!PyDict_CheckExact(bucket)) {
+        PyErr_SetString(PyExc_TypeError, "kernel: set is not a dict");
+        return NULL;
+    }
+    return bucket;
 }
 
 /* The set dict of `line` in `slice_`'s store (borrowed). */
@@ -389,31 +333,71 @@ bucket_of(HomeObject *k, PyObject *slice_, long long line, PyObject **store)
         return NULL;
     }
     PyObject *st = slot_get(slice_, k->off_slice_store);
-    if (st == NULL || check_type(st, k->store_type, "SetAssocCache") < 0) {
-        return NULL;
-    }
-    PyObject *sets = slot_get(st, k->off_store_sets);
-    if (sets == NULL) {
-        return NULL;
-    }
-    if (!PyList_CheckExact(sets)) {
-        PyErr_SetString(PyExc_TypeError, "home kernel: _sets is not a list");
-        return NULL;
-    }
-    Py_ssize_t index = (Py_ssize_t)(line & k->set_mask);
-    if (index >= PyList_GET_SIZE(sets)) {
-        PyErr_SetString(PyExc_IndexError, "home kernel: set index out of range");
-        return NULL;
-    }
-    PyObject *bucket = PyList_GET_ITEM(sets, index);
-    if (!PyDict_CheckExact(bucket)) {
-        PyErr_SetString(PyExc_TypeError, "home kernel: set is not a dict");
+    if (st == NULL) {
         return NULL;
     }
     if (store != NULL) {
         *store = st;
     }
-    return bucket;
+    return home_store_bucket(k, st, k->set_mask, line);
+}
+
+PyObject *
+home_lookup(HomeObject *k, long long tile, long long line, PyObject *line_obj)
+{
+    if (home_check_tile(k, tile) < 0) {
+        return NULL;
+    }
+    PyObject *bucket = bucket_of(k, PyList_GET_ITEM(k->l2, (Py_ssize_t)tile),
+                                 line, NULL);
+    if (bucket == NULL) {
+        return NULL;
+    }
+    PyObject *l2line = PyDict_GetItemWithError(bucket, line_obj);
+    if (l2line != NULL && check_type(l2line, k->line_type, "L2Line") < 0) {
+        return NULL;
+    }
+    return l2line;
+}
+
+int
+home_lru(PyObject *bucket, PyObject *type, const char *what,
+         Py_ssize_t off_last_use, PyObject **key, PyObject **entry)
+{
+    Py_ssize_t pos = 0;
+    PyObject *k, *v;
+    long long best = LLONG_MAX;
+    *key = *entry = NULL;
+    while (PyDict_Next(bucket, &pos, &k, &v)) {
+        long long use;
+        if (check_type(v, type, what) < 0
+            || slot_long(v, off_last_use, &use) < 0) {
+            return -1;
+        }
+        if (*key == NULL || use < best) {
+            best = use;
+            *key = k;
+            *entry = v;
+        }
+    }
+    return 0;
+}
+
+int
+home_touch(HomeObject *k, PyObject *store, PyObject *entry,
+           Py_ssize_t off_last_use)
+{
+    long long counter;
+    if (slot_long(store, k->off_store_use, &counter) < 0) {
+        return -1;
+    }
+    PyObject *value = PyLong_FromLongLong(counter + 1);
+    if (value == NULL) {
+        return -1;
+    }
+    slot_put(store, k->off_store_use, Py_NewRef(value));
+    slot_put(entry, off_last_use, value);
+    return 0;
 }
 
 static int
@@ -425,27 +409,28 @@ set_result(HomeObject *k, PyObject *result, Py_ssize_t off, double value)
     return slot_set_double(result, off, value);
 }
 
-/* Both legs of a miss on a resident line: chain_request_reply, with the
- * request and reply legs' flit counts. */
-static int
-chain(HomeObject *k, long long core, long long home, PyObject *l2line,
-      PyObject *slice_, long long f1, long long f2, double now,
-      PyObject *result, double *t_out, double *reply_out)
+/* Both legs of a miss on a resident line: chain_request_reply. */
+int
+home_chain(HomeObject *k, long long core, long long home, PyObject *l2line,
+           PyObject *slice_, long long req_msg, long long reply_msg,
+           double now, PyObject *result, double *t_out, double *reply_out)
 {
     if (check_type(l2line, k->line_type, "L2Line") < 0
         || check_type(slice_, k->slice_type, "L2Slice") < 0) {
         return -1;
     }
-    Py_ssize_t h1 = route(k, core, home);
+    Py_ssize_t h1 = home_route(k, core, home);
     if (h1 == -1 && PyErr_Occurred()) {
         return -1;
     }
-    Py_ssize_t h2 = route(k, home, core);
+    Py_ssize_t h2 = home_route(k, home, core);
     if (h2 == -1 && PyErr_Occurred()) {
         return -1;
     }
+    long long f1, f2;
     double busy, t1, reply_t;
-    if (slot_double(l2line, k->off_busy, &busy) < 0
+    if (flits_of(k, req_msg, &f1) < 0 || flits_of(k, reply_msg, &f2) < 0
+        || slot_double(l2line, k->off_busy, &busy) < 0
         || repro_mesh_traverse(k->mesh, h1, now, f1, &t1) < 0) {
         return -1;
     }
@@ -464,7 +449,7 @@ chain(HomeObject *k, long long core, long long home, PyObject *l2line,
     else {
         t = t1 + k->l2_latency;
     }
-    if (energy_bump(k, k->off_e_tag) < 0
+    if (home_energy_bump(k, k->off_e_tag) < 0
         || slot_bump(slice_, k->off_slice_hits) < 0) {
         return -1;
     }
@@ -478,8 +463,7 @@ chain(HomeObject *k, long long core, long long home, PyObject *l2line,
 static int
 install_entry(HomeObject *k, PyObject *l2line)
 {
-    PyTypeObject *type = (PyTypeObject *)k->entry_type;
-    PyObject *entry = type->tp_alloc(type, 0);
+    PyObject *entry = new_slotted(k->entry_type);
     if (entry == NULL) {
         return -1;
     }
@@ -493,24 +477,21 @@ install_entry(HomeObject *k, PyObject *l2line)
     }
     slot_put(entry, k->off_d_sharers, sharers);
     slot_put(entry, k->off_d_owner, owner);
-    slot_put(entry, k->off_d_overflowed, Py_NewRef(Py_False));
+    slot_set_bool(entry, k->off_d_overflowed, 0);
     slot_put(l2line, k->off_directory, entry);
     return 0;
 }
 
 /* The off-chip fill of `line` at `home` from t: LRU victim (evicted
  * through the family's _evict_l2_line), MEM_READ_REQ, the controller,
- * MEM_READ_REPLY, L2Slice.fill and, for a family that tracks sharers, a
- * fresh directory entry.  Returns the new L2Line (new reference) and its
+ * MEM_READ_REPLY, L2Slice.fill and, in the directory subtype, a fresh
+ * directory entry.  Returns the new L2Line (new reference) and its
  * arrival time. */
 static PyObject *
 fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
      PyObject *line_obj, double t, double *reply_out)
 {
-    PyObject *slice_ = slice_at(k, home);
-    if (slice_ == NULL) {
-        return NULL;
-    }
+    PyObject *slice_ = PyList_GET_ITEM(k->l2, (Py_ssize_t)home);
     PyObject *store;
     PyObject *bucket = bucket_of(k, slice_, line, &store);
     if (bucket == NULL) {
@@ -523,21 +504,10 @@ fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
     PyObject *t_obj = NULL;
 
     if (PyDict_GET_SIZE(bucket) >= k->assoc) {
-        /* LRU victim: the first entry with the smallest last_use. */
-        Py_ssize_t pos = 0;
-        PyObject *key, *value, *vkey = NULL, *ventry = NULL;
-        long long best = LLONG_MAX;
-        while (PyDict_Next(bucket, &pos, &key, &value)) {
-            long long use;
-            if (check_type(value, k->line_type, "L2Line") < 0
-                || slot_long(value, k->off_last_use, &use) < 0) {
-                goto done;
-            }
-            if (vkey == NULL || use < best) {
-                best = use;
-                vkey = key;
-                ventry = value;
-            }
+        PyObject *vkey, *ventry;
+        if (home_lru(bucket, k->line_type, "L2Line", k->off_last_use, &vkey,
+                     &ventry) < 0) {
+            goto done;
         }
         Py_INCREF(vkey);
         Py_INCREF(ventry);
@@ -587,7 +557,7 @@ fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
         PyObject *ctrl = PyList_GET_ITEM(k->controllers, index);
         long long tile = k->ctrl_tiles[index];
         double req_t, finish, reply_t;
-        if (leg(k, home, tile, k->flits[K_MSG_MEM_READ_REQ], t, &req_t) < 0) {
+        if (home_leg(k, home, tile, K_MSG_MEM_READ_REQ, t, &req_t) < 0) {
             goto done;
         }
         PyObject *req_obj = PyFloat_FromDouble(req_t);
@@ -609,8 +579,8 @@ fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
         int bad = arg_double(PyTuple_GET_ITEM(done_pair, 0), &finish);
         Py_DECREF(done_pair);
         if (bad < 0
-            || leg(k, tile, home, k->flits[K_MSG_MEM_READ_REPLY], finish,
-                   &reply_t) < 0) {
+            || home_leg(k, tile, home, K_MSG_MEM_READ_REPLY, finish,
+                        &reply_t) < 0) {
             goto done;
         }
 
@@ -653,16 +623,11 @@ fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
         int displaced = evicted != Py_None;
         Py_DECREF(evicted);
         if (displaced) {
-            PyObject *errors = PyImport_ImportModule("repro.common.errors");
-            if (errors != NULL) {
-                PyObject *exc = repro_getattr(errors,
-                                                       "SimulationError");
-                Py_DECREF(errors);
-                if (exc != NULL) {
-                    PyErr_SetString(exc, "L2 fill evicted after explicit "
-                                         "victim handling");
-                    Py_DECREF(exc);
-                }
+            PyObject *exc = imported("repro.common.errors", "SimulationError");
+            if (exc != NULL) {
+                PyErr_SetString(exc, "L2 fill evicted after explicit victim "
+                                     "handling");
+                Py_DECREF(exc);
             }
             goto done;
         }
@@ -678,7 +643,7 @@ fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
         if ((k->entry_type != NULL
              && (check_type(l2line, k->line_type, "L2Line") < 0
                  || install_entry(k, l2line) < 0))
-            || energy_bump(k, k->off_e_lwrites) < 0
+            || home_energy_bump(k, k->off_e_lwrites) < 0
             || PyDict_SetItem(k->home_of_line, line_obj, home_obj) < 0) {
             Py_CLEAR(l2line);
             goto done;
@@ -696,12 +661,13 @@ done:
 
 /* The general request leg: deliver_request.  Returns the line (new
  * reference) and stores its slice (borrowed) and the service time. */
-static PyObject *
-deliver(HomeObject *k, long long core, PyObject *line_obj, long long line,
-        long long home, long long flush, long long flits, PyObject *now_obj,
-        double now, PyObject *result, PyObject **slice_out, double *t_out)
+PyObject *
+home_deliver(HomeObject *k, long long core, PyObject *line_obj,
+             long long line, long long home, long long flush,
+             long long req_msg, PyObject *now_obj, double now,
+             PyObject *result, PyObject **slice_out, double *t_out)
 {
-    if (check_tile(k, home) < 0) {
+    if (home_check_tile(k, home) < 0) {
         return NULL;
     }
     if (flush >= 0) {
@@ -720,25 +686,17 @@ deliver(HomeObject *k, long long core, PyObject *line_obj, long long line,
         Py_DECREF(res);
     }
     double t;
-    if (leg(k, core, home, flits, now, &t) < 0) {
+    if (home_leg(k, core, home, req_msg, now, &t) < 0) {
         return NULL;
     }
-    PyObject *slice_ = slice_at(k, home);
-    if (slice_ == NULL) {
-        return NULL;
-    }
-    PyObject *bucket = bucket_of(k, slice_, line, NULL);
-    if (bucket == NULL) {
-        return NULL;
-    }
-    PyObject *l2line = PyDict_GetItemWithError(bucket, line_obj);
+    PyObject *l2line = home_lookup(k, home, line, line_obj);
     if (l2line == NULL && PyErr_Occurred()) {
         return NULL;
     }
+    PyObject *slice_ = PyList_GET_ITEM(k->l2, (Py_ssize_t)home);
     if (l2line != NULL) {
         double busy;
-        if (check_type(l2line, k->line_type, "L2Line") < 0
-            || slot_double(l2line, k->off_busy, &busy) < 0) {
+        if (slot_double(l2line, k->off_busy, &busy) < 0) {
             return NULL;
         }
         if (busy > t) {
@@ -749,7 +707,7 @@ deliver(HomeObject *k, long long core, PyObject *line_obj, long long line,
         }
     }
     t += k->l2_latency;
-    if (energy_bump(k, k->off_e_tag) < 0) {
+    if (home_energy_bump(k, k->off_e_tag) < 0) {
         return NULL;
     }
     if (l2line == NULL) {
@@ -786,45 +744,34 @@ deliver(HomeObject *k, long long core, PyObject *line_obj, long long line,
 /* round_trip on a placed miss; returns (slice_, l2line, t, reply_t). */
 static PyObject *
 round_trip(HomeObject *k, long long core, PyObject *line_obj, long long line,
-           long long home, long long flush, PyObject *req_msg,
-           PyObject *reply_msg, PyObject *now_obj, double now,
+           long long home, long long flush, long long req_msg,
+           long long reply_msg, PyObject *now_obj, double now,
            PyObject *result)
 {
     PyObject *slice_, *l2line;
     double t, reply_t;
-    long long f1, f2;
-    if (msg_flits(k, req_msg, &f1) < 0 || msg_flits(k, reply_msg, &f2) < 0) {
-        return NULL;
-    }
     if (flush < 0) {
-        slice_ = slice_at(k, home);
-        if (slice_ == NULL) {
-            return NULL;
-        }
-        PyObject *bucket = bucket_of(k, slice_, line, NULL);
-        if (bucket == NULL) {
-            return NULL;
-        }
-        l2line = PyDict_GetItemWithError(bucket, line_obj);
+        l2line = home_lookup(k, home, line, line_obj);
         if (l2line == NULL && PyErr_Occurred()) {
             return NULL;
         }
         if (l2line != NULL) {
+            slice_ = PyList_GET_ITEM(k->l2, (Py_ssize_t)home);
             Py_INCREF(l2line);
-            if (chain(k, core, home, l2line, slice_, f1, f2, now, result, &t,
-                      &reply_t) < 0) {
+            if (home_chain(k, core, home, l2line, slice_, req_msg, reply_msg,
+                           now, result, &t, &reply_t) < 0) {
                 Py_DECREF(l2line);
                 return NULL;
             }
             goto pack;
         }
     }
-    l2line = deliver(k, core, line_obj, line, home, flush, f1, now_obj, now,
-                     result, &slice_, &t);
+    l2line = home_deliver(k, core, line_obj, line, home, flush, req_msg,
+                          now_obj, now, result, &slice_, &t);
     if (l2line == NULL) {
         return NULL;
     }
-    if (leg(k, home, core, f2, t, &reply_t) < 0) {
+    if (home_leg(k, home, core, reply_msg, t, &reply_t) < 0) {
         Py_DECREF(l2line);
         return NULL;
     }
@@ -835,10 +782,10 @@ pack:;
 
 /* The word access at the home; `word_obj` is the word as a Python int for
  * the verify-mode callback, or NULL to build it from `word`. */
-static int
-serve_word(HomeObject *k, PyObject *core_obj, int is_write,
-           PyObject *line_obj, long long word, PyObject *word_obj,
-           PyObject *l2line, PyObject *slice_)
+int
+home_serve_word(HomeObject *k, PyObject *core_obj, int is_write,
+                PyObject *line_obj, long long word, PyObject *word_obj,
+                PyObject *l2line, PyObject *slice_)
 {
     if (check_type(l2line, k->line_type, "L2Line") < 0
         || check_type(slice_, k->slice_type, "L2Slice") < 0) {
@@ -851,17 +798,17 @@ serve_word(HomeObject *k, PyObject *core_obj, int is_write,
             return -1;
         }
         if (slot_bump(slice_, k->off_slice_wwrites) < 0
-            || energy_bump(k, k->off_e_wwrites) < 0
+            || home_energy_bump(k, k->off_e_wwrites) < 0
             || slot_long(l2line, k->off_dirty_words, &mask) < 0) {
             return -1;
         }
-        slot_put(l2line, k->off_dirty, Py_NewRef(Py_True));
+        slot_set_bool(l2line, k->off_dirty, 1);
         if (slot_set_long(l2line, k->off_dirty_words, mask | (1LL << word)) < 0) {
             return -1;
         }
     }
     else if (slot_bump(slice_, k->off_slice_wreads) < 0
-             || energy_bump(k, k->off_e_wreads) < 0) {
+             || home_energy_bump(k, k->off_e_wreads) < 0) {
         return -1;
     }
     if (k->verify) {
@@ -883,9 +830,9 @@ serve_word(HomeObject *k, PyObject *core_obj, int is_write,
     return 0;
 }
 
-static int
-settle(HomeObject *k, PyObject *slice_, PyObject *l2line, PyObject *t_obj,
-       int owned)
+int
+home_settle(HomeObject *k, PyObject *slice_, PyObject *l2line,
+            PyObject *t_obj, int owned)
 {
     double t;
     if (arg_double(t_obj, &t) < 0
@@ -906,17 +853,10 @@ settle(HomeObject *k, PyObject *slice_, PyObject *l2line, PyObject *t_obj,
         }
     }
     PyObject *store = slot_get(slice_, k->off_slice_store);
-    long long counter;
     if (store == NULL || check_type(store, k->store_type, "SetAssocCache") < 0
-        || slot_long(store, k->off_store_use, &counter) < 0) {
+        || home_touch(k, store, l2line, k->off_last_use) < 0) {
         return -1;
     }
-    PyObject *value = PyLong_FromLongLong(counter + 1);
-    if (value == NULL) {
-        return -1;
-    }
-    slot_put(store, k->off_store_use, Py_NewRef(value));
-    slot_put(l2line, k->off_last_use, value);
     slot_put(l2line, k->off_last_access, Py_NewRef(t_obj));
     return 0;
 }
@@ -925,32 +865,13 @@ settle(HomeObject *k, PyObject *slice_, PyObject *l2line, PyObject *t_obj,
 /* Methods                                                             */
 /* ------------------------------------------------------------------ */
 
-/* A METH_FASTCALL method taking `n` arguments: checks the count, holds
- * the engine for the call, and runs the body `name##_impl`. */
-#define METHOD(name, n, sig)                                            \
-    static PyObject *name##_impl(HomeObject *k, PyObject *const *args); \
-    static PyObject *                                                   \
-    Home_##name(HomeObject *k, PyObject *const *args, Py_ssize_t nargs) \
-    {                                                                   \
-        if (nargs != (n)) {                                             \
-            PyErr_SetString(PyExc_TypeError, sig);                      \
-            return NULL;                                                \
-        }                                                               \
-        PyObject *engine = engine_enter(k);                             \
-        if (engine == NULL) {                                           \
-            return NULL;                                                \
-        }                                                               \
-        PyObject *out = name##_impl(k, args);                           \
-        Py_DECREF(engine);                                              \
-        return out;                                                     \
-    }                                                                   \
-    static PyObject *name##_impl(HomeObject *k, PyObject *const *args)
+#define METHOD(name, n, sig) KERNEL_METHOD(HomeObject, Home, name, n, sig)
 
 METHOD(data_home, 2, "data_home(line, core)")
 {
     long long line, core, home, flush;
     if (arg_index(args[0], &line) < 0 || arg_long(args[1], &core) < 0
-        || place(k, line, 0, 0, args[1], core, &home, &flush) < 0) {
+        || home_place(k, line, 0, 0, args[1], core, &home, &flush) < 0) {
         return NULL;
     }
     return home_pair(home, flush);
@@ -961,7 +882,7 @@ METHOD(data_word_home, 3, "data_word_home(line, word, core)")
     long long line, word, core, home, flush;
     if (arg_index(args[0], &line) < 0 || arg_index(args[1], &word) < 0
         || arg_long(args[2], &core) < 0
-        || place(k, line, 1, word, args[2], core, &home, &flush) < 0) {
+        || home_place(k, line, 1, word, args[2], core, &home, &flush) < 0) {
         return NULL;
     }
     return home_pair(home, flush);
@@ -988,45 +909,47 @@ METHOD(round_trip, 8,
        "round_trip(core, line, home, flush_owner, req_msg, reply_msg, now, "
        "result)")
 {
-    long long core, line, home, flush;
+    long long core, line, home, flush, req_msg, reply_msg;
     double now;
     if (arg_long(args[0], &core) < 0 || arg_index(args[1], &line) < 0
         || arg_long(args[2], &home) < 0 || arg_flush(args[3], &flush) < 0
+        || arg_long(args[4], &req_msg) < 0 || arg_long(args[5], &reply_msg) < 0
         || arg_double(args[6], &now) < 0) {
         return NULL;
     }
-    return round_trip(k, core, args[1], line, home, flush, args[4], args[5],
+    return round_trip(k, core, args[1], line, home, flush, req_msg, reply_msg,
                       args[6], now, args[7]);
 }
 
 METHOD(word_round_trip, 7,
        "word_round_trip(core, line, word, req_msg, reply_msg, now, result)")
 {
-    long long core, line, word, home, flush;
+    long long core, line, word, req_msg, reply_msg, home, flush;
     double now;
     if (arg_long(args[0], &core) < 0 || arg_index(args[1], &line) < 0
-        || arg_index(args[2], &word) < 0 || arg_double(args[5], &now) < 0
-        || place(k, line, 1, word, args[0], core, &home, &flush) < 0) {
+        || arg_index(args[2], &word) < 0 || arg_long(args[3], &req_msg) < 0
+        || arg_long(args[4], &reply_msg) < 0 || arg_double(args[5], &now) < 0
+        || home_place(k, line, 1, word, args[0], core, &home, &flush) < 0) {
         return NULL;
     }
-    return round_trip(k, core, args[1], line, home, flush, args[3], args[4],
+    return round_trip(k, core, args[1], line, home, flush, req_msg, reply_msg,
                       args[5], now, args[6]);
 }
 
 METHOD(deliver_request, 7,
        "deliver_request(core, line, home, flush_owner, req_msg, now, result)")
 {
-    long long core, line, home, flush, flits;
+    long long core, line, home, flush, req_msg;
     double now, t;
     if (arg_long(args[0], &core) < 0 || arg_index(args[1], &line) < 0
         || arg_long(args[2], &home) < 0 || arg_flush(args[3], &flush) < 0
-        || msg_flits(k, args[4], &flits) < 0
-        || arg_double(args[5], &now) < 0) {
+        || arg_long(args[4], &req_msg) < 0 || arg_double(args[5], &now) < 0) {
         return NULL;
     }
     PyObject *slice_;
-    PyObject *l2line = deliver(k, core, args[1], line, home, flush, flits,
-                               args[5], now, args[6], &slice_, &t);
+    PyObject *l2line = home_deliver(k, core, args[1], line, home, flush,
+                                    req_msg, args[5], now, args[6], &slice_,
+                                    &t);
     if (l2line == NULL) {
         return NULL;
     }
@@ -1035,11 +958,11 @@ METHOD(deliver_request, 7,
 
 METHOD(reply, 4, "reply(home, core, reply_msg, t)")
 {
-    long long home, core, flits;
+    long long home, core, reply_msg;
     double t, out;
     if (arg_long(args[0], &home) < 0 || arg_long(args[1], &core) < 0
-        || msg_flits(k, args[2], &flits) < 0 || arg_double(args[3], &t) < 0
-        || leg(k, home, core, flits, t, &out) < 0) {
+        || arg_long(args[2], &reply_msg) < 0 || arg_double(args[3], &t) < 0
+        || home_leg(k, home, core, reply_msg, t, &out) < 0) {
         return NULL;
     }
     return PyFloat_FromDouble(out);
@@ -1049,13 +972,13 @@ METHOD(chain_request_reply, 8,
        "chain_request_reply(core, home, l2line, slice_, req_msg, reply_msg, "
        "now, result)")
 {
-    long long core, home, f1, f2;
+    long long core, home, req_msg, reply_msg;
     double now, t, reply_t;
     if (arg_long(args[0], &core) < 0 || arg_long(args[1], &home) < 0
-        || msg_flits(k, args[4], &f1) < 0 || msg_flits(k, args[5], &f2) < 0
+        || arg_long(args[4], &req_msg) < 0 || arg_long(args[5], &reply_msg) < 0
         || arg_double(args[6], &now) < 0
-        || chain(k, core, home, args[2], args[3], f1, f2, now, args[7], &t,
-                 &reply_t) < 0) {
+        || home_chain(k, core, home, args[2], args[3], req_msg, reply_msg, now,
+                      args[7], &t, &reply_t) < 0) {
         return NULL;
     }
     return pack(2, PyFloat_FromDouble(t), PyFloat_FromDouble(reply_t), NULL,
@@ -1080,8 +1003,8 @@ METHOD(serve_word, 6,
     int is_write;
     long long word;
     if (arg_word_access(args, &is_write, &word) < 0
-        || serve_word(k, args[0], is_write, args[2], word, args[3], args[4],
-                      args[5]) < 0) {
+        || home_serve_word(k, args[0], is_write, args[2], word, args[3],
+                           args[4], args[5]) < 0) {
         return NULL;
     }
     Py_RETURN_NONE;
@@ -1090,7 +1013,7 @@ METHOD(serve_word, 6,
 METHOD(settle, 4, "settle(slice_, l2line, t, owned)")
 {
     int owned = PyObject_IsTrue(args[3]);
-    if (owned < 0 || settle(k, args[0], args[1], args[2], owned) < 0) {
+    if (owned < 0 || home_settle(k, args[0], args[1], args[2], owned) < 0) {
         return NULL;
     }
     Py_RETURN_NONE;
@@ -1103,10 +1026,10 @@ METHOD(serve_word_settle, 8,
     int is_write, owned;
     long long word;
     if (arg_word_access(args, &is_write, &word) < 0
-        || serve_word(k, args[0], is_write, args[2], word, args[3], args[4],
-                      args[5]) < 0
+        || home_serve_word(k, args[0], is_write, args[2], word, args[3],
+                           args[4], args[5]) < 0
         || (owned = PyObject_IsTrue(args[7])) < 0
-        || settle(k, args[5], args[4], args[6], owned) < 0) {
+        || home_settle(k, args[5], args[4], args[6], owned) < 0) {
         return NULL;
     }
     Py_RETURN_NONE;
@@ -1116,33 +1039,34 @@ METHOD(serve_word_settle, 8,
 /* Construction and GC                                                 */
 /* ------------------------------------------------------------------ */
 
-static PyObject *
-attr_chain(PyObject *obj, const char *a, const char *b)
+int
+home_geometry(PyObject *caches, PyObject *type, long long *mask,
+              Py_ssize_t *assoc)
 {
-    PyObject *mid = repro_getattr(obj, a);
-    if (mid == NULL || b == NULL) {
-        return mid;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(caches); i++) {
+        long long m, a;
+        PyObject *cache = PyList_GET_ITEM(caches, i);
+        if (check_type(cache, type, ((PyTypeObject *)type)->tp_name) < 0
+            || attr_long(cache, "store", "_set_mask", &m) < 0
+            || attr_long(cache, "store", "associativity", &a) < 0) {
+            return -1;
+        }
+        if (i == 0) {
+            *mask = m;
+            *assoc = (Py_ssize_t)a;
+        }
+        else if (m != *mask || a != *assoc) {
+            PyErr_Format(PyExc_ValueError, "kernel: %s caches differ in "
+                         "geometry", ((PyTypeObject *)type)->tp_name);
+            return -1;
+        }
     }
-    PyObject *out = repro_getattr(mid, b);
-    Py_DECREF(mid);
-    return out;
-}
-
-static int
-attr_long(PyObject *obj, const char *a, const char *b, long long *out)
-{
-    PyObject *v = attr_chain(obj, a, b);
-    if (v == NULL) {
-        return -1;
-    }
-    int rc = arg_long(v, out);
-    Py_DECREF(v);
-    return rc;
+    return 0;
 }
 
 static int
 Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
-                PyObject *result_type, PyObject *entry_type)
+                PyObject *result_type)
 {
     k->engine_ref = PyWeakref_NewRef(engine, NULL);
     if (k->engine_ref == NULL) {
@@ -1150,23 +1074,6 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
     }
     k->line_type = Py_NewRef(line_type);
     k->result_type = Py_NewRef(result_type);
-    if (entry_type != Py_None) {
-        if (!PyType_Check(entry_type)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "HomeKernel: entry_type must be a class or None");
-            return -1;
-        }
-        k->entry_type = Py_NewRef(entry_type);
-        static const char *const entry_names[] = {
-            "sharers", "owner", "overflowed", NULL};
-        Py_ssize_t *const entry_outs[] = {
-            &k->off_d_sharers, &k->off_d_owner, &k->off_d_overflowed};
-        if (slot_offsets(entry_type, entry_names, entry_outs) < 0
-            || (k->off_directory = repro_member_offset(line_type,
-                                                       "directory")) < 0) {
-            return -1;
-        }
-    }
     long long verify;
     if ((k->l2 = repro_getattr(engine, "l2")) == NULL
         || (k->paths = attr_chain(engine, "network", "paths")) == NULL
@@ -1185,8 +1092,8 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
     }
     k->verify = verify != 0;
     if (!repro_mesh_check(k->mesh)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "HomeKernel needs the compiled MeshKernel");
+        PyErr_Format(PyExc_TypeError, "%s needs the compiled MeshKernel",
+                     kernel_name(k));
         return -1;
     }
     if (!PyList_CheckExact(k->l2) || PyList_GET_SIZE(k->l2) != k->num_tiles
@@ -1195,7 +1102,8 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
         || PyList_GET_SIZE(k->paths) != k->num_tiles * k->num_tiles
         || !PyDict_CheckExact(k->pages) || !PyDict_CheckExact(k->home_of_line)
         || !PyDict_CheckExact(k->dram_image)) {
-        PyErr_SetString(PyExc_TypeError, "HomeKernel: unexpected engine layout");
+        PyErr_Format(PyExc_TypeError, "%s: unexpected engine layout",
+                     kernel_name(k));
         return -1;
     }
     if (k->page_size <= 0) {
@@ -1290,37 +1198,18 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
     if (energy == NULL) {
         return -1;
     }
-    k->energy_type = Py_NewRef((PyObject *)Py_TYPE(energy));
+    k->energy_type = type_of(energy);
     Py_DECREF(energy);
     PyObject *slice0 = PyList_GET_ITEM(k->l2, 0);
-    k->slice_type = Py_NewRef((PyObject *)Py_TYPE(slice0));
+    k->slice_type = type_of(slice0);
     PyObject *store0 = repro_getattr(slice0, "store");
     if (store0 == NULL) {
         return -1;
     }
-    k->store_type = Py_NewRef((PyObject *)Py_TYPE(store0));
-    long long mask, assoc;
-    int rc = attr_long(store0, "_set_mask", NULL, &mask) < 0
-             || attr_long(store0, "associativity", NULL, &assoc) < 0;
+    k->store_type = type_of(store0);
     Py_DECREF(store0);
-    if (rc) {
+    if (home_geometry(k->l2, k->slice_type, &k->set_mask, &k->assoc) < 0) {
         return -1;
-    }
-    k->set_mask = mask;
-    k->assoc = (Py_ssize_t)assoc;
-    for (Py_ssize_t i = 0; i < k->num_tiles; i++) {
-        long long m, a;
-        PyObject *s = PyList_GET_ITEM(k->l2, i);
-        if ((PyObject *)Py_TYPE(s) != k->slice_type
-            || attr_long(s, "store", "_set_mask", &m) < 0
-            || attr_long(s, "store", "associativity", &a) < 0
-            || m != mask || a != assoc) {
-            if (!PyErr_Occurred()) {
-                PyErr_SetString(PyExc_ValueError,
-                                "HomeKernel: L2 slices differ in geometry");
-            }
-            return -1;
-        }
     }
     static const char *const engine_names[] = {"energy", NULL};
     Py_ssize_t *const engine_outs[] = {&k->off_energy};
@@ -1340,10 +1229,10 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
         &k->off_store_sets, &k->off_store_use, &k->off_store_observer};
     static const char *const line_names[] = {
         "busy_until", "last_use", "last_access", "dirty", "dirty_words",
-        NULL};
+        "directory", NULL};
     Py_ssize_t *const line_outs[] = {
         &k->off_busy, &k->off_last_use, &k->off_last_access, &k->off_dirty,
-        &k->off_dirty_words};
+        &k->off_dirty_words, &k->off_directory};
     static const char *const result_names[] = {
         "l2_waiting", "l2_offchip", NULL};
     Py_ssize_t *const result_outs[] = {&k->off_r_wait, &k->off_r_offchip};
@@ -1361,19 +1250,18 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
 static PyObject *
 Home_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"engine", "line_type", "result_type",
-                             "entry_type", NULL};
-    PyObject *engine, *line_type, *result_type, *entry_type;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO!O!O", kwlist, &engine,
+    static char *kwlist[] = {"engine", "line_type", "result_type", NULL};
+    PyObject *engine, *line_type, *result_type;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO!O!", kwlist, &engine,
                                      &PyType_Type, &line_type, &PyType_Type,
-                                     &result_type, &entry_type)) {
+                                     &result_type)) {
         return NULL;
     }
     HomeObject *k = (HomeObject *)type->tp_alloc(type, 0);
     if (k == NULL) {
         return NULL;
     }
-    if (Home_init_state(k, engine, line_type, result_type, entry_type) < 0) {
+    if (Home_init_state(k, engine, line_type, result_type) < 0) {
         Py_DECREF(k);
         return NULL;
     }
@@ -1437,8 +1325,7 @@ Home_dealloc(HomeObject *k)
     Py_TYPE(k)->tp_free((PyObject *)k);
 }
 
-#define FASTCALL(name, doc) \
-    {#name, (PyCFunction)(void (*)(void))Home_##name, METH_FASTCALL, doc}
+#define FASTCALL(name, doc) KERNEL_FASTCALL(Home, name, doc)
 
 static PyMethodDef Home_methods[] = {
     FASTCALL(data_home, "data_home(line, core) -> (home, flush_owner)"),
@@ -1466,128 +1353,19 @@ static PyMethodDef Home_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
-static PyTypeObject HomeType = {
+PyTypeObject HomeType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "_repro_mesh_kernel.HomeKernel",
     .tp_basicsize = sizeof(HomeObject),
     .tp_dealloc = (destructor)Home_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "The home side of every miss of one protocol engine",
+    .tp_doc = "The one kernel of a protocol engine: the home side of its "
+              "misses",
     .tp_traverse = (traverseproc)Home_traverse,
     .tp_clear = (inquiry)Home_clear,
     .tp_methods = Home_methods,
     .tp_new = Home_new,
 };
-
-/* ------------------------------------------------------------------ */
-/* The steps as C entry points, for the directory kernel (_accel.h)    */
-/* ------------------------------------------------------------------ */
-
-int
-repro_home_check(PyObject *obj)
-{
-    return Py_IS_TYPE(obj, &HomeType);
-}
-
-/* The kernel, bound to the caller's engine for one step. */
-static HomeObject *
-bind(PyObject *home, PyObject *engine)
-{
-    HomeObject *k = (HomeObject *)home;
-    if (k->engine_ref == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "home kernel was cleared");
-        return NULL;
-    }
-    k->engine = engine;
-    return k;
-}
-
-static int
-flits_of(HomeObject *k, long long msg, long long *out)
-{
-    if (msg < 0 || msg >= k->num_msgs) {
-        PyErr_SetString(PyExc_IndexError, "home kernel: bad message type");
-        return -1;
-    }
-    *out = k->flits[msg];
-    return 0;
-}
-
-int
-repro_home_data_home(PyObject *home, PyObject *engine, long long line,
-                     PyObject *core_obj, long long core, long long *home_tile,
-                     long long *flush)
-{
-    HomeObject *k = bind(home, engine);
-    return k == NULL ? -1
-                     : place(k, line, 0, 0, core_obj, core, home_tile, flush);
-}
-
-PyObject *
-repro_home_deliver_request(PyObject *home, PyObject *engine, long long core,
-                           PyObject *line_obj, long long line,
-                           long long home_tile, long long flush,
-                           long long req_msg, PyObject *now_obj, double now,
-                           PyObject *result, PyObject **slice_out,
-                           double *t_out)
-{
-    HomeObject *k = bind(home, engine);
-    long long flits;
-    if (k == NULL || flits_of(k, req_msg, &flits) < 0) {
-        return NULL;
-    }
-    return deliver(k, core, line_obj, line, home_tile, flush, flits, now_obj,
-                   now, result, slice_out, t_out);
-}
-
-int
-repro_home_chain_request_reply(PyObject *home, PyObject *engine,
-                               long long core, long long home_tile,
-                               PyObject *l2line, PyObject *slice_,
-                               long long req_msg, long long reply_msg,
-                               double now, PyObject *result, double *t_out,
-                               double *reply_out)
-{
-    HomeObject *k = bind(home, engine);
-    long long f1, f2;
-    if (k == NULL || flits_of(k, req_msg, &f1) < 0
-        || flits_of(k, reply_msg, &f2) < 0) {
-        return -1;
-    }
-    return chain(k, core, home_tile, l2line, slice_, f1, f2, now, result,
-                 t_out, reply_out);
-}
-
-int
-repro_home_reply(PyObject *home, PyObject *engine, long long home_tile,
-                 long long core, long long reply_msg, double t, double *out)
-{
-    HomeObject *k = bind(home, engine);
-    long long flits;
-    if (k == NULL || flits_of(k, reply_msg, &flits) < 0) {
-        return -1;
-    }
-    return leg(k, home_tile, core, flits, t, out);
-}
-
-int
-repro_home_serve_word(PyObject *home, PyObject *engine, PyObject *core_obj,
-                      int is_write, PyObject *line_obj, long long word,
-                      PyObject *l2line, PyObject *slice_)
-{
-    HomeObject *k = bind(home, engine);
-    return k == NULL ? -1
-                     : serve_word(k, core_obj, is_write, line_obj, word, NULL,
-                                  l2line, slice_);
-}
-
-int
-repro_home_settle(PyObject *home, PyObject *engine, PyObject *slice_,
-                  PyObject *l2line, PyObject *t_obj, int owned)
-{
-    HomeObject *k = bind(home, engine);
-    return k == NULL ? -1 : settle(k, slice_, l2line, t_obj, owned);
-}
 
 int
 repro_home_register(PyObject *mod)

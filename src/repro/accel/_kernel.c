@@ -30,9 +30,10 @@
  * the overflow dict provably has no entry for); this kernel implements the
  * reference walk directly, which is branch-simpler and equally exact.
  *
- * The home kernel (_home.c) reserves its legs through this kernel's own
- * path walk, repro_mesh_traverse (declared in _accel.h): a miss crosses
- * the FFI boundary once for both the home-side work and its traffic.
+ * The engine kernel (_home.c, and its directory subtype in _directory.c)
+ * reserves its legs through this kernel's own path walk,
+ * repro_mesh_traverse (declared in _accel.h): a miss crosses the FFI
+ * boundary once for both the home-side work and its traffic.
  *
  * The `slots` attribute is a flat int64 memoryview of the slot table
  * (through the buffer protocol), so MeshNetwork introspection -
@@ -56,7 +57,7 @@
 #define K_WINDOW_MASK (K_WINDOW_EPOCHS - 1)
 #define K_SLOT_SHIFT 6
 #define K_SLOT_OCC_MASK ((1 << K_SLOT_SHIFT) - 1)
-#define K_ABI_VERSION 4
+#define K_ABI_VERSION 5
 
 typedef struct {
     PyObject_HEAD
@@ -651,7 +652,7 @@ static PyTypeObject KernelType = {
 };
 
 /* ------------------------------------------------------------------ */
-/* The traversal entry of the home kernel (_home.c, via _accel.h)      */
+/* The traversal entry of the engine kernel (_home.c, via _accel.h)    */
 /* ------------------------------------------------------------------ */
 
 int
@@ -706,8 +707,9 @@ PyInit__repro_mesh_kernel(void)
         Py_DECREF(mod);
         return NULL;
     }
-    /* The scheduler, home and directory kernels, compiled from the
-     * sibling _sched.c, _home.c and _directory.c into this same module. */
+    /* The scheduler kernel and the engine kernel with its directory
+     * subtype, compiled from the sibling _sched.c, _home.c and _directory.c
+     * into this same module (the subtype registers after its base). */
     if (repro_sched_register(mod) < 0 || repro_home_register(mod) < 0
         || repro_directory_register(mod) < 0) {
         Py_DECREF(mod);

@@ -48,7 +48,7 @@ class CoreLocality:
 class LocalityClassifier:
     """Shared promotion/demotion logic; storage is subclass-specific.
 
-    Slotted: the compiled directory kernel (DESIGN.md section 16) reads the
+    Slotted: the compiled directory kernel (DESIGN.md section 15) reads the
     configuration once and bumps the counters through the slot offsets.
     """
 

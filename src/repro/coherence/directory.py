@@ -48,7 +48,7 @@ class DirectoryEntry:
 class SharerTrackingPolicy:
     """Base class: full-map tracking (identities always known).
 
-    Slotted: the compiled directory kernel (DESIGN.md section 16) bumps the
+    Slotted: the compiled directory kernel (DESIGN.md section 15) bumps the
     invalidation counters through the slot offsets.
     """
 

@@ -185,10 +185,6 @@ class ArchConfig:
         return cls(**kwargs)
 
     @property
-    def mesh_width(self) -> int:
-        return int(math.isqrt(self.num_cores))
-
-    @property
     def words_per_line(self) -> int:
         return self.line_size // self.word_size
 

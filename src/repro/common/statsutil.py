@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 
 #: Utilization buckets used by Figures 1 and 2: 1, 2-3, 4-5, 6-7, >=8.
 UTILIZATION_BUCKETS: tuple[str, ...] = ("1", "2-3", "4-5", "6-7", ">=8")
@@ -23,13 +23,6 @@ def geomean(values: Iterable[float]) -> float:
     if not logs:
         raise ValueError("geomean of empty sequence")
     return math.exp(sum(logs) / len(logs))
-
-
-def normalize(values: Sequence[float], anchor: float) -> list[float]:
-    """Divide every value by ``anchor`` (the paper normalizes to PCT=1)."""
-    if anchor == 0:
-        raise ValueError("cannot normalize to a zero anchor")
-    return [v / anchor for v in values]
 
 
 def utilization_bucket(utilization: int) -> str:

@@ -46,9 +46,6 @@ class EnergyCounters:
         for name in self.__slots__:
             setattr(self, name, 0)
 
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -65,43 +62,13 @@ class EnergyBreakdown:
     def total(self) -> float:
         return self.l1i + self.l1d + self.l2 + self.directory + self.router + self.link
 
-    @property
-    def network(self) -> float:
-        return self.router + self.link
-
-    @property
-    def caches(self) -> float:
-        return self.l1i + self.l1d + self.l2 + self.directory
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "l1i": self.l1i,
-            "l1d": self.l1d,
-            "l2": self.l2,
-            "directory": self.directory,
-            "router": self.router,
-            "link": self.link,
-            "total": self.total,
-        }
-
     def to_dict(self) -> dict[str, float]:
-        """Field-only mapping that round-trips exactly through :meth:`from_dict`
-        (unlike :meth:`as_dict`, which also reports the derived total)."""
+        """Field-only mapping that round-trips exactly through :meth:`from_dict`."""
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnergyBreakdown":
         return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
-
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            l1i=self.l1i * factor,
-            l1d=self.l1d * factor,
-            l2=self.l2 * factor,
-            directory=self.directory * factor,
-            router=self.router * factor,
-            link=self.link * factor,
-        )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from repro.mem.cache import CacheLine, SetAssocCache
 class L1Cache:
     """One core's private L1 (data or instruction) cache.
 
-    Slotted: the compiled directory kernel (DESIGN.md section 16) reads
+    Slotted: the compiled directory kernel (DESIGN.md section 15) reads
     ``store`` and bumps the hit and miss counters through the slot offsets.
     """
 

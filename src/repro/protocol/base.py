@@ -9,7 +9,7 @@ engine owns the substrate every family shares:
 * the mesh network, memory subsystem and R-NUCA home placement;
 * the per-core L1s and per-tile L2 slices (with their statistics);
 * energy counters, miss statistics and the utilization histograms;
-* the home side of every miss, run by the engine's *home kernel*
+* the home side of every miss, run by the engine's one kernel
   (``home_kernel``; :mod:`repro.protocol.home`, DESIGN.md section 15):
   R-NUCA placement (``data_home``, or DLS's ``data_word_home``), the
   request and reply legs - one ``chain_request_reply`` when nothing can
@@ -18,18 +18,18 @@ engine owns the substrate every family shares:
   ``reply`` - then the family's time-independent home-side bookkeeping
   (``serve_word`` for word accesses), then ``settle`` (line occupancy +
   LRU touch).  DLS and Neat reach the legs through ``round_trip``; the
-  directory families call them directly, because their invalidation and
-  write-back rounds sit between the legs.  The kernel is the compiled
-  ``HomeKernel`` exactly when the mesh kernel is compiled, else its
-  pure-Python twin ``PyHomeKernel``; both take the same steps in the same
-  order;
-* the home kernel's callbacks: the off-chip fill's family hook
+  directory families' kernel is a subtype of the home kernel
+  (``repro.protocol.directory``) whose miss path takes them directly,
+  because its invalidation and write-back rounds sit between the legs.
+  The family names its kernel class (``_kernel_classes``); the engine
+  builds the compiled one exactly when the mesh kernel is compiled, else
+  its pure-Python twin, and both take the same steps in the same order;
+* the kernel's callbacks: the off-chip fill's family hook
   (``_evict_l2_line``: write-back + the per-family L1-purge hook), the
   page flush of a private -> shared transition (``_flush_private_page``)
   and the verify-mode golden steps of a word access (``_verify_word``);
-  what a fill installs at the home - a fresh ``DirectoryEntry`` for the
-  families with a sharer-tracking directory, nothing for DLS and Neat -
-  is decided once, when the home kernel is built;
+  what a fill installs at the home is the kernel class's - a fresh
+  ``DirectoryEntry`` in the directory subtype, nothing for DLS and Neat;
 * golden-memory verification plumbing (write tokens, the DRAM image, and
   the end-of-run ``check_final_state`` sweep used by the differential
   property harness).
@@ -55,7 +55,7 @@ from repro.common.errors import SimulationError
 from repro.common.params import ArchConfig, ProtocolConfig
 from repro.common.types import MESIState, MissType
 from repro.coherence.classifier.limited import make_classifier
-from repro.coherence.directory import DirectoryEntry, make_sharer_policy
+from repro.coherence.directory import make_sharer_policy
 from repro.energy.model import EnergyCounters
 from repro.mem.golden import GoldenMemory
 from repro.mem.l1 import L1Cache
@@ -111,8 +111,13 @@ class ProtocolEngineBase:
     Slotted: the engine's attributes are read on every simulated access,
     and slot loads beat instance-dict lookups on the hot path.  Subclasses
     declare their own ``__slots__`` for any extra state.  Weakly
-    referenceable: its home kernel refers back to it weakly.
+    referenceable: its kernel refers back to it weakly.
     """
+
+    #: The family's kernel: the :mod:`repro.accel` accessor of the compiled
+    #: class and its pure-Python twin.  The directory families name the
+    #: directory subtype.
+    _kernel_classes = (accel.home_kernel_class, PyHomeKernel)
 
     __slots__ = (
         "arch",
@@ -179,8 +184,8 @@ class ProtocolEngineBase:
         self._l2_latency = arch.l2.latency
         self._words_per_line = arch.words_per_line
 
-        #: Flits per message type, by value: the home and directory kernels'
-        #: flit table for the traffic they reserve.
+        #: Flits per message type, by value: the kernel's flit table for the
+        #: traffic it reserves.
         self._net_flits = [self.network.flits_for(msg) for msg in MsgType]
 
         #: Shared L1-hit result: every field of a hit is constant (zero
@@ -189,14 +194,13 @@ class ProtocolEngineBase:
         self._hit_result = AccessResult()
         self._hit_result.hit = True
 
-        #: The home kernel: compiled exactly when the mesh kernel is (it
-        #: reserves the legs through the mesh kernel's C traversal), else
-        #: the pure-Python twin.  Built last: it reads the engine's
-        #: structures above.  Its fills install a fresh ``DirectoryEntry``
-        #: when the family tracks sharers, and nothing otherwise.
-        compiled = accel.home_kernel_class() if self.network.implementation == "accel" else None
-        entry_type = DirectoryEntry if proto.directory != "none" else None
-        self.home_kernel = (compiled or PyHomeKernel)(self, L2Line, AccessResult, entry_type)
+        #: The engine's one kernel: the family's compiled class exactly when
+        #: the mesh kernel is compiled (it reserves the legs through the mesh
+        #: kernel's C traversal), else its pure-Python twin.  Built last: it
+        #: reads the engine's structures above.
+        compiled_class, twin_class = self._kernel_classes
+        compiled = compiled_class() if self.network.implementation == "accel" else None
+        self.home_kernel = (compiled or twin_class)(self, L2Line, AccessResult)
 
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
@@ -311,7 +315,7 @@ class ProtocolEngineBase:
         return MissType.CAPACITY
 
     # ------------------------------------------------------------------
-    # Callbacks of the home kernel (repro.protocol.home): the verify-mode
+    # Callbacks of the kernel (repro.protocol.home): the verify-mode
     # golden steps of a word access, the fill's family hooks and the page
     # flush of a private -> shared transition.
     # ------------------------------------------------------------------

@@ -27,18 +27,19 @@ This engine services every L1 miss the way the paper's hardware would:
   directory access (for the energy model) and the four L2-side latency
   components of Section 4.4.
 
-Each miss runs in the engine's directory kernel (DESIGN.md section 16):
-the compiled ``DirectoryKernel`` or its pure-Python twin
-:class:`PyDirectoryKernel` below, which takes the home kernel's steps
-(``repro.protocol.home``): the home from ``data_home``, the request and
-reply legs, the time-independent bookkeeping (``serve_word`` or the line
-grant), then ``settle``.  The invalidation or write-back round sits
-between the legs, so the kernel checks the line itself rather than
-calling ``round_trip``: with no page flush, the line resident at the home
-and no round to run, request and reply ride one ``chain_request_reply``
-call; otherwise ``deliver_request``, the round, then ``reply``.  Either
-way the requester is classified once (the one policy step the phase
-family takes over) and the reply is reserved before the bookkeeping.
+Each miss runs in the engine's one kernel, the directory subtype of the
+home kernel (DESIGN.md section 15): the compiled ``DirectoryKernel`` or
+its pure-Python twin :class:`PyDirectoryKernel` below, a subclass of
+:class:`repro.protocol.home.PyHomeKernel` that takes the home steps on
+itself: the home from ``data_home``, the request and reply legs, the
+time-independent bookkeeping (``serve_word`` or the line grant), then
+``settle``.  The invalidation or write-back round sits between the legs,
+so the kernel checks the line itself rather than calling ``round_trip``:
+with no page flush, the line resident at the home and no round to run,
+request and reply ride one ``chain_request_reply`` call; otherwise
+``deliver_request``, the round, then ``reply``.  Either way the requester
+is classified once (the one policy step the phase family takes over) and
+the reply is reserved before the bookkeeping.
 
 The engine is *globally magic*: requests are serviced atomically in
 simulation order while all latencies come from the network/DRAM/serialization
@@ -52,12 +53,11 @@ normalizes against.
 
 from __future__ import annotations
 
-import weakref
-
 from repro import accel
 from repro.common import addr as addrmod
 from repro.common.errors import CoherenceError, SimulationError
 from repro.common.types import MESIState, RemovalReason, SharerMode
+from repro.coherence.directory import DirectoryEntry
 from repro.mem.cache import CacheLine
 from repro.mem.l2 import L2Line, L2Slice
 from repro.network.messages import MsgType
@@ -68,6 +68,7 @@ from repro.protocol.base import (
     AccessResult,
     ProtocolEngineBase,
 )
+from repro.protocol.home import PyHomeKernel
 
 
 _LINE_BITS = addrmod.LINE_BITS
@@ -98,77 +99,6 @@ _PRIVATE_MODE = SharerMode.PRIVATE
 _REMOTE_MODE = SharerMode.REMOTE
 
 
-class DirectoryEngine(ProtocolEngineBase):
-    """Directory protocol engine (baseline ACKwise / adaptive classifier).
-
-    The miss path runs in the engine's *directory kernel*
-    (``directory_kernel``, DESIGN.md section 16): the compiled
-    ``DirectoryKernel`` exactly when the home kernel is compiled, else its
-    pure-Python twin :class:`PyDirectoryKernel`.  The engine keeps the
-    entry point the scheduler calls, the fast-path descriptor and the
-    family hooks a subclass may define (see :class:`PyDirectoryKernel`).
-    """
-
-    __slots__ = ("directory_kernel",)
-
-    def __init__(self, arch, proto, verify: bool = False) -> None:
-        super().__init__(arch, proto, verify)
-        compiled = (
-            accel.directory_kernel_class() if self.network.implementation == "accel" else None
-        )
-        self.directory_kernel = (compiled or PyDirectoryKernel)(self)
-
-    # ==================================================================
-    # Public entry point
-    # ==================================================================
-    def access(self, core: int, is_write: bool, address: int, now: float) -> AccessResult:
-        """Service one load/store issued by ``core`` at time ``now``: one
-        call into the directory kernel.
-
-        Plain runs never hit in L1 here: both scheduler kernels retire
-        every hit inline through :meth:`scheduler_fast_path`.  Hits reach
-        this method in verify mode, which checks each one against the
-        golden memory.
-        """
-        return self.directory_kernel.access(core, is_write, address, now)
-
-    def scheduler_fast_path(self) -> dict | None:
-        """Expose the L1 structures for the scheduler's inline hit path.
-
-        Directory-family L1 hits (including the silent E -> M upgrade) are
-        pure tag-side bookkeeping, so the simulator may service them
-        without calling :meth:`access`.  Verify mode checks every hit
-        against the golden memory and must take the full path.
-        """
-        if self.verify:
-            return None
-        store = self.l1d[0].store
-        return {
-            # All cores' set dicts in one flat list: bucket of (core, line)
-            # is ``buckets[(core << set_bits) | (line & set_mask)]`` - a
-            # single index operation per probe.  The dict objects are
-            # shared with the stores, so miss-path fills/evictions are
-            # visible here immediately.
-            "buckets": [bucket for l1 in self.l1d for bucket in l1.store._sets],
-            "set_bits": (store.num_sets - 1).bit_length(),
-            "stores": [l1.store for l1 in self.l1d],
-            "l1s": self.l1d,
-            "set_mask": store._set_mask,
-            "exclusive": _EXCLUSIVE,
-            "modified": _MODIFIED,
-            # C-adoption field (DESIGN.md sec. 14): the compiled scheduler
-            # kernel resolves CacheLine's __slots__ member offsets from
-            # this type and reads/writes entries through them directly.
-            "line_type": CacheLine,
-        }
-
-    # ------------------------------------------------------------------
-    # Inclusive-L2 eviction: kill all L1 copies first.
-    # ------------------------------------------------------------------
-    def _purge_copies_for_l2_eviction(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
-        self.directory_kernel.purge_copies(home, vline, ventry, t)
-
-
 #: The steps a directory family may take over, by engine method name.  A
 #: kernel checks once, at construction, which of them the engine's class
 #: defines; the kernel then calls that method where it would take its own
@@ -182,20 +112,22 @@ FAMILY_HOOKS = (
 )
 
 
-class PyDirectoryKernel:
+class PyDirectoryKernel(PyHomeKernel):
     """The pure-Python directory kernel: the compiled ``DirectoryKernel``'s
-    twin.
+    twin, and the directory families' subclass of the home kernel.
 
     One kernel serves one directory-family engine and runs each of its
     L1 misses: requester classification, the ACKwise/full-map sharer
     updates, the invalidation and synchronous write-back rounds, the
     private line grant with its L1 fill, the L1 eviction notice and the
     miss-type, history, histogram and energy bookkeeping.  The home side of
-    the miss is the engine's home kernel (:mod:`repro.protocol.home`):
-    ``data_home``, then both legs in one ``chain_request_reply`` when
-    nothing can intervene (no page flush, the line resident at the home
-    and no round to run), else ``deliver_request``, the round and
-    ``reply``; then ``serve_word`` or the line grant, then ``settle``.
+    the miss is the inherited home steps (:mod:`repro.protocol.home`),
+    taken on the kernel itself: ``data_home``, then both legs in one
+    ``chain_request_reply`` when nothing can intervene (no page flush, the
+    line resident at the home and no round to run), else
+    ``deliver_request``, the round and ``reply``; then ``serve_word`` or
+    the line grant, then ``settle``.  Its fills attach a fresh
+    ``DirectoryEntry`` to the new line.
 
     Methods: ``access`` (the whole access; the engine's ``access`` calls
     it), ``purge_copies`` (the L1 purge of a dying L2 line) and the base
@@ -210,64 +142,36 @@ class PyDirectoryKernel:
     histories) and re-reads ``energy``, ``miss_stats`` and both histograms
     from the engine per access, because ``reset_stats`` replaces them.  The
     classifier and the sharer policy are the reference of their steps, and
-    this kernel calls them.  The engine owns its kernel, so the kernel
-    refers back to it weakly.
+    this kernel calls them.  It refers to the engine through the home
+    kernel's weak proxy.
     """
 
     __slots__ = (
-        "_engine",
         "_l1d",
-        "_l2",
         "_history",
-        "_home_of_line",
         "_classifier",
         "_policy",
-        "_network",
-        "_paths",
-        "_resolve",
-        "_traverse",
-        "_chain",
         "_many",
-        "_flits",
-        "_num_tiles",
-        "_words_per_line",
-        "_verify",
         "_hooks",
     )
 
-    def __init__(self, engine) -> None:
-        self._engine = weakref.ref(engine)
+    _entry_type = DirectoryEntry
+
+    def __init__(self, engine, line_type, result_type) -> None:
+        super().__init__(engine, line_type, result_type)
         self._l1d = engine.l1d
-        self._l2 = engine.l2
         self._history = engine._history
-        self._home_of_line = engine._home_of_line
         self._classifier = engine.classifier
         self._policy = engine.sharer_policy
-        network = engine.network
-        self._network = network
-        self._paths = network.paths
-        self._resolve = network.resolve_path
-        self._traverse = network.kernel.traverse
-        self._chain = network.kernel.traverse_chain
-        self._many = network.kernel.traverse_many
-        self._flits = engine._net_flits
-        self._num_tiles = engine.arch.num_cores
-        self._words_per_line = engine.arch.words_per_line
-        self._verify = engine.verify
+        self._many = self._network.kernel.traverse_many
         cls = type(engine)
         self._hooks = tuple(hasattr(cls, name) for name in FAMILY_HOOKS)
-
-    def _live(self):
-        engine = self._engine()
-        if engine is None:
-            raise ReferenceError("the engine of this directory kernel is gone")
-        return engine
 
     # ==================================================================
     # One access
     # ==================================================================
     def access(self, core: int, is_write: bool, address: int, now: float) -> AccessResult:
-        engine = self._live()
+        engine = self._engine
         line = address >> _LINE_BITS
         l1 = self._l1d[core]
         entry = l1.lookup(line)
@@ -301,8 +205,7 @@ class PyDirectoryKernel:
             req_msg = _UPGRADE_REQ if upgrade else _WRITE_REQ
         else:
             req_msg = _READ_REQ
-        home_kernel = engine.home_kernel
-        home, flush_owner = home_kernel.data_home(line, core)
+        home, flush_owner = self.data_home(line, core)
         slice_ = self._l2[home]
         # Chained shape: no page flush, the line resident at the home, and
         # neither an invalidation round (writes: no foreign sharer) nor a
@@ -324,7 +227,7 @@ class PyDirectoryKernel:
                 else:
                     chained = dirent.owner < 0 or dirent.owner == core
         if not chained:
-            slice_, l2line, t = home_kernel.deliver_request(
+            slice_, l2line, t = self.deliver_request(
                 core, line, home, flush_owner, req_msg, now, result
             )
         energy.directory_lookups += 1
@@ -346,7 +249,7 @@ class PyDirectoryKernel:
         else:
             reply_msg = _WORD_REPLY if serviced_remote else _LINE_REPLY
         if chained:
-            t, reply_t = home_kernel.chain_request_reply(
+            t, reply_t = self.chain_request_reply(
                 core, home, l2line, slice_, req_msg, reply_msg, now, result
             )
 
@@ -381,9 +284,9 @@ class PyDirectoryKernel:
         # the time-independent bookkeeping - a word access at the home L2
         # or a private line grant.
         if not chained:
-            reply_t = home_kernel.reply(home, core, reply_msg, t)
+            reply_t = self.reply(home, core, reply_msg, t)
         if serviced_remote:
-            home_kernel.serve_word(core, is_write, line, word, l2line, slice_)
+            self.serve_word(core, is_write, line, word, l2line, slice_)
             flags |= _EVER_REMOTE
         else:
             if hooks[1]:
@@ -397,7 +300,7 @@ class PyDirectoryKernel:
 
         # ---- settle: writes and line grants own the line until the
         # directory settles; remote word reads only occupy it for a cycle.
-        home_kernel.settle(slice_, l2line, t, is_write or not serviced_remote)
+        self.settle(slice_, l2line, t, is_write or not serviced_remote)
         energy.directory_updates += 1
 
         result.latency = reply_t - now
@@ -416,23 +319,23 @@ class PyDirectoryKernel:
         """Private or remote sharer? Returns ``(serviced_remote, upgrade)``."""
         if self._classifier is None:
             return False, upgrade
-        return self._classify_requester(self._live(), l1, l2line, core, line, is_write, upgrade)
+        return self._classify_requester(self._engine, l1, l2line, core, line, is_write, upgrade)
 
     def grant_private(self, core: int, is_write: bool, line: int, word: int, l2line: L2Line,
                       slice_: L2Slice, upgrade: bool, reply_t: float) -> None:
-        self._grant_private(self._live(), core, is_write, line, word, l2line, slice_, upgrade,
+        self._grant_private(self._engine, core, is_write, line, word, l2line, slice_, upgrade,
                             reply_t)
 
     def handle_l1_eviction(self, core: int, vline: int, ventry, t: float) -> None:
-        self._handle_l1_eviction(self._live(), core, vline, ventry, t)
+        self._handle_l1_eviction(self._engine, core, vline, ventry, t)
 
     def purge_target_copy(self, core: int, line: int, l2line: L2Line, merge_into_l2: bool) -> int:
-        return self._purge_target_copy(self._live(), core, line, l2line, merge_into_l2)
+        return self._purge_target_copy(self._engine, core, line, l2line, merge_into_l2)
 
     def remove_own_copy(self, core: int, line: int, l2line: L2Line) -> None:
         """Fold back the requester's own stale S copy (classifier slot
         churn, or a phase change to write-shared)."""
-        engine = self._live()
+        engine = self._engine
         removed = self._l1d[core].remove(line)
         if removed is None:
             return
@@ -448,7 +351,7 @@ class PyDirectoryKernel:
     def purge_copies(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
         """Inclusive-L2 eviction: invalidate every L1 copy of ``vline``
         (the data flows straight to memory with the dying line)."""
-        engine = self._live()
+        engine = self._engine
         network = self._network
         dirent = ventry.directory
         for c in list(dirent.sharers):
@@ -719,3 +622,69 @@ class PyDirectoryKernel:
             self._classifier.on_removal(vl2, core, ventry.utilization, RemovalReason.EVICTION)
         self._policy.remove_sharer(vl2.directory, core)
         energy.directory_updates += 1
+
+
+class DirectoryEngine(ProtocolEngineBase):
+    """Directory protocol engine (baseline ACKwise / adaptive classifier).
+
+    The miss path runs in the engine's one kernel (``home_kernel``,
+    DESIGN.md section 15), the directory subtype of the home kernel: the
+    compiled ``DirectoryKernel`` exactly when the mesh kernel is compiled,
+    else its pure-Python twin :class:`PyDirectoryKernel`.  The engine keeps
+    the entry point the scheduler calls, the fast-path descriptor and the
+    family hooks a subclass may define (see :class:`PyDirectoryKernel`).
+    """
+
+    __slots__ = ()
+
+    _kernel_classes = (accel.directory_kernel_class, PyDirectoryKernel)
+
+    # ==================================================================
+    # Public entry point
+    # ==================================================================
+    def access(self, core: int, is_write: bool, address: int, now: float) -> AccessResult:
+        """Service one load/store issued by ``core`` at time ``now``: one
+        call into the kernel.
+
+        Plain runs never hit in L1 here: both scheduler kernels retire
+        every hit inline through :meth:`scheduler_fast_path`.  Hits reach
+        this method in verify mode, which checks each one against the
+        golden memory.
+        """
+        return self.home_kernel.access(core, is_write, address, now)
+
+    def scheduler_fast_path(self) -> dict | None:
+        """Expose the L1 structures for the scheduler's inline hit path.
+
+        Directory-family L1 hits (including the silent E -> M upgrade) are
+        pure tag-side bookkeeping, so the simulator may service them
+        without calling :meth:`access`.  Verify mode checks every hit
+        against the golden memory and must take the full path.
+        """
+        if self.verify:
+            return None
+        store = self.l1d[0].store
+        return {
+            # All cores' set dicts in one flat list: bucket of (core, line)
+            # is ``buckets[(core << set_bits) | (line & set_mask)]`` - a
+            # single index operation per probe.  The dict objects are
+            # shared with the stores, so miss-path fills/evictions are
+            # visible here immediately.
+            "buckets": [bucket for l1 in self.l1d for bucket in l1.store._sets],
+            "set_bits": (store.num_sets - 1).bit_length(),
+            "stores": [l1.store for l1 in self.l1d],
+            "l1s": self.l1d,
+            "set_mask": store._set_mask,
+            "exclusive": _EXCLUSIVE,
+            "modified": _MODIFIED,
+            # C-adoption field (DESIGN.md sec. 14): the compiled scheduler
+            # kernel resolves CacheLine's __slots__ member offsets from
+            # this type and reads/writes entries through them directly.
+            "line_type": CacheLine,
+        }
+
+    # ------------------------------------------------------------------
+    # Inclusive-L2 eviction: kill all L1 copies first.
+    # ------------------------------------------------------------------
+    def _purge_copies_for_l2_eviction(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
+        self.home_kernel.purge_copies(home, vline, ventry, t)

@@ -4,10 +4,14 @@ Every family's L1 miss is a round trip to the line's R-NUCA home slice:
 placement, the request leg, per-line serialization, the L2 tag access (and
 the off-chip fill on an L2 miss), the reply leg, then - after the family's
 own bookkeeping - the word service and the line's settling.  Those steps
-are family-agnostic, so one *home kernel* per engine runs them: the
-compiled ``HomeKernel`` (:mod:`repro.accel`, DESIGN.md section 15) or its
-twin here, with the same constructor, methods and attributes.  The engine
-picks the compiled one exactly when its mesh kernel is compiled
+are family-agnostic, so they are the methods of the one kernel every
+engine builds (``engine.home_kernel``): the compiled ``HomeKernel``
+(:mod:`repro.accel`, DESIGN.md section 15) or its twin here, with the same
+constructor, methods and attributes.  A directory family's kernel is a
+subtype of it (:class:`repro.protocol.directory.PyDirectoryKernel`, the
+compiled ``DirectoryKernel``) that takes these steps on itself; DLS and
+Neat build the plain kernel.  The engine picks the compiled class exactly
+when its mesh kernel is compiled
 (:meth:`repro.protocol.base.ProtocolEngineBase.__init__`).
 
 A home kernel owns no state.  It works on the engine's own objects - the
@@ -17,9 +21,8 @@ engine only for what stays family or verification business: the page
 flush of a private -> shared transition (``_flush_private_page``), the
 fill's family hook (``_evict_l2_line``), the DRAM controller and the
 verify-mode golden steps (``_verify_word``).  What a fill installs at the
-home is the constructor's ``entry_type``: a fresh ``DirectoryEntry`` for
-the families with a sharer-tracking directory, None (nothing) for DLS and
-Neat.
+home is the kernel class's: nothing here, a fresh ``DirectoryEntry`` in
+the directory subtype.
 """
 
 from __future__ import annotations
@@ -51,16 +54,16 @@ class PyHomeKernel:
     ``serve_word_settle`` fuse two adjacent steps of the DLS access, where
     no Python runs between them.  ``line_type`` and ``result_type`` only
     tell the compiled kernel where the ``L2Line`` and ``AccessResult``
-    slots sit; this kernel reads attributes.  ``entry_type`` is the class
-    of the directory entry a fill attaches to the new line, or None.
+    slots sit; this kernel reads attributes.
 
     This is the ungated, bit-identical reference of the compiled kernel
     (``REPRO_NO_ACCEL=1`` selects it, and so do the ``naive``/``none``
     link models).  Counters are read from the engine per update:
     ``reset_stats`` replaces ``engine.energy`` at the warmup boundary.
-    The engine owns its kernel, so the kernel refers back to it weakly: a
-    strong cycle would leave every finished engine to the cyclic
-    collector.
+    The engine owns its kernel, so the kernel refers back to it through a
+    weak proxy: a strong cycle would leave every finished engine to the
+    cyclic collector, and a kernel that outlives its engine raises
+    ``ReferenceError``.  Subclasses add their own engine aliases.
     """
 
     __slots__ = (
@@ -68,33 +71,41 @@ class PyHomeKernel:
         "data_word_home",
         "_engine",
         "_l2",
+        "_home_of_line",
+        "_network",
         "_paths",
         "_resolve",
         "_traverse",
         "_chain",
         "_flits",
         "_num_tiles",
+        "_words_per_line",
         "_l2_latency",
         "_verify",
-        "_entry_type",
     )
 
-    def __init__(self, engine, line_type, result_type, entry_type) -> None:
+    #: The directory entry class a fill attaches to the new line: none at
+    #: a directoryless home (the directory subtype sets ``DirectoryEntry``).
+    _entry_type = None
+
+    def __init__(self, engine, line_type, result_type) -> None:
         network = engine.network
         placement = engine.placement
         self.data_home = placement.data_home
         self.data_word_home = placement.data_word_home
         self._engine = weakref.proxy(engine)
         self._l2 = engine.l2
+        self._home_of_line = engine._home_of_line
+        self._network = network
         self._paths = network.paths
         self._resolve = network.resolve_path
         self._traverse = network.kernel.traverse
         self._chain = network.kernel.traverse_chain
         self._flits = engine._net_flits
         self._num_tiles = engine.arch.num_cores
+        self._words_per_line = engine.arch.words_per_line
         self._l2_latency = engine.arch.l2.latency
         self._verify = engine.verify
-        self._entry_type = entry_type
 
     # ------------------------------------------------------------------
     def word_round_trip(self, core, line, word, req_msg, reply_msg, now, result):
@@ -244,8 +255,8 @@ class PyHomeKernel:
         """Inclusive fill of ``line`` at ``home`` starting at ``t``: evict
         the set's LRU way if the set is full (the family's
         ``_evict_l2_line``), fetch from the line's DRAM controller, install
-        (``L2Slice.fill``, with a fresh directory entry when the family
-        tracks sharers).  Returns ``(l2line, reply_t, off-chip latency)``."""
+        (``L2Slice.fill``, with a fresh directory entry in the directory
+        subtype).  Returns ``(l2line, reply_t, off-chip latency)``."""
         engine = self._engine
         slice_ = self._l2[home]
         victim = slice_.victim(line)
@@ -254,7 +265,7 @@ class PyHomeKernel:
             slice_.remove(victim[0])
 
         ctrl = engine.memsys.controller_for_line(line)
-        network = engine.network
+        network = self._network
         req_t = network.unicast(home, ctrl.tile, MsgType.MEM_READ_REQ, t)
         finish, _queue = ctrl.access(req_t, engine.arch.line_size)
         reply_t = network.unicast(ctrl.tile, home, MsgType.MEM_READ_REPLY, finish)
@@ -262,7 +273,7 @@ class PyHomeKernel:
         data = None
         if self._verify:
             data = engine._dram_image.get(line)
-            data = list(data) if data is not None else [0] * engine._words_per_line
+            data = list(data) if data is not None else [0] * self._words_per_line
         evicted = slice_.fill(line, reply_t, data)
         if evicted is not None:  # cannot happen: victim handled above
             raise SimulationError("L2 fill evicted after explicit victim handling")
@@ -270,5 +281,5 @@ class PyHomeKernel:
         if self._entry_type is not None:
             l2line.directory = self._entry_type()
         engine.energy.l2_line_writes += 1
-        engine._home_of_line[line] = home
+        self._home_of_line[line] = home
         return l2line, reply_t, reply_t - t

@@ -159,7 +159,7 @@ class PhaseEngine(DirectoryEngine):
             return False, upgrade
         self.phase_word_accesses += 1
         if upgrade:
-            self.directory_kernel.remove_own_copy(core, line, l2line)
+            self.home_kernel.remove_own_copy(core, line, l2line)
         return True, False
 
     # ------------------------------------------------------------------

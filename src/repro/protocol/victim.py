@@ -146,12 +146,12 @@ class VictimReplicationEngine(DirectoryEngine):
             raise CoherenceError(f"evicting line {vline:#x} with unknown home")
         if vhome == core:
             # The home slice is local: a replica would duplicate it.
-            self.directory_kernel.handle_l1_eviction(core, vline, ventry, t)
+            self.home_kernel.handle_l1_eviction(core, vline, ventry, t)
             return
         local = self.l2[core]
         if not self._make_room_for_replica(core, vline, local, t):
             self.replication_failures += 1
-            self.directory_kernel.handle_l1_eviction(core, vline, ventry, t)
+            self.home_kernel.handle_l1_eviction(core, vline, ventry, t)
             return
 
         self.evict_histogram.record(ventry.utilization)
@@ -240,7 +240,7 @@ class VictimReplicationEngine(DirectoryEngine):
     def _purge_target_copy(self, core, line, l2line, merge_into_l2):
         l1entry = self.l1d[core].lookup(line)
         if l1entry is not None:
-            return self.directory_kernel.purge_target_copy(core, line, l2line, merge_into_l2)
+            return self.home_kernel.purge_target_copy(core, line, l2line, merge_into_l2)
         replica = self.l2[core].lookup(line)
         if replica is None or not replica.is_replica:
             raise CoherenceError(
@@ -262,7 +262,7 @@ class VictimReplicationEngine(DirectoryEngine):
         if own is not None and own.is_replica:
             self.l2[core].remove(line)
             self.replica_evictions += 1
-        self.directory_kernel.grant_private(
+        self.home_kernel.grant_private(
             core, is_write, line, word, l2line, slice_, upgrade, reply_t
         )
 

@@ -62,20 +62,8 @@ class LatencyBreakdown:
             sync=self.sync * factor,
         )
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "compute": self.compute,
-            "l1_to_l2": self.l1_to_l2,
-            "l2_waiting": self.l2_waiting,
-            "l2_sharers": self.l2_sharers,
-            "l2_offchip": self.l2_offchip,
-            "sync": self.sync,
-            "total": self.total,
-        }
-
     def to_dict(self) -> dict[str, float]:
-        """Field-only mapping that round-trips exactly through :meth:`from_dict`
-        (unlike :meth:`as_dict`, which also reports the derived total)."""
+        """Field-only mapping that round-trips exactly through :meth:`from_dict`."""
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod

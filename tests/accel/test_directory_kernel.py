@@ -1,10 +1,11 @@
-"""Directory-kernel contract tests (DESIGN.md section 16).
+"""Directory-kernel contract tests (DESIGN.md section 15).
 
 Every miss of a directory-family engine (baseline, adaptive, victim,
-phase) runs in the engine's directory kernel: the compiled
-``DirectoryKernel`` when the home kernel is compiled, else its pure-Python
-twin ``PyDirectoryKernel``.  The two work on the same Python objects, so
-their contract is equal returns and equal effects on those objects:
+phase) runs in the engine's one kernel, the directory subtype of the home
+kernel: the compiled ``DirectoryKernel`` when the mesh kernel is compiled,
+else its pure-Python twin ``PyDirectoryKernel``.  The two work on the same
+Python objects, so their contract is equal returns and equal effects on
+those objects:
 
 * the kernel-contract property drives both kernels, on two identical
   engines, through one random access stream - reads, writes and S -> M
@@ -16,18 +17,13 @@ their contract is equal returns and equal effects on those objects:
   iteration order, locality dicts, histories, histograms, miss stats,
   every counter and the mesh reservations;
 * a simulator-level matrix requires equal ``RunStats`` under both
-  implementations for every classifier and sharer-tracking configuration;
-* the leak soak: a finished engine and its kernel are freed by reference
-  counting, and ``tracemalloc`` stays flat over back-to-back runs.
+  implementations for every classifier and sharer-tracking configuration.
+
+The leak soak, which covers every family's kernel, is in
+``test_home_kernel.py``.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import gc
-import sys
-import tracemalloc
-import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,16 +31,14 @@ from hypothesis import strategies as st
 
 from repro import accel
 from repro.accel import build
-from repro.coherence.directory import DirectoryEntry
 from repro.common import addr as addrmod
 from repro.common.params import ArchConfig, CacheGeometry, ProtocolConfig
+from repro.energy.model import EnergyCounters
 from repro.mem.l2 import L2Line
 from repro.protocol.base import AccessResult
 from repro.protocol.directory import PyDirectoryKernel
 from repro.protocol.engine import make_engine
-from repro.protocol.home import PyHomeKernel
 from repro.sim.multicore import Simulator
-from repro.workloads.base import TraceBuilder
 from repro.workloads.registry import load_workload
 
 pytestmark = pytest.mark.skipif(
@@ -105,14 +99,15 @@ def compiled_kernels(monkeypatch):
 
 
 def _engines(proto: ProtocolConfig, pointers, verify: bool):
-    """Twin engines on the compiled mesh kernel: one runs the compiled home
-    and directory kernels, the other their pure-Python twins."""
+    """Twin engines on the compiled mesh kernel: one runs the compiled
+    directory kernel, the other its pure-Python twin.  Either is the
+    engine's one kernel, a home kernel."""
     arch = _arch(pointers, l1d=SMALL, l2=SMALL_L2)
     compiled = make_engine(arch, proto, verify=verify)
-    assert type(compiled.directory_kernel).__name__ == "DirectoryKernel"
+    assert type(compiled.home_kernel) is accel.directory_kernel_class()
+    assert isinstance(compiled.home_kernel, accel.home_kernel_class())
     twin = make_engine(arch, proto, verify=verify)
-    twin.home_kernel = PyHomeKernel(twin, L2Line, AccessResult, DirectoryEntry)
-    twin.directory_kernel = PyDirectoryKernel(twin)
+    twin.home_kernel = PyDirectoryKernel(twin, L2Line, AccessResult)
     return compiled, twin
 
 
@@ -152,7 +147,7 @@ def _counters(engine) -> dict:
     classifier = engine.classifier
     policy = engine.sharer_policy
     out = {
-        "energy": engine.energy.as_dict(),
+        "energy": [getattr(engine.energy, name) for name in EnergyCounters.__slots__],
         "miss": (engine.miss_stats.hits, list(engine.miss_stats._miss_counts)),
         "histograms": (list(engine.inval_histogram.counts.items()),
                        list(engine.evict_histogram.counts.items())),
@@ -294,84 +289,6 @@ def test_runstats_identical_under_both_implementations(config, workload, monkeyp
             monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
         sim = Simulator(arch, _proto(family, overrides, pointers, 2), warmup=True)
         runs.append(sim.run(trace).to_dict())
-        kernel = type(sim.last_engine.directory_kernel).__name__
+        kernel = type(sim.last_engine.home_kernel).__name__
         assert kernel == ("PyDirectoryKernel" if fallback else "DirectoryKernel")
     assert runs[0] == runs[1]
-
-
-# ---------------------------------------------------------------------------
-# Leak soak: engines and kernels die by reference counting, and repeated
-# runs hold memory flat.
-# ---------------------------------------------------------------------------
-
-FAMILIES = {
-    "adaptive": ProtocolConfig(pct=2),
-    "baseline": ProtocolConfig(protocol="baseline"),
-    "victim": ProtocolConfig(protocol="victim"),
-    "phase": ProtocolConfig(protocol="phase"),
-}
-#: tracemalloc's current size may grow by at most this much from the end
-#: of the fifth run to the end of the twentieth.  Measured: the growth is
-#: within a few hundred bytes for every family under both implementations
-#: (interned ints and the allocator's own free lists), while one leaked
-#: AccessResult per miss adds about 40 KB over those fifteen runs.
-LEAK_BOUND = 8 * 1024
-
-
-def _soak_trace():
-    arch = ArchConfig(num_cores=16, num_memory_controllers=4, l1d=SMALL, l2=SMALL_L2)
-    builder = TraceBuilder("soak", arch.num_cores)
-    for tid in range(arch.num_cores):
-        thread = builder.thread(tid)
-        for i in range(8):
-            address = ((tid * 7 + i * 3) % 40) * 0x400 + (i % 4) * 64
-            (thread.write if (tid + i) % 3 == 0 else thread.read)(address)
-    builder.barrier_all()
-    return arch, builder.build()
-
-
-@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_engine_and_kernel_freed_by_reference_counting(family, fallback, monkeypatch):
-    if fallback:
-        monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
-    arch, trace = _soak_trace()
-    sim = Simulator(arch, FAMILIES[family], warmup=True, verify=True)
-    sim.run(trace)
-    engine = sim.last_engine
-    kernel = engine.directory_kernel
-    assert type(kernel).__name__ == ("PyDirectoryKernel" if fallback else "DirectoryKernel")
-    ref = weakref.ref(engine)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        del engine
-        sim.last_engine = None
-        assert ref() is None
-        # Only this frame's name (and getrefcount's argument) still hold
-        # the kernel: dropping it frees it too.
-        assert sys.getrefcount(kernel) == 2
-    finally:
-        if enabled:
-            gc.enable()
-    with pytest.raises(ReferenceError):
-        kernel.access(0, False, 1 << 30, 0.0)
-
-
-@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_repeated_runs_hold_memory_flat(family, fallback, monkeypatch):
-    if fallback:
-        monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
-    arch, trace = _soak_trace()
-    sim = Simulator(arch, dataclasses.replace(FAMILIES[family]), warmup=False)
-    sim.run(trace)  # imports, interned names and caches settle first
-    tracemalloc.start()
-    try:
-        sizes = []
-        for _ in range(20):
-            sim.run(trace)
-            sizes.append(tracemalloc.get_traced_memory()[0])
-    finally:
-        tracemalloc.stop()
-    assert sizes[-1] - sizes[4] <= LEAK_BOUND, sizes

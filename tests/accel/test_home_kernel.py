@@ -2,27 +2,37 @@
 
 Every family's miss runs its home side - placement, the request and
 reply legs, the L2 tag access and off-chip fill, the word service and the
-line's settling - through the engine's home kernel: the compiled
+line's settling - through the engine's one kernel: the compiled
 ``HomeKernel`` when the mesh kernel is compiled, else its pure-Python twin
-``PyHomeKernel``.  The two work on the same Python objects, so their
-contract is equal returns and equal effects on those objects:
+``PyHomeKernel``; for the directory families, the directory subtype of
+each (``DirectoryKernel``, ``PyDirectoryKernel``).  The two
+implementations work on the same Python objects, so their contract is
+equal returns and equal effects on those objects:
 
 * the kernel-contract property drives both kernels through one random
-  stream of miss steps and compares every return, every ``L2Line`` slot,
-  every counter and the mesh kernel's reservations;
+  stream of miss steps and compares every return, every ``L2Line`` slot
+  (its directory entry included), every counter and the mesh kernel's
+  reservations - on the plain home kernels, and on the directory pair's
+  inherited home steps;
 * a simulator-level run at 36 cores with addresses in [2**39, 2**48)
   requires equal ``RunStats`` for all six families - the R-NUCA hash
   passes 64 bits there, and 36 is not a power of two, so a wrapping
   product would move homes;
-* the kernel counts into the engine's current energy counters and holds
-  its engine weakly, so finished engines are freed without the cyclic
-  collector.
+* the compiled kernels refuse, with a ``TypeError``, an engine whose mesh
+  kernel is a Python one, and the directory subtype refuses an engine
+  without a sharer-tracking directory;
+* the leak soak, for every family's kernel under both implementations: a
+  finished engine and its kernel are freed by reference counting, and
+  ``tracemalloc`` stays flat over back-to-back runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
+import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -31,7 +41,6 @@ from hypothesis import strategies as st
 
 from repro import accel
 from repro.accel import build
-from repro.coherence.directory import DirectoryEntry
 from repro.common import addr as addrmod
 from repro.common.params import (
     ArchConfig,
@@ -43,9 +52,11 @@ from repro.common.params import (
     phase_protocol,
     victim_replication_protocol,
 )
+from repro.energy.model import EnergyCounters
 from repro.mem.l2 import L2Line
 from repro.network.messages import MsgType
 from repro.protocol.base import AccessResult, ProtocolEngineBase
+from repro.protocol.directory import DirectoryEngine, PyDirectoryKernel
 from repro.protocol.engine import make_engine
 from repro.protocol.home import PyHomeKernel
 from repro.sim.multicore import Simulator
@@ -78,18 +89,25 @@ def compiled_kernels(monkeypatch):
     accel.reset()
 
 
-def _engines(cores: int, verify: bool):
+def _engines(cores: int, verify: bool, directory: bool):
     """Twin engines with the compiled mesh kernel: one runs the compiled
-    home kernel, the other ``PyHomeKernel``."""
+    kernel, the other its twin - the plain home kernels on the base engine,
+    or the directory pair on a baseline directory engine."""
     arch = ArchConfig(num_cores=cores, num_memory_controllers=4, l2=SMALL_L2)
-    compiled = ProtocolEngineBase(arch, baseline_protocol(), verify=verify)
-    assert type(compiled.home_kernel).__name__ == "HomeKernel"
-    twin = ProtocolEngineBase(arch, baseline_protocol(), verify=verify)
-    twin.home_kernel = PyHomeKernel(twin, L2Line, AccessResult, DirectoryEntry)
+    if directory:
+        engine_class, twin_class = DirectoryEngine, PyDirectoryKernel
+    else:
+        engine_class, twin_class = ProtocolEngineBase, PyHomeKernel
+    compiled = engine_class(arch, baseline_protocol(), verify=verify)
+    want = accel.directory_kernel_class() if directory else accel.home_kernel_class()
+    assert type(compiled.home_kernel) is want
+    twin = engine_class(arch, baseline_protocol(), verify=verify)
+    twin.home_kernel = twin_class(twin, L2Line, AccessResult)
     return compiled, twin
 
 
 def _line_state(entry) -> tuple:
+    dirent = entry.directory
     return (
         entry.last_use,
         entry.last_access,
@@ -98,13 +116,14 @@ def _line_state(entry) -> tuple:
         entry.busy_until,
         entry.data,
         entry.is_replica,
+        None if dirent is None else (list(dirent.sharers), dirent.owner, dirent.overflowed),
     )
 
 
 def _counters(engine) -> tuple:
     kernel = engine.network.kernel
     return (
-        engine.energy.as_dict(),
+        [getattr(engine.energy, name) for name in EnergyCounters.__slots__],
         [(s.hits, s.misses, s.word_reads, s.word_writes, s.store._use_counter)
          for s in engine.l2],
         (kernel.messages_sent, kernel.flits_sent, kernel.link_flit_traversals,
@@ -195,6 +214,7 @@ _kinds = st.sampled_from(["line", "line", "word", "word", "general", "chain",
 def streams(draw):
     cores = draw(st.sampled_from([16, 36]))
     verify = draw(st.booleans())
+    directory = draw(st.booleans())
     #: A few pages anywhere in the 48-bit space: repeated touches by
     #: several cores make private -> shared transitions (page flushes).
     pages = draw(st.lists(st.integers(0, addrmod.MAX_ADDRESS >> 12),
@@ -217,7 +237,7 @@ def streams(draw):
             draw(st.booleans()),
             now,
         ))
-    return cores, verify, pages, ops
+    return cores, verify, directory, pages, ops
 
 
 class TestKernelContract:
@@ -225,8 +245,8 @@ class TestKernelContract:
               suppress_health_check=[HealthCheck.too_slow])
     @given(stream=streams())
     def test_python_twin_matches_compiled(self, stream):
-        cores, verify, pages, ops = stream
-        compiled, twin = _engines(cores, verify)
+        cores, verify, directory, pages, ops = stream
+        compiled, twin = _engines(cores, verify, directory)
         for op in ops:
             got = _step(compiled, op, pages)
             want = _step(twin, op, pages)
@@ -237,7 +257,7 @@ class TestKernelContract:
     def test_energy_counters_follow_reset_stats(self):
         """``reset_stats`` replaces ``engine.energy``: the kernel must count
         into the new object, never the retired one."""
-        compiled, _twin = _engines(16, False)
+        compiled, _twin = _engines(16, False, False)
         hk = compiled.home_kernel
         old = compiled.energy
         compiled.reset_stats()
@@ -248,29 +268,142 @@ class TestKernelContract:
         assert compiled.energy.l2_line_writes == 1
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_engine_is_freed_by_reference_counting(fallback, monkeypatch):
-    """The engine owns its home kernel and the kernel refers back weakly,
-    so a finished engine is freed at once, not left to the cyclic
-    collector (a miss-heavy pass would otherwise hold several engines'
-    caches at a time).  A kernel that outlives its engine refuses work."""
+@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
+@pytest.mark.parametrize("family", ["dls", "baseline"])
+def test_fill_installs_an_entry_exactly_in_the_directory_subtype(family, fallback, monkeypatch):
+    """The kernel's type decides what an off-chip fill attaches to the new
+    line: a fresh ``DirectoryEntry`` in the directory subtype, nothing at
+    a directoryless home."""
+    compiled = accel.directory_kernel_class()
     if fallback:
         monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
     arch = ArchConfig(num_cores=16, num_memory_controllers=4)
-    engine = make_engine(arch, dls_protocol())
+    proto = dls_protocol() if family == "dls" else baseline_protocol()
+    engine = make_engine(arch, proto)
+    hk = engine.home_kernel
+    home, flush = hk.data_home(1 << 30, 3)
+    _slice, l2line, _t = hk.deliver_request(3, 1 << 30, home, flush, 0, 0.0, AccessResult())
+    if family == "dls":
+        assert l2line.directory is None
+    else:
+        assert isinstance(hk, PyDirectoryKernel if fallback else compiled)
+        assert (set(l2line.directory.sharers), l2line.directory.owner) == (set(), -1)
+
+
+# ---------------------------------------------------------------------------
+# Typed refusals of the compiled kernels.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("link_model", ["naive", "none"])
+@pytest.mark.parametrize("kernel", ["home", "directory"])
+def test_compiled_kernels_refuse_a_python_mesh_kernel(kernel, link_model):
+    """The legs are reserved by direct C calls into the compiled mesh
+    kernel, so a link-model ablation's engine (whose own kernel is the
+    twin) is refused by name."""
+    arch = ArchConfig(num_cores=16, num_memory_controllers=4, link_model=link_model)
+    engine = make_engine(arch, baseline_protocol())
+    assert isinstance(engine.home_kernel, PyDirectoryKernel)
+    cls = accel.home_kernel_class() if kernel == "home" else accel.directory_kernel_class()
+    with pytest.raises(TypeError, match="MeshKernel"):
+        cls(engine, L2Line, AccessResult)
+
+
+@pytest.mark.parametrize("family", ["dls", "neat"])
+def test_directory_kernel_refuses_a_directoryless_engine(family):
+    arch = ArchConfig(num_cores=16, num_memory_controllers=4)
+    engine = make_engine(arch, dls_protocol() if family == "dls" else neat_protocol())
+    assert type(engine.home_kernel) is accel.home_kernel_class()
+    with pytest.raises(TypeError, match="sharer policy NullSharerPolicy"):
+        accel.directory_kernel_class()(engine, L2Line, AccessResult)
+
+
+# ---------------------------------------------------------------------------
+# Leak soak: engines and kernels die by reference counting, and repeated
+# runs hold memory flat, for every family's kernel.
+# ---------------------------------------------------------------------------
+
+SOAK_FAMILIES = {
+    "adaptive": ProtocolConfig(pct=2),
+    "baseline": ProtocolConfig(protocol="baseline"),
+    "victim": ProtocolConfig(protocol="victim"),
+    "phase": ProtocolConfig(protocol="phase"),
+    "dls": dls_protocol(),
+    "neat-eager": neat_protocol(),
+    "neat-release": neat_protocol("release"),
+}
+#: tracemalloc's current size may grow by at most this much from the end
+#: of the fifth run to the end of the twentieth.  Measured: the growth is
+#: within a few hundred bytes to about 2 KB for every family under both
+#: implementations (interned ints and the allocator's own free lists),
+#: while one leaked AccessResult per miss adds about 40 KB over those
+#: fifteen runs.
+LEAK_BOUND = 8 * 1024
+#: 1 KB 2-way L1s: eight sets, so the soak's L1s evict too.
+SMALL_L1 = CacheGeometry(1, 2, 1)
+
+
+def _soak_trace():
+    arch = ArchConfig(num_cores=16, num_memory_controllers=4, l1d=SMALL_L1, l2=SMALL_L2)
+    builder = TraceBuilder("soak", arch.num_cores)
+    for tid in range(arch.num_cores):
+        thread = builder.thread(tid)
+        for i in range(8):
+            address = ((tid * 7 + i * 3) % 40) * 0x400 + (i % 4) * 64
+            (thread.write if (tid + i) % 3 == 0 else thread.read)(address)
+    builder.barrier_all()
+    return arch, builder.build()
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
+@pytest.mark.parametrize("family", sorted(SOAK_FAMILIES))
+def test_engine_and_kernel_freed_by_reference_counting(family, fallback, monkeypatch):
+    """The engine owns its kernel and the kernel refers back weakly, so a
+    finished engine is freed at once, not left to the cyclic collector (a
+    miss-heavy pass would otherwise hold several engines' caches at a
+    time).  A kernel that outlives its engine refuses work."""
+    compiled = accel.home_kernel_class()
+    if fallback:
+        monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
+    arch, trace = _soak_trace()
+    sim = Simulator(arch, SOAK_FAMILIES[family], warmup=True, verify=True)
+    sim.run(trace)
+    engine = sim.last_engine
     kernel = engine.home_kernel
-    assert type(kernel).__name__ == ("PyHomeKernel" if fallback else "HomeKernel")
+    assert isinstance(kernel, PyHomeKernel if fallback else compiled)
     ref = weakref.ref(engine)
     enabled = gc.isenabled()
     gc.disable()
     try:
         del engine
+        sim.last_engine = None
         assert ref() is None
+        # Only this frame's name (and getrefcount's argument) still hold
+        # the kernel: dropping it frees it too.
+        assert sys.getrefcount(kernel) == 2
     finally:
         if enabled:
             gc.enable()
     with pytest.raises(ReferenceError):
         kernel.deliver_request(0, 1 << 30, 3, None, 0, 0.0, AccessResult())
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
+@pytest.mark.parametrize("family", sorted(SOAK_FAMILIES))
+def test_repeated_runs_hold_memory_flat(family, fallback, monkeypatch):
+    if fallback:
+        monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
+    arch, trace = _soak_trace()
+    sim = Simulator(arch, dataclasses.replace(SOAK_FAMILIES[family]), warmup=False)
+    sim.run(trace)  # imports, interned names and caches settle first
+    tracemalloc.start()
+    try:
+        sizes = []
+        for _ in range(20):
+            sim.run(trace)
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[-1] - sizes[4] <= LEAK_BOUND, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +438,13 @@ def _high_address_trace():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_high_addresses_identical_at_36_cores(family, monkeypatch):
     trace = _high_address_trace()
+    compiled = accel.home_kernel_class()
     runs = []
     for fallback in (False, True):
         if fallback:
             monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
         sim = Simulator(HIGH_ARCH, FAMILIES[family](), warmup=True, verify=True)
         stats = sim.run(trace)
-        kernel = type(sim.last_engine.home_kernel).__name__
-        assert kernel == ("PyHomeKernel" if fallback else "HomeKernel")
+        assert isinstance(sim.last_engine.home_kernel, PyHomeKernel if fallback else compiled)
         runs.append(stats.to_dict())
     assert runs[0] == runs[1]

@@ -181,7 +181,7 @@ class TestLimitedClassifier:
         cls = engine.classifier
         line = make_line()
         entries = [cls.locality_entry(line, core, allocate=True) for core in range(3)]
-        classify = engine.directory_kernel.classify_requester
+        classify = engine.home_kernel.classify_requester
         assert classify(engine.l1d[10], line, 10, 0, False, False) == (False, False)
         assert cls.vote_decisions == 1  # private majority: line service
         for entry in entries:

@@ -12,6 +12,7 @@ from repro.common.params import (
     ProtocolConfig,
     baseline_protocol,
 )
+from repro.network.topology import Mesh2D
 
 
 class TestCacheGeometry:
@@ -60,7 +61,7 @@ class TestArchConfig:
 
     def test_derived_quantities(self):
         arch = ArchConfig()
-        assert arch.mesh_width == 8
+        assert Mesh2D(arch.num_cores).width == 8
         assert arch.words_per_line == 8
         assert arch.line_flits == 8
         assert arch.word_flits == 1
@@ -83,7 +84,7 @@ class TestArchConfig:
 
     def test_small_mesh_supported(self):
         arch = ArchConfig(num_cores=16, num_memory_controllers=4)
-        assert arch.mesh_width == 4
+        assert Mesh2D(arch.num_cores).width == 4
 
     @pytest.mark.parametrize("hop", [0, -1, 2.5, 2.0, True, "2"])
     def test_rejects_non_integral_hop_latency(self, hop):

@@ -10,7 +10,6 @@ from repro.common.statsutil import (
     UTILIZATION_BUCKETS,
     bucket_percentages,
     geomean,
-    normalize,
     utilization_bucket,
 )
 
@@ -40,12 +39,6 @@ def test_geomean_bounded_by_min_max(values):
 def test_geomean_scales_linearly(values, factor):
     scaled = geomean([v * factor for v in values])
     assert scaled == pytest.approx(geomean(values) * factor, rel=1e-9)
-
-
-def test_normalize():
-    assert normalize([2.0, 4.0], 2.0) == [1.0, 2.0]
-    with pytest.raises(ValueError):
-        normalize([1.0], 0.0)
 
 
 def test_utilization_bucket_boundaries():

@@ -36,12 +36,11 @@ class TestBreakdownProperties:
             breakdown.l1i + breakdown.l1d + breakdown.l2
             + breakdown.directory + breakdown.router + breakdown.link
         )
-        assert breakdown.caches + breakdown.network == breakdown.total
 
     @given(counters=random_counters())
     def test_energy_nonnegative(self, counters):
         breakdown = EnergyModel().breakdown(counters, fresh_network())
-        assert all(v >= 0 for v in breakdown.as_dict().values())
+        assert all(v >= 0 for v in breakdown.to_dict().values())
 
     @given(counters=random_counters())
     def test_zero_events_zero_energy(self, counters):
@@ -71,12 +70,6 @@ class TestBreakdownProperties:
         base = model.breakdown(counters, net).total
         scaled_total = model.breakdown(scaled, net).total
         assert abs(scaled_total - factor * base) < 1e-6 * max(1.0, scaled_total)
-
-    @given(counters=random_counters())
-    def test_scaled_breakdown_matches(self, counters):
-        breakdown = EnergyModel().breakdown(counters, fresh_network())
-        half = breakdown.scaled(0.5)
-        assert abs(half.total - breakdown.total * 0.5) < 1e-9 * max(1.0, breakdown.total)
 
     @given(counters=random_counters())
     def test_config_field_scaling_moves_exactly_one_component(self, counters):
