@@ -16,7 +16,6 @@ Run with::
 from repro import ProtocolConfig, Simulator, baseline_protocol
 from repro.common.params import ArchConfig, CacheGeometry
 from repro.common.types import MissType
-from repro.viz import TextTable
 from repro.workloads.synthetic import (
     hotspot,
     migratory,
@@ -43,29 +42,23 @@ PATTERNS = {
 
 
 def main() -> None:
-    table = TextTable(
-        ["pattern", "time ratio", "energy ratio", "remote %", "sharing -> word"],
-        formats=[None, ".3f", ".3f", ".1f", None],
-    )
+    print("adaptive (PCT=4) vs baseline on the classic sharing patterns")
+    print("(ratios < 1 favour the locality-aware protocol)\n")
+    print(f"{'pattern':<17}  {'time ratio':>10}  {'energy ratio':>12}  {'remote %':>8}"
+          "  sharing -> word")
     for name, trace in PATTERNS.items():
         base = Simulator(ARCH, baseline_protocol(), warmup=True).run(trace)
         adapt = Simulator(ARCH, ProtocolConfig(pct=4), warmup=True).run(trace)
+        time_ratio = adapt.completion_time / base.completion_time
+        energy_ratio = adapt.energy.total / base.energy.total
         remote_pct = 100 * adapt.remote_accesses / max(1, trace.memory_accesses)
         conversion = (
             f"{base.miss.count(MissType.SHARING)} -> "
             f"{adapt.miss.count(MissType.SHARING)} shr, "
             f"{adapt.miss.count(MissType.WORD)} word"
         )
-        table.add_row([
-            name,
-            adapt.completion_time / base.completion_time,
-            adapt.energy.total / base.energy.total,
-            remote_pct,
-            conversion,
-        ])
-    print("adaptive (PCT=4) vs baseline on the classic sharing patterns")
-    print("(ratios < 1 favour the locality-aware protocol)\n")
-    print(table)
+        print(f"{name:<17}  {time_ratio:10.3f}  {energy_ratio:12.3f}  {remote_pct:8.1f}"
+              f"  {conversion}")
     print(
         "\nEvery pattern wins for a different reason: streaming/uniform\n"
         "convert capacity misses to word accesses; the write-shared hotspot\n"

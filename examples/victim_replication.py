@@ -17,7 +17,6 @@ Run with::
 from repro import Simulator, baseline_protocol, load_workload
 from repro.common.params import ProtocolConfig, victim_replication_protocol
 from repro.experiments.harness import bench_arch
-from repro.viz import grouped_bar_chart
 
 WORKLOADS = ("dijkstra-ap", "streamcluster")
 
@@ -30,9 +29,6 @@ def main() -> None:
         "adaptive": ProtocolConfig(pct=4),
     }
 
-    time_ratio: dict[str, list[float]] = {name: [] for name in protocols}
-    energy_ratio: dict[str, list[float]] = {name: [] for name in protocols}
-
     for workload in WORKLOADS:
         trace = load_workload(workload, arch, scale="small")
         print(f"=== {workload} ({trace.memory_accesses:,} accesses) ===")
@@ -43,8 +39,6 @@ def main() -> None:
                 base_stats = stats
             t = stats.completion_time / base_stats.completion_time
             e = stats.energy.total / base_stats.energy.total
-            time_ratio[name].append(t)
-            energy_ratio[name].append(e)
             extra = ""
             if proto.protocol == "victim":
                 hit_pct = 100 * stats.replica_hits / max(1, stats.replicas_created)
@@ -56,16 +50,6 @@ def main() -> None:
             print(f"  {name:<12} time x{t:.3f}  energy x{e:.3f}{extra}")
         print()
 
-    print(grouped_bar_chart(
-        list(WORKLOADS), time_ratio, width=36,
-        title="Completion time (normalized to baseline; shorter is better)",
-    ))
-    print()
-    print(grouped_bar_chart(
-        list(WORKLOADS), energy_ratio, width=36,
-        title="Dynamic energy (normalized to baseline; shorter is better)",
-    ))
-    print()
     print(
         "Victim replication is a gamble on victim re-use; the locality-aware\n"
         "protocol instead measures per-line locality and only keeps data\n"

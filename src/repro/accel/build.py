@@ -1,12 +1,14 @@
 """Compile-at-import machinery for the accelerator kernels.
 
 The package's C sources (``_kernel.c`` mesh kernel, ``_sched.c`` scheduler
-kernel, ``_home.c`` home kernel, plus the shared ``_accel.h`` header) are
-compiled into one CPython extension module
-the first time a process asks for it, then dlopen'd from a per-version
-cache directory on every later import (compile once, load forever - the
-juno ``cffi.py`` pattern).  The cache key is everything that can
-invalidate an artifact:
+kernel, ``_home.c`` and ``_directory.c`` engine kernel, plus the shared
+``_accel.h`` header) ship as package data (``pyproject.toml``'s
+``[tool.setuptools.package-data]``), so an installed ``repro`` compiles its
+kernels on first use, as a checkout does.  They compile into one CPython
+extension module the first time a process asks for it, which is then
+dlopen'd from a per-version cache directory on every later import (compile
+once, load forever - the juno ``cffi.py`` pattern).  The cache key is
+everything that can invalidate an artifact:
 
 * the interpreter's ABI tag (``EXT_SUFFIX`` already embeds it, and the
   cache directory is additionally namespaced by ``sys.implementation
@@ -17,11 +19,11 @@ invalidate an artifact:
 * the **compiler id** (resolved binary + its ``--version`` banner), so a
   toolchain swap rebuilds rather than trusting a stale artifact.
 
-Every failure mode - no compiler, no Python headers, cc exits non-zero,
-the built module will not import or disagrees with the mesh constants -
-degrades to ``None`` with a machine-readable reason: the callers fall back
-to the pure-Python twins of both kernels, which stay the ungated
-implementation.
+Every failure mode - no sources, no compiler, no Python headers, cc exits
+non-zero, the built module will not import or disagrees with the mesh
+constants - degrades to ``None`` with a machine-readable reason: the
+callers fall back to the pure-Python twins of the kernels, which stay the
+ungated implementation.
 Nothing in this module raises on a broken toolchain.
 """
 
@@ -38,20 +40,19 @@ import sys
 import sysconfig
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("_kernel.c")
+#: Where the kernel sources live, in a checkout and in an installed package.
+SOURCE_DIR = Path(__file__).parent
 MODULE_NAME = "_repro_mesh_kernel"
 
 
 def kernel_sources() -> tuple[Path, ...]:
     """Every C translation unit and header that feeds the artifact.
 
-    ``_kernel.c`` (mesh), ``_sched.c`` (scheduler) and ``_home.c`` (home)
-    compile into the one shared object; headers do not compile but must
-    fingerprint - an edited declaration has to invalidate the cache
-    exactly like a ``.c`` edit.
+    Every ``.c`` in ``SOURCE_DIR`` compiles into the one shared object;
+    headers do not compile but must fingerprint - an edited declaration
+    has to invalidate the cache exactly like a ``.c`` edit.
     """
-    here = Path(__file__).parent
-    return tuple(sorted(here.glob("*.c")) + sorted(here.glob("*.h")))
+    return tuple(sorted(SOURCE_DIR.glob("*.c")) + sorted(SOURCE_DIR.glob("*.h")))
 
 #: Force the pure-Python fallback (checked per MeshNetwork construction).
 NO_ACCEL_ENV = "REPRO_NO_ACCEL"
@@ -186,9 +187,12 @@ def build_artifact(sources=None) -> tuple[Path | None, dict]:
         # pure-Python fallback keeps RunStats bit-identical.
         info["reason"] = "fault injected: accel.build_fail"
         return None, info
-    missing = [s for s in source_paths if not s.exists()]
-    if not source_paths or missing:
-        info["reason"] = f"kernel source missing: {missing or source_paths}"
+    if not source_paths:
+        info["reason"] = f"kernel source missing: no *.c or *.h in {SOURCE_DIR}"
+        return None, info
+    missing = [str(s) for s in source_paths if not s.exists()]
+    if missing:
+        info["reason"] = f"kernel source missing: {', '.join(missing)}"
         return None, info
     cc = find_compiler()
     if cc is None:

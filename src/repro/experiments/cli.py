@@ -8,6 +8,11 @@ Examples::
     repro-experiments --report                    # check the claims, write EXPERIMENTS.md
     repro-experiments --figure storage            # Section 3.6 arithmetic
     repro-experiments --list                      # available figures/workloads
+
+Each figure's text goes to stdout, which stays byte-stable: a cold and a
+warm run print the same bytes.  The summary line after each figure (its
+wall time and how many of its points came from the result store or were
+simulated) goes to stderr.
 """
 
 from __future__ import annotations
@@ -116,12 +121,13 @@ def main(argv: list[str] | None = None) -> int:
             start = time.time()
             result = entries[figure_id].generate(runner)
             results.append((entries[figure_id], result))
-            print(result.text)
+            print(result.text, end="\n\n")
             # Every point came from the result store or a simulation, so
             # the store's share needs no counter of its own.
             points, simulated = runner.points, runner.simulations
             print(f"[{result.figure} in {time.time() - start:.1f}s, {points} points, "
-                  f"{points - simulated} from the result store, {simulated} simulated]\n")
+                  f"{points - simulated} from the result store, {simulated} simulated]",
+                  file=sys.stderr)
     return report.write_report(results) if args.report else 0
 
 

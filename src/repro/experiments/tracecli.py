@@ -17,21 +17,10 @@ import sys
 from itertools import islice
 
 from repro.common.errors import ReproError
-from repro.common.params import baseline_protocol
-from repro.common.types import Op
-from repro.experiments.harness import adaptive_protocol, bench_arch
+from repro.common.params import bench_arch, protocol_for_pct
 from repro.sim.multicore import Simulator
 from repro.workloads.registry import WORKLOAD_NAMES, load_workload
-from repro.workloads.tracefile import load_trace, save_trace, trace_summary
-
-_MNEMONIC = {
-    int(Op.READ): "R",
-    int(Op.WRITE): "W",
-    int(Op.BARRIER): "B",
-    int(Op.LOCK): "L",
-    int(Op.UNLOCK): "U",
-    int(Op.WORK): "K",
-}
+from repro.workloads.tracefile import MNEMONICS, load_trace, save_trace, trace_summary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +81,7 @@ def _cmd_dump(args) -> int:
         print(f"thread {tid} ({length:,} records):")
         # Only the printed records are read from the columns.
         for op, address, work in islice(trace.records(tid), limit):
-            mnemonic = _MNEMONIC[int(op)]
+            mnemonic = MNEMONICS[op]
             operand = f"{work}" if mnemonic == "K" else f"{address:#x}"
             suffix = f" work={work}" if mnemonic != "K" and work else ""
             print(f"  {mnemonic} {operand}{suffix}")
@@ -110,7 +99,7 @@ def _cmd_convert(args) -> int:
 def _cmd_run(args) -> int:
     trace = load_trace(args.path)
     arch = bench_arch(args.cores)
-    proto = baseline_protocol() if args.pct <= 1 else adaptive_protocol(args.pct)
+    proto = protocol_for_pct(args.pct)
     stats = Simulator(arch, proto, warmup=not args.no_warmup).run(trace)
     label = "baseline" if args.pct <= 1 else f"adaptive pct={args.pct}"
     print(f"simulated {trace.name!r} under {label}:")

@@ -14,7 +14,6 @@ from repro.workloads.patterns import (
     LINE,
     hot_loop,
     line_visit,
-    random_touches,
     stream_scan,
 )
 

@@ -84,22 +84,3 @@ def hot_loop(
     for _ in range(passes):
         stream_scan(tp, base, num_lines, 1, write_fraction, rng, work_per_use)
 
-
-def random_touches(
-    tp: ThreadProgram,
-    base: int,
-    num_lines: int,
-    touches: int,
-    write_fraction: float,
-    rng: random.Random,
-    uses_per_touch: int = 1,
-    work_per_use: int = 3,
-) -> None:
-    """Uniformly random line touches over a region (canneal/hash-table style).
-
-    With a region much larger than the L1 every touch is a (capacity) miss
-    and per-line utilization stays near ``uses_per_touch``.
-    """
-    for _ in range(touches):
-        line = rng.randrange(num_lines)
-        line_visit(tp, base + line * LINE, uses_per_touch, write_fraction, rng, work_per_use)

@@ -58,7 +58,8 @@ _TEXT_OPCODES = {
     "U": int(Op.UNLOCK),
     "K": int(Op.WORK),
 }
-_TEXT_MNEMONICS = {v: k for k, v in _TEXT_OPCODES.items()}
+#: Opcode -> the one-letter mnemonic of the text format (and ``repro trace dump``).
+MNEMONICS = {v: k for k, v in _TEXT_OPCODES.items()}
 
 _BINARY_MAGIC = b"RPTR"
 #: File header: magic, version (u16), num_cores (u16), name length (u16).
@@ -81,7 +82,7 @@ def save_trace_text(trace: Trace, path: str | pathlib.Path) -> None:
         addresses = trace.addresses[tid]
         works = trace.works[tid]
         for i in range(len(ops)):
-            mnemonic = _TEXT_MNEMONICS[ops[i]]
+            mnemonic = MNEMONICS[ops[i]]
             work = works[i]
             if mnemonic == "K":
                 out.write(f"T{tid} K {work}\n")

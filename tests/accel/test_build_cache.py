@@ -13,7 +13,8 @@ results.  These tests pin:
 * ``REPRO_NO_ACCEL=1`` forces both fallbacks,
 * a missing compiler falls back with one warning and bit-identical
   ``RunStats``,
-* ``repro accel-info`` prints that status, as text or JSON.
+* ``repro accel-info`` prints that status, as text or JSON,
+* every kernel source ships with the installed package.
 
 All tests point ``REPRO_ACCEL_CACHE`` at a tmp dir and copy the kernel
 sources, so the user-level cache and the repo tree are never mutated.
@@ -25,6 +26,9 @@ import json
 import logging
 import os
 import shutil
+import tomllib
+from fnmatch import fnmatch
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +123,25 @@ class TestBuildCache:
         module = build.load_module(artifact)
         assert hasattr(module, "MeshKernel")
         assert hasattr(module, "SchedKernel")
+
+    def test_missing_sources_name_the_directory_searched(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(build, "SOURCE_DIR", tmp_path)
+        artifact, info = build.build_artifact()
+        assert artifact is None
+        assert info["reason"] == f"kernel source missing: no *.c or *.h in {tmp_path}"
+
+
+class TestPackaging:
+    def test_every_kernel_source_is_package_data(self):
+        """Without package data an installed ``repro`` holds no C source
+        and silently runs the pure-Python twins."""
+        pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]
+        globs = config.get("package-data", {}).get("repro.accel", [])
+        sources = build.kernel_sources()
+        assert sources
+        for source in sources:
+            assert any(fnmatch(source.name, glob) for glob in globs), source.name
 
 
 class TestSelection:

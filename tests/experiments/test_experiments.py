@@ -110,9 +110,13 @@ class TestCliSummary:
         argv = ["--figure", "1", "--workloads", "tsp", "radix", "--cores", "16",
                 "--scale", "tiny", "--cache", str(tmp_path / "store")]
         assert experiments_main(argv) == 0  # cold: the store is empty
-        assert "2 points, 0 from the result store, 2 simulated]" in capsys.readouterr().out
+        cold = capsys.readouterr()
+        assert "2 points, 0 from the result store, 2 simulated]" in cold.err
         assert experiments_main(argv) == 0  # warm: every point is stored
-        assert "2 points, 2 from the result store, 0 simulated]" in capsys.readouterr().out
+        warm = capsys.readouterr()
+        assert "2 points, 2 from the result store, 0 simulated]" in warm.err
+        assert "Figure 1:" in cold.out
+        assert warm.out == cold.out  # stdout carries only the figure, byte-stable
 
 
 @pytest.fixture(scope="module")

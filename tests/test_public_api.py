@@ -3,14 +3,54 @@ README quickstart without reaching into submodules."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+#: Modules that neither ``import repro`` nor a console script reaches, each
+#: with the reason it stays.
+UNREACHED_ON_PURPOSE = {
+    "repro.workloads.synthetic": "the five sharing-pattern trace generators: "
+    "workload input that examples/sharing_patterns.py simulates",
+}
+
+
+def _module_files() -> dict[str, tuple[Path, bool]]:
+    """Dotted module name -> (file, is_package) for every module in src."""
+    out = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        is_package = parts[-1] == "__init__"
+        out[".".join(parts[:-1] if is_package else parts)] = (path, is_package)
+    return out
+
+
+def _imports(name: str, path: Path, is_package: bool) -> set[str]:
+    """Every module an ``import``/``from`` statement anywhere in the file
+    may load, relative imports resolved (names that are not modules are
+    filtered out by the caller)."""
+    package = name if is_package else name.rpartition(".")[0]
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            target = node.module or ""
+            if node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                target = f"{base}.{target}" if target else base
+            out.add(target)
+            out.update(f"{target}.{alias.name}" for alias in node.names)
+    return out
 
 
 class TestSurface:
@@ -47,6 +87,24 @@ class TestSurface:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert proc.stdout.splitlines() == ["[]", "repro.runner.backends.remote True"]
+
+    def test_every_module_is_reached_from_the_package_or_a_console_script(self):
+        """Walk the import graph from ``repro`` and the ``[project.scripts]``
+        modules: a module only tests or examples import is dead weight."""
+        modules = _module_files()
+        pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+        todo = ["repro"] + [
+            target.partition(":")[0] for target in pyproject["project"]["scripts"].values()
+        ]
+        reached = set()
+        while todo:
+            name = todo.pop()
+            if name in reached or name not in modules:
+                continue
+            reached.add(name)
+            todo.append(name.rpartition(".")[0])  # importing a module runs its package
+            todo.extend(_imports(name, *modules[name]))
+        assert sorted(set(modules) - reached) == sorted(UNREACHED_ON_PURPOSE)
 
 
 class TestQuickstartContract:
