@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import re
 
 import pytest
 
@@ -12,6 +13,8 @@ from repro.experiments.cli import main as experiments_main
 from repro.experiments.figures import FigureResult
 from repro.experiments.harness import ExperimentRunner, bench_arch
 from repro.experiments.report import REGISTRY, Claim, Entry, Ref, render
+from repro.runner.store import ResultStore
+from repro.workloads.registry import WORKLOAD_NAMES
 
 #: Every workload a claim row names; the other rows read geomeans or counts.
 NAMED_WORKLOADS = ("streamcluster", "water-sp", "susan", "lu-nc", "dijkstra-ss")
@@ -104,8 +107,11 @@ class TestGeneration:
 
 
 @pytest.fixture(scope="module")
-def tiny_runner():
-    return ExperimentRunner(arch=bench_arch(16), scale="tiny", workloads=NAMED_WORKLOADS)
+def tiny_runner(tmp_path_factory):
+    store = ResultStore(tmp_path_factory.mktemp("store"))
+    return ExperimentRunner(
+        arch=bench_arch(16), scale="tiny", workloads=NAMED_WORKLOADS, store=store
+    )
 
 
 @pytest.mark.parametrize("entry", REGISTRY, ids=lambda entry: entry.id)
@@ -117,6 +123,49 @@ def test_generator_feeds_every_row_at_tiny_scale(entry, tiny_runner):
         verdict = claim.check(result.data)
         assert isinstance(verdict.measured, numbers.Real), claim.label
         assert isinstance(verdict.bound, numbers.Real), claim.label
+
+
+#: Entries whose text prints aggregates only: Figure 11's PCT series,
+#: Figure 12's RAT configurations and the storage arithmetic.
+AGGREGATE_ONLY = {"11", "12", "storage"}
+
+
+class TestRenderedText:
+    """The text each generator renders is what ``repro figures``, the
+    examples and EXPERIMENTS.md print."""
+
+    @pytest.mark.parametrize("entry", REGISTRY, ids=lambda entry: entry.id)
+    def test_opens_with_the_figure_name(self, entry, tiny_runner):
+        result = entry.generate(tiny_runner)
+        first = next(line for line in result.text.splitlines() if line.strip("="))
+        assert first.startswith(result.figure)
+
+    @pytest.mark.parametrize("entry", REGISTRY, ids=lambda entry: entry.id)
+    def test_prints_only_finite_numbers(self, entry, tiny_runner):
+        # At tiny scale susan sends no L2 traffic and few lines are evicted,
+        # so many of the normalized components are zero.
+        text = entry.generate(tiny_runner).text
+        assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE)
+
+    @pytest.mark.parametrize(
+        "entry", [e for e in REGISTRY if e.id not in AGGREGATE_ONLY], ids=lambda entry: entry.id
+    )
+    def test_prints_every_benchmark_of_its_data_in_order(self, entry, tiny_runner):
+        result = entry.generate(tiny_runner)
+        benchmarks = [name for name in result.data if name in WORKLOAD_NAMES]
+        labels = [line.split()[0] for line in result.text.splitlines() if line.strip()]
+        printed = [label for label in dict.fromkeys(labels) if label in WORKLOAD_NAMES]
+        assert benchmarks and printed == benchmarks
+
+    @pytest.mark.parametrize("entry", REGISTRY, ids=lambda entry: entry.id)
+    def test_cli_prints_exactly_the_text_from_a_warm_store(self, entry, tiny_runner, capsys):
+        text = entry.generate(tiny_runner).text  # stores every point of the entry
+        argv = ["--figure", entry.id, "--cores", "16", "--scale", "tiny",
+                "--workloads", *NAMED_WORKLOADS, "--cache", str(tiny_runner.store.directory)]
+        assert experiments_main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == text + "\n\n"
+        assert err.endswith(" 0 simulated]\n")
 
 
 class TestReportCli:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.types import Op
 from repro.experiments.tracecli import main
-from repro.workloads.tracefile import load_trace, save_trace_text, trace_equal
+from repro.workloads.tracefile import MNEMONICS, load_trace, save_trace_text, trace_equal
 
 
 @pytest.fixture()
@@ -46,6 +47,23 @@ class TestStatsAndDump:
         assert main(["dump", str(trace_file), "--limit", "1"]) == 0
         out = capsys.readouterr().out
         assert "thread 0" in out and "more" in out
+
+    @pytest.mark.parametrize("op", list(Op), ids=lambda op: op.name)
+    def test_dump_writes_each_record_as_the_text_format_does(self, op, tmp_path, capsys):
+        source = tmp_path / "ops.trace"
+        source.write_text(
+            "#trace ops cores=2 version=1\n"
+            "T0 R 0x40000000\nT0 W 0x40000040\nT0 L 0x1\nT0 U 0x1\nT0 B 0x0\nT0 K 10\n"
+            "T1 B 0x0\n"
+        )
+        written = tmp_path / "written.trace"
+        save_trace_text(load_trace(source), written)
+        line = next(
+            line for line in written.read_text().splitlines()
+            if line.startswith(f"T0 {MNEMONICS[op]} ")
+        )
+        assert main(["dump", str(source)]) == 0
+        assert "  " + line.removeprefix("T0 ") in capsys.readouterr().out.splitlines()
 
     def test_missing_file_reports_error(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.trace")]) == 1

@@ -4,6 +4,7 @@ README quickstart without reaching into submodules."""
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -22,6 +23,11 @@ UNREACHED_ON_PURPOSE = {
     "repro.workloads.synthetic": "the five sharing-pattern trace generators: "
     "workload input that examples/sharing_patterns.py simulates",
 }
+
+
+def _console_scripts() -> dict[str, str]:
+    """``[project.scripts]``: console-script name -> ``module:function``."""
+    return tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]["scripts"]
 
 
 def _module_files() -> dict[str, tuple[Path, bool]]:
@@ -92,10 +98,7 @@ class TestSurface:
         """Walk the import graph from ``repro`` and the ``[project.scripts]``
         modules: a module only tests or examples import is dead weight."""
         modules = _module_files()
-        pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
-        todo = ["repro"] + [
-            target.partition(":")[0] for target in pyproject["project"]["scripts"].values()
-        ]
+        todo = ["repro"] + [target.partition(":")[0] for target in _console_scripts().values()]
         reached = set()
         while todo:
             name = todo.pop()
@@ -105,6 +108,14 @@ class TestSurface:
             todo.append(name.rpartition(".")[0])  # importing a module runs its package
             todo.extend(_imports(name, *modules[name]))
         assert sorted(set(modules) - reached) == sorted(UNREACHED_ON_PURPOSE)
+
+    @pytest.mark.parametrize("script", sorted(_console_scripts()))
+    def test_console_script_usage_names_the_script(self, script, capsys):
+        module, _, function = _console_scripts()[script].partition(":")
+        with pytest.raises(SystemExit) as exc:
+            getattr(importlib.import_module(module), function)(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: {script} ")
 
 
 class TestQuickstartContract:
