@@ -1,7 +1,7 @@
 """Optional compiled accelerators (DESIGN.md sections 12, 14 and 15).
 
 ``repro.accel`` builds the package's C sources into one CPython extension
-on first use (see :mod:`repro.accel.build`) and hands out four kernel
+on first use (see :mod:`repro.accel.build`) and hands out six kernel
 classes from it:
 
 * ``MeshKernel`` (phase 1): the epoch ring-buffer bandwidth accounting
@@ -23,9 +23,14 @@ classes from it:
   classification, sharer rounds, line grant and L1 eviction notice -
   taking the inherited home steps on itself.  Its pure-Python twin is
   ``repro.protocol.directory.PyDirectoryKernel``, a subclass of
-  ``PyHomeKernel``.
+  ``PyHomeKernel``;
+* ``DLSKernel`` and ``NeatKernel``: the engine kernels of the two
+  directoryless families, subtypes of ``HomeKernel`` that run each whole
+  access (and Neat's release flush).  Their twins are
+  ``repro.protocol.dls.PyDLSKernel`` and ``repro.protocol.neat
+  .PyNeatKernel``.
 
-Every engine builds exactly one of the last two (``engine.home_kernel``):
+Every engine builds exactly one engine kernel (``engine.home_kernel``):
 its family's class, compiled exactly when its mesh kernel is the compiled
 one (the kernel reserves through that kernel in C), else the twin.
 
@@ -35,7 +40,7 @@ pure Python - and one decision between them:
 1. ``REPRO_NO_ACCEL=1`` (any non-empty value) selects the pure-Python
    implementations.  It is checked per call, so tests can flip it with
    ``monkeypatch.setenv`` without reloading modules.
-2. Otherwise the module is compiled/loaded, its four kernel classes
+2. Otherwise the module is compiled/loaded, its six kernel classes
    required and its constants checked against the Python definitions
    once per process; **any** failure (no compiler, no headers, compile
    error, import error, a missing class, constant mismatch, an injected
@@ -64,8 +69,10 @@ __all__ = [
     "NO_ACCEL_ENV",
     "active_impl",
     "directory_kernel_class",
+    "dls_kernel_class",
     "home_kernel_class",
     "mesh_kernel_class",
+    "neat_kernel_class",
     "reset",
     "sched_kernel_class",
     "status",
@@ -78,7 +85,9 @@ log = logging.getLogger("repro.accel")
 #: compiled exactly when the ``mesh`` entry says ``accel``.
 _KERNEL_CLASSES = {"mesh": "MeshKernel", "sched": "SchedKernel"}
 #: Every class the module must export, or it is refused.
-_EXPORTS = (*_KERNEL_CLASSES.values(), "HomeKernel", "DirectoryKernel")
+_EXPORTS = (
+    *_KERNEL_CLASSES.values(), "HomeKernel", "DirectoryKernel", "DLSKernel", "NeatKernel",
+)
 
 #: One-shot load state: ``None`` = not attempted yet, ``(module, info)``
 #: afterwards (``module`` is None when the build, load or check failed).
@@ -95,13 +104,13 @@ def _constants() -> dict[str, int]:
     from repro.rnuca import placement
     from repro.rnuca.page_table import PageKind
 
-    directory_msgs = (
+    kernel_msgs = (
         "READ_REQ", "WRITE_REQ", "UPGRADE_REQ", "LINE_REPLY", "WORD_REPLY",
         "WORD_WRITE_ACK", "INV_REQ", "INV_ACK", "WB_REQ", "WB_DATA",
-        "EVICT_NOTIFY", "EVICT_DIRTY",
+        "EVICT_NOTIFY", "EVICT_DIRTY", "MEM_READ_REQ", "MEM_READ_REPLY", "MEM_WRITE",
     )
     return {
-        **{f"MSG_{name}": int(MsgType[name]) for name in directory_msgs},
+        **{f"MSG_{name}": int(MsgType[name]) for name in kernel_msgs},
         "WORD_BITS": addr.WORD_BITS,
         "EVER_CACHED": base._EVER_CACHED,
         "LAST_REMOVAL_INVAL": base._LAST_REMOVAL_INVAL,
@@ -121,8 +130,6 @@ def _constants() -> dict[str, int]:
         "RNUCA_HASH_SHIFT": placement._HASH_SHIFT,
         "PAGE_PRIVATE": int(PageKind.PRIVATE),
         "PAGE_SHARED": int(PageKind.SHARED),
-        "MSG_MEM_READ_REQ": int(MsgType.MEM_READ_REQ),
-        "MSG_MEM_READ_REPLY": int(MsgType.MEM_READ_REPLY),
     }
 
 
@@ -199,6 +206,22 @@ def directory_kernel_class() -> Any | None:
     when its mesh kernel is the compiled one."""
     module = _module()
     return None if module is None else module.DirectoryKernel
+
+
+def dls_kernel_class() -> Any | None:
+    """The compiled ``DLSKernel`` class, or ``None`` to use its twin,
+    ``repro.protocol.dls.PyDLSKernel``.  An engine asks only when its mesh
+    kernel is the compiled one."""
+    module = _module()
+    return None if module is None else module.DLSKernel
+
+
+def neat_kernel_class() -> Any | None:
+    """The compiled ``NeatKernel`` class, or ``None`` to use its twin,
+    ``repro.protocol.neat.PyNeatKernel``.  An engine asks only when its mesh
+    kernel is the compiled one."""
+    module = _module()
+    return None if module is None else module.NeatKernel
 
 
 def active_impl() -> str:

@@ -1,9 +1,10 @@
 /* Declarations shared by the translation units of _repro_mesh_kernel.
  *
  * _kernel.c (the mesh kernel and the module init), _sched.c (the
- * scheduler kernel), _home.c (the engine kernel, HomeKernel) and
- * _directory.c (its directory-family subtype, DirectoryKernel) compile
- * into one shared object; this header is the only interface between them.
+ * scheduler kernel), _home.c (the engine kernel, HomeKernel) and its three
+ * family subtypes - _directory.c (DirectoryKernel), _dls.c (DLSKernel) and
+ * _neat.c (NeatKernel) - compile into one shared object; this header is
+ * the only interface between them.
  * A function one unit shares with another is declared here, hidden from
  * the module's exports; every other function is static.  The build cache
  * fingerprints this header like the .c files.
@@ -23,8 +24,29 @@
 #define REPRO_SHARED
 #endif
 
-/* Mirror of repro.common.addr.LINE_BITS (cross-checked at load). */
+/* Mirrors of Python constants, cross-checked at load by repro.accel:
+ * repro.common.addr's LINE_BITS and WORD_BITS, the MsgType values the
+ * engine kernels send and the miss-history flags of repro.protocol.base. */
 #define K_LINE_BITS 6
+#define K_WORD_BITS 3
+#define K_MSG_READ_REQ 0
+#define K_MSG_WRITE_REQ 1
+#define K_MSG_UPGRADE_REQ 2
+#define K_MSG_LINE_REPLY 3
+#define K_MSG_WORD_REPLY 4
+#define K_MSG_WORD_WRITE_ACK 5
+#define K_MSG_INV_REQ 6
+#define K_MSG_INV_ACK 8
+#define K_MSG_WB_REQ 9
+#define K_MSG_WB_DATA 10
+#define K_MSG_EVICT_NOTIFY 11
+#define K_MSG_EVICT_DIRTY 12
+#define K_MSG_MEM_READ_REQ 13
+#define K_MSG_MEM_READ_REPLY 14
+#define K_MSG_MEM_WRITE 15
+#define K_EVER_CACHED 1
+#define K_LAST_REMOVAL_INVAL 2
+#define K_EVER_REMOTE 4
 
 /* _kernel.c: the mesh kernel's path reservation, for the engine kernel.
  * repro_mesh_check is true for a compiled MeshKernel instance;
@@ -44,6 +66,8 @@ REPRO_SHARED Py_ssize_t repro_member_offset(PyObject *type, const char *name);
 REPRO_SHARED int repro_sched_register(PyObject *mod);
 REPRO_SHARED int repro_home_register(PyObject *mod);
 REPRO_SHARED int repro_directory_register(PyObject *mod);
+REPRO_SHARED int repro_dls_register(PyObject *mod);
+REPRO_SHARED int repro_neat_register(PyObject *mod);
 PyMODINIT_FUNC PyInit__repro_mesh_kernel(void);
 
 /* ------------------------------------------------------------------ */
@@ -150,6 +174,35 @@ static inline int
 slot_bump(PyObject *obj, Py_ssize_t off)
 {
     return slot_add(obj, off, 1);
+}
+
+/* Truthiness of a slot holding a bool (or anything). */
+static inline int
+slot_true(PyObject *obj, Py_ssize_t off)
+{
+    PyObject *v = slot_get(obj, off);
+    if (v == NULL) {
+        return -1;
+    }
+    if (v == Py_True) {
+        return 1;
+    }
+    if (v == Py_False) {
+        return 0;
+    }
+    return PyObject_IsTrue(v);
+}
+
+/* Python's list(seq) into slot `off` of obj. */
+static inline int
+slot_copy_list(PyObject *obj, Py_ssize_t off, PyObject *seq)
+{
+    PyObject *copy = PySequence_List(seq);
+    if (copy == NULL) {
+        return -1;
+    }
+    slot_put(obj, off, copy);
+    return 0;
 }
 
 static inline int
@@ -287,12 +340,19 @@ slot_offsets(PyObject *type, const char *const *names, Py_ssize_t *const *outs)
 }
 
 /* ------------------------------------------------------------------ */
-/* The engine kernel (_home.c): every engine builds exactly one.  The  */
-/* directory families' kernel is a subtype whose object starts with    */
-/* this struct (_directory.c) and takes the home steps below on itself. */
+/* The engine kernel (_home.c): every engine builds exactly one.  Each  */
+/* family subtype's object starts with this struct and takes the home  */
+/* steps and the L1-side helpers below on itself.                      */
 /* ------------------------------------------------------------------ */
 
-typedef struct {
+/* MissType members, by name. */
+enum { MISS_COLD, MISS_CAPACITY, MISS_UPGRADE, MISS_SHARING, MISS_WORD,
+       NUM_MISS };
+#define NUM_BUCKETS 5
+
+typedef struct HomeObject HomeObject;
+
+struct HomeObject {
     PyObject_HEAD
     /* The engine, weakly: it owns this kernel, and a strong reference back
      * would make every engine garbage only the cyclic collector frees.
@@ -310,15 +370,27 @@ typedef struct {
     PyObject *controllers;   /* list of MemoryController, by line % n */
     PyObject *home_of_line;  /* engine._home_of_line */
     PyObject *dram_image;    /* engine._dram_image */
-    PyObject *line_size;     /* int argument of MemoryController.access */
+    PyObject *line_size;     /* MemoryController.bytes_transferred step */
     PyObject *line_type;     /* L2Line */
     PyObject *result_type;   /* AccessResult */
     PyObject *slice_type;    /* L2Slice */
     PyObject *store_type;    /* SetAssocCache, of the L2 and the L1s */
     PyObject *energy_type;   /* EnergyCounters */
+    PyObject *ctrl_type;     /* MemoryController */
+    PyObject *simulation_error;
     /* DirectoryEntry, which a fill installs: set by the directory subtype,
      * NULL (install nothing) at a directoryless home. */
     PyObject *entry_type;
+    /* The L1 side, which the family subtypes share. */
+    PyObject *l1d;           /* list of L1Cache, by core */
+    PyObject *history;       /* list of {line: flags}, by core */
+    PyObject *golden;        /* GoldenMemory, or NULL */
+    PyObject *hit_result;    /* engine._hit_result */
+    PyObject *zero;          /* 0.0 */
+    PyObject *l1_type, *cline_type, *stats_type, *hist_type;
+    PyObject *st_shared, *st_excl, *st_mod;
+    PyObject *miss[NUM_MISS];
+    PyObject *bucket_keys[NUM_BUCKETS];  /* UTILIZATION_BUCKETS */
     /* Geometry (constant per engine). */
     long long num_tiles;
     long long num_ctrls;
@@ -327,22 +399,42 @@ typedef struct {
     Py_ssize_t num_msgs;
     long long set_mask;
     Py_ssize_t assoc;
+    long long l1_mask;
+    Py_ssize_t l1_assoc;
     double l2_latency;
     long long words_per_line;
     int page_shift;          /* >= 0: page = line >> page_shift */
     long long page_size;     /* else page = (line << LINE_BITS) / page_size */
+    double dram_latency;     /* MemoryController.access's latency and */
+    double dram_service;     /* line_size / bandwidth, per line */
     int verify;
+    /* The engine's class overrides _evict_l2_line (victim replication):
+     * an L2 eviction calls it instead of taking the base steps here. */
+    int evict_hook;
+    /* The subtype's purge of the L1 copies of an evicted L2 line (the
+     * directory kernel's purge_copies), or NULL: nothing to purge. */
+    int (*purge)(HomeObject *k, long long home, PyObject *vline_obj,
+                 PyObject *ventry, double t);
+    Py_ssize_t miss_index[NUM_MISS];
     /* __slots__ offsets. */
-    Py_ssize_t off_energy;
+    Py_ssize_t off_energy, off_miss_stats, off_inval_hist, off_evict_hist;
     Py_ssize_t off_slice_store, off_slice_hits, off_slice_misses;
-    Py_ssize_t off_slice_wreads, off_slice_wwrites;
+    Py_ssize_t off_slice_wreads, off_slice_wwrites, off_slice_lreads;
     Py_ssize_t off_store_sets, off_store_use, off_store_observer;
     Py_ssize_t off_e_tag, off_e_wreads, off_e_wwrites, off_e_lwrites;
+    Py_ssize_t off_e_lreads, off_e_l1d_reads, off_e_l1d_writes;
+    Py_ssize_t off_e_l1d_tag, off_e_l1d_fills;
     Py_ssize_t off_busy, off_last_use, off_last_access, off_dirty;
-    Py_ssize_t off_dirty_words;
-    Py_ssize_t off_r_wait, off_r_offchip;
+    Py_ssize_t off_dirty_words, off_l2_data, off_locality, off_replica;
+    Py_ssize_t off_r_latency, off_r_l1l2, off_r_wait, off_r_sharers;
+    Py_ssize_t off_r_offchip, off_r_hit, off_r_miss_type, off_r_remote;
     Py_ssize_t off_directory, off_d_sharers, off_d_owner, off_d_overflowed;
-} HomeObject;
+    Py_ssize_t off_m_next_free, off_m_requests, off_m_bytes, off_m_queue;
+    Py_ssize_t off_l1_store, off_l1_hits, off_l1_misses;
+    Py_ssize_t off_c_state, off_c_last_use, off_c_last_access, off_c_util;
+    Py_ssize_t off_c_data;
+    Py_ssize_t off_ms_hits, off_ms_counts, off_h_counts;
+};
 
 REPRO_SHARED extern PyTypeObject HomeType;
 
@@ -414,7 +506,23 @@ kernel_engine(HomeObject *k)
 #define KERNEL_FASTCALL(prefix, name, doc) \
     {#name, (PyCFunction)(void (*)(void))prefix##_##name, METH_FASTCALL, doc}
 
-/* The home steps and the helpers they share with the directory subtype,
+/* A family subtype's constructor: the home part, built by HomeType's, then
+ * `init` (if any) on the same engine, after checking it is an instance of
+ * `family`, a class of `module`. */
+REPRO_SHARED PyObject *home_subtype_new(PyTypeObject *type, PyObject *args,
+                                        PyObject *kwds, const char *module,
+                                        const char *family,
+                                        int (*init)(HomeObject *k,
+                                                    PyObject *engine));
+
+/* The access arguments core, is_write, address and now, decoded: line,
+ * word, and core checked as a tile. */
+REPRO_SHARED int home_access_args(HomeObject *k, PyObject *const *args,
+                                  long long *core, int *is_write,
+                                  long long *line, long long *word,
+                                  double *now);
+
+/* The home steps and the helpers they share with the family subtypes,
  * each on a kernel held by its method's entry.  Message types are MsgType
  * values.  Each returns 0 (or a new reference) on success, -1 (NULL) with
  * a Python exception set; a lookup that finds nothing returns NULL with
@@ -449,10 +557,6 @@ REPRO_SHARED int home_lru(PyObject *bucket, PyObject *type, const char *what,
 /* store._use_counter += 1; entry.last_use = store._use_counter. */
 REPRO_SHARED int home_touch(HomeObject *k, PyObject *store, PyObject *entry,
                             Py_ssize_t off_last_use);
-/* One store geometry (set mask, associativity) over a list of caches of
- * one `type` (L1Cache or L2Slice). */
-REPRO_SHARED int home_geometry(PyObject *caches, PyObject *type,
-                               long long *mask, Py_ssize_t *assoc);
 REPRO_SHARED int home_place(HomeObject *k, long long line, int by_word,
                             long long word, PyObject *core_obj, long long core,
                             long long *home, long long *flush);
@@ -466,11 +570,93 @@ REPRO_SHARED int home_chain(HomeObject *k, long long core, long long home,
                             PyObject *l2line, PyObject *slice_,
                             long long req_msg, long long reply_msg, double now,
                             PyObject *result, double *t_out, double *reply_out);
+/* round_trip on a placed miss: the line (new reference), its slice
+ * (borrowed), the service time and the reply's arrival. */
+REPRO_SHARED PyObject *home_round_trip(HomeObject *k, long long core,
+                                       PyObject *line_obj, long long line,
+                                       long long home, long long flush,
+                                       long long req_msg, long long reply_msg,
+                                       PyObject *now_obj, double now,
+                                       PyObject *result, PyObject **slice_out,
+                                       double *t_out, double *reply_out);
 REPRO_SHARED int home_serve_word(HomeObject *k, PyObject *core_obj,
                                  int is_write, PyObject *line_obj,
                                  long long word, PyObject *word_obj,
                                  PyObject *l2line, PyObject *slice_);
 REPRO_SHARED int home_settle(HomeObject *k, PyObject *slice_,
                              PyObject *l2line, PyObject *t_obj, int owned);
+
+/* The L1 side: L1Cache and SetAssocCache steps (membership changes go
+ * through the store's _observer, as SetAssocCache.insert/pop do), the
+ * AccessResult, miss statistics, histories, histograms and golden checks. */
+/* The L1Cache of `core` and its store (both borrowed). */
+REPRO_SHARED PyObject *home_l1_of(HomeObject *k, long long core,
+                                  PyObject **store);
+/* The L1 entry of (core, line), borrowed; NULL without an exception when
+ * absent. */
+REPRO_SHARED PyObject *home_l1_lookup(HomeObject *k, long long core,
+                                      long long line, PyObject *line_obj);
+/* The entry a verify-mode step reads as l1.lookup(line).data (borrowed):
+ * NULL with Python's AttributeError when the line is absent. */
+REPRO_SHARED PyObject *home_l1_resident(HomeObject *k, long long core,
+                                        long long line, PyObject *line_obj);
+/* L1 SetAssocCache.pop: the removed entry (new reference), or NULL - with
+ * no exception set when the line was absent. */
+REPRO_SHARED PyObject *home_l1_pop(HomeObject *k, long long core,
+                                   long long line, PyObject *line_obj);
+/* L1Cache.fill of `line` in `state` at reply_t with a copy of `data` (the
+ * L2 line's, in verify mode; else NULL): evicts the LRU way of a full set
+ * into *ev_line / *ev_entry (new references, else NULL). */
+REPRO_SHARED int home_l1_fill(HomeObject *k, long long core, long long line,
+                              PyObject *line_obj, PyObject *state,
+                              double reply_t, PyObject *data,
+                              PyObject **ev_line, PyObject **ev_entry);
+/* The use of a resident copy at t_obj: LRU touch, utilization + 1,
+ * last_access = t_obj (L1Cache.hit without the hit count). */
+REPRO_SHARED int home_l1_use(HomeObject *k, PyObject *store, PyObject *entry,
+                             PyObject *t_obj);
+/* L1Cache.hit, then MissStats.record_hit. */
+REPRO_SHARED int home_l1_hit(HomeObject *k, PyObject *l1, PyObject *store,
+                             PyObject *entry, PyObject *now_obj);
+/* A fresh AccessResult, its slots as __init__ sets them (new reference). */
+REPRO_SHARED PyObject *home_new_result(HomeObject *k);
+/* result.latency = reply_t - now and result.l1_to_l2 = latency -
+ * l2_waiting - l2_sharers - l2_offchip (sharers_lat the l2_sharers). */
+REPRO_SHARED int home_finish_result(HomeObject *k, PyObject *result,
+                                    double now, double reply_t,
+                                    double sharers_lat);
+/* MissStats.record_miss on the engine's current miss stats. */
+REPRO_SHARED int home_miss_record(HomeObject *k, int miss);
+/* The history dict of `core` (borrowed) and its flags for line_obj. */
+REPRO_SHARED PyObject *home_history(HomeObject *k, long long core,
+                                    PyObject *line_obj, long long *flags);
+/* history[core][line] = (history[core].get(line, 0) | set) & ~clear. */
+REPRO_SHARED int home_history_update(HomeObject *k, long long core,
+                                     PyObject *line_obj, long long set,
+                                     long long clear);
+/* UtilizationHistogram.record on the engine's current histogram `off`. */
+REPRO_SHARED int home_hist_record(HomeObject *k, Py_ssize_t off,
+                                  long long util);
+/* Verify mode: golden.check_read(line, word, entry.data[word],
+ * f"{what} core {core}"). */
+REPRO_SHARED int home_golden_check(HomeObject *k, PyObject *entry,
+                                   PyObject *line_obj, long long word,
+                                   const char *what, long long core);
+
+/* _classify_miss of repro.protocol.base. */
+static inline int
+home_classify_miss(long long flags, int upgrade, int remote)
+{
+    if (upgrade) {
+        return MISS_UPGRADE;
+    }
+    if (remote && (flags & K_EVER_REMOTE)) {
+        return MISS_WORD;
+    }
+    if (!(flags & K_EVER_CACHED)) {
+        return MISS_COLD;
+    }
+    return flags & K_LAST_REMOVAL_INVAL ? MISS_SHARING : MISS_CAPACITY;
+}
 
 #endif

@@ -9,8 +9,11 @@
  * constructor and methods; an engine builds this one exactly when its mesh
  * kernel is the compiled MeshKernel.  The directory steps take the home
  * steps (home_place, home_deliver, home_chain, home_leg, home_serve_word,
- * home_settle) on the kernel itself, and the rounds' messages are
- * reserved through the same mesh kernel (home_send).
+ * home_settle) and the shared L1-side helpers (home_l1_*, the result,
+ * miss, history and histogram steps) on the kernel itself, and the
+ * rounds' messages are reserved through the same mesh kernel (home_send).
+ * Its purge_copies is the home kernel's purge step for an evicted L2
+ * line.
  *
  * A kernel services a whole miss: the requester classification (Limited_k
  * or Complete, RAT levels or the Timestamp check, one-way), the
@@ -56,62 +59,30 @@
 
 #include <stdio.h>
 
-/* Mirrors of Python constants; cross-checked at load by repro.accel. */
-#define K_WORD_BITS 3
-#define K_MSG_READ_REQ 0
-#define K_MSG_WRITE_REQ 1
-#define K_MSG_UPGRADE_REQ 2
-#define K_MSG_LINE_REPLY 3
-#define K_MSG_WORD_REPLY 4
-#define K_MSG_WORD_WRITE_ACK 5
-#define K_MSG_INV_REQ 6
-#define K_MSG_INV_ACK 8
-#define K_MSG_WB_REQ 9
-#define K_MSG_WB_DATA 10
-#define K_MSG_EVICT_NOTIFY 11
-#define K_MSG_EVICT_DIRTY 12
-#define K_EVER_CACHED 1
-#define K_LAST_REMOVAL_INVAL 2
-#define K_EVER_REMOTE 4
-
 /* FAMILY_HOOKS positions. */
 enum { HOOK_CLASSIFY, HOOK_GRANT, HOOK_EVICT, HOOK_PURGE, NUM_HOOKS };
-/* MissType members, by name. */
-enum { MISS_COLD, MISS_CAPACITY, MISS_UPGRADE, MISS_SHARING, MISS_WORD,
-       NUM_MISS };
 /* Classifier storage organizations. */
 enum { CLS_NONE, CLS_LIMITED, CLS_COMPLETE };
 
 static PyObject *str_hook[NUM_HOOKS];
-static PyObject *str_check_read;
 static PyObject *str_verified_l1_write;
 static PyObject *str_check_invariants;
 static PyObject *str_broadcast;
 
 typedef struct {
     /* The home kernel this one extends: the engine, its L2, mesh, flit
-     * table and the L2Line, DirectoryEntry and AccessResult offsets. */
+     * table, the L1 side and the L2Line, DirectoryEntry and AccessResult
+     * offsets. */
     HomeObject base;
     /* Strong references (GC-tracked). */
-    PyObject *l1d;            /* list of L1Cache, by core */
-    PyObject *history;        /* list of {line: flags}, by core */
     PyObject *network;        /* MeshNetwork (broadcast) */
     PyObject *classifier;     /* LocalityClassifier, or NULL */
     PyObject *policy;         /* SharerTrackingPolicy */
-    PyObject *golden;         /* GoldenMemory, or NULL */
-    PyObject *hit_result;     /* engine._hit_result */
-    PyObject *zero;           /* 0.0 */
-    PyObject *l1_type, *cline_type, *loc_type, *stats_type, *hist_type;
-    PyObject *st_shared, *st_excl, *st_mod;
+    PyObject *loc_type;
     PyObject *mode_private, *mode_remote;
-    PyObject *miss[NUM_MISS];
     PyObject *inv_broadcast;   /* MsgType.INV_BROADCAST */
-    PyObject *bucket_keys[5];  /* UTILIZATION_BUCKETS */
-    PyObject *coherence_error, *simulation_error;
+    PyObject *coherence_error;
     /* Configuration (constant per engine). */
-    long long l1_mask;
-    Py_ssize_t l1_assoc;
-    Py_ssize_t miss_index[NUM_MISS];
     int hooks[NUM_HOOKS];
     int cls_kind;
     long long pct, limit_k, max_rat;
@@ -121,20 +92,10 @@ typedef struct {
     int ackwise;
     long long pointers;
     /* __slots__ offsets. */
-    Py_ssize_t off_miss_stats, off_inval_hist, off_evict_hist;
-    Py_ssize_t off_l1_store, off_l1_hits, off_l1_misses;
-    Py_ssize_t off_c_state, off_c_last_use, off_c_last_access, off_c_util;
-    Py_ssize_t off_c_data;
-    Py_ssize_t off_sl_line_reads;
-    Py_ssize_t off_l2_locality, off_l2_data;
     Py_ssize_t off_lc_core, off_lc_mode, off_lc_util, off_lc_rat;
     Py_ssize_t off_lc_active;
-    Py_ssize_t off_r_latency, off_r_l1l2, off_r_sharers;
-    Py_ssize_t off_r_hit, off_r_miss_type, off_r_remote;
-    Py_ssize_t off_e_l1d_reads, off_e_l1d_writes, off_e_l1d_tag;
-    Py_ssize_t off_e_l1d_fills, off_e_l1d_line_reads, off_e_l2_line_reads;
+    Py_ssize_t off_e_l1d_line_reads;
     Py_ssize_t off_e_dir_lookups, off_e_dir_updates;
-    Py_ssize_t off_ms_hits, off_ms_counts, off_h_counts;
     Py_ssize_t off_cl_promotions, off_cl_demotions, off_cl_remote;
     Py_ssize_t off_cl_votes, off_cl_replacements, off_cl_failures;
     Py_ssize_t off_p_bcast, off_p_unicast;
@@ -150,58 +111,6 @@ hex_line(char *buf, size_t size, long long line)
 {
     snprintf(buf, size, "0x%llx", (unsigned long long)line);
     return buf;
-}
-
-/* Truthiness of a slot holding a bool (or anything). */
-static int
-slot_true(PyObject *obj, Py_ssize_t off)
-{
-    PyObject *v = slot_get(obj, off);
-    if (v == NULL) {
-        return -1;
-    }
-    if (v == Py_True) {
-        return 1;
-    }
-    if (v == Py_False) {
-        return 0;
-    }
-    return PyObject_IsTrue(v);
-}
-
-/* The L1Cache of `core` and its store (both borrowed). */
-static PyObject *
-l1_of(DirObject *k, long long core, PyObject **store)
-{
-    if (home_check_tile(&k->base, core) < 0) {
-        return NULL;
-    }
-    PyObject *l1 = PyList_GET_ITEM(k->l1d, (Py_ssize_t)core);
-    if (check_type(l1, k->l1_type, "L1Cache") < 0) {
-        return NULL;
-    }
-    *store = slot_get(l1, k->off_l1_store);
-    return *store == NULL ? NULL : l1;
-}
-
-/* The L1 entry of (core, line), borrowed; NULL without an exception when
- * absent. */
-static PyObject *
-l1_lookup(DirObject *k, long long core, long long line, PyObject *line_obj)
-{
-    PyObject *store;
-    if (l1_of(k, core, &store) == NULL) {
-        return NULL;
-    }
-    PyObject *bucket = home_store_bucket(&k->base, store, k->l1_mask, line);
-    if (bucket == NULL) {
-        return NULL;
-    }
-    PyObject *entry = PyDict_GetItemWithError(bucket, line_obj);
-    if (entry != NULL && check_type(entry, k->cline_type, "CacheLine") < 0) {
-        return NULL;
-    }
-    return entry;
 }
 
 /* The DirectoryEntry of an L2 line (borrowed). */
@@ -238,122 +147,9 @@ sharers_of(DirObject *k, PyObject *dirent)
     return sharers;
 }
 
-/* Python's list(seq) into slot `off` of obj. */
-static int
-slot_copy_list(PyObject *obj, Py_ssize_t off, PyObject *seq)
-{
-    PyObject *copy = PySequence_List(seq);
-    if (copy == NULL) {
-        return -1;
-    }
-    slot_put(obj, off, copy);
-    return 0;
-}
-
 /* ------------------------------------------------------------------ */
-/* SetAssocCache steps, observer included                              */
+/* The L1 side the classifier reads                                    */
 /* ------------------------------------------------------------------ */
-
-static int
-observe(DirObject *k, PyObject *store, long kind, PyObject *line_obj,
-        PyObject *entry)
-{
-    PyObject *obs = slot_get(store, k->base.off_store_observer);
-    if (obs == NULL) {
-        return -1;
-    }
-    if (obs == Py_None) {
-        return 0;
-    }
-    Py_INCREF(obs);
-    PyObject *kind_obj = PyLong_FromLong(kind);
-    PyObject *res = NULL;
-    if (kind_obj != NULL) {
-        PyObject *args[3] = {kind_obj, line_obj, entry};
-        res = PyObject_Vectorcall(obs, args, 3, NULL);
-        Py_DECREF(kind_obj);
-    }
-    Py_DECREF(obs);
-    if (res == NULL) {
-        return -1;
-    }
-    Py_DECREF(res);
-    return 0;
-}
-
-/* L1 SetAssocCache.pop: the removed entry (new reference), or NULL - with
- * no exception set when the line was absent. */
-static PyObject *
-l1_pop(DirObject *k, long long core, long long line, PyObject *line_obj)
-{
-    PyObject *store;
-    if (l1_of(k, core, &store) == NULL) {
-        return NULL;
-    }
-    PyObject *bucket = home_store_bucket(&k->base, store, k->l1_mask, line);
-    if (bucket == NULL) {
-        return NULL;
-    }
-    PyObject *entry = PyDict_GetItemWithError(bucket, line_obj);
-    if (entry == NULL) {
-        return NULL;
-    }
-    if (check_type(entry, k->cline_type, "CacheLine") < 0) {
-        return NULL;
-    }
-    Py_INCREF(entry);
-    Py_INCREF(store);
-    if (PyDict_DelItem(bucket, line_obj) < 0
-        || observe(k, store, 1, line_obj, Py_None) < 0) {
-        Py_DECREF(store);
-        Py_DECREF(entry);
-        return NULL;
-    }
-    Py_DECREF(store);
-    return entry;
-}
-
-/* L1 SetAssocCache.insert of a new `entry`: evicts the LRU way of a full
- * set into *ev_line / *ev_entry (new references, else NULL). */
-static int
-l1_insert(DirObject *k, PyObject *store, long long line, PyObject *line_obj,
-          PyObject *entry, PyObject **ev_line, PyObject **ev_entry)
-{
-    *ev_line = *ev_entry = NULL;
-    PyObject *bucket = home_store_bucket(&k->base, store, k->l1_mask, line);
-    if (bucket == NULL) {
-        return -1;
-    }
-    int present = PyDict_Contains(bucket, line_obj);
-    if (present < 0) {
-        return -1;
-    }
-    if (!present && PyDict_GET_SIZE(bucket) >= k->l1_assoc) {
-        PyObject *vkey, *vval;
-        if (home_lru(bucket, k->cline_type, "CacheLine", k->off_c_last_use,
-                     &vkey, &vval) < 0) {
-            return -1;
-        }
-        *ev_line = Py_NewRef(vkey);
-        *ev_entry = Py_NewRef(vval);
-        if (PyDict_DelItem(bucket, vkey) < 0) {
-            goto fail;
-        }
-    }
-    if (home_touch(&k->base, store, entry, k->off_c_last_use) < 0
-        || PyDict_SetItem(bucket, line_obj, entry) < 0) {
-        goto fail;
-    }
-    if ((*ev_line != NULL && observe(k, store, 1, *ev_line, Py_None) < 0)
-        || observe(k, store, 0, line_obj, entry) < 0) {
-        goto fail;
-    }
-    return 0;
-fail:
-    Py_CLEAR(*ev_line);
-    Py_CLEAR(*ev_entry);
-    return -1;
-}
 
 /* Minimum last_access over a full L1 set; *full = 0 (None in Python) when
  * the set has an invalid way. */
@@ -361,11 +157,12 @@ static int
 l1_min_last_access(DirObject *k, PyObject *store, long long line, int *full,
                    double *out)
 {
-    PyObject *bucket = home_store_bucket(&k->base, store, k->l1_mask, line);
+    PyObject *bucket = home_store_bucket(&k->base, store, k->base.l1_mask,
+                                         line);
     if (bucket == NULL) {
         return -1;
     }
-    *full = PyDict_GET_SIZE(bucket) >= k->l1_assoc;
+    *full = PyDict_GET_SIZE(bucket) >= k->base.l1_assoc;
     if (!*full) {
         return 0;
     }
@@ -375,8 +172,8 @@ l1_min_last_access(DirObject *k, PyObject *store, long long line, int *full,
     double best = 0.0;
     while (PyDict_Next(bucket, &pos, &key, &value)) {
         double v;
-        if (check_type(value, k->cline_type, "CacheLine") < 0
-            || slot_double(value, k->off_c_last_access, &v) < 0) {
+        if (check_type(value, k->base.cline_type, "CacheLine") < 0
+            || slot_double(value, k->base.off_c_last_access, &v) < 0) {
             return -1;
         }
         if (first || v < best) {
@@ -386,76 +183,6 @@ l1_min_last_access(DirObject *k, PyObject *store, long long line, int *full,
     }
     *out = best;
     return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* Bookkeeping: histories, histograms                                  */
-/* ------------------------------------------------------------------ */
-
-/* history[core][line] = (history[core].get(line, 0) | set) & ~clear. */
-static int
-history_update(DirObject *k, long long core, PyObject *line_obj,
-               long long set, long long clear)
-{
-    PyObject *hist = PyList_GET_ITEM(k->history, (Py_ssize_t)core);
-    if (!PyDict_CheckExact(hist)) {
-        PyErr_SetString(PyExc_TypeError, "directory kernel: history is not a dict");
-        return -1;
-    }
-    PyObject *v = PyDict_GetItemWithError(hist, line_obj);
-    long long flags = 0;
-    if (v == NULL && PyErr_Occurred()) {
-        return -1;
-    }
-    if (v != NULL && arg_long(v, &flags) < 0) {
-        return -1;
-    }
-    PyObject *out = PyLong_FromLongLong((flags | set) & ~clear);
-    if (out == NULL) {
-        return -1;
-    }
-    int rc = PyDict_SetItem(hist, line_obj, out);
-    Py_DECREF(out);
-    return rc;
-}
-
-/* UtilizationHistogram.record on the engine's current histogram. */
-static int
-hist_record(DirObject *k, Py_ssize_t off, long long util)
-{
-    PyObject *hist = home_engine_part(&k->base, off, k->hist_type,
-                                      "UtilizationHistogram");
-    if (hist == NULL) {
-        return -1;
-    }
-    PyObject *counts = slot_get(hist, k->off_h_counts);
-    if (counts == NULL) {
-        return -1;
-    }
-    if (!PyDict_CheckExact(counts)) {
-        PyErr_SetString(PyExc_TypeError, "directory kernel: counts is not a dict");
-        return -1;
-    }
-    int b = util <= 1 ? 0 : util <= 3 ? 1 : util <= 5 ? 2 : util <= 7 ? 3 : 4;
-    PyObject *key = k->bucket_keys[b];
-    PyObject *v = PyDict_GetItemWithError(counts, key);
-    long long c;
-    if (v == NULL) {
-        if (!PyErr_Occurred()) {
-            PyErr_SetObject(PyExc_KeyError, key);
-        }
-        return -1;
-    }
-    if (arg_long(v, &c) < 0) {
-        return -1;
-    }
-    PyObject *out = PyLong_FromLongLong(c + 1);
-    if (out == NULL) {
-        return -1;
-    }
-    int rc = PyDict_SetItem(counts, key, out);
-    Py_DECREF(out);
-    return rc;
 }
 
 /* ------------------------------------------------------------------ */
@@ -577,7 +304,7 @@ majority(DirObject *k, PyObject *entries)
 static PyObject *
 locality_dict(DirObject *k, PyObject *l2line)
 {
-    PyObject *entries = slot_get(l2line, k->off_l2_locality);
+    PyObject *entries = slot_get(l2line, k->base.off_locality);
     if (entries == NULL) {
         return NULL;
     }
@@ -586,7 +313,7 @@ locality_dict(DirObject *k, PyObject *l2line)
         if (entries == NULL) {
             return NULL;
         }
-        slot_put(l2line, k->off_l2_locality, entries);
+        slot_put(l2line, k->base.off_locality, entries);
     }
     if (!PyDict_CheckExact(entries)) {
         PyErr_SetString(PyExc_TypeError,
@@ -731,7 +458,7 @@ on_remote_access(DirObject *k, PyObject *l2line, PyObject *centry, int full,
 static int
 on_write(DirObject *k, PyObject *l2line, long long writer)
 {
-    PyObject *entries = slot_get(l2line, k->off_l2_locality);
+    PyObject *entries = slot_get(l2line, k->base.off_locality);
     if (entries == NULL) {
         return -1;
     }
@@ -860,7 +587,7 @@ base_purge_target_copy(DirObject *k, long long core, PyObject *core_obj,
                        long long line, PyObject *line_obj, PyObject *l2line,
                        int merge, long long *ack)
 {
-    PyObject *removed = l1_pop(k, core, line, line_obj);
+    PyObject *removed = home_l1_pop(&k->base, core, line, line_obj);
     if (removed == NULL) {
         if (!PyErr_Occurred()) {
             char hex[32];
@@ -873,15 +600,16 @@ base_purge_target_copy(DirObject *k, long long core, PyObject *core_obj,
     long long putil;
     PyObject *state;
     int rc = -1;
-    if (slot_long(removed, k->off_c_util, &putil) < 0
-        || hist_record(k, k->off_inval_hist, putil) < 0
-        || history_update(k, core, line_obj, K_LAST_REMOVAL_INVAL, 0) < 0
+    if (slot_long(removed, k->base.off_c_util, &putil) < 0
+        || home_hist_record(&k->base, k->base.off_inval_hist, putil) < 0
+        || home_history_update(&k->base, core, line_obj,
+                               K_LAST_REMOVAL_INVAL, 0) < 0
         || (merge && k->classifier != NULL
             && on_removal(k, l2line, core_obj, putil, 0) < 0)
-        || (state = slot_get(removed, k->off_c_state)) == NULL) {
+        || (state = slot_get(removed, k->base.off_c_state)) == NULL) {
         goto done;
     }
-    if (state != k->st_mod) {
+    if (state != k->base.st_mod) {
         *ack = K_MSG_INV_ACK;
         rc = 0;
         goto done;
@@ -894,8 +622,9 @@ base_purge_target_copy(DirObject *k, long long core, PyObject *core_obj,
         goto done;
     }
     if (k->base.verify) {
-        PyObject *data = slot_get(removed, k->off_c_data);
-        if (data == NULL || slot_copy_list(l2line, k->off_l2_data, data) < 0) {
+        PyObject *data = slot_get(removed, k->base.off_c_data);
+        if (data == NULL
+            || slot_copy_list(l2line, k->base.off_l2_data, data) < 0) {
             goto done;
         }
     }
@@ -913,7 +642,7 @@ base_handle_l1_eviction(DirObject *k, long long core, PyObject *core_obj,
 {
     long long vline, vhome, util;
     if (arg_long(vline_obj, &vline) < 0
-        || check_type(ventry, k->cline_type, "CacheLine") < 0) {
+        || check_type(ventry, k->base.cline_type, "CacheLine") < 0) {
         return -1;
     }
     PyObject *vhome_obj = PyDict_GetItemWithError(k->base.home_of_line,
@@ -921,7 +650,7 @@ base_handle_l1_eviction(DirObject *k, long long core, PyObject *core_obj,
     if (vhome_obj == NULL) {
         if (!PyErr_Occurred()) {
             char hex[32];
-            PyErr_Format(k->simulation_error,
+            PyErr_Format(k->base.simulation_error,
                          "evicting line %s with unknown home",
                          hex_line(hex, sizeof hex, vline));
         }
@@ -929,14 +658,14 @@ base_handle_l1_eviction(DirObject *k, long long core, PyObject *core_obj,
     }
     PyObject *state;
     if (arg_long(vhome_obj, &vhome) < 0
-        || slot_long(ventry, k->off_c_util, &util) < 0
-        || hist_record(k, k->off_evict_hist, util) < 0
-        || history_update(k, core, vline_obj, K_EVER_CACHED,
+        || slot_long(ventry, k->base.off_c_util, &util) < 0
+        || home_hist_record(&k->base, k->base.off_evict_hist, util) < 0
+        || home_history_update(&k->base, core, vline_obj, K_EVER_CACHED,
                           K_LAST_REMOVAL_INVAL) < 0
-        || (state = slot_get(ventry, k->off_c_state)) == NULL) {
+        || (state = slot_get(ventry, k->base.off_c_state)) == NULL) {
         return -1;
     }
-    int dirty = state == k->st_mod;
+    int dirty = state == k->base.st_mod;
     double arrival;
     if (home_leg(&k->base, core, vhome,
                 dirty ? K_MSG_EVICT_DIRTY : K_MSG_EVICT_NOTIFY, t,
@@ -963,8 +692,9 @@ base_handle_l1_eviction(DirObject *k, long long core, PyObject *core_obj,
         }
         slot_set_bool(vl2, k->base.off_dirty, 1);
         if (k->base.verify) {
-            PyObject *data = slot_get(ventry, k->off_c_data);
-            if (data == NULL || slot_copy_list(vl2, k->off_l2_data, data) < 0) {
+            PyObject *data = slot_get(ventry, k->base.off_c_data);
+            if (data == NULL
+                || slot_copy_list(vl2, k->base.off_l2_data, data) < 0) {
                 goto done;
             }
         }
@@ -1032,16 +762,17 @@ static int
 remove_own_copy(DirObject *k, long long core, PyObject *core_obj,
                 long long line, PyObject *line_obj, PyObject *l2line)
 {
-    PyObject *removed = l1_pop(k, core, line, line_obj);
+    PyObject *removed = home_l1_pop(&k->base, core, line, line_obj);
     if (removed == NULL) {
         return PyErr_Occurred() ? -1 : 0;
     }
     long long util;
     PyObject *dirent;
     int rc = -1;
-    if (slot_long(removed, k->off_c_util, &util) < 0
-        || hist_record(k, k->off_inval_hist, util) < 0
-        || history_update(k, core, line_obj, K_LAST_REMOVAL_INVAL, 0) < 0
+    if (slot_long(removed, k->base.off_c_util, &util) < 0
+        || home_hist_record(&k->base, k->base.off_inval_hist, util) < 0
+        || home_history_update(&k->base, core, line_obj,
+                               K_LAST_REMOVAL_INVAL, 0) < 0
         || (k->classifier != NULL
             && on_removal(k, l2line, core_obj, util, 0) < 0)
         || (dirent = dirent_of(k, l2line)) == NULL
@@ -1064,7 +795,7 @@ base_classify_requester(DirObject *k, PyObject *l1, PyObject *l2line,
     if (k->classifier == NULL) {
         return 0;
     }
-    if (check_type(l1, k->l1_type, "L1Cache") < 0
+    if (check_type(l1, k->base.l1_type, "L1Cache") < 0
         || check_type(l2line, k->base.line_type, "L2Line") < 0) {
         return -1;
     }
@@ -1097,7 +828,7 @@ base_classify_requester(DirObject *k, PyObject *l1, PyObject *l2line,
         }
         *upgrade = 0;
     }
-    PyObject *store = slot_get(l1, k->off_l1_store);
+    PyObject *store = slot_get(l1, k->base.off_l1_store);
     int full, promoted;
     double l1_min = 0.0;
     if (store == NULL || l1_min_last_access(k, store, line, &full, &l1_min) < 0
@@ -1109,33 +840,6 @@ base_classify_requester(DirObject *k, PyObject *l1, PyObject *l2line,
 done:
     Py_XDECREF(centry);
     return rc;
-}
-
-/* Verify mode: golden.check_read(line, word, entry.data[word], label). */
-static int
-golden_check(DirObject *k, PyObject *entry, PyObject *line_obj,
-             long long word, const char *what, long long core)
-{
-    PyObject *data = slot_get(entry, k->off_c_data);
-    if (data == NULL) {
-        return -1;
-    }
-    PyObject *value = PySequence_GetItem(data, (Py_ssize_t)word);
-    PyObject *word_obj = PyLong_FromLongLong(word);
-    PyObject *label = PyUnicode_FromFormat("%s core %lld", what, core);
-    PyObject *res = NULL;
-    if (value != NULL && word_obj != NULL && label != NULL) {
-        res = PyObject_CallMethodObjArgs(k->golden, str_check_read, line_obj,
-                                         word_obj, value, label, NULL);
-    }
-    Py_XDECREF(value);
-    Py_XDECREF(word_obj);
-    Py_XDECREF(label);
-    if (res == NULL) {
-        return -1;
-    }
-    Py_DECREF(res);
-    return 0;
 }
 
 /* Verify mode: engine._verified_l1_write(core, entry, line, word). */
@@ -1172,7 +876,6 @@ base_grant_private(DirObject *k, long long core, PyObject *core_obj,
     }
     Py_INCREF(dirent);
     PyObject *entry = NULL, *ev_line = NULL, *ev_entry = NULL;
-    PyObject *store;
     int rc = -1;
     long long owner;
     if (k->classifier != NULL && note_private_grant(k, l2line, core_obj) < 0) {
@@ -1193,105 +896,76 @@ base_grant_private(DirObject *k, long long core, PyObject *core_obj,
         }
     }
     if (!upgrade
-        && (slot_bump(slice_, k->off_sl_line_reads) < 0
-            || home_energy_bump(&k->base, k->off_e_l2_line_reads) < 0)) {
+        && (slot_bump(slice_, k->base.off_slice_lreads) < 0
+            || home_energy_bump(&k->base, k->base.off_e_lreads) < 0)) {
         goto done;
     }
-    PyObject *l1 = l1_of(k, core, &store);
-    if (l1 == NULL) {
-        goto done;
-    }
-    Py_INCREF(store);
     if (upgrade) {
-        entry = l1_lookup(k, core, line, line_obj);
+        PyObject *store, *t_obj;
+        entry = home_l1_lookup(&k->base, core, line, line_obj);
         if (entry == NULL) {
             if (!PyErr_Occurred()) {
                 char hex[32];
-                PyErr_Format(k->simulation_error,
+                PyErr_Format(k->base.simulation_error,
                              "upgrade for core %lld but no L1 copy of %s",
                              core, hex_line(hex, sizeof hex, line));
             }
-            goto done_store;
+            goto done;
         }
         Py_INCREF(entry);
-        long long util;
-        slot_put(entry, k->off_c_state, Py_NewRef(k->st_mod));
-        if (home_touch(&k->base, store, entry, k->off_c_last_use) < 0
-            || slot_long(entry, k->off_c_util, &util) < 0
-            || slot_set_long(entry, k->off_c_util, util + 1) < 0
-            || slot_set_double(entry, k->off_c_last_access, reply_t) < 0
-            || home_energy_bump(&k->base, k->off_e_l1d_writes) < 0
+        slot_put(entry, k->base.off_c_state, Py_NewRef(k->base.st_mod));
+        if (home_l1_of(&k->base, core, &store) == NULL
+            || (t_obj = PyFloat_FromDouble(reply_t)) == NULL) {
+            goto done;
+        }
+        int bad = home_l1_use(&k->base, store, entry, t_obj) < 0;
+        Py_DECREF(t_obj);
+        if (bad || home_energy_bump(&k->base, k->base.off_e_l1d_writes) < 0
             || (k->base.verify
                 && verified_write(k, core_obj, entry, line_obj, word) < 0)) {
-            goto done_store;
+            goto done;
         }
         rc = 0;
-        goto done_store;
+        goto done;
     }
-    PyObject *state;
+    PyObject *state, *data = NULL;
     if (is_write) {
-        state = k->st_mod;
+        state = k->base.st_mod;
     }
     else {
         if (slot_long(dirent, k->base.off_d_owner, &owner) < 0) {
-            goto done_store;
+            goto done;
         }
-        state = owner == core ? k->st_excl : k->st_shared;
+        state = owner == core ? k->base.st_excl : k->base.st_shared;
     }
-    /* L1Cache.fill: a new CacheLine, used once, stamped reply_t. */
-    entry = new_slotted(k->cline_type);
-    if (entry == NULL) {
-        goto done_store;
-    }
-    slot_put(entry, k->off_c_state, Py_NewRef(state));
-    slot_put(entry, k->off_c_last_use, PyLong_FromLong(0));
-    slot_put(entry, k->off_c_util, PyLong_FromLong(1));
-    slot_put(entry, k->off_c_data, Py_NewRef(Py_None));
-    if (slot_set_double(entry, k->off_c_last_access, reply_t) < 0) {
-        goto done_store;
-    }
-    if (k->base.verify) {
-        PyObject *data = slot_get(l2line, k->off_l2_data);
-        if (data == NULL || slot_copy_list(entry, k->off_c_data, data) < 0) {
-            goto done_store;
-        }
-    }
-    if (l1_insert(k, store, line, line_obj, entry, &ev_line, &ev_entry) < 0
-        || home_energy_bump(&k->base, k->off_e_l1d_fills) < 0) {
-        goto done_store;
+    if ((k->base.verify
+         && (data = slot_get(l2line, k->base.off_l2_data)) == NULL)
+        || home_l1_fill(&k->base, core, line, line_obj, state, reply_t, data,
+                        &ev_line, &ev_entry) < 0
+        || home_energy_bump(&k->base, k->base.off_e_l1d_fills) < 0) {
+        goto done;
     }
     if (ev_line != NULL
         && handle_l1_eviction(k, core, core_obj, ev_line, ev_entry,
                               reply_t) < 0) {
-        goto done_store;
+        goto done;
     }
-    if (is_write) {
-        if (home_energy_bump(&k->base, k->off_e_l1d_writes) < 0) {
-            goto done_store;
-        }
-    }
-    else if (home_energy_bump(&k->base, k->off_e_l1d_reads) < 0) {
-        goto done_store;
+    if (home_energy_bump(&k->base, is_write ? k->base.off_e_l1d_writes
+                                            : k->base.off_e_l1d_reads) < 0) {
+        goto done;
     }
     if (k->base.verify) {
         /* The entry as l1.lookup(line) finds it after the eviction. */
-        PyObject *now_entry = l1_lookup(k, core, line, line_obj);
-        if (now_entry == NULL) {
-            if (!PyErr_Occurred()) {
-                PyErr_SetString(PyExc_AttributeError,
-                                "'NoneType' object has no attribute 'data'");
-            }
-            goto done_store;
-        }
-        if (is_write ? verified_write(k, core_obj, now_entry, line_obj, word)
-                     : golden_check(k, now_entry, line_obj, word, "fill read",
-                                    core)) {
-            goto done_store;
+        PyObject *now_entry = home_l1_resident(&k->base, core, line, line_obj);
+        if (now_entry == NULL
+            || (is_write
+                    ? verified_write(k, core_obj, now_entry, line_obj, word)
+                    : home_golden_check(&k->base, now_entry, line_obj, word,
+                                        "fill read", core))) {
+            goto done;
         }
     }
     rc = 0;
-done_store:
-    Py_DECREF(store);
 done:
     Py_XDECREF(entry);
     Py_XDECREF(ev_line);
@@ -1494,7 +1168,7 @@ sync_writeback(DirObject *k, long long line, PyObject *line_obj,
     if (slot_long(dirent, k->base.off_d_owner, &owner) < 0) {
         return -1;
     }
-    PyObject *entry = l1_lookup(k, owner, line, line_obj);
+    PyObject *entry = home_l1_lookup(&k->base, owner, line, line_obj);
     if (entry == NULL) {
         if (!PyErr_Occurred()) {
             char hex[32];
@@ -1504,11 +1178,11 @@ sync_writeback(DirObject *k, long long line, PyObject *line_obj,
         }
         return -1;
     }
-    PyObject *state = slot_get(entry, k->off_c_state);
+    PyObject *state = slot_get(entry, k->base.off_c_state);
     if (state == NULL) {
         return -1;
     }
-    int dirty = state == k->st_mod;
+    int dirty = state == k->base.st_mod;
     Py_INCREF(entry);
     int rc = -1;
     /* Both legs ride one traverse_chain(path1, WB_REQ, t, 0.0, 0.0, path2,
@@ -1529,13 +1203,14 @@ sync_writeback(DirObject *k, long long line, PyObject *line_obj,
         }
         slot_set_bool(l2line, k->base.off_dirty, 1);
         if (k->base.verify) {
-            PyObject *data = slot_get(entry, k->off_c_data);
-            if (data == NULL || slot_copy_list(l2line, k->off_l2_data, data) < 0) {
+            PyObject *data = slot_get(entry, k->base.off_c_data);
+            if (data == NULL
+                || slot_copy_list(l2line, k->base.off_l2_data, data) < 0) {
                 goto done;
             }
         }
     }
-    slot_put(entry, k->off_c_state, Py_NewRef(k->st_shared));
+    slot_put(entry, k->base.off_c_state, Py_NewRef(k->base.st_shared));
     if (slot_set_long(dirent, k->base.off_d_owner, -1) < 0) {
         goto done;
     }
@@ -1549,9 +1224,10 @@ done:
 /* purge_copies: the inclusive L2 eviction of vline at home kills every
  * L1 copy; the data flows straight to memory with the dying line. */
 static int
-purge_copies(DirObject *k, long long home, PyObject *vline_obj,
+purge_copies(HomeObject *h, long long home, PyObject *vline_obj,
              PyObject *ventry, double t)
 {
+    DirObject *k = (DirObject *)h;
     long long vline;
     PyObject *dirent = dirent_of(k, ventry);
     if (dirent == NULL || arg_long(vline_obj, &vline) < 0) {
@@ -1591,67 +1267,6 @@ done:
 /* One access                                                          */
 /* ------------------------------------------------------------------ */
 
-static PyObject *
-new_result(DirObject *k)
-{
-    PyObject *result = new_slotted(k->base.result_type);
-    if (result == NULL) {
-        return NULL;
-    }
-    Py_ssize_t floats[] = {k->off_r_latency, k->off_r_l1l2, k->base.off_r_wait,
-                           k->off_r_sharers, k->base.off_r_offchip};
-    for (size_t i = 0; i < sizeof(floats) / sizeof(floats[0]); i++) {
-        slot_put(result, floats[i], Py_NewRef(k->zero));
-    }
-    slot_set_bool(result, k->off_r_hit, 0);
-    slot_put(result, k->off_r_miss_type, Py_NewRef(Py_None));
-    slot_set_bool(result, k->off_r_remote, 0);
-    return result;
-}
-
-static int
-classify_miss(long long flags, int upgrade, int remote)
-{
-    if (upgrade) {
-        return MISS_UPGRADE;
-    }
-    if (remote && (flags & K_EVER_REMOTE)) {
-        return MISS_WORD;
-    }
-    if (!(flags & K_EVER_CACHED)) {
-        return MISS_COLD;
-    }
-    return flags & K_LAST_REMOVAL_INVAL ? MISS_SHARING : MISS_CAPACITY;
-}
-
-static int
-miss_stats_record(DirObject *k, int miss)
-{
-    PyObject *stats = home_engine_part(&k->base, k->off_miss_stats,
-                                       k->stats_type, "MissStats");
-    if (stats == NULL) {
-        return -1;
-    }
-    PyObject *counts = slot_get(stats, k->off_ms_counts);
-    if (counts == NULL) {
-        return -1;
-    }
-    if (!PyList_CheckExact(counts)
-        || k->miss_index[miss] >= PyList_GET_SIZE(counts)) {
-        PyErr_SetString(PyExc_TypeError, "directory kernel: bad miss counts");
-        return -1;
-    }
-    long long c;
-    if (arg_long(PyList_GET_ITEM(counts, k->miss_index[miss]), &c) < 0) {
-        return -1;
-    }
-    PyObject *out = PyLong_FromLongLong(c + 1);
-    if (out == NULL) {
-        return -1;
-    }
-    return PyList_SetItem(counts, k->miss_index[miss], out);
-}
-
 /* A miss, step for step in the order of PyDirectoryKernel.access. */
 static PyObject *
 service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
@@ -1662,9 +1277,9 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
     PyObject *out = NULL, *t_obj = NULL;
     double t = 0.0, reply_t = 0.0, sharers_lat = 0.0;
     long long home, flush;
-    if (slot_bump(l1, k->off_l1_misses) < 0
-        || home_energy_bump(&k->base, k->off_e_l1d_tag) < 0
-        || (result = new_result(k)) == NULL) {
+    if (slot_bump(l1, k->base.off_l1_misses) < 0
+        || home_energy_bump(&k->base, k->base.off_e_l1d_tag) < 0
+        || (result = home_new_result(&k->base)) == NULL) {
         goto done;
     }
     long long req_msg = is_write ? (upgrade ? K_MSG_UPGRADE_REQ
@@ -1747,20 +1362,15 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
     }
 
     /* Miss classification uses the pre-service history (Section 4.4). */
-    PyObject *hist = PyList_GET_ITEM(k->history, (Py_ssize_t)core);
-    long long flags = 0;
-    if (!PyDict_CheckExact(hist)) {
-        PyErr_SetString(PyExc_TypeError, "directory kernel: history is not a dict");
+    long long flags;
+    PyObject *hist = home_history(&k->base, core, line_obj, &flags);
+    if (hist == NULL) {
         goto done;
     }
-    PyObject *f = PyDict_GetItemWithError(hist, line_obj);
-    if ((f == NULL && PyErr_Occurred()) || (f != NULL && arg_long(f, &flags) < 0)) {
-        goto done;
-    }
-    int miss = classify_miss(flags, upgrade, remote);
-    slot_put(result, k->off_r_miss_type, Py_NewRef(k->miss[miss]));
-    slot_set_bool(result, k->off_r_remote, remote);
-    if (miss_stats_record(k, miss) < 0) {
+    int miss = home_classify_miss(flags, upgrade, remote);
+    slot_put(result, k->base.off_r_miss_type, Py_NewRef(k->base.miss[miss]));
+    slot_set_bool(result, k->base.off_r_remote, remote);
+    if (home_miss_record(&k->base, miss) < 0) {
         goto done;
     }
 
@@ -1789,7 +1399,8 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
                 goto done;
             }
             t += sharers_lat;
-            if (slot_set_double(result, k->off_r_sharers, sharers_lat) < 0) {
+            if (slot_set_double(result, k->base.off_r_sharers,
+                                sharers_lat) < 0) {
                 goto done;
             }
         }
@@ -1808,7 +1419,8 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
                 goto done;
             }
             t += sharers_lat;
-            if (slot_set_double(result, k->off_r_sharers, sharers_lat) < 0) {
+            if (slot_set_double(result, k->base.off_r_sharers,
+                                sharers_lat) < 0) {
                 goto done;
             }
         }
@@ -1853,12 +1465,7 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
         goto done;
     }
 
-    double latency = reply_t - now, wait, offchip;
-    if (slot_double(result, k->base.off_r_wait, &wait) < 0
-        || slot_double(result, k->base.off_r_offchip, &offchip) < 0
-        || slot_set_double(result, k->off_r_latency, latency) < 0
-        || slot_set_double(result, k->off_r_l1l2,
-                           latency - wait - sharers_lat - offchip) < 0) {
+    if (home_finish_result(&k->base, result, now, reply_t, sharers_lat) < 0) {
         goto done;
     }
     if (k->base.verify) {
@@ -1902,50 +1509,40 @@ done:
 static int
 writable(DirObject *k, PyObject *state)
 {
-    if (state == k->st_excl || state == k->st_mod) {
+    if (state == k->base.st_excl || state == k->base.st_mod) {
         return 1;
     }
-    if (state == k->st_shared) {
+    if (state == k->base.st_shared) {
         return 0;
     }
-    return PyObject_RichCompareBool(state, k->st_excl, Py_GE);
+    return PyObject_RichCompareBool(state, k->base.st_excl, Py_GE);
 }
 
 static PyObject *
-dir_access(DirObject *k, PyObject *core_obj, PyObject *is_write_obj,
-           PyObject *address_obj, PyObject *now_obj)
+dir_access(DirObject *k, PyObject *const *args)
 {
-    long long core, address;
+    long long core, line, word;
+    int is_write;
     double now;
-    int is_write = PyObject_IsTrue(is_write_obj);
-    if (is_write < 0 || arg_long(core_obj, &core) < 0
-        || arg_long(address_obj, &address) < 0
-        || arg_double(now_obj, &now) < 0) {
+    PyObject *store, *l1;
+    if (home_access_args(&k->base, args, &core, &is_write, &line, &word,
+                         &now) < 0
+        || (l1 = home_l1_of(&k->base, core, &store)) == NULL) {
         return NULL;
     }
-    if (address < 0) {
-        PyErr_SetString(PyExc_ValueError, "directory kernel: negative address");
-        return NULL;
-    }
-    long long line = address >> K_LINE_BITS;
-    long long word = (address >> K_WORD_BITS) & (k->base.words_per_line - 1);
-    PyObject *store;
-    PyObject *l1 = l1_of(k, core, &store);
-    if (l1 == NULL) {
-        return NULL;
-    }
+    PyObject *core_obj = args[0], *now_obj = args[3];
     PyObject *line_obj = PyLong_FromLongLong(line);
     if (line_obj == NULL) {
         return NULL;
     }
     PyObject *out = NULL;
-    PyObject *entry = l1_lookup(k, core, line, line_obj);
+    PyObject *entry = home_l1_lookup(&k->base, core, line, line_obj);
     if (entry == NULL && PyErr_Occurred()) {
         goto done;
     }
     int hit = 0;
     if (entry != NULL) {
-        PyObject *state = slot_get(entry, k->off_c_state);
+        PyObject *state = slot_get(entry, k->base.off_c_state);
         if (state == NULL || (hit = is_write ? writable(k, state) : 1) < 0) {
             goto done;
         }
@@ -1957,33 +1554,22 @@ dir_access(DirObject *k, PyObject *core_obj, PyObject *is_write_obj,
     }
     /* L1 hit (E -> M is silent): L1Cache.hit, then the counters. */
     Py_INCREF(entry);
-    long long util;
-    PyObject *stats = NULL;
-    int bad = slot_bump(l1, k->off_l1_hits) < 0
-              || home_touch(&k->base, store, entry, k->off_c_last_use) < 0
-              || slot_long(entry, k->off_c_util, &util) < 0
-              || slot_set_long(entry, k->off_c_util, util + 1) < 0;
-    if (!bad) {
-        slot_put(entry, k->off_c_last_access, Py_NewRef(now_obj));
-        stats = home_engine_part(&k->base, k->off_miss_stats, k->stats_type,
-                                 "MissStats");
-        bad = stats == NULL || slot_bump(stats, k->off_ms_hits) < 0;
-    }
+    int bad = home_l1_hit(&k->base, l1, store, entry, now_obj) < 0;
     if (!bad && is_write) {
-        slot_put(entry, k->off_c_state, Py_NewRef(k->st_mod));
-        bad = home_energy_bump(&k->base, k->off_e_l1d_writes) < 0
+        slot_put(entry, k->base.off_c_state, Py_NewRef(k->base.st_mod));
+        bad = home_energy_bump(&k->base, k->base.off_e_l1d_writes) < 0
               || (k->base.verify
                   && verified_write(k, core_obj, entry, line_obj, word) < 0);
     }
     else if (!bad) {
-        bad = home_energy_bump(&k->base, k->off_e_l1d_reads) < 0
+        bad = home_energy_bump(&k->base, k->base.off_e_l1d_reads) < 0
               || (k->base.verify
-                  && golden_check(k, entry, line_obj, word, "L1 hit",
-                                  core) < 0);
+                  && home_golden_check(&k->base, entry, line_obj, word,
+                                       "L1 hit", core) < 0);
     }
     Py_DECREF(entry);
     if (!bad) {
-        out = Py_NewRef(k->hit_result);
+        out = Py_NewRef(k->base.hit_result);
     }
 done:
     Py_DECREF(line_obj);
@@ -1998,7 +1584,7 @@ done:
 
 METHOD(access, 4, "access(core, is_write, address, now)")
 {
-    return dir_access(k, args[0], args[1], args[2], args[3]);
+    return dir_access(k, args);
 }
 
 METHOD(classify_requester, 6,
@@ -2090,7 +1676,7 @@ METHOD(purge_copies, 4, "purge_copies(home, vline, ventry, t)")
     double t;
     if (arg_long(args[0], &home) < 0 || arg_double(args[3], &t) < 0
         || home_check_tile(&k->base, home) < 0
-        || purge_copies(k, home, args[1], args[2], t) < 0) {
+        || purge_copies(&k->base, home, args[1], args[2], t) < 0) {
         return NULL;
     }
     Py_RETURN_NONE;
@@ -2235,50 +1821,26 @@ done:
     return rc;
 }
 
-/* Enum members, bucket keys, error classes and the family hooks. */
+/* Enum members, the error class and the family hooks. */
 static int
 init_names(DirObject *k, PyObject *engine)
 {
-    PyObject *mesi = imported("repro.common.types", "MESIState");
     PyObject *modes = imported("repro.common.types", "SharerMode");
-    PyObject *misses = imported("repro.common.types", "MissType");
     PyObject *msgs = imported("repro.network.messages", "MsgType");
-    PyObject *buckets = imported("repro.common.statsutil",
-                                 "UTILIZATION_BUCKETS");
     PyObject *hooks = imported("repro.protocol.directory", "FAMILY_HOOKS");
     int rc = -1;
-    if (mesi == NULL || modes == NULL || misses == NULL || msgs == NULL
-        || buckets == NULL || hooks == NULL
-        || (k->st_shared = repro_getattr(mesi, "SHARED")) == NULL
-        || (k->st_excl = repro_getattr(mesi, "EXCLUSIVE")) == NULL
-        || (k->st_mod = repro_getattr(mesi, "MODIFIED")) == NULL
+    if (modes == NULL || msgs == NULL || hooks == NULL
         || (k->mode_private = repro_getattr(modes, "PRIVATE")) == NULL
         || (k->mode_remote = repro_getattr(modes, "REMOTE")) == NULL
         || (k->inv_broadcast = repro_getattr(msgs, "INV_BROADCAST")) == NULL
         || (k->coherence_error = imported("repro.common.errors",
-                                          "CoherenceError")) == NULL
-        || (k->simulation_error = imported("repro.common.errors",
-                                           "SimulationError")) == NULL) {
+                                          "CoherenceError")) == NULL) {
         goto done;
     }
-    static const char *const miss_names[NUM_MISS] = {
-        "COLD", "CAPACITY", "UPGRADE", "SHARING", "WORD"};
-    for (int i = 0; i < NUM_MISS; i++) {
-        long long index;
-        if ((k->miss[i] = repro_getattr(misses, miss_names[i])) == NULL
-            || arg_long(k->miss[i], &index) < 0) {
-            goto done;
-        }
-        k->miss_index[i] = (Py_ssize_t)index;
-    }
-    if (!PyTuple_Check(buckets) || PyTuple_GET_SIZE(buckets) != 5
-        || !PyTuple_Check(hooks) || PyTuple_GET_SIZE(hooks) != NUM_HOOKS) {
+    if (!PyTuple_Check(hooks) || PyTuple_GET_SIZE(hooks) != NUM_HOOKS) {
         PyErr_SetString(PyExc_TypeError,
-                        "DirectoryKernel: unexpected bucket or hook names");
+                        "DirectoryKernel: unexpected hook names");
         goto done;
-    }
-    for (int i = 0; i < 5; i++) {
-        k->bucket_keys[i] = Py_NewRef(PyTuple_GET_ITEM(buckets, i));
     }
     for (int i = 0; i < NUM_HOOKS; i++) {
         PyObject *name = PyTuple_GET_ITEM(hooks, i);
@@ -2293,80 +1855,34 @@ init_names(DirObject *k, PyObject *engine)
     }
     rc = 0;
 done:
-    Py_XDECREF(mesi);
     Py_XDECREF(modes);
-    Py_XDECREF(misses);
     Py_XDECREF(msgs);
-    Py_XDECREF(buckets);
     Py_XDECREF(hooks);
     return rc;
 }
 
 static int
-init_offsets(DirObject *k, PyObject *engine)
+init_offsets(DirObject *k)
 {
-    static const char *const engine_names[] = {
-        "miss_stats", "inval_histogram", "evict_histogram", NULL};
-    Py_ssize_t *const engine_outs[] = {&k->off_miss_stats, &k->off_inval_hist,
-                                       &k->off_evict_hist};
-    static const char *const l1_names[] = {"store", "hits", "misses", NULL};
-    Py_ssize_t *const l1_outs[] = {&k->off_l1_store, &k->off_l1_hits,
-                                   &k->off_l1_misses};
-    static const char *const cline_names[] = {
-        "state", "last_use", "last_access", "utilization", "data", NULL};
-    Py_ssize_t *const cline_outs[] = {&k->off_c_state, &k->off_c_last_use,
-                                      &k->off_c_last_access, &k->off_c_util,
-                                      &k->off_c_data};
-    static const char *const slice_names[] = {"line_reads", NULL};
-    Py_ssize_t *const slice_outs[] = {&k->off_sl_line_reads};
-    static const char *const l2line_names[] = {"locality", "data", NULL};
-    Py_ssize_t *const l2line_outs[] = {&k->off_l2_locality, &k->off_l2_data};
+    HomeObject *h = &k->base;
     static const char *const dirent_names[] = {"sharers", "owner",
                                                "overflowed", NULL};
-    Py_ssize_t *const dirent_outs[] = {&k->base.off_d_sharers,
-                                       &k->base.off_d_owner,
-                                       &k->base.off_d_overflowed};
+    Py_ssize_t *const dirent_outs[] = {&h->off_d_sharers, &h->off_d_owner,
+                                       &h->off_d_overflowed};
     static const char *const loc_names[] = {
         "core", "mode", "remote_util", "rat_level", "active", NULL};
     Py_ssize_t *const loc_outs[] = {&k->off_lc_core, &k->off_lc_mode,
                                     &k->off_lc_util, &k->off_lc_rat,
                                     &k->off_lc_active};
-    static const char *const result_names[] = {
-        "latency", "l1_to_l2", "l2_sharers", "hit", "miss_type", "remote",
-        NULL};
-    Py_ssize_t *const result_outs[] = {
-        &k->off_r_latency, &k->off_r_l1l2, &k->off_r_sharers, &k->off_r_hit,
-        &k->off_r_miss_type, &k->off_r_remote};
     static const char *const energy_names[] = {
-        "l1d_reads", "l1d_writes", "l1d_tag_accesses", "l1d_line_fills",
-        "l1d_line_reads", "l2_line_reads", "directory_lookups",
-        "directory_updates", NULL};
-    Py_ssize_t *const energy_outs[] = {
-        &k->off_e_l1d_reads, &k->off_e_l1d_writes, &k->off_e_l1d_tag,
-        &k->off_e_l1d_fills, &k->off_e_l1d_line_reads,
-        &k->off_e_l2_line_reads, &k->off_e_dir_lookups,
-        &k->off_e_dir_updates};
-    static const char *const stats_names[] = {"hits", "_miss_counts", NULL};
-    Py_ssize_t *const stats_outs[] = {&k->off_ms_hits, &k->off_ms_counts};
-    static const char *const hist_names[] = {"counts", NULL};
-    Py_ssize_t *const hist_outs[] = {&k->off_h_counts};
-    HomeObject *h = &k->base;
-    return slot_offsets((PyObject *)Py_TYPE(engine), engine_names,
-                        engine_outs) < 0
-                   || slot_offsets(k->l1_type, l1_names, l1_outs) < 0
-                   || slot_offsets(k->cline_type, cline_names, cline_outs) < 0
-                   || slot_offsets(h->slice_type, slice_names, slice_outs) < 0
-                   || slot_offsets(h->line_type, l2line_names,
-                                   l2line_outs) < 0
-                   || slot_offsets(h->entry_type, dirent_names,
-                                   dirent_outs) < 0
+        "l1d_line_reads", "directory_lookups", "directory_updates", NULL};
+    Py_ssize_t *const energy_outs[] = {&k->off_e_l1d_line_reads,
+                                       &k->off_e_dir_lookups,
+                                       &k->off_e_dir_updates};
+    return slot_offsets(h->entry_type, dirent_names, dirent_outs) < 0
                    || slot_offsets(k->loc_type, loc_names, loc_outs) < 0
-                   || slot_offsets(h->result_type, result_names,
-                                   result_outs) < 0
                    || slot_offsets(h->energy_type, energy_names,
                                    energy_outs) < 0
-                   || slot_offsets(k->stats_type, stats_names, stats_outs) < 0
-                   || slot_offsets(k->hist_type, hist_names, hist_outs) < 0
                ? -1
                : 0;
 }
@@ -2374,90 +1890,42 @@ init_offsets(DirObject *k, PyObject *engine)
 /* The directory part of a kernel whose home part HomeType's constructor
  * has set up on the same engine. */
 static int
-Dir_init_state(DirObject *k)
+Dir_init_state(HomeObject *h, PyObject *engine)
 {
-    PyObject *engine = kernel_engine(&k->base);
-    if (engine == NULL) {
-        return -1;
-    }
-    long long tiles = k->base.num_tiles, wpl = k->base.words_per_line;
-    PyObject *classifier = NULL, *policy = NULL, *golden = NULL;
-    PyObject *stats = NULL, *hist = NULL;
+    DirObject *k = (DirObject *)h;
+    PyObject *classifier = NULL, *policy = NULL;
     int rc = -1;
     if ((policy = repro_getattr(engine, "sharer_policy")) == NULL
         || init_policy(k, policy) < 0
-        || (k->l1d = repro_getattr(engine, "l1d")) == NULL
-        || (k->history = repro_getattr(engine, "_history")) == NULL
         || (k->network = repro_getattr(engine, "network")) == NULL
-        || (k->hit_result = repro_getattr(engine, "_hit_result")) == NULL
         || (classifier = repro_getattr(engine, "classifier")) == NULL
-        || (golden = repro_getattr(engine, "golden")) == NULL
-        || (stats = repro_getattr(engine, "miss_stats")) == NULL
-        || (hist = repro_getattr(engine, "inval_histogram")) == NULL) {
-        goto done;
-    }
-    if (!PyList_CheckExact(k->l1d) || !PyList_CheckExact(k->history)
-        || PyList_GET_SIZE(k->l1d) != tiles
-        || PyList_GET_SIZE(k->history) != tiles
-        || wpl <= 0 || (wpl & (wpl - 1)) != 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "DirectoryKernel: unexpected engine layout");
-        goto done;
-    }
-    if ((classifier != Py_None && init_classifier(k, classifier) < 0)
-        || init_names(k, engine) < 0) {
-        goto done;
-    }
-    if (golden != Py_None) {
-        k->golden = Py_NewRef(golden);
-    }
-    if (k->base.verify && k->golden == NULL) {
-        PyErr_SetString(PyExc_TypeError,
-                        "DirectoryKernel: verify mode without a golden memory");
-        goto done;
-    }
-
-    /* Types: the engine's own objects, and the classes it fills. */
-    k->l1_type = type_of(PyList_GET_ITEM(k->l1d, 0));
-    k->stats_type = type_of(stats);
-    k->hist_type = type_of(hist);
-    if ((k->cline_type = imported("repro.mem.cache", "CacheLine")) == NULL
-        || (k->base.entry_type = imported("repro.coherence.directory",
-                                          "DirectoryEntry")) == NULL
+        || (classifier != Py_None && init_classifier(k, classifier) < 0)
+        || init_names(k, engine) < 0
+        || (h->entry_type = imported("repro.coherence.directory",
+                                     "DirectoryEntry")) == NULL
         || (k->loc_type = imported("repro.coherence.classifier.base",
                                    "CoreLocality")) == NULL
-        || (k->zero = PyFloat_FromDouble(0.0)) == NULL
-        || init_offsets(k, engine) < 0
-        || home_geometry(k->l1d, k->l1_type, &k->l1_mask, &k->l1_assoc) < 0) {
+        || init_offsets(k) < 0) {
         goto done;
     }
+    h->purge = purge_copies;
     rc = 0;
 done:
-    Py_DECREF(engine);
     Py_XDECREF(classifier);
     Py_XDECREF(policy);
-    Py_XDECREF(golden);
-    Py_XDECREF(stats);
-    Py_XDECREF(hist);
     return rc;
 }
 
 static PyObject *
 Dir_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    PyObject *k = HomeType.tp_new(type, args, kwds);
-    if (k != NULL && Dir_init_state((DirObject *)k) < 0) {
-        Py_CLEAR(k);
-    }
-    return k;
+    return home_subtype_new(type, args, kwds, "repro.protocol.directory",
+                            "DirectoryEngine", Dir_init_state);
 }
 
 #define DIR_OBJECTS(X)                                                      \
-    X(l1d) X(history) X(network) X(classifier) X(policy) X(golden)         \
-    X(hit_result) X(zero) X(l1_type) X(cline_type) X(loc_type)             \
-    X(stats_type) X(hist_type) X(st_shared) X(st_excl) X(st_mod)           \
-    X(mode_private) X(mode_remote) X(inv_broadcast) X(coherence_error)     \
-    X(simulation_error)
+    X(network) X(classifier) X(policy) X(loc_type) X(mode_private)         \
+    X(mode_remote) X(inv_broadcast) X(coherence_error)
 
 static int
 Dir_traverse(DirObject *k, visitproc visit, void *arg)
@@ -2465,12 +1933,6 @@ Dir_traverse(DirObject *k, visitproc visit, void *arg)
 #define VISIT(name) Py_VISIT(k->name);
     DIR_OBJECTS(VISIT)
 #undef VISIT
-    for (int i = 0; i < NUM_MISS; i++) {
-        Py_VISIT(k->miss[i]);
-    }
-    for (int i = 0; i < 5; i++) {
-        Py_VISIT(k->bucket_keys[i]);
-    }
     return HomeType.tp_traverse((PyObject *)k, visit, arg);
 }
 
@@ -2481,12 +1943,6 @@ dir_clear_own(DirObject *k)
 #define CLEAR(name) Py_CLEAR(k->name);
     DIR_OBJECTS(CLEAR)
 #undef CLEAR
-    for (int i = 0; i < NUM_MISS; i++) {
-        Py_CLEAR(k->miss[i]);
-    }
-    for (int i = 0; i < 5; i++) {
-        Py_CLEAR(k->bucket_keys[i]);
-    }
 }
 
 static int
@@ -2551,7 +2007,6 @@ repro_directory_register(PyObject *mod)
         {&str_hook[HOOK_GRANT], "_grant_private"},
         {&str_hook[HOOK_EVICT], "_handle_l1_eviction"},
         {&str_hook[HOOK_PURGE], "_purge_target_copy"},
-        {&str_check_read, "check_read"},
         {&str_verified_l1_write, "_verified_l1_write"},
         {&str_check_invariants, "check_invariants"},
         {&str_broadcast, "broadcast"},
@@ -2564,35 +2019,5 @@ repro_directory_register(PyObject *mod)
             }
         }
     }
-    if (PyModule_AddObjectRef(mod, "DirectoryKernel", (PyObject *)&DirType) < 0
-        || PyModule_AddIntConstant(mod, "WORD_BITS", K_WORD_BITS) < 0
-        || PyModule_AddIntConstant(mod, "EVER_CACHED", K_EVER_CACHED) < 0
-        || PyModule_AddIntConstant(mod, "LAST_REMOVAL_INVAL",
-                                   K_LAST_REMOVAL_INVAL) < 0
-        || PyModule_AddIntConstant(mod, "EVER_REMOTE", K_EVER_REMOTE) < 0) {
-        return -1;
-    }
-    static const struct {
-        const char *name;
-        int value;
-    } msgs[] = {
-        {"MSG_READ_REQ", K_MSG_READ_REQ},
-        {"MSG_WRITE_REQ", K_MSG_WRITE_REQ},
-        {"MSG_UPGRADE_REQ", K_MSG_UPGRADE_REQ},
-        {"MSG_LINE_REPLY", K_MSG_LINE_REPLY},
-        {"MSG_WORD_REPLY", K_MSG_WORD_REPLY},
-        {"MSG_WORD_WRITE_ACK", K_MSG_WORD_WRITE_ACK},
-        {"MSG_INV_REQ", K_MSG_INV_REQ},
-        {"MSG_INV_ACK", K_MSG_INV_ACK},
-        {"MSG_WB_REQ", K_MSG_WB_REQ},
-        {"MSG_WB_DATA", K_MSG_WB_DATA},
-        {"MSG_EVICT_NOTIFY", K_MSG_EVICT_NOTIFY},
-        {"MSG_EVICT_DIRTY", K_MSG_EVICT_DIRTY},
-    };
-    for (size_t i = 0; i < sizeof(msgs) / sizeof(msgs[0]); i++) {
-        if (PyModule_AddIntConstant(mod, msgs[i].name, msgs[i].value) < 0) {
-            return -1;
-        }
-    }
-    return 0;
+    return PyModule_AddObjectRef(mod, "DirectoryKernel", (PyObject *)&DirType);
 }

@@ -1,35 +1,43 @@
 /* Compiled engine kernel: the family-agnostic home side of every miss.
  *
  * Every protocol engine builds exactly one kernel (DESIGN.md section 15):
- * a HomeKernel, or for the directory families its subtype DirectoryKernel
- * (_directory.c), whose object starts with this one's HomeObject
- * (_accel.h) and which takes the home steps below on itself.  The
- * pure-Python twin and reference, PyHomeKernel in repro/protocol/home.py,
- * has the same constructor, methods and attributes; an engine builds this
- * one exactly when its mesh kernel is the compiled MeshKernel, because the
- * legs are reserved by direct C calls into that kernel (_accel.h).
+ * a HomeKernel, or its family's subtype - DirectoryKernel (_directory.c)
+ * for the directory families, DLSKernel (_dls.c) and NeatKernel
+ * (_neat.c) - whose object starts with this one's HomeObject (_accel.h)
+ * and which takes the home steps below on itself.  The pure-Python twin
+ * and reference, PyHomeKernel in repro/protocol/home.py, has the same
+ * constructor, methods and attributes; an engine builds this one exactly
+ * when its mesh kernel is the compiled MeshKernel, because the legs are
+ * reserved by direct C calls into that kernel (_accel.h).
  *
  * The kernel keeps no state of its own, and holds its engine weakly (the
  * engine owns the kernel).  It works on the engine's Python
  * objects through their __slots__ offsets, the way SchedKernel works on
  * CacheLine (DESIGN.md section 14): the page table's `_pages` dict, the L2
  * slices (`store`, hit/miss/word counters), their SetAssocCache stores
- * (`_sets`, `_use_counter`, `_observer`), the L2Line entries (`busy_until`,
- * `last_use`, `last_access`, `dirty`, `dirty_words`), the AccessResult
- * latency slots and the engine's `energy` counters - re-read from the
- * engine on every update, because reset_stats replaces the object at the
- * warmup boundary.  It calls back into Python only for page-table side
- * effects (RNucaPageTable.classify_data), page flushes
- * (_flush_private_page), the off-chip fill's family hook
- * (_evict_l2_line), the fill itself (L2Slice.fill),
- * the DRAM controller (MemoryController.access), route registration
- * (MeshNetwork.resolve_path) and the verify-mode golden steps
- * (_verify_word).  Every callback but the route registration, bound once
- * per kernel, is looked up on the live object, so a method wrapped after
- * the engine was built is the one called.  A fill installs a fresh
- * DirectoryEntry exactly when the kernel is the directory subtype.
+ * (`_sets`, `_use_counter`, `_observer`), the L2Line entries, the
+ * MemoryControllers, the AccessResult slots and the engine's `energy`
+ * counters - re-read from the engine on every update, because reset_stats
+ * replaces the object at the warmup boundary.  The off-chip fill and the
+ * L2 eviction's write-back are native: the fill builds its L2Line and
+ * puts it in its set, and both update their controller in place.  The
+ * L1-side helpers the family subtypes share (the L1 lookup, fill and
+ * removal, the AccessResult, miss statistics, histories, histograms and
+ * golden checks) are here too, on the same engine objects.
  *
- * Exactness (pinned by the home-kernel contract property and the RunStats
+ * It calls back into Python only for page-table side effects
+ * (RNucaPageTable.classify_data), page flushes (_flush_private_page), an
+ * L2 eviction the engine's class takes over (_evict_l2_line: victim
+ * replication), route registration (MeshNetwork.resolve_path), store
+ * observers and the verify-mode golden steps (_verify_word,
+ * _verify_write_back, GoldenMemory.check_read).  Every callback but the
+ * route registration, bound once per kernel, is looked up on the live
+ * object, so a method wrapped after the engine was built is the one
+ * called.  A fill installs a fresh DirectoryEntry exactly when the kernel
+ * is the directory subtype, and an eviction purges L1 copies exactly when
+ * the subtype has a purge step.
+ *
+ * Exactness (pinned by the kernel contract properties and the RunStats
  * fixtures under both implementations):
  *
  *   - the R-NUCA hash ((line * 2654435761) >> 16) % num_cores and the DLS
@@ -37,18 +45,15 @@
  *     unsigned __int128: the product passes 64 bits once the line number
  *     passes 6,949,403,087, inside the 48-bit address space;
  *   - every float step keeps the Python order and operands: busy - t1,
- *     busy + l2_latency, t1 + l2_latency, t - l2_latency + 1.0, the strict
- *     `>` tests; the module is compiled -O2 without fast-math;
+ *     busy + l2_latency, t1 + l2_latency, t - l2_latency + 1.0, the
+ *     controller's begin + latency + service, the strict `>` tests; the
+ *     module is compiled -O2 without fast-math;
  *   - the LRU victim is the first entry, in dict order, with the smallest
  *     last_use - what min(bucket, key=...) returns;
- *   - each step runs where its Python step runs, and the two fused entry
- *     points (word_round_trip, serve_word_settle) fuse only steps with no
- *     Python between them.
+ *   - each step runs where its Python step runs.
  */
 
 #include "_accel.h"
-
-#include <structmember.h>
 
 #include <limits.h>
 #include <stdint.h>
@@ -58,16 +63,13 @@
 #define K_RNUCA_HASH_SHIFT 16
 #define K_PAGE_PRIVATE 0
 #define K_PAGE_SHARED 1
-#define K_MSG_MEM_READ_REQ 13
-#define K_MSG_MEM_READ_REPLY 14
 
 /* Interned callback names (set once in repro_home_register). */
 static PyObject *str_flush_private_page;
 static PyObject *str_evict_l2_line;
 static PyObject *str_verify_word;
-static PyObject *str_access;
-static PyObject *str_fill;
-static PyObject *str_pop;
+static PyObject *str_verify_write_back;
+static PyObject *str_check_read;
 
 PyObject *
 home_engine_part(HomeObject *k, Py_ssize_t off, PyObject *type,
@@ -458,6 +460,479 @@ home_chain(HomeObject *k, long long core, long long home, PyObject *l2line,
     return 0;
 }
 
+
+/* ------------------------------------------------------------------ */
+/* The L1 side, shared by the family subtypes                          */
+/* ------------------------------------------------------------------ */
+
+/* SetAssocCache's membership hook: obs(kind, line, entry) if attached. */
+static int
+observe(HomeObject *k, PyObject *store, long kind, PyObject *line_obj,
+        PyObject *entry)
+{
+    PyObject *obs = slot_get(store, k->off_store_observer);
+    if (obs == NULL) {
+        return -1;
+    }
+    if (obs == Py_None) {
+        return 0;
+    }
+    Py_INCREF(obs);
+    PyObject *kind_obj = PyLong_FromLong(kind);
+    PyObject *res = NULL;
+    if (kind_obj != NULL) {
+        PyObject *args[3] = {kind_obj, line_obj, entry};
+        res = PyObject_Vectorcall(obs, args, 3, NULL);
+        Py_DECREF(kind_obj);
+    }
+    Py_DECREF(obs);
+    if (res == NULL) {
+        return -1;
+    }
+    Py_DECREF(res);
+    return 0;
+}
+
+PyObject *
+home_l1_of(HomeObject *k, long long core, PyObject **store)
+{
+    if (home_check_tile(k, core) < 0) {
+        return NULL;
+    }
+    PyObject *l1 = PyList_GET_ITEM(k->l1d, (Py_ssize_t)core);
+    if (check_type(l1, k->l1_type, "L1Cache") < 0) {
+        return NULL;
+    }
+    *store = slot_get(l1, k->off_l1_store);
+    return *store == NULL ? NULL : l1;
+}
+
+PyObject *
+home_l1_lookup(HomeObject *k, long long core, long long line,
+               PyObject *line_obj)
+{
+    PyObject *store;
+    if (home_l1_of(k, core, &store) == NULL) {
+        return NULL;
+    }
+    PyObject *bucket = home_store_bucket(k, store, k->l1_mask, line);
+    if (bucket == NULL) {
+        return NULL;
+    }
+    PyObject *entry = PyDict_GetItemWithError(bucket, line_obj);
+    if (entry != NULL && check_type(entry, k->cline_type, "CacheLine") < 0) {
+        return NULL;
+    }
+    return entry;
+}
+
+PyObject *
+home_l1_resident(HomeObject *k, long long core, long long line,
+                 PyObject *line_obj)
+{
+    PyObject *entry = home_l1_lookup(k, core, line, line_obj);
+    if (entry == NULL && !PyErr_Occurred()) {
+        PyErr_SetString(PyExc_AttributeError,
+                        "'NoneType' object has no attribute 'data'");
+    }
+    return entry;
+}
+
+PyObject *
+home_l1_pop(HomeObject *k, long long core, long long line, PyObject *line_obj)
+{
+    PyObject *store;
+    if (home_l1_of(k, core, &store) == NULL) {
+        return NULL;
+    }
+    PyObject *bucket = home_store_bucket(k, store, k->l1_mask, line);
+    if (bucket == NULL) {
+        return NULL;
+    }
+    PyObject *entry = PyDict_GetItemWithError(bucket, line_obj);
+    if (entry == NULL) {
+        return NULL;
+    }
+    if (check_type(entry, k->cline_type, "CacheLine") < 0) {
+        return NULL;
+    }
+    Py_INCREF(entry);
+    Py_INCREF(store);
+    if (PyDict_DelItem(bucket, line_obj) < 0
+        || observe(k, store, 1, line_obj, Py_None) < 0) {
+        Py_DECREF(store);
+        Py_DECREF(entry);
+        return NULL;
+    }
+    Py_DECREF(store);
+    return entry;
+}
+
+/* L1 SetAssocCache.insert of a new `entry`: evicts the LRU way of a full
+ * set into *ev_line / *ev_entry (new references, else NULL). */
+static int
+l1_insert(HomeObject *k, PyObject *store, long long line, PyObject *line_obj,
+          PyObject *entry, PyObject **ev_line, PyObject **ev_entry)
+{
+    *ev_line = *ev_entry = NULL;
+    PyObject *bucket = home_store_bucket(k, store, k->l1_mask, line);
+    if (bucket == NULL) {
+        return -1;
+    }
+    int present = PyDict_Contains(bucket, line_obj);
+    if (present < 0) {
+        return -1;
+    }
+    if (!present && PyDict_GET_SIZE(bucket) >= k->l1_assoc) {
+        PyObject *vkey, *vval;
+        if (home_lru(bucket, k->cline_type, "CacheLine", k->off_c_last_use,
+                     &vkey, &vval) < 0) {
+            return -1;
+        }
+        *ev_line = Py_NewRef(vkey);
+        *ev_entry = Py_NewRef(vval);
+        if (PyDict_DelItem(bucket, vkey) < 0) {
+            goto fail;
+        }
+    }
+    if (home_touch(k, store, entry, k->off_c_last_use) < 0
+        || PyDict_SetItem(bucket, line_obj, entry) < 0) {
+        goto fail;
+    }
+    if ((*ev_line != NULL && observe(k, store, 1, *ev_line, Py_None) < 0)
+        || observe(k, store, 0, line_obj, entry) < 0) {
+        goto fail;
+    }
+    return 0;
+fail:
+    Py_CLEAR(*ev_line);
+    Py_CLEAR(*ev_entry);
+    return -1;
+}
+
+int
+home_l1_fill(HomeObject *k, long long core, long long line,
+             PyObject *line_obj, PyObject *state, double reply_t,
+             PyObject *data, PyObject **ev_line, PyObject **ev_entry)
+{
+    *ev_line = *ev_entry = NULL;
+    PyObject *store;
+    if (home_l1_of(k, core, &store) == NULL) {
+        return -1;
+    }
+    /* A new CacheLine, used once, stamped reply_t. */
+    PyObject *entry = new_slotted(k->cline_type);
+    if (entry == NULL) {
+        return -1;
+    }
+    slot_put(entry, k->off_c_state, Py_NewRef(state));
+    slot_put(entry, k->off_c_last_use, PyLong_FromLong(0));
+    slot_put(entry, k->off_c_util, PyLong_FromLong(1));
+    slot_put(entry, k->off_c_data, Py_NewRef(Py_None));
+    Py_INCREF(store);
+    int rc = -1;
+    if (slot_set_double(entry, k->off_c_last_access, reply_t) < 0
+        || (data != NULL && slot_copy_list(entry, k->off_c_data, data) < 0)
+        || l1_insert(k, store, line, line_obj, entry, ev_line, ev_entry) < 0) {
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(store);
+    Py_DECREF(entry);
+    return rc;
+}
+
+int
+home_l1_use(HomeObject *k, PyObject *store, PyObject *entry, PyObject *t_obj)
+{
+    long long util;
+    if (home_touch(k, store, entry, k->off_c_last_use) < 0
+        || slot_long(entry, k->off_c_util, &util) < 0
+        || slot_set_long(entry, k->off_c_util, util + 1) < 0) {
+        return -1;
+    }
+    slot_put(entry, k->off_c_last_access, Py_NewRef(t_obj));
+    return 0;
+}
+
+int
+home_l1_hit(HomeObject *k, PyObject *l1, PyObject *store, PyObject *entry,
+            PyObject *now_obj)
+{
+    PyObject *stats;
+    if (slot_bump(l1, k->off_l1_hits) < 0
+        || home_l1_use(k, store, entry, now_obj) < 0
+        || (stats = home_engine_part(k, k->off_miss_stats, k->stats_type,
+                                     "MissStats")) == NULL) {
+        return -1;
+    }
+    return slot_bump(stats, k->off_ms_hits);
+}
+
+PyObject *
+home_new_result(HomeObject *k)
+{
+    PyObject *result = new_slotted(k->result_type);
+    if (result == NULL) {
+        return NULL;
+    }
+    Py_ssize_t floats[] = {k->off_r_latency, k->off_r_l1l2, k->off_r_wait,
+                           k->off_r_sharers, k->off_r_offchip};
+    for (size_t i = 0; i < sizeof(floats) / sizeof(floats[0]); i++) {
+        slot_put(result, floats[i], Py_NewRef(k->zero));
+    }
+    slot_set_bool(result, k->off_r_hit, 0);
+    slot_put(result, k->off_r_miss_type, Py_NewRef(Py_None));
+    slot_set_bool(result, k->off_r_remote, 0);
+    return result;
+}
+
+int
+home_finish_result(HomeObject *k, PyObject *result, double now,
+                   double reply_t, double sharers_lat)
+{
+    double latency = reply_t - now, wait, offchip;
+    if (slot_double(result, k->off_r_wait, &wait) < 0
+        || slot_double(result, k->off_r_offchip, &offchip) < 0
+        || slot_set_double(result, k->off_r_latency, latency) < 0) {
+        return -1;
+    }
+    return slot_set_double(result, k->off_r_l1l2,
+                           latency - wait - sharers_lat - offchip);
+}
+
+int
+home_miss_record(HomeObject *k, int miss)
+{
+    PyObject *stats = home_engine_part(k, k->off_miss_stats, k->stats_type,
+                                       "MissStats");
+    if (stats == NULL) {
+        return -1;
+    }
+    PyObject *counts = slot_get(stats, k->off_ms_counts);
+    if (counts == NULL) {
+        return -1;
+    }
+    if (!PyList_CheckExact(counts)
+        || k->miss_index[miss] >= PyList_GET_SIZE(counts)) {
+        PyErr_Format(PyExc_TypeError, "%s: bad miss counts", kernel_name(k));
+        return -1;
+    }
+    long long c;
+    if (arg_long(PyList_GET_ITEM(counts, k->miss_index[miss]), &c) < 0) {
+        return -1;
+    }
+    PyObject *out = PyLong_FromLongLong(c + 1);
+    if (out == NULL) {
+        return -1;
+    }
+    return PyList_SetItem(counts, k->miss_index[miss], out);
+}
+
+PyObject *
+home_history(HomeObject *k, long long core, PyObject *line_obj,
+             long long *flags)
+{
+    PyObject *hist = PyList_GET_ITEM(k->history, (Py_ssize_t)core);
+    if (!PyDict_CheckExact(hist)) {
+        PyErr_Format(PyExc_TypeError, "%s: history is not a dict",
+                     kernel_name(k));
+        return NULL;
+    }
+    PyObject *v = PyDict_GetItemWithError(hist, line_obj);
+    *flags = 0;
+    if ((v == NULL && PyErr_Occurred())
+        || (v != NULL && arg_long(v, flags) < 0)) {
+        return NULL;
+    }
+    return hist;
+}
+
+int
+home_history_update(HomeObject *k, long long core, PyObject *line_obj,
+                    long long set, long long clear)
+{
+    long long flags;
+    PyObject *hist = home_history(k, core, line_obj, &flags);
+    if (hist == NULL) {
+        return -1;
+    }
+    PyObject *out = PyLong_FromLongLong((flags | set) & ~clear);
+    if (out == NULL) {
+        return -1;
+    }
+    int rc = PyDict_SetItem(hist, line_obj, out);
+    Py_DECREF(out);
+    return rc;
+}
+
+int
+home_hist_record(HomeObject *k, Py_ssize_t off, long long util)
+{
+    PyObject *hist = home_engine_part(k, off, k->hist_type,
+                                      "UtilizationHistogram");
+    if (hist == NULL) {
+        return -1;
+    }
+    PyObject *counts = slot_get(hist, k->off_h_counts);
+    if (counts == NULL) {
+        return -1;
+    }
+    if (!PyDict_CheckExact(counts)) {
+        PyErr_Format(PyExc_TypeError, "%s: counts is not a dict",
+                     kernel_name(k));
+        return -1;
+    }
+    int b = util <= 1 ? 0 : util <= 3 ? 1 : util <= 5 ? 2 : util <= 7 ? 3 : 4;
+    PyObject *key = k->bucket_keys[b];
+    PyObject *v = PyDict_GetItemWithError(counts, key);
+    long long c;
+    if (v == NULL) {
+        if (!PyErr_Occurred()) {
+            PyErr_SetObject(PyExc_KeyError, key);
+        }
+        return -1;
+    }
+    if (arg_long(v, &c) < 0) {
+        return -1;
+    }
+    PyObject *out = PyLong_FromLongLong(c + 1);
+    if (out == NULL) {
+        return -1;
+    }
+    int rc = PyDict_SetItem(counts, key, out);
+    Py_DECREF(out);
+    return rc;
+}
+
+int
+home_golden_check(HomeObject *k, PyObject *entry, PyObject *line_obj,
+                  long long word, const char *what, long long core)
+{
+    PyObject *data = slot_get(entry, k->off_c_data);
+    if (data == NULL) {
+        return -1;
+    }
+    PyObject *value = PySequence_GetItem(data, (Py_ssize_t)word);
+    PyObject *word_obj = PyLong_FromLongLong(word);
+    PyObject *label = PyUnicode_FromFormat("%s core %lld", what, core);
+    PyObject *res = NULL;
+    if (value != NULL && word_obj != NULL && label != NULL) {
+        res = PyObject_CallMethodObjArgs(k->golden, str_check_read, line_obj,
+                                         word_obj, value, label, NULL);
+    }
+    Py_XDECREF(value);
+    Py_XDECREF(word_obj);
+    Py_XDECREF(label);
+    if (res == NULL) {
+        return -1;
+    }
+    Py_DECREF(res);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Off-chip: the controller, the L2 eviction and the fill              */
+/* ------------------------------------------------------------------ */
+
+/* MemoryController.access(start, line_size) on controller `index`; the
+ * finish time in *finish (or NULL to drop it, as a write-back does). */
+static int
+ctrl_access(HomeObject *k, Py_ssize_t index, double start, double *finish)
+{
+    PyObject *ctrl = PyList_GET_ITEM(k->controllers, index);
+    double next_free, queue_total;
+    if (check_type(ctrl, k->ctrl_type, "MemoryController") < 0
+        || slot_double(ctrl, k->off_m_next_free, &next_free) < 0
+        || slot_double(ctrl, k->off_m_queue, &queue_total) < 0) {
+        return -1;
+    }
+    double begin = next_free > start ? next_free : start;
+    double queue_delay = begin - start;
+    PyObject *bytes = slot_get(ctrl, k->off_m_bytes);
+    if (bytes == NULL || slot_set_double(ctrl, k->off_m_next_free,
+                                         begin + k->dram_service) < 0
+        || slot_bump(ctrl, k->off_m_requests) < 0) {
+        return -1;
+    }
+    PyObject *total = PyNumber_Add(bytes, k->line_size);
+    if (total == NULL) {
+        return -1;
+    }
+    slot_put(ctrl, k->off_m_bytes, total);
+    if (slot_set_double(ctrl, k->off_m_queue, queue_total + queue_delay) < 0) {
+        return -1;
+    }
+    if (finish != NULL) {
+        *finish = begin + k->dram_latency + k->dram_service;
+    }
+    return 0;
+}
+
+/* ProtocolEngineBase._evict_l2_line of (vline, ventry) at `home` at t:
+ * the subtype's purge of its L1 copies, the write-back of a dirty line
+ * (MEM_WRITE, the controller; verify mode's _verify_write_back), then the
+ * line leaves _home_of_line.  An engine class that overrides
+ * _evict_l2_line gets its override called instead. */
+static int
+evict_l2_line(HomeObject *k, long long home, PyObject *home_obj,
+              PyObject *vline_obj, PyObject *ventry, double t)
+{
+    if (k->evict_hook) {
+        PyObject *t_obj = PyFloat_FromDouble(t);
+        if (t_obj == NULL) {
+            return -1;
+        }
+        PyObject *args[5] = {k->engine, home_obj, vline_obj, ventry, t_obj};
+        PyObject *res = PyObject_VectorcallMethod(
+            str_evict_l2_line, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+        Py_DECREF(t_obj);
+        if (res == NULL) {
+            return -1;
+        }
+        Py_DECREF(res);
+        return 0;
+    }
+    if (k->purge != NULL && k->purge(k, home, vline_obj, ventry, t) < 0) {
+        return -1;
+    }
+    int dirty = slot_true(ventry, k->off_dirty);
+    if (dirty < 0) {
+        return -1;
+    }
+    if (dirty) {
+        long long vline;
+        double arrival;
+        if (arg_long(vline_obj, &vline) < 0) {
+            return -1;
+        }
+        Py_ssize_t index = (Py_ssize_t)(vline % k->num_ctrls);
+        if (home_energy_bump(k, k->off_e_lreads) < 0
+            || home_leg(k, home, k->ctrl_tiles[index], K_MSG_MEM_WRITE, t,
+                        &arrival) < 0
+            || ctrl_access(k, index, t, NULL) < 0) {
+            return -1;
+        }
+        if (k->verify) {
+            PyObject *args[4] = {k->engine, home_obj, vline_obj, ventry};
+            PyObject *res = PyObject_VectorcallMethod(
+                str_verify_write_back, args,
+                4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+            if (res == NULL) {
+                return -1;
+            }
+            Py_DECREF(res);
+        }
+    }
+    int present = PyDict_Contains(k->home_of_line, vline_obj);
+    if (present < 0
+        || (present && PyDict_DelItem(k->home_of_line, vline_obj) < 0)) {
+        return -1;
+    }
+    return 0;
+}
+
 /* A fresh DirectoryEntry (the `entry_type` slots sharers, owner and
  * overflowed as its __init__ sets them) attached to a filled line. */
 static int
@@ -482,11 +957,57 @@ install_entry(HomeObject *k, PyObject *l2line)
     return 0;
 }
 
-/* The off-chip fill of `line` at `home` from t: LRU victim (evicted
- * through the family's _evict_l2_line), MEM_READ_REQ, the controller,
- * MEM_READ_REPLY, L2Slice.fill and, in the directory subtype, a fresh
- * directory entry.  Returns the new L2Line (new reference) and its
- * arrival time. */
+/* L2Slice.fill's new line: a fresh L2Line (the slots its __init__ sets),
+ * stamped `reply_t`, holding `data` (verify mode) or None (new
+ * reference). */
+static PyObject *
+new_l2line(HomeObject *k, double reply_t, PyObject *data)
+{
+    PyObject *l2line = new_slotted(k->line_type);
+    if (l2line == NULL) {
+        return NULL;
+    }
+    slot_put(l2line, k->off_last_use, PyLong_FromLong(0));
+    slot_set_bool(l2line, k->off_dirty, 0);
+    slot_put(l2line, k->off_dirty_words, PyLong_FromLong(0));
+    slot_put(l2line, k->off_l2_data, Py_NewRef(data));
+    slot_put(l2line, k->off_directory, Py_NewRef(Py_None));
+    slot_put(l2line, k->off_locality, Py_NewRef(Py_None));
+    slot_put(l2line, k->off_busy, Py_NewRef(k->zero));
+    slot_set_bool(l2line, k->off_replica, 0);
+    if (slot_set_double(l2line, k->off_last_access, reply_t) < 0) {
+        Py_DECREF(l2line);
+        return NULL;
+    }
+    return l2line;
+}
+
+/* The verify-mode data of a filled line: the DRAM image's copy, else a
+ * line of zeros (new reference). */
+static PyObject *
+fill_data(HomeObject *k, PyObject *line_obj)
+{
+    PyObject *image = PyDict_GetItemWithError(k->dram_image, line_obj);
+    if (image != NULL) {
+        return PySequence_List(image);
+    }
+    if (PyErr_Occurred()) {
+        return NULL;
+    }
+    PyObject *data = PyList_New((Py_ssize_t)k->words_per_line);
+    if (data != NULL) {
+        for (long long w = 0; w < k->words_per_line; w++) {
+            PyList_SET_ITEM(data, (Py_ssize_t)w, PyLong_FromLong(0));
+        }
+    }
+    return data;
+}
+
+/* The off-chip fill of `line` at `home` from t: the LRU victim of a full
+ * set (evict_l2_line, then out of its set), MEM_READ_REQ, the controller,
+ * MEM_READ_REPLY, then the new line into its set and, in the directory
+ * subtype, a fresh directory entry on it.  Returns the new L2Line (new
+ * reference) and its arrival time. */
 static PyObject *
 fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
      PyObject *line_obj, double t, double *reply_out)
@@ -497,11 +1018,9 @@ fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
     if (bucket == NULL) {
         return NULL;
     }
-    Py_INCREF(slice_);
     Py_INCREF(store);
     Py_INCREF(bucket);
     PyObject *l2line = NULL;
-    PyObject *t_obj = NULL;
 
     if (PyDict_GET_SIZE(bucket) >= k->assoc) {
         PyObject *vkey, *ventry;
@@ -511,151 +1030,66 @@ fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
         }
         Py_INCREF(vkey);
         Py_INCREF(ventry);
-        t_obj = PyFloat_FromDouble(t);
-        PyObject *res = NULL;
-        if (t_obj != NULL) {
-            PyObject *args[5] = {k->engine, home_obj, vkey, ventry, t_obj};
-            res = PyObject_VectorcallMethod(
-                str_evict_l2_line, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET,
-                NULL);
-        }
+        int bad = evict_l2_line(k, home, home_obj, vkey, ventry, t) < 0;
         Py_DECREF(ventry);
-        if (res == NULL) {
-            Py_DECREF(vkey);
-            goto done;
-        }
-        Py_DECREF(res);
-        /* slice_.remove(vline): the store's pop, straight on the set
-         * dict unless a membership observer is attached. */
-        PyObject *observer = slot_get(store, k->off_store_observer);
-        if (observer == NULL) {
-            Py_DECREF(vkey);
-            goto done;
-        }
-        if (observer == Py_None) {
+        /* slice_.remove(vline): the store's pop. */
+        if (!bad) {
             int present = PyDict_Contains(bucket, vkey);
-            if (present < 0
-                || (present && PyDict_DelItem(bucket, vkey) < 0)) {
-                Py_DECREF(vkey);
-                goto done;
-            }
-        }
-        else {
-            PyObject *popped = PyObject_CallMethodObjArgs(store, str_pop,
-                                                          vkey, NULL);
-            if (popped == NULL) {
-                Py_DECREF(vkey);
-                goto done;
-            }
-            Py_DECREF(popped);
+            bad = present < 0
+                  || (present
+                      && (PyDict_DelItem(bucket, vkey) < 0
+                          || observe(k, store, 1, vkey, Py_None) < 0));
         }
         Py_DECREF(vkey);
+        if (bad) {
+            goto done;
+        }
     }
 
-    {
-        Py_ssize_t index = (Py_ssize_t)(line % k->num_ctrls);
-        PyObject *ctrl = PyList_GET_ITEM(k->controllers, index);
-        long long tile = k->ctrl_tiles[index];
-        double req_t, finish, reply_t;
-        if (home_leg(k, home, tile, K_MSG_MEM_READ_REQ, t, &req_t) < 0) {
-            goto done;
-        }
-        PyObject *req_obj = PyFloat_FromDouble(req_t);
-        if (req_obj == NULL) {
-            goto done;
-        }
-        PyObject *done_pair = PyObject_CallMethodObjArgs(
-            ctrl, str_access, req_obj, k->line_size, NULL);
-        Py_DECREF(req_obj);
-        if (done_pair == NULL) {
-            goto done;
-        }
-        if (!PyTuple_Check(done_pair) || PyTuple_GET_SIZE(done_pair) < 1) {
-            Py_DECREF(done_pair);
-            PyErr_SetString(PyExc_TypeError,
-                            "MemoryController.access must return a tuple");
-            goto done;
-        }
-        int bad = arg_double(PyTuple_GET_ITEM(done_pair, 0), &finish);
-        Py_DECREF(done_pair);
-        if (bad < 0
-            || home_leg(k, tile, home, K_MSG_MEM_READ_REPLY, finish,
-                        &reply_t) < 0) {
-            goto done;
-        }
-
-        PyObject *data;
-        if (k->verify) {
-            PyObject *image = PyDict_GetItemWithError(k->dram_image, line_obj);
-            if (image != NULL) {
-                data = PySequence_List(image);
-            }
-            else if (PyErr_Occurred()) {
-                goto done;
-            }
-            else {
-                data = PyList_New((Py_ssize_t)k->words_per_line);
-                if (data != NULL) {
-                    for (long long w = 0; w < k->words_per_line; w++) {
-                        PyList_SET_ITEM(data, (Py_ssize_t)w, PyLong_FromLong(0));
-                    }
-                }
-            }
-            if (data == NULL) {
-                goto done;
-            }
-        }
-        else {
-            data = Py_NewRef(Py_None);
-        }
-        PyObject *reply_obj = PyFloat_FromDouble(reply_t);
-        if (reply_obj == NULL) {
-            Py_DECREF(data);
-            goto done;
-        }
-        PyObject *evicted = PyObject_CallMethodObjArgs(
-            slice_, str_fill, line_obj, reply_obj, data, NULL);
-        Py_DECREF(reply_obj);
-        Py_DECREF(data);
-        if (evicted == NULL) {
-            goto done;
-        }
-        int displaced = evicted != Py_None;
-        Py_DECREF(evicted);
-        if (displaced) {
-            PyObject *exc = imported("repro.common.errors", "SimulationError");
-            if (exc != NULL) {
-                PyErr_SetString(exc, "L2 fill evicted after explicit victim "
-                                     "handling");
-                Py_DECREF(exc);
-            }
-            goto done;
-        }
-        l2line = PyDict_GetItemWithError(bucket, line_obj);
-        if (l2line == NULL) {
-            if (!PyErr_Occurred()) {
-                PyErr_SetString(PyExc_RuntimeError,
-                                "home kernel: filled line not in its set");
-            }
-            goto done;
-        }
-        Py_INCREF(l2line);
-        if ((k->entry_type != NULL
-             && (check_type(l2line, k->line_type, "L2Line") < 0
-                 || install_entry(k, l2line) < 0))
-            || home_energy_bump(k, k->off_e_lwrites) < 0
-            || PyDict_SetItem(k->home_of_line, line_obj, home_obj) < 0) {
-            Py_CLEAR(l2line);
-            goto done;
-        }
-        *reply_out = reply_t;
+    Py_ssize_t index = (Py_ssize_t)(line % k->num_ctrls);
+    long long tile = k->ctrl_tiles[index];
+    double req_t, finish, reply_t;
+    if (home_leg(k, home, tile, K_MSG_MEM_READ_REQ, t, &req_t) < 0
+        || ctrl_access(k, index, req_t, &finish) < 0
+        || home_leg(k, tile, home, K_MSG_MEM_READ_REPLY, finish,
+                    &reply_t) < 0) {
+        goto done;
     }
+    PyObject *data = k->verify ? fill_data(k, line_obj) : Py_NewRef(Py_None);
+    if (data == NULL) {
+        goto done;
+    }
+    l2line = new_l2line(k, reply_t, data);
+    Py_DECREF(data);
+    if (l2line == NULL) {
+        goto done;
+    }
+    /* SetAssocCache.insert into a set the victim left room in. */
+    int present = PyDict_Contains(bucket, line_obj);
+    if (present < 0) {
+        Py_CLEAR(l2line);
+        goto done;
+    }
+    if (!present && PyDict_GET_SIZE(bucket) >= k->assoc) {
+        PyErr_SetString(k->simulation_error,
+                        "L2 fill evicted after explicit victim handling");
+        Py_CLEAR(l2line);
+        goto done;
+    }
+    if (home_touch(k, store, l2line, k->off_last_use) < 0
+        || PyDict_SetItem(bucket, line_obj, l2line) < 0
+        || observe(k, store, 0, line_obj, l2line) < 0
+        || (k->entry_type != NULL && install_entry(k, l2line) < 0)
+        || home_energy_bump(k, k->off_e_lwrites) < 0
+        || PyDict_SetItem(k->home_of_line, line_obj, home_obj) < 0) {
+        Py_CLEAR(l2line);
+        goto done;
+    }
+    *reply_out = reply_t;
 
 done:
-    Py_XDECREF(t_obj);
     Py_DECREF(bucket);
     Py_DECREF(store);
-    Py_DECREF(slice_);
     return l2line;
 }
 
@@ -741,43 +1175,35 @@ home_deliver(HomeObject *k, long long core, PyObject *line_obj,
     return l2line;
 }
 
-/* round_trip on a placed miss; returns (slice_, l2line, t, reply_t). */
-static PyObject *
-round_trip(HomeObject *k, long long core, PyObject *line_obj, long long line,
-           long long home, long long flush, long long req_msg,
-           long long reply_msg, PyObject *now_obj, double now,
-           PyObject *result)
+PyObject *
+home_round_trip(HomeObject *k, long long core, PyObject *line_obj,
+                long long line, long long home, long long flush,
+                long long req_msg, long long reply_msg, PyObject *now_obj,
+                double now, PyObject *result, PyObject **slice_out,
+                double *t_out, double *reply_out)
 {
-    PyObject *slice_, *l2line;
-    double t, reply_t;
     if (flush < 0) {
-        l2line = home_lookup(k, home, line, line_obj);
+        PyObject *l2line = home_lookup(k, home, line, line_obj);
         if (l2line == NULL && PyErr_Occurred()) {
             return NULL;
         }
         if (l2line != NULL) {
-            slice_ = PyList_GET_ITEM(k->l2, (Py_ssize_t)home);
-            Py_INCREF(l2line);
-            if (home_chain(k, core, home, l2line, slice_, req_msg, reply_msg,
-                           now, result, &t, &reply_t) < 0) {
-                Py_DECREF(l2line);
+            *slice_out = PyList_GET_ITEM(k->l2, (Py_ssize_t)home);
+            if (home_chain(k, core, home, l2line, *slice_out, req_msg,
+                           reply_msg, now, result, t_out, reply_out) < 0) {
                 return NULL;
             }
-            goto pack;
+            return Py_NewRef(l2line);
         }
     }
-    l2line = home_deliver(k, core, line_obj, line, home, flush, req_msg,
-                          now_obj, now, result, &slice_, &t);
-    if (l2line == NULL) {
-        return NULL;
+    PyObject *l2line = home_deliver(k, core, line_obj, line, home, flush,
+                                    req_msg, now_obj, now, result, slice_out,
+                                    t_out);
+    if (l2line != NULL
+        && home_leg(k, home, core, reply_msg, *t_out, reply_out) < 0) {
+        Py_CLEAR(l2line);
     }
-    if (home_leg(k, home, core, reply_msg, t, &reply_t) < 0) {
-        Py_DECREF(l2line);
-        return NULL;
-    }
-pack:;
-    return pack(4, Py_NewRef(slice_), l2line, PyFloat_FromDouble(t),
-                PyFloat_FromDouble(reply_t));
+    return l2line;
 }
 
 /* The word access at the home; `word_obj` is the word as a Python int for
@@ -861,6 +1287,7 @@ home_settle(HomeObject *k, PyObject *slice_, PyObject *l2line,
     return 0;
 }
 
+
 /* ------------------------------------------------------------------ */
 /* Methods                                                             */
 /* ------------------------------------------------------------------ */
@@ -910,30 +1337,22 @@ METHOD(round_trip, 8,
        "result)")
 {
     long long core, line, home, flush, req_msg, reply_msg;
-    double now;
+    double now, t, reply_t;
     if (arg_long(args[0], &core) < 0 || arg_index(args[1], &line) < 0
         || arg_long(args[2], &home) < 0 || arg_flush(args[3], &flush) < 0
         || arg_long(args[4], &req_msg) < 0 || arg_long(args[5], &reply_msg) < 0
-        || arg_double(args[6], &now) < 0) {
+        || arg_double(args[6], &now) < 0 || home_check_tile(k, home) < 0) {
         return NULL;
     }
-    return round_trip(k, core, args[1], line, home, flush, req_msg, reply_msg,
-                      args[6], now, args[7]);
-}
-
-METHOD(word_round_trip, 7,
-       "word_round_trip(core, line, word, req_msg, reply_msg, now, result)")
-{
-    long long core, line, word, req_msg, reply_msg, home, flush;
-    double now;
-    if (arg_long(args[0], &core) < 0 || arg_index(args[1], &line) < 0
-        || arg_index(args[2], &word) < 0 || arg_long(args[3], &req_msg) < 0
-        || arg_long(args[4], &reply_msg) < 0 || arg_double(args[5], &now) < 0
-        || home_place(k, line, 1, word, args[0], core, &home, &flush) < 0) {
+    PyObject *slice_;
+    PyObject *l2line = home_round_trip(k, core, args[1], line, home, flush,
+                                       req_msg, reply_msg, args[6], now,
+                                       args[7], &slice_, &t, &reply_t);
+    if (l2line == NULL) {
         return NULL;
     }
-    return round_trip(k, core, args[1], line, home, flush, req_msg, reply_msg,
-                      args[5], now, args[6]);
+    return pack(4, Py_NewRef(slice_), l2line, PyFloat_FromDouble(t),
+                PyFloat_FromDouble(reply_t));
 }
 
 METHOD(deliver_request, 7,
@@ -985,24 +1404,12 @@ METHOD(chain_request_reply, 8,
                 NULL);
 }
 
-/* serve_word's arguments is_write and word. */
-static int
-arg_word_access(PyObject *const *args, int *is_write, long long *word)
-{
-    *is_write = PyObject_IsTrue(args[1]);
-    if (*is_write < 0) {
-        return -1;
-    }
-    *word = 0;
-    return *is_write ? arg_long(args[3], word) : 0;
-}
-
 METHOD(serve_word, 6,
        "serve_word(core, is_write, line, word, l2line, slice_)")
 {
-    int is_write;
-    long long word;
-    if (arg_word_access(args, &is_write, &word) < 0
+    long long word = 0;
+    int is_write = PyObject_IsTrue(args[1]);
+    if (is_write < 0 || (is_write && arg_long(args[3], &word) < 0)
         || home_serve_word(k, args[0], is_write, args[2], word, args[3],
                            args[4], args[5]) < 0) {
         return NULL;
@@ -1019,27 +1426,13 @@ METHOD(settle, 4, "settle(slice_, l2line, t, owned)")
     Py_RETURN_NONE;
 }
 
-METHOD(serve_word_settle, 8,
-       "serve_word_settle(core, is_write, line, word, l2line, slice_, t, "
-       "owned)")
-{
-    int is_write, owned;
-    long long word;
-    if (arg_word_access(args, &is_write, &word) < 0
-        || home_serve_word(k, args[0], is_write, args[2], word, args[3],
-                           args[4], args[5]) < 0
-        || (owned = PyObject_IsTrue(args[7])) < 0
-        || home_settle(k, args[5], args[4], args[6], owned) < 0) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
 /* ------------------------------------------------------------------ */
 /* Construction and GC                                                 */
 /* ------------------------------------------------------------------ */
 
-int
+/* One store geometry (set mask, associativity) over a list of caches of
+ * one `type` (L1Cache or L2Slice). */
+static int
 home_geometry(PyObject *caches, PyObject *type, long long *mask,
               Py_ssize_t *assoc)
 {
@@ -1065,67 +1458,22 @@ home_geometry(PyObject *caches, PyObject *type, long long *mask,
 }
 
 static int
-Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
-                PyObject *result_type)
+attr_double(PyObject *obj, const char *a, const char *b, double *out)
 {
-    k->engine_ref = PyWeakref_NewRef(engine, NULL);
-    if (k->engine_ref == NULL) {
+    PyObject *v = attr_chain(obj, a, b);
+    if (v == NULL) {
         return -1;
     }
-    k->line_type = Py_NewRef(line_type);
-    k->result_type = Py_NewRef(result_type);
-    long long verify;
-    if ((k->l2 = repro_getattr(engine, "l2")) == NULL
-        || (k->paths = attr_chain(engine, "network", "paths")) == NULL
-        || (k->resolve = attr_chain(engine, "network", "resolve_path")) == NULL
-        || (k->mesh = attr_chain(engine, "network", "kernel")) == NULL
-        || (k->page_table = attr_chain(engine, "placement", "page_table")) == NULL
-        || (k->pages = repro_getattr(k->page_table, "_pages")) == NULL
-        || (k->home_of_line = repro_getattr(engine, "_home_of_line")) == NULL
-        || (k->dram_image = repro_getattr(engine, "_dram_image")) == NULL
-        || (k->line_size = attr_chain(engine, "arch", "line_size")) == NULL
-        || attr_long(engine, "arch", "num_cores", &k->num_tiles) < 0
-        || attr_long(engine, "arch", "words_per_line", &k->words_per_line) < 0
-        || attr_long(engine, "arch", "page_size", &k->page_size) < 0
-        || attr_long(engine, "verify", NULL, &verify) < 0) {
-        return -1;
-    }
-    k->verify = verify != 0;
-    if (!repro_mesh_check(k->mesh)) {
-        PyErr_Format(PyExc_TypeError, "%s needs the compiled MeshKernel",
-                     kernel_name(k));
-        return -1;
-    }
-    if (!PyList_CheckExact(k->l2) || PyList_GET_SIZE(k->l2) != k->num_tiles
-        || k->num_tiles <= 0
-        || !PyList_CheckExact(k->paths)
-        || PyList_GET_SIZE(k->paths) != k->num_tiles * k->num_tiles
-        || !PyDict_CheckExact(k->pages) || !PyDict_CheckExact(k->home_of_line)
-        || !PyDict_CheckExact(k->dram_image)) {
-        PyErr_Format(PyExc_TypeError, "%s: unexpected engine layout",
-                     kernel_name(k));
-        return -1;
-    }
-    if (k->page_size <= 0) {
-        PyErr_SetString(PyExc_ValueError, "HomeKernel: page_size must be positive");
-        return -1;
-    }
-    k->page_shift = -1;
-    if ((k->page_size & (k->page_size - 1)) == 0
-        && k->page_size >= (1LL << K_LINE_BITS)) {
-        int shift = 0;
-        while ((1LL << shift) < k->page_size) {
-            shift++;
-        }
-        k->page_shift = shift - K_LINE_BITS;
-    }
-    long long latency;
-    if (attr_long(engine, "_l2_latency", NULL, &latency) < 0) {
-        return -1;
-    }
-    k->l2_latency = (double)latency;
+    int rc = arg_double(v, out);
+    Py_DECREF(v);
+    return rc;
+}
 
-    /* Flit table, by message type value. */
+/* The flit table and the controllers (MemorySubsystem.controller_for_line
+ * is line % n over the controller tiles, in order). */
+static int
+init_tables(HomeObject *k, PyObject *engine)
+{
     PyObject *flits = repro_getattr(engine, "_net_flits");
     if (flits == NULL) {
         return -1;
@@ -1149,12 +1497,11 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
         }
     }
     Py_DECREF(seq);
-    if (k->num_msgs <= K_MSG_MEM_READ_REPLY) {
+    if (k->num_msgs <= K_MSG_MEM_WRITE) {
         PyErr_SetString(PyExc_ValueError, "HomeKernel: flit table too short");
         return -1;
     }
 
-    /* Controllers by line % n (MemorySubsystem.controller_for_line). */
     PyObject *tiles = attr_chain(engine, "arch", "memory_controller_tiles");
     PyObject *ctrls = attr_chain(engine, "memsys", "controllers");
     if (tiles == NULL || ctrls == NULL) {
@@ -1192,59 +1539,275 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
     }
     Py_DECREF(tseq);
     Py_DECREF(ctrls);
+    k->ctrl_type = type_of(PyList_GET_ITEM(k->controllers, 0));
+    double bandwidth;
+    long long line_size;
+    if (attr_double(engine, "arch", "dram_latency_cycles", &k->dram_latency) < 0
+        || attr_double(engine, "arch", "dram_bandwidth_bytes_per_cycle",
+                       &bandwidth) < 0
+        || arg_long(k->line_size, &line_size) < 0) {
+        return -1;
+    }
+    k->dram_service = (double)line_size / bandwidth;
+    return 0;
+}
 
-    /* Slot offsets: engine, energy, slices, stores, lines, results. */
-    PyObject *energy = repro_getattr(engine, "energy");
-    if (energy == NULL) {
-        return -1;
+/* Enum members, bucket keys and the error class. */
+static int
+init_names(HomeObject *k)
+{
+    PyObject *mesi = imported("repro.common.types", "MESIState");
+    PyObject *misses = imported("repro.common.types", "MissType");
+    PyObject *buckets = imported("repro.common.statsutil",
+                                 "UTILIZATION_BUCKETS");
+    int rc = -1;
+    if (mesi == NULL || misses == NULL || buckets == NULL
+        || (k->st_shared = repro_getattr(mesi, "SHARED")) == NULL
+        || (k->st_excl = repro_getattr(mesi, "EXCLUSIVE")) == NULL
+        || (k->st_mod = repro_getattr(mesi, "MODIFIED")) == NULL
+        || (k->simulation_error = imported("repro.common.errors",
+                                           "SimulationError")) == NULL
+        || (k->cline_type = imported("repro.mem.cache", "CacheLine")) == NULL) {
+        goto done;
     }
-    k->energy_type = type_of(energy);
-    Py_DECREF(energy);
-    PyObject *slice0 = PyList_GET_ITEM(k->l2, 0);
-    k->slice_type = type_of(slice0);
-    PyObject *store0 = repro_getattr(slice0, "store");
-    if (store0 == NULL) {
-        return -1;
+    static const char *const miss_names[NUM_MISS] = {
+        "COLD", "CAPACITY", "UPGRADE", "SHARING", "WORD"};
+    for (int i = 0; i < NUM_MISS; i++) {
+        long long index;
+        if ((k->miss[i] = repro_getattr(misses, miss_names[i])) == NULL
+            || arg_long(k->miss[i], &index) < 0) {
+            goto done;
+        }
+        k->miss_index[i] = (Py_ssize_t)index;
     }
-    k->store_type = type_of(store0);
-    Py_DECREF(store0);
-    if (home_geometry(k->l2, k->slice_type, &k->set_mask, &k->assoc) < 0) {
-        return -1;
+    if (!PyTuple_Check(buckets) || PyTuple_GET_SIZE(buckets) != NUM_BUCKETS) {
+        PyErr_SetString(PyExc_TypeError,
+                        "HomeKernel: unexpected utilization buckets");
+        goto done;
     }
-    static const char *const engine_names[] = {"energy", NULL};
-    Py_ssize_t *const engine_outs[] = {&k->off_energy};
+    for (int i = 0; i < NUM_BUCKETS; i++) {
+        k->bucket_keys[i] = Py_NewRef(PyTuple_GET_ITEM(buckets, i));
+    }
+    rc = 0;
+done:
+    Py_XDECREF(mesi);
+    Py_XDECREF(misses);
+    Py_XDECREF(buckets);
+    return rc;
+}
+
+/* Does the engine's class override ProtocolEngineBase._evict_l2_line? */
+static int
+init_evict_hook(HomeObject *k, PyObject *engine)
+{
+    PyObject *base = imported("repro.protocol.base", "ProtocolEngineBase");
+    PyObject *mine = NULL, *theirs = NULL;
+    int rc = -1;
+    if (base != NULL
+        && (mine = PyObject_GetAttr((PyObject *)Py_TYPE(engine),
+                                    str_evict_l2_line)) != NULL
+        && (theirs = PyObject_GetAttr(base, str_evict_l2_line)) != NULL) {
+        k->evict_hook = mine != theirs;
+        rc = 0;
+    }
+    Py_XDECREF(base);
+    Py_XDECREF(mine);
+    Py_XDECREF(theirs);
+    return rc;
+}
+
+static int
+init_offsets(HomeObject *k, PyObject *engine)
+{
+    static const char *const engine_names[] = {
+        "energy", "miss_stats", "inval_histogram", "evict_histogram", NULL};
+    Py_ssize_t *const engine_outs[] = {&k->off_energy, &k->off_miss_stats,
+                                       &k->off_inval_hist, &k->off_evict_hist};
     static const char *const energy_names[] = {
         "l2_tag_accesses", "l2_word_reads", "l2_word_writes",
-        "l2_line_writes", NULL};
-    Py_ssize_t *const energy_outs[] = {&k->off_e_tag, &k->off_e_wreads,
-                                       &k->off_e_wwrites, &k->off_e_lwrites};
+        "l2_line_writes", "l2_line_reads", "l1d_reads", "l1d_writes",
+        "l1d_tag_accesses", "l1d_line_fills", NULL};
+    Py_ssize_t *const energy_outs[] = {
+        &k->off_e_tag, &k->off_e_wreads, &k->off_e_wwrites, &k->off_e_lwrites,
+        &k->off_e_lreads, &k->off_e_l1d_reads, &k->off_e_l1d_writes,
+        &k->off_e_l1d_tag, &k->off_e_l1d_fills};
     static const char *const slice_names[] = {
-        "store", "hits", "misses", "word_reads", "word_writes", NULL};
+        "store", "hits", "misses", "word_reads", "word_writes", "line_reads",
+        NULL};
     Py_ssize_t *const slice_outs[] = {
         &k->off_slice_store, &k->off_slice_hits, &k->off_slice_misses,
-        &k->off_slice_wreads, &k->off_slice_wwrites};
+        &k->off_slice_wreads, &k->off_slice_wwrites, &k->off_slice_lreads};
     static const char *const store_names[] = {
         "_sets", "_use_counter", "_observer", NULL};
     Py_ssize_t *const store_outs[] = {
         &k->off_store_sets, &k->off_store_use, &k->off_store_observer};
     static const char *const line_names[] = {
         "busy_until", "last_use", "last_access", "dirty", "dirty_words",
-        "directory", NULL};
+        "directory", "data", "locality", "is_replica", NULL};
     Py_ssize_t *const line_outs[] = {
         &k->off_busy, &k->off_last_use, &k->off_last_access, &k->off_dirty,
-        &k->off_dirty_words, &k->off_directory};
+        &k->off_dirty_words, &k->off_directory, &k->off_l2_data,
+        &k->off_locality, &k->off_replica};
     static const char *const result_names[] = {
-        "l2_waiting", "l2_offchip", NULL};
-    Py_ssize_t *const result_outs[] = {&k->off_r_wait, &k->off_r_offchip};
-    if (slot_offsets((PyObject *)Py_TYPE(engine), engine_names, engine_outs) < 0
-        || slot_offsets(k->energy_type, energy_names, energy_outs) < 0
-        || slot_offsets(k->slice_type, slice_names, slice_outs) < 0
-        || slot_offsets(k->store_type, store_names, store_outs) < 0
-        || slot_offsets(line_type, line_names, line_outs) < 0
-        || slot_offsets(result_type, result_names, result_outs) < 0) {
+        "latency", "l1_to_l2", "l2_waiting", "l2_sharers", "l2_offchip",
+        "hit", "miss_type", "remote", NULL};
+    Py_ssize_t *const result_outs[] = {
+        &k->off_r_latency, &k->off_r_l1l2, &k->off_r_wait, &k->off_r_sharers,
+        &k->off_r_offchip, &k->off_r_hit, &k->off_r_miss_type,
+        &k->off_r_remote};
+    static const char *const ctrl_names[] = {
+        "_next_free", "requests", "bytes_transferred", "total_queue_delay",
+        NULL};
+    Py_ssize_t *const ctrl_outs[] = {&k->off_m_next_free, &k->off_m_requests,
+                                     &k->off_m_bytes, &k->off_m_queue};
+    static const char *const l1_names[] = {"store", "hits", "misses", NULL};
+    Py_ssize_t *const l1_outs[] = {&k->off_l1_store, &k->off_l1_hits,
+                                   &k->off_l1_misses};
+    static const char *const cline_names[] = {
+        "state", "last_use", "last_access", "utilization", "data", NULL};
+    Py_ssize_t *const cline_outs[] = {&k->off_c_state, &k->off_c_last_use,
+                                      &k->off_c_last_access, &k->off_c_util,
+                                      &k->off_c_data};
+    static const char *const stats_names[] = {"hits", "_miss_counts", NULL};
+    Py_ssize_t *const stats_outs[] = {&k->off_ms_hits, &k->off_ms_counts};
+    static const char *const hist_names[] = {"counts", NULL};
+    Py_ssize_t *const hist_outs[] = {&k->off_h_counts};
+    return slot_offsets((PyObject *)Py_TYPE(engine), engine_names,
+                        engine_outs) < 0
+                   || slot_offsets(k->energy_type, energy_names,
+                                   energy_outs) < 0
+                   || slot_offsets(k->slice_type, slice_names, slice_outs) < 0
+                   || slot_offsets(k->store_type, store_names, store_outs) < 0
+                   || slot_offsets(k->line_type, line_names, line_outs) < 0
+                   || slot_offsets(k->result_type, result_names,
+                                   result_outs) < 0
+                   || slot_offsets(k->ctrl_type, ctrl_names, ctrl_outs) < 0
+                   || slot_offsets(k->l1_type, l1_names, l1_outs) < 0
+                   || slot_offsets(k->cline_type, cline_names, cline_outs) < 0
+                   || slot_offsets(k->stats_type, stats_names, stats_outs) < 0
+                   || slot_offsets(k->hist_type, hist_names, hist_outs) < 0
+               ? -1
+               : 0;
+}
+
+/* The engine's parts a kernel holds (`name` of the engine, or of its
+ * `chain` attribute), with the type each must have. */
+static int
+Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
+                PyObject *result_type)
+{
+    k->engine_ref = PyWeakref_NewRef(engine, NULL);
+    if (k->engine_ref == NULL) {
         return -1;
     }
-    return 0;
+    k->line_type = Py_NewRef(line_type);
+    k->result_type = Py_NewRef(result_type);
+    long long verify;
+    PyObject *golden = NULL, *part = NULL;
+    int rc = -1;
+    if ((k->l2 = repro_getattr(engine, "l2")) == NULL
+        || (k->paths = attr_chain(engine, "network", "paths")) == NULL
+        || (k->resolve = attr_chain(engine, "network", "resolve_path")) == NULL
+        || (k->mesh = attr_chain(engine, "network", "kernel")) == NULL
+        || (k->page_table = attr_chain(engine, "placement", "page_table")) == NULL
+        || (k->pages = repro_getattr(k->page_table, "_pages")) == NULL
+        || (k->home_of_line = repro_getattr(engine, "_home_of_line")) == NULL
+        || (k->dram_image = repro_getattr(engine, "_dram_image")) == NULL
+        || (k->line_size = attr_chain(engine, "arch", "line_size")) == NULL
+        || (k->l1d = repro_getattr(engine, "l1d")) == NULL
+        || (k->history = repro_getattr(engine, "_history")) == NULL
+        || (k->hit_result = repro_getattr(engine, "_hit_result")) == NULL
+        || (golden = repro_getattr(engine, "golden")) == NULL
+        || attr_long(engine, "arch", "num_cores", &k->num_tiles) < 0
+        || attr_long(engine, "arch", "words_per_line", &k->words_per_line) < 0
+        || attr_long(engine, "arch", "page_size", &k->page_size) < 0
+        || attr_long(engine, "verify", NULL, &verify) < 0) {
+        goto done;
+    }
+    k->verify = verify != 0;
+    if (golden != Py_None) {
+        k->golden = Py_NewRef(golden);
+    }
+    if (!repro_mesh_check(k->mesh)) {
+        PyErr_Format(PyExc_TypeError, "%s needs the compiled MeshKernel",
+                     kernel_name(k));
+        goto done;
+    }
+    long long wpl = k->words_per_line;
+    if (!PyList_CheckExact(k->l2) || PyList_GET_SIZE(k->l2) != k->num_tiles
+        || k->num_tiles <= 0
+        || !PyList_CheckExact(k->l1d) || PyList_GET_SIZE(k->l1d) != k->num_tiles
+        || !PyList_CheckExact(k->history)
+        || PyList_GET_SIZE(k->history) != k->num_tiles
+        || !PyList_CheckExact(k->paths)
+        || PyList_GET_SIZE(k->paths) != k->num_tiles * k->num_tiles
+        || !PyDict_CheckExact(k->pages) || !PyDict_CheckExact(k->home_of_line)
+        || !PyDict_CheckExact(k->dram_image)
+        || wpl <= 0 || (wpl & (wpl - 1)) != 0) {
+        PyErr_Format(PyExc_TypeError, "%s: unexpected engine layout",
+                     kernel_name(k));
+        goto done;
+    }
+    if (k->verify && k->golden == NULL) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s: verify mode without a golden memory", kernel_name(k));
+        goto done;
+    }
+    if (k->page_size <= 0) {
+        PyErr_SetString(PyExc_ValueError, "HomeKernel: page_size must be positive");
+        goto done;
+    }
+    k->page_shift = -1;
+    if ((k->page_size & (k->page_size - 1)) == 0
+        && k->page_size >= (1LL << K_LINE_BITS)) {
+        int shift = 0;
+        while ((1LL << shift) < k->page_size) {
+            shift++;
+        }
+        k->page_shift = shift - K_LINE_BITS;
+    }
+    long long latency;
+    if (attr_long(engine, "_l2_latency", NULL, &latency) < 0) {
+        goto done;
+    }
+    k->l2_latency = (double)latency;
+
+    /* Types: the engine's own objects, and the classes it fills. */
+    if ((part = repro_getattr(engine, "energy")) == NULL) {
+        goto done;
+    }
+    k->energy_type = type_of(part);
+    Py_CLEAR(part);
+    if ((part = repro_getattr(engine, "miss_stats")) == NULL) {
+        goto done;
+    }
+    k->stats_type = type_of(part);
+    Py_CLEAR(part);
+    if ((part = repro_getattr(engine, "inval_histogram")) == NULL) {
+        goto done;
+    }
+    k->hist_type = type_of(part);
+    Py_CLEAR(part);
+    PyObject *slice0 = PyList_GET_ITEM(k->l2, 0);
+    k->slice_type = type_of(slice0);
+    k->l1_type = type_of(PyList_GET_ITEM(k->l1d, 0));
+    if ((part = repro_getattr(slice0, "store")) == NULL) {
+        goto done;
+    }
+    k->store_type = type_of(part);
+    Py_CLEAR(part);
+    if ((k->zero = PyFloat_FromDouble(0.0)) == NULL
+        || init_tables(k, engine) < 0 || init_names(k) < 0
+        || init_evict_hook(k, engine) < 0 || init_offsets(k, engine) < 0
+        || home_geometry(k->l2, k->slice_type, &k->set_mask, &k->assoc) < 0
+        || home_geometry(k->l1d, k->l1_type, &k->l1_mask, &k->l1_assoc) < 0) {
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(golden);
+    Py_XDECREF(part);
+    return rc;
 }
 
 static PyObject *
@@ -1268,50 +1831,91 @@ Home_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     return (PyObject *)k;
 }
 
+PyObject *
+home_subtype_new(PyTypeObject *type, PyObject *args, PyObject *kwds,
+                 const char *module, const char *family,
+                 int (*init)(HomeObject *k, PyObject *engine))
+{
+    PyObject *k = Home_new(type, args, kwds);
+    if (k == NULL) {
+        return NULL;
+    }
+    PyObject *engine = kernel_engine((HomeObject *)k);
+    PyObject *cls = engine == NULL ? NULL : imported(module, family);
+    int rc = -1;
+    if (cls != NULL) {
+        int mine = PyObject_IsInstance(engine, cls);
+        if (mine == 0) {
+            PyErr_Format(PyExc_TypeError, "%s serves a %s, not a %s",
+                         kernel_name(k), family, Py_TYPE(engine)->tp_name);
+        }
+        else if (mine > 0) {
+            rc = init == NULL ? 0 : init((HomeObject *)k, engine);
+        }
+    }
+    Py_XDECREF(cls);
+    Py_XDECREF(engine);
+    if (rc < 0) {
+        Py_CLEAR(k);
+    }
+    return k;
+}
+
+int
+home_access_args(HomeObject *k, PyObject *const *args, long long *core,
+                 int *is_write, long long *line, long long *word, double *now)
+{
+    long long address;
+    *is_write = PyObject_IsTrue(args[1]);
+    if (*is_write < 0 || arg_long(args[0], core) < 0
+        || arg_long(args[2], &address) < 0 || arg_double(args[3], now) < 0) {
+        return -1;
+    }
+    if (address < 0) {
+        PyErr_Format(PyExc_ValueError, "%s: negative address", kernel_name(k));
+        return -1;
+    }
+    *line = address >> K_LINE_BITS;
+    *word = (address >> K_WORD_BITS) & (k->words_per_line - 1);
+    return home_check_tile(k, *core);
+}
+
+#define HOME_OBJECTS(X)                                                     \
+    X(engine_ref) X(l2) X(paths) X(resolve) X(mesh) X(pages) X(page_table) \
+    X(controllers) X(home_of_line) X(dram_image) X(line_size) X(line_type) \
+    X(result_type) X(slice_type) X(store_type) X(energy_type) X(ctrl_type) \
+    X(simulation_error) X(entry_type) X(l1d) X(history) X(golden)          \
+    X(hit_result) X(zero) X(l1_type) X(cline_type) X(stats_type)           \
+    X(hist_type) X(st_shared) X(st_excl) X(st_mod)
+
 static int
 Home_traverse(HomeObject *k, visitproc visit, void *arg)
 {
-    Py_VISIT(k->engine_ref);
-    Py_VISIT(k->l2);
-    Py_VISIT(k->paths);
-    Py_VISIT(k->resolve);
-    Py_VISIT(k->mesh);
-    Py_VISIT(k->pages);
-    Py_VISIT(k->page_table);
-    Py_VISIT(k->controllers);
-    Py_VISIT(k->home_of_line);
-    Py_VISIT(k->dram_image);
-    Py_VISIT(k->line_size);
-    Py_VISIT(k->line_type);
-    Py_VISIT(k->result_type);
-    Py_VISIT(k->slice_type);
-    Py_VISIT(k->store_type);
-    Py_VISIT(k->energy_type);
-    Py_VISIT(k->entry_type);
+#define VISIT(name) Py_VISIT(k->name);
+    HOME_OBJECTS(VISIT)
+#undef VISIT
+    for (int i = 0; i < NUM_MISS; i++) {
+        Py_VISIT(k->miss[i]);
+    }
+    for (int i = 0; i < NUM_BUCKETS; i++) {
+        Py_VISIT(k->bucket_keys[i]);
+    }
     return 0;
 }
 
 static int
 Home_clear(HomeObject *k)
 {
-    Py_CLEAR(k->engine_ref);
     k->engine = NULL;
-    Py_CLEAR(k->l2);
-    Py_CLEAR(k->paths);
-    Py_CLEAR(k->resolve);
-    Py_CLEAR(k->mesh);
-    Py_CLEAR(k->pages);
-    Py_CLEAR(k->page_table);
-    Py_CLEAR(k->controllers);
-    Py_CLEAR(k->home_of_line);
-    Py_CLEAR(k->dram_image);
-    Py_CLEAR(k->line_size);
-    Py_CLEAR(k->line_type);
-    Py_CLEAR(k->result_type);
-    Py_CLEAR(k->slice_type);
-    Py_CLEAR(k->store_type);
-    Py_CLEAR(k->energy_type);
-    Py_CLEAR(k->entry_type);
+#define CLEAR(name) Py_CLEAR(k->name);
+    HOME_OBJECTS(CLEAR)
+#undef CLEAR
+    for (int i = 0; i < NUM_MISS; i++) {
+        Py_CLEAR(k->miss[i]);
+    }
+    for (int i = 0; i < NUM_BUCKETS; i++) {
+        Py_CLEAR(k->bucket_keys[i]);
+    }
     return 0;
 }
 
@@ -1334,9 +1938,6 @@ static PyMethodDef Home_methods[] = {
     FASTCALL(round_trip,
              "round_trip(core, line, home, flush_owner, req_msg, reply_msg, "
              "now, result) -> (slice_, l2line, t, reply_t)"),
-    FASTCALL(word_round_trip,
-             "word_round_trip(core, line, word, req_msg, reply_msg, now, "
-             "result) -> (slice_, l2line, t, reply_t)"),
     FASTCALL(deliver_request,
              "deliver_request(core, line, home, flush_owner, req_msg, now, "
              "result) -> (slice_, l2line, t)"),
@@ -1347,9 +1948,6 @@ static PyMethodDef Home_methods[] = {
     FASTCALL(serve_word,
              "serve_word(core, is_write, line, word, l2line, slice_)"),
     FASTCALL(settle, "settle(slice_, l2line, t, owned)"),
-    FASTCALL(serve_word_settle,
-             "serve_word_settle(core, is_write, line, word, l2line, slice_, "
-             "t, owned)"),
     {NULL, NULL, 0, NULL},
 };
 
@@ -1380,9 +1978,8 @@ repro_home_register(PyObject *mod)
         {&str_flush_private_page, "_flush_private_page"},
         {&str_evict_l2_line, "_evict_l2_line"},
         {&str_verify_word, "_verify_word"},
-        {&str_access, "access"},
-        {&str_fill, "fill"},
-        {&str_pop, "pop"},
+        {&str_verify_write_back, "_verify_write_back"},
+        {&str_check_read, "check_read"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         if (*names[i].slot == NULL) {
@@ -1404,11 +2001,37 @@ repro_home_register(PyObject *mod)
                                    K_RNUCA_HASH_SHIFT) < 0
         || PyModule_AddIntConstant(mod, "PAGE_PRIVATE", K_PAGE_PRIVATE) < 0
         || PyModule_AddIntConstant(mod, "PAGE_SHARED", K_PAGE_SHARED) < 0
-        || PyModule_AddIntConstant(mod, "MSG_MEM_READ_REQ",
-                                   K_MSG_MEM_READ_REQ) < 0
-        || PyModule_AddIntConstant(mod, "MSG_MEM_READ_REPLY",
-                                   K_MSG_MEM_READ_REPLY) < 0) {
+        || PyModule_AddIntConstant(mod, "WORD_BITS", K_WORD_BITS) < 0
+        || PyModule_AddIntConstant(mod, "EVER_CACHED", K_EVER_CACHED) < 0
+        || PyModule_AddIntConstant(mod, "LAST_REMOVAL_INVAL",
+                                   K_LAST_REMOVAL_INVAL) < 0
+        || PyModule_AddIntConstant(mod, "EVER_REMOTE", K_EVER_REMOTE) < 0) {
         return -1;
+    }
+    static const struct {
+        const char *name;
+        int value;
+    } msgs[] = {
+        {"MSG_READ_REQ", K_MSG_READ_REQ},
+        {"MSG_WRITE_REQ", K_MSG_WRITE_REQ},
+        {"MSG_UPGRADE_REQ", K_MSG_UPGRADE_REQ},
+        {"MSG_LINE_REPLY", K_MSG_LINE_REPLY},
+        {"MSG_WORD_REPLY", K_MSG_WORD_REPLY},
+        {"MSG_WORD_WRITE_ACK", K_MSG_WORD_WRITE_ACK},
+        {"MSG_INV_REQ", K_MSG_INV_REQ},
+        {"MSG_INV_ACK", K_MSG_INV_ACK},
+        {"MSG_WB_REQ", K_MSG_WB_REQ},
+        {"MSG_WB_DATA", K_MSG_WB_DATA},
+        {"MSG_EVICT_NOTIFY", K_MSG_EVICT_NOTIFY},
+        {"MSG_EVICT_DIRTY", K_MSG_EVICT_DIRTY},
+        {"MSG_MEM_READ_REQ", K_MSG_MEM_READ_REQ},
+        {"MSG_MEM_READ_REPLY", K_MSG_MEM_READ_REPLY},
+        {"MSG_MEM_WRITE", K_MSG_MEM_WRITE},
+    };
+    for (size_t i = 0; i < sizeof(msgs) / sizeof(msgs[0]); i++) {
+        if (PyModule_AddIntConstant(mod, msgs[i].name, msgs[i].value) < 0) {
+            return -1;
+        }
     }
     return 0;
 }

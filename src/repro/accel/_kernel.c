@@ -57,7 +57,7 @@
 #define K_WINDOW_MASK (K_WINDOW_EPOCHS - 1)
 #define K_SLOT_SHIFT 6
 #define K_SLOT_OCC_MASK ((1 << K_SLOT_SHIFT) - 1)
-#define K_ABI_VERSION 5
+#define K_ABI_VERSION 6
 
 typedef struct {
     PyObject_HEAD
@@ -707,11 +707,13 @@ PyInit__repro_mesh_kernel(void)
         Py_DECREF(mod);
         return NULL;
     }
-    /* The scheduler kernel and the engine kernel with its directory
-     * subtype, compiled from the sibling _sched.c, _home.c and _directory.c
-     * into this same module (the subtype registers after its base). */
+    /* The scheduler kernel and the engine kernel with its family
+     * subtypes, compiled from the sibling _sched.c, _home.c, _directory.c,
+     * _dls.c and _neat.c into this same module (the subtypes register
+     * after their base). */
     if (repro_sched_register(mod) < 0 || repro_home_register(mod) < 0
-        || repro_directory_register(mod) < 0) {
+        || repro_directory_register(mod) < 0 || repro_dls_register(mod) < 0
+        || repro_neat_register(mod) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -1,12 +1,12 @@
 """Compile-at-import machinery for the accelerator kernels.
 
 The package's C sources (``_kernel.c`` mesh kernel, ``_sched.c`` scheduler
-kernel, ``_home.c`` and ``_directory.c`` engine kernel, plus the shared
-``_accel.h`` header) ship as package data (``pyproject.toml``'s
-``[tool.setuptools.package-data]``), so an installed ``repro`` compiles its
-kernels on first use, as a checkout does.  They compile into one CPython
-extension module the first time a process asks for it, which is then
-dlopen'd from a per-version cache directory on every later import (compile
+kernel, ``_home.c`` engine kernel with its ``_directory.c``, ``_dls.c`` and
+``_neat.c`` family subtypes, plus the shared ``_accel.h`` header) ship as
+package data (``pyproject.toml``'s ``[tool.setuptools.package-data]``), so
+an installed ``repro`` compiles its kernels on first use, as a checkout
+does.  They compile into one CPython extension module the first time a
+process asks for it, which is then dlopen'd from a per-version cache directory on every later import (compile
 once, load forever - the juno ``cffi.py`` pattern).  The cache key is
 everything that can invalidate an artifact:
 

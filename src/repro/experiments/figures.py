@@ -82,7 +82,7 @@ def figure8_energy(runner: ExperimentRunner, pcts=PCT_SWEEP_DETAIL) -> FigureRes
     runner.prefetch((n, protocol_for_pct(p)) for n in runner.workloads for p in pcts)
     lines = _header("Figure 8", title)
     lines.append(
-        f"{'benchmark':<15}{'pct':>4}" + "".join(f"{c:>9}" for c in ENERGY_COMPONENTS) + f"{'total':>9}"
+        f"{'benchmark':<15}{'pct':>4}" + "".join(f"{c:>10}" for c in ENERGY_COMPONENTS) + f"{'total':>9}"
     )
     data: dict[str, dict[int, dict[str, float]]] = {}
     for name in runner.workloads:
@@ -95,7 +95,7 @@ def figure8_energy(runner: ExperimentRunner, pcts=PCT_SWEEP_DETAIL) -> FigureRes
             per_pct[pct] = row
             lines.append(
                 f"{name:<15}{pct:>4}"
-                + "".join(f"{row[c]:9.3f}" for c in ENERGY_COMPONENTS)
+                + "".join(f"{row[c]:10.3f}" for c in ENERGY_COMPONENTS)
                 + f"{row['total']:9.3f}"
             )
         data[name] = per_pct
@@ -116,7 +116,7 @@ def figure9_completion_time(runner: ExperimentRunner, pcts=PCT_SWEEP_DETAIL) -> 
     runner.prefetch((n, protocol_for_pct(p)) for n in runner.workloads for p in pcts)
     lines = _header("Figure 9", title)
     lines.append(
-        f"{'benchmark':<15}{'pct':>4}" + "".join(f"{c:>10}" for c in TIME_COMPONENTS) + f"{'total':>9}"
+        f"{'benchmark':<15}{'pct':>4}" + "".join(f"{c:>11}" for c in TIME_COMPONENTS) + f"{'total':>9}"
     )
     data: dict[str, dict[int, dict[str, float]]] = {}
     for name in runner.workloads:
@@ -129,7 +129,7 @@ def figure9_completion_time(runner: ExperimentRunner, pcts=PCT_SWEEP_DETAIL) -> 
             per_pct[pct] = row
             lines.append(
                 f"{name:<15}{pct:>4}"
-                + "".join(f"{row[c]:10.3f}" for c in TIME_COMPONENTS)
+                + "".join(f"{row[c]:11.3f}" for c in TIME_COMPONENTS)
                 + f"{row['total']:9.3f}"
             )
         data[name] = per_pct

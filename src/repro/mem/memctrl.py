@@ -14,7 +14,20 @@ from repro.common.params import ArchConfig
 
 
 class MemoryController:
-    """One DRAM channel attached to a mesh tile."""
+    """One DRAM channel attached to a mesh tile.
+
+    Slotted: the compiled home kernel (DESIGN.md section 15) takes the
+    off-chip fill's and the write-back's ``access`` step on these slots.
+    """
+
+    __slots__ = (
+        "arch",
+        "tile",
+        "_next_free",
+        "requests",
+        "bytes_transferred",
+        "total_queue_delay",
+    )
 
     def __init__(self, arch: ArchConfig, tile: int) -> None:
         self.arch = arch

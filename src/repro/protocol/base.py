@@ -17,24 +17,30 @@ engine owns the substrate every family shares:
   per-line serialization, tag access, off-chip fill) followed by
   ``reply`` - then the family's time-independent home-side bookkeeping
   (``serve_word`` for word accesses), then ``settle`` (line occupancy +
-  LRU touch).  DLS and Neat reach the legs through ``round_trip``; the
-  directory families' kernel is a subtype of the home kernel
-  (``repro.protocol.directory``) whose miss path takes them directly,
-  because its invalidation and write-back rounds sit between the legs.
-  The family names its kernel class (``_kernel_classes``); the engine
-  builds the compiled one exactly when the mesh kernel is compiled, else
-  its pure-Python twin, and both take the same steps in the same order;
-* the kernel's callbacks: the off-chip fill's family hook
-  (``_evict_l2_line``: write-back + the per-family L1-purge hook), the
-  page flush of a private -> shared transition (``_flush_private_page``)
-  and the verify-mode golden steps of a word access (``_verify_word``);
-  what a fill installs at the home is the kernel class's - a fresh
-  ``DirectoryEntry`` in the directory subtype, nothing for DLS and Neat;
+  LRU touch).  Each family's kernel is a subtype of the home kernel that
+  runs the family's whole access: DLS's and Neat's take both legs through
+  ``round_trip``, the directory families' (``repro.protocol.directory``)
+  take them directly, because the invalidation and write-back rounds sit
+  between the legs.  The family names its kernel class
+  (``_kernel_classes``); the engine builds the compiled one exactly when
+  the mesh kernel is compiled, else its pure-Python twin, and both take
+  the same steps in the same order;
+* the fill's L2 eviction (``_evict_l2_line``: the per-family L1-purge
+  hook, then the write-back), which the compiled kernel takes natively -
+  the purge is the kernel subtype's, the write-back's golden step
+  (``_verify_write_back``) a callback - unless the engine's class
+  overrides it (victim replication); the kernel's other callbacks are
+  the page flush of a private -> shared transition
+  (``_flush_private_page``) and the verify-mode golden steps of a word
+  access (``_verify_word``); what a fill installs at the home is the
+  kernel class's - a fresh ``DirectoryEntry`` in the directory subtype,
+  nothing for DLS and Neat;
 * golden-memory verification plumbing (write tokens, the DRAM image, and
   the end-of-run ``check_final_state`` sweep used by the differential
   property harness).
 
-Concrete families implement :meth:`access` plus the purge hooks:
+Concrete families implement :meth:`access` (one call into their kernel)
+plus the purge hooks:
 
 * ``repro.protocol.directory`` - the directory-based families (``baseline``,
   ``adaptive``; ``victim`` extends it with local-L2 victim replication,
@@ -316,8 +322,8 @@ class ProtocolEngineBase:
 
     # ------------------------------------------------------------------
     # Callbacks of the kernel (repro.protocol.home): the verify-mode
-    # golden steps of a word access, the fill's family hooks and the page
-    # flush of a private -> shared transition.
+    # golden steps of a word access and of a write-back, the fill's L2
+    # eviction and the page flush of a private -> shared transition.
     # ------------------------------------------------------------------
     def _verify_word(self, core: int, is_write: bool, line: int, word: int, l2line: L2Line) -> None:
         """Golden steps of a word access at the home, right after the home
@@ -338,6 +344,8 @@ class ProtocolEngineBase:
         line - is delegated to :meth:`_purge_copies_for_l2_eviction`; the
         write-back itself (off the requester's critical path, documented
         approximation) is identical for every family and fully accounted.
+        The compiled kernel takes these steps natively, with the kernel's
+        own purge, unless the engine's class overrides this method.
         """
         self._purge_copies_for_l2_eviction(home, vline, ventry, t)
         if ventry.dirty:
@@ -346,9 +354,14 @@ class ProtocolEngineBase:
             self.network.unicast(home, ctrl.tile, MsgType.MEM_WRITE, t)
             ctrl.access(t, self.arch.line_size)
             if self.verify:
-                self.golden.check_line(vline, ventry.data, f"L2 eviction at tile {home}")
-                self._dram_image[vline] = list(ventry.data)
+                self._verify_write_back(home, vline, ventry)
         self._home_of_line.pop(vline, None)
+
+    def _verify_write_back(self, home: int, vline: int, ventry: L2Line) -> None:
+        """Golden step of a dirty L2 eviction (verify mode): the written-back
+        line must match the golden image, and becomes the DRAM image."""
+        self.golden.check_line(vline, ventry.data, f"L2 eviction at tile {home}")
+        self._dram_image[vline] = list(ventry.data)
 
     def _purge_copies_for_l2_eviction(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
         """Family hook: resolve private copies of an L2 line being evicted.

@@ -38,9 +38,11 @@ What this family models (and what it deliberately does not - see DESIGN.md,
   occupancy), the same Section 5.1.2 rule as the adaptive protocol's
   remote accesses, so DLS and the adaptive protocol's remote mode are
   timed identically - the comparison isolates the *policy*, not the
-  plumbing.  Both run the same home kernel (``repro.protocol.home``):
-  an access is ``word_round_trip`` (``data_word_home`` + ``round_trip``),
-  the miss bookkeeping, then ``serve_word_settle``.
+  plumbing.  Both take the same home-kernel steps
+  (``repro.protocol.home``): an access is ``data_word_home``,
+  ``round_trip``, the miss bookkeeping, then ``serve_word`` and
+  ``settle``, all in one call into the engine's kernel - the compiled
+  ``DLSKernel`` or its twin :class:`PyDLSKernel`.
 
 Functional verification runs unchanged: word writes update the golden
 memory in service order and word reads are checked against it, so the
@@ -48,15 +50,17 @@ differential harness can assert DLS equivalence with every other family.
 Because words of one line are homed at different slices, the end-of-run
 observable value of a line is assembled per word from each word's home
 (:meth:`DLSEngine.final_line_value`), and an evicting slice merges only its
-own dirty words into the DRAM image.
+own dirty words into the DRAM image (:meth:`DLSEngine._verify_write_back`).
 """
 
 from __future__ import annotations
 
+from repro import accel
 from repro.common import addr as addrmod
 from repro.common.types import MissType
 from repro.network.messages import MsgType
 from repro.protocol.base import _EVER_REMOTE, AccessResult, ProtocolEngineBase
+from repro.protocol.home import PyHomeKernel
 
 _LINE_BITS = addrmod.LINE_BITS
 _WORD_BITS = addrmod.WORD_BITS
@@ -70,19 +74,30 @@ _WORD_REPLY = int(MsgType.WORD_REPLY)
 _WORD_WRITE_ACK = int(MsgType.WORD_WRITE_ACK)
 
 
-class DLSEngine(ProtocolEngineBase):
-    """Directoryless shared-LLC engine: every access is a remote word access."""
+class PyDLSKernel(PyHomeKernel):
+    """The pure-Python DLS kernel: the compiled ``DLSKernel``'s twin, and
+    DLS's subclass of the home kernel.
 
-    __slots__ = ()
+    ``access`` runs one whole DLS access on the inherited home steps: the
+    L1-D tag charge, the word's home (``data_word_home``), ``round_trip``,
+    the cold-or-word miss with its history flag and count, ``serve_word``
+    and ``settle``, then the latency split.
+    """
+
+    __slots__ = ("_history",)
+
+    def __init__(self, engine, line_type, result_type) -> None:
+        super().__init__(engine, line_type, result_type)
+        self._history = engine._history
 
     def access(self, core: int, is_write: bool, address: int, now: float) -> AccessResult:
-        """Service one load/store as a word round-trip to the word's home."""
+        engine = self._engine
         line = address >> _LINE_BITS
         word = (address >> _WORD_BITS) & (self._words_per_line - 1)
         # The core model pays the 1-cycle L1-D probe on every reference
         # (sim/multicore.py); charge the matching tag-access energy so the
         # timing and energy models agree (see module docstring).
-        self.energy.l1d_tag_accesses += 1
+        engine.energy.l1d_tag_accesses += 1
         result = AccessResult()
         result.remote = True
 
@@ -92,9 +107,9 @@ class DLSEngine(ProtocolEngineBase):
             req_msg, reply_msg = _WRITE_REQ, _WORD_WRITE_ACK
         else:
             req_msg, reply_msg = _READ_REQ, _WORD_REPLY
-        home_kernel = self.home_kernel
-        slice_, l2line, t, reply_t = home_kernel.word_round_trip(
-            core, line, word, req_msg, reply_msg, now, result
+        home, flush_owner = self.data_word_home(line, word, core)
+        slice_, l2line, t, reply_t = self.round_trip(
+            core, line, home, flush_owner, req_msg, reply_msg, now, result
         )
 
         # ---- every access is a miss: first touch is cold, then word.
@@ -105,40 +120,45 @@ class DLSEngine(ProtocolEngineBase):
         flags = history.get(line, 0)
         miss_type = _WORD if flags & _EVER_REMOTE else _COLD
         result.miss_type = miss_type
-        self.miss_stats._miss_counts[miss_type] += 1
+        engine.miss_stats._miss_counts[miss_type] += 1
         history[line] = flags | _EVER_REMOTE
 
         # ---- word service, then settle: writes serialize, reads pipeline.
-        home_kernel.serve_word_settle(core, is_write, line, word, l2line, slice_, t, is_write)
+        self.serve_word(core, is_write, line, word, l2line, slice_)
+        self.settle(slice_, l2line, t, is_write)
 
         latency = reply_t - now
         result.latency = latency
         result.l1_to_l2 = latency - result.l2_waiting - result.l2_offchip
         return result
 
-    # ------------------------------------------------------------------
-    # Word-interleaving aware eviction and final-state observation.
-    # ------------------------------------------------------------------
-    def _evict_l2_line(self, home: int, vline: int, ventry, t: float) -> None:
-        """Evict a slice's copy of ``vline``: write back its own words only.
 
-        There are no private copies to purge.  The slice's copy is
-        authoritative exactly for the words it serviced writes for
-        (``dirty_words``); its remaining words may be stale images of words
-        homed at other slices, so they must not reach memory.  Timing and
-        energy match the base path (one line-sized write-back transfer).
+class DLSEngine(ProtocolEngineBase):
+    """Directoryless shared-LLC engine: every access is a remote word access."""
+
+    __slots__ = ()
+
+    _kernel_classes = (accel.dls_kernel_class, PyDLSKernel)
+
+    def access(self, core: int, is_write: bool, address: int, now: float) -> AccessResult:
+        """Service one load/store as a word round-trip to the word's home:
+        one call into the kernel."""
+        return self.home_kernel.access(core, is_write, address, now)
+
+    # ------------------------------------------------------------------
+    # Word-interleaving aware write-back and final-state observation.
+    # ------------------------------------------------------------------
+    def _verify_write_back(self, home: int, vline: int, ventry) -> None:
+        """Golden step of a dirty eviction: merge this slice's own words
+        into the DRAM image, each verified.
+
+        There are no private copies to purge, and the write-back's timing
+        and energy are the base path's (one line-sized transfer).  The
+        slice's copy is authoritative exactly for the words it serviced
+        writes for (``dirty_words``); its remaining words may be stale
+        images of words homed at other slices, so they must not reach
+        memory.
         """
-        if ventry.dirty:
-            self.energy.l2_line_reads += 1
-            ctrl = self.memsys.controller_for_line(vline)
-            self.network.unicast(home, ctrl.tile, MsgType.MEM_WRITE, t)
-            ctrl.access(t, self.arch.line_size)
-            if self.verify:
-                self._merge_dirty_words(home, vline, ventry)
-        self._home_of_line.pop(vline, None)
-
-    def _merge_dirty_words(self, home: int, vline: int, ventry) -> None:
-        """Verify + merge the evicting slice's dirty words into the DRAM image."""
         image = self._dram_image.get(vline)
         if image is None:
             image = [0] * self._words_per_line

@@ -7,11 +7,13 @@ own bookkeeping - the word service and the line's settling.  Those steps
 are family-agnostic, so they are the methods of the one kernel every
 engine builds (``engine.home_kernel``): the compiled ``HomeKernel``
 (:mod:`repro.accel`, DESIGN.md section 15) or its twin here, with the same
-constructor, methods and attributes.  A directory family's kernel is a
-subtype of it (:class:`repro.protocol.directory.PyDirectoryKernel`, the
-compiled ``DirectoryKernel``) that takes these steps on itself; DLS and
-Neat build the plain kernel.  The engine picks the compiled class exactly
-when its mesh kernel is compiled
+constructor, methods and attributes.  Each family's kernel is a subtype of
+it that takes these steps on itself: the directory families'
+(:class:`repro.protocol.directory.PyDirectoryKernel`, the compiled
+``DirectoryKernel``), DLS's (:class:`repro.protocol.dls.PyDLSKernel`,
+``DLSKernel``) and Neat's (:class:`repro.protocol.neat.PyNeatKernel`,
+``NeatKernel``).  The engine picks the compiled class exactly when its
+mesh kernel is compiled
 (:meth:`repro.protocol.base.ProtocolEngineBase.__init__`).
 
 A home kernel owns no state.  It works on the engine's own objects - the
@@ -19,10 +21,11 @@ page table, the L2 slices and their ``L2Line`` entries, the mesh kernel's
 reservations, the energy and slice counters - and calls back into the
 engine only for what stays family or verification business: the page
 flush of a private -> shared transition (``_flush_private_page``), the
-fill's family hook (``_evict_l2_line``), the DRAM controller and the
-verify-mode golden steps (``_verify_word``).  What a fill installs at the
-home is the kernel class's: nothing here, a fresh ``DirectoryEntry`` in
-the directory subtype.
+fill's L2 eviction (``_evict_l2_line``, which the compiled kernel takes
+natively unless a family overrides it) and the verify-mode golden steps
+(``_verify_word``).  What a fill installs at the home is the kernel
+class's: nothing here, a fresh ``DirectoryEntry`` in the directory
+subtype.
 """
 
 from __future__ import annotations
@@ -50,11 +53,9 @@ class PyHomeKernel:
     * ``serve_word`` and ``settle`` - the time-independent word access at
       the home, and the release of the line after service.
 
-    ``word_round_trip`` (``data_word_home`` + ``round_trip``) and
-    ``serve_word_settle`` fuse two adjacent steps of the DLS access, where
-    no Python runs between them.  ``line_type`` and ``result_type`` only
-    tell the compiled kernel where the ``L2Line`` and ``AccessResult``
-    slots sit; this kernel reads attributes.
+    ``line_type`` and ``result_type`` only tell the compiled kernel where
+    the ``L2Line`` and ``AccessResult`` slots sit; this kernel reads
+    attributes.
 
     This is the ungated, bit-identical reference of the compiled kernel
     (``REPRO_NO_ACCEL=1`` selects it, and so do the ``naive``/``none``
@@ -108,11 +109,6 @@ class PyHomeKernel:
         self._verify = engine.verify
 
     # ------------------------------------------------------------------
-    def word_round_trip(self, core, line, word, req_msg, reply_msg, now, result):
-        """``data_word_home`` then ``round_trip`` (one DLS access)."""
-        home, flush_owner = self.data_word_home(line, word, core)
-        return self.round_trip(core, line, home, flush_owner, req_msg, reply_msg, now, result)
-
     def round_trip(self, core, line, home, flush_owner, req_msg, reply_msg, now, result):
         """Reserve a miss's request and reply legs when the reply type is
         known up front and nothing happens at the home between them.
@@ -243,17 +239,12 @@ class PyHomeKernel:
                 l2line.busy_until = busy
         slice_.touch(l2line, t)
 
-    def serve_word_settle(self, core, is_write, line, word, l2line, slice_, t, owned):
-        """``serve_word`` then ``settle`` (the end of one DLS access)."""
-        self.serve_word(core, is_write, line, word, l2line, slice_)
-        self.settle(slice_, l2line, t, owned)
-
     # ------------------------------------------------------------------
     # L2 miss: fetch the line from off-chip memory.
     # ------------------------------------------------------------------
     def _fill(self, home, line, t):
         """Inclusive fill of ``line`` at ``home`` starting at ``t``: evict
-        the set's LRU way if the set is full (the family's
+        the set's LRU way if the set is full (the engine's
         ``_evict_l2_line``), fetch from the line's DRAM controller, install
         (``L2Slice.fill``, with a fresh directory entry in the directory
         subtype).  Returns ``(l2line, reply_t, off-chip latency)``."""

@@ -223,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--frame-timeout", type=float, default=1.5, metavar="S",
                        help="remote stalled-host budget per cell (default 1.5s)")
     chaos.add_argument("--json", metavar="PATH", default=None,
-                       help="write the cell report as JSON to PATH "
-                       "('-' = stdout) instead of a table")
+                       help="also write the cell report as JSON to PATH; "
+                       "'-' prints the JSON to stdout instead of the table")
 
     accel_info = sub.add_parser(
         "accel-info",
@@ -483,15 +483,14 @@ def _cmd_chaos(args) -> int:
         frame_timeout=args.frame_timeout,
         progress=progress,
     )
-    if args.json is not None:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            log.info("wrote %s: %d cells", args.json, len(report.cells))
+    if args.json == "-":
+        # stdout carries the JSON alone.
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
+        if args.json is not None:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+            log.info("wrote %s: %d cells", args.json, len(report.cells))
         print(report.table())
     return 0 if report.ok else 1
 

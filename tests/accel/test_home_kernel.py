@@ -4,23 +4,25 @@ Every family's miss runs its home side - placement, the request and
 reply legs, the L2 tag access and off-chip fill, the word service and the
 line's settling - through the engine's one kernel: the compiled
 ``HomeKernel`` when the mesh kernel is compiled, else its pure-Python twin
-``PyHomeKernel``; for the directory families, the directory subtype of
-each (``DirectoryKernel``, ``PyDirectoryKernel``).  The two
+``PyHomeKernel``; for each family, its subtype of each
+(``DirectoryKernel`` / ``PyDirectoryKernel``, ``DLSKernel`` /
+``PyDLSKernel``, ``NeatKernel`` / ``PyNeatKernel``).  The two
 implementations work on the same Python objects, so their contract is
 equal returns and equal effects on those objects:
 
 * the kernel-contract property drives both kernels through one random
   stream of miss steps and compares every return, every ``L2Line`` slot
   (its directory entry included), every counter and the mesh kernel's
-  reservations - on the plain home kernels, and on the directory pair's
-  inherited home steps;
+  reservations - on the plain home kernels, on the directory pair's
+  inherited home steps, and on the DLS pair, whose word accesses run
+  through its whole-access ``access``;
 * a simulator-level run at 36 cores with addresses in [2**39, 2**48)
   requires equal ``RunStats`` for all six families - the R-NUCA hash
   passes 64 bits there, and 36 is not a power of two, so a wrapping
   product would move homes;
 * the compiled kernels refuse, with a ``TypeError``, an engine whose mesh
-  kernel is a Python one, and the directory subtype refuses an engine
-  without a sharer-tracking directory;
+  kernel is a Python one (a family subtype also refuses an engine of
+  another family: ``test_family_kernels.py``);
 * the leak soak, for every family's kernel under both implementations: a
   finished engine and its kernel are freed by reference counting, and
   ``tracemalloc`` stays flat over back-to-back runs.
@@ -57,8 +59,10 @@ from repro.mem.l2 import L2Line
 from repro.network.messages import MsgType
 from repro.protocol.base import AccessResult, ProtocolEngineBase
 from repro.protocol.directory import DirectoryEngine, PyDirectoryKernel
+from repro.protocol.dls import DLSEngine, PyDLSKernel
 from repro.protocol.engine import make_engine
 from repro.protocol.home import PyHomeKernel
+from repro.protocol.neat import PyNeatKernel
 from repro.sim.multicore import Simulator
 from repro.workloads.base import TraceBuilder
 
@@ -89,19 +93,24 @@ def compiled_kernels(monkeypatch):
     accel.reset()
 
 
-def _engines(cores: int, verify: bool, directory: bool):
+#: Engine kind -> (engine class, protocol, compiled class, twin class).
+_KINDS = {
+    "home": (ProtocolEngineBase, baseline_protocol, accel.home_kernel_class, PyHomeKernel),
+    "directory": (DirectoryEngine, baseline_protocol, accel.directory_kernel_class,
+                  PyDirectoryKernel),
+    "dls": (DLSEngine, dls_protocol, accel.dls_kernel_class, PyDLSKernel),
+}
+
+
+def _engines(cores: int, verify: bool, kind: str):
     """Twin engines with the compiled mesh kernel: one runs the compiled
     kernel, the other its twin - the plain home kernels on the base engine,
-    or the directory pair on a baseline directory engine."""
+    the directory pair on a baseline directory engine, or the DLS pair."""
     arch = ArchConfig(num_cores=cores, num_memory_controllers=4, l2=SMALL_L2)
-    if directory:
-        engine_class, twin_class = DirectoryEngine, PyDirectoryKernel
-    else:
-        engine_class, twin_class = ProtocolEngineBase, PyHomeKernel
-    compiled = engine_class(arch, baseline_protocol(), verify=verify)
-    want = accel.directory_kernel_class() if directory else accel.home_kernel_class()
-    assert type(compiled.home_kernel) is want
-    twin = engine_class(arch, baseline_protocol(), verify=verify)
+    engine_class, proto, compiled_class, twin_class = _KINDS[kind]
+    compiled = engine_class(arch, proto(), verify=verify)
+    assert type(compiled.home_kernel) is compiled_class()
+    twin = engine_class(arch, proto(), verify=verify)
     twin.home_kernel = twin_class(twin, L2Line, AccessResult)
     return compiled, twin
 
@@ -128,6 +137,7 @@ def _counters(engine) -> tuple:
          for s in engine.l2],
         (kernel.messages_sent, kernel.flits_sent, kernel.link_flit_traversals,
          kernel.recycles),
+        (engine.miss_stats.hits, list(engine.miss_stats._miss_counts)),
     )
 
 
@@ -144,6 +154,7 @@ def _state(engine) -> dict:
         ],
         "pages": dict(table._pages),
         "homes": dict(engine._home_of_line),
+        "history": [list(h.items()) for h in engine._history],
         "dram": dict(engine._dram_image),
         "golden": dict(engine.golden._lines) if engine.golden is not None else None,
         "tokens": list(engine._write_counts),
@@ -169,11 +180,20 @@ def _step(engine, op, pages) -> tuple:
         if kind == "reset":
             engine.reset_stats()
             return ("reset",)
+        if kind == "word" and isinstance(engine, DLSEngine):
+            # A whole DLS access: the word's home, the round trip, the
+            # word service and settle.
+            address = (line << addrmod.LINE_BITS) | (word << addrmod.WORD_BITS)
+            result = hk.access(core, is_write, address, now)
+            return ("dls", *(getattr(result, name) for name in AccessResult.__slots__))
         if kind == "word":
-            slice_, l2line, t, reply_t = hk.word_round_trip(
-                core, line, word, req_msg, reply_msg, now, result
+            # The same steps on a plain or directory kernel.
+            home, flush = hk.data_word_home(line, word, core)
+            slice_, l2line, t, reply_t = hk.round_trip(
+                core, line, home, flush, req_msg, reply_msg, now, result
             )
-            hk.serve_word_settle(core, is_write, line, word, l2line, slice_, t, owned)
+            hk.serve_word(core, is_write, line, word, l2line, slice_)
+            hk.settle(slice_, l2line, t, owned)
             out = (l2.index(slice_), t, reply_t)
         elif kind == "place_word":
             return ("place_word", hk.data_word_home(line, word, core))
@@ -214,7 +234,7 @@ _kinds = st.sampled_from(["line", "line", "word", "word", "general", "chain",
 def streams(draw):
     cores = draw(st.sampled_from([16, 36]))
     verify = draw(st.booleans())
-    directory = draw(st.booleans())
+    kind = draw(st.sampled_from(sorted(_KINDS)))
     #: A few pages anywhere in the 48-bit space: repeated touches by
     #: several cores make private -> shared transitions (page flushes).
     pages = draw(st.lists(st.integers(0, addrmod.MAX_ADDRESS >> 12),
@@ -237,7 +257,7 @@ def streams(draw):
             draw(st.booleans()),
             now,
         ))
-    return cores, verify, directory, pages, ops
+    return cores, verify, kind, pages, ops
 
 
 class TestKernelContract:
@@ -245,8 +265,8 @@ class TestKernelContract:
               suppress_health_check=[HealthCheck.too_slow])
     @given(stream=streams())
     def test_python_twin_matches_compiled(self, stream):
-        cores, verify, directory, pages, ops = stream
-        compiled, twin = _engines(cores, verify, directory)
+        cores, verify, kind, pages, ops = stream
+        compiled, twin = _engines(cores, verify, kind)
         for op in ops:
             got = _step(compiled, op, pages)
             want = _step(twin, op, pages)
@@ -257,7 +277,7 @@ class TestKernelContract:
     def test_energy_counters_follow_reset_stats(self):
         """``reset_stats`` replaces ``engine.energy``: the kernel must count
         into the new object, never the retired one."""
-        compiled, _twin = _engines(16, False, False)
+        compiled, _twin = _engines(16, False, "home")
         hk = compiled.home_kernel
         old = compiled.energy
         compiled.reset_stats()
@@ -295,26 +315,22 @@ def test_fill_installs_an_entry_exactly_in_the_directory_subtype(family, fallbac
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("link_model", ["naive", "none"])
-@pytest.mark.parametrize("kernel", ["home", "directory"])
+@pytest.mark.parametrize("kernel", ["home", "directory", "dls", "neat"])
 def test_compiled_kernels_refuse_a_python_mesh_kernel(kernel, link_model):
     """The legs are reserved by direct C calls into the compiled mesh
     kernel, so a link-model ablation's engine (whose own kernel is the
     twin) is refused by name."""
     arch = ArchConfig(num_cores=16, num_memory_controllers=4, link_model=link_model)
-    engine = make_engine(arch, baseline_protocol())
-    assert isinstance(engine.home_kernel, PyDirectoryKernel)
-    cls = accel.home_kernel_class() if kernel == "home" else accel.directory_kernel_class()
+    proto, cls, twin = {
+        "home": (baseline_protocol, accel.home_kernel_class, PyDirectoryKernel),
+        "directory": (baseline_protocol, accel.directory_kernel_class, PyDirectoryKernel),
+        "dls": (dls_protocol, accel.dls_kernel_class, PyDLSKernel),
+        "neat": (neat_protocol, accel.neat_kernel_class, PyNeatKernel),
+    }[kernel]
+    engine = make_engine(arch, proto())
+    assert type(engine.home_kernel) is twin
     with pytest.raises(TypeError, match="MeshKernel"):
-        cls(engine, L2Line, AccessResult)
-
-
-@pytest.mark.parametrize("family", ["dls", "neat"])
-def test_directory_kernel_refuses_a_directoryless_engine(family):
-    arch = ArchConfig(num_cores=16, num_memory_controllers=4)
-    engine = make_engine(arch, dls_protocol() if family == "dls" else neat_protocol())
-    assert type(engine.home_kernel) is accel.home_kernel_class()
-    with pytest.raises(TypeError, match="sharer policy NullSharerPolicy"):
-        accel.directory_kernel_class()(engine, L2Line, AccessResult)
+        cls()(engine, L2Line, AccessResult)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +346,13 @@ SOAK_FAMILIES = {
     "dls": dls_protocol(),
     "neat-eager": neat_protocol(),
     "neat-release": neat_protocol("release"),
+}
+#: Each soak family's kernel: (compiled class accessor, twin class).
+SOAK_KERNELS = {
+    **dict.fromkeys(("adaptive", "baseline", "victim", "phase"),
+                    (accel.directory_kernel_class, PyDirectoryKernel)),
+    "dls": (accel.dls_kernel_class, PyDLSKernel),
+    **dict.fromkeys(("neat-eager", "neat-release"), (accel.neat_kernel_class, PyNeatKernel)),
 }
 #: tracemalloc's current size may grow by at most this much from the end
 #: of the fifth run to the end of the twentieth.  Measured: the growth is
@@ -361,7 +384,8 @@ def test_engine_and_kernel_freed_by_reference_counting(family, fallback, monkeyp
     finished engine is freed at once, not left to the cyclic collector (a
     miss-heavy pass would otherwise hold several engines' caches at a
     time).  A kernel that outlives its engine refuses work."""
-    compiled = accel.home_kernel_class()
+    compiled_class, twin_class = SOAK_KERNELS[family]
+    compiled = compiled_class()
     if fallback:
         monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
     arch, trace = _soak_trace()
@@ -369,7 +393,7 @@ def test_engine_and_kernel_freed_by_reference_counting(family, fallback, monkeyp
     sim.run(trace)
     engine = sim.last_engine
     kernel = engine.home_kernel
-    assert isinstance(kernel, PyHomeKernel if fallback else compiled)
+    assert type(kernel) is (twin_class if fallback else compiled)
     ref = weakref.ref(engine)
     enabled = gc.isenabled()
     gc.disable()
@@ -390,11 +414,14 @@ def test_engine_and_kernel_freed_by_reference_counting(family, fallback, monkeyp
 @pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
 @pytest.mark.parametrize("family", sorted(SOAK_FAMILIES))
 def test_repeated_runs_hold_memory_flat(family, fallback, monkeypatch):
+    compiled_class, twin_class = SOAK_KERNELS[family]
+    compiled = compiled_class()
     if fallback:
         monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
     arch, trace = _soak_trace()
     sim = Simulator(arch, dataclasses.replace(SOAK_FAMILIES[family]), warmup=False)
     sim.run(trace)  # imports, interned names and caches settle first
+    assert type(sim.last_engine.home_kernel) is (twin_class if fallback else compiled)
     tracemalloc.start()
     try:
         sizes = []
@@ -438,13 +465,14 @@ def _high_address_trace():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_high_addresses_identical_at_36_cores(family, monkeypatch):
     trace = _high_address_trace()
-    compiled = accel.home_kernel_class()
+    compiled_class, twin_class = SOAK_KERNELS["neat-eager" if family == "neat" else family]
+    compiled = compiled_class()
     runs = []
     for fallback in (False, True):
         if fallback:
             monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
         sim = Simulator(HIGH_ARCH, FAMILIES[family](), warmup=True, verify=True)
         stats = sim.run(trace)
-        assert isinstance(sim.last_engine.home_kernel, PyHomeKernel if fallback else compiled)
+        assert type(sim.last_engine.home_kernel) is (twin_class if fallback else compiled)
         runs.append(stats.to_dict())
     assert runs[0] == runs[1]

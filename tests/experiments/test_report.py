@@ -10,7 +10,8 @@ import pytest
 
 from repro.experiments import report
 from repro.experiments.cli import main as experiments_main
-from repro.experiments.figures import FigureResult
+from repro.common.statsutil import UTILIZATION_BUCKETS
+from repro.experiments.figures import ENERGY_COMPONENTS, TIME_COMPONENTS, FigureResult
 from repro.experiments.harness import ExperimentRunner, bench_arch
 from repro.experiments.report import REGISTRY, Claim, Entry, Ref, render
 from repro.runner.store import ResultStore
@@ -129,6 +130,32 @@ def test_generator_feeds_every_row_at_tiny_scale(entry, tiny_runner):
 #: Figure 12's RAT configurations and the storage arithmetic.
 AGGREGATE_ONLY = {"11", "12", "storage"}
 
+_FAMILIES = ("baseline", "victim", "dls", "neat", "phase", "adaptive")
+#: Each entry's table columns as its generator names them (a name with a
+#: space prints as that many words); the storage report has no table.
+COLUMNS = {
+    "1": ("benchmark", *UTILIZATION_BUCKETS),
+    "2": ("benchmark", *UTILIZATION_BUCKETS),
+    "8": ("benchmark", "pct", *ENERGY_COMPONENTS, "total"),
+    "9": ("benchmark", "pct", *TIME_COMPONENTS, "total"),
+    "10": ("benchmark", "pct", "cold", "capacity", "upgrade", "sharing", "word", "total"),
+    "11": ("pct", "completion", "energy"),
+    "12": ("config", "completion", "energy"),
+    "13": ("benchmark", *(f"T(k={k})" for k in (1, 3, 5, 7)),
+           *(f"E(k={k})" for k in (1, 3, 5, 7))),
+    "14": ("benchmark", "completion", "energy"),
+    "ackwise-vs-fullmap": ("benchmark", "T ack/full", "E ack/full"),
+    "victim-replication": ("benchmark", "T(vr)", "E(vr)", "T(adapt)", "E(adapt)", "replicas",
+                           "rep.hits"),
+    "protocol-families": ("benchmark", *(f"T({f})" for f in _FAMILIES),
+                          *(f"E({f})" for f in _FAMILIES)),
+    "ablation-link-model": ("benchmark", "none", "epoch", "naive"),
+    "ablation-ackwise-pointers": ("benchmark", *(f"T(p={p})" for p in (1, 2, 4, 8)),
+                                  *(f"bc(p={p})" for p in (1, 2, 4, 8))),
+    "ablation-core-scaling": ("benchmark", "cores", "T ratio", "E ratio"),
+    "ablation-vote-init": ("benchmark", "T ratio", "E ratio"),
+}
+
 
 class TestRenderedText:
     """The text each generator renders is what ``repro figures``, the
@@ -139,6 +166,19 @@ class TestRenderedText:
         result = entry.generate(tiny_runner)
         first = next(line for line in result.text.splitlines() if line.strip("="))
         assert first.startswith(result.figure)
+
+    def test_every_table_names_its_columns(self):
+        assert set(COLUMNS) == {entry.id for entry in REGISTRY} - {"storage"}
+
+    @pytest.mark.parametrize(
+        "entry", [e for e in REGISTRY if e.id in COLUMNS], ids=lambda entry: entry.id
+    )
+    def test_header_row_splits_into_its_column_names(self, entry, tiny_runner):
+        # No label runs into its neighbour: each column is wider than its name.
+        lines = entry.generate(tiny_runner).text.splitlines()
+        rules = [i for i, line in enumerate(lines) if line and not line.strip("=")]
+        header = lines[rules[1] + 1]
+        assert header.split() == " ".join(COLUMNS[entry.id]).split()
 
     @pytest.mark.parametrize("entry", REGISTRY, ids=lambda entry: entry.id)
     def test_prints_only_finite_numbers(self, entry, tiny_runner):

@@ -128,3 +128,39 @@ class TestChaosCli:
         payload = json.loads(path.read_text())
         assert payload["ok"] is True
         assert len(payload["cells"]) == 1
+
+
+class TestChaosCliOutput:
+    """What ``repro chaos`` prints, with the harness stubbed out: the
+    verdict table always reaches stdout (CI's ``chaos-smoke`` greps it
+    after writing ``--json chaos.json``), except that ``--json -`` keeps
+    stdout pure JSON."""
+
+    @pytest.fixture(autouse=True)
+    def stub_harness(self, monkeypatch):
+        from repro.faults import chaos
+        from repro.faults.chaos import CellResult, ChaosReport
+
+        report = ChaosReport(seed=7, cells=[CellResult("none", "local", "identical")])
+        monkeypatch.setattr(chaos, "run_chaos", lambda **_kwargs: report)
+
+    def test_json_file_also_prints_the_verdict(self, tmp_path, capsys):
+        import json
+
+        from repro.runner.cli import main
+
+        path = tmp_path / "chaos.json"
+        assert main(["chaos", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "OK: zero silent divergence" in out
+        assert json.loads(path.read_text())["cells"][0]["outcome"] == "identical"
+
+    def test_json_to_stdout_prints_only_json(self, capsys):
+        import json
+
+        from repro.runner.cli import main
+
+        assert main(["chaos", "--json", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"seed": 7, "ok": True, "cells": [payload["cells"][0]]}
+        assert payload["cells"][0]["fault"] == "none"
