@@ -533,14 +533,9 @@ REPRO_SHARED int home_check_tile(HomeObject *k, long long tile);
 REPRO_SHARED PyObject *home_engine_part(HomeObject *k, Py_ssize_t off,
                                         PyObject *type, const char *what);
 REPRO_SHARED int home_energy_bump(HomeObject *k, Py_ssize_t off);
-/* The route handle src -> dst from the route memo, registering it through
- * MeshNetwork.resolve_path on a memo miss; -1 with an exception set. */
-REPRO_SHARED Py_ssize_t home_route(HomeObject *k, long long src,
-                                   long long dst);
-/* Reserve message `msg` on a route handle (home_route's result, checked
- * here) from t; the tail arrival in *out. */
-REPRO_SHARED int home_send(HomeObject *k, Py_ssize_t handle, long long msg,
-                           double t, double *out);
+/* Reserve message `msg` on the route src -> dst (registered through
+ * MeshNetwork.resolve_path on a route-memo miss) from t; the tail arrival
+ * in *out. */
 REPRO_SHARED int home_leg(HomeObject *k, long long src, long long dst,
                           long long msg, double t, double *out);
 /* The set dict of `line` in a SetAssocCache (borrowed). */
@@ -566,12 +561,9 @@ REPRO_SHARED PyObject *home_deliver(HomeObject *k, long long core,
                                     long long req_msg, PyObject *now_obj,
                                     double now, PyObject *result,
                                     PyObject **slice_out, double *t_out);
-REPRO_SHARED int home_chain(HomeObject *k, long long core, long long home,
-                            PyObject *l2line, PyObject *slice_,
-                            long long req_msg, long long reply_msg, double now,
-                            PyObject *result, double *t_out, double *reply_out);
-/* round_trip on a placed miss: the line (new reference), its slice
- * (borrowed), the service time and the reply's arrival. */
+/* round_trip on a placed miss, home_deliver then the reply leg: the line
+ * (new reference), its slice (borrowed), the service time and the reply's
+ * arrival. */
 REPRO_SHARED PyObject *home_round_trip(HomeObject *k, long long core,
                                        PyObject *line_obj, long long line,
                                        long long home, long long flush,

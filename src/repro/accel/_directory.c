@@ -8,10 +8,10 @@
  * repro/protocol/directory.py, is a subclass of PyHomeKernel with the same
  * constructor and methods; an engine builds this one exactly when its mesh
  * kernel is the compiled MeshKernel.  The directory steps take the home
- * steps (home_place, home_deliver, home_chain, home_leg, home_serve_word,
- * home_settle) and the shared L1-side helpers (home_l1_*, the result,
- * miss, history and histogram steps) on the kernel itself, and the
- * rounds' messages are reserved through the same mesh kernel (home_send).
+ * steps (home_place, home_deliver, home_leg, home_serve_word, home_settle)
+ * and the shared L1-side helpers (home_l1_*, the result, miss, history and
+ * histogram steps) on the kernel itself, and the rounds' messages are
+ * reserved through the same mesh kernel (home_leg).
  * Its purge_copies is the home kernel's purge step for an evicted L2
  * line.
  *
@@ -1096,28 +1096,13 @@ invalidate_sharers(DirObject *k, long long line, PyObject *line_obj,
         }
     }
     else {
-        /* All INVs depart together at t, reserved in target order after
-         * every route is resolved (traverse_many). */
-        Py_ssize_t *handles = PyMem_Malloc((size_t)(n + 1) * sizeof(Py_ssize_t));
-        if (handles == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
+        /* All INVs depart together at t, reserved in target order. */
         for (Py_ssize_t i = 0; i < n; i++) {
-            handles[i] = home_route(&k->base, home, targets[i]);
-            if (handles[i] == -1 && PyErr_Occurred()) {
-                PyMem_Free(handles);
+            if (home_leg(&k->base, home, targets[i], K_MSG_INV_REQ, t,
+                         &arrivals[i]) < 0) {
                 goto done;
             }
         }
-        for (Py_ssize_t i = 0; i < n; i++) {
-            if (home_send(&k->base, handles[i], K_MSG_INV_REQ, t,
-                          &arrivals[i]) < 0) {
-                PyMem_Free(handles);
-                goto done;
-            }
-        }
-        PyMem_Free(handles);
         if (slot_add(k->policy, k->off_p_unicast, n) < 0) {
             goto done;
         }
@@ -1185,15 +1170,11 @@ sync_writeback(DirObject *k, long long line, PyObject *line_obj,
     int dirty = state == k->base.st_mod;
     Py_INCREF(entry);
     int rc = -1;
-    /* Both legs ride one traverse_chain(path1, WB_REQ, t, 0.0, 0.0, path2,
-     * ack): the ack departs at the request's arrival. */
-    Py_ssize_t h1 = home_route(&k->base, home, owner), h2;
+    /* The WB_REQ, then the ack, departing at the request's arrival. */
     double t1, ack_t;
-    if ((h1 == -1 && PyErr_Occurred())
-        || ((h2 = home_route(&k->base, owner, home)) == -1 && PyErr_Occurred())
-        || home_send(&k->base, h1, K_MSG_WB_REQ, t, &t1) < 0
-        || home_send(&k->base, h2, dirty ? K_MSG_WB_DATA : K_MSG_INV_ACK,
-                     (0.0 > t1 ? 0.0 : t1) + 0.0, &ack_t) < 0) {
+    if (home_leg(&k->base, home, owner, K_MSG_WB_REQ, t, &t1) < 0
+        || home_leg(&k->base, owner, home,
+                    dirty ? K_MSG_WB_DATA : K_MSG_INV_ACK, t1, &ack_t) < 0) {
         goto done;
     }
     if (dirty) {
@@ -1289,60 +1270,16 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
         || home_check_tile(&k->base, home) < 0) {
         goto done;
     }
-    /* Chained shape: no page flush, the line resident at the home, and no
-     * round to run (writes: no foreign sharer; reads: no foreign exclusive
-     * owner), so request and reply ride one chain_request_reply. */
-    int chained = 0;
-    if (flush < 0) {
-        PyObject *resident = home_lookup(&k->base, home, line, line_obj);
-        if (resident == NULL && PyErr_Occurred()) {
-            goto done;
-        }
-        if (resident != NULL) {
-            PyObject *d = dirent_of(k, resident);
-            if (d == NULL) {
-                goto done;
-            }
-            if (is_write) {
-                PyObject *sharers = sharers_of(k, d);
-                if (sharers == NULL) {
-                    goto done;
-                }
-                Py_ssize_t n = PySet_GET_SIZE(sharers);
-                int mine = n == 1 ? PySet_Contains(sharers, core_obj) : 0;
-                if (mine < 0) {
-                    goto done;
-                }
-                chained = n == 0 || mine;
-            }
-            else {
-                long long owner;
-                if (slot_long(d, k->base.off_d_owner, &owner) < 0) {
-                    goto done;
-                }
-                chained = owner < 0 || owner == core;
-            }
-            if (chained) {
-                l2line = Py_NewRef(resident);
-                slice_ = Py_NewRef(PyList_GET_ITEM(k->base.l2,
-                                                   (Py_ssize_t)home));
-            }
-        }
+    PyObject *s;
+    l2line = home_deliver(&k->base, core, line_obj, line, home, flush, req_msg,
+                          now_obj, now, result, &s, &t);
+    if (l2line == NULL) {
+        goto done;
     }
-    if (!chained) {
-        PyObject *s;
-        l2line = home_deliver(&k->base, core, line_obj, line, home, flush,
-                              req_msg, now_obj, now, result, &s, &t);
-        if (l2line == NULL) {
-            goto done;
-        }
-        slice_ = Py_NewRef(s);
-    }
+    slice_ = Py_NewRef(s);
     if (home_energy_bump(&k->base, k->off_e_dir_lookups) < 0) {
         goto done;
     }
-    /* Classification touches no network or timing state, so in the
-     * chained shape it runs before the request is reserved. */
     int remote;
     if (classify_requester(k, l1, l2line, core, core_obj, line, line_obj,
                            is_write, &remote, &upgrade) < 0) {
@@ -1354,11 +1291,6 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
     }
     else {
         reply_msg = remote ? K_MSG_WORD_REPLY : K_MSG_LINE_REPLY;
-    }
-    if (chained
-        && home_chain(&k->base, core, home, l2line, slice_, req_msg,
-                      reply_msg, now, result, &t, &reply_t) < 0) {
-        goto done;
     }
 
     /* Miss classification uses the pre-service history (Section 4.4). */
@@ -1426,10 +1358,9 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
         }
     }
 
-    /* Service: the reply leg (reserved already when chained), then a word
-     * access at the home or a private line grant. */
-    if (!chained
-        && home_leg(&k->base, home, core, reply_msg, t, &reply_t) < 0) {
+    /* Service: the reply leg, then a word access at the home or a private
+     * line grant. */
+    if (home_leg(&k->base, home, core, reply_msg, t, &reply_t) < 0) {
         goto done;
     }
     if (remote) {

@@ -44,10 +44,10 @@
  *     word home (line * words_per_line + word) % num_cores are computed in
  *     unsigned __int128: the product passes 64 bits once the line number
  *     passes 6,949,403,087, inside the 48-bit address space;
- *   - every float step keeps the Python order and operands: busy - t1,
- *     busy + l2_latency, t1 + l2_latency, t - l2_latency + 1.0, the
- *     controller's begin + latency + service, the strict `>` tests; the
- *     module is compiled -O2 without fast-math;
+ *   - every float step keeps the Python order and operands: busy - t,
+ *     t + l2_latency, t - l2_latency + 1.0, the controller's begin +
+ *     latency + service, the strict `>` tests; the module is compiled -O2
+ *     without fast-math;
  *   - the LRU victim is the first entry, in dict order, with the smallest
  *     last_use - what min(bucket, key=...) returns;
  *   - each step runs where its Python step runs.
@@ -257,7 +257,9 @@ home_pair(long long home, long long flush)
 /* Legs                                                                */
 /* ------------------------------------------------------------------ */
 
-Py_ssize_t
+/* The route handle src -> dst from the route memo, registering it through
+ * MeshNetwork.resolve_path on a memo miss; -1 with an exception set. */
+static Py_ssize_t
 home_route(HomeObject *k, long long src, long long dst)
 {
     if (home_check_tile(k, src) < 0 || home_check_tile(k, dst) < 0) {
@@ -282,21 +284,15 @@ home_route(HomeObject *k, long long src, long long dst)
 }
 
 int
-home_send(HomeObject *k, Py_ssize_t handle, long long msg, double t,
-          double *out)
+home_leg(HomeObject *k, long long src, long long dst, long long msg,
+         double t, double *out)
 {
+    Py_ssize_t handle = home_route(k, src, dst);
     long long flits;
     if ((handle == -1 && PyErr_Occurred()) || flits_of(k, msg, &flits) < 0) {
         return -1;
     }
     return repro_mesh_traverse(k->mesh, handle, t, flits, out);
-}
-
-int
-home_leg(HomeObject *k, long long src, long long dst, long long msg,
-         double t, double *out)
-{
-    return home_send(k, home_route(k, src, dst), msg, t, out);
 }
 
 PyObject *
@@ -410,56 +406,6 @@ set_result(HomeObject *k, PyObject *result, Py_ssize_t off, double value)
     }
     return slot_set_double(result, off, value);
 }
-
-/* Both legs of a miss on a resident line: chain_request_reply. */
-int
-home_chain(HomeObject *k, long long core, long long home, PyObject *l2line,
-           PyObject *slice_, long long req_msg, long long reply_msg,
-           double now, PyObject *result, double *t_out, double *reply_out)
-{
-    if (check_type(l2line, k->line_type, "L2Line") < 0
-        || check_type(slice_, k->slice_type, "L2Slice") < 0) {
-        return -1;
-    }
-    Py_ssize_t h1 = home_route(k, core, home);
-    if (h1 == -1 && PyErr_Occurred()) {
-        return -1;
-    }
-    Py_ssize_t h2 = home_route(k, home, core);
-    if (h2 == -1 && PyErr_Occurred()) {
-        return -1;
-    }
-    long long f1, f2;
-    double busy, t1, reply_t;
-    if (flits_of(k, req_msg, &f1) < 0 || flits_of(k, reply_msg, &f2) < 0
-        || slot_double(l2line, k->off_busy, &busy) < 0
-        || repro_mesh_traverse(k->mesh, h1, now, f1, &t1) < 0) {
-        return -1;
-    }
-    double start = busy > t1 ? busy : t1;
-    if (repro_mesh_traverse(k->mesh, h2, start + k->l2_latency, f2,
-                            &reply_t) < 0) {
-        return -1;
-    }
-    double t;
-    if (busy > t1) {
-        if (set_result(k, result, k->off_r_wait, busy - t1) < 0) {
-            return -1;
-        }
-        t = busy + k->l2_latency;
-    }
-    else {
-        t = t1 + k->l2_latency;
-    }
-    if (home_energy_bump(k, k->off_e_tag) < 0
-        || slot_bump(slice_, k->off_slice_hits) < 0) {
-        return -1;
-    }
-    *t_out = t;
-    *reply_out = reply_t;
-    return 0;
-}
-
 
 /* ------------------------------------------------------------------ */
 /* The L1 side, shared by the family subtypes                          */
@@ -1093,7 +1039,7 @@ done:
     return l2line;
 }
 
-/* The general request leg: deliver_request.  Returns the line (new
+/* The request leg: deliver_request.  Returns the line (new
  * reference) and stores its slice (borrowed) and the service time. */
 PyObject *
 home_deliver(HomeObject *k, long long core, PyObject *line_obj,
@@ -1182,20 +1128,6 @@ home_round_trip(HomeObject *k, long long core, PyObject *line_obj,
                 double now, PyObject *result, PyObject **slice_out,
                 double *t_out, double *reply_out)
 {
-    if (flush < 0) {
-        PyObject *l2line = home_lookup(k, home, line, line_obj);
-        if (l2line == NULL && PyErr_Occurred()) {
-            return NULL;
-        }
-        if (l2line != NULL) {
-            *slice_out = PyList_GET_ITEM(k->l2, (Py_ssize_t)home);
-            if (home_chain(k, core, home, l2line, *slice_out, req_msg,
-                           reply_msg, now, result, t_out, reply_out) < 0) {
-                return NULL;
-            }
-            return Py_NewRef(l2line);
-        }
-    }
     PyObject *l2line = home_deliver(k, core, line_obj, line, home, flush,
                                     req_msg, now_obj, now, result, slice_out,
                                     t_out);
@@ -1385,23 +1317,6 @@ METHOD(reply, 4, "reply(home, core, reply_msg, t)")
         return NULL;
     }
     return PyFloat_FromDouble(out);
-}
-
-METHOD(chain_request_reply, 8,
-       "chain_request_reply(core, home, l2line, slice_, req_msg, reply_msg, "
-       "now, result)")
-{
-    long long core, home, req_msg, reply_msg;
-    double now, t, reply_t;
-    if (arg_long(args[0], &core) < 0 || arg_long(args[1], &home) < 0
-        || arg_long(args[4], &req_msg) < 0 || arg_long(args[5], &reply_msg) < 0
-        || arg_double(args[6], &now) < 0
-        || home_chain(k, core, home, args[2], args[3], req_msg, reply_msg, now,
-                      args[7], &t, &reply_t) < 0) {
-        return NULL;
-    }
-    return pack(2, PyFloat_FromDouble(t), PyFloat_FromDouble(reply_t), NULL,
-                NULL);
 }
 
 METHOD(serve_word, 6,
@@ -1942,9 +1857,6 @@ static PyMethodDef Home_methods[] = {
              "deliver_request(core, line, home, flush_owner, req_msg, now, "
              "result) -> (slice_, l2line, t)"),
     FASTCALL(reply, "reply(home, core, reply_msg, t) -> reply_t"),
-    FASTCALL(chain_request_reply,
-             "chain_request_reply(core, home, l2line, slice_, req_msg, "
-             "reply_msg, now, result) -> (t, reply_t)"),
     FASTCALL(serve_word,
              "serve_word(core, is_write, line, word, l2line, slice_)"),
     FASTCALL(settle, "settle(slice_, l2line, t, owned)"),

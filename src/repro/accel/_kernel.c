@@ -57,7 +57,7 @@
 #define K_WINDOW_MASK (K_WINDOW_EPOCHS - 1)
 #define K_SLOT_SHIFT 6
 #define K_SLOT_OCC_MASK ((1 << K_SLOT_SHIFT) - 1)
-#define K_ABI_VERSION 6
+#define K_ABI_VERSION 7
 
 typedef struct {
     PyObject_HEAD
@@ -452,103 +452,6 @@ Kernel_traverse_link(KernelObject *self, PyObject *const *args,
 }
 
 static PyObject *
-Kernel_traverse_chain(KernelObject *self, PyObject *const *args,
-                      Py_ssize_t nargs)
-{
-    if (nargs != 7) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "traverse_chain(handle1, flits1, t0, busy_until, gap, "
-            "handle2, flits2)");
-        return NULL;
-    }
-    Py_ssize_t h1 = PyLong_AsSsize_t(args[0]);
-    long long f1 = PyLong_AsLongLong(args[1]);
-    double t0 = PyFloat_AsDouble(args[2]);
-    double busy = PyFloat_AsDouble(args[3]);
-    double gap = PyFloat_AsDouble(args[4]);
-    Py_ssize_t h2 = PyLong_AsSsize_t(args[5]);
-    long long f2 = PyLong_AsLongLong(args[6]);
-    if (PyErr_Occurred()) {
-        return NULL;
-    }
-    long long hops1, hops2;
-    const int32_t *l1 = path_at(self, h1, &hops1);
-    if (l1 == NULL) {
-        return NULL;
-    }
-    const int32_t *l2 = path_at(self, h2, &hops2);
-    if (l2 == NULL) {
-        return NULL;
-    }
-    int err = 0;
-    double t1 = traverse_links(self, l1, hops1, t0, f1, &err);
-    if (err) {
-        return PyErr_NoMemory();
-    }
-    double start = busy > t1 ? busy : t1;
-    double t2 = traverse_links(self, l2, hops2, start + gap, f2, &err);
-    if (err) {
-        return PyErr_NoMemory();
-    }
-    return Py_BuildValue("(dd)", t1, t2);
-}
-
-static PyObject *
-Kernel_traverse_many(KernelObject *self, PyObject *const *args,
-                     Py_ssize_t nargs)
-{
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "traverse_many(t_head, flits, handles)");
-        return NULL;
-    }
-    double t_head = PyFloat_AsDouble(args[0]);
-    long long flits = PyLong_AsLongLong(args[1]);
-    if (PyErr_Occurred()) {
-        return NULL;
-    }
-    PyObject *seq = PySequence_Fast(args[2], "handles must be a sequence");
-    if (seq == NULL) {
-        return NULL;
-    }
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    PyObject *out = PyList_New(n);
-    if (out == NULL) {
-        Py_DECREF(seq);
-        return NULL;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        Py_ssize_t handle =
-            PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(seq, i));
-        long long hops;
-        const int32_t *links;
-        if ((handle == -1 && PyErr_Occurred())
-            || (links = path_at(self, handle, &hops)) == NULL) {
-            Py_DECREF(seq);
-            Py_DECREF(out);
-            return NULL;
-        }
-        int err = 0;
-        double tail = traverse_links(self, links, hops, t_head, flits, &err);
-        if (err) {
-            Py_DECREF(seq);
-            Py_DECREF(out);
-            return PyErr_NoMemory();
-        }
-        PyObject *item = PyFloat_FromDouble(tail);
-        if (item == NULL) {
-            Py_DECREF(seq);
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, i, item);
-    }
-    Py_DECREF(seq);
-    return out;
-}
-
-static PyObject *
 Kernel_overflow_len(KernelObject *self, PyObject *Py_UNUSED(ignored))
 {
     return PyLong_FromSsize_t(self->olen);
@@ -604,11 +507,6 @@ static PyMethodDef Kernel_methods[] = {
      METH_FASTCALL, "traverse(handle, t_head, flits) -> tail arrival"},
     {"traverse_link", (PyCFunction)(void (*)(void))Kernel_traverse_link,
      METH_FASTCALL, "traverse_link(link, t_head, flits) -> head depart"},
-    {"traverse_chain", (PyCFunction)(void (*)(void))Kernel_traverse_chain,
-     METH_FASTCALL,
-     "traverse_chain(h1, f1, t0, busy, gap, h2, f2) -> (t1, t2)"},
-    {"traverse_many", (PyCFunction)(void (*)(void))Kernel_traverse_many,
-     METH_FASTCALL, "traverse_many(t_head, flits, handles) -> list"},
     {"overflow_len", (PyCFunction)Kernel_overflow_len, METH_NOARGS, NULL},
     {"overflow_items", (PyCFunction)Kernel_overflow_items, METH_NOARGS, NULL},
     {NULL, NULL, 0, NULL},

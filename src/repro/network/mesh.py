@@ -35,9 +35,8 @@ the link-model ablations (DESIGN.md decision 6), :class:`NaiveMeshKernel`
 and :class:`FreeMeshKernel`.  All have the same constructor, methods and
 attributes.  :class:`MeshNetwork` picks one at construction and keeps the
 route memo of kernel path handles and the broadcast trees; the protocol
-engines call the kernel's ``traverse`` / ``traverse_chain`` /
-``traverse_many`` directly, and ``unicast``/``broadcast`` are thin
-wrappers.  An empty (same-tile) route arrives instantly and counts
+engines call the kernel's ``traverse`` directly, and
+``unicast``/``broadcast`` are thin wrappers.  An empty (same-tile) route arrives instantly and counts
 nothing, in every kernel.
 """
 
@@ -336,43 +335,6 @@ class PyMeshKernel:
             t_int = int(t_head)
             epoch = -1  # force a row recompute on the next link
         return t_head + (flits - 1)
-
-    def traverse_chain(
-        self,
-        path1: tuple,
-        flits1: int,
-        t0: float,
-        busy_until: float,
-        gap: float,
-        path2: tuple,
-        flits2: int,
-    ) -> tuple[float, float]:
-        """Reserve a request leg and its dependent reply leg in one call.
-
-        Exactly the sequence::
-
-            t1 = traverse(path1, t0, flits1)         # request tail
-            start = max(t1, busy_until)              # wait out the line
-            t2 = traverse(path2, start + gap, flits2)  # reply tail
-
-        returning ``(t1, t2)`` so the caller can still account the waiting
-        time (``busy_until - t1``).  The compiled kernel crosses the FFI
-        boundary once per miss this way instead of once per leg.
-        """
-        t1 = self.traverse(path1, t0, flits1)
-        start = busy_until if busy_until > t1 else t1
-        return t1, self.traverse(path2, start + gap, flits2)
-
-    def traverse_many(self, t_head: float, flits: int, paths) -> list[float]:
-        """Reserve one same-sized message per path, all departing at
-        ``t_head``, in order; return the per-path tail arrivals.
-
-        The invalidation rounds of the directory families reserve one INV
-        per sharer back to back - reservation *order* is contractual (it
-        decides who gets the contended slot).
-        """
-        traverse = self.traverse
-        return [traverse(path, t_head, flits) for path in paths]
 
 
 class NaiveMeshKernel(PyMeshKernel):

@@ -12,10 +12,10 @@ engine owns the substrate every family shares:
 * the home side of every miss, run by the engine's one kernel
   (``home_kernel``; :mod:`repro.protocol.home`, DESIGN.md section 15):
   R-NUCA placement (``data_home``, or DLS's ``data_word_home``), the
-  request and reply legs - one ``chain_request_reply`` when nothing can
-  intervene between them, else ``deliver_request`` (page flush, request,
-  per-line serialization, tag access, off-chip fill) followed by
-  ``reply`` - then the family's time-independent home-side bookkeeping
+  request leg (``deliver_request``: page flush, request, per-line
+  serialization, tag access, off-chip fill), the family's round if it
+  has one, the reply leg (``reply``), then the family's time-independent
+  home-side bookkeeping
   (``serve_word`` for word accesses), then ``settle`` (line occupancy +
   LRU touch).  Each family's kernel is a subtype of the home kernel that
   runs the family's whole access: DLS's and Neat's take both legs through

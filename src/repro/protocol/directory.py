@@ -33,13 +33,10 @@ its pure-Python twin :class:`PyDirectoryKernel` below, a subclass of
 :class:`repro.protocol.home.PyHomeKernel` that takes the home steps on
 itself: the home from ``data_home``, the request and reply legs, the
 time-independent bookkeeping (``serve_word`` or the line grant), then
-``settle``.  The invalidation or write-back round sits between the legs,
-so the kernel checks the line itself rather than calling ``round_trip``:
-with no page flush, the line resident at the home and no round to run,
-request and reply ride one ``chain_request_reply`` call; otherwise
-``deliver_request``, the round, then ``reply``.  Either way the requester
-is classified once (the one policy step the phase family takes over) and
-the reply is reserved before the bookkeeping.
+``settle``.  Every miss takes one shape: ``deliver_request``, the
+requester's classification (the one policy step the phase family takes
+over), the invalidation or write-back round if one is needed, then
+``reply``, reserved before the bookkeeping.
 
 The engine is *globally magic*: requests are serviced atomically in
 simulation order while all latencies come from the network/DRAM/serialization
@@ -122,11 +119,9 @@ class PyDirectoryKernel(PyHomeKernel):
     private line grant with its L1 fill, the L1 eviction notice and the
     miss-type, history, histogram and energy bookkeeping.  The home side of
     the miss is the inherited home steps (:mod:`repro.protocol.home`),
-    taken on the kernel itself: ``data_home``, then both legs in one
-    ``chain_request_reply`` when nothing can intervene (no page flush, the
-    line resident at the home and no round to run), else
-    ``deliver_request``, the round and ``reply``; then ``serve_word`` or
-    the line grant, then ``settle``.  Its fills attach a fresh
+    taken on the kernel itself: ``data_home``, ``deliver_request``, the
+    round if one is needed, ``reply``, then ``serve_word`` or the line
+    grant, then ``settle``.  Its fills attach a fresh
     ``DirectoryEntry`` to the new line.
 
     Methods: ``access`` (the whole access; the engine's ``access`` calls
@@ -151,7 +146,6 @@ class PyDirectoryKernel(PyHomeKernel):
         "_history",
         "_classifier",
         "_policy",
-        "_many",
         "_hooks",
     )
 
@@ -163,7 +157,6 @@ class PyDirectoryKernel(PyHomeKernel):
         self._history = engine._history
         self._classifier = engine.classifier
         self._policy = engine.sharer_policy
-        self._many = self._network.kernel.traverse_many
         cls = type(engine)
         self._hooks = tuple(hasattr(cls, name) for name in FAMILY_HOOKS)
 
@@ -206,33 +199,10 @@ class PyDirectoryKernel(PyHomeKernel):
         else:
             req_msg = _READ_REQ
         home, flush_owner = self.data_home(line, core)
-        slice_ = self._l2[home]
-        # Chained shape: no page flush, the line resident at the home, and
-        # neither an invalidation round (writes: no foreign sharer) nor a
-        # synchronous write-back (reads: no foreign exclusive owner) can
-        # fire, so the request and reply are this miss's only traversals
-        # and ride one traverse_chain call.  The check runs before
-        # classification: remove_own_copy - the only directory mutation
-        # classification can make - removes the requester itself, which
-        # cannot make a clean line dirty.
-        chained = False
-        if flush_owner is None:
-            store = slice_.store
-            l2line = store._sets[line & store._set_mask].get(line)
-            if l2line is not None:
-                dirent = l2line.directory
-                if is_write:
-                    sharers = dirent.sharers
-                    chained = not sharers or (len(sharers) == 1 and core in sharers)
-                else:
-                    chained = dirent.owner < 0 or dirent.owner == core
-        if not chained:
-            slice_, l2line, t = self.deliver_request(
-                core, line, home, flush_owner, req_msg, now, result
-            )
+        slice_, l2line, t = self.deliver_request(
+            core, line, home, flush_owner, req_msg, now, result
+        )
         energy.directory_lookups += 1
-        # Classification touches no network or timing state, so in the
-        # chained shape it may run before the request is reserved.
         hooks = self._hooks
         if hooks[0]:
             serviced_remote, upgrade = engine._classify_requester(
@@ -248,10 +218,6 @@ class PyDirectoryKernel(PyHomeKernel):
             reply_msg = _WORD_WRITE_ACK
         else:
             reply_msg = _WORD_REPLY if serviced_remote else _LINE_REPLY
-        if chained:
-            t, reply_t = self.chain_request_reply(
-                core, home, l2line, slice_, req_msg, reply_msg, now, result
-            )
 
         # ---- miss classification uses the pre-service history (Section 4.4).
         history = self._history[core]
@@ -280,11 +246,9 @@ class PyDirectoryKernel(PyHomeKernel):
             t += sharers_lat
             result.l2_sharers = sharers_lat
 
-        # ---- service: the reply leg (already reserved when chained), then
-        # the time-independent bookkeeping - a word access at the home L2
-        # or a private line grant.
-        if not chained:
-            reply_t = self.reply(home, core, reply_msg, t)
+        # ---- service: the reply leg, then the time-independent bookkeeping
+        # - a word access at the home L2 or a private line grant.
+        reply_t = self.reply(home, core, reply_msg, t)
         if serviced_remote:
             self.serve_word(core, is_write, line, word, l2line, slice_)
             flags |= _EVER_REMOTE
@@ -372,9 +336,8 @@ class PyDirectoryKernel(PyHomeKernel):
         LimitedClassifier.locality_entry inlined - one dict get), else,
         when no slot is free, the majority vote of the tracked modes.
 
-        Touches no network or timing state, so it runs identically before
-        the request departs (chained shape, which needs the reply type up
-        front) or after it arrives (general path).  ``upgrade`` folds to
+        Touches no network or timing state; it runs after the request
+        arrives and decides the reply type.  ``upgrade`` folds to
         False when the classifier votes remote for a core still holding an
         S copy (the copy is folded back via ``remove_own_copy``).  This is
         the one policy step of the miss path: a family with a different
@@ -499,17 +462,16 @@ class PyDirectoryKernel(PyHomeKernel):
             arrivals = self._network.broadcast(home, MsgType.INV_BROADCAST, t)
             policy.broadcast_invalidations += 1
         else:
-            # All INVs depart together at ``t``: one batched traverse_many
-            # reserves them in target order.  The acks stay per-target
-            # below - each departs at its own INV arrival and may differ in
-            # type - and the all-INVs-then-acks reservation order is kept.
-            inv_paths = []
+            # All INVs depart together at ``t``, reserved in target order
+            # before any ack: each ack departs at its own INV arrival and
+            # may differ in type.
+            inv_flits = flits_tab[_INV_REQ]
+            arrivals = {}
             for c in targets:
                 path = paths[home * num_tiles + c]
                 if path is None:
                     path = resolve(home, c)
-                inv_paths.append(path)
-            arrivals = dict(zip(targets, self._many(t, flits_tab[_INV_REQ], inv_paths)))
+                arrivals[c] = traverse(path, t, inv_flits)
             policy.unicast_invalidations += len(targets)
         done = t
         purge_hook = self._hooks[3]
@@ -561,9 +523,8 @@ class PyDirectoryKernel(PyHomeKernel):
     # Synchronous write-back (read request hits an exclusive owner).
     # ------------------------------------------------------------------
     def _sync_writeback(self, engine, line, l2line, home, t):
-        # The ack type is readable from the owner's L1 state before the
-        # WB_REQ departs, so both legs ride one traverse_chain call (the
-        # ack departs exactly at the request's arrival: no gap, no busy).
+        # The WB_REQ to the owner, then its ack, departing at the request's
+        # arrival.
         dirent = l2line.directory
         owner = dirent.owner
         entry = self._l1d[owner].lookup(line)
@@ -573,14 +534,15 @@ class PyDirectoryKernel(PyHomeKernel):
         msg = _WB_DATA if dirty else _INV_ACK  # data vs clean downgrade ack
         paths = self._paths
         num_tiles = self._num_tiles
-        path1 = paths[home * num_tiles + owner]
-        if path1 is None:
-            path1 = self._resolve(home, owner)
-        path2 = paths[owner * num_tiles + home]
-        if path2 is None:
-            path2 = self._resolve(owner, home)
         flits = self._flits
-        _, ack_t = self._chain(path1, flits[_WB_REQ], t, 0.0, 0.0, path2, flits[msg])
+        path = paths[home * num_tiles + owner]
+        if path is None:
+            path = self._resolve(home, owner)
+        t1 = self._traverse(path, t, flits[_WB_REQ])
+        path = paths[owner * num_tiles + home]
+        if path is None:
+            path = self._resolve(owner, home)
+        ack_t = self._traverse(path, t1, flits[msg])
         if dirty:
             energy = engine.energy
             energy.l1d_line_reads += 1

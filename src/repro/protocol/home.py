@@ -44,12 +44,12 @@ class PyHomeKernel:
     methods are the home round trip, each called where the engine's miss
     path takes that step:
 
-    * ``round_trip`` - both legs when the reply type is known up front
-      and nothing happens at the home between them: one
-      ``chain_request_reply`` with no page flush and the line resident,
-      else ``deliver_request`` then ``reply``;
-    * ``deliver_request`` / ``reply`` - the general legs, between which the
-      directory families run their invalidation and write-back rounds;
+    * ``deliver_request`` / ``reply`` - the request and reply legs,
+      between which the directory families run their invalidation and
+      write-back rounds;
+    * ``round_trip`` - ``deliver_request`` then ``reply``, for a miss whose
+      reply type is known up front and with nothing at the home between
+      the legs;
     * ``serve_word`` and ``settle`` - the time-independent word access at
       the home, and the release of the line after service.
 
@@ -77,7 +77,6 @@ class PyHomeKernel:
         "_paths",
         "_resolve",
         "_traverse",
-        "_chain",
         "_flits",
         "_num_tiles",
         "_words_per_line",
@@ -101,7 +100,6 @@ class PyHomeKernel:
         self._paths = network.paths
         self._resolve = network.resolve_path
         self._traverse = network.kernel.traverse
-        self._chain = network.kernel.traverse_chain
         self._flits = engine._net_flits
         self._num_tiles = engine.arch.num_cores
         self._words_per_line = engine.arch.words_per_line
@@ -111,30 +109,18 @@ class PyHomeKernel:
     # ------------------------------------------------------------------
     def round_trip(self, core, line, home, flush_owner, req_msg, reply_msg, now, result):
         """Reserve a miss's request and reply legs when the reply type is
-        known up front and nothing happens at the home between them.
-
-        With no page flush and the line resident at ``home``, both legs
-        ride one ``chain_request_reply``; otherwise the general request
-        leg (flush, off-chip fill) runs, then the reply leg.  Returns
-        ``(slice_, l2line, t, reply_t)``: the home service time and the
-        reply's tail arrival at the requester.
+        known up front and nothing happens at the home between them:
+        ``deliver_request`` then ``reply``.  Returns ``(slice_, l2line, t,
+        reply_t)``: the home service time and the reply's tail arrival at
+        the requester.
         """
-        if flush_owner is None:
-            slice_ = self._l2[home]
-            store = slice_.store
-            l2line = store._sets[line & store._set_mask].get(line)
-            if l2line is not None:
-                t, reply_t = self.chain_request_reply(
-                    core, home, l2line, slice_, req_msg, reply_msg, now, result
-                )
-                return slice_, l2line, t, reply_t
         slice_, l2line, t = self.deliver_request(
             core, line, home, flush_owner, req_msg, now, result
         )
         return slice_, l2line, t, self.reply(home, core, reply_msg, t)
 
     def deliver_request(self, core, line, home, flush_owner, req_msg, now, result):
-        """The general request leg: deliver a request to the home slice,
+        """The request leg: deliver a request to the home slice,
         ready for service.
 
         Flushes a private page's old slice on a private -> shared
@@ -167,40 +153,12 @@ class PyHomeKernel:
         return slice_, l2line, t
 
     def reply(self, home, core, reply_msg, t):
-        """The general reply leg: reserve ``reply_msg`` from the home at
+        """The reply leg: reserve ``reply_msg`` from the home at
         ``t``; returns its tail arrival at the requester."""
         path = self._paths[home * self._num_tiles + core]
         if path is None:
             path = self._resolve(home, core)
         return self._traverse(path, t, self._flits[reply_msg])
-
-    def chain_request_reply(self, core, home, l2line, slice_, req_msg, reply_msg, now, result):
-        """Reserve the request and reply legs in one mesh-kernel
-        ``traverse_chain`` (the exact composition of two ``traverse``
-        calls), with the same serialization/latency arithmetic and the
-        same counter updates as ``deliver_request`` + ``reply`` on a
-        resident line.  Returns ``(t, reply_t)``.
-        """
-        paths = self._paths
-        num_tiles = self._num_tiles
-        flits = self._flits
-        path1 = paths[core * num_tiles + home]
-        if path1 is None:
-            path1 = self._resolve(core, home)
-        path2 = paths[home * num_tiles + core]
-        if path2 is None:
-            path2 = self._resolve(home, core)
-        busy = l2line.busy_until
-        latency = self._l2_latency
-        t1, reply_t = self._chain(path1, flits[req_msg], now, busy, latency, path2, flits[reply_msg])
-        if busy > t1:
-            result.l2_waiting = busy - t1
-            t = busy + latency
-        else:
-            t = t1 + latency
-        self._engine.energy.l2_tag_accesses += 1
-        slice_.hits += 1
-        return t, reply_t
 
     # ------------------------------------------------------------------
     def serve_word(self, core, is_write, line, word, l2line, slice_):

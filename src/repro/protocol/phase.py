@@ -35,11 +35,10 @@ interface):
 * **Timing reuses the directory machinery unchanged**: the engine
   takes over only ``_classify_requester``, the one policy step of the
   directory kernel's miss path (``repro.protocol.directory``
-  ``FAMILY_HOOKS``).  Home delivery, the chained
-  request/reply shape, line grants, the invalidation round, the
-  synchronous write-back and the word access at the home are the same
-  code (and latencies) the baseline/adaptive families run, so the family
-  comparison isolates the phase *policy*.
+  ``FAMILY_HOOKS``).  The request and reply legs, line grants, the
+  invalidation round, the synchronous write-back and the word access at
+  the home are the same code (and latencies) the baseline/adaptive
+  families run, so the family comparison isolates the phase *policy*.
 
 Functional verification runs unchanged: WRITE_SHARED word writes follow an
 invalidation round (SWMR holds), word accesses use the shared golden-checked
@@ -139,8 +138,8 @@ class PhaseEngine(DirectoryEngine):
 
     # ==================================================================
     # The phase policy is this family's requester classifier: the whole
-    # miss path - home delivery, chained shape, invalidation/write-back
-    # rounds, service and settling - is the directory kernel's.
+    # miss path - the request leg, invalidation/write-back rounds, the
+    # reply leg, service and settling - is the directory kernel's.
     # ==================================================================
     def _classify_requester(
         self, l1, l2line, core: int, line: int, is_write: bool, upgrade: bool
@@ -148,9 +147,9 @@ class PhaseEngine(DirectoryEngine):
         """Service at the home exactly while the line is write-shared.
 
         ``_resolve_phase`` touches no network or timing state and never
-        adds a sharer or owner, so - like the utilization classifier it
-        replaces - it may run before the request departs (chained shape)
-        or after it arrives.  A core still holding an S copy of a line
+        adds a sharer or owner; like the utilization classifier it
+        replaces, it runs after the request arrives and decides the reply
+        type.  A core still holding an S copy of a line
         that is (or just became) write-shared folds the copy back before
         the home services it.
         """

@@ -275,22 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", default=None,
         help="write the full report (including minimized traces) to PATH")
 
-    trend = sub.add_parser(
-        "trend",
-        help="diff two result-cache logs across revisions",
-    )
-    trend.add_argument("old", help="older results.jsonl cache log (or its "
-                       "directory)")
-    trend.add_argument("new", help="newer results.jsonl cache log")
-    trend.add_argument("--metric", default=None,
-                       help="restrict the comparison (and the regression "
-                       "gate) to one metric")
-    trend.add_argument("--assert-within", type=float, default=None,
-                       metavar="FRACTION",
-                       help="exit 1 when any compared metric drifted up by "
-                       "more than FRACTION (e.g. 0.05 = fail on a >5%% rise "
-                       "in completion time or energy)")
-
     # Delegating verbs: argument parsing happens in the delegate (main()
     # forwards everything after the verb verbatim; argparse's REMAINDER
     # cannot, since it refuses leading optionals like ``figures --figure 11``).
@@ -495,26 +479,6 @@ def _cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_trend(args) -> int:
-    from repro.runner.trend import format_rows, run_trend, worst_regression
-
-    rows, code = run_trend(
-        args.old, args.new, assert_within=args.assert_within, metric=args.metric
-    )
-    print(format_rows(rows))
-    if args.assert_within is not None:
-        worst = worst_regression(rows, args.metric)
-        if worst is not None:
-            log.info(
-                "worst regression: %s %s %+.1f%% (gate: %.0f%%)",
-                worst["key"], worst["metric"],
-                worst["regression"] * 100, args.assert_within * 100,
-            )
-        if code:
-            log.info("trend: REGRESSION beyond threshold")
-    return code
-
-
 def _cmd_events(args) -> int:
     print(obs.render_file(args.file, limit=args.limit))
     return 0
@@ -574,7 +538,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "chaos": _cmd_chaos,
     "accel-info": _cmd_accel_info,
-    "trend": _cmd_trend,
     "events": _cmd_events,
     "serve-stats": _cmd_serve_stats,
     "check-exhaustive": _cmd_check_exhaustive,

@@ -205,20 +205,11 @@ def _step(engine, op, pages) -> tuple:
                     core, line, home, flush, req_msg, reply_msg, now, result
                 )
                 hk.serve_word(core, is_write, line, word, l2line, slice_)
-            elif kind == "general":
+            else:  # "general"
                 slice_, l2line, t = hk.deliver_request(
                     core, line, home, flush, req_msg, now, result
                 )
                 reply_t = hk.reply(home, core, reply_msg, t)
-            else:  # "chain": only on a resident line, as the engines do
-                store = l2[home].store
-                l2line = store._sets[line & store._set_mask].get(line)
-                if flush is not None or l2line is None:
-                    return ("chain-skipped", out)
-                slice_ = l2[home]
-                t, reply_t = hk.chain_request_reply(
-                    core, home, l2line, slice_, req_msg, reply_msg, now, result
-                )
             hk.settle(slice_, l2line, t, owned)
             out += (l2.index(slice_), t, reply_t)
         return (kind, *out, _line_state(l2line), result.l2_waiting, result.l2_offchip)
@@ -226,8 +217,8 @@ def _step(engine, op, pages) -> tuple:
         return ("raised", type(exc).__name__, str(exc))
 
 
-_kinds = st.sampled_from(["line", "line", "word", "word", "general", "chain",
-                          "place_word", "reset"])
+_kinds = st.sampled_from(["line", "line", "word", "word", "general", "place_word",
+                          "reset"])
 
 
 @st.composite

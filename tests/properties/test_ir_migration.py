@@ -32,7 +32,7 @@ FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
 #: ``runstats_pr3.json``: five families at the last pre-columnar revision.
 #: ``runstats_phase_release.json``: the phase family and Neat release mode,
 #: which postdate it, generated before their miss paths were folded into
-#: the shared directory / chained shapes.  Both share one arch.
+#: the shared directory kernel and its one miss shape.  Both share one arch.
 FIXTURES = ("runstats_pr3.json", "runstats_phase_release.json")
 
 

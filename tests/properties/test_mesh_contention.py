@@ -6,7 +6,7 @@ any traffic - including far-future reservations (DRAM replies scheduled
 thousands of cycles ahead) that live in the overflow dict, and traffic that
 then arrives "in the past" relative to those reservations.
 
-Five properties pin the mesh kernels:
+Four properties pin the mesh kernels:
 
 * **kernel contract** - ``PyMeshKernel`` and the compiled ``MeshKernel``,
   driven through one random stream of calls, return the same values and
@@ -17,15 +17,12 @@ Five properties pin the mesh kernels:
 * **reference equivalence** - a randomized message stream produces
   bit-identical arrival times and an identical (epoch, link) -> occupancy
   map against a reference implementation of the PR-3 flat-dict model;
-* **chain composition** - ``traverse_chain``, which every chained miss
-  reserves its request and reply through, is exactly ``traverse``, then
-  ``max`` with ``busy_until``, then ``traverse``;
 * **counters** - every kernel counts each non-empty message once and a
   same-tile message not at all.
 
 Conservation and reference equivalence run over the two epoch kernels
-(the Python twin and the compiled kernel); chain composition and the
-counters also run over the ``naive`` and ``none`` link-model kernels.
+(the Python twin and the compiled kernel); the counters also run over the
+``naive`` and ``none`` link-model kernels.
 """
 
 from __future__ import annotations
@@ -173,11 +170,11 @@ class TestKernelContract:
     @given(data=st.data())
     def test_python_twin_matches_compiled(self, data):
         """The compiled kernel's contract is bit-identity, not mere
-        closeness: one random stream of ``register_path``, ``traverse``,
-        ``traverse_chain``, ``traverse_many`` and ``traverse_link`` calls -
-        same-tile routes, far-future reservations and returns to the past
-        included - yields identical return values,
-        counters, recycles, overflow entries and slot tables."""
+        closeness: one random stream of ``register_path``, ``traverse``
+        and ``traverse_link`` calls - same-tile routes, far-future
+        reservations and returns to the past included - yields identical
+        return values, counters, recycles, overflow entries and slot
+        tables."""
         num_links, link_bits, hop = 48, 6, 2
         twin = PyMeshKernel(num_links, link_bits, hop)
         compiled = compiled_kernel_class()(num_links=num_links, link_bits=link_bits, hop=hop)
@@ -190,7 +187,7 @@ class TestKernelContract:
         t = 0.0
         for _ in range(draw(st.integers(1, 60))):
             op = draw(st.sampled_from(
-                ("register", "traverse", "traverse", "chain", "many", "link")
+                ("register", "traverse", "traverse", "traverse", "traverse", "link")
             ))
             route = draw(st.integers(0, len(routes) - 1))
             flits = draw(flit_counts)
@@ -201,21 +198,6 @@ class TestKernelContract:
                 continue
             if op == "traverse":
                 calls = [(k.traverse, (h, start, flits)) for k, h in zip(kernels, routes[route])]
-            elif op == "chain":
-                other = draw(st.integers(0, len(routes) - 1))
-                busy, _ = next_start(draw, t)
-                gap = draw(st.sampled_from((0.0, 1.0, 6.0, 2.5)))
-                flits2 = draw(flit_counts)
-                calls = [
-                    (k.traverse_chain, (h1, flits, start, busy, gap, h2, flits2))
-                    for k, h1, h2 in zip(kernels, routes[route], routes[other])
-                ]
-            elif op == "many":
-                picks = draw(st.lists(st.integers(0, len(routes) - 1), max_size=5))
-                calls = [
-                    (k.traverse_many, (start, flits, [routes[p][i] for p in picks]))
-                    for i, k in enumerate(kernels)
-                ]
             else:
                 link = draw(links)
                 calls = [(k.traverse_link, (link, start, flits)) for k in kernels]
@@ -307,66 +289,20 @@ class TestReferenceEquivalence:
         assert a.messages_sent == b.messages_sent == 16 * 15
 
 
-class TestChainComposition:
-    @ALL_KERNELS
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_chain_equals_two_traversals_around_busy_until(self, kernel, data):
-        """Same returned ``(t1, t2)``, occupancy and traffic counters as
-        the three-step composition on a twin network, over random routes
-        (same-tile legs included), times, gaps and flit counts, on links
-        carrying prior random load."""
-        chained = make_net(kernel)
-        composed = make_net(kernel)
-        for src, dst, flits, start in message_stream(data.draw, 16, n_min=0, n_max=30):
-            for net in (chained, composed):
-                send(net, src, dst, start, flits)
-        tiles = st.integers(0, 15)
-        flit_counts = st.sampled_from((1, 2, 9))
-        times = st.one_of(
-            st.just(0.0),
-            st.floats(0.0, 3.0 * EPOCH_CYCLES),
-            st.floats(0.0, 4.0 * WINDOW_EPOCHS * EPOCH_CYCLES),
-        )
-        for _ in range(data.draw(st.integers(1, 12))):
-            src, home, dst = data.draw(tiles), data.draw(tiles), data.draw(tiles)
-            flits1, flits2 = data.draw(flit_counts), data.draw(flit_counts)
-            t0, busy_until = data.draw(times), data.draw(times)
-            gap = data.draw(st.sampled_from((0.0, 1.0, 6.0, 2.5)))
-            got = chained.kernel.traverse_chain(
-                chained.resolve_path(src, home), flits1, t0, busy_until, gap,
-                chained.resolve_path(home, dst), flits2,
-            )
-            t1 = send(composed, src, home, t0, flits1)
-            start = max(t1, busy_until)
-            t2 = send(composed, home, dst, start + gap, flits2)
-            assert got == (t1, t2), (src, home, dst, flits1, flits2, t0, busy_until, gap)
-        assert chained.occupancy_map() == composed.occupancy_map()
-        for counter in ("messages_sent", "flits_sent", "link_flit_traversals"):
-            assert getattr(chained, counter) == getattr(composed, counter), counter
-
-
 class TestCounters:
     @ALL_KERNELS
     def test_each_non_empty_message_counts_once(self, kernel):
-        """Unicast, chain, batch and broadcast traffic lands in the kernel's
-        counters; same-tile messages are free and uncounted; and
-        ``reset_counters`` zeroes them while the reservations stay."""
+        """Unicast and broadcast traffic lands in the kernel's counters;
+        same-tile messages are free and uncounted; and ``reset_counters``
+        zeroes them while the reservations stay."""
         net = make_net(kernel)
-        k = net.kernel
         assert send(net, 3, 3, 7.0, 9) == 7.0
-        assert net.kernel.traverse_chain(
-            net.resolve_path(5, 5), 2, 4.0, 0.0, 0.0, net.resolve_path(5, 5), 9
-        ) == (4.0, 4.0)
-        assert k.traverse_many(1.0, 9, [net.resolve_path(6, 6)]) == [1.0]
         assert (net.messages_sent, net.flits_sent, net.link_flit_traversals) == (0, 0, 0)
         send(net, 0, 2, 0.0, 9)  # 2 hops
-        k.traverse_chain(net.resolve_path(0, 1), 1, 0.0, 0.0, 0.0, net.resolve_path(1, 5), 9)
-        k.traverse_many(0.0, 2, [net.resolve_path(0, 3), net.resolve_path(0, 0)])
         net.broadcast(0, MsgType.INV_BROADCAST, 0.0)  # 15 tree edges
-        assert net.messages_sent == 5
-        assert net.flits_sent == 9 + 1 + 9 + 2 + 1
-        assert net.link_flit_traversals == 18 + 1 + 9 + 6 + 15
+        assert net.messages_sent == 2
+        assert net.flits_sent == 9 + 1
+        assert net.link_flit_traversals == 18 + 15
         assert net.router_flit_traversals == net.link_flit_traversals + net.flits_sent
         reserved = net.occupancy_map()
         net.reset_counters()
