@@ -6,7 +6,7 @@ any traffic - including far-future reservations (DRAM replies scheduled
 thousands of cycles ahead) that live in the overflow dict, and traffic that
 then arrives "in the past" relative to those reservations.
 
-Four properties pin the mesh kernels:
+Five properties pin the mesh kernels:
 
 * **kernel contract** - ``PyMeshKernel`` and the compiled ``MeshKernel``,
   driven through one random stream of calls, return the same values and
@@ -17,12 +17,16 @@ Four properties pin the mesh kernels:
 * **reference equivalence** - a randomized message stream produces
   bit-identical arrival times and an identical (epoch, link) -> occupancy
   map against a reference implementation of the PR-3 flat-dict model;
+* **leg composition** - a miss on a resident line with nothing to do at
+  its home between the legs (the home kernel's ``round_trip``) reserves
+  exactly ``traverse``, then ``max`` with the line's ``busy_until`` plus
+  the L2 latency, then ``traverse``;
 * **counters** - every kernel counts each non-empty message once and a
   same-tile message not at all.
 
 Conservation and reference equivalence run over the two epoch kernels
-(the Python twin and the compiled kernel); the counters also run over the
-``naive`` and ``none`` link-model kernels.
+(the Python twin and the compiled kernel); leg composition and the
+counters also run over the ``naive`` and ``none`` link-model kernels.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from hypothesis import strategies as st
 
 from repro import accel as accel_pkg
 from repro.accel.build import NO_ACCEL_ENV
-from repro.common.params import ArchConfig
+from repro.common.params import ArchConfig, baseline_protocol
 from repro.network.mesh import (
     EPOCH_CYCLES,
     EPOCH_SHIFT,
@@ -46,6 +50,8 @@ from repro.network.mesh import (
     PyMeshKernel,
 )
 from repro.network.messages import MsgType
+from repro.protocol.base import AccessResult, ProtocolEngineBase
+from repro.protocol.home import PyHomeKernel
 
 ARCH16 = ArchConfig(num_cores=16, num_memory_controllers=4)
 
@@ -71,6 +77,21 @@ def make_net(kernel: str, arch: ArchConfig = ARCH16) -> MeshNetwork:
     kernel_cls = PyMeshKernel if kernel == "python" else compiled_kernel_class()
     with mock.patch.object(accel_pkg, "mesh_kernel_class", lambda: kernel_cls):
         return MeshNetwork(arch)
+
+
+def make_engine(kernel: str, arch: ArchConfig = ARCH16) -> ProtocolEngineBase:
+    """A base engine whose network runs on the named kernel (as
+    :func:`make_net`), with the home kernel the engine picks for it: the
+    compiled ``HomeKernel`` on the compiled mesh kernel, else
+    ``PyHomeKernel``."""
+    if kernel in ("naive", "none"):
+        return ProtocolEngineBase(
+            dataclasses.replace(arch, link_model=kernel), baseline_protocol()
+        )
+    kernel_cls = PyMeshKernel if kernel == "python" else compiled_kernel_class()
+    with mock.patch.object(accel_pkg, "mesh_kernel_class", lambda: kernel_cls), \
+            mock.patch.dict(os.environ, {NO_ACCEL_ENV: ""}):
+        return ProtocolEngineBase(arch, baseline_protocol())
 
 
 def send(net: MeshNetwork, src: int, dst: int, start: float, flits: int) -> float:
@@ -287,6 +308,64 @@ class TestReferenceEquivalence:
                 t += 3.0
         assert a.occupancy_map() == b.occupancy_map()
         assert a.messages_sent == b.messages_sent == 16 * 15
+
+
+class TestLegComposition:
+    @ALL_KERNELS
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_equals_two_traversals_around_busy_until(self, kernel, data):
+        """Every miss reserves its legs through the home kernel.  On a
+        resident line with nothing at the home between the legs,
+        ``round_trip`` returns the same service and reply times, waiting
+        time, occupancy and traffic counters as ``traverse``, ``max`` with
+        ``busy_until`` plus the L2 latency, ``traverse`` on a twin network
+        - over random cores, homes, message types (same-tile legs
+        included), start and busy times, on links carrying prior random
+        load."""
+        engine = make_engine(kernel)
+        assert isinstance(engine.home_kernel, PyHomeKernel) == (kernel != "compiled")
+        net = engine.network
+        composed = make_net(kernel)
+        for src, dst, flits, start in message_stream(data.draw, 16, n_min=0, n_max=30):
+            for each in (net, composed):
+                send(each, src, dst, start, flits)
+        tiles = st.integers(0, 15)
+        messages = st.sampled_from(list(MsgType))
+        times = st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 3.0 * EPOCH_CYCLES),
+            st.floats(0.0, 4.0 * WINDOW_EPOCHS * EPOCH_CYCLES),
+        )
+        latency = engine.arch.l2.latency
+        steps = data.draw(st.integers(1, 12))
+        for _ in range(steps):
+            core, home = data.draw(tiles), data.draw(tiles)
+            req_msg, reply_msg = data.draw(messages), data.draw(messages)
+            t0, busy_until = data.draw(times), data.draw(times)
+            slice_ = engine.l2[home]
+            line = data.draw(st.integers(0, 63))
+            if slice_.lookup(line) is None:
+                slice_.fill(line, 0.0)  # resident, no traffic
+            l2line = slice_.lookup(line)
+            l2line.busy_until = busy_until
+            result = AccessResult()
+            got = engine.home_kernel.round_trip(
+                core, line, home, None, int(req_msg), int(reply_msg), t0, result
+            )
+            t1 = send(composed, core, home, t0, composed.flits_for(req_msg))
+            t = max(t1, busy_until) + latency
+            reply_t = send(composed, home, core, t, composed.flits_for(reply_msg))
+            case = (core, home, req_msg, reply_msg, t0, busy_until)
+            assert got[0] is slice_ and got[1] is l2line, case
+            assert got[2:] == (t, reply_t), case
+            assert result.l2_waiting == max(0.0, busy_until - t1), case
+            assert result.l2_offchip == 0.0, case
+        assert sum(s.hits for s in engine.l2) == steps
+        assert sum(s.misses for s in engine.l2) == 0
+        assert net.occupancy_map() == composed.occupancy_map()
+        for counter in ("messages_sent", "flits_sent", "link_flit_traversals"):
+            assert getattr(net, counter) == getattr(composed, counter), counter
 
 
 class TestCounters:
