@@ -3,10 +3,19 @@
  * This is a CPython extension module (built at import by repro.accel.build;
  * see DESIGN.md section 12) that owns the reservation state of one
  * MeshNetwork - the WINDOW_EPOCHS x num_links slot table, the overflow hash
- * map, the path arena - and its traffic and slot-recycle counters, and
- * reserves whole registered paths per call.  Its pure-Python twin, with the
- * same constructor, methods and attributes, is repro.network.mesh's
- * PyMeshKernel.
+ * map, the path arena, the horizon - and its traffic, slot-recycle and
+ * retired-flit counters, and reserves whole registered paths per call.  Its
+ * pure-Python twin, with the same constructor, methods and attributes, is
+ * repro.network.mesh's PyMeshKernel.
+ *
+ * The horizon is an epoch below which nothing will be reserved again
+ * (DESIGN.md section 8).  It starts at 0 and only rises: the scheduler
+ * kernel publishes it before every engine call (raise_horizon, or
+ * repro_mesh_raise_horizon from _sched.c).  A slot recycle archives the
+ * retired occupancy in the overflow map only at or above the horizon;
+ * below it the flits are added to retired_flits.  A traverse or
+ * traverse_link whose head epoch lies below the horizon raises
+ * SimulationError before it reserves or counts anything.
  *
  * Exactness contract (pinned by the kernel contract property and the
  * contention properties in tests/properties/test_mesh_contention.py): every
@@ -20,8 +29,13 @@
  *   - `(long long)t` truncates toward zero exactly like Python's `int(t)`
  *     for the non-negative simulation times.
  *   - occ_load/occ_store reproduce _occ_load/_occ_store including the
- *     recycle counter and the retired-occupancy flush into overflow, so
- *     slots + overflow partition the epoch->occupancy map identically.
+ *     recycle counter, the retired-occupancy flush into overflow (or into
+ *     retired_flits below the horizon) and the probe skip for a slot tag
+ *     older than the epoch, so slots + overflow partition the
+ *     epoch->occupancy map at and above the horizon identically, and
+ *     slots + overflow + retired_flits conserve every reserved flit.
+ *   - The head-epoch check against the horizon comes after the zero-hop
+ *     return and before any counter moves, in both kernels.
  *   - A zero-hop (same-tile) route returns t_head and counts nothing.
  *
  * The Python fast pass in PyMeshKernel.traverse is an *optimization* of
@@ -51,13 +65,11 @@
 /* Mirror of the module constants in repro/network/mesh.py.  The loader
  * cross-checks these module attributes against the Python values and
  * refuses the kernel on mismatch, so the two can never drift silently. */
-#define K_EPOCH_CYCLES 32
-#define K_EPOCH_SHIFT 5
 #define K_WINDOW_EPOCHS 128
 #define K_WINDOW_MASK (K_WINDOW_EPOCHS - 1)
 #define K_SLOT_SHIFT 6
 #define K_SLOT_OCC_MASK ((1 << K_SLOT_SHIFT) - 1)
-#define K_ABI_VERSION 7
+#define K_ABI_VERSION 8
 
 typedef struct {
     PyObject_HEAD
@@ -69,6 +81,8 @@ typedef struct {
     long long messages_sent;
     long long flits_sent;
     long long link_flit_traversals;
+    long long retired_flits;  /* retired below the horizon, not archived */
+    long long horizon;    /* no reservation starts below this epoch */
     long long *slots;     /* K_WINDOW_EPOCHS * num_links packed cells */
     Py_ssize_t slot_count;
     /* Overflow map: open addressing, linear probing, no deletions (the
@@ -145,6 +159,7 @@ ov_insert(KernelObject *k, long long key, long long value)
             k->okeys = old_keys;
             k->ovals = old_vals;
             k->ocap = old_cap;
+            PyErr_NoMemory();
             return -1;
         }
         for (Py_ssize_t j = 0; j < old_cap; j++) {
@@ -173,8 +188,14 @@ static inline long long
 occ_load(const KernelObject *k, long long link, long long epoch)
 {
     long long value = k->slots[(epoch & K_WINDOW_MASK) * k->num_links + link];
-    if ((value >> K_SLOT_SHIFT) == epoch) {
+    long long tag = value >> K_SLOT_SHIFT;
+    if (tag == epoch) {
         return value & K_SLOT_OCC_MASK;
+    }
+    if (tag < epoch) {
+        /* Slot tags only grow, so overflow holds no entry for an epoch
+         * newer than its slot's tag: nothing to probe. */
+        return 0;
     }
     return ov_lookup(k, (epoch << k->link_bits) | link);
 }
@@ -189,12 +210,19 @@ occ_store(KernelObject *k, long long link, long long epoch, long long occupancy)
         k->slots[slot] = (epoch << K_SLOT_SHIFT) | occupancy;
     }
     else if (tag < epoch) {
-        /* Recycle the slot for the newer epoch; the retired occupancy
-         * stays exactly readable through the overflow map. */
+        /* Recycle the slot for the newer epoch.  The retired occupancy
+         * stays exactly readable through the overflow map at or above the
+         * horizon; below it nothing will read it again, so it is only
+         * counted. */
         k->recycles++;
         long long old = value & K_SLOT_OCC_MASK;
-        if (old && ov_insert(k, (tag << k->link_bits) | link, old) < 0) {
-            return -1;
+        if (old) {
+            if (tag < k->horizon) {
+                k->retired_flits += old;
+            }
+            else if (ov_insert(k, (tag << k->link_bits) | link, old) < 0) {
+                return -1;
+            }
         }
         k->slots[slot] = (epoch << K_SLOT_SHIFT) | occupancy;
     }
@@ -205,6 +233,21 @@ occ_store(KernelObject *k, long long link, long long epoch, long long occupancy)
         }
     }
     return 0;
+}
+
+/* The loud refusal (sets SimulationError): a reservation whose head epoch
+ * lies below the horizon could meet occupancy that was retired, not
+ * archived. */
+static void
+refuse_below_horizon(const KernelObject *k, long long epoch)
+{
+    PyObject *error = imported("repro.common.errors", "SimulationError");
+    if (error != NULL) {
+        PyErr_Format(error,
+                     "mesh reservation at epoch %lld is below the horizon %lld",
+                     epoch, k->horizon);
+        Py_DECREF(error);
+    }
 }
 
 static double
@@ -235,12 +278,18 @@ traverse_congested(KernelObject *k, long long link, long long epoch,
 }
 
 /* Reserve one link at t_head; return the head DEPART time (the broadcast
- * tree adds the hop latency itself, mirroring _traverse_link). */
+ * tree adds the hop latency itself, mirroring _traverse_link).  On failure
+ * *err is set and so is a Python exception. */
 static double
 traverse_one(KernelObject *k, long long link, double t_head, long long flits,
              int *err)
 {
     long long epoch = ((long long)t_head) >> K_EPOCH_SHIFT;
+    if (epoch < k->horizon) {
+        refuse_below_horizon(k, epoch);
+        *err = 1;
+        return 0.0;
+    }
     long long occ = occ_load(k, link, epoch);
     if (occ + flits <= K_EPOCH_CYCLES) {
         if (occ_store(k, link, epoch, occ + flits) < 0) {
@@ -253,7 +302,10 @@ traverse_one(KernelObject *k, long long link, double t_head, long long flits,
 }
 
 /* Reserve a whole registered path and count it; return the TAIL arrival
- * time.  The zero-hop route (a same-tile message) is free and uncounted. */
+ * time.  The zero-hop route (a same-tile message) is free and uncounted.
+ * Head times only grow along the path, so the head epoch is the message's
+ * smallest: one compare against the horizon covers every link.  On failure
+ * *err is set and so is a Python exception. */
 static double
 traverse_links(KernelObject *k, const int32_t *links, long long hops,
                double t_head, long long flits, int *err)
@@ -261,12 +313,17 @@ traverse_links(KernelObject *k, const int32_t *links, long long hops,
     if (hops == 0) {
         return t_head;
     }
+    long long t_int = (long long)t_head;
+    if ((t_int >> K_EPOCH_SHIFT) < k->horizon) {
+        refuse_below_horizon(k, t_int >> K_EPOCH_SHIFT);
+        *err = 1;
+        return 0.0;
+    }
     k->messages_sent++;
     k->flits_sent += flits;
     k->link_flit_traversals += flits * hops;
     double hop = k->hop;
     long long hop_int = k->hop_int;
-    long long t_int = (long long)t_head;
     for (long long i = 0; i < hops; i++) {
         long long link = links[i];
         long long epoch = t_int >> K_EPOCH_SHIFT;
@@ -420,7 +477,7 @@ Kernel_traverse(KernelObject *self, PyObject *const *args, Py_ssize_t nargs)
     int err = 0;
     double out = traverse_links(self, links, hops, t_head, flits, &err);
     if (err) {
-        return PyErr_NoMemory();
+        return NULL;
     }
     return PyFloat_FromDouble(out);
 }
@@ -446,9 +503,20 @@ Kernel_traverse_link(KernelObject *self, PyObject *const *args,
     int err = 0;
     double out = traverse_one(self, link, t_head, flits, &err);
     if (err) {
-        return PyErr_NoMemory();
+        return NULL;
     }
     return PyFloat_FromDouble(out);
+}
+
+static PyObject *
+Kernel_raise_horizon(KernelObject *self, PyObject *arg)
+{
+    long long epoch = PyLong_AsLongLong(arg);
+    if (epoch == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    repro_mesh_raise_horizon((PyObject *)self, epoch);
+    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -507,6 +575,9 @@ static PyMethodDef Kernel_methods[] = {
      METH_FASTCALL, "traverse(handle, t_head, flits) -> tail arrival"},
     {"traverse_link", (PyCFunction)(void (*)(void))Kernel_traverse_link,
      METH_FASTCALL, "traverse_link(link, t_head, flits) -> head depart"},
+    {"raise_horizon", (PyCFunction)Kernel_raise_horizon, METH_O,
+     "raise_horizon(epoch): no reservation will start below epoch (a lower "
+     "value is ignored)"},
     {"overflow_len", (PyCFunction)Kernel_overflow_len, METH_NOARGS, NULL},
     {"overflow_items", (PyCFunction)Kernel_overflow_items, METH_NOARGS, NULL},
     {NULL, NULL, 0, NULL},
@@ -520,7 +591,9 @@ static PyMemberDef Kernel_members[] = {
     K_MEMBER(messages_sent, 0),
     K_MEMBER(flits_sent, 0),
     K_MEMBER(link_flit_traversals, 0),
+    K_MEMBER(retired_flits, 0),
     K_MEMBER(link_bits, READONLY),
+    K_MEMBER(horizon, READONLY),
     {NULL, 0, 0, 0, NULL},
 };
 
@@ -550,7 +623,7 @@ static PyTypeObject KernelType = {
 };
 
 /* ------------------------------------------------------------------ */
-/* The traversal entry of the engine kernel (_home.c, via _accel.h)    */
+/* The entries of the engine and scheduler kernels (via _accel.h)      */
 /* ------------------------------------------------------------------ */
 
 int
@@ -572,11 +645,19 @@ repro_mesh_traverse(PyObject *mesh, Py_ssize_t handle, double t_head,
     int err = 0;
     double tail = traverse_links(k, links, hops, t_head, flits, &err);
     if (err) {
-        PyErr_NoMemory();
         return -1;
     }
     *out = tail;
     return 0;
+}
+
+void
+repro_mesh_raise_horizon(PyObject *mesh, long long epoch)
+{
+    KernelObject *k = (KernelObject *)mesh;
+    if (epoch > k->horizon) {
+        k->horizon = epoch;
+    }
 }
 
 static struct PyModuleDef kernel_module = {

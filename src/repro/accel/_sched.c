@@ -33,6 +33,12 @@
  * through continue_at()/advance()/wake().  Thousands of hit records
  * retire per FFI crossing.
  *
+ * Before every access() call the kernel raises the engine's mesh kernel
+ * horizon (its last constructor argument) to the epoch of min(now, floor),
+ * floor being the smallest final clock of a core that has run out of
+ * records (publish_horizon): by a direct call into a compiled MeshKernel,
+ * else through the kernel's raise_horizon method, as PySchedKernel does.
+ *
  * Exactness invariants (pinned by the fixture + differential suites):
  *
  *   - flush-before-engine-entry: every deferred hit (LRU counter,
@@ -127,6 +133,13 @@ typedef struct {
 
     PyObject *access;            /* engine.access */
     PyObject **core_objs;        /* cached PyLong per core (strong) */
+
+    /* The horizon published to the engine's mesh kernel. */
+    PyObject *mesh;              /* strong */
+    PyObject *raise_horizon;     /* mesh.raise_horizon, or NULL for a
+                                    compiled MeshKernel (direct call) */
+    double floor;                /* smallest final clock of a finished core */
+    long long published;         /* last epoch published, -1 = none */
 
     /* Fast path (NULL/0 when the engine has none). */
     int has_fast;
@@ -456,6 +469,48 @@ dirty_push(SchedObject *k, MapCell *cell)
 /* Engine access call                                                  */
 /* ------------------------------------------------------------------ */
 
+/* Raise the mesh kernel's horizon before an engine call (DESIGN.md
+ * section 14): no reservation can start below min(now, floor).  Every
+ * runnable core's clock is at least `now` (the heap minimum), a parked
+ * core wakes at or after its waker's time, and a finished core reserves
+ * again only from its final clock (the end-of-trace sync callback, the
+ * next pass's start), which `floor` holds down.  Only a rise reaches the
+ * mesh kernel, whose horizon ignores a lower value anyway. */
+static int
+publish_horizon(SchedObject *k, double now)
+{
+    double t = now < k->floor ? now : k->floor;
+    long long epoch = (long long)t >> K_EPOCH_SHIFT;
+    if (epoch <= k->published) {
+        return 0;
+    }
+    k->published = epoch;
+    if (k->raise_horizon == NULL) {
+        repro_mesh_raise_horizon(k->mesh, epoch);
+        return 0;
+    }
+    PyObject *arg = PyLong_FromLongLong(epoch);
+    if (arg == NULL) {
+        return -1;
+    }
+    PyObject *res = PyObject_CallOneArg(k->raise_horizon, arg);
+    Py_DECREF(arg);
+    if (res == NULL) {
+        return -1;
+    }
+    Py_DECREF(res);
+    return 0;
+}
+
+/* A core ran out of records at clock t. */
+static inline void
+retire_core(SchedObject *k, double t)
+{
+    if (t < k->floor) {
+        k->floor = t;
+    }
+}
+
 static PyObject *
 call_access(SchedObject *k, long long core, int is_write, long long address,
             double t)
@@ -540,6 +595,8 @@ Sched_dealloc(SchedObject *k)
         PyMem_Free(k->core_objs);
     }
     Py_XDECREF(k->access);
+    Py_XDECREF(k->mesh);
+    Py_XDECREF(k->raise_horizon);
     Py_XDECREF(k->stores_list);
     Py_XDECREF(k->exclusive_obj);
     Py_XDECREF(k->modified_obj);
@@ -587,14 +644,14 @@ Sched_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     PyObject *ops_cols, *addr_cols, *work_cols, *start_clocks;
     double l1_hit_latency;
-    PyObject *access, *result_type, *fast;
+    PyObject *access, *result_type, *fast, *mesh;
     if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
         PyErr_SetString(PyExc_TypeError, "SchedKernel takes no keyword arguments");
         return NULL;
     }
-    if (!PyArg_ParseTuple(args, "OOOOdOOO", &ops_cols, &addr_cols, &work_cols,
+    if (!PyArg_ParseTuple(args, "OOOOdOOOO", &ops_cols, &addr_cols, &work_cols,
                           &start_clocks, &l1_hit_latency, &access,
-                          &result_type, &fast)) {
+                          &result_type, &fast, &mesh)) {
         return NULL;
     }
     SchedObject *k = (SchedObject *)type->tp_alloc(type, 0);
@@ -690,6 +747,13 @@ Sched_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         k->clocks[c] = d;
     }
     k->access = Py_NewRef(access);
+    k->mesh = Py_NewRef(mesh);
+    if (!repro_mesh_check(mesh)
+        && (k->raise_horizon = repro_getattr(mesh, "raise_horizon")) == NULL) {
+        Py_DECREF(k);
+        return NULL;
+    }
+    k->published = -1;
     k->str_use_counter = PyUnicode_InternFromString("_use_counter");
     if (k->str_use_counter == NULL) {
         Py_DECREF(k);
@@ -792,9 +856,13 @@ Sched_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         k->has_fast = 1;
     }
 
+    k->floor = Py_HUGE_VAL;
     for (long long c = 0; c < k->num_cores; c++) {
         if (k->lengths[c] > 0) {
             heap_push(k, k->clocks[c], c);
+        }
+        else {
+            retire_core(k, k->clocks[c]);
         }
     }
     return (PyObject *)k;
@@ -876,7 +944,7 @@ Sched_run(SchedObject *k, PyObject *Py_UNUSED(ignored))
                     k->compute[core] = acc;
                     k->current = core;
                     k->now = now;
-                    if (flush_dirty(k) < 0) {
+                    if (flush_dirty(k) < 0 || publish_horizon(k, now) < 0) {
                         return NULL;
                     }
                     PyObject *res =
@@ -964,6 +1032,7 @@ Sched_run(SchedObject *k, PyObject *Py_UNUSED(ignored))
                 k->indices[core] = i;
                 k->clocks[core] = t;
                 k->compute[core] = acc;
+                retire_core(k, t);
                 if (k->heap_len > 0) {
                     heap_pop(k, &now, &core);
                 }
@@ -1075,6 +1144,7 @@ Sched_continue_at(SchedObject *k, PyObject *const *args, Py_ssize_t nargs)
     }
     else {
         k->clocks[core] = t;
+        retire_core(k, t);
         if (k->heap_len > 0) {
             double nnow;
             long long ncore;
@@ -1109,6 +1179,7 @@ Sched_wake(SchedObject *k, PyObject *const *args, Py_ssize_t nargs)
         heap_push(k, t, core);
         Py_RETURN_TRUE;
     }
+    retire_core(k, t);
     Py_RETURN_FALSE;
 }
 

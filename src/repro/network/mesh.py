@@ -22,10 +22,22 @@ currently represents and that epoch's occupancy into a single small int
 list index, one subtraction and one compare per link instead of a dict
 probe per link.  A traversal in a newer epoch recycles its slot lazily; the
 retired occupancy is flushed into an overflow dict, and epochs a slot does
-not currently represent (far-future DRAM reservations, long-retired epochs)
-are read and written there.  The combination (slots + overflow) always
-encodes exactly the same epoch -> occupancy map as the flat-dict model it
-replaces - same reservations, same departure times, bit-identical runs.
+not currently represent (far-future DRAM reservations, retired epochs)
+are read and written there.  The combination (slots + overflow) encodes
+exactly the same epoch -> occupancy map as the flat-dict model it replaces,
+at and above the kernel's *horizon* - same reservations, same departure
+times, bit-identical runs.
+
+The **horizon** is an epoch below which nothing will be reserved again.
+It starts at 0 and only rises: the scheduler kernels raise it before every
+engine call to the epoch of ``min(running core's clock, smallest final
+clock of a finished core)`` (DESIGN.md sections 8 and 14).  A recycle below
+the horizon adds the retired occupancy to ``retired_flits`` instead of
+archiving it, so a run's history stays bounded; a ``traverse`` or
+``traverse_link`` whose head epoch lies below it raises ``SimulationError``
+before reserving or counting anything.  With the horizon at 0 (no
+scheduler: code that calls a kernel or an engine directly) behaviour is
+unchanged.
 
 **One mesh contract** (DESIGN.md section 12).  A *mesh kernel* owns the
 reservations and the traffic counters (which the energy model converts
@@ -45,6 +57,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from repro import accel as _accel
+from repro.common.errors import SimulationError
 from repro.common.params import ArchConfig
 from repro.network.messages import MsgType, message_flits
 from repro.network.topology import Mesh2D
@@ -77,10 +90,10 @@ class PyMeshKernel:
     """The pure-Python ring-buffer walk: the compiled ``MeshKernel``'s twin.
 
     Same constructor, methods and attributes, bit for bit the same
-    arrivals, recycles, counters and occupancy (pinned by the kernel
-    contract property), so ``MeshNetwork`` and the protocol engines drive
-    either one.  This is the ungated reference for the compiled kernel
-    (``REPRO_NO_ACCEL=1`` selects it).
+    arrivals, recycles, counters, horizon, retired flits and occupancy
+    (pinned by the kernel contract property), so ``MeshNetwork`` and the
+    protocol engines drive either one.  This is the ungated reference for
+    the compiled kernel (``REPRO_NO_ACCEL=1`` selects it).
 
     A path handle is the reserved-path descriptor ``(links, hops, span,
     phase_limit)``: the dense link ids of the route, their count, the total
@@ -102,6 +115,8 @@ class PyMeshKernel:
         "messages_sent",
         "flits_sent",
         "link_flit_traversals",
+        "retired_flits",
+        "_horizon",
     )
 
     def __init__(self, num_links: int, link_bits: int, hop: int) -> None:
@@ -118,10 +133,11 @@ class PyMeshKernel:
         #: Exact spill storage for epochs a slot does not currently
         #: represent, keyed ``(epoch << link_bits) | link``: far-future
         #: reservations (e.g. DRAM replies scheduled ahead) and retired
-        #: occupancy flushed on slot recycling.  Invariant: an entry for
-        #: (epoch, link) exists only while the owning slot's epoch is newer
-        #: than ``epoch``, so the slot table and the overflow dict always
-        #: partition the epoch -> occupancy map exactly.
+        #: occupancy flushed on slot recycling at or above the horizon.
+        #: Invariant: an entry for (epoch, link) exists only while the
+        #: owning slot's epoch is newer than ``epoch``, so the slot table
+        #: and the overflow dict partition the epoch -> occupancy map
+        #: exactly at and above the horizon.
         self._overflow: dict[int, int] = {}
         #: Slots recycled for a newer epoch (telemetry counter: how often
         #: the window wrapped past live occupancy; not part of RunStats).
@@ -131,6 +147,37 @@ class PyMeshKernel:
         self.messages_sent = 0
         self.flits_sent = 0
         self.link_flit_traversals = 0
+        #: Occupancy retired below the horizon on a slot recycle: counted
+        #: here instead of archived in the overflow dict (telemetry; not
+        #: part of RunStats).
+        self.retired_flits = 0
+        self._horizon = 0
+
+    @property
+    def horizon(self) -> int:
+        """The epoch below which nothing will be reserved again: it starts
+        at 0 and only rises, through :meth:`raise_horizon`."""
+        return self._horizon
+
+    def raise_horizon(self, epoch: int) -> None:
+        """Promise that no reservation will start below ``epoch`` (a lower
+        value than the current horizon is ignored)."""
+        if epoch > self._horizon:
+            self._horizon = epoch
+
+    def _refuse(self, epoch: int) -> None:
+        raise SimulationError(
+            f"mesh reservation at epoch {epoch} is below the horizon {self._horizon}"
+        )
+
+    def _retire(self, tag: int, link: int, old: int) -> None:
+        """Flush a recycled slot's occupancy ``old`` of epoch ``tag``: into
+        the overflow dict at or above the horizon, else into
+        ``retired_flits`` (nothing will read it again)."""
+        if tag < self._horizon:
+            self.retired_flits += old
+        else:
+            self._overflow[(tag << self.link_bits) | link] = old
 
     def register_path(self, links) -> tuple:
         """The path handle for a route of dense link ids (see class doc)."""
@@ -157,8 +204,13 @@ class PyMeshKernel:
     # ------------------------------------------------------------------
     def _occ_load(self, link: int, epoch: int) -> int:
         value = self.slots[(epoch & _WINDOW_MASK) * self._num_links + link]
-        if value >> _SLOT_SHIFT == epoch:
+        tag = value >> _SLOT_SHIFT
+        if tag == epoch:
             return value & _SLOT_OCC_MASK
+        if tag < epoch:
+            # Slot tags only grow, so the overflow dict holds no entry for
+            # an epoch newer than its slot's tag.
+            return 0
         return self._overflow.get((epoch << self.link_bits) | link, 0)
 
     def _occ_store(self, link: int, epoch: int, occupancy: int) -> None:
@@ -169,11 +221,12 @@ class PyMeshKernel:
             self.slots[slot] = (epoch << _SLOT_SHIFT) | occupancy
         elif tag < epoch:
             # Recycle the slot for the newer epoch; the retired occupancy
-            # stays exactly readable through the overflow dict.
+            # stays exactly readable through the overflow dict at or above
+            # the horizon.
             self.recycles += 1
             old = value & _SLOT_OCC_MASK
             if old:
-                self._overflow[(tag << self.link_bits) | link] = old
+                self._retire(tag, link, old)
             self.slots[slot] = (epoch << _SLOT_SHIFT) | occupancy
         else:
             # The slot belongs to a newer epoch (a reservation further in
@@ -185,6 +238,8 @@ class PyMeshKernel:
         # Times are non-negative, so ``int(t) >> EPOCH_SHIFT`` equals
         # ``int(t // EPOCH_CYCLES)`` without the float division.
         epoch = int(t_head) >> EPOCH_SHIFT
+        if epoch < self._horizon:
+            self._refuse(epoch)
         slots = self.slots
         slot = (epoch & _WINDOW_MASK) * self._num_links + link
         value = slots[slot]
@@ -197,7 +252,7 @@ class PyMeshKernel:
                 self.recycles += 1
                 old = value & _SLOT_OCC_MASK
                 if old:
-                    self._overflow[((value >> _SLOT_SHIFT) << self.link_bits) | link] = old
+                    self._retire(value >> _SLOT_SHIFT, link, old)
                 slots[slot] = ebase | flits
                 return t_head
         return self._traverse_congested(link, epoch, t_head, flits)
@@ -254,13 +309,17 @@ class PyMeshKernel:
         links, hops, _span, phase_limit = path
         if not hops:
             return t_head
+        t_int = int(t_head)
+        # The head epoch is the message's smallest: one compare covers
+        # every link.
+        if t_int >> _eshift < self._horizon:
+            self._refuse(t_int >> _eshift)
         self.messages_sent += 1
         self.flits_sent += flits
         self.link_flit_traversals += flits * hops
         hop = self._hop
         slots = self.slots
         num_links = self._num_links
-        t_int = int(t_head)
         # Single-epoch fast pass: the last head departs at
         # t_int + (hops - 1) * hop, still inside the arrival epoch.
         if (t_int & _emask) <= phase_limit and flits <= _ecap:
@@ -278,13 +337,12 @@ class PyMeshKernel:
                         t_head += hop
                         continue
                     # Stale slot: recycle it for this epoch (the retired
-                    # occupancy stays readable through the overflow dict).
+                    # occupancy stays readable through the overflow dict
+                    # at or above the horizon).
                     self.recycles += 1
                     old = value & _omask
                     if old:
-                        self._overflow[
-                            ((value >> _sshift) << self.link_bits) | link
-                        ] = old
+                        self._retire(value >> _sshift, link, old)
                     slots[j] = ebase | flits
                     t_head += hop
                     continue
@@ -304,8 +362,6 @@ class PyMeshKernel:
         row = -1
         ebase = 0
         spare = 0
-        overflow = self._overflow
-        link_bits = self.link_bits
         claim_ok = flits <= _ecap
         for link in links:
             e = t_int >> _eshift
@@ -326,7 +382,7 @@ class PyMeshKernel:
                     self.recycles += 1
                     old = value & _omask
                     if old:
-                        overflow[((value >> _sshift) << link_bits) | link] = old
+                        self._retire(value >> _sshift, link, old)
                     slots[j] = ebase | flits
                     t_head += hop
                     t_int += hop
@@ -344,7 +400,8 @@ class NaiveMeshKernel(PyMeshKernel):
     ahead) pushes the mark forward and blocks earlier traffic on an idle
     link; the link-model ablation (DESIGN.md decision 6) quantifies the
     resulting phantom congestion against the epoch model.  The ring buffer
-    stays empty.
+    stays empty, so the horizon (inherited) bounds nothing here and no
+    reservation is refused.
     """
 
     __slots__ = ("_free_at",)
@@ -488,6 +545,9 @@ class MeshNetwork:
     link_flit_traversals = property(attrgetter("kernel.link_flit_traversals"))
     #: Slots recycled for a newer epoch (telemetry; not part of RunStats).
     slot_recycles = property(attrgetter("kernel.recycles"))
+    #: Flits of the occupancy retired below the horizon instead of archived
+    #: (telemetry; not part of RunStats).
+    retired_flits = property(attrgetter("kernel.retired_flits"))
 
     @property
     def router_flit_traversals(self) -> int:
@@ -495,11 +555,12 @@ class MeshNetwork:
         return kernel.link_flit_traversals + kernel.flits_sent
 
     def reset_counters(self) -> None:
-        """Zero the traffic counters and the recycle count (after warmup);
-        the reservations stay warm."""
+        """Zero the traffic counters, the recycle count and the retired
+        flits (after warmup); the reservations and the horizon stay warm."""
         kernel = self.kernel
         kernel.messages_sent = kernel.flits_sent = 0
         kernel.link_flit_traversals = kernel.recycles = 0
+        kernel.retired_flits = 0
 
     @property
     def implementation(self) -> str:
@@ -588,12 +649,15 @@ class MeshNetwork:
     # view of the memory it mutates) and ``overflow_items()``.
     # ------------------------------------------------------------------
     def reserved_flits(self) -> int:
-        """Total bandwidth reserved across all epochs and links.
+        """Total bandwidth still held in the slots and the overflow map.
 
         Conservation invariant (pinned by the contention property tests):
-        with the epoch model active this always equals
-        ``link_flit_traversals`` - every flit crossing a link reserves
-        exactly one cycle of capacity, wherever the window placed it.
+        with the epoch model active, ``reserved_flits() + retired_flits``
+        equals ``link_flit_traversals`` until ``reset_counters`` - every
+        flit crossing a link reserves exactly one cycle of capacity,
+        wherever the window placed it, and a recycle below the horizon
+        moves it to ``retired_flits``.  With the horizon at 0 nothing
+        retires, and this alone equals ``link_flit_traversals``.
         """
         kernel = self.kernel
         return (
@@ -602,10 +666,14 @@ class MeshNetwork:
         )
 
     def occupancy_map(self) -> dict[tuple[int, int], int]:
-        """The full (epoch, link) -> reserved-flits map, slots + overflow.
+        """The (epoch, link) -> reserved-flits map, slots + overflow.
 
-        Reconstructs exactly the mapping the PR-3 flat dict stored; the
-        equivalence property test diffs it against a reference model.
+        At and above the kernel's horizon this is exactly the mapping a
+        flat dict keyed (epoch, link) would hold (the whole of it while
+        the horizon is 0);
+        below it, occupancy retired on a recycle is gone, counted in
+        ``retired_flits``.  The equivalence property test diffs it
+        against a reference model.
         """
         kernel = self.kernel
         out: dict[tuple[int, int], int] = {}

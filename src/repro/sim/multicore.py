@@ -50,6 +50,7 @@ from repro.common.errors import SimulationError
 from repro.common.params import ArchConfig, EnergyConfig, ProtocolConfig
 from repro.common.types import Op
 from repro.energy.model import EnergyModel
+from repro.network.mesh import EPOCH_SHIFT
 from repro.obs import TELEMETRY
 from repro.protocol.base import AccessResult, ProtocolEngineBase
 from repro.protocol.engine import make_engine
@@ -84,10 +85,16 @@ class PySchedKernel:
     keeps it running without any heap movement while it remains the
     min-clock choice.  Every transformation preserves the exact min-clock
     schedule and float-addition order of a record-at-a-time interpreter.
+
+    Before every ``access`` call the walk raises the horizon of ``mesh``,
+    the engine's mesh kernel, to the epoch of ``min(now, floor)``: ``now``
+    is the running core's clock, the heap minimum, and ``floor`` the
+    smallest final clock of a core that has run out of records (DESIGN.md
+    section 14).  No reservation can start below it.
     """
 
     def __init__(self, ops, addresses, works, start_clocks, l1_hit_latency,
-                 access, result_type, fast) -> None:
+                 access, result_type, fast, mesh) -> None:
         # ``result_type`` only tells the compiled kernel where the
         # ``AccessResult`` slots sit; the Python walk reads attributes.
         num_cores = len(ops)
@@ -125,6 +132,23 @@ class PySchedKernel:
         heapq.heapify(self._ready)
         self._current = -1  # core to keep running, -1 = pop the heap
         self._now = 0.0
+        self._raise_horizon = mesh.raise_horizon
+        #: The smallest final clock of a core that has run out of records
+        #: (a core with an empty stream finishes at its start clock).
+        self._floor = min(
+            (self._clocks[c] for c in range(num_cores) if not self._lengths[c]),
+            default=float("inf"),
+        )
+        self._published = -1  # last epoch published, -1 = none
+
+    def _publish_horizon(self, now: float) -> None:
+        """Raise the mesh kernel's horizon to the epoch of ``min(now,
+        floor)``; only a rise reaches the kernel."""
+        floor = self._floor
+        epoch = int(now if now < floor else floor) >> EPOCH_SHIFT
+        if epoch > self._published:
+            self._published = epoch
+            self._raise_horizon(epoch)
 
     def run(self):
         """Walk records until a sync record (exit tuple) or the end (None)."""
@@ -148,6 +172,7 @@ class PySchedKernel:
         hits_w = self._hits_w
         l1_hit_latency = self._l1_hit_latency
         access = self._access
+        publish = self._publish_horizon
         f_buckets, f_set_bits, f_stores, f_mask, f_exclusive, f_modified = self._fast
         line_bits = addrmod.LINE_BITS
         heappop, heappushpop = heapq.heappop, heapq.heappushpop
@@ -185,6 +210,7 @@ class PySchedKernel:
                         entry.last_access = t
                         hits_r[core] += 1
                     else:
+                        publish(now)
                         result = access(core, False, address, t)
                         if not result.hit:
                             bd.l1_to_l2 += result.l1_to_l2
@@ -211,6 +237,7 @@ class PySchedKernel:
                         entry.state = f_modified
                         hits_w[core] += 1
                     else:
+                        publish(now)
                         result = access(core, True, address, t)
                         if not result.hit:
                             bd.l1_to_l2 += result.l1_to_l2
@@ -251,6 +278,8 @@ class PySchedKernel:
                     indices[core] = i
                     clocks[core] = t
                     compute[core] = acc
+                    if t < self._floor:
+                        self._floor = t
                     if not ready:
                         self._current = -1
                         return None
@@ -277,6 +306,8 @@ class PySchedKernel:
                 self._now, self._current = t, core
         else:
             self._clocks[core] = t
+            if t < self._floor:
+                self._floor = t
             if ready:
                 self._now, self._current = heapq.heappop(ready)
             else:
@@ -288,6 +319,8 @@ class PySchedKernel:
         if self._indices[core] < self._lengths[core]:
             heapq.heappush(self._ready, (t, core))
             return True
+        if t < self._floor:
+            self._floor = t
         return False
 
     def note(self, core: int, event: int, line: int, entry) -> None:
@@ -325,6 +358,10 @@ class Simulator:
         # (telemetry snapshot inputs; not part of RunStats).
         self._fast_read_hits = 0
         self._fast_write_hits = 0
+        #: The engine of the most recent run, kept for post-run inspection
+        #: (the trace-level differential harness compares golden memories
+        #: across protocol families after full simulations).
+        self.last_engine: ProtocolEngineBase | None = None
 
     # ------------------------------------------------------------------
     def run(self, trace: Trace) -> RunStats:
@@ -343,6 +380,9 @@ class Simulator:
                 f"trace {trace.name!r} built for {trace.num_cores} cores, "
                 f"architecture has {arch.num_cores}"
             )
+        # Drop the previous run's engine first, so that a re-run never
+        # holds two engines (caches, slot tables, overflow maps) at once.
+        self.last_engine = None
         engine = make_engine(arch, self.proto, verify=self.verify)
         # Telemetry is per *run*, never per record: the run takes two clock
         # readings per phase, and with the sink enabled it emits all of its
@@ -384,9 +424,6 @@ class Simulator:
             finally:
                 if gc_was_enabled:
                     gc.enable()
-        #: The engine of the most recent run, kept for post-run inspection
-        #: (the trace-level differential harness compares golden memories
-        #: across protocol families after full simulations).
         self.last_engine = engine
         return self._collect(trace, engine, completion, breakdowns)
 
@@ -422,6 +459,7 @@ class Simulator:
             "mesh.link_flit_traversals": network.link_flit_traversals,
             "mesh.slot_recycles": network.slot_recycles,
             "mesh.overflow_entries": network.kernel.overflow_len(),
+            "mesh.retired_flits": network.retired_flits,
             "dram.requests": engine.memsys.total_requests,
         }
         classifier = engine.classifier
@@ -451,8 +489,9 @@ class Simulator:
         The one trampoline over either scheduler kernel: the compiled
         ``SchedKernel`` or its pure-Python twin :class:`PySchedKernel`
         (``REPRO_NO_ACCEL=1``).  The kernel owns cursors, heap, compute
-        and miss-latency accumulators and the inline L1-hit path, and
-        returns at each synchronization record before processing it.
+        and miss-latency accumulators and the inline L1-hit path, raises
+        the horizon of the engine's mesh kernel before every engine call,
+        and returns at each synchronization record before processing it.
         Everything synchronization-shaped happens here, once for both:
         barrier rendezvous, lock FIFOs, ``sync_boundary_hook`` boundaries,
         deadlock detection, then the end-of-pass flush of the kernel's
@@ -481,6 +520,7 @@ class Simulator:
             engine.access,
             AccessResult,
             fast,
+            engine.network.kernel,
         )
         stores = fast["stores"] if fast is not None else ()
         addr_cols = trace.addresses

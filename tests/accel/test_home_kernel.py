@@ -56,6 +56,7 @@ from repro.common.params import (
 )
 from repro.energy.model import EnergyCounters
 from repro.mem.l2 import L2Line
+from repro.network.mesh import EPOCH_SHIFT
 from repro.network.messages import MsgType
 from repro.protocol.base import AccessResult, ProtocolEngineBase
 from repro.protocol.directory import DirectoryEngine, PyDirectoryKernel
@@ -346,11 +347,15 @@ SOAK_KERNELS = {
     **dict.fromkeys(("neat-eager", "neat-release"), (accel.neat_kernel_class, PyNeatKernel)),
 }
 #: tracemalloc's current size may grow by at most this much from the end
-#: of the fifth run to the end of the twentieth.  Measured: the growth is
-#: within a few hundred bytes to about 2 KB for every family under both
-#: implementations (interned ints and the allocator's own free lists),
-#: while one leaked AccessResult per miss adds about 40 KB over those
-#: fifteen runs.
+#: of the fifth run to the end of the twentieth.  Each reading follows a
+#: full collection, which also empties CPython's free lists: tracemalloc
+#: counts a tuple, float, list or dict parked on a free list as allocated,
+#: so without it a reading depends on the order in which the last run's
+#: objects were freed, and one run can read 12 KB above its neighbours.
+#: Measured: the growth is 640 bytes (the test's own list of readings)
+#: to about 1.2 KB for every family under both implementations, while
+#: one leaked AccessResult per miss adds about 40 KB over those fifteen
+#: runs.
 LEAK_BOUND = 8 * 1024
 #: 1 KB 2-way L1s: eight sets, so the soak's L1s evict too.
 SMALL_L1 = CacheGeometry(1, 2, 1)
@@ -385,6 +390,9 @@ def test_engine_and_kernel_freed_by_reference_counting(family, fallback, monkeyp
     engine = sim.last_engine
     kernel = engine.home_kernel
     assert type(kernel) is (twin_class if fallback else compiled)
+    # A request the mesh would still accept: the run left its horizon
+    # raised, and a request below it is refused before the engine is read.
+    start = float(engine.network.kernel.horizon << EPOCH_SHIFT)
     ref = weakref.ref(engine)
     enabled = gc.isenabled()
     gc.disable()
@@ -399,7 +407,7 @@ def test_engine_and_kernel_freed_by_reference_counting(family, fallback, monkeyp
         if enabled:
             gc.enable()
     with pytest.raises(ReferenceError):
-        kernel.deliver_request(0, 1 << 30, 3, None, 0, 0.0, AccessResult())
+        kernel.deliver_request(0, 1 << 30, 3, None, 0, start, AccessResult())
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["compiled", "fallback"])
@@ -418,6 +426,7 @@ def test_repeated_runs_hold_memory_flat(family, fallback, monkeypatch):
         sizes = []
         for _ in range(20):
             sim.run(trace)
+            gc.collect()
             sizes.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()

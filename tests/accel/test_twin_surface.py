@@ -60,7 +60,7 @@ def _sched_pair():
     trace = builder.build()
     args = (trace.ops, trace.addresses, trace.works, [0.0] * ARCH.num_cores,
             float(ARCH.l1d.latency), engine.access, AccessResult,
-            engine.scheduler_fast_path())
+            engine.scheduler_fast_path(), engine.network.kernel)
     return accel.sched_kernel_class()(*args), PySchedKernel(*args)
 
 

@@ -48,6 +48,18 @@ class TestSweepTelemetry:
         assert "sim.l1d.accesses" in out
 
 
+    def test_events_shows_the_mesh_history_counters(self, tmp_path, capsys):
+        """Each run reports how much link history it archived and how much
+        it retired below the scheduler's horizon."""
+        sink = tmp_path / "events.jsonl"
+        assert cli_main(SWEEP + ["--telemetry", str(sink)]) == 0
+        capsys.readouterr()
+        assert cli_main(["events", str(sink), "--limit", "100"]) == 0
+        out = capsys.readouterr().out
+        assert "mesh.overflow_entries" in out
+        assert "mesh.retired_flits" in out
+
+
 class TestEventsVerb:
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert cli_main(["events", str(tmp_path / "absent.jsonl")]) == 1

@@ -6,17 +6,23 @@ any traffic - including far-future reservations (DRAM replies scheduled
 thousands of cycles ahead) that live in the overflow dict, and traffic that
 then arrives "in the past" relative to those reservations.
 
-Five properties pin the mesh kernels:
+Six properties pin the mesh kernels:
 
 * **kernel contract** - ``PyMeshKernel`` and the compiled ``MeshKernel``,
-  driven through one random stream of calls, return the same values and
-  end with the same counters, recycles, overflow and slot table;
+  driven through one random stream of calls (``raise_horizon`` included),
+  return the same values and end with the same counters, recycles,
+  retired flits, horizon, overflow and slot table;
 * **flit conservation** - every flit that crosses a link reserves exactly
   one cycle of capacity somewhere (window slot or overflow), so the total
-  reserved capacity always equals ``link_flit_traversals``;
+  reserved capacity always equals ``link_flit_traversals``; under a moving
+  horizon, the reserved capacity plus ``retired_flits`` does;
 * **reference equivalence** - a randomized message stream produces
   bit-identical arrival times and an identical (epoch, link) -> occupancy
   map against a reference implementation of the PR-3 flat-dict model;
+  under a moving horizon, the arrival times stay bit-identical and the
+  maps agree on every epoch at or above the horizon;
+* **loud refusal** - a ``traverse`` or ``traverse_link`` whose head epoch
+  lies below the horizon raises ``SimulationError`` and changes nothing;
 * **leg composition** - a miss on a resident line with nothing to do at
   its home between the legs (the home kernel's ``round_trip``) reserves
   exactly ``traverse``, then ``max`` with the line's ``busy_until`` plus
@@ -24,9 +30,11 @@ Five properties pin the mesh kernels:
 * **counters** - every kernel counts each non-empty message once and a
   same-tile message not at all.
 
-Conservation and reference equivalence run over the two epoch kernels
-(the Python twin and the compiled kernel); leg composition and the
-counters also run over the ``naive`` and ``none`` link-model kernels.
+Conservation, reference equivalence and the refusal run over the two
+epoch kernels (the Python twin and the compiled kernel); leg composition
+and the counters also run over the ``naive`` and ``none`` link-model
+kernels.  The properties written before the horizon existed run at
+horizon 0, where no occupancy retires.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from hypothesis import strategies as st
 
 from repro import accel as accel_pkg
 from repro.accel.build import NO_ACCEL_ENV
+from repro.common.errors import SimulationError
 from repro.common.params import ArchConfig, baseline_protocol
 from repro.network.mesh import (
     EPOCH_CYCLES,
@@ -186,16 +195,50 @@ def message_stream(draw, num_tiles: int, n_min: int = 1, n_max: int = 60):
     return stream
 
 
+def horizon_stream(draw, num_tiles: int, n_max: int = 60):
+    """:func:`message_stream` under a moving horizon: entries are
+    ``(src, dst, flits, start, horizon)``, the horizon to raise before the
+    message.  Time also sweeps forward by about a window, so the same slots
+    come back and recycle below the horizon; when the horizon rises, it
+    rises to between a window behind and the epoch of the latest time
+    seen, and every start is clamped to it."""
+    tiles = st.integers(0, num_tiles - 1)
+    stream = []
+    t = 0.0
+    horizon = 0
+    for _ in range(draw(st.integers(n_max // 3, n_max))):
+        src, dst = draw(tiles), draw(tiles)
+        flits = draw(st.sampled_from((1, 2, 9)))
+        if draw(st.integers(0, 3)) == 0:
+            t += (WINDOW_EPOCHS + draw(st.integers(-4, 4))) * EPOCH_CYCLES
+        start, t = next_start(draw, t)
+        if draw(st.booleans()):
+            lag = draw(st.integers(0, WINDOW_EPOCHS))
+            horizon = max(horizon, (int(t) >> EPOCH_SHIFT) - lag)
+        stream.append((src, dst, flits, max(start, float(horizon << EPOCH_SHIFT)), horizon))
+    return stream
+
+
+def kernel_state(kernel) -> tuple:
+    """Everything a refused reservation must leave untouched."""
+    return (
+        kernel.messages_sent, kernel.flits_sent, kernel.link_flit_traversals,
+        kernel.recycles, kernel.retired_flits, kernel.horizon,
+        list(kernel.slots), sorted(kernel.overflow_items()),
+    )
+
+
 class TestKernelContract:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_python_twin_matches_compiled(self, data):
         """The compiled kernel's contract is bit-identity, not mere
-        closeness: one random stream of ``register_path``, ``traverse``
-        and ``traverse_link`` calls - same-tile routes, far-future
-        reservations and returns to the past included - yields identical
-        return values, counters, recycles, overflow entries and slot
-        tables."""
+        closeness: one random stream of ``register_path``, ``traverse``,
+        ``traverse_link`` and ``raise_horizon`` calls - same-tile routes,
+        far-future reservations, returns to the past and lower horizons
+        (ignored) included, every start clamped to the horizon - yields
+        identical return values, counters, recycles, retired flits,
+        horizons, overflow entries and slot tables."""
         num_links, link_bits, hop = 48, 6, 2
         twin = PyMeshKernel(num_links, link_bits, hop)
         compiled = compiled_kernel_class()(num_links=num_links, link_bits=link_bits, hop=hop)
@@ -206,9 +249,10 @@ class TestKernelContract:
         flit_counts = st.sampled_from((1, 2, 9, 32))
         draw = data.draw
         t = 0.0
-        for _ in range(draw(st.integers(1, 60))):
+        for _ in range(draw(st.integers(1, 70))):
             op = draw(st.sampled_from(
-                ("register", "traverse", "traverse", "traverse", "traverse", "link")
+                ("register", "traverse", "traverse", "traverse", "traverse", "link",
+                 "raise")
             ))
             route = draw(st.integers(0, len(routes) - 1))
             flits = draw(flit_counts)
@@ -217,6 +261,18 @@ class TestKernelContract:
                 path = draw(st.lists(links, unique=True, min_size=1, max_size=6))
                 routes.append(tuple(k.register_path(path) for k in kernels))
                 continue
+            if op == "raise":
+                # Up to a window past the latest time (time follows), so
+                # that later traffic recycles slots below it; a value
+                # below the horizon is ignored.
+                epoch = (int(t) >> EPOCH_SHIFT) + draw(
+                    st.integers(-WINDOW_EPOCHS, WINDOW_EPOCHS))
+                for k in kernels:
+                    k.raise_horizon(epoch)
+                assert twin.horizon == compiled.horizon >= epoch
+                t = max(t, float(twin.horizon << EPOCH_SHIFT))
+                continue
+            start = max(start, float(twin.horizon << EPOCH_SHIFT))
             if op == "traverse":
                 calls = [(k.traverse, (h, start, flits)) for k, h in zip(kernels, routes[route])]
             else:
@@ -225,7 +281,7 @@ class TestKernelContract:
             got, want = (method(*args) for method, args in calls)
             assert got == want, (op, calls[0][1])
         for attr in ("messages_sent", "flits_sent", "link_flit_traversals",
-                     "recycles", "link_bits"):
+                     "recycles", "retired_flits", "horizon", "link_bits"):
             assert getattr(twin, attr) == getattr(compiled, attr), attr
         assert twin.overflow_len() == compiled.overflow_len()
         assert sorted(twin.overflow_items()) == sorted(compiled.overflow_items())
@@ -241,6 +297,18 @@ class TestFlitConservation:
         for src, dst, flits, start in message_stream(data.draw, 16):
             send(net, src, dst, start, flits)
         assert net.reserved_flits() == net.link_flit_traversals
+
+    @EPOCH_KERNELS
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_reserved_plus_retired_under_moving_horizon(self, kernel, data):
+        """A recycle below the horizon moves its occupancy from the table
+        into ``retired_flits``: nothing is lost, only counted."""
+        net = make_net(kernel)
+        for src, dst, flits, start, horizon in horizon_stream(data.draw, 16):
+            net.kernel.raise_horizon(horizon)
+            send(net, src, dst, start, flits)
+            assert net.reserved_flits() + net.retired_flits == net.link_flit_traversals
 
     @EPOCH_KERNELS
     def test_conservation_includes_far_future_overflow(self, kernel):
@@ -293,6 +361,50 @@ class TestReferenceEquivalence:
         assert got > 1.0 + net.arch.hop_latency + 8  # it was, in fact, delayed
         assert net.occupancy_map() == ref.occupancy_map()
 
+    @EPOCH_KERNELS
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_moving_horizon_matches_reference_model(self, kernel, data):
+        """The horizon changes what is kept, never what is reserved:
+        arrival times stay bit-identical to the flat-dict reference, the maps
+        agree on every epoch at or above the horizon, and every entry the
+        kernel still holds below it is exact."""
+        net = make_net(kernel)
+        ref = ReferenceEpochModel(net)
+        for src, dst, flits, start, horizon in horizon_stream(data.draw, 16):
+            net.kernel.raise_horizon(horizon)
+            got = send(net, src, dst, start, flits)
+            want = ref.send(src, dst, start, flits)
+            assert got == want, (src, dst, flits, start, horizon)
+        horizon = net.kernel.horizon
+        held, full = net.occupancy_map(), ref.occupancy_map()
+        assert all(full.get(key) == value for key, value in held.items())
+        assert ({key: v for key, v in held.items() if key[0] >= horizon}
+                == {key: v for key, v in full.items() if key[0] >= horizon})
+
+    @EPOCH_KERNELS
+    def test_window_recycling_below_horizon_retires(self, kernel):
+        """With the horizon past epoch 0, recycling epoch 0's slot counts
+        its load in ``retired_flits`` instead of archiving it, and a
+        message back at epoch 0 is refused."""
+        net = make_net(kernel)
+        ref = ReferenceEpochModel(net)
+        # Fill epoch 0 on the link exactly.
+        for _ in range(4):
+            assert send(net, 0, 1, 0.0, 8) == ref.send(0, 1, 0.0, 8)
+        net.kernel.raise_horizon(1)
+        # Epoch WINDOW_EPOCHS takes over epoch 0's slot.
+        far = float(WINDOW_EPOCHS * EPOCH_CYCLES)
+        assert send(net, 0, 1, far, 2) == ref.send(0, 1, far, 2)
+        assert net.retired_flits == 32
+        assert net.kernel.overflow_len() == 0
+        assert net.reserved_flits() + net.retired_flits == net.link_flit_traversals
+        with pytest.raises(SimulationError, match="below the horizon"):
+            send(net, 0, 1, 1.0, 9)
+        assert net.occupancy_map() == {
+            key: v for key, v in ref.occupancy_map().items() if key[0] >= 1
+        }
+
     @ALL_KERNELS
     def test_unicast_equals_traverse_path_on_resolved_route(self, kernel):
         """``unicast`` is the kernel's ``traverse`` on the memoized route,
@@ -308,6 +420,37 @@ class TestReferenceEquivalence:
                 t += 3.0
         assert a.occupancy_map() == b.occupancy_map()
         assert a.messages_sent == b.messages_sent == 16 * 15
+
+
+class TestLoudRefusal:
+    @EPOCH_KERNELS
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_below_horizon_raises_and_changes_nothing(self, kernel, data):
+        """A ``traverse`` or ``traverse_link`` whose head epoch lies below
+        the horizon raises ``SimulationError`` before it reserves or counts
+        anything, after any prior traffic; a same-tile message reserves
+        nothing and is not refused."""
+        net = make_net(kernel)
+        draw = data.draw
+        for src, dst, flits, start, horizon in horizon_stream(draw, 16, n_max=30):
+            net.kernel.raise_horizon(horizon)
+            send(net, src, dst, start, flits)
+        kernel_ = net.kernel
+        kernel_.raise_horizon(kernel_.horizon + draw(st.integers(1, 3 * WINDOW_EPOCHS)))
+        before = kernel_state(kernel_)
+        below = draw(st.floats(0.0, float(kernel_.horizon << EPOCH_SHIFT),
+                               exclude_max=True))
+        src = draw(st.integers(0, 15))
+        dst = draw(st.integers(0, 15).filter(lambda tile: tile != src))
+        flits = draw(st.sampled_from((1, 2, 9, 32)))
+        with pytest.raises(SimulationError, match="below the horizon"):
+            send(net, src, dst, below, flits)
+        with pytest.raises(SimulationError, match="below the horizon"):
+            kernel_.traverse_link(draw(st.integers(0, net.num_links - 1)), below, flits)
+        assert kernel_state(kernel_) == before
+        assert send(net, src, src, below, flits) == below
+        assert kernel_state(kernel_) == before
 
 
 class TestLegComposition:

@@ -1,9 +1,14 @@
-"""Simulator tests: scheduling, barriers, locks, warmup, stats plumbing."""
+"""Simulator tests: scheduling, barriers, locks, warmup, engine lifetime,
+stats plumbing."""
+
+import gc
+import weakref
 
 import pytest
 
 from repro.common.errors import SimulationError, TraceError
 from repro.common.params import ArchConfig, CacheGeometry, ProtocolConfig, baseline_protocol
+from repro.sim import multicore
 from repro.sim.multicore import Simulator
 from repro.workloads.base import Trace, TraceBuilder
 
@@ -155,6 +160,38 @@ class TestWarmup:
         cold = Simulator(arch16(), baseline_protocol(), warmup=False).run(self._trace())
         # Both report a single pass's accesses.
         assert warm.miss.accesses == cold.miss.accesses
+
+
+class TestEngineLifetime:
+    def test_rerun_releases_the_previous_engine_first(self, monkeypatch):
+        """A re-run drops the last run's engine before it builds the next,
+        so one Simulator never holds two engines at its peak.  Engines
+        die by reference counting: with the cyclic collector off, the
+        first engine must already be gone when ``make_engine`` runs."""
+        def body(tb):
+            for tid in range(16):
+                tb.thread(tid).read(BASE + tid * LINE)
+        trace = build_trace(body)
+        sim = Simulator(arch16(), baseline_protocol(), warmup=True)
+        sim.run(trace)
+        first = weakref.ref(sim.last_engine)
+        dead_at_build = []
+        build = multicore.make_engine
+
+        def checked_build(*args, **kwargs):
+            dead_at_build.append(first() is None)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(multicore, "make_engine", checked_build)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim.run(trace)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert dead_at_build == [True]
+        assert sim.last_engine is not None
 
 
 class TestStatsPlumbing:
