@@ -54,18 +54,15 @@
 #define K_EPOCH_CYCLES 32
 #define K_EPOCH_SHIFT 5
 
-/* _kernel.c: the mesh kernel's path reservation, for the engine kernel,
- * and its horizon, for the scheduler kernel.
+/* _kernel.c: the mesh kernel's path reservation, for the engine kernel.
  * repro_mesh_check is true for a compiled MeshKernel instance;
  * repro_mesh_traverse reserves the registered path `handle` from t_head
  * exactly like MeshKernel.traverse and stores the tail arrival in *out
- * (0), or sets a Python exception (-1); repro_mesh_raise_horizon is
- * MeshKernel.raise_horizon(epoch). */
+ * (0), or sets a Python exception (-1). */
 REPRO_SHARED int repro_mesh_check(PyObject *obj);
 REPRO_SHARED int repro_mesh_traverse(PyObject *mesh, Py_ssize_t handle,
                                      double t_head, long long flits,
                                      double *out);
-REPRO_SHARED void repro_mesh_raise_horizon(PyObject *mesh, long long epoch);
 
 /* _sched.c: the byte offset of the __slots__ member `name` of `type`
  * (an object slot), or -1 with a Python exception set. */

@@ -10,11 +10,10 @@
  *
  * The horizon is an epoch below which nothing will be reserved again
  * (DESIGN.md section 8).  It starts at 0 and only rises: the scheduler
- * kernel publishes it before every engine call (raise_horizon, or
- * repro_mesh_raise_horizon from _sched.c).  A slot recycle archives the
- * retired occupancy in the overflow map only at or above the horizon;
- * below it the flits are added to retired_flits.  A traverse or
- * traverse_link whose head epoch lies below the horizon raises
+ * kernel publishes it before every engine call (raise_horizon).  A slot
+ * recycle archives the retired occupancy in the overflow map only at or
+ * above the horizon; below it the flits are added to retired_flits.  A
+ * traverse or traverse_link whose head epoch lies below the horizon raises
  * SimulationError before it reserves or counts anything.
  *
  * Exactness contract (pinned by the kernel contract property and the
@@ -515,7 +514,9 @@ Kernel_raise_horizon(KernelObject *self, PyObject *arg)
     if (epoch == -1 && PyErr_Occurred()) {
         return NULL;
     }
-    repro_mesh_raise_horizon((PyObject *)self, epoch);
+    if (epoch > self->horizon) {
+        self->horizon = epoch;
+    }
     Py_RETURN_NONE;
 }
 
@@ -649,15 +650,6 @@ repro_mesh_traverse(PyObject *mesh, Py_ssize_t handle, double t_head,
     }
     *out = tail;
     return 0;
-}
-
-void
-repro_mesh_raise_horizon(PyObject *mesh, long long epoch)
-{
-    KernelObject *k = (KernelObject *)mesh;
-    if (epoch > k->horizon) {
-        k->horizon = epoch;
-    }
 }
 
 static struct PyModuleDef kernel_module = {

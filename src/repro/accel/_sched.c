@@ -36,8 +36,8 @@
  * Before every access() call the kernel raises the engine's mesh kernel
  * horizon (its last constructor argument) to the epoch of min(now, floor),
  * floor being the smallest final clock of a core that has run out of
- * records (publish_horizon): by a direct call into a compiled MeshKernel,
- * else through the kernel's raise_horizon method, as PySchedKernel does.
+ * records (publish_horizon), through the kernel's raise_horizon method, as
+ * PySchedKernel does.
  *
  * Exactness invariants (pinned by the fixture + differential suites):
  *
@@ -135,9 +135,7 @@ typedef struct {
     PyObject **core_objs;        /* cached PyLong per core (strong) */
 
     /* The horizon published to the engine's mesh kernel. */
-    PyObject *mesh;              /* strong */
-    PyObject *raise_horizon;     /* mesh.raise_horizon, or NULL for a
-                                    compiled MeshKernel (direct call) */
+    PyObject *raise_horizon;     /* mesh.raise_horizon */
     double floor;                /* smallest final clock of a finished core */
     long long published;         /* last epoch published, -1 = none */
 
@@ -485,10 +483,6 @@ publish_horizon(SchedObject *k, double now)
         return 0;
     }
     k->published = epoch;
-    if (k->raise_horizon == NULL) {
-        repro_mesh_raise_horizon(k->mesh, epoch);
-        return 0;
-    }
     PyObject *arg = PyLong_FromLongLong(epoch);
     if (arg == NULL) {
         return -1;
@@ -595,7 +589,6 @@ Sched_dealloc(SchedObject *k)
         PyMem_Free(k->core_objs);
     }
     Py_XDECREF(k->access);
-    Py_XDECREF(k->mesh);
     Py_XDECREF(k->raise_horizon);
     Py_XDECREF(k->stores_list);
     Py_XDECREF(k->exclusive_obj);
@@ -747,9 +740,8 @@ Sched_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         k->clocks[c] = d;
     }
     k->access = Py_NewRef(access);
-    k->mesh = Py_NewRef(mesh);
-    if (!repro_mesh_check(mesh)
-        && (k->raise_horizon = repro_getattr(mesh, "raise_horizon")) == NULL) {
+    k->raise_horizon = repro_getattr(mesh, "raise_horizon");
+    if (k->raise_horizon == NULL) {
         Py_DECREF(k);
         return NULL;
     }

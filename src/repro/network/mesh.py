@@ -33,7 +33,8 @@ It starts at 0 and only rises: the scheduler kernels raise it before every
 engine call to the epoch of ``min(running core's clock, smallest final
 clock of a finished core)`` (DESIGN.md sections 8 and 14).  A recycle below
 the horizon adds the retired occupancy to ``retired_flits`` instead of
-archiving it, so a run's history stays bounded; a ``traverse`` or
+archiving it, so a run's history stays small while no core finishes far
+ahead of the others (a finished core pins the horizon); a ``traverse`` or
 ``traverse_link`` whose head epoch lies below it raises ``SimulationError``
 before reserving or counting anything.  With the horizon at 0 (no
 scheduler: code that calls a kernel or an engine directly) behaviour is

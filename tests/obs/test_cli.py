@@ -41,21 +41,12 @@ class TestSweepTelemetry:
         sink = tmp_path / "events.jsonl"
         assert cli_main(SWEEP + ["--telemetry", str(sink)]) == 0
         capsys.readouterr()
-        assert cli_main(["events", str(sink)]) == 0
+        assert cli_main(["events", str(sink), "--limit", "100"]) == 0
         out = capsys.readouterr().out
         assert "span tree" in out
         assert "sim.run" in out
         assert "sim.l1d.accesses" in out
-
-
-    def test_events_shows_the_mesh_history_counters(self, tmp_path, capsys):
-        """Each run reports how much link history it archived and how much
-        it retired below the scheduler's horizon."""
-        sink = tmp_path / "events.jsonl"
-        assert cli_main(SWEEP + ["--telemetry", str(sink)]) == 0
-        capsys.readouterr()
-        assert cli_main(["events", str(sink), "--limit", "100"]) == 0
-        out = capsys.readouterr().out
+        # The link history each run archived and retired below the horizon.
         assert "mesh.overflow_entries" in out
         assert "mesh.retired_flits" in out
 

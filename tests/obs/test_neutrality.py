@@ -62,7 +62,8 @@ def test_instrumented_run_emits_spans_and_counters(tmp_path):
     assert "sim.run" in spans
     assert {"sim.phase.warmup", "sim.phase.simulate"} <= spans
     assert {"sim.l1d.accesses", "sim.l1d.hits", "mesh.flits",
-            "mesh.slot_recycles", "sim.fastpath.read_hits"} <= counters
+            "mesh.slot_recycles", "mesh.overflow_entries", "mesh.retired_flits",
+            "sim.fastpath.read_hits"} <= counters
     # The run writes one line: its phases and counters ride in it.
     lines = [json.loads(line) for line in sink.read_text().splitlines() if line.strip()]
     assert [r["name"] for r in lines if r["name"].startswith("sim.")] == ["sim.run"]
