@@ -1,7 +1,7 @@
 """Optional compiled accelerators (DESIGN.md sections 12, 14 and 15).
 
 ``repro.accel`` builds the package's C sources into one CPython extension
-on first use (see :mod:`repro.accel.build`) and hands out six kernel
+on first use (see :mod:`repro.accel.build`) and hands out eight kernel
 classes from it:
 
 * ``MeshKernel`` (phase 1): the epoch ring-buffer bandwidth accounting
@@ -24,6 +24,12 @@ classes from it:
   taking the inherited home steps on itself.  Its pure-Python twin is
   ``repro.protocol.directory.PyDirectoryKernel``, a subclass of
   ``PyHomeKernel``;
+* ``VictimKernel`` and ``PhaseKernel``: the victim-replication and
+  phase-priority families' subtypes of ``DirectoryKernel``, which take
+  over the replica steps (the replica hit, the replica made on an L1
+  eviction, its drop and its invalidation) and the phase policy.  Their
+  twins are ``repro.protocol.victim.PyVictimKernel`` and
+  ``repro.protocol.phase.PyPhaseKernel``;
 * ``DLSKernel`` and ``NeatKernel``: the engine kernels of the two
   directoryless families, subtypes of ``HomeKernel`` that run each whole
   access (and Neat's release flush).  Their twins are
@@ -40,7 +46,7 @@ pure Python - and one decision between them:
 1. ``REPRO_NO_ACCEL=1`` (any non-empty value) selects the pure-Python
    implementations.  It is checked per call, so tests can flip it with
    ``monkeypatch.setenv`` without reloading modules.
-2. Otherwise the module is compiled/loaded, its six kernel classes
+2. Otherwise the module is compiled/loaded, its eight kernel classes
    required and its constants checked against the Python definitions
    once per process; **any** failure (no compiler, no headers, compile
    error, import error, a missing class, constant mismatch, an injected
@@ -73,9 +79,11 @@ __all__ = [
     "home_kernel_class",
     "mesh_kernel_class",
     "neat_kernel_class",
+    "phase_kernel_class",
     "reset",
     "sched_kernel_class",
     "status",
+    "victim_kernel_class",
 ]
 
 log = logging.getLogger("repro.accel")
@@ -86,7 +94,8 @@ log = logging.getLogger("repro.accel")
 _KERNEL_CLASSES = {"mesh": "MeshKernel", "sched": "SchedKernel"}
 #: Every class the module must export, or it is refused.
 _EXPORTS = (
-    *_KERNEL_CLASSES.values(), "HomeKernel", "DirectoryKernel", "DLSKernel", "NeatKernel",
+    *_KERNEL_CLASSES.values(), "HomeKernel", "DirectoryKernel", "VictimKernel", "PhaseKernel",
+    "DLSKernel", "NeatKernel",
 )
 
 #: One-shot load state: ``None`` = not attempted yet, ``(module, info)``
@@ -206,6 +215,24 @@ def directory_kernel_class() -> Any | None:
     when its mesh kernel is the compiled one."""
     module = _module()
     return None if module is None else module.DirectoryKernel
+
+
+def victim_kernel_class() -> Any | None:
+    """The compiled ``VictimKernel`` class, victim replication's subtype of
+    ``DirectoryKernel``, or ``None`` to use its twin,
+    ``repro.protocol.victim.PyVictimKernel``.  An engine asks only when its
+    mesh kernel is the compiled one."""
+    module = _module()
+    return None if module is None else module.VictimKernel
+
+
+def phase_kernel_class() -> Any | None:
+    """The compiled ``PhaseKernel`` class, the phase family's subtype of
+    ``DirectoryKernel``, or ``None`` to use its twin,
+    ``repro.protocol.phase.PyPhaseKernel``.  An engine asks only when its
+    mesh kernel is the compiled one."""
+    module = _module()
+    return None if module is None else module.PhaseKernel
 
 
 def dls_kernel_class() -> Any | None:

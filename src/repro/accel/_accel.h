@@ -1,10 +1,11 @@
 /* Declarations shared by the translation units of _repro_mesh_kernel.
  *
  * _kernel.c (the mesh kernel and the module init), _sched.c (the
- * scheduler kernel), _home.c (the engine kernel, HomeKernel) and its three
- * family subtypes - _directory.c (DirectoryKernel), _dls.c (DLSKernel) and
- * _neat.c (NeatKernel) - compile into one shared object; this header is
- * the only interface between them.
+ * scheduler kernel), _home.c (the engine kernel, HomeKernel) and its
+ * family subtypes - _directory.c (DirectoryKernel and its VictimKernel and
+ * PhaseKernel subtypes), _dls.c (DLSKernel) and _neat.c (NeatKernel) -
+ * compile into one shared object; this header is the only interface
+ * between them.
  * A function one unit shares with another is declared here, hidden from
  * the module's exports; every other function is static.  The build cache
  * fingerprints this header like the .c files.
@@ -414,9 +415,12 @@ struct HomeObject {
     double dram_latency;     /* MemoryController.access's latency and */
     double dram_service;     /* line_size / bandwidth, per line */
     int verify;
-    /* The engine's class overrides _evict_l2_line (victim replication):
-     * an L2 eviction calls it instead of taking the base steps here. */
-    int evict_hook;
+    /* The L2 eviction of a fill's victim or a flushed page's line:
+     * home_evict_l2_line, or a subtype's step that takes some evictions
+     * itself (victim replication drops a replica) and the rest through
+     * home_evict_l2_line.  The caller then takes the line out of its set. */
+    int (*evict)(HomeObject *k, long long home, PyObject *home_obj,
+                 PyObject *vline_obj, PyObject *ventry, double t);
     /* The subtype's purge of the L1 copies of an evicted L2 line (the
      * directory kernel's purge_copies), or NULL: nothing to purge. */
     int (*purge)(HomeObject *k, long long home, PyObject *vline_obj,
@@ -483,11 +487,11 @@ kernel_engine(HomeObject *k)
 
 /* A METH_FASTCALL method `prefix##_##name` of a kernel whose struct
  * `type` starts with a HomeObject: checks the argument count, holds the
- * engine for the call and runs the body `name##_impl`.  The engine an
- * outer call holds is restored at exit, because a family hook the call
- * runs may re-enter the same kernel. */
+ * engine for the call and runs the body `prefix##_##name##_impl`.  The engine an
+ * outer call holds is restored at exit, because a Python callback the
+ * call runs may re-enter the same kernel. */
 #define KERNEL_METHOD(type, prefix, name, n, sig)                           \
-    static PyObject *name##_impl(type *k, PyObject *const *args);           \
+    static PyObject *prefix##_##name##_impl(type *k, PyObject *const *args); \
     static PyObject *                                                       \
     prefix##_##name(type *k, PyObject *const *args, Py_ssize_t nargs)       \
     {                                                                       \
@@ -502,12 +506,12 @@ kernel_engine(HomeObject *k)
         }                                                                   \
         PyObject *saved = hk->engine;                                       \
         hk->engine = engine;                                                \
-        PyObject *out = name##_impl(k, args);                               \
+        PyObject *out = prefix##_##name##_impl(k, args);                    \
         hk->engine = saved;                                                 \
         Py_DECREF(engine);                                                  \
         return out;                                                         \
     }                                                                       \
-    static PyObject *name##_impl(type *k, PyObject *const *args)
+    static PyObject *prefix##_##name##_impl(type *k, PyObject *const *args)
 
 #define KERNEL_FASTCALL(prefix, name, doc) \
     {#name, (PyCFunction)(void (*)(void))prefix##_##name, METH_FASTCALL, doc}
@@ -550,11 +554,37 @@ REPRO_SHARED PyObject *home_store_bucket(HomeObject *k, PyObject *store,
 /* The L2 line `line` at `tile` (borrowed), or NULL. */
 REPRO_SHARED PyObject *home_lookup(HomeObject *k, long long tile,
                                    long long line, PyObject *line_obj);
+/* The set dict of `line` in the L2 slice of `tile` (borrowed), and that
+ * slice's store in *store (borrowed). */
+REPRO_SHARED PyObject *home_l2_bucket(HomeObject *k, long long tile,
+                                      long long line, PyObject **store);
+/* L2 SetAssocCache.pop at `tile`: the removed entry (new reference), or
+ * NULL - with no exception set when the line was absent. */
+REPRO_SHARED PyObject *home_l2_pop(HomeObject *k, long long tile,
+                                   long long line, PyObject *line_obj);
 /* The LRU way of a set: the first entry, in dict order, with the smallest
  * last_use - what min(bucket, key=...) returns (both borrowed). */
 REPRO_SHARED int home_lru(PyObject *bucket, PyObject *type, const char *what,
                           Py_ssize_t off_last_use, PyObject **key,
                           PyObject **entry);
+/* SetAssocCache.insert of `entry` into `bucket` of `store` (ways of
+ * `type`): evicts the LRU way of a full set into *ev_line / *ev_entry
+ * (new references, else NULL). */
+REPRO_SHARED int home_store_insert(HomeObject *k, PyObject *store,
+                                   PyObject *bucket, Py_ssize_t assoc,
+                                   PyObject *type, const char *what,
+                                   Py_ssize_t off_last_use,
+                                   PyObject *line_obj, PyObject *entry,
+                                   PyObject **ev_line, PyObject **ev_entry);
+/* A fresh L2Line, the slots its __init__ sets, stamped `last_access` and
+ * holding `data` (new reference). */
+REPRO_SHARED PyObject *home_new_l2line(HomeObject *k, double last_access,
+                                       PyObject *data);
+/* ProtocolEngineBase._evict_l2_line's steps: the subtype's purge, the
+ * write-back of a dirty line, then the line leaves _home_of_line. */
+REPRO_SHARED int home_evict_l2_line(HomeObject *k, long long home,
+                                    PyObject *home_obj, PyObject *vline_obj,
+                                    PyObject *ventry, double t);
 /* store._use_counter += 1; entry.last_use = store._use_counter. */
 REPRO_SHARED int home_touch(HomeObject *k, PyObject *store, PyObject *entry,
                             Py_ssize_t off_last_use);
@@ -564,9 +594,9 @@ REPRO_SHARED int home_place(HomeObject *k, long long line, int by_word,
 REPRO_SHARED PyObject *home_deliver(HomeObject *k, long long core,
                                     PyObject *line_obj, long long line,
                                     long long home, long long flush,
-                                    long long req_msg, PyObject *now_obj,
-                                    double now, PyObject *result,
-                                    PyObject **slice_out, double *t_out);
+                                    long long req_msg, double now,
+                                    PyObject *result, PyObject **slice_out,
+                                    double *t_out);
 /* round_trip on a placed miss, home_deliver then the reply leg: the line
  * (new reference), its slice (borrowed), the service time and the reply's
  * arrival. */
@@ -574,9 +604,9 @@ REPRO_SHARED PyObject *home_round_trip(HomeObject *k, long long core,
                                        PyObject *line_obj, long long line,
                                        long long home, long long flush,
                                        long long req_msg, long long reply_msg,
-                                       PyObject *now_obj, double now,
-                                       PyObject *result, PyObject **slice_out,
-                                       double *t_out, double *reply_out);
+                                       double now, PyObject *result,
+                                       PyObject **slice_out, double *t_out,
+                                       double *reply_out);
 REPRO_SHARED int home_serve_word(HomeObject *k, PyObject *core_obj,
                                  int is_write, PyObject *line_obj,
                                  long long word, PyObject *word_obj,

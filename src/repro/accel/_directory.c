@@ -1,13 +1,16 @@
 /* Compiled directory kernel: every L1 miss of one directory-family engine.
  *
  * DirectoryKernel is the engine kernel of the directory families
- * (baseline, adaptive, victim, phase; DESIGN.md section 15): a subtype of
- * HomeKernel (_home.c) whose object starts with the home kernel's
- * HomeObject (_accel.h), so each engine builds exactly one kernel.  Its
- * pure-Python twin and reference, PyDirectoryKernel in
- * repro/protocol/directory.py, is a subclass of PyHomeKernel with the same
- * constructor and methods; an engine builds this one exactly when its mesh
- * kernel is the compiled MeshKernel.  The directory steps take the home
+ * (baseline, adaptive; DESIGN.md section 15): a subtype of HomeKernel
+ * (_home.c) whose object starts with the home kernel's HomeObject
+ * (_accel.h), so each engine builds exactly one kernel.  Its pure-Python
+ * twin and reference, PyDirectoryKernel in repro/protocol/directory.py, is
+ * a subclass of PyHomeKernel with the same constructor and methods; an
+ * engine builds this one exactly when its mesh kernel is the compiled
+ * MeshKernel.  The victim and phase families run its two subtypes below,
+ * VictimKernel and PhaseKernel (twins PyVictimKernel in
+ * repro/protocol/victim.py and PyPhaseKernel in repro/protocol/phase.py),
+ * whose objects start with this one's DirObject.  The directory steps take the home
  * steps (home_place, home_deliver, home_leg, home_serve_word, home_settle)
  * and the shared L1-side helpers (home_l1_*, the result, miss, history and
  * histogram steps) on the kernel itself, and the rounds' messages are
@@ -32,9 +35,31 @@
  * configuration once and takes the same steps.  Its fills install a fresh
  * DirectoryEntry (the HomeObject's entry_type, set here).
  *
- * It calls back into Python only for the family hooks an engine class
- * defines (repro.protocol.directory.FAMILY_HOOKS, read once), the
- * verify-mode golden steps (_verified_l1_write, GoldenMemory.check_read,
+ * A family subtype takes over steps of the miss through the function
+ * pointers on DirObject - the requester's classification, the private
+ * grant, the L1 eviction notice and the purge of one target's copy - and,
+ * for the L2 eviction, the HomeObject's `evict`.  DirectoryKernel's
+ * constructor sets them to the base steps here, and a subtype's
+ * constructor overrides them:
+ *
+ *   - VictimKernel (victim replication): a read miss on a line the local
+ *     slice holds as a replica is served from it (its own access method);
+ *     an L1 victim becomes a local replica, making room by dropping the
+ *     LRU replica or evicting an idle home line (clean before dirty), or
+ *     takes the base notice when its home is local or no way can be
+ *     freed; a replica answers an invalidation like an L1 copy; the
+ *     requester's own replica dies on a private grant; a replica chosen as
+ *     an L2 victim is dropped.  The five replica counters are the
+ *     engine's slots.
+ *   - PhaseKernel (phase priority): the classification is the line's
+ *     phase - lazy decay by release epochs, promotion on a cross-core
+ *     read or a shared write, and word service while write-shared, with
+ *     the fold-back of the requester's stale S copy.  The phases are the
+ *     engine's {line: [phase, core, epoch]} dict, the epoch and the three
+ *     counters its slots.
+ *
+ * It calls back into Python only for the verify-mode golden steps
+ * (_verified_l1_write, GoldenMemory.check_read,
  * DirectoryEntry.check_invariants on a violation), the store observers
  * and MeshNetwork.broadcast, on the live network, so a wrapped method is
  * the one called.
@@ -52,28 +77,45 @@
  *   - state, mode and miss_type slots hold the enum members, compared by
  *     identity where Python uses `is`;
  *   - LRU victims are the first entry in dict order with the smallest
- *     last_use, as min(bucket, key=...) returns (home_lru).
+ *     last_use, as min(bucket, key=...) returns (home_lru); so are the
+ *     replica and the idle home line that make room for a new replica;
+ *   - every CoherenceError and SimulationError carries the Python
+ *     step's message.
  */
 
 #include "_accel.h"
 
 #include <stdio.h>
 
-/* FAMILY_HOOKS positions. */
-enum { HOOK_CLASSIFY, HOOK_GRANT, HOOK_EVICT, HOOK_PURGE, NUM_HOOKS };
 /* Classifier storage organizations. */
 enum { CLS_NONE, CLS_LIMITED, CLS_COMPLETE };
 
-static PyObject *str_hook[NUM_HOOKS];
 static PyObject *str_verified_l1_write;
 static PyObject *str_check_invariants;
 static PyObject *str_broadcast;
 
-typedef struct {
+typedef struct DirObject DirObject;
+
+struct DirObject {
     /* The home kernel this one extends: the engine, its L2, mesh, flit
      * table, the L1 side and the L2Line, DirectoryEntry and AccessResult
      * offsets. */
     HomeObject base;
+    /* The steps a family subtype may take over: the base steps below,
+     * unless the subtype's constructor overrides them. */
+    int (*classify)(DirObject *k, PyObject *l1, PyObject *l2line,
+                    long long core, PyObject *core_obj, long long line,
+                    PyObject *line_obj, int is_write, int *remote,
+                    int *upgrade);
+    int (*grant)(DirObject *k, long long core, PyObject *core_obj,
+                 int is_write, long long line, PyObject *line_obj,
+                 long long word, PyObject *l2line, PyObject *slice_,
+                 int upgrade, double reply_t);
+    int (*l1_evict)(DirObject *k, long long core, PyObject *core_obj,
+                    PyObject *vline_obj, PyObject *ventry, double t);
+    int (*purge_target)(DirObject *k, long long core, PyObject *core_obj,
+                        long long line, PyObject *line_obj,
+                        PyObject *l2line, int merge, long long *ack);
     /* Strong references (GC-tracked). */
     PyObject *network;        /* MeshNetwork (broadcast) */
     PyObject *classifier;     /* LocalityClassifier, or NULL */
@@ -83,7 +125,6 @@ typedef struct {
     PyObject *inv_broadcast;   /* MsgType.INV_BROADCAST */
     PyObject *coherence_error;
     /* Configuration (constant per engine). */
-    int hooks[NUM_HOOKS];
     int cls_kind;
     long long pct, limit_k, max_rat;
     int one_way, use_timestamp, vote_init;
@@ -99,7 +140,7 @@ typedef struct {
     Py_ssize_t off_cl_promotions, off_cl_demotions, off_cl_remote;
     Py_ssize_t off_cl_votes, off_cl_replacements, off_cl_failures;
     Py_ssize_t off_p_bcast, off_p_unicast;
-} DirObject;
+};
 
 /* ------------------------------------------------------------------ */
 /* Small helpers                                                       */
@@ -564,22 +605,8 @@ note_private_grant(DirObject *k, PyObject *l2line, PyObject *core_obj)
 }
 
 /* ------------------------------------------------------------------ */
-/* Family hooks and the steps they reach back to                        */
+/* The base steps a family subtype may take over                       */
 /* ------------------------------------------------------------------ */
-
-static PyObject *
-call_hook(DirObject *k, int hook, PyObject *const *args, size_t nargs)
-{
-    PyObject *full[9];
-    full[0] = k->base.engine;
-    for (size_t i = 0; i < nargs; i++) {
-        full[i + 1] = args[i];
-    }
-    return PyObject_VectorcallMethod(str_hook[hook], full,
-                                     (nargs + 1)
-                                         | PY_VECTORCALL_ARGUMENTS_OFFSET,
-                                     NULL);
-}
 
 /* purge_target_copy: kill core's copy of line; the ack message type. */
 static int
@@ -711,52 +738,6 @@ done:
     return rc;
 }
 
-/* ------------------------------------------------------------------ */
-/* The steps a family may take over: its hook, else the base step       */
-/* ------------------------------------------------------------------ */
-
-static int
-purge_target_copy(DirObject *k, long long core, PyObject *core_obj,
-                  long long line, PyObject *line_obj, PyObject *l2line,
-                  int merge, long long *ack)
-{
-    if (!k->hooks[HOOK_PURGE]) {
-        return base_purge_target_copy(k, core, core_obj, line, line_obj,
-                                      l2line, merge, ack);
-    }
-    PyObject *args[4] = {core_obj, line_obj, l2line,
-                         merge ? Py_True : Py_False};
-    PyObject *res = call_hook(k, HOOK_PURGE, args, 4);
-    if (res == NULL) {
-        return -1;
-    }
-    int rc = arg_long(res, ack);
-    Py_DECREF(res);
-    return rc;
-}
-
-static int
-handle_l1_eviction(DirObject *k, long long core, PyObject *core_obj,
-                   PyObject *vline_obj, PyObject *ventry, double t)
-{
-    if (!k->hooks[HOOK_EVICT]) {
-        return base_handle_l1_eviction(k, core, core_obj, vline_obj, ventry,
-                                       t);
-    }
-    PyObject *t_obj = PyFloat_FromDouble(t);
-    if (t_obj == NULL) {
-        return -1;
-    }
-    PyObject *args[4] = {core_obj, vline_obj, ventry, t_obj};
-    PyObject *res = call_hook(k, HOOK_EVICT, args, 4);
-    Py_DECREF(t_obj);
-    if (res == NULL) {
-        return -1;
-    }
-    Py_DECREF(res);
-    return 0;
-}
-
 /* remove_own_copy: fold back the requester's own S copy. */
 static int
 remove_own_copy(DirObject *k, long long core, PyObject *core_obj,
@@ -789,8 +770,10 @@ done:
 static int
 base_classify_requester(DirObject *k, PyObject *l1, PyObject *l2line,
                         long long core, PyObject *core_obj, long long line,
-                        PyObject *line_obj, int *remote, int *upgrade)
+                        PyObject *line_obj, int is_write, int *remote,
+                        int *upgrade)
 {
+    (void)is_write;
     *remote = 0;
     if (k->classifier == NULL) {
         return 0;
@@ -946,8 +929,7 @@ base_grant_private(DirObject *k, long long core, PyObject *core_obj,
         goto done;
     }
     if (ev_line != NULL
-        && handle_l1_eviction(k, core, core_obj, ev_line, ev_entry,
-                              reply_t) < 0) {
+        && k->l1_evict(k, core, core_obj, ev_line, ev_entry, reply_t) < 0) {
         goto done;
     }
     if (home_energy_bump(&k->base, is_write ? k->base.off_e_l1d_writes
@@ -972,62 +954,6 @@ done:
     Py_XDECREF(ev_entry);
     Py_DECREF(dirent);
     return rc;
-}
-
-static int
-classify_requester(DirObject *k, PyObject *l1, PyObject *l2line,
-                   long long core, PyObject *core_obj, long long line,
-                   PyObject *line_obj, int is_write, int *remote,
-                   int *upgrade)
-{
-    if (!k->hooks[HOOK_CLASSIFY]) {
-        return base_classify_requester(k, l1, l2line, core, core_obj, line,
-                                       line_obj, remote, upgrade);
-    }
-    PyObject *args[6] = {l1, l2line, core_obj, line_obj,
-                         is_write ? Py_True : Py_False,
-                         *upgrade ? Py_True : Py_False};
-    PyObject *res = call_hook(k, HOOK_CLASSIFY, args, 6);
-    if (res == NULL) {
-        return -1;
-    }
-    if (!PyTuple_Check(res) || PyTuple_GET_SIZE(res) != 2) {
-        Py_DECREF(res);
-        PyErr_SetString(PyExc_TypeError,
-                        "_classify_requester must return a pair");
-        return -1;
-    }
-    *remote = PyObject_IsTrue(PyTuple_GET_ITEM(res, 0));
-    *upgrade = PyObject_IsTrue(PyTuple_GET_ITEM(res, 1));
-    Py_DECREF(res);
-    return *remote < 0 || *upgrade < 0 ? -1 : 0;
-}
-
-static int
-grant_private(DirObject *k, long long core, PyObject *core_obj, int is_write,
-              long long line, PyObject *line_obj, long long word,
-              PyObject *l2line, PyObject *slice_, int upgrade, double reply_t)
-{
-    if (!k->hooks[HOOK_GRANT]) {
-        return base_grant_private(k, core, core_obj, is_write, line, line_obj,
-                                  word, l2line, slice_, upgrade, reply_t);
-    }
-    PyObject *word_obj = PyLong_FromLongLong(word);
-    PyObject *t_obj = PyFloat_FromDouble(reply_t);
-    PyObject *res = NULL;
-    if (word_obj != NULL && t_obj != NULL) {
-        PyObject *args[8] = {core_obj, is_write ? Py_True : Py_False,
-                             line_obj, word_obj, l2line, slice_,
-                             upgrade ? Py_True : Py_False, t_obj};
-        res = call_hook(k, HOOK_GRANT, args, 8);
-    }
-    Py_XDECREF(word_obj);
-    Py_XDECREF(t_obj);
-    if (res == NULL) {
-        return -1;
-    }
-    Py_DECREF(res);
-    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1115,8 +1041,8 @@ invalidate_sharers(DirObject *k, long long line, PyObject *line_obj,
         if (core_obj == NULL) {
             goto done;
         }
-        int bad = purge_target_copy(k, targets[i], core_obj, line, line_obj,
-                                    l2line, 1, &ack);
+        int bad = k->purge_target(k, targets[i], core_obj, line, line_obj,
+                                  l2line, 1, &ack);
         if (!bad && arrival_map != NULL) {
             PyObject *at = PyObject_GetItem(arrival_map, core_obj);
             bad = at == NULL || arg_double(at, &arrivals[i]) < 0;
@@ -1230,8 +1156,8 @@ purge_copies(HomeObject *h, long long home, PyObject *vline_obj,
         double arrival;
         if (arg_long(core_obj, &core) < 0
             || home_leg(&k->base, home, core, K_MSG_INV_REQ, t, &arrival) < 0
-            || purge_target_copy(k, core, core_obj, vline, vline_obj, ventry,
-                                 0, &ack) < 0
+            || k->purge_target(k, core, core_obj, vline, vline_obj, ventry, 0,
+                               &ack) < 0
             || home_leg(&k->base, core, home, ack, t, &arrival) < 0
             || remove_sharer(k, dirent, core_obj, core) < 0) {
             goto done;
@@ -1252,7 +1178,7 @@ done:
 static PyObject *
 service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
              int is_write, PyObject *line_obj, long long line, long long word,
-             PyObject *now_obj, double now, int upgrade)
+             double now, int upgrade)
 {
     PyObject *result = NULL, *slice_ = NULL, *l2line = NULL, *dirent = NULL;
     PyObject *out = NULL, *t_obj = NULL;
@@ -1272,7 +1198,7 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
     }
     PyObject *s;
     l2line = home_deliver(&k->base, core, line_obj, line, home, flush, req_msg,
-                          now_obj, now, result, &s, &t);
+                          now, result, &s, &t);
     if (l2line == NULL) {
         goto done;
     }
@@ -1281,8 +1207,8 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
         goto done;
     }
     int remote;
-    if (classify_requester(k, l1, l2line, core, core_obj, line, line_obj,
-                           is_write, &remote, &upgrade) < 0) {
+    if (k->classify(k, l1, l2line, core, core_obj, line, line_obj, is_write,
+                    &remote, &upgrade) < 0) {
         goto done;
     }
     long long reply_msg;
@@ -1371,8 +1297,8 @@ service_miss(DirObject *k, PyObject *l1, PyObject *core_obj, long long core,
         flags |= K_EVER_REMOTE;
     }
     else {
-        if (grant_private(k, core, core_obj, is_write, line, line_obj, word,
-                          l2line, slice_, upgrade, reply_t) < 0) {
+        if (k->grant(k, core, core_obj, is_write, line, line_obj, word,
+                     l2line, slice_, upgrade, reply_t) < 0) {
             goto done;
         }
         flags |= K_EVER_CACHED;
@@ -1449,62 +1375,686 @@ writable(DirObject *k, PyObject *state)
     return PyObject_RichCompareBool(state, k->base.st_excl, Py_GE);
 }
 
-static PyObject *
-dir_access(DirObject *k, PyObject *const *args)
-{
+/* The decoded arguments of access(core, is_write, address, now) and the
+ * requester's L1 entry of the line (NULL on a miss without a copy). */
+typedef struct {
+    PyObject *core_obj, *now_obj;
+    PyObject *line_obj;            /* new reference */
+    PyObject *l1, *store, *entry;  /* borrowed */
     long long core, line, word;
     int is_write;
     double now;
-    PyObject *store, *l1;
-    if (home_access_args(&k->base, args, &core, &is_write, &line, &word,
-                         &now) < 0
-        || (l1 = home_l1_of(&k->base, core, &store)) == NULL) {
-        return NULL;
+} Access;
+
+static int
+access_args(DirObject *k, PyObject *const *args, Access *a)
+{
+    if (home_access_args(&k->base, args, &a->core, &a->is_write, &a->line,
+                         &a->word, &a->now) < 0
+        || (a->l1 = home_l1_of(&k->base, a->core, &a->store)) == NULL
+        || (a->line_obj = PyLong_FromLongLong(a->line)) == NULL) {
+        return -1;
     }
-    PyObject *core_obj = args[0], *now_obj = args[3];
-    PyObject *line_obj = PyLong_FromLongLong(line);
-    if (line_obj == NULL) {
-        return NULL;
+    a->core_obj = args[0];
+    a->now_obj = args[3];
+    a->entry = home_l1_lookup(&k->base, a->core, a->line, a->line_obj);
+    if (a->entry == NULL && PyErr_Occurred()) {
+        Py_CLEAR(a->line_obj);
+        return -1;
     }
-    PyObject *out = NULL;
-    PyObject *entry = home_l1_lookup(&k->base, core, line, line_obj);
-    if (entry == NULL && PyErr_Occurred()) {
-        goto done;
-    }
+    return 0;
+}
+
+/* One access, step for step in the order of PyDirectoryKernel.access: the
+ * L1 hit, else service_miss. */
+static PyObject *
+dir_serve(DirObject *k, Access *a)
+{
+    PyObject *entry = a->entry;
     int hit = 0;
     if (entry != NULL) {
         PyObject *state = slot_get(entry, k->base.off_c_state);
-        if (state == NULL || (hit = is_write ? writable(k, state) : 1) < 0) {
-            goto done;
+        if (state == NULL
+            || (hit = a->is_write ? writable(k, state) : 1) < 0) {
+            return NULL;
         }
     }
     if (!hit) {
-        out = service_miss(k, l1, core_obj, core, is_write, line_obj, line,
-                           word, now_obj, now, entry != NULL);
-        goto done;
+        return service_miss(k, a->l1, a->core_obj, a->core, a->is_write,
+                            a->line_obj, a->line, a->word, a->now,
+                            entry != NULL);
     }
     /* L1 hit (E -> M is silent): L1Cache.hit, then the counters. */
     Py_INCREF(entry);
-    int bad = home_l1_hit(&k->base, l1, store, entry, now_obj) < 0;
-    if (!bad && is_write) {
+    int bad = home_l1_hit(&k->base, a->l1, a->store, entry, a->now_obj) < 0;
+    if (!bad && a->is_write) {
         slot_put(entry, k->base.off_c_state, Py_NewRef(k->base.st_mod));
         bad = home_energy_bump(&k->base, k->base.off_e_l1d_writes) < 0
               || (k->base.verify
-                  && verified_write(k, core_obj, entry, line_obj, word) < 0);
+                  && verified_write(k, a->core_obj, entry, a->line_obj,
+                                    a->word) < 0);
     }
     else if (!bad) {
         bad = home_energy_bump(&k->base, k->base.off_e_l1d_reads) < 0
               || (k->base.verify
-                  && home_golden_check(&k->base, entry, line_obj, word,
-                                       "L1 hit", core) < 0);
+                  && home_golden_check(&k->base, entry, a->line_obj, a->word,
+                                       "L1 hit", a->core) < 0);
     }
     Py_DECREF(entry);
-    if (!bad) {
-        out = Py_NewRef(k->base.hit_result);
+    return bad ? NULL : Py_NewRef(k->base.hit_result);
+}
+
+/* ------------------------------------------------------------------ */
+/* Victim replication: VictimKernel's steps                            */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    DirObject dir;
+    /* VictimReplicationEngine __slots__ offsets of the replica counters. */
+    Py_ssize_t off_created, off_hits, off_invals, off_evictions;
+    Py_ssize_t off_failures;
+} VictimObject;
+
+static int
+victim_bump(VictimObject *v, Py_ssize_t off)
+{
+    return slot_bump(v->dir.base.engine, off);
+}
+
+/* The entry is a replica (1), a home line (0), or -1 on an error. */
+static int
+is_replica(HomeObject *h, PyObject *l2line)
+{
+    return slot_true(l2line, h->off_replica);
+}
+
+/* _drop_replica: discard core's replica of line, releasing its sharer
+ * slot at the home. */
+static int
+drop_replica(VictimObject *v, long long core, PyObject *core_obj,
+             PyObject *line_obj, double t)
+{
+    DirObject *k = &v->dir;
+    HomeObject *h = &k->base;
+    long long line, home;
+    char hex[32];
+    if (arg_long(line_obj, &line) < 0) {
+        return -1;
     }
+    PyObject *home_obj = PyDict_GetItemWithError(h->home_of_line, line_obj);
+    if (home_obj == NULL) {
+        if (!PyErr_Occurred()) {
+            PyErr_Format(k->coherence_error,
+                         "replica of line %s with unknown home",
+                         hex_line(hex, sizeof hex, line));
+        }
+        return -1;
+    }
+    if (arg_long(home_obj, &home) < 0) {
+        return -1;
+    }
+    PyObject *gone = home_l2_pop(h, core, line, line_obj);
+    if (gone == NULL && PyErr_Occurred()) {
+        return -1;
+    }
+    Py_XDECREF(gone);
+    double arrival;
+    if (home_leg(h, core, home, K_MSG_EVICT_NOTIFY, t, &arrival) < 0) {
+        return -1;
+    }
+    PyObject *homeline = home_lookup(h, home, line, line_obj);
+    if (homeline == NULL) {
+        if (!PyErr_Occurred()) {
+            PyErr_Format(k->coherence_error,
+                         "replica of %s outlived its home line",
+                         hex_line(hex, sizeof hex, line));
+        }
+        return -1;
+    }
+    PyObject *dirent = dirent_of(k, homeline);
+    if (dirent == NULL || remove_sharer(k, dirent, core_obj, core) < 0
+        || home_energy_bump(h, k->off_e_dir_updates) < 0
+        || victim_bump(v, v->off_evictions) < 0) {
+        return -1;
+    }
+    return 0;
+}
+
+/* _make_room_for_replica: *room when core's slice has a way for a replica
+ * of vline - a free way, else the LRU replica's (dropped), else the LRU
+ * idle home line's, clean before dirty (evicted).  A home line with
+ * sharers is never displaced. */
+static int
+make_room(VictimObject *v, long long core, PyObject *core_obj,
+          long long vline, double t, int *room)
+{
+    HomeObject *h = &v->dir.base;
+    PyObject *store;
+    PyObject *bucket = home_l2_bucket(h, core, vline, &store);
+    *room = 1;
+    if (bucket == NULL) {
+        return -1;
+    }
+    if (PyDict_GET_SIZE(bucket) < h->assoc) {
+        return 0;
+    }
+    /* The replicas first; only without one are the home lines read. */
+    Py_ssize_t pos = 0;
+    PyObject *key, *entry, *chosen = NULL, *clean = NULL, *any = NULL;
+    long long use, best = 0, best_clean = 0, best_any = 0;
+    while (PyDict_Next(bucket, &pos, &key, &entry)) {
+        int r;
+        if (check_type(entry, h->line_type, "L2Line") < 0
+            || (r = is_replica(h, entry)) < 0) {
+            return -1;
+        }
+        if (r) {
+            if (slot_long(entry, h->off_last_use, &use) < 0) {
+                return -1;
+            }
+            if (chosen == NULL || use < best) {
+                chosen = key;
+                best = use;
+            }
+        }
+    }
+    if (chosen != NULL) {
+        Py_INCREF(chosen);
+        int rc = drop_replica(v, core, core_obj, chosen, t);
+        Py_DECREF(chosen);
+        return rc;
+    }
+    pos = 0;
+    PyObject *clean_entry = NULL, *any_entry = NULL;
+    while (PyDict_Next(bucket, &pos, &key, &entry)) {
+        PyObject *dirent, *sharers;
+        int dirty;
+        if ((dirent = dirent_of(&v->dir, entry)) == NULL
+            || (sharers = sharers_of(&v->dir, dirent)) == NULL) {
+            return -1;
+        }
+        if (PySet_GET_SIZE(sharers) != 0) {
+            continue;
+        }
+        if ((dirty = slot_true(entry, h->off_dirty)) < 0
+            || slot_long(entry, h->off_last_use, &use) < 0) {
+            return -1;
+        }
+        if (any == NULL || use < best_any) {
+            any = key;
+            any_entry = entry;
+            best_any = use;
+        }
+        if (!dirty && (clean == NULL || use < best_clean)) {
+            clean = key;
+            clean_entry = entry;
+            best_clean = use;
+        }
+    }
+    if (any == NULL) {
+        *room = 0;
+        return 0;
+    }
+    if (clean != NULL) {
+        any = clean;
+        any_entry = clean_entry;
+    }
+    long long line;
+    if (arg_long(any, &line) < 0) {
+        return -1;
+    }
+    Py_INCREF(any);
+    Py_INCREF(any_entry);
+    int rc = h->evict(h, core, core_obj, any, any_entry, t);
+    Py_DECREF(any_entry);
+    if (rc == 0) {
+        PyObject *gone = home_l2_pop(h, core, line, any);
+        rc = gone == NULL && PyErr_Occurred() ? -1 : 0;
+        Py_XDECREF(gone);
+    }
+    Py_DECREF(any);
+    return rc;
+}
+
+/* _handle_l1_eviction: keep the victim as a local replica, or take the
+ * base notice when its home is local or no way can be freed. */
+static int
+victim_l1_evict(DirObject *k, long long core, PyObject *core_obj,
+                PyObject *vline_obj, PyObject *ventry, double t)
+{
+    VictimObject *v = (VictimObject *)k;
+    HomeObject *h = &k->base;
+    long long vline, vhome, util;
+    char hex[32];
+    if (arg_long(vline_obj, &vline) < 0) {
+        return -1;
+    }
+    PyObject *vhome_obj = PyDict_GetItemWithError(h->home_of_line, vline_obj);
+    if (vhome_obj == NULL) {
+        if (!PyErr_Occurred()) {
+            PyErr_Format(k->coherence_error,
+                         "evicting line %s with unknown home",
+                         hex_line(hex, sizeof hex, vline));
+        }
+        return -1;
+    }
+    if (arg_long(vhome_obj, &vhome) < 0) {
+        return -1;
+    }
+    if (vhome == core) {
+        /* The home slice is local: a replica would duplicate it. */
+        return base_handle_l1_eviction(k, core, core_obj, vline_obj, ventry,
+                                       t);
+    }
+    int room;
+    if (make_room(v, core, core_obj, vline, t, &room) < 0) {
+        return -1;
+    }
+    if (!room) {
+        return victim_bump(v, v->off_failures) < 0
+                   ? -1
+                   : base_handle_l1_eviction(k, core, core_obj, vline_obj,
+                                             ventry, t);
+    }
+    PyObject *state;
+    if (check_type(ventry, h->cline_type, "CacheLine") < 0
+        || slot_long(ventry, h->off_c_util, &util) < 0
+        || home_hist_record(h, h->off_evict_hist, util) < 0
+        || home_history_update(h, core, vline_obj, K_EVER_CACHED,
+                               K_LAST_REMOVAL_INVAL) < 0) {
+        return -1;
+    }
+    PyObject *vl2 = home_lookup(h, vhome, vline, vline_obj);
+    if (vl2 == NULL) {
+        if (!PyErr_Occurred()) {
+            PyErr_Format(k->coherence_error,
+                         "inclusion violation: L1 evicts %s absent from L2",
+                         hex_line(hex, sizeof hex, vline));
+        }
+        return -1;
+    }
+    Py_INCREF(vl2);
+    PyObject *replica = NULL, *data = NULL, *ev_line = NULL, *ev_entry = NULL;
+    int rc = -1;
+    if ((state = slot_get(ventry, h->off_c_state)) == NULL) {
+        goto done;
+    }
+    if (state == h->st_mod || state == h->st_excl) {
+        /* A dirty victim writes its data home (the replica stays clean);
+         * either way the home loses its exclusive owner, which stays a
+         * sharer.  A SHARED victim replicates silently. */
+        int dirty = state == h->st_mod;
+        double arrival;
+        PyObject *dirent;
+        if (home_leg(h, core, vhome,
+                     dirty ? K_MSG_EVICT_DIRTY : K_MSG_EVICT_NOTIFY, t,
+                     &arrival) < 0) {
+            goto done;
+        }
+        if (dirty) {
+            if (home_energy_bump(h, k->off_e_l1d_line_reads) < 0
+                || home_energy_bump(h, h->off_e_lwrites) < 0) {
+                goto done;
+            }
+            slot_set_bool(vl2, h->off_dirty, 1);
+            if (h->verify) {
+                PyObject *vdata = slot_get(ventry, h->off_c_data);
+                if (vdata == NULL
+                    || slot_copy_list(vl2, h->off_l2_data, vdata) < 0) {
+                    goto done;
+                }
+            }
+        }
+        if ((dirent = dirent_of(k, vl2)) == NULL
+            || slot_set_long(dirent, h->off_d_owner, -1) < 0) {
+            goto done;
+        }
+    }
+    data = Py_NewRef(Py_None);
+    if (h->verify) {
+        PyObject *vdata = slot_get(ventry, h->off_c_data);
+        if (vdata == NULL) {
+            goto done;
+        }
+        if (vdata != Py_None) {
+            Py_SETREF(data, PySequence_List(vdata));
+            if (data == NULL) {
+                goto done;
+            }
+        }
+    }
+    PyObject *store, *bucket;
+    if ((replica = home_new_l2line(h, t, data)) == NULL
+        || (bucket = home_l2_bucket(h, core, vline, &store)) == NULL) {
+        goto done;
+    }
+    slot_set_bool(replica, h->off_replica, 1);
+    if (home_store_insert(h, store, bucket, h->assoc, h->line_type, "L2Line",
+                          h->off_last_use, vline_obj, replica, &ev_line,
+                          &ev_entry) < 0) {
+        goto done;
+    }
+    if (ev_line != NULL) {  /* cannot happen: room was made above */
+        PyErr_SetString(k->coherence_error,
+                        "replica insert displaced a line after making room");
+        goto done;
+    }
+    if (home_energy_bump(h, h->off_e_lwrites) < 0
+        || victim_bump(v, v->off_created) < 0) {
+        goto done;
+    }
+    rc = 0;
 done:
-    Py_DECREF(line_obj);
+    Py_XDECREF(ev_line);
+    Py_XDECREF(ev_entry);
+    Py_XDECREF(replica);
+    Py_XDECREF(data);
+    Py_DECREF(vl2);
+    return rc;
+}
+
+/* _purge_target_copy: a replica answers an invalidation like an L1 copy,
+ * with a plain ack (replicas are clean). */
+static int
+victim_purge_target(DirObject *k, long long core, PyObject *core_obj,
+                    long long line, PyObject *line_obj, PyObject *l2line,
+                    int merge, long long *ack)
+{
+    HomeObject *h = &k->base;
+    PyObject *l1entry = home_l1_lookup(h, core, line, line_obj);
+    if (l1entry != NULL) {
+        return base_purge_target_copy(k, core, core_obj, line, line_obj,
+                                      l2line, merge, ack);
+    }
+    if (PyErr_Occurred()) {
+        return -1;
+    }
+    PyObject *replica = home_lookup(h, core, line, line_obj);
+    int r = 0;
+    if ((replica == NULL && PyErr_Occurred())
+        || (replica != NULL && (r = is_replica(h, replica)) < 0)) {
+        return -1;
+    }
+    if (!r) {
+        char hex[32];
+        PyErr_Format(k->coherence_error,
+                     "directory lists core %lld for line %s but it holds "
+                     "neither an L1 copy nor a replica",
+                     core, hex_line(hex, sizeof hex, line));
+        return -1;
+    }
+    PyObject *gone = home_l2_pop(h, core, line, line_obj);
+    if (gone == NULL && PyErr_Occurred()) {
+        return -1;
+    }
+    Py_XDECREF(gone);
+    if (victim_bump((VictimObject *)k, ((VictimObject *)k)->off_invals) < 0
+        || home_history_update(h, core, line_obj, K_LAST_REMOVAL_INVAL,
+                               0) < 0) {
+        return -1;
+    }
+    *ack = K_MSG_INV_ACK;
+    return 0;
+}
+
+/* _grant_private: the requester's own replica dies, then the base grant. */
+static int
+victim_grant(DirObject *k, long long core, PyObject *core_obj, int is_write,
+             long long line, PyObject *line_obj, long long word,
+             PyObject *l2line, PyObject *slice_, int upgrade, double reply_t)
+{
+    HomeObject *h = &k->base;
+    PyObject *own = home_lookup(h, core, line, line_obj);
+    int r = 0;
+    if ((own == NULL && PyErr_Occurred())
+        || (own != NULL && (r = is_replica(h, own)) < 0)) {
+        return -1;
+    }
+    if (r) {
+        PyObject *gone = home_l2_pop(h, core, line, line_obj);
+        if (gone == NULL && PyErr_Occurred()) {
+            return -1;
+        }
+        Py_XDECREF(gone);
+        if (victim_bump((VictimObject *)k,
+                        ((VictimObject *)k)->off_evictions) < 0) {
+            return -1;
+        }
+    }
+    return base_grant_private(k, core, core_obj, is_write, line, line_obj,
+                              word, l2line, slice_, upgrade, reply_t);
+}
+
+/* _evict_l2_line: a replica chosen as an L2 victim is dropped; a home
+ * line takes the home kernel's eviction. */
+static int
+victim_evict(HomeObject *h, long long home, PyObject *home_obj,
+             PyObject *vline_obj, PyObject *ventry, double t)
+{
+    int r = is_replica(h, ventry);
+    if (r < 0) {
+        return -1;
+    }
+    if (r) {
+        return drop_replica((VictimObject *)h, home, home_obj, vline_obj, t);
+    }
+    return home_evict_l2_line(h, home, home_obj, vline_obj, ventry, t);
+}
+
+/* A read miss served by the local replica, in the order of
+ * PyVictimKernel._replica_hit: no network traffic; the replica moves
+ * back into the L1. */
+static PyObject *
+replica_hit(VictimObject *v, Access *a, PyObject *replica)
+{
+    DirObject *k = &v->dir;
+    HomeObject *h = &k->base;
+    PyObject *local = PyList_GET_ITEM(h->l2, (Py_ssize_t)a->core);
+    PyObject *result = NULL, *out = NULL, *t_obj = NULL, *data = NULL;
+    PyObject *ev_line = NULL, *ev_entry = NULL, *store, *hist;
+    double t = a->now + h->l2_latency;
+    long long flags;
+    Py_INCREF(replica);
+    if (victim_bump(v, v->off_hits) < 0
+        || slot_bump(local, h->off_slice_hits) < 0
+        || slot_bump(local, h->off_slice_lreads) < 0
+        || home_energy_bump(h, h->off_e_tag) < 0
+        || home_energy_bump(h, h->off_e_lreads) < 0
+        || (t_obj = PyFloat_FromDouble(t)) == NULL
+        || (store = slot_get(local, h->off_slice_store)) == NULL
+        || home_touch(h, store, replica, h->off_last_use) < 0) {
+        goto done;
+    }
+    slot_put(replica, h->off_last_access, Py_NewRef(t_obj));
+    if ((result = home_new_result(h)) == NULL
+        || (hist = home_history(h, a->core, a->line_obj, &flags)) == NULL) {
+        goto done;
+    }
+    int miss = home_classify_miss(flags, 0, 0);
+    slot_put(result, h->off_r_miss_type, Py_NewRef(h->miss[miss]));
+    PyObject *flags_obj;
+    if (home_miss_record(h, miss) < 0
+        || (flags_obj = PyLong_FromLongLong(flags | K_EVER_CACHED)) == NULL) {
+        goto done;
+    }
+    int bad = PyDict_SetItem(hist, a->line_obj, flags_obj);
+    Py_DECREF(flags_obj);
+    if (bad < 0) {
+        goto done;
+    }
+    if (h->verify) {
+        PyObject *rdata = slot_get(replica, h->off_l2_data);
+        if (rdata == NULL) {
+            goto done;
+        }
+        data = rdata == Py_None ? NULL : Py_NewRef(rdata);
+    }
+    PyObject *gone = home_l2_pop(h, a->core, a->line, a->line_obj);
+    if (gone == NULL && PyErr_Occurred()) {
+        goto done;
+    }
+    Py_XDECREF(gone);
+    if (home_l1_fill(h, a->core, a->line, a->line_obj, h->st_shared, t, data,
+                     &ev_line, &ev_entry) < 0
+        || home_energy_bump(h, h->off_e_l1d_fills) < 0
+        || (ev_line != NULL
+            && k->l1_evict(k, a->core, a->core_obj, ev_line, ev_entry, t) < 0)
+        || home_energy_bump(h, h->off_e_l1d_reads) < 0) {
+        goto done;
+    }
+    if (h->verify) {
+        PyObject *now_entry = home_l1_resident(h, a->core, a->line,
+                                               a->line_obj);
+        if (now_entry == NULL
+            || home_golden_check(h, now_entry, a->line_obj, a->word,
+                                 "replica hit", a->core) < 0) {
+            goto done;
+        }
+    }
+    if (home_finish_result(h, result, a->now, t, 0.0) < 0) {
+        goto done;
+    }
+    out = Py_NewRef(result);
+done:
+    Py_XDECREF(ev_line);
+    Py_XDECREF(ev_entry);
+    Py_XDECREF(data);
+    Py_XDECREF(t_obj);
+    Py_XDECREF(result);
+    Py_DECREF(replica);
     return out;
+}
+
+/* ------------------------------------------------------------------ */
+/* Phase priority: PhaseKernel's classification                        */
+/* ------------------------------------------------------------------ */
+
+/* Line phases, ordered so decay is a subtraction (repro.protocol.phase). */
+enum { PHASE_PRIVATE, PHASE_READ_SHARED, PHASE_WRITE_SHARED };
+
+typedef struct {
+    DirObject dir;
+    PyObject *line_phase;  /* engine._line_phase: {line: [phase, core, epoch]} */
+    /* PhaseEngine __slots__ offsets. */
+    Py_ssize_t off_epoch, off_promotions, off_demotions, off_word_accesses;
+} PhaseObject;
+
+/* info[i] = value (a new reference, consumed; NULL fails). */
+static int
+phase_put(PyObject *info, Py_ssize_t i, PyObject *value)
+{
+    return value == NULL ? -1 : PyList_SetItem(info, i, value);
+}
+
+/* The phase policy: decay, then promote, the line's phase for this miss;
+ * service at the home exactly while it is write-shared, folding back the
+ * requester's stale S copy first. */
+static int
+phase_classify(DirObject *k, PyObject *l1, PyObject *l2line, long long core,
+               PyObject *core_obj, long long line, PyObject *line_obj,
+               int is_write, int *remote, int *upgrade)
+{
+    PhaseObject *p = (PhaseObject *)k;
+    PyObject *engine = k->base.engine;
+    long long epoch, phase, last, changed;
+    (void)l1;
+    *remote = 0;
+    PyObject *info = PyDict_GetItemWithError(p->line_phase, line_obj);
+    if (info == NULL && PyErr_Occurred()) {
+        return -1;
+    }
+    PyObject *epoch_obj = slot_get(engine, p->off_epoch);
+    if (epoch_obj == NULL || arg_long(epoch_obj, &epoch) < 0) {
+        return -1;
+    }
+    if (info == NULL) {
+        info = PyList_New(3);
+        if (info == NULL) {
+            return -1;
+        }
+        PyList_SET_ITEM(info, 0, PyLong_FromLong(PHASE_PRIVATE));
+        PyList_SET_ITEM(info, 1, Py_NewRef(core_obj));
+        PyList_SET_ITEM(info, 2, Py_NewRef(epoch_obj));
+        int rc = PyList_GET_ITEM(info, 0) == NULL
+                     ? -1
+                     : PyDict_SetItem(p->line_phase, line_obj, info);
+        Py_DECREF(info);  /* the dict holds it */
+        if (rc < 0) {
+            return -1;
+        }
+        phase = PHASE_PRIVATE;
+        last = core;
+    }
+    else {
+        if (!PyList_CheckExact(info) || PyList_GET_SIZE(info) != 3) {
+            PyErr_SetString(PyExc_TypeError,
+                            "PhaseKernel: a line phase is not a "
+                            "[phase, core, epoch] list");
+            return -1;
+        }
+        if (arg_long(PyList_GET_ITEM(info, 0), &phase) < 0
+            || arg_long(PyList_GET_ITEM(info, 1), &last) < 0
+            || arg_long(PyList_GET_ITEM(info, 2), &changed) < 0) {
+            return -1;
+        }
+        if (phase != PHASE_PRIVATE && epoch > changed) {
+            /* Lazy decay: one level per full epoch without a change. */
+            long long decayed = phase - (epoch - changed);
+            phase = decayed > PHASE_PRIVATE ? decayed : PHASE_PRIVATE;
+            if (phase_put(info, 0, PyLong_FromLongLong(phase)) < 0
+                || phase_put(info, 2, Py_NewRef(epoch_obj)) < 0
+                || slot_bump(engine, p->off_demotions) < 0) {
+                return -1;
+            }
+        }
+    }
+    long long promoted = -1;
+    if (is_write) {
+        PyObject *dirent = dirent_of(k, l2line), *sharers;
+        if (dirent == NULL || (sharers = sharers_of(k, dirent)) == NULL) {
+            return -1;
+        }
+        int shared = last != core;
+        Py_ssize_t n = PySet_GET_SIZE(sharers);
+        if (!shared && n > 0) {
+            int mine = n == 1 ? PySet_Contains(sharers, core_obj) : 0;
+            if (mine < 0) {
+                return -1;
+            }
+            shared = !mine;
+        }
+        if (shared && phase != PHASE_WRITE_SHARED) {
+            promoted = PHASE_WRITE_SHARED;
+        }
+    }
+    else if (last != core && phase == PHASE_PRIVATE) {
+        promoted = PHASE_READ_SHARED;
+    }
+    if (promoted >= 0) {
+        phase = promoted;
+        if (phase_put(info, 0, PyLong_FromLongLong(phase)) < 0
+            || phase_put(info, 2, Py_NewRef(epoch_obj)) < 0
+            || slot_bump(engine, p->off_promotions) < 0) {
+            return -1;
+        }
+    }
+    if (phase_put(info, 1, Py_NewRef(core_obj)) < 0) {
+        return -1;
+    }
+    if (phase != PHASE_WRITE_SHARED) {
+        return 0;
+    }
+    if (slot_bump(engine, p->off_word_accesses) < 0) {
+        return -1;
+    }
+    if (*upgrade) {
+        if (remove_own_copy(k, core, core_obj, line, line_obj, l2line) < 0) {
+            return -1;
+        }
+        *upgrade = 0;
+    }
+    *remote = 1;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1515,90 +2065,13 @@ done:
 
 METHOD(access, 4, "access(core, is_write, address, now)")
 {
-    return dir_access(k, args);
-}
-
-METHOD(classify_requester, 6,
-       "classify_requester(l1, l2line, core, line, is_write, upgrade)")
-{
-    long long core, line;
-    int is_write = PyObject_IsTrue(args[4]), upgrade = PyObject_IsTrue(args[5]);
-    int remote;
-    if (is_write < 0 || upgrade < 0 || arg_long(args[2], &core) < 0
-        || arg_index(args[3], &line) < 0
-        || home_check_tile(&k->base, core) < 0) {
+    Access a;
+    if (access_args(k, args, &a) < 0) {
         return NULL;
     }
-    if (base_classify_requester(k, args[0], args[1], core, args[2], line,
-                                args[3], &remote, &upgrade) < 0) {
-        return NULL;
-    }
-    return PyTuple_Pack(2, remote ? Py_True : Py_False,
-                        upgrade ? Py_True : Py_False);
-}
-
-METHOD(grant_private, 8,
-       "grant_private(core, is_write, line, word, l2line, slice_, upgrade, "
-       "reply_t)")
-{
-    long long core, line, word;
-    double reply_t;
-    int is_write = PyObject_IsTrue(args[1]), upgrade = PyObject_IsTrue(args[6]);
-    if (is_write < 0 || upgrade < 0 || arg_long(args[0], &core) < 0
-        || arg_long(args[2], &line) < 0 || arg_long(args[3], &word) < 0
-        || arg_double(args[7], &reply_t) < 0
-        || home_check_tile(&k->base, core) < 0) {
-        return NULL;
-    }
-    if (base_grant_private(k, core, args[0], is_write, line, args[2], word,
-                           args[4], args[5], upgrade, reply_t) < 0) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
-METHOD(handle_l1_eviction, 4, "handle_l1_eviction(core, vline, ventry, t)")
-{
-    long long core;
-    double t;
-    if (arg_long(args[0], &core) < 0 || arg_double(args[3], &t) < 0
-        || home_check_tile(&k->base, core) < 0) {
-        return NULL;
-    }
-    if (base_handle_l1_eviction(k, core, args[0], args[1], args[2], t) < 0) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
-METHOD(purge_target_copy, 4,
-       "purge_target_copy(core, line, l2line, merge_into_l2)")
-{
-    long long core, line, ack;
-    int merge = PyObject_IsTrue(args[3]);
-    if (merge < 0 || arg_long(args[0], &core) < 0
-        || arg_index(args[1], &line) < 0
-        || home_check_tile(&k->base, core) < 0
-        || check_type(args[2], k->base.line_type, "L2Line") < 0) {
-        return NULL;
-    }
-    if (base_purge_target_copy(k, core, args[0], line, args[1], args[2],
-                               merge, &ack) < 0) {
-        return NULL;
-    }
-    return PyLong_FromLongLong(ack);
-}
-
-METHOD(remove_own_copy, 3, "remove_own_copy(core, line, l2line)")
-{
-    long long core, line;
-    if (arg_long(args[0], &core) < 0 || arg_index(args[1], &line) < 0
-        || home_check_tile(&k->base, core) < 0
-        || check_type(args[2], k->base.line_type, "L2Line") < 0
-        || remove_own_copy(k, core, args[0], line, args[1], args[2]) < 0) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
+    PyObject *out = dir_serve(k, &a);
+    Py_DECREF(a.line_obj);
+    return out;
 }
 
 METHOD(purge_copies, 4, "purge_copies(home, vline, ventry, t)")
@@ -1611,6 +2084,36 @@ METHOD(purge_copies, 4, "purge_copies(home, vline, ventry, t)")
         return NULL;
     }
     Py_RETURN_NONE;
+}
+
+/* VictimKernel.access: a read miss on a line the local slice holds as a
+ * replica is served from it; every other access is the directory
+ * kernel's. */
+KERNEL_METHOD(VictimObject, Victim, access, 4,
+              "access(core, is_write, address, now)")
+{
+    Access a;
+    if (access_args(&k->dir, args, &a) < 0) {
+        return NULL;
+    }
+    PyObject *out = NULL;
+    if (!a.is_write && a.entry == NULL) {
+        HomeObject *h = &k->dir.base;
+        PyObject *local = home_lookup(h, a.core, a.line, a.line_obj);
+        int r = 0;
+        if ((local == NULL && PyErr_Occurred())
+            || (local != NULL && (r = is_replica(h, local)) < 0)) {
+            goto done;
+        }
+        if (r) {
+            out = replica_hit(k, &a, local);
+            goto done;
+        }
+    }
+    out = dir_serve(&k->dir, &a);
+done:
+    Py_DECREF(a.line_obj);
+    return out;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1752,43 +2255,23 @@ done:
     return rc;
 }
 
-/* Enum members, the error class and the family hooks. */
+/* Enum members and the error class. */
 static int
-init_names(DirObject *k, PyObject *engine)
+init_names(DirObject *k)
 {
     PyObject *modes = imported("repro.common.types", "SharerMode");
     PyObject *msgs = imported("repro.network.messages", "MsgType");
-    PyObject *hooks = imported("repro.protocol.directory", "FAMILY_HOOKS");
     int rc = -1;
-    if (modes == NULL || msgs == NULL || hooks == NULL
-        || (k->mode_private = repro_getattr(modes, "PRIVATE")) == NULL
-        || (k->mode_remote = repro_getattr(modes, "REMOTE")) == NULL
-        || (k->inv_broadcast = repro_getattr(msgs, "INV_BROADCAST")) == NULL
-        || (k->coherence_error = imported("repro.common.errors",
-                                          "CoherenceError")) == NULL) {
-        goto done;
+    if (modes != NULL && msgs != NULL
+        && (k->mode_private = repro_getattr(modes, "PRIVATE")) != NULL
+        && (k->mode_remote = repro_getattr(modes, "REMOTE")) != NULL
+        && (k->inv_broadcast = repro_getattr(msgs, "INV_BROADCAST")) != NULL
+        && (k->coherence_error = imported("repro.common.errors",
+                                          "CoherenceError")) != NULL) {
+        rc = 0;
     }
-    if (!PyTuple_Check(hooks) || PyTuple_GET_SIZE(hooks) != NUM_HOOKS) {
-        PyErr_SetString(PyExc_TypeError,
-                        "DirectoryKernel: unexpected hook names");
-        goto done;
-    }
-    for (int i = 0; i < NUM_HOOKS; i++) {
-        PyObject *name = PyTuple_GET_ITEM(hooks, i);
-        if (PyUnicode_Compare(name, str_hook[i]) != 0) {
-            if (!PyErr_Occurred()) {
-                PyErr_SetString(PyExc_ValueError,
-                                "DirectoryKernel: FAMILY_HOOKS out of order");
-            }
-            goto done;
-        }
-        k->hooks[i] = PyObject_HasAttr((PyObject *)Py_TYPE(engine), name);
-    }
-    rc = 0;
-done:
     Py_XDECREF(modes);
     Py_XDECREF(msgs);
-    Py_XDECREF(hooks);
     return rc;
 }
 
@@ -1831,7 +2314,7 @@ Dir_init_state(HomeObject *h, PyObject *engine)
         || (k->network = repro_getattr(engine, "network")) == NULL
         || (classifier = repro_getattr(engine, "classifier")) == NULL
         || (classifier != Py_None && init_classifier(k, classifier) < 0)
-        || init_names(k, engine) < 0
+        || init_names(k) < 0
         || (h->entry_type = imported("repro.coherence.directory",
                                      "DirectoryEntry")) == NULL
         || (k->loc_type = imported("repro.coherence.classifier.base",
@@ -1840,6 +2323,10 @@ Dir_init_state(HomeObject *h, PyObject *engine)
         goto done;
     }
     h->purge = purge_copies;
+    k->classify = base_classify_requester;
+    k->grant = base_grant_private;
+    k->l1_evict = base_handle_l1_eviction;
+    k->purge_target = base_purge_target_copy;
     rc = 0;
 done:
     Py_XDECREF(classifier);
@@ -1896,16 +2383,6 @@ Dir_dealloc(DirObject *k)
 
 static PyMethodDef Dir_methods[] = {
     FASTCALL(access, "access(core, is_write, address, now) -> AccessResult"),
-    FASTCALL(classify_requester,
-             "classify_requester(l1, l2line, core, line, is_write, upgrade) "
-             "-> (serviced_remote, upgrade)"),
-    FASTCALL(grant_private,
-             "grant_private(core, is_write, line, word, l2line, slice_, "
-             "upgrade, reply_t)"),
-    FASTCALL(handle_l1_eviction, "handle_l1_eviction(core, vline, ventry, t)"),
-    FASTCALL(purge_target_copy,
-             "purge_target_copy(core, line, l2line, merge_into_l2) -> ack"),
-    FASTCALL(remove_own_copy, "remove_own_copy(core, line, l2line)"),
     FASTCALL(purge_copies, "purge_copies(home, vline, ventry, t)"),
     {NULL, NULL, 0, NULL},
 };
@@ -1924,20 +2401,141 @@ static PyTypeObject DirType = {
     .tp_new = Dir_new,
 };
 
+/* ------------------------------------------------------------------ */
+/* The family subtypes: VictimKernel and PhaseKernel                   */
+/* ------------------------------------------------------------------ */
+
+/* The victim part of a kernel whose directory part is set up on the same
+ * engine: the replica counters' offsets and the four steps it takes. */
+static int
+Victim_init_state(HomeObject *h, PyObject *engine)
+{
+    VictimObject *v = (VictimObject *)h;
+    if (Dir_init_state(h, engine) < 0) {
+        return -1;
+    }
+    static const char *const names[] = {
+        "replicas_created", "replica_hits", "replica_invalidations",
+        "replica_evictions", "replication_failures", NULL};
+    Py_ssize_t *const outs[] = {&v->off_created, &v->off_hits,
+                                &v->off_invals, &v->off_evictions,
+                                &v->off_failures};
+    if (slot_offsets((PyObject *)Py_TYPE(engine), names, outs) < 0) {
+        return -1;
+    }
+    h->evict = victim_evict;
+    v->dir.grant = victim_grant;
+    v->dir.l1_evict = victim_l1_evict;
+    v->dir.purge_target = victim_purge_target;
+    return 0;
+}
+
+static PyObject *
+Victim_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    return home_subtype_new(type, args, kwds, "repro.protocol.victim",
+                            "VictimReplicationEngine", Victim_init_state);
+}
+
+static PyMethodDef Victim_methods[] = {
+    KERNEL_FASTCALL(Victim, access,
+                    "access(core, is_write, address, now) -> AccessResult"),
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject VictimType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_repro_mesh_kernel.VictimKernel",
+    .tp_basicsize = sizeof(VictimObject),
+    /* GC support, traversal and deallocation are the directory kernel's. */
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "The kernel of a victim-replication engine: every L1 miss "
+              "and replica",
+    .tp_methods = Victim_methods,
+    .tp_base = &DirType,
+    .tp_new = Victim_new,
+};
+
+/* The phase part: the engine's phase dict, the epoch's and the counters'
+ * offsets, and the classification it takes. */
+static int
+Phase_init_state(HomeObject *h, PyObject *engine)
+{
+    PhaseObject *p = (PhaseObject *)h;
+    if (Dir_init_state(h, engine) < 0
+        || (p->line_phase = repro_getattr(engine, "_line_phase")) == NULL) {
+        return -1;
+    }
+    if (!PyDict_CheckExact(p->line_phase)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "PhaseKernel: _line_phase is not a dict");
+        return -1;
+    }
+    static const char *const names[] = {
+        "_epoch", "phase_promotions", "phase_demotions",
+        "phase_word_accesses", NULL};
+    Py_ssize_t *const outs[] = {&p->off_epoch, &p->off_promotions,
+                                &p->off_demotions, &p->off_word_accesses};
+    if (slot_offsets((PyObject *)Py_TYPE(engine), names, outs) < 0) {
+        return -1;
+    }
+    p->dir.classify = phase_classify;
+    return 0;
+}
+
+static PyObject *
+Phase_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    return home_subtype_new(type, args, kwds, "repro.protocol.phase",
+                            "PhaseEngine", Phase_init_state);
+}
+
+static int
+Phase_traverse(PhaseObject *p, visitproc visit, void *arg)
+{
+    Py_VISIT(p->line_phase);
+    return DirType.tp_traverse((PyObject *)p, visit, arg);
+}
+
+static int
+Phase_clear(PhaseObject *p)
+{
+    Py_CLEAR(p->line_phase);
+    return DirType.tp_clear((PyObject *)p);
+}
+
+static void
+Phase_dealloc(PhaseObject *p)
+{
+    PyObject_GC_UnTrack(p);
+    Py_CLEAR(p->line_phase);
+    DirType.tp_dealloc((PyObject *)p);
+}
+
+static PyTypeObject PhaseType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_repro_mesh_kernel.PhaseKernel",
+    .tp_basicsize = sizeof(PhaseObject),
+    .tp_dealloc = (destructor)Phase_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "The kernel of a phase-priority engine: every L1 miss",
+    .tp_traverse = (traverseproc)Phase_traverse,
+    .tp_clear = (inquiry)Phase_clear,
+    .tp_base = &DirType,
+    .tp_new = Phase_new,
+};
+
 int
 repro_directory_register(PyObject *mod)
 {
-    if (PyType_Ready(&DirType) < 0) {
+    if (PyType_Ready(&DirType) < 0 || PyType_Ready(&VictimType) < 0
+        || PyType_Ready(&PhaseType) < 0) {
         return -1;
     }
     struct {
         PyObject **slot;
         const char *name;
     } names[] = {
-        {&str_hook[HOOK_CLASSIFY], "_classify_requester"},
-        {&str_hook[HOOK_GRANT], "_grant_private"},
-        {&str_hook[HOOK_EVICT], "_handle_l1_eviction"},
-        {&str_hook[HOOK_PURGE], "_purge_target_copy"},
         {&str_verified_l1_write, "_verified_l1_write"},
         {&str_check_invariants, "check_invariants"},
         {&str_broadcast, "broadcast"},
@@ -1950,5 +2548,12 @@ repro_directory_register(PyObject *mod)
             }
         }
     }
-    return PyModule_AddObjectRef(mod, "DirectoryKernel", (PyObject *)&DirType);
+    return PyModule_AddObjectRef(mod, "DirectoryKernel", (PyObject *)&DirType)
+                   < 0
+                   || PyModule_AddObjectRef(mod, "VictimKernel",
+                                            (PyObject *)&VictimType) < 0
+                   || PyModule_AddObjectRef(mod, "PhaseKernel",
+                                            (PyObject *)&PhaseType) < 0
+               ? -1
+               : 0;
 }

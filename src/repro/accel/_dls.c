@@ -43,8 +43,8 @@ dls_access(HomeObject *k, PyObject *const *args)
     if (home_place(k, line, 1, word, args[0], core, &home, &flush) < 0
         || home_check_tile(k, home) < 0
         || (l2line = home_round_trip(k, core, line_obj, line, home, flush,
-                                     req_msg, reply_msg, args[3], now, result,
-                                     &slice_, &t, &reply_t)) == NULL) {
+                                     req_msg, reply_msg, now, result, &slice_,
+                                     &t, &reply_t)) == NULL) {
         goto done;
     }
     /* Every access is a miss: first touch is cold, then word. */

@@ -2,9 +2,10 @@
  *
  * Every protocol engine builds exactly one kernel (DESIGN.md section 15):
  * a HomeKernel, or its family's subtype - DirectoryKernel (_directory.c)
- * for the directory families, DLSKernel (_dls.c) and NeatKernel
- * (_neat.c) - whose object starts with this one's HomeObject (_accel.h)
- * and which takes the home steps below on itself.  The pure-Python twin
+ * for baseline and adaptive, its VictimKernel and PhaseKernel subtypes,
+ * DLSKernel (_dls.c) and NeatKernel (_neat.c) - whose object starts with
+ * this one's HomeObject (_accel.h) and which takes the home steps below
+ * on itself.  The pure-Python twin
  * and reference, PyHomeKernel in repro/protocol/home.py, has the same
  * constructor, methods and attributes; an engine builds this one exactly
  * when its mesh kernel is the compiled MeshKernel, because the legs are
@@ -18,24 +19,26 @@
  * (`_sets`, `_use_counter`, `_observer`), the L2Line entries, the
  * MemoryControllers, the AccessResult slots and the engine's `energy`
  * counters - re-read from the engine on every update, because reset_stats
- * replaces the object at the warmup boundary.  The off-chip fill and the
- * L2 eviction's write-back are native: the fill builds its L2Line and
- * puts it in its set, and both update their controller in place.  The
- * L1-side helpers the family subtypes share (the L1 lookup, fill and
- * removal, the AccessResult, miss statistics, histories, histograms and
- * golden checks) are here too, on the same engine objects.
+ * replaces the object at the warmup boundary.  The off-chip fill, the L2
+ * eviction with its write-back and the private -> shared page flush are
+ * native: the fill builds its L2Line and puts it in its set, the flush
+ * walks the page's lines at the old owner's slice, and the evictions
+ * update their controller in place.  The L1-side helpers the family
+ * subtypes share (the L1 lookup, fill and removal, the AccessResult, miss
+ * statistics, histories, histograms and golden checks) are here too, on
+ * the same engine objects.
  *
  * It calls back into Python only for page-table side effects
- * (RNucaPageTable.classify_data), page flushes (_flush_private_page), an
- * L2 eviction the engine's class takes over (_evict_l2_line: victim
- * replication), route registration (MeshNetwork.resolve_path), store
- * observers and the verify-mode golden steps (_verify_word,
- * _verify_write_back, GoldenMemory.check_read).  Every callback but the
- * route registration, bound once per kernel, is looked up on the live
- * object, so a method wrapped after the engine was built is the one
- * called.  A fill installs a fresh DirectoryEntry exactly when the kernel
- * is the directory subtype, and an eviction purges L1 copies exactly when
- * the subtype has a purge step.
+ * (RNucaPageTable.classify_data), route registration
+ * (MeshNetwork.resolve_path), store observers and the verify-mode golden
+ * steps (_verify_word, _verify_write_back, GoldenMemory.check_read).
+ * Every callback but the route registration, bound once per kernel, is
+ * looked up on the live object, so a method wrapped after the engine was
+ * built is the one called.  A fill installs a fresh DirectoryEntry exactly
+ * when the kernel is a directory subtype, an eviction purges L1 copies
+ * exactly when the subtype has a purge step, and a subtype may take an
+ * eviction over through the `evict` pointer (victim replication's replica
+ * drop).
  *
  * Exactness (pinned by the kernel contract properties and the RunStats
  * fixtures under both implementations):
@@ -50,6 +53,7 @@
  *     without fast-math;
  *   - the LRU victim is the first entry, in dict order, with the smallest
  *     last_use - what min(bucket, key=...) returns;
+ *   - the page flush probes the page's lines in lines_in_page order;
  *   - each step runs where its Python step runs.
  */
 
@@ -65,8 +69,6 @@
 #define K_PAGE_SHARED 1
 
 /* Interned callback names (set once in repro_home_register). */
-static PyObject *str_flush_private_page;
-static PyObject *str_evict_l2_line;
 static PyObject *str_verify_word;
 static PyObject *str_verify_write_back;
 static PyObject *str_check_read;
@@ -134,6 +136,18 @@ shared_word_home(HomeObject *k, long long line, long long word)
     return (long long)(w % (unsigned long long)k->num_tiles);
 }
 
+/* page_of(line << LINE_BITS, page_size). */
+static long long
+page_of_line(HomeObject *k, long long line)
+{
+    if (k->page_shift >= 0) {
+        return line >> k->page_shift;
+    }
+    return (long long)(((unsigned __int128)(unsigned long long)line
+                        << K_LINE_BITS)
+                       / (unsigned long long)k->page_size);
+}
+
 /* The home of (line, word) for `core`: DLS's data_word_home when by_word,
  * else the line-hashed data_home.  *flush is the old private owner
  * on a private -> shared transition, else -1.  The page table's dict
@@ -144,16 +158,7 @@ home_place(HomeObject *k, long long line, int by_word, long long word,
            PyObject *core_obj, long long core, long long *home,
            long long *flush)
 {
-    long long page;
-    if (k->page_shift >= 0) {
-        page = line >> k->page_shift;
-    }
-    else {
-        page = (long long)(((unsigned __int128)(unsigned long long)line
-                            << K_LINE_BITS)
-                           / (unsigned long long)k->page_size);
-    }
-    PyObject *page_obj = PyLong_FromLongLong(page);
+    PyObject *page_obj = PyLong_FromLongLong(page_of_line(k, line));
     if (page_obj == NULL) {
         return -1;
     }
@@ -341,13 +346,20 @@ bucket_of(HomeObject *k, PyObject *slice_, long long line, PyObject **store)
 }
 
 PyObject *
-home_lookup(HomeObject *k, long long tile, long long line, PyObject *line_obj)
+home_l2_bucket(HomeObject *k, long long tile, long long line,
+               PyObject **store)
 {
     if (home_check_tile(k, tile) < 0) {
         return NULL;
     }
-    PyObject *bucket = bucket_of(k, PyList_GET_ITEM(k->l2, (Py_ssize_t)tile),
-                                 line, NULL);
+    return bucket_of(k, PyList_GET_ITEM(k->l2, (Py_ssize_t)tile), line,
+                     store);
+}
+
+PyObject *
+home_lookup(HomeObject *k, long long tile, long long line, PyObject *line_obj)
+{
+    PyObject *bucket = home_l2_bucket(k, tile, line, NULL);
     if (bucket == NULL) {
         return NULL;
     }
@@ -484,22 +496,13 @@ home_l1_resident(HomeObject *k, long long core, long long line,
     return entry;
 }
 
-PyObject *
-home_l1_pop(HomeObject *k, long long core, long long line, PyObject *line_obj)
+/* SetAssocCache.pop of line_obj from `bucket` of `store`: the removed
+ * entry (new reference), or NULL - with no exception set when absent. */
+static PyObject *
+store_pop(HomeObject *k, PyObject *store, PyObject *bucket, PyObject *line_obj)
 {
-    PyObject *store;
-    if (home_l1_of(k, core, &store) == NULL) {
-        return NULL;
-    }
-    PyObject *bucket = home_store_bucket(k, store, k->l1_mask, line);
-    if (bucket == NULL) {
-        return NULL;
-    }
     PyObject *entry = PyDict_GetItemWithError(bucket, line_obj);
     if (entry == NULL) {
-        return NULL;
-    }
-    if (check_type(entry, k->cline_type, "CacheLine") < 0) {
         return NULL;
     }
     Py_INCREF(entry);
@@ -514,25 +517,46 @@ home_l1_pop(HomeObject *k, long long core, long long line, PyObject *line_obj)
     return entry;
 }
 
-/* L1 SetAssocCache.insert of a new `entry`: evicts the LRU way of a full
- * set into *ev_line / *ev_entry (new references, else NULL). */
-static int
-l1_insert(HomeObject *k, PyObject *store, long long line, PyObject *line_obj,
-          PyObject *entry, PyObject **ev_line, PyObject **ev_entry)
+PyObject *
+home_l1_pop(HomeObject *k, long long core, long long line, PyObject *line_obj)
 {
-    *ev_line = *ev_entry = NULL;
+    PyObject *store;
+    if (home_l1_of(k, core, &store) == NULL) {
+        return NULL;
+    }
     PyObject *bucket = home_store_bucket(k, store, k->l1_mask, line);
     if (bucket == NULL) {
-        return -1;
+        return NULL;
     }
+    PyObject *entry = PyDict_GetItemWithError(bucket, line_obj);
+    if (entry == NULL || check_type(entry, k->cline_type, "CacheLine") < 0) {
+        return NULL;
+    }
+    return store_pop(k, store, bucket, line_obj);
+}
+
+PyObject *
+home_l2_pop(HomeObject *k, long long tile, long long line, PyObject *line_obj)
+{
+    PyObject *store;
+    PyObject *bucket = home_l2_bucket(k, tile, line, &store);
+    return bucket == NULL ? NULL : store_pop(k, store, bucket, line_obj);
+}
+
+int
+home_store_insert(HomeObject *k, PyObject *store, PyObject *bucket,
+                  Py_ssize_t assoc, PyObject *type, const char *what,
+                  Py_ssize_t off_last_use, PyObject *line_obj,
+                  PyObject *entry, PyObject **ev_line, PyObject **ev_entry)
+{
+    *ev_line = *ev_entry = NULL;
     int present = PyDict_Contains(bucket, line_obj);
     if (present < 0) {
         return -1;
     }
-    if (!present && PyDict_GET_SIZE(bucket) >= k->l1_assoc) {
+    if (!present && PyDict_GET_SIZE(bucket) >= assoc) {
         PyObject *vkey, *vval;
-        if (home_lru(bucket, k->cline_type, "CacheLine", k->off_c_last_use,
-                     &vkey, &vval) < 0) {
+        if (home_lru(bucket, type, what, off_last_use, &vkey, &vval) < 0) {
             return -1;
         }
         *ev_line = Py_NewRef(vkey);
@@ -541,7 +565,7 @@ l1_insert(HomeObject *k, PyObject *store, long long line, PyObject *line_obj,
             goto fail;
         }
     }
-    if (home_touch(k, store, entry, k->off_c_last_use) < 0
+    if (home_touch(k, store, entry, off_last_use) < 0
         || PyDict_SetItem(bucket, line_obj, entry) < 0) {
         goto fail;
     }
@@ -577,9 +601,13 @@ home_l1_fill(HomeObject *k, long long core, long long line,
     slot_put(entry, k->off_c_data, Py_NewRef(Py_None));
     Py_INCREF(store);
     int rc = -1;
+    PyObject *bucket;
     if (slot_set_double(entry, k->off_c_last_access, reply_t) < 0
         || (data != NULL && slot_copy_list(entry, k->off_c_data, data) < 0)
-        || l1_insert(k, store, line, line_obj, entry, ev_line, ev_entry) < 0) {
+        || (bucket = home_store_bucket(k, store, k->l1_mask, line)) == NULL
+        || home_store_insert(k, store, bucket, k->l1_assoc, k->cline_type,
+                             "CacheLine", k->off_c_last_use, line_obj, entry,
+                             ev_line, ev_entry) < 0) {
         goto done;
     }
     rc = 0;
@@ -816,30 +844,10 @@ ctrl_access(HomeObject *k, Py_ssize_t index, double start, double *finish)
     return 0;
 }
 
-/* ProtocolEngineBase._evict_l2_line of (vline, ventry) at `home` at t:
- * the subtype's purge of its L1 copies, the write-back of a dirty line
- * (MEM_WRITE, the controller; verify mode's _verify_write_back), then the
- * line leaves _home_of_line.  An engine class that overrides
- * _evict_l2_line gets its override called instead. */
-static int
-evict_l2_line(HomeObject *k, long long home, PyObject *home_obj,
-              PyObject *vline_obj, PyObject *ventry, double t)
+int
+home_evict_l2_line(HomeObject *k, long long home, PyObject *home_obj,
+                   PyObject *vline_obj, PyObject *ventry, double t)
 {
-    if (k->evict_hook) {
-        PyObject *t_obj = PyFloat_FromDouble(t);
-        if (t_obj == NULL) {
-            return -1;
-        }
-        PyObject *args[5] = {k->engine, home_obj, vline_obj, ventry, t_obj};
-        PyObject *res = PyObject_VectorcallMethod(
-            str_evict_l2_line, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-        Py_DECREF(t_obj);
-        if (res == NULL) {
-            return -1;
-        }
-        Py_DECREF(res);
-        return 0;
-    }
     if (k->purge != NULL && k->purge(k, home, vline_obj, ventry, t) < 0) {
         return -1;
     }
@@ -903,11 +911,8 @@ install_entry(HomeObject *k, PyObject *l2line)
     return 0;
 }
 
-/* L2Slice.fill's new line: a fresh L2Line (the slots its __init__ sets),
- * stamped `reply_t`, holding `data` (verify mode) or None (new
- * reference). */
-static PyObject *
-new_l2line(HomeObject *k, double reply_t, PyObject *data)
+PyObject *
+home_new_l2line(HomeObject *k, double last_access, PyObject *data)
 {
     PyObject *l2line = new_slotted(k->line_type);
     if (l2line == NULL) {
@@ -921,7 +926,7 @@ new_l2line(HomeObject *k, double reply_t, PyObject *data)
     slot_put(l2line, k->off_locality, Py_NewRef(Py_None));
     slot_put(l2line, k->off_busy, Py_NewRef(k->zero));
     slot_set_bool(l2line, k->off_replica, 0);
-    if (slot_set_double(l2line, k->off_last_access, reply_t) < 0) {
+    if (slot_set_double(l2line, k->off_last_access, last_access) < 0) {
         Py_DECREF(l2line);
         return NULL;
     }
@@ -950,7 +955,8 @@ fill_data(HomeObject *k, PyObject *line_obj)
 }
 
 /* The off-chip fill of `line` at `home` from t: the LRU victim of a full
- * set (evict_l2_line, then out of its set), MEM_READ_REQ, the controller,
+ * set (the kernel's eviction, then out of its set), MEM_READ_REQ, the
+ * controller,
  * MEM_READ_REPLY, then the new line into its set and, in the directory
  * subtype, a fresh directory entry on it.  Returns the new L2Line (new
  * reference) and its arrival time. */
@@ -976,15 +982,13 @@ fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
         }
         Py_INCREF(vkey);
         Py_INCREF(ventry);
-        int bad = evict_l2_line(k, home, home_obj, vkey, ventry, t) < 0;
+        int bad = k->evict(k, home, home_obj, vkey, ventry, t) < 0;
         Py_DECREF(ventry);
         /* slice_.remove(vline): the store's pop. */
         if (!bad) {
-            int present = PyDict_Contains(bucket, vkey);
-            bad = present < 0
-                  || (present
-                      && (PyDict_DelItem(bucket, vkey) < 0
-                          || observe(k, store, 1, vkey, Py_None) < 0));
+            PyObject *gone = store_pop(k, store, bucket, vkey);
+            bad = gone == NULL && PyErr_Occurred();
+            Py_XDECREF(gone);
         }
         Py_DECREF(vkey);
         if (bad) {
@@ -1005,7 +1009,7 @@ fill(HomeObject *k, long long home, PyObject *home_obj, long long line,
     if (data == NULL) {
         goto done;
     }
-    l2line = new_l2line(k, reply_t, data);
+    l2line = home_new_l2line(k, reply_t, data);
     Py_DECREF(data);
     if (l2line == NULL) {
         goto done;
@@ -1039,31 +1043,61 @@ done:
     return l2line;
 }
 
+/* _flush_private_page: R-NUCA's private -> shared transition of `line`'s
+ * page.  Every line of the page resident at the old owner's slice, in
+ * lines_in_page order, takes the kernel's eviction and leaves its set. */
+static int
+flush_private_page(HomeObject *k, long long line, long long owner, double t)
+{
+    long long per_page = k->page_size >> K_LINE_BITS;
+    long long first = page_of_line(k, line) * per_page;
+    PyObject *owner_obj = PyLong_FromLongLong(owner);
+    if (owner_obj == NULL) {
+        return -1;
+    }
+    int rc = 0;
+    for (long long pline = first; rc == 0 && pline < first + per_page;
+         pline++) {
+        PyObject *pline_obj = PyLong_FromLongLong(pline);
+        if (pline_obj == NULL) {
+            rc = -1;
+            break;
+        }
+        PyObject *ventry = home_lookup(k, owner, pline, pline_obj);
+        if (ventry == NULL) {
+            rc = PyErr_Occurred() ? -1 : 0;
+        }
+        else {
+            Py_INCREF(ventry);
+            rc = k->evict(k, owner, owner_obj, pline_obj, ventry, t);
+            Py_DECREF(ventry);
+            PyObject *gone = rc < 0 ? NULL
+                                    : home_l2_pop(k, owner, pline, pline_obj);
+            if (gone == NULL && PyErr_Occurred()) {
+                rc = -1;
+            }
+            Py_XDECREF(gone);
+        }
+        Py_DECREF(pline_obj);
+    }
+    Py_DECREF(owner_obj);
+    return rc;
+}
+
 /* The request leg: deliver_request.  Returns the line (new
  * reference) and stores its slice (borrowed) and the service time. */
 PyObject *
 home_deliver(HomeObject *k, long long core, PyObject *line_obj,
              long long line, long long home, long long flush,
-             long long req_msg, PyObject *now_obj, double now,
-             PyObject *result, PyObject **slice_out, double *t_out)
+             long long req_msg, double now, PyObject *result,
+             PyObject **slice_out, double *t_out)
 {
     if (home_check_tile(k, home) < 0) {
         return NULL;
     }
-    if (flush >= 0) {
-        PyObject *owner = PyLong_FromLongLong(flush);
-        if (owner == NULL) {
-            return NULL;
-        }
-        PyObject *args[4] = {k->engine, line_obj, owner, now_obj};
-        PyObject *res = PyObject_VectorcallMethod(
-            str_flush_private_page, args, 4 | PY_VECTORCALL_ARGUMENTS_OFFSET,
-            NULL);
-        Py_DECREF(owner);
-        if (res == NULL) {
-            return NULL;
-        }
-        Py_DECREF(res);
+    if (flush >= 0 && (home_check_tile(k, flush) < 0
+                       || flush_private_page(k, line, flush, now) < 0)) {
+        return NULL;
     }
     double t;
     if (home_leg(k, core, home, req_msg, now, &t) < 0) {
@@ -1124,13 +1158,12 @@ home_deliver(HomeObject *k, long long core, PyObject *line_obj,
 PyObject *
 home_round_trip(HomeObject *k, long long core, PyObject *line_obj,
                 long long line, long long home, long long flush,
-                long long req_msg, long long reply_msg, PyObject *now_obj,
-                double now, PyObject *result, PyObject **slice_out,
-                double *t_out, double *reply_out)
+                long long req_msg, long long reply_msg, double now,
+                PyObject *result, PyObject **slice_out, double *t_out,
+                double *reply_out)
 {
     PyObject *l2line = home_deliver(k, core, line_obj, line, home, flush,
-                                    req_msg, now_obj, now, result, slice_out,
-                                    t_out);
+                                    req_msg, now, result, slice_out, t_out);
     if (l2line != NULL
         && home_leg(k, home, core, reply_msg, *t_out, reply_out) < 0) {
         Py_CLEAR(l2line);
@@ -1278,8 +1311,8 @@ METHOD(round_trip, 8,
     }
     PyObject *slice_;
     PyObject *l2line = home_round_trip(k, core, args[1], line, home, flush,
-                                       req_msg, reply_msg, args[6], now,
-                                       args[7], &slice_, &t, &reply_t);
+                                       req_msg, reply_msg, now, args[7],
+                                       &slice_, &t, &reply_t);
     if (l2line == NULL) {
         return NULL;
     }
@@ -1299,8 +1332,7 @@ METHOD(deliver_request, 7,
     }
     PyObject *slice_;
     PyObject *l2line = home_deliver(k, core, args[1], line, home, flush,
-                                    req_msg, args[5], now, args[6], &slice_,
-                                    &t);
+                                    req_msg, now, args[6], &slice_, &t);
     if (l2line == NULL) {
         return NULL;
     }
@@ -1511,26 +1543,6 @@ done:
     return rc;
 }
 
-/* Does the engine's class override ProtocolEngineBase._evict_l2_line? */
-static int
-init_evict_hook(HomeObject *k, PyObject *engine)
-{
-    PyObject *base = imported("repro.protocol.base", "ProtocolEngineBase");
-    PyObject *mine = NULL, *theirs = NULL;
-    int rc = -1;
-    if (base != NULL
-        && (mine = PyObject_GetAttr((PyObject *)Py_TYPE(engine),
-                                    str_evict_l2_line)) != NULL
-        && (theirs = PyObject_GetAttr(base, str_evict_l2_line)) != NULL) {
-        k->evict_hook = mine != theirs;
-        rc = 0;
-    }
-    Py_XDECREF(base);
-    Py_XDECREF(mine);
-    Py_XDECREF(theirs);
-    return rc;
-}
-
 static int
 init_offsets(HomeObject *k, PyObject *engine)
 {
@@ -1617,6 +1629,7 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
     }
     k->line_type = Py_NewRef(line_type);
     k->result_type = Py_NewRef(result_type);
+    k->evict = home_evict_l2_line;
     long long verify;
     PyObject *golden = NULL, *part = NULL;
     int rc = -1;
@@ -1713,7 +1726,7 @@ Home_init_state(HomeObject *k, PyObject *engine, PyObject *line_type,
     Py_CLEAR(part);
     if ((k->zero = PyFloat_FromDouble(0.0)) == NULL
         || init_tables(k, engine) < 0 || init_names(k) < 0
-        || init_evict_hook(k, engine) < 0 || init_offsets(k, engine) < 0
+        || init_offsets(k, engine) < 0
         || home_geometry(k->l2, k->slice_type, &k->set_mask, &k->assoc) < 0
         || home_geometry(k->l1d, k->l1_type, &k->l1_mask, &k->l1_assoc) < 0) {
         goto done;
@@ -1887,8 +1900,6 @@ repro_home_register(PyObject *mod)
         PyObject **slot;
         const char *name;
     } names[] = {
-        {&str_flush_private_page, "_flush_private_page"},
-        {&str_evict_l2_line, "_evict_l2_line"},
         {&str_verify_word, "_verify_word"},
         {&str_verify_write_back, "_verify_write_back"},
         {&str_check_read, "check_read"},

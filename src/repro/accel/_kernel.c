@@ -68,7 +68,7 @@
 #define K_WINDOW_MASK (K_WINDOW_EPOCHS - 1)
 #define K_SLOT_SHIFT 6
 #define K_SLOT_OCC_MASK ((1 << K_SLOT_SHIFT) - 1)
-#define K_ABI_VERSION 8
+#define K_ABI_VERSION 9
 
 typedef struct {
     PyObject_HEAD

@@ -156,7 +156,7 @@ mint_into(NeatObject *k, PyObject *core_obj, PyObject *entry, long long word)
  * NULL to look it up. */
 static int
 flush_line(NeatObject *k, long long core, PyObject *core_obj, long long line,
-           PyObject *line_obj, double t, PyObject *t_obj, PyObject *entry)
+           PyObject *line_obj, double t, PyObject *entry)
 {
     HomeObject *h = &k->base;
     PyObject *pending = core_dict(k->pending, core);
@@ -191,7 +191,7 @@ flush_line(NeatObject *k, long long core, PyObject *core_obj, long long line,
         return -1;
     }
     PyObject *l2line = home_deliver(h, core, line_obj, line, home, flush,
-                                    K_MSG_WB_DATA, t_obj, t, result, &slice_,
+                                    K_MSG_WB_DATA, t, result, &slice_,
                                     &t_at_home);
     if (l2line == NULL) {
         return -1;
@@ -300,14 +300,13 @@ has_pending(NeatObject *k, long long core, PyObject *line_obj, int *out)
  * words home first. */
 static int
 self_invalidate(NeatObject *k, long long core, PyObject *core_obj,
-                long long line, PyObject *line_obj, double t, PyObject *t_obj)
+                long long line, PyObject *line_obj, double t)
 {
     HomeObject *h = &k->base;
     int buffered;
     if (has_pending(k, core, line_obj, &buffered) < 0
         || (buffered
-            && flush_line(k, core, core_obj, line, line_obj, t, t_obj,
-                          NULL) < 0)) {
+            && flush_line(k, core, core_obj, line, line_obj, t, NULL) < 0)) {
         return -1;
     }
     PyObject *removed = home_l1_pop(h, core, line, line_obj);
@@ -344,17 +343,9 @@ handle_l1_eviction(NeatObject *k, long long core, PyObject *core_obj,
         || has_pending(k, core, vline_obj, &buffered) < 0) {
         return -1;
     }
-    if (buffered) {
-        PyObject *t_obj = PyFloat_FromDouble(t);
-        if (t_obj == NULL) {
-            return -1;
-        }
-        int bad = flush_line(k, core, core_obj, vline, vline_obj, t, t_obj,
-                             ventry) < 0;
-        Py_DECREF(t_obj);
-        if (bad) {
-            return -1;
-        }
+    if (buffered
+        && flush_line(k, core, core_obj, vline, vline_obj, t, ventry) < 0) {
+        return -1;
     }
     PyObject *versions = core_dict(k->copy_version, core);
     return slot_long(ventry, h->off_c_util, &util) < 0
@@ -400,7 +391,7 @@ install_line(NeatObject *k, long long core, PyObject *core_obj,
 static PyObject *
 fetch(NeatObject *k, long long core, PyObject *core_obj, long long line,
       PyObject *line_obj, long long req_msg, long long reply_msg,
-      PyObject *now_obj, double now, PyObject *result, PyObject **slice_,
+      double now, PyObject *result, PyObject **slice_,
       double *t, double *reply_t)
 {
     HomeObject *h = &k->base;
@@ -410,16 +401,14 @@ fetch(NeatObject *k, long long core, PyObject *core_obj, long long line,
         return NULL;
     }
     return home_round_trip(h, core, line_obj, line, home, flush, req_msg,
-                           reply_msg, now_obj, now, result, slice_, t,
-                           reply_t);
+                           reply_msg, now, result, slice_, t, reply_t);
 }
 
 /* _service_at_home: an eager write-through or a read fill. */
 static PyObject *
 service_at_home(NeatObject *k, PyObject *l1, long long core,
                 PyObject *core_obj, int is_write, long long line,
-                PyObject *line_obj, long long word, PyObject *now_obj,
-                double now)
+                PyObject *line_obj, long long word, double now)
 {
     HomeObject *h = &k->base;
     PyObject *result = NULL, *l2line = NULL, *out = NULL, *t_obj = NULL;
@@ -437,7 +426,7 @@ service_at_home(NeatObject *k, PyObject *l1, long long core,
     l2line = fetch(k, core, core_obj, line, line_obj,
                    is_write ? K_MSG_WRITE_REQ : K_MSG_READ_REQ,
                    is_write ? K_MSG_WORD_WRITE_ACK : K_MSG_LINE_REPLY,
-                   now_obj, now, result, &slice_, &t, &reply_t);
+                   now, result, &slice_, &t, &reply_t);
     if (l2line == NULL
         || (hist = home_history(h, core, line_obj, &flags)) == NULL
         || (versions = core_dict(k->copy_version, core)) == NULL) {
@@ -490,9 +479,8 @@ service_at_home(NeatObject *k, PyObject *l1, long long core,
         else if (!bad && entry != NULL) {
             /* A stale copy is discarded: refreshing one word of it would
              * revalidate its other, stale words. */
-            bad = (t_obj = PyFloat_FromDouble(reply_t)) == NULL
-                  || self_invalidate(k, core, core_obj, line, line_obj,
-                                     reply_t, t_obj) < 0;
+            bad = self_invalidate(k, core, core_obj, line, line_obj,
+                                  reply_t) < 0;
         }
         Py_XDECREF(entry);
         slot_set_bool(result, h->off_r_remote, 1);
@@ -581,8 +569,7 @@ buffered_write(NeatObject *k, PyObject *l1, PyObject *store, long long core,
     }
     if (entry != NULL) {
         miss = MISS_SHARING;  /* another core's flush killed the copy */
-        if (self_invalidate(k, core, core_obj, line, line_obj, now,
-                            now_obj) < 0) {
+        if (self_invalidate(k, core, core_obj, line, line_obj, now) < 0) {
             goto done;
         }
     }
@@ -593,7 +580,7 @@ buffered_write(NeatObject *k, PyObject *l1, PyObject *store, long long core,
     if (slot_bump(l1, h->off_l1_misses) < 0
         || home_energy_bump(h, h->off_e_l1d_tag) < 0
         || (l2line = fetch(k, core, core_obj, line, line_obj, K_MSG_READ_REQ,
-                           K_MSG_LINE_REPLY, now_obj, now, result, &slice_,
+                           K_MSG_LINE_REPLY, now, result, &slice_,
                            &t, &reply_t)) == NULL
         || install_line(k, core, core_obj, line, line_obj, l2line, slice_,
                         reply_t) < 0
@@ -693,13 +680,12 @@ neat_access(NeatObject *k, PyObject *const *args)
             goto done;
         }
         /* Stale copy: self-invalidate and reload from the home. */
-        if (self_invalidate(k, core, core_obj, line, line_obj, now,
-                            now_obj) < 0) {
+        if (self_invalidate(k, core, core_obj, line, line_obj, now) < 0) {
             goto done;
         }
     }
     out = service_at_home(k, l1, core, core_obj, is_write, line, line_obj,
-                          word, now_obj, now);
+                          word, now);
 done:
     Py_XDECREF(entry);
     Py_DECREF(line_obj);
@@ -735,8 +721,7 @@ METHOD(release_flush, 2, "release_flush(core, t)")
         PyObject *line_obj = PyList_GET_ITEM(lines, i);
         long long line;
         if (arg_index(line_obj, &line) < 0
-            || flush_line(k, core, args[0], line, line_obj, t, args[1],
-                          NULL) < 0) {
+            || flush_line(k, core, args[0], line, line_obj, t, NULL) < 0) {
             Py_DECREF(lines);
             return NULL;
         }

@@ -25,16 +25,16 @@ engine owns the substrate every family shares:
   (``_kernel_classes``); the engine builds the compiled one exactly when
   the mesh kernel is compiled, else its pure-Python twin, and both take
   the same steps in the same order;
-* the fill's L2 eviction (``_evict_l2_line``: the per-family L1-purge
-  hook, then the write-back), which the compiled kernel takes natively -
-  the purge is the kernel subtype's, the write-back's golden step
-  (``_verify_write_back``) a callback - unless the engine's class
-  overrides it (victim replication); the kernel's other callbacks are
-  the page flush of a private -> shared transition
-  (``_flush_private_page``) and the verify-mode golden steps of a word
-  access (``_verify_word``); what a fill installs at the home is the
-  kernel class's - a fresh ``DirectoryEntry`` in the directory subtype,
-  nothing for DLS and Neat;
+* the base steps of an L2 eviction (``_evict_l2_line``: the per-family
+  L1-purge hook, then the write-back), which the pure-Python kernel
+  calls for a fill's victim and for each line of a private -> shared page
+  flush, and which the compiled kernel takes natively - the purge is the
+  kernel subtype's, the write-back's golden step
+  (``_verify_write_back``) a callback.  Victim replication's kernels
+  take a replica's eviction themselves.  The kernel's other callbacks are
+  the verify-mode golden steps of a word access (``_verify_word``); what
+  a fill installs at the home is the kernel class's - a fresh
+  ``DirectoryEntry`` in the directory subtype, nothing for DLS and Neat;
 * golden-memory verification plumbing (write tokens, the DRAM image, and
   the end-of-run ``check_final_state`` sweep used by the differential
   property harness).
@@ -44,7 +44,8 @@ plus the purge hooks:
 
 * ``repro.protocol.directory`` - the directory-based families (``baseline``,
   ``adaptive``; ``victim`` extends it with local-L2 victim replication,
-  ``phase`` replaces its requester classifier with the phase policy);
+  ``phase`` replaces its requester classifier with the phase policy, each
+  through its own subtype of the directory kernel);
 * ``repro.protocol.dls`` - the directoryless shared-LLC comparison baseline;
 * ``repro.protocol.neat`` - the self-invalidation/self-downgrade comparison
   baseline.
@@ -56,7 +57,6 @@ family class.
 from __future__ import annotations
 
 from repro import accel
-from repro.common import addr as addrmod
 from repro.common.errors import SimulationError
 from repro.common.params import ArchConfig, ProtocolConfig
 from repro.common.types import MESIState, MissType
@@ -322,8 +322,8 @@ class ProtocolEngineBase:
 
     # ------------------------------------------------------------------
     # Callbacks of the kernel (repro.protocol.home): the verify-mode
-    # golden steps of a word access and of a write-back, the fill's L2
-    # eviction and the page flush of a private -> shared transition.
+    # golden steps of a word access and of a write-back, and the base
+    # steps of an L2 eviction in the pure-Python kernel.
     # ------------------------------------------------------------------
     def _verify_word(self, core: int, is_write: bool, line: int, word: int, l2line: L2Line) -> None:
         """Golden steps of a word access at the home, right after the home
@@ -344,8 +344,9 @@ class ProtocolEngineBase:
         line - is delegated to :meth:`_purge_copies_for_l2_eviction`; the
         write-back itself (off the requester's critical path, documented
         approximation) is identical for every family and fully accounted.
-        The compiled kernel takes these steps natively, with the kernel's
-        own purge, unless the engine's class overrides this method.
+        The pure-Python kernel calls this method for a fill's victim and a
+        page flush's lines; the compiled kernel takes the same steps
+        natively, with the kernel's own purge.
         """
         self._purge_copies_for_l2_eviction(home, vline, ventry, t)
         if ventry.dirty:
@@ -370,18 +371,6 @@ class ProtocolEngineBase:
         write-backs); DLS caches nothing privately; Neat tolerates the stale
         copies (they are clean and version-checked on their next use).
         """
-
-    # ------------------------------------------------------------------
-    # R-NUCA private -> shared page transition: flush the old home slice.
-    # ------------------------------------------------------------------
-    def _flush_private_page(self, line: int, old_owner: int, t: float) -> None:
-        page = addrmod.page_of(line << addrmod.LINE_BITS, self.arch.page_size)
-        slice_ = self.l2[old_owner]
-        for pline in addrmod.lines_in_page(page, self.arch.page_size):
-            ventry = slice_.lookup(pline)
-            if ventry is not None:
-                self._evict_l2_line(old_owner, pline, ventry, t)
-                slice_.remove(pline)
 
     # ------------------------------------------------------------------
     def _issue_write_token(self, core: int) -> int:

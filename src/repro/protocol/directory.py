@@ -34,9 +34,10 @@ its pure-Python twin :class:`PyDirectoryKernel` below, a subclass of
 itself: the home from ``data_home``, the request and reply legs, the
 time-independent bookkeeping (``serve_word`` or the line grant), then
 ``settle``.  Every miss takes one shape: ``deliver_request``, the
-requester's classification (the one policy step the phase family takes
-over), the invalidation or write-back round if one is needed, then
-``reply``, reserved before the bookkeeping.
+requester's classification, the invalidation or write-back round if one is
+needed, then ``reply``, reserved before the bookkeeping.  The victim and
+phase families each run a subtype of this kernel that takes over some of
+its steps (:mod:`repro.protocol.victim`, :mod:`repro.protocol.phase`).
 
 The engine is *globally magic*: requests are serviced atomically in
 simulation order while all latencies come from the network/DRAM/serialization
@@ -56,7 +57,7 @@ from repro.common.errors import CoherenceError, SimulationError
 from repro.common.types import MESIState, RemovalReason, SharerMode
 from repro.coherence.directory import DirectoryEntry
 from repro.mem.cache import CacheLine
-from repro.mem.l2 import L2Line, L2Slice
+from repro.mem.l2 import L2Line
 from repro.network.messages import MsgType
 from repro.protocol.base import (
     _EVER_CACHED,
@@ -96,19 +97,6 @@ _PRIVATE_MODE = SharerMode.PRIVATE
 _REMOTE_MODE = SharerMode.REMOTE
 
 
-#: The steps a directory family may take over, by engine method name.  A
-#: kernel checks once, at construction, which of them the engine's class
-#: defines; the kernel then calls that method where it would take its own
-#: step, and the override reaches the base step through the kernel's
-#: public method of the same name without the underscore.
-FAMILY_HOOKS = (
-    "_classify_requester",
-    "_grant_private",
-    "_handle_l1_eviction",
-    "_purge_target_copy",
-)
-
-
 class PyDirectoryKernel(PyHomeKernel):
     """The pure-Python directory kernel: the compiled ``DirectoryKernel``'s
     twin, and the directory families' subclass of the home kernel.
@@ -125,12 +113,12 @@ class PyDirectoryKernel(PyHomeKernel):
     ``DirectoryEntry`` to the new line.
 
     Methods: ``access`` (the whole access; the engine's ``access`` calls
-    it), ``purge_copies`` (the L1 purge of a dying L2 line) and the base
-    steps a family hook reaches back to - ``classify_requester``,
-    ``grant_private``, ``handle_l1_eviction``, ``purge_target_copy`` and
-    ``remove_own_copy``.  Which steps the engine's class takes over
-    (:data:`FAMILY_HOOKS`) is read once, here and in the compiled kernel
-    alike.
+    it) and ``purge_copies`` (the L1 purge of a dying L2 line).  The steps
+    a family subtype takes over are the underscored methods
+    ``_classify_requester``, ``_grant_private``, ``_handle_l1_eviction``,
+    ``_purge_target_copy`` and the home kernel's ``_evict_l2_line``; the
+    compiled kernel reaches the same steps through function pointers its
+    subtypes set.
 
     A kernel keeps no state: it works on the engine's objects (L1 and L2
     arrays, directory entries, classifier and sharer-policy counters, the
@@ -146,7 +134,6 @@ class PyDirectoryKernel(PyHomeKernel):
         "_history",
         "_classifier",
         "_policy",
-        "_hooks",
     )
 
     _entry_type = DirectoryEntry
@@ -157,8 +144,6 @@ class PyDirectoryKernel(PyHomeKernel):
         self._history = engine._history
         self._classifier = engine.classifier
         self._policy = engine.sharer_policy
-        cls = type(engine)
-        self._hooks = tuple(hasattr(cls, name) for name in FAMILY_HOOKS)
 
     # ==================================================================
     # One access
@@ -203,17 +188,9 @@ class PyDirectoryKernel(PyHomeKernel):
             core, line, home, flush_owner, req_msg, now, result
         )
         energy.directory_lookups += 1
-        hooks = self._hooks
-        if hooks[0]:
-            serviced_remote, upgrade = engine._classify_requester(
-                l1, l2line, core, line, is_write, upgrade
-            )
-        elif self._classifier is not None:
-            serviced_remote, upgrade = self._classify_requester(
-                engine, l1, l2line, core, line, is_write, upgrade
-            )
-        else:
-            serviced_remote = False
+        serviced_remote, upgrade = self._classify_requester(
+            engine, l1, l2line, core, line, is_write, upgrade
+        )
         if is_write and (serviced_remote or upgrade):
             reply_msg = _WORD_WRITE_ACK
         else:
@@ -253,12 +230,9 @@ class PyDirectoryKernel(PyHomeKernel):
             self.serve_word(core, is_write, line, word, l2line, slice_)
             flags |= _EVER_REMOTE
         else:
-            if hooks[1]:
-                engine._grant_private(core, is_write, line, word, l2line, slice_, upgrade, reply_t)
-            else:
-                self._grant_private(
-                    engine, core, is_write, line, word, l2line, slice_, upgrade, reply_t
-                )
+            self._grant_private(
+                engine, core, is_write, line, word, l2line, slice_, upgrade, reply_t
+            )
             flags |= _EVER_CACHED
         history[line] = flags
 
@@ -276,30 +250,11 @@ class PyDirectoryKernel(PyHomeKernel):
         return result
 
     # ==================================================================
-    # The base steps a family hook reaches back to
+    # The L1 purge of a dying L2 line, and the fold-back of an own S copy
     # ==================================================================
-    def classify_requester(self, l1, l2line: L2Line, core: int, line: int, is_write: bool,
-                           upgrade: bool) -> tuple[bool, bool]:
-        """Private or remote sharer? Returns ``(serviced_remote, upgrade)``."""
-        if self._classifier is None:
-            return False, upgrade
-        return self._classify_requester(self._engine, l1, l2line, core, line, is_write, upgrade)
-
-    def grant_private(self, core: int, is_write: bool, line: int, word: int, l2line: L2Line,
-                      slice_: L2Slice, upgrade: bool, reply_t: float) -> None:
-        self._grant_private(self._engine, core, is_write, line, word, l2line, slice_, upgrade,
-                            reply_t)
-
-    def handle_l1_eviction(self, core: int, vline: int, ventry, t: float) -> None:
-        self._handle_l1_eviction(self._engine, core, vline, ventry, t)
-
-    def purge_target_copy(self, core: int, line: int, l2line: L2Line, merge_into_l2: bool) -> int:
-        return self._purge_target_copy(self._engine, core, line, l2line, merge_into_l2)
-
-    def remove_own_copy(self, core: int, line: int, l2line: L2Line) -> None:
+    def _remove_own_copy(self, engine, core: int, line: int, l2line: L2Line) -> None:
         """Fold back the requester's own stale S copy (classifier slot
         churn, or a phase change to write-shared)."""
-        engine = self._engine
         removed = self._l1d[core].remove(line)
         if removed is None:
             return
@@ -320,10 +275,7 @@ class PyDirectoryKernel(PyHomeKernel):
         dirent = ventry.directory
         for c in list(dirent.sharers):
             network.unicast(home, c, MsgType.INV_REQ, t)
-            if self._hooks[3]:
-                ack_msg = engine._purge_target_copy(c, vline, ventry, False)
-            else:
-                ack_msg = self._purge_target_copy(engine, c, vline, ventry, False)
+            ack_msg = self._purge_target_copy(engine, c, vline, ventry, False)
             network.unicast(c, home, ack_msg, t)
             self._policy.remove_sharer(dirent, c)
 
@@ -335,16 +287,20 @@ class PyDirectoryKernel(PyHomeKernel):
         requester's tracked entry (the probe of
         LimitedClassifier.locality_entry inlined - one dict get), else,
         when no slot is free, the majority vote of the tracked modes.
+        Without a classifier (baseline, victim) every sharer is private.
+        Returns ``(serviced_remote, upgrade)``.
 
         Touches no network or timing state; it runs after the request
         arrives and decides the reply type.  ``upgrade`` folds to
         False when the classifier votes remote for a core still holding an
-        S copy (the copy is folded back via ``remove_own_copy``).  This is
+        S copy (the copy is folded back via ``_remove_own_copy``).  This is
         the one policy step of the miss path: a family with a different
-        service policy (``PhaseEngine``, which needs ``is_write``) takes it
+        service policy (phase's kernel, which needs ``is_write``) takes it
         over and inherits everything else.
         """
         classifier = self._classifier
+        if classifier is None:
+            return False, upgrade
         entries = l2line.locality
         centry = entries.get(core) if entries is not None else None
         if centry is None:
@@ -368,7 +324,7 @@ class PyDirectoryKernel(PyHomeKernel):
         if upgrade:
             # Rare: the classifier lost this core's slot and votes remote
             # while it still holds an S copy - fold the copy back first.
-            self.remove_own_copy(core, line, l2line)
+            self._remove_own_copy(engine, core, line, l2line)
             upgrade = False
         l1_min = l1.min_set_last_access(line)
         promoted = classifier.on_remote_access(l2line, centry, l1_min, l1_min is None)
@@ -424,10 +380,7 @@ class PyDirectoryKernel(PyHomeKernel):
         evicted = l1.fill(line, state, reply_t, data)
         energy.l1d_line_fills += 1
         if evicted is not None:
-            if self._hooks[2]:
-                engine._handle_l1_eviction(core, evicted[0], evicted[1], reply_t)
-            else:
-                self._handle_l1_eviction(engine, core, evicted[0], evicted[1], reply_t)
+            self._handle_l1_eviction(engine, core, evicted[0], evicted[1], reply_t)
         entry = l1.lookup(line)
         if is_write:
             energy.l1d_writes += 1
@@ -474,12 +427,8 @@ class PyDirectoryKernel(PyHomeKernel):
                 arrivals[c] = traverse(path, t, inv_flits)
             policy.unicast_invalidations += len(targets)
         done = t
-        purge_hook = self._hooks[3]
         for c in targets:
-            if purge_hook:
-                ack_msg = engine._purge_target_copy(c, line, l2line, True)
-            else:
-                ack_msg = self._purge_target_copy(engine, c, line, l2line, True)
+            ack_msg = self._purge_target_copy(engine, c, line, l2line, True)
             path = paths[c * num_tiles + home]
             if path is None:
                 path = resolve(c, home)
@@ -593,8 +542,9 @@ class DirectoryEngine(ProtocolEngineBase):
     DESIGN.md section 15), the directory subtype of the home kernel: the
     compiled ``DirectoryKernel`` exactly when the mesh kernel is compiled,
     else its pure-Python twin :class:`PyDirectoryKernel`.  The engine keeps
-    the entry point the scheduler calls, the fast-path descriptor and the
-    family hooks a subclass may define (see :class:`PyDirectoryKernel`).
+    the entry point the scheduler calls and the fast-path descriptor; a
+    family subclass names its own kernel pair (``_kernel_classes``), a
+    subtype of this one.
     """
 
     __slots__ = ()

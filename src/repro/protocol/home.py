@@ -18,11 +18,13 @@ mesh kernel is compiled
 
 A home kernel owns no state.  It works on the engine's own objects - the
 page table, the L2 slices and their ``L2Line`` entries, the mesh kernel's
-reservations, the energy and slice counters - and calls back into the
-engine only for what stays family or verification business: the page
-flush of a private -> shared transition (``_flush_private_page``), the
-fill's L2 eviction (``_evict_l2_line``, which the compiled kernel takes
-natively unless a family overrides it) and the verify-mode golden steps
+reservations, the energy and slice counters.  The page flush of a
+private -> shared transition and the L2 eviction of a fill victim are its
+own steps (``_flush_private_page``, ``_evict_l2_line``; a family subtype
+may take over the eviction, as victim replication's does for a replica).
+Here the eviction's base steps are the engine's ``_evict_l2_line``, which
+the compiled kernel takes natively.  The kernel calls back into the engine
+only for verification business: the verify-mode golden steps
 (``_verify_word``).  What a fill installs at the home is the kernel
 class's: nothing here, a fresh ``DirectoryEntry`` in the directory
 subtype.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import weakref
 
+from repro.common import addr as addrmod
 from repro.common.errors import SimulationError
 from repro.network.messages import MsgType
 
@@ -81,6 +84,7 @@ class PyHomeKernel:
         "_num_tiles",
         "_words_per_line",
         "_l2_latency",
+        "_page_size",
         "_verify",
     )
 
@@ -104,6 +108,7 @@ class PyHomeKernel:
         self._num_tiles = engine.arch.num_cores
         self._words_per_line = engine.arch.words_per_line
         self._l2_latency = engine.arch.l2.latency
+        self._page_size = engine.arch.page_size
         self._verify = engine.verify
 
     # ------------------------------------------------------------------
@@ -132,7 +137,7 @@ class PyHomeKernel:
         """
         engine = self._engine
         if flush_owner is not None:
-            engine._flush_private_page(line, flush_owner, now)
+            self._flush_private_page(line, flush_owner, now)
         path = self._paths[core * self._num_tiles + home]
         if path is None:
             path = self._resolve(core, home)
@@ -198,19 +203,42 @@ class PyHomeKernel:
         slice_.touch(l2line, t)
 
     # ------------------------------------------------------------------
+    # L2 evictions: a fill's victim and a private -> shared page flush.
+    # ------------------------------------------------------------------
+    def _evict_l2_line(self, home, vline, ventry, t):
+        """The L2 eviction of ``vline`` at ``home``: the engine's
+        ``_evict_l2_line`` (the family's purge of its L1 copies, the
+        write-back of a dirty line).  The caller then takes the line out of
+        its set."""
+        self._engine._evict_l2_line(home, vline, ventry, t)
+
+    def _flush_private_page(self, line, old_owner, t):
+        """R-NUCA's private -> shared transition of ``line``'s page: every
+        line of the page resident at the old owner's slice, in
+        ``lines_in_page`` order, takes the eviction and leaves its set."""
+        page_size = self._page_size
+        page = addrmod.page_of(line << addrmod.LINE_BITS, page_size)
+        slice_ = self._l2[old_owner]
+        for pline in addrmod.lines_in_page(page, page_size):
+            ventry = slice_.lookup(pline)
+            if ventry is not None:
+                self._evict_l2_line(old_owner, pline, ventry, t)
+                slice_.remove(pline)
+
+    # ------------------------------------------------------------------
     # L2 miss: fetch the line from off-chip memory.
     # ------------------------------------------------------------------
     def _fill(self, home, line, t):
         """Inclusive fill of ``line`` at ``home`` starting at ``t``: evict
-        the set's LRU way if the set is full (the engine's
-        ``_evict_l2_line``), fetch from the line's DRAM controller, install
-        (``L2Slice.fill``, with a fresh directory entry in the directory
-        subtype).  Returns ``(l2line, reply_t, off-chip latency)``."""
+        the set's LRU way if the set is full (``_evict_l2_line``), fetch
+        from the line's DRAM controller, install (``L2Slice.fill``, with a
+        fresh directory entry in the directory subtype).  Returns
+        ``(l2line, reply_t, off-chip latency)``."""
         engine = self._engine
         slice_ = self._l2[home]
         victim = slice_.victim(line)
         if victim is not None:
-            engine._evict_l2_line(home, victim[0], victim[1], t)
+            self._evict_l2_line(home, victim[0], victim[1], t)
             slice_.remove(victim[0])
 
         ctrl = engine.memsys.controller_for_line(line)

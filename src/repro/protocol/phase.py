@@ -32,13 +32,18 @@ interface):
   decays ``k`` phase levels on its next access, so data that stops being
   write-shared eventually earns private copies again.  Decay is lazy (at
   the next touch), costing no sweep.
-* **Timing reuses the directory machinery unchanged**: the engine
-  takes over only ``_classify_requester``, the one policy step of the
-  directory kernel's miss path (``repro.protocol.directory``
-  ``FAMILY_HOOKS``).  The request and reply legs, line grants, the
-  invalidation round, the synchronous write-back and the word access at
-  the home are the same code (and latencies) the baseline/adaptive
-  families run, so the family comparison isolates the phase *policy*.
+* **Timing reuses the directory machinery unchanged**: the family's
+  kernel, a subtype of the directory kernel (the compiled
+  ``PhaseKernel`` or its twin :class:`PyPhaseKernel` below), takes over
+  only the requester's classification, the one policy step of the miss
+  path: lazy decay, promotion, and word service while write-shared, with
+  the fold-back of the requester's stale S copy.  The request and reply
+  legs, line grants, the invalidation round, the synchronous write-back
+  and the word access at the home are the same code (and latencies) the
+  baseline/adaptive families run, so the family comparison isolates the
+  phase *policy*.  The phases, the epoch and the counters are the
+  engine's, which both kernels update on it; the release count stays
+  Python (``sync_boundary_hook``), as it runs once per release.
 
 Functional verification runs unchanged: WRITE_SHARED word writes follow an
 invalidation round (SWMR holds), word accesses use the shared golden-checked
@@ -49,12 +54,76 @@ untouched.
 
 from __future__ import annotations
 
-from repro.protocol.directory import DirectoryEngine
+from repro import accel
+from repro.protocol.directory import DirectoryEngine, PyDirectoryKernel
 
 # Line phases, ordered so decay is a subtraction.
 PHASE_PRIVATE = 0
 PHASE_READ_SHARED = 1
 PHASE_WRITE_SHARED = 2
+
+
+class PyPhaseKernel(PyDirectoryKernel):
+    """The pure-Python phase kernel: the compiled ``PhaseKernel``'s twin,
+    and the phase family's subtype of the directory kernel.
+
+    It takes over ``_classify_requester``, the phase policy; every other
+    step is the directory kernel's.  The ``{line: [phase, core, epoch]}``
+    dict is the engine's, and the epoch is re-read from the engine per
+    miss.
+    """
+
+    __slots__ = ("_line_phase",)
+
+    def __init__(self, engine, line_type, result_type) -> None:
+        super().__init__(engine, line_type, result_type)
+        self._line_phase = engine._line_phase
+
+    def _classify_requester(self, engine, l1, l2line, core, line, is_write, upgrade):
+        """Service at the home exactly while the line is write-shared.
+
+        First the line's phase for this miss: lazy decay (one level per
+        full epoch without a phase change), then promotion - a write that
+        finds other private sharers or a different last accessor makes the
+        line write-shared, a read by a core other than the last accessor
+        makes a private line read-shared.  Touches no network or timing
+        state and never adds a sharer or owner; like the utilization
+        classifier it replaces, it runs after the request arrives and
+        decides the reply type.  A core still holding an S copy of a line
+        that is (or just became) write-shared folds the copy back before
+        the home services it.
+        """
+        info = self._line_phase.get(line)
+        epoch = engine._epoch
+        if info is None:
+            info = [PHASE_PRIVATE, core, epoch]
+            self._line_phase[line] = info
+        elif info[0] != PHASE_PRIVATE and epoch > info[2]:
+            decayed = info[0] - (epoch - info[2])
+            info[0] = decayed if decayed > PHASE_PRIVATE else PHASE_PRIVATE
+            info[2] = epoch
+            engine.phase_demotions += 1
+        phase = info[0]
+        if is_write:
+            sharers = l2line.directory.sharers
+            shared_write = info[1] != core or (
+                sharers and not (len(sharers) == 1 and core in sharers)
+            )
+            if shared_write and phase != PHASE_WRITE_SHARED:
+                info[0] = phase = PHASE_WRITE_SHARED
+                info[2] = epoch
+                engine.phase_promotions += 1
+        elif info[1] != core and phase == PHASE_PRIVATE:
+            info[0] = phase = PHASE_READ_SHARED
+            info[2] = epoch
+            engine.phase_promotions += 1
+        info[1] = core
+        if phase != PHASE_WRITE_SHARED:
+            return False, upgrade
+        engine.phase_word_accesses += 1
+        if upgrade:
+            self._remove_own_copy(engine, core, line, l2line)
+        return True, False
 
 
 class PhaseEngine(DirectoryEngine):
@@ -70,8 +139,11 @@ class PhaseEngine(DirectoryEngine):
         "phase_word_accesses",
     )
 
+    _kernel_classes = (accel.phase_kernel_class, PyPhaseKernel)
+
     def __init__(self, arch, proto, verify: bool = False) -> None:
-        super().__init__(arch, proto, verify)
+        # The phase state exists before the base builds the kernel, which
+        # holds the dict.
         #: line -> [phase, last accessing core, epoch of last phase change].
         self._line_phase: dict[int, list[int]] = {}
         self._epoch = 0
@@ -81,6 +153,7 @@ class PhaseEngine(DirectoryEngine):
         self.phase_promotions = 0
         self.phase_demotions = 0
         self.phase_word_accesses = 0
+        super().__init__(arch, proto, verify)
 
     def reset_stats(self) -> None:
         """Also zero the phase counters for warmup/measure runs."""
@@ -104,62 +177,6 @@ class PhaseEngine(DirectoryEngine):
     def sync_boundary_hook(self):
         """Count release boundaries; ``num_cores`` of them close an epoch."""
         return self._on_release
-
-    # ------------------------------------------------------------------
-    def _resolve_phase(self, core: int, is_write: bool, line: int, dirent) -> int:
-        """Decay, then promote, the line's phase for this miss; return it."""
-        info = self._line_phase.get(line)
-        epoch = self._epoch
-        if info is None:
-            info = [PHASE_PRIVATE, core, epoch]
-            self._line_phase[line] = info
-        elif info[0] != PHASE_PRIVATE and epoch > info[2]:
-            # Lazy decay: one level per full epoch without a phase change.
-            decayed = info[0] - (epoch - info[2])
-            info[0] = decayed if decayed > PHASE_PRIVATE else PHASE_PRIVATE
-            info[2] = epoch
-            self.phase_demotions += 1
-        phase = info[0]
-        if is_write:
-            sharers = dirent.sharers
-            shared_write = info[1] != core or (
-                sharers and not (len(sharers) == 1 and core in sharers)
-            )
-            if shared_write and phase != PHASE_WRITE_SHARED:
-                info[0] = phase = PHASE_WRITE_SHARED
-                info[2] = epoch
-                self.phase_promotions += 1
-        elif info[1] != core and phase == PHASE_PRIVATE:
-            info[0] = phase = PHASE_READ_SHARED
-            info[2] = epoch
-            self.phase_promotions += 1
-        info[1] = core
-        return phase
-
-    # ==================================================================
-    # The phase policy is this family's requester classifier: the whole
-    # miss path - the request leg, invalidation/write-back rounds, the
-    # reply leg, service and settling - is the directory kernel's.
-    # ==================================================================
-    def _classify_requester(
-        self, l1, l2line, core: int, line: int, is_write: bool, upgrade: bool
-    ) -> tuple[bool, bool]:
-        """Service at the home exactly while the line is write-shared.
-
-        ``_resolve_phase`` touches no network or timing state and never
-        adds a sharer or owner; like the utilization classifier it
-        replaces, it runs after the request arrives and decides the reply
-        type.  A core still holding an S copy of a line
-        that is (or just became) write-shared folds the copy back before
-        the home services it.
-        """
-        phase = self._resolve_phase(core, is_write, line, l2line.directory)
-        if phase != PHASE_WRITE_SHARED:
-            return False, upgrade
-        self.phase_word_accesses += 1
-        if upgrade:
-            self.home_kernel.remove_own_copy(core, line, l2line)
-        return True, False
 
     # ------------------------------------------------------------------
     # Introspection helper used by tests.

@@ -2,10 +2,11 @@
 
 Every miss of a directory-family engine (baseline, adaptive, victim,
 phase) runs in the engine's one kernel, the directory subtype of the home
-kernel: the compiled ``DirectoryKernel`` when the mesh kernel is compiled,
-else its pure-Python twin ``PyDirectoryKernel``.  The two work on the same
-Python objects, so their contract is equal returns and equal effects on
-those objects:
+kernel: the compiled ``DirectoryKernel`` (victim's ``VictimKernel``,
+phase's ``PhaseKernel``) when the mesh kernel is compiled, else its
+pure-Python twin ``PyDirectoryKernel`` (``PyVictimKernel``,
+``PyPhaseKernel``).  The two work on the same Python objects, so their
+contract is equal returns and equal effects on those objects:
 
 * the kernel-contract property drives both kernels, on two identical
   engines, through one random access stream - reads, writes and S -> M
@@ -16,6 +17,15 @@ those objects:
   L1 sets and L2 lines in order with their slots, sharer sets in
   iteration order, locality dicts, histories, histograms, miss stats,
   every counter and the mesh reservations;
+* fixed streams take the same comparison through every step the victim
+  and phase subtypes take over - a replica made from an S, an E and an M
+  victim, a replica hit, the LRU replica dropped, an idle clean and an
+  idle dirty home line displaced, a replication failure, a local home, a
+  replica invalidated, the requester's own replica dying on a grant, a
+  replica as the L2 fill victim, phase's read and write promotion, one-
+  and two-epoch decay and the fold-back on an upgrade while write-shared -
+  and through a private -> shared page flush; each asserts that its
+  counter moved;
 * a simulator-level matrix requires equal ``RunStats`` under both
   implementations for every classifier and sharer-tracking configuration.
 
@@ -99,15 +109,18 @@ def compiled_kernels(monkeypatch):
 
 
 def _engines(proto: ProtocolConfig, pointers, verify: bool):
-    """Twin engines on the compiled mesh kernel: one runs the compiled
-    directory kernel, the other its pure-Python twin.  Either is the
-    engine's one kernel, a home kernel."""
+    """Twin engines on the compiled mesh kernel: one runs the family's
+    compiled directory kernel, the other its pure-Python twin.  Either is
+    the engine's one kernel, a directory and a home kernel."""
     arch = _arch(pointers, l1d=SMALL, l2=SMALL_L2)
     compiled = make_engine(arch, proto, verify=verify)
-    assert type(compiled.home_kernel) is accel.directory_kernel_class()
+    compiled_class, twin_class = type(compiled)._kernel_classes
+    assert type(compiled.home_kernel) is compiled_class()
+    assert isinstance(compiled.home_kernel, accel.directory_kernel_class())
     assert isinstance(compiled.home_kernel, accel.home_kernel_class())
+    assert issubclass(twin_class, PyDirectoryKernel)
     twin = make_engine(arch, proto, verify=verify)
-    twin.home_kernel = PyDirectoryKernel(twin, L2Line, AccessResult)
+    twin.home_kernel = twin_class(twin, L2Line, AccessResult)
     return compiled, twin
 
 
@@ -167,6 +180,10 @@ def _counters(engine) -> dict:
     stats = type("Stats", (), {})()
     engine.export_stats(stats)
     out["family"] = sorted(vars(stats).items())
+    out["unexported"] = tuple(
+        getattr(engine, name, None)
+        for name in ("replication_failures", "_epoch", "_release_count")
+    )
     return out
 
 
@@ -239,6 +256,15 @@ def streams(draw):
     return verify, pct, ops
 
 
+def _twins_agree(compiled, twin, ops) -> None:
+    """Drive both engines through ``ops``, comparing after every step."""
+    for op in ops:
+        got = _step(compiled, op)
+        want = _step(twin, op)
+        assert got == want, op
+        assert _state(compiled) == _state(twin), op
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=[c[0] for c in CONFIGS])
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(stream=streams())
@@ -246,11 +272,117 @@ def test_python_twin_matches_compiled(config, stream):
     _id, family, overrides, pointers = config
     verify, pct, ops = stream
     compiled, twin = _engines(_proto(family, overrides, pointers, pct), pointers, verify)
-    for op in ops:
-        got = _step(compiled, op)
-        want = _step(twin, op)
-        assert got == want, op
-        assert _state(compiled) == _state(twin), op
+    _twins_agree(compiled, twin, ops)
+
+
+# ---------------------------------------------------------------------------
+# Fixed streams: every step the victim and phase subtypes take over.
+# ---------------------------------------------------------------------------
+
+R, W = False, True
+
+
+def _ops(*steps) -> list:
+    """Stream ops from ``(core, is_write, line[, word])`` accesses and
+    ``("release", core)`` boundaries, 100 cycles apart."""
+    ops, now = [], 0.5
+    for step in steps:
+        now += 100.0
+        if step[0] == "release":
+            ops.append(("release", step[1], now))
+            continue
+        core, is_write, line, word = (*step, 0)[:4]
+        ops.append(("access", core, is_write,
+                    (line << addrmod.LINE_BITS) | (word << addrmod.WORD_BITS), now))
+    return ops
+
+
+#: Page 3 (lines 192-255) made shared first, so its lines home by hash.
+#: Its lines 192, 200, ..., 248 share set 0 of the 2-way L1s and L2
+#: slices; their homes are 11, 7, 2, 14, 10, 6, 2 and 13.
+_SHARED_PAGE = [(14, R, 254), (15, R, 255)]
+_EPOCH = [("release", c) for c in range(16)]  # 16 cores: one epoch
+
+#: (id, family, accesses, the counter that must move).
+FIXED_STREAMS = [
+    ("replica-from-shared", "victim",
+     _SHARED_PAGE + [(0, R, 192), (1, R, 192), (0, R, 200), (0, R, 208)],
+     lambda e: e.replicas_created == 1),
+    ("replica-from-exclusive", "victim",
+     _SHARED_PAGE + [(0, R, 192), (0, R, 200), (0, R, 208)],
+     lambda e: e.replicas_created == 1),
+    ("replica-from-modified", "victim",
+     _SHARED_PAGE + [(0, W, 192), (0, R, 200), (0, R, 208)],
+     lambda e: e.replicas_created == 1 and e.l2[11].lookup(192).dirty),
+    ("replica-hit", "victim",
+     _SHARED_PAGE + [(0, R, 192), (0, R, 200), (0, R, 208), (0, R, 192)],
+     lambda e: e.replica_hits == 1),
+    ("lru-replica-dropped", "victim",
+     _SHARED_PAGE + [(0, R, 192), (0, R, 200), (0, R, 208), (0, R, 216), (0, R, 224)],
+     lambda e: e.replica_evictions == 1),
+    # 208 (dirty) is the LRU idle home line at slice 2, yet the clean 240
+    # makes room.
+    ("idle-clean-home-line-displaced", "victim",
+     _SHARED_PAGE + [(2, W, 208), (2, R, 240), (2, R, 192), (2, R, 200), (2, R, 216)],
+     lambda e: e.replicas_created == 1 and e.l2[2].lookup(240) is None
+     and e.l2[2].lookup(208) is not None),
+    ("idle-dirty-home-line-displaced", "victim",
+     _SHARED_PAGE + [(2, W, 208), (2, W, 240), (2, R, 192), (2, R, 200), (2, R, 216)],
+     lambda e: e.replicas_created == 1 and e.l2[2].lookup(208) is None),
+    ("replication-failure", "victim",
+     _SHARED_PAGE + [(5, R, 208), (6, R, 240), (2, R, 192), (2, R, 200), (2, R, 216)],
+     lambda e: e.replication_failures == 1),
+    ("local-home-no-replica", "victim",
+     _SHARED_PAGE + [(2, R, 208), (2, R, 192), (2, R, 200)],
+     lambda e: e.replicas_created == 0 and sum(e.evict_histogram.counts.values()) == 1),
+    ("replica-invalidated", "victim",
+     _SHARED_PAGE + [(0, R, 192), (1, R, 192), (0, R, 200), (0, R, 208), (1, W, 192)],
+     lambda e: e.replica_invalidations == 1),
+    ("own-replica-dies-on-grant", "victim",
+     _SHARED_PAGE + [(0, R, 192), (0, R, 200), (0, R, 208), (0, W, 192)],
+     lambda e: e.replica_evictions == 1),
+    ("replica-as-l2-fill-victim", "victim",
+     _SHARED_PAGE + [(2, R, 192), (2, R, 200), (2, R, 216), (2, R, 224), (5, R, 208)],
+     lambda e: e.replica_evictions == 1),
+    # Page 5, private to core 4: a dirty idle line (320) and L1 copies
+    # (321, 328, 336) at slice 4 until core 7's touch flushes it.  A
+    # replica cannot sit in a page being flushed: a private page's lines
+    # home at their owner, and a replica is made only for a remote home.
+    ("page-flush", "victim",
+     [(4, W, 320), (4, R, 328), (4, R, 336), (4, R, 321), (7, R, 322)],
+     lambda e: all(e.l2[4].lookup(line) is None for line in range(320, 384))
+     and e.l1d[4].lookup(321) is None),
+    ("read-promotion", "phase",
+     _SHARED_PAGE + [(0, R, 192), (1, R, 192)],
+     lambda e: e.phase_promotions == 1 and e.line_phase(192) == 1),
+    ("write-promotion", "phase",
+     _SHARED_PAGE + [(0, W, 192), (1, W, 192)],
+     lambda e: e.phase_promotions == 1 and e.line_phase(192) == 2
+     and e.phase_word_accesses == 1),
+    ("one-epoch-decay", "phase",
+     _SHARED_PAGE + [(0, W, 192), (1, W, 192)] + _EPOCH + [(1, R, 192)],
+     lambda e: e.phase_demotions == 1 and e.line_phase(192) == 1),
+    ("two-epoch-decay", "phase",
+     _SHARED_PAGE + [(0, W, 192), (1, W, 192)] + _EPOCH + _EPOCH + [(1, R, 192)],
+     lambda e: e.phase_demotions == 1 and e.line_phase(192) == 0),
+    # Core 0's upgrade makes the read-shared line write-shared: its own S
+    # copy folds back and the write is served at the home.
+    ("fold-back-on-upgrade", "phase",
+     _SHARED_PAGE + [(0, R, 192), (1, R, 192), (0, W, 192, 1)],
+     lambda e: e.phase_word_accesses == 1 and e.l1d[0].lookup(192) is None),
+]
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+@pytest.mark.parametrize("stream", FIXED_STREAMS, ids=[s[0] for s in FIXED_STREAMS])
+def test_python_twin_matches_compiled_on_fixed_streams(stream, verify):
+    _id, family, steps, moved = stream
+    for _cid, cfamily, overrides, pointers in CONFIGS:
+        if cfamily != family:
+            continue
+        compiled, twin = _engines(_proto(family, overrides, pointers, 1), pointers, verify)
+        _twins_agree(compiled, twin, _ops(*steps))
+        assert moved(compiled), _id
 
 
 def test_counters_follow_reset_stats():
@@ -289,6 +421,7 @@ def test_runstats_identical_under_both_implementations(config, workload, monkeyp
             monkeypatch.setenv(build.NO_ACCEL_ENV, "1")
         sim = Simulator(arch, _proto(family, overrides, pointers, 2), warmup=True)
         runs.append(sim.run(trace).to_dict())
-        kernel = type(sim.last_engine.home_kernel).__name__
-        assert kernel == ("PyDirectoryKernel" if fallback else "DirectoryKernel")
+        compiled_class, twin_class = type(sim.last_engine)._kernel_classes
+        want = twin_class if fallback else compiled_class()
+        assert type(sim.last_engine.home_kernel) is want
     assert runs[0] == runs[1]

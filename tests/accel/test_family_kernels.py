@@ -42,6 +42,8 @@ from repro.common.params import (
     baseline_protocol,
     dls_protocol,
     neat_protocol,
+    phase_protocol,
+    victim_replication_protocol,
 )
 from repro.energy.model import EnergyCounters
 from repro.mem.l2 import L2Line
@@ -235,13 +237,17 @@ def test_counters_follow_reset_stats():
 @pytest.mark.parametrize(
     "kernel, family",
     [("dls", "neat"), ("dls", "baseline"), ("neat", "dls"), ("neat", "baseline"),
-     ("directory", "dls"), ("directory", "neat")],
+     ("directory", "dls"), ("directory", "neat"), ("victim", "baseline"), ("victim", "phase"),
+     ("phase", "baseline"), ("phase", "victim")],
 )
 def test_family_kernel_refuses_an_engine_of_another_family(kernel, family):
-    protos = {"dls": dls_protocol, "neat": neat_protocol, "baseline": baseline_protocol}
+    protos = {"dls": dls_protocol, "neat": neat_protocol, "baseline": baseline_protocol,
+              "victim": victim_replication_protocol, "phase": phase_protocol}
     classes = {"dls": (accel.dls_kernel_class, "DLSEngine"),
                "neat": (accel.neat_kernel_class, "NeatEngine"),
-               "directory": (accel.directory_kernel_class, "DirectoryEngine")}
+               "directory": (accel.directory_kernel_class, "DirectoryEngine"),
+               "victim": (accel.victim_kernel_class, "VictimReplicationEngine"),
+               "phase": (accel.phase_kernel_class, "PhaseEngine")}
     engine = make_engine(ArchConfig(num_cores=16, num_memory_controllers=4), protos[family]())
     cls, wants = classes[kernel]
     with pytest.raises(TypeError, match=f"serves a {wants}, not a {type(engine).__name__}"):

@@ -64,6 +64,8 @@ from repro.protocol.dls import DLSEngine, PyDLSKernel
 from repro.protocol.engine import make_engine
 from repro.protocol.home import PyHomeKernel
 from repro.protocol.neat import PyNeatKernel
+from repro.protocol.phase import PyPhaseKernel
+from repro.protocol.victim import PyVictimKernel
 from repro.sim.multicore import Simulator
 from repro.workloads.base import TraceBuilder
 
@@ -341,8 +343,9 @@ SOAK_FAMILIES = {
 }
 #: Each soak family's kernel: (compiled class accessor, twin class).
 SOAK_KERNELS = {
-    **dict.fromkeys(("adaptive", "baseline", "victim", "phase"),
-                    (accel.directory_kernel_class, PyDirectoryKernel)),
+    **dict.fromkeys(("adaptive", "baseline"), (accel.directory_kernel_class, PyDirectoryKernel)),
+    "victim": (accel.victim_kernel_class, PyVictimKernel),
+    "phase": (accel.phase_kernel_class, PyPhaseKernel),
     "dls": (accel.dls_kernel_class, PyDLSKernel),
     **dict.fromkeys(("neat-eager", "neat-release"), (accel.neat_kernel_class, PyNeatKernel)),
 }

@@ -1,8 +1,8 @@
 """Each compiled kernel and its pure-Python twin expose the same methods.
 
-Six kernel pairs back the simulator (DESIGN.md sections 12, 14 and 15):
-the mesh kernel, the scheduler kernel, the home kernel and its three
-family subtypes (directory, DLS and Neat).  Their contract properties
+Eight kernel pairs back the simulator (DESIGN.md sections 12, 14 and 15):
+the mesh kernel, the scheduler kernel, the home kernel and its family
+subtypes (directory, with its victim and phase subtypes, DLS and Neat).  Their contract properties
 drive both sides through the methods the engines call, so a compiled
 method that outlives its twin, or a twin method the compiled kernel
 lacks, would go unnoticed there.  This test compares the public callable
@@ -19,7 +19,14 @@ import pytest
 
 from repro import accel
 from repro.accel import build
-from repro.common.params import ArchConfig, baseline_protocol, dls_protocol, neat_protocol
+from repro.common.params import (
+    ArchConfig,
+    baseline_protocol,
+    dls_protocol,
+    neat_protocol,
+    phase_protocol,
+    victim_replication_protocol,
+)
 from repro.mem.l2 import L2Line
 from repro.network.mesh import PyMeshKernel
 from repro.protocol.base import AccessResult, ProtocolEngineBase
@@ -27,6 +34,8 @@ from repro.protocol.directory import DirectoryEngine, PyDirectoryKernel
 from repro.protocol.dls import DLSEngine, PyDLSKernel
 from repro.protocol.home import PyHomeKernel
 from repro.protocol.neat import NeatEngine, PyNeatKernel
+from repro.protocol.phase import PhaseEngine, PyPhaseKernel
+from repro.protocol.victim import PyVictimKernel, VictimReplicationEngine
 from repro.sim.multicore import PySchedKernel
 from repro.workloads.base import TraceBuilder
 
@@ -76,6 +85,8 @@ PAIRS = {
     "sched": _sched_pair,
     "home": _engine_pair(ProtocolEngineBase, baseline_protocol, PyHomeKernel),
     "directory": _engine_pair(DirectoryEngine, baseline_protocol, PyDirectoryKernel),
+    "victim": _engine_pair(VictimReplicationEngine, victim_replication_protocol, PyVictimKernel),
+    "phase": _engine_pair(PhaseEngine, phase_protocol, PyPhaseKernel),
     "dls": _engine_pair(DLSEngine, dls_protocol, PyDLSKernel),
     "neat": _engine_pair(NeatEngine, neat_protocol, PyNeatKernel),
 }

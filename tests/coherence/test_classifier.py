@@ -172,23 +172,29 @@ class TestLimitedClassifier:
         assert len(cls.tracked_entries(line)) == 3
 
     def test_vote_when_full_and_active(self):
-        # Through the engine's own classification: three active entries
-        # leave no slot for core 10, so the tracked modes' majority decides
-        # how the home serves it.
+        # Through the engine's own classification: cores 0-2 hold copies,
+        # so their three active entries leave no slot for core 10 (or 11),
+        # and the tracked modes' majority decides how the home serves it.
         engine = DirectoryEngine(
             ArchConfig(num_cores=16), proto(classifier="limited", limited_k=3)
         )
         cls = engine.classifier
-        line = make_line()
-        entries = [cls.locality_entry(line, core, allocate=True) for core in range(3)]
-        classify = engine.home_kernel.classify_requester
-        assert classify(engine.l1d[10], line, 10, 0, False, False) == (False, False)
+        address = 1 << 30
+        engine.access(14, False, address + 62 * 64, 0.0)
+        engine.access(15, False, address + 63 * 64, 1.0)  # the page is shared
+        for core in range(3):
+            engine.access(core, False, address, 100.0 * (core + 1))
+        line = engine.l2[engine._home_of_line[address >> 6]].lookup(address >> 6)
+        entries = list(cls.tracked_entries(line))
+        assert [entry.core for entry in entries] == [0, 1, 2]
+        assert engine.access(10, False, address, 1000.0).remote is False
         assert cls.vote_decisions == 1  # private majority: line service
         for entry in entries:
             entry.mode = SharerMode.REMOTE  # still active
-        assert classify(engine.l1d[10], line, 10, 0, False, False) == (True, False)
+        assert engine.access(11, False, address, 2000.0).remote is True
         assert cls.vote_decisions == 2  # remote majority: word service
         assert cls.locality_entry(line, 10, allocate=False) is None
+        assert cls.locality_entry(line, 11, allocate=False) is None
 
     def test_replacement_of_inactive_entry(self):
         cls = LimitedClassifier(proto(classifier="limited", limited_k=3))

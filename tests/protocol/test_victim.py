@@ -47,6 +47,35 @@ def setup_shared_line(engine) -> tuple[int, int]:
     return cores[0], cores[1]
 
 
+def fill_replica_set(engine) -> tuple[int, list[int], float]:
+    """Fill one 4-way set of a core's slice with replicas, BASE's the LRU.
+
+    Lines 16 apart share BASE's L1 set and its L2 set; the seven of them
+    span two pages, both made shared first.  The acting core ``a`` is
+    the home of none of them, and a second core keeps BASE shared.  ``a``
+    reads the first six, so its 2-way L1 set sends four victims - BASE
+    first - into the local set.  Returns ``a``, the lines and the next free
+    timestamp; ``a`` reading the last line makes a fifth victim, whose
+    replica needs the LRU replica's way.
+    """
+    page = engine.arch.page_size
+    for page_start in (BASE, BASE + page):
+        engine.access(14, False, page_start + 62 * LINE, 0.0)
+        engine.access(15, False, page_start + 63 * LINE, 1.0)
+    lines = [BASE + k * 16 * LINE for k in range(7)]
+    homes = {engine.placement.shared_home(x // LINE) for x in lines}
+    a, b = [c for c in range(12) if c not in homes][:2]
+    engine.access(b, False, BASE, 50.0)
+    t = 100.0
+    for x in lines[:-1]:
+        engine.access(a, False, x, t)
+        t += 200.0
+    replicas = [ln for ln, e in engine.l2[a].store.entries_in_set(BASE // LINE) if e.is_replica]
+    assert replicas == [x // LINE for x in lines[:4]]
+    assert a in engine.directory_entry(BASE // LINE).sharers
+    return a, lines, t
+
+
 class TestReplicaCreation:
     def test_shared_eviction_creates_local_replica(self):
         engine = make_vr_engine()
@@ -211,12 +240,12 @@ class TestCoherence:
 
     def test_purge_without_copy_or_replica_raises(self):
         engine = make_vr_engine()
-        a, _b = setup_shared_line(engine)
+        a, b = setup_shared_line(engine)
         engine.access(a, False, BASE, 100.0)
-        l2line = engine.l2[engine._home_of_line[BASE // LINE]].lookup(BASE // LINE)
+        engine.access(b, False, BASE, 300.0)
         engine.l1d[a].remove(BASE // LINE)  # corrupt: drop the copy silently
         with pytest.raises(CoherenceError, match="neither an L1 copy nor a replica"):
-            engine._purge_target_copy(a, BASE // LINE, l2line, merge_into_l2=True)
+            engine.access(b, True, BASE, 500.0)  # b's upgrade invalidates a
 
 
 class TestReplacementAndFallback:
@@ -233,24 +262,18 @@ class TestReplacementAndFallback:
 
     def test_replica_drop_releases_home_sharer_slot(self):
         engine = make_vr_engine()
-        a, b = setup_shared_line(engine)
-        engine.access(a, False, BASE, 100.0)
-        engine.access(b, False, BASE, 300.0)
-        evict_line(engine, a, BASE, 500.0)
-        replica = engine.l2[a].lookup(BASE // LINE)
-        assert replica is not None and replica.is_replica
-        engine._drop_replica(a, BASE // LINE, replica, 1000.0)
+        a, lines, t = fill_replica_set(engine)
+        engine.access(a, False, lines[-1], t)  # the fifth victim drops BASE's
+        assert engine.l2[a].lookup(BASE // LINE) is None
         assert a not in engine.directory_entry(BASE // LINE).sharers
         assert engine.replica_evictions == 1
 
     def test_drop_replica_of_unknown_home_raises(self):
         engine = make_vr_engine()
-        from repro.mem.l2 import L2Line
-
-        orphan = L2Line()
-        orphan.is_replica = True
-        with pytest.raises(CoherenceError, match="unknown home"):
-            engine._drop_replica(0, 0xDEAD, orphan, 0.0)
+        a, lines, t = fill_replica_set(engine)
+        del engine._home_of_line[BASE // LINE]  # corrupt: forget the home
+        with pytest.raises(CoherenceError, match=f"replica of line {BASE // LINE:#x} with unknown home"):
+            engine.access(a, False, lines[-1], t)
 
 
 class TestStatsPlumbing:
