@@ -558,10 +558,9 @@ REPRO_SHARED PyObject *home_lookup(HomeObject *k, long long tile,
  * slice's store in *store (borrowed). */
 REPRO_SHARED PyObject *home_l2_bucket(HomeObject *k, long long tile,
                                       long long line, PyObject **store);
-/* L2 SetAssocCache.pop at `tile`: the removed entry (new reference), or
- * NULL - with no exception set when the line was absent. */
-REPRO_SHARED PyObject *home_l2_pop(HomeObject *k, long long tile,
-                                   long long line, PyObject *line_obj);
+/* L2Slice.remove at `tile`: the store's pop of `line`, if resident. */
+REPRO_SHARED int home_l2_remove(HomeObject *k, long long tile,
+                                long long line, PyObject *line_obj);
 /* The LRU way of a set: the first entry, in dict order, with the smallest
  * last_use - what min(bucket, key=...) returns (both borrowed). */
 REPRO_SHARED int home_lru(PyObject *bucket, PyObject *type, const char *what,

@@ -10,8 +10,9 @@
  * MeshKernel.  The victim and phase families run its two subtypes below,
  * VictimKernel and PhaseKernel (twins PyVictimKernel in
  * repro/protocol/victim.py and PyPhaseKernel in repro/protocol/phase.py),
- * whose objects start with this one's DirObject.  The directory steps take the home
- * steps (home_place, home_deliver, home_leg, home_serve_word, home_settle)
+ * whose objects start with this one's DirObject.  The directory steps
+ * take the home steps (home_place, home_deliver, home_leg,
+ * home_serve_word, home_settle)
  * and the shared L1-side helpers (home_l1_*, the result, miss, history and
  * histogram steps) on the kernel itself, and the rounds' messages are
  * reserved through the same mesh kernel (home_leg).
@@ -1468,6 +1469,19 @@ is_replica(HomeObject *h, PyObject *l2line)
     return slot_true(l2line, h->off_replica);
 }
 
+/* *replica = the replica of line in core's slice (borrowed), or NULL when
+ * the slice holds no entry of the line or holds it as a home line. */
+static int
+local_replica(HomeObject *h, long long core, long long line,
+              PyObject *line_obj, PyObject **replica)
+{
+    PyObject *entry = home_lookup(h, core, line, line_obj);
+    int r = entry == NULL ? (PyErr_Occurred() ? -1 : 0)
+                          : is_replica(h, entry);
+    *replica = r > 0 ? entry : NULL;
+    return r < 0 ? -1 : 0;
+}
+
 /* _drop_replica: discard core's replica of line, releasing its sharer
  * slot at the home. */
 static int
@@ -1490,14 +1504,10 @@ drop_replica(VictimObject *v, long long core, PyObject *core_obj,
         }
         return -1;
     }
-    if (arg_long(home_obj, &home) < 0) {
+    if (arg_long(home_obj, &home) < 0
+        || home_l2_remove(h, core, line, line_obj) < 0) {
         return -1;
     }
-    PyObject *gone = home_l2_pop(h, core, line, line_obj);
-    if (gone == NULL && PyErr_Occurred()) {
-        return -1;
-    }
-    Py_XDECREF(gone);
     double arrival;
     if (home_leg(h, core, home, K_MSG_EVICT_NOTIFY, t, &arrival) < 0) {
         return -1;
@@ -1608,9 +1618,7 @@ make_room(VictimObject *v, long long core, PyObject *core_obj,
     int rc = h->evict(h, core, core_obj, any, any_entry, t);
     Py_DECREF(any_entry);
     if (rc == 0) {
-        PyObject *gone = home_l2_pop(h, core, line, any);
-        rc = gone == NULL && PyErr_Occurred() ? -1 : 0;
-        Py_XDECREF(gone);
+        rc = home_l2_remove(h, core, line, any);
     }
     Py_DECREF(any);
     return rc;
@@ -1769,13 +1777,11 @@ victim_purge_target(DirObject *k, long long core, PyObject *core_obj,
     if (PyErr_Occurred()) {
         return -1;
     }
-    PyObject *replica = home_lookup(h, core, line, line_obj);
-    int r = 0;
-    if ((replica == NULL && PyErr_Occurred())
-        || (replica != NULL && (r = is_replica(h, replica)) < 0)) {
+    PyObject *replica;
+    if (local_replica(h, core, line, line_obj, &replica) < 0) {
         return -1;
     }
-    if (!r) {
+    if (replica == NULL) {
         char hex[32];
         PyErr_Format(k->coherence_error,
                      "directory lists core %lld for line %s but it holds "
@@ -1783,12 +1789,8 @@ victim_purge_target(DirObject *k, long long core, PyObject *core_obj,
                      core, hex_line(hex, sizeof hex, line));
         return -1;
     }
-    PyObject *gone = home_l2_pop(h, core, line, line_obj);
-    if (gone == NULL && PyErr_Occurred()) {
-        return -1;
-    }
-    Py_XDECREF(gone);
-    if (victim_bump((VictimObject *)k, ((VictimObject *)k)->off_invals) < 0
+    if (home_l2_remove(h, core, line, line_obj) < 0
+        || victim_bump((VictimObject *)k, ((VictimObject *)k)->off_invals) < 0
         || home_history_update(h, core, line_obj, K_LAST_REMOVAL_INVAL,
                                0) < 0) {
         return -1;
@@ -1804,22 +1806,13 @@ victim_grant(DirObject *k, long long core, PyObject *core_obj, int is_write,
              PyObject *l2line, PyObject *slice_, int upgrade, double reply_t)
 {
     HomeObject *h = &k->base;
-    PyObject *own = home_lookup(h, core, line, line_obj);
-    int r = 0;
-    if ((own == NULL && PyErr_Occurred())
-        || (own != NULL && (r = is_replica(h, own)) < 0)) {
+    PyObject *own;
+    if (local_replica(h, core, line, line_obj, &own) < 0
+        || (own != NULL
+            && (home_l2_remove(h, core, line, line_obj) < 0
+                || victim_bump((VictimObject *)k,
+                               ((VictimObject *)k)->off_evictions) < 0))) {
         return -1;
-    }
-    if (r) {
-        PyObject *gone = home_l2_pop(h, core, line, line_obj);
-        if (gone == NULL && PyErr_Occurred()) {
-            return -1;
-        }
-        Py_XDECREF(gone);
-        if (victim_bump((VictimObject *)k,
-                        ((VictimObject *)k)->off_evictions) < 0) {
-            return -1;
-        }
     }
     return base_grant_private(k, core, core_obj, is_write, line, line_obj,
                               word, l2line, slice_, upgrade, reply_t);
@@ -1889,13 +1882,9 @@ replica_hit(VictimObject *v, Access *a, PyObject *replica)
         }
         data = rdata == Py_None ? NULL : Py_NewRef(rdata);
     }
-    PyObject *gone = home_l2_pop(h, a->core, a->line, a->line_obj);
-    if (gone == NULL && PyErr_Occurred()) {
-        goto done;
-    }
-    Py_XDECREF(gone);
-    if (home_l1_fill(h, a->core, a->line, a->line_obj, h->st_shared, t, data,
-                     &ev_line, &ev_entry) < 0
+    if (home_l2_remove(h, a->core, a->line, a->line_obj) < 0
+        || home_l1_fill(h, a->core, a->line, a->line_obj, h->st_shared, t,
+                        data, &ev_line, &ev_entry) < 0
         || home_energy_bump(h, h->off_e_l1d_fills) < 0
         || (ev_line != NULL
             && k->l1_evict(k, a->core, a->core_obj, ev_line, ev_entry, t) < 0)
@@ -1934,7 +1923,8 @@ enum { PHASE_PRIVATE, PHASE_READ_SHARED, PHASE_WRITE_SHARED };
 
 typedef struct {
     DirObject dir;
-    PyObject *line_phase;  /* engine._line_phase: {line: [phase, core, epoch]} */
+    /* engine._line_phase: {line: [phase, core, epoch]} */
+    PyObject *line_phase;
     /* PhaseEngine __slots__ offsets. */
     Py_ssize_t off_epoch, off_promotions, off_demotions, off_word_accesses;
 } PhaseObject;
@@ -2098,15 +2088,13 @@ KERNEL_METHOD(VictimObject, Victim, access, 4,
     }
     PyObject *out = NULL;
     if (!a.is_write && a.entry == NULL) {
-        HomeObject *h = &k->dir.base;
-        PyObject *local = home_lookup(h, a.core, a.line, a.line_obj);
-        int r = 0;
-        if ((local == NULL && PyErr_Occurred())
-            || (local != NULL && (r = is_replica(h, local)) < 0)) {
+        PyObject *replica;
+        if (local_replica(&k->dir.base, a.core, a.line, a.line_obj,
+                          &replica) < 0) {
             goto done;
         }
-        if (r) {
-            out = replica_hit(k, &a, local);
+        if (replica != NULL) {
+            out = replica_hit(k, &a, replica);
             goto done;
         }
     }

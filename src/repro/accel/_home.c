@@ -535,12 +535,21 @@ home_l1_pop(HomeObject *k, long long core, long long line, PyObject *line_obj)
     return store_pop(k, store, bucket, line_obj);
 }
 
-PyObject *
-home_l2_pop(HomeObject *k, long long tile, long long line, PyObject *line_obj)
+int
+home_l2_remove(HomeObject *k, long long tile, long long line,
+               PyObject *line_obj)
 {
     PyObject *store;
     PyObject *bucket = home_l2_bucket(k, tile, line, &store);
-    return bucket == NULL ? NULL : store_pop(k, store, bucket, line_obj);
+    if (bucket == NULL) {
+        return -1;
+    }
+    PyObject *gone = store_pop(k, store, bucket, line_obj);
+    if (gone == NULL) {
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    Py_DECREF(gone);
+    return 0;
 }
 
 int
@@ -1071,12 +1080,9 @@ flush_private_page(HomeObject *k, long long line, long long owner, double t)
             Py_INCREF(ventry);
             rc = k->evict(k, owner, owner_obj, pline_obj, ventry, t);
             Py_DECREF(ventry);
-            PyObject *gone = rc < 0 ? NULL
-                                    : home_l2_pop(k, owner, pline, pline_obj);
-            if (gone == NULL && PyErr_Occurred()) {
-                rc = -1;
+            if (rc == 0) {
+                rc = home_l2_remove(k, owner, pline, pline_obj);
             }
-            Py_XDECREF(gone);
         }
         Py_DECREF(pline_obj);
     }
