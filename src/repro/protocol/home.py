@@ -10,7 +10,7 @@ engine builds (``engine.home_kernel``): the compiled ``HomeKernel``
 constructor, methods and attributes.  Each family's kernel is a subtype of
 it that takes these steps on itself: the directory families'
 (:class:`repro.protocol.directory.PyDirectoryKernel`, the compiled
-``DirectoryKernel``), DLS's (:class:`repro.protocol.dls.PyDLSKernel`,
+``DirectoryKernel``, with victim's and phase's subtypes of it), DLS's (:class:`repro.protocol.dls.PyDLSKernel`,
 ``DLSKernel``) and Neat's (:class:`repro.protocol.neat.PyNeatKernel`,
 ``NeatKernel``).  The engine picks the compiled class exactly when its
 mesh kernel is compiled
