@@ -415,16 +415,14 @@ struct HomeObject {
     double dram_latency;     /* MemoryController.access's latency and */
     double dram_service;     /* line_size / bandwidth, per line */
     int verify;
-    /* The L2 eviction of a fill's victim or a flushed page's line:
-     * home_evict_l2_line, or a subtype's step that takes some evictions
-     * itself (victim replication drops a replica) and the rest through
-     * home_evict_l2_line.  The caller then takes the line out of its set. */
+    /* The L2 eviction of a fill's victim or a flushed page's line (the
+     * evict_l2_line method): home_evict_l2_line, or a subtype's step that
+     * takes its own steps first and the rest through home_evict_l2_line
+     * (the directory kernel purges the line's L1 copies; victim
+     * replication drops a replica, else takes the directory's step).  The
+     * caller then takes the line out of its set. */
     int (*evict)(HomeObject *k, long long home, PyObject *home_obj,
                  PyObject *vline_obj, PyObject *ventry, double t);
-    /* The subtype's purge of the L1 copies of an evicted L2 line (the
-     * directory kernel's purge_copies), or NULL: nothing to purge. */
-    int (*purge)(HomeObject *k, long long home, PyObject *vline_obj,
-                 PyObject *ventry, double t);
     Py_ssize_t miss_index[NUM_MISS];
     /* __slots__ offsets. */
     Py_ssize_t off_energy, off_miss_stats, off_inval_hist, off_evict_hist;
@@ -579,8 +577,8 @@ REPRO_SHARED int home_store_insert(HomeObject *k, PyObject *store,
  * holding `data` (new reference). */
 REPRO_SHARED PyObject *home_new_l2line(HomeObject *k, double last_access,
                                        PyObject *data);
-/* ProtocolEngineBase._evict_l2_line's steps: the subtype's purge, the
- * write-back of a dirty line, then the line leaves _home_of_line. */
+/* PyHomeKernel.evict_l2_line's steps: the write-back of a dirty line,
+ * then the line leaves _home_of_line. */
 REPRO_SHARED int home_evict_l2_line(HomeObject *k, long long home,
                                     PyObject *home_obj, PyObject *vline_obj,
                                     PyObject *ventry, double t);

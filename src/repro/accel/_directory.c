@@ -15,9 +15,8 @@
  * home_serve_word, home_settle)
  * and the shared L1-side helpers (home_l1_*, the result, miss, history and
  * histogram steps) on the kernel itself, and the rounds' messages are
- * reserved through the same mesh kernel (home_leg).
- * Its purge_copies is the home kernel's purge step for an evicted L2
- * line.
+ * reserved through the same mesh kernel (home_leg).  Its L2 eviction
+ * (the home kernel's evict_l2_line) purges the line's L1 copies first.
  *
  * A kernel services a whole miss: the requester classification (Limited_k
  * or Complete, RAT levels or the Timestamp check, one-way), the
@@ -1129,13 +1128,13 @@ done:
     return rc;
 }
 
-/* purge_copies: the inclusive L2 eviction of vline at home kills every
- * L1 copy; the data flows straight to memory with the dying line. */
+/* The purge of an L2 eviction: the inclusive eviction of vline at home
+ * kills every L1 copy; the data flows straight to memory with the dying
+ * line. */
 static int
-purge_copies(HomeObject *h, long long home, PyObject *vline_obj,
+purge_copies(DirObject *k, long long home, PyObject *vline_obj,
              PyObject *ventry, double t)
 {
-    DirObject *k = (DirObject *)h;
     long long vline;
     PyObject *dirent = dirent_of(k, ventry);
     if (dirent == NULL || arg_long(vline_obj, &vline) < 0) {
@@ -1169,6 +1168,18 @@ done:
     Py_DECREF(dirent);
     Py_DECREF(cores);
     return rc;
+}
+
+/* evict_l2_line: the purge of the line's L1 copies, then the home
+ * kernel's eviction. */
+static int
+dir_evict(HomeObject *h, long long home, PyObject *home_obj,
+          PyObject *vline_obj, PyObject *ventry, double t)
+{
+    if (purge_copies((DirObject *)h, home, vline_obj, ventry, t) < 0) {
+        return -1;
+    }
+    return home_evict_l2_line(h, home, home_obj, vline_obj, ventry, t);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1818,8 +1829,8 @@ victim_grant(DirObject *k, long long core, PyObject *core_obj, int is_write,
                               word, l2line, slice_, upgrade, reply_t);
 }
 
-/* _evict_l2_line: a replica chosen as an L2 victim is dropped; a home
- * line takes the home kernel's eviction. */
+/* evict_l2_line: a replica chosen as an L2 victim is dropped; a home
+ * line takes the directory kernel's eviction. */
 static int
 victim_evict(HomeObject *h, long long home, PyObject *home_obj,
              PyObject *vline_obj, PyObject *ventry, double t)
@@ -1831,7 +1842,7 @@ victim_evict(HomeObject *h, long long home, PyObject *home_obj,
     if (r) {
         return drop_replica((VictimObject *)h, home, home_obj, vline_obj, t);
     }
-    return home_evict_l2_line(h, home, home_obj, vline_obj, ventry, t);
+    return dir_evict(h, home, home_obj, vline_obj, ventry, t);
 }
 
 /* A read miss served by the local replica, in the order of
@@ -2062,18 +2073,6 @@ METHOD(access, 4, "access(core, is_write, address, now)")
     PyObject *out = dir_serve(k, &a);
     Py_DECREF(a.line_obj);
     return out;
-}
-
-METHOD(purge_copies, 4, "purge_copies(home, vline, ventry, t)")
-{
-    long long home;
-    double t;
-    if (arg_long(args[0], &home) < 0 || arg_double(args[3], &t) < 0
-        || home_check_tile(&k->base, home) < 0
-        || purge_copies(&k->base, home, args[1], args[2], t) < 0) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
 }
 
 /* VictimKernel.access: a read miss on a line the local slice holds as a
@@ -2310,7 +2309,7 @@ Dir_init_state(HomeObject *h, PyObject *engine)
         || init_offsets(k) < 0) {
         goto done;
     }
-    h->purge = purge_copies;
+    h->evict = dir_evict;
     k->classify = base_classify_requester;
     k->grant = base_grant_private;
     k->l1_evict = base_handle_l1_eviction;
@@ -2371,7 +2370,6 @@ Dir_dealloc(DirObject *k)
 
 static PyMethodDef Dir_methods[] = {
     FASTCALL(access, "access(core, is_write, address, now) -> AccessResult"),
-    FASTCALL(purge_copies, "purge_copies(home, vline, ventry, t)"),
     {NULL, NULL, 0, NULL},
 };
 

@@ -19,25 +19,25 @@
  * (`_sets`, `_use_counter`, `_observer`), the L2Line entries, the
  * MemoryControllers, the AccessResult slots and the engine's `energy`
  * counters - re-read from the engine on every update, because reset_stats
- * replaces the object at the warmup boundary.  The off-chip fill, the L2
- * eviction with its write-back and the private -> shared page flush are
- * native: the fill builds its L2Line and puts it in its set, the flush
- * walks the page's lines at the old owner's slice, and the evictions
- * update their controller in place.  The L1-side helpers the family
- * subtypes share (the L1 lookup, fill and removal, the AccessResult, miss
- * statistics, histories, histograms and golden checks) are here too, on
- * the same engine objects.
+ * replaces the object at the warmup boundary.  The off-chip fill and the
+ * L2 eviction with its write-back are native: the fill builds its L2Line
+ * and puts it in its set, and both update their controller in place.  The
+ * L1-side helpers the family subtypes share (the L1 lookup, fill and
+ * removal, the AccessResult, miss statistics, histories, histograms and
+ * golden checks) are here too, on the same engine objects.
  *
  * It calls back into Python only for page-table side effects
- * (RNucaPageTable.classify_data), route registration
+ * (RNucaPageTable.classify_data), page flushes (the engine's
+ * _flush_private_page, which takes each resident line's eviction through
+ * this kernel's evict_l2_line), route registration
  * (MeshNetwork.resolve_path), store observers and the verify-mode golden
  * steps (_verify_word, _verify_write_back, GoldenMemory.check_read).
  * Every callback but the route registration, bound once per kernel, is
  * looked up on the live object, so a method wrapped after the engine was
  * built is the one called.  A fill installs a fresh DirectoryEntry exactly
- * when the kernel is a directory subtype, an eviction purges L1 copies
- * exactly when the subtype has a purge step, and a subtype may take an
- * eviction over through the `evict` pointer (victim replication's replica
+ * when the kernel is a directory subtype, and a subtype takes its own
+ * steps of an L2 eviction through the `evict` pointer (the directory
+ * kernel's purge of the line's L1 copies, victim replication's replica
  * drop).
  *
  * Exactness (pinned by the kernel contract properties and the RunStats
@@ -53,7 +53,6 @@
  *     without fast-math;
  *   - the LRU victim is the first entry, in dict order, with the smallest
  *     last_use - what min(bucket, key=...) returns;
- *   - the page flush probes the page's lines in lines_in_page order;
  *   - each step runs where its Python step runs.
  */
 
@@ -69,6 +68,7 @@
 #define K_PAGE_SHARED 1
 
 /* Interned callback names (set once in repro_home_register). */
+static PyObject *str_flush_private_page;
 static PyObject *str_verify_word;
 static PyObject *str_verify_write_back;
 static PyObject *str_check_read;
@@ -136,18 +136,6 @@ shared_word_home(HomeObject *k, long long line, long long word)
     return (long long)(w % (unsigned long long)k->num_tiles);
 }
 
-/* page_of(line << LINE_BITS, page_size). */
-static long long
-page_of_line(HomeObject *k, long long line)
-{
-    if (k->page_shift >= 0) {
-        return line >> k->page_shift;
-    }
-    return (long long)(((unsigned __int128)(unsigned long long)line
-                        << K_LINE_BITS)
-                       / (unsigned long long)k->page_size);
-}
-
 /* The home of (line, word) for `core`: DLS's data_word_home when by_word,
  * else the line-hashed data_home.  *flush is the old private owner
  * on a private -> shared transition, else -1.  The page table's dict
@@ -158,7 +146,16 @@ home_place(HomeObject *k, long long line, int by_word, long long word,
            PyObject *core_obj, long long core, long long *home,
            long long *flush)
 {
-    PyObject *page_obj = PyLong_FromLongLong(page_of_line(k, line));
+    long long page;
+    if (k->page_shift >= 0) {
+        page = line >> k->page_shift;
+    }
+    else {
+        page = (long long)(((unsigned __int128)(unsigned long long)line
+                            << K_LINE_BITS)
+                           / (unsigned long long)k->page_size);
+    }
+    PyObject *page_obj = PyLong_FromLongLong(page);
     if (page_obj == NULL) {
         return -1;
     }
@@ -853,13 +850,13 @@ ctrl_access(HomeObject *k, Py_ssize_t index, double start, double *finish)
     return 0;
 }
 
+/* The home kernel's L2 eviction of (vline, ventry) at `home` at t: the
+ * write-back of a dirty line (MEM_WRITE, the controller; verify mode's
+ * _verify_write_back), then the line leaves _home_of_line. */
 int
 home_evict_l2_line(HomeObject *k, long long home, PyObject *home_obj,
                    PyObject *vline_obj, PyObject *ventry, double t)
 {
-    if (k->purge != NULL && k->purge(k, home, vline_obj, ventry, t) < 0) {
-        return -1;
-    }
     int dirty = slot_true(ventry, k->off_dirty);
     if (dirty < 0) {
         return -1;
@@ -1052,44 +1049,6 @@ done:
     return l2line;
 }
 
-/* _flush_private_page: R-NUCA's private -> shared transition of `line`'s
- * page.  Every line of the page resident at the old owner's slice, in
- * lines_in_page order, takes the kernel's eviction and leaves its set. */
-static int
-flush_private_page(HomeObject *k, long long line, long long owner, double t)
-{
-    long long per_page = k->page_size >> K_LINE_BITS;
-    long long first = page_of_line(k, line) * per_page;
-    PyObject *owner_obj = PyLong_FromLongLong(owner);
-    if (owner_obj == NULL) {
-        return -1;
-    }
-    int rc = 0;
-    for (long long pline = first; rc == 0 && pline < first + per_page;
-         pline++) {
-        PyObject *pline_obj = PyLong_FromLongLong(pline);
-        if (pline_obj == NULL) {
-            rc = -1;
-            break;
-        }
-        PyObject *ventry = home_lookup(k, owner, pline, pline_obj);
-        if (ventry == NULL) {
-            rc = PyErr_Occurred() ? -1 : 0;
-        }
-        else {
-            Py_INCREF(ventry);
-            rc = k->evict(k, owner, owner_obj, pline_obj, ventry, t);
-            Py_DECREF(ventry);
-            if (rc == 0) {
-                rc = home_l2_remove(k, owner, pline, pline_obj);
-            }
-        }
-        Py_DECREF(pline_obj);
-    }
-    Py_DECREF(owner_obj);
-    return rc;
-}
-
 /* The request leg: deliver_request.  Returns the line (new
  * reference) and stores its slice (borrowed) and the service time. */
 PyObject *
@@ -1101,9 +1060,22 @@ home_deliver(HomeObject *k, long long core, PyObject *line_obj,
     if (home_check_tile(k, home) < 0) {
         return NULL;
     }
-    if (flush >= 0 && (home_check_tile(k, flush) < 0
-                       || flush_private_page(k, line, flush, now) < 0)) {
-        return NULL;
+    if (flush >= 0) {
+        PyObject *owner = PyLong_FromLongLong(flush);
+        PyObject *now_obj = PyFloat_FromDouble(now);
+        PyObject *res = NULL;
+        if (owner != NULL && now_obj != NULL) {
+            PyObject *args[4] = {k->engine, line_obj, owner, now_obj};
+            res = PyObject_VectorcallMethod(
+                str_flush_private_page, args,
+                4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+        }
+        Py_XDECREF(owner);
+        Py_XDECREF(now_obj);
+        if (res == NULL) {
+            return NULL;
+        }
+        Py_DECREF(res);
     }
     double t;
     if (home_leg(k, core, home, req_msg, now, &t) < 0) {
@@ -1343,6 +1315,19 @@ METHOD(deliver_request, 7,
         return NULL;
     }
     return pack(3, Py_NewRef(slice_), l2line, PyFloat_FromDouble(t), NULL);
+}
+
+METHOD(evict_l2_line, 4, "evict_l2_line(home, vline, ventry, t)")
+{
+    long long home, vline;
+    double t;
+    if (arg_long(args[0], &home) < 0 || arg_long(args[1], &vline) < 0
+        || arg_double(args[3], &t) < 0 || home_check_tile(k, home) < 0
+        || check_type(args[2], k->line_type, "L2Line") < 0
+        || k->evict(k, home, args[0], args[1], args[2], t) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
 }
 
 METHOD(reply, 4, "reply(home, core, reply_msg, t)")
@@ -1875,6 +1860,7 @@ static PyMethodDef Home_methods[] = {
     FASTCALL(deliver_request,
              "deliver_request(core, line, home, flush_owner, req_msg, now, "
              "result) -> (slice_, l2line, t)"),
+    FASTCALL(evict_l2_line, "evict_l2_line(home, vline, ventry, t)"),
     FASTCALL(reply, "reply(home, core, reply_msg, t) -> reply_t"),
     FASTCALL(serve_word,
              "serve_word(core, is_write, line, word, l2line, slice_)"),
@@ -1906,6 +1892,7 @@ repro_home_register(PyObject *mod)
         PyObject **slot;
         const char *name;
     } names[] = {
+        {&str_flush_private_page, "_flush_private_page"},
         {&str_verify_word, "_verify_word"},
         {&str_verify_write_back, "_verify_write_back"},
         {&str_check_read, "check_read"},

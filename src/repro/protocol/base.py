@@ -25,22 +25,21 @@ engine owns the substrate every family shares:
   (``_kernel_classes``); the engine builds the compiled one exactly when
   the mesh kernel is compiled, else its pure-Python twin, and both take
   the same steps in the same order;
-* the base steps of an L2 eviction (``_evict_l2_line``: the per-family
-  L1-purge hook, then the write-back), which the pure-Python kernel
-  calls for a fill's victim and for each line of a private -> shared page
-  flush, and which the compiled kernel takes natively - the purge is the
-  kernel subtype's, the write-back's golden step
-  (``_verify_write_back``) a callback.  Victim replication's kernels
-  take a replica's eviction themselves.  The kernel's other callbacks are
-  the verify-mode golden steps of a word access (``_verify_word``); what
-  a fill installs at the home is the kernel class's - a fresh
-  ``DirectoryEntry`` in the directory subtype, nothing for DLS and Neat;
+* the private -> shared page flush (``_flush_private_page``), which both
+  kernels call back on a transition: each line of the page resident at
+  the old owner's slice takes the kernel's L2 eviction
+  (``evict_l2_line``: the directory kernels' purge of the L1 copies or
+  victim replication's replica drop, then the write-back) and leaves its
+  set.  The kernel's other callbacks are the verify-mode golden steps of
+  a word access (``_verify_word``) and of a write-back
+  (``_verify_write_back``); what a fill installs at the home is the
+  kernel class's - a fresh ``DirectoryEntry`` in the directory subtype,
+  nothing for DLS and Neat;
 * golden-memory verification plumbing (write tokens, the DRAM image, and
   the end-of-run ``check_final_state`` sweep used by the differential
   property harness).
 
-Concrete families implement :meth:`access` (one call into their kernel)
-plus the purge hooks:
+Concrete families implement :meth:`access` (one call into their kernel):
 
 * ``repro.protocol.directory`` - the directory-based families (``baseline``,
   ``adaptive``; ``victim`` extends it with local-L2 victim replication,
@@ -57,6 +56,7 @@ family class.
 from __future__ import annotations
 
 from repro import accel
+from repro.common import addr as addrmod
 from repro.common.errors import SimulationError
 from repro.common.params import ArchConfig, ProtocolConfig
 from repro.common.types import MESIState, MissType
@@ -322,8 +322,8 @@ class ProtocolEngineBase:
 
     # ------------------------------------------------------------------
     # Callbacks of the kernel (repro.protocol.home): the verify-mode
-    # golden steps of a word access and of a write-back, and the base
-    # steps of an L2 eviction in the pure-Python kernel.
+    # golden steps of a word access and of a write-back, and the page
+    # flush below.
     # ------------------------------------------------------------------
     def _verify_word(self, core: int, is_write: bool, line: int, word: int, l2line: L2Line) -> None:
         """Golden steps of a word access at the home, right after the home
@@ -336,41 +336,27 @@ class ProtocolEngineBase:
         else:
             self.golden.check_read(line, word, l2line.data[word], f"remote read core {core}")
 
-    # ------------------------------------------------------------------
-    def _evict_l2_line(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
-        """L2 eviction: purge dependent L1 state, write back if dirty.
-
-        The per-family part - what happens to private copies of the dying
-        line - is delegated to :meth:`_purge_copies_for_l2_eviction`; the
-        write-back itself (off the requester's critical path, documented
-        approximation) is identical for every family and fully accounted.
-        The pure-Python kernel calls this method for a fill's victim and a
-        page flush's lines; the compiled kernel takes the same steps
-        natively, with the kernel's own purge.
-        """
-        self._purge_copies_for_l2_eviction(home, vline, ventry, t)
-        if ventry.dirty:
-            self.energy.l2_line_reads += 1
-            ctrl = self.memsys.controller_for_line(vline)
-            self.network.unicast(home, ctrl.tile, MsgType.MEM_WRITE, t)
-            ctrl.access(t, self.arch.line_size)
-            if self.verify:
-                self._verify_write_back(home, vline, ventry)
-        self._home_of_line.pop(vline, None)
-
     def _verify_write_back(self, home: int, vline: int, ventry: L2Line) -> None:
         """Golden step of a dirty L2 eviction (verify mode): the written-back
         line must match the golden image, and becomes the DRAM image."""
         self.golden.check_line(vline, ventry.data, f"L2 eviction at tile {home}")
         self._dram_image[vline] = list(ventry.data)
 
-    def _purge_copies_for_l2_eviction(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
-        """Family hook: resolve private copies of an L2 line being evicted.
-
-        Inclusive directory families invalidate every L1 copy (collecting
-        write-backs); DLS caches nothing privately; Neat tolerates the stale
-        copies (they are clean and version-checked on their next use).
-        """
+    # ------------------------------------------------------------------
+    # R-NUCA private -> shared page transition: flush the old home slice.
+    # ------------------------------------------------------------------
+    def _flush_private_page(self, line: int, old_owner: int, t: float) -> None:
+        """Every line of ``line``'s page resident at the old owner's slice,
+        in ``lines_in_page`` order, takes the kernel's L2 eviction and
+        leaves its set."""
+        page = addrmod.page_of(line << addrmod.LINE_BITS, self.arch.page_size)
+        slice_ = self.l2[old_owner]
+        evict = self.home_kernel.evict_l2_line
+        for pline in addrmod.lines_in_page(page, self.arch.page_size):
+            ventry = slice_.lookup(pline)
+            if ventry is not None:
+                evict(old_owner, pline, ventry, t)
+                slice_.remove(pline)
 
     # ------------------------------------------------------------------
     def _issue_write_token(self, core: int) -> int:

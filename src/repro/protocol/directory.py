@@ -113,12 +113,12 @@ class PyDirectoryKernel(PyHomeKernel):
     ``DirectoryEntry`` to the new line.
 
     Methods: ``access`` (the whole access; the engine's ``access`` calls
-    it) and ``purge_copies`` (the L1 purge of a dying L2 line).  The steps
-    a family subtype takes over are the underscored methods
-    ``_classify_requester``, ``_grant_private``, ``_handle_l1_eviction``,
-    ``_purge_target_copy`` and the home kernel's ``_evict_l2_line``; the
-    compiled kernel reaches the same steps through function pointers its
-    subtypes set.
+    it) and ``evict_l2_line`` (the home kernel's L2 eviction, after the
+    purge of the dying line's L1 copies).  The steps a family subtype
+    takes over are ``evict_l2_line`` and the underscored methods
+    ``_classify_requester``, ``_grant_private``, ``_handle_l1_eviction``
+    and ``_purge_target_copy``; the compiled kernel reaches the same steps
+    through function pointers its subtypes set.
 
     A kernel keeps no state: it works on the engine's objects (L1 and L2
     arrays, directory entries, classifier and sharer-policy counters, the
@@ -267,9 +267,10 @@ class PyDirectoryKernel(PyHomeKernel):
             )
         self._policy.remove_sharer(l2line.directory, core)
 
-    def purge_copies(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
+    def evict_l2_line(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
         """Inclusive-L2 eviction: invalidate every L1 copy of ``vline``
-        (the data flows straight to memory with the dying line)."""
+        (the data flows straight to memory with the dying line), then the
+        home kernel's eviction."""
         engine = self._engine
         network = self._network
         dirent = ventry.directory
@@ -278,6 +279,7 @@ class PyDirectoryKernel(PyHomeKernel):
             ack_msg = self._purge_target_copy(engine, c, vline, ventry, False)
             network.unicast(c, home, ack_msg, t)
             self._policy.remove_sharer(dirent, c)
+        super().evict_l2_line(home, vline, ventry, t)
 
     # ------------------------------------------------------------------
     # Requester classification (private vs remote sharer)
@@ -594,9 +596,3 @@ class DirectoryEngine(ProtocolEngineBase):
             # this type and reads/writes entries through them directly.
             "line_type": CacheLine,
         }
-
-    # ------------------------------------------------------------------
-    # Inclusive-L2 eviction: kill all L1 copies first.
-    # ------------------------------------------------------------------
-    def _purge_copies_for_l2_eviction(self, home: int, vline: int, ventry: L2Line, t: float) -> None:
-        self.home_kernel.purge_copies(home, vline, ventry, t)

@@ -10,31 +10,31 @@ engine builds (``engine.home_kernel``): the compiled ``HomeKernel``
 constructor, methods and attributes.  Each family's kernel is a subtype of
 it that takes these steps on itself: the directory families'
 (:class:`repro.protocol.directory.PyDirectoryKernel`, the compiled
-``DirectoryKernel``, with victim's and phase's subtypes of it), DLS's (:class:`repro.protocol.dls.PyDLSKernel`,
-``DLSKernel``) and Neat's (:class:`repro.protocol.neat.PyNeatKernel`,
-``NeatKernel``).  The engine picks the compiled class exactly when its
-mesh kernel is compiled
+``DirectoryKernel``, with victim's and phase's subtypes of it), DLS's
+(:class:`repro.protocol.dls.PyDLSKernel`, ``DLSKernel``) and Neat's
+(:class:`repro.protocol.neat.PyNeatKernel`, ``NeatKernel``).  The engine
+picks the compiled class exactly when its mesh kernel is compiled
 (:meth:`repro.protocol.base.ProtocolEngineBase.__init__`).
 
 A home kernel owns no state.  It works on the engine's own objects - the
 page table, the L2 slices and their ``L2Line`` entries, the mesh kernel's
-reservations, the energy and slice counters.  The page flush of a
-private -> shared transition and the L2 eviction of a fill victim are its
-own steps (``_flush_private_page``, ``_evict_l2_line``; a family subtype
-may take over the eviction, as victim replication's does for a replica).
-Here the eviction's base steps are the engine's ``_evict_l2_line``, which
-the compiled kernel takes natively.  The kernel calls back into the engine
-only for verification business: the verify-mode golden steps
-(``_verify_word``).  What a fill installs at the home is the kernel
-class's: nothing here, a fresh ``DirectoryEntry`` in the directory
-subtype.
+reservations, the energy and slice counters.  The L2 eviction of a fill
+victim or of a flushed page's line is its own step (``evict_l2_line``:
+the write-back of a dirty line; a family subtype takes its own steps
+first, as the directory kernel's purge of the L1 copies and victim
+replication's replica drop do).  The kernel calls back into the engine
+for the page flush of a private -> shared transition
+(``_flush_private_page``, which takes each resident line's
+``evict_l2_line``) and for verification business: the verify-mode golden
+steps (``_verify_word``, ``_verify_write_back``).  What a fill installs at
+the home is the kernel class's: nothing here, a fresh ``DirectoryEntry``
+in the directory subtype.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from repro.common import addr as addrmod
 from repro.common.errors import SimulationError
 from repro.network.messages import MsgType
 
@@ -54,7 +54,9 @@ class PyHomeKernel:
       reply type is known up front and with nothing at the home between
       the legs;
     * ``serve_word`` and ``settle`` - the time-independent word access at
-      the home, and the release of the line after service.
+      the home, and the release of the line after service;
+    * ``evict_l2_line`` - the L2 eviction of a fill's victim, which the
+      engine's page flush also takes for each line it flushes.
 
     ``line_type`` and ``result_type`` only tell the compiled kernel where
     the ``L2Line`` and ``AccessResult`` slots sit; this kernel reads
@@ -84,7 +86,6 @@ class PyHomeKernel:
         "_num_tiles",
         "_words_per_line",
         "_l2_latency",
-        "_page_size",
         "_verify",
     )
 
@@ -108,7 +109,6 @@ class PyHomeKernel:
         self._num_tiles = engine.arch.num_cores
         self._words_per_line = engine.arch.words_per_line
         self._l2_latency = engine.arch.l2.latency
-        self._page_size = engine.arch.page_size
         self._verify = engine.verify
 
     # ------------------------------------------------------------------
@@ -137,7 +137,7 @@ class PyHomeKernel:
         """
         engine = self._engine
         if flush_owner is not None:
-            self._flush_private_page(line, flush_owner, now)
+            engine._flush_private_page(line, flush_owner, now)
         path = self._paths[core * self._num_tiles + home]
         if path is None:
             path = self._resolve(core, home)
@@ -203,34 +203,28 @@ class PyHomeKernel:
         slice_.touch(l2line, t)
 
     # ------------------------------------------------------------------
-    # L2 evictions: a fill's victim and a private -> shared page flush.
-    # ------------------------------------------------------------------
-    def _evict_l2_line(self, home, vline, ventry, t):
-        """The L2 eviction of ``vline`` at ``home``: the engine's
-        ``_evict_l2_line`` (the family's purge of its L1 copies, the
-        write-back of a dirty line).  The caller then takes the line out of
-        its set."""
-        self._engine._evict_l2_line(home, vline, ventry, t)
-
-    def _flush_private_page(self, line, old_owner, t):
-        """R-NUCA's private -> shared transition of ``line``'s page: every
-        line of the page resident at the old owner's slice, in
-        ``lines_in_page`` order, takes the eviction and leaves its set."""
-        page_size = self._page_size
-        page = addrmod.page_of(line << addrmod.LINE_BITS, page_size)
-        slice_ = self._l2[old_owner]
-        for pline in addrmod.lines_in_page(page, page_size):
-            ventry = slice_.lookup(pline)
-            if ventry is not None:
-                self._evict_l2_line(old_owner, pline, ventry, t)
-                slice_.remove(pline)
+    def evict_l2_line(self, home, vline, ventry, t):
+        """The L2 eviction of ``vline`` (entry ``ventry``) at ``home`` at
+        ``t``, for a fill's victim and each line of a page flush: write
+        back a dirty line (off the requester's critical path, a documented
+        approximation, fully accounted), then forget its home.  The caller
+        then takes the line out of its set."""
+        engine = self._engine
+        if ventry.dirty:
+            engine.energy.l2_line_reads += 1
+            ctrl = engine.memsys.controller_for_line(vline)
+            self._network.unicast(home, ctrl.tile, MsgType.MEM_WRITE, t)
+            ctrl.access(t, engine.arch.line_size)
+            if self._verify:
+                engine._verify_write_back(home, vline, ventry)
+        self._home_of_line.pop(vline, None)
 
     # ------------------------------------------------------------------
     # L2 miss: fetch the line from off-chip memory.
     # ------------------------------------------------------------------
     def _fill(self, home, line, t):
         """Inclusive fill of ``line`` at ``home`` starting at ``t``: evict
-        the set's LRU way if the set is full (``_evict_l2_line``), fetch
+        the set's LRU way if the set is full (``evict_l2_line``), fetch
         from the line's DRAM controller, install (``L2Slice.fill``, with a
         fresh directory entry in the directory subtype).  Returns
         ``(l2line, reply_t, off-chip latency)``."""
@@ -238,7 +232,7 @@ class PyHomeKernel:
         slice_ = self._l2[home]
         victim = slice_.victim(line)
         if victim is not None:
-            self._evict_l2_line(home, victim[0], victim[1], t)
+            self.evict_l2_line(home, victim[0], victim[1], t)
             slice_.remove(victim[0])
 
         ctrl = engine.memsys.controller_for_line(line)

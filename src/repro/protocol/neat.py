@@ -439,5 +439,5 @@ class NeatEngine(ProtocolEngineBase):
         return self.home_kernel.release_flush if self._release_batching else None
 
     # L2 evictions leave L1 copies alone: they are clean, and the version
-    # check retires them the moment the line is written again.
-    # (_purge_copies_for_l2_eviction inherits the base no-op.)
+    # check retires them the moment the line is written again (the
+    # kernel's evict_l2_line is the home kernel's, with no purge).

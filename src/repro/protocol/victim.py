@@ -73,7 +73,7 @@ class PyVictimKernel(PyDirectoryKernel):
     as a replica is served from it), ``_handle_l1_eviction`` (keep the
     victim as a local replica), ``_purge_target_copy`` (a replica answers
     an invalidation like an L1 copy), ``_grant_private`` (the requester's
-    own replica dies) and ``_evict_l2_line`` (a replica chosen as an L2
+    own replica dies) and ``evict_l2_line`` (a replica chosen as an L2
     victim is dropped); every other step is the directory kernel's.
     """
 
@@ -206,7 +206,7 @@ class PyVictimKernel(PyDirectoryKernel):
             return False
         clean_idle = [(ln, e) for ln, e in idle if not e.dirty]
         ln, entry = _lru(clean_idle or idle)
-        self._evict_l2_line(core, ln, entry, t)
+        self.evict_l2_line(core, ln, entry, t)
         store.pop(ln)
         return True
 
@@ -261,11 +261,11 @@ class PyVictimKernel(PyDirectoryKernel):
     # ------------------------------------------------------------------
     # L2 victim selection may hit a replica (it has no directory state).
     # ------------------------------------------------------------------
-    def _evict_l2_line(self, home, vline, ventry, t):
+    def evict_l2_line(self, home, vline, ventry, t):
         if ventry.is_replica:
             self._drop_replica(self._engine, home, vline, t)
             return
-        super()._evict_l2_line(home, vline, ventry, t)
+        super().evict_l2_line(home, vline, ventry, t)
 
 
 class VictimReplicationEngine(DirectoryEngine):

@@ -8,10 +8,12 @@ the Python frames that one tiny radix run at 16 cores opens inside
 divides by the number of accesses.  Counts of Python frames do not drift
 with the host's speed, so the bounds can be tight.
 
-Measured (CPython 3.11, compiled kernels): 1.07 calls per access for DLS,
-Neat eager and Neat release alike; 1.30 for baseline, 1.27 for
-adaptive-4, 1.20 for phase and 1.31 for victim.  The one access frame is
-1.0; the rest are the rare steps that stay Python - a route's first
+Measured (CPython 3.11, compiled kernels): 1.61 calls per access for DLS,
+Neat eager and Neat release alike; 3.54 for baseline, 3.27 for
+adaptive-4, 2.68 for phase and 3.57 for victim.  The one access frame is
+1.0; the rest are the rare steps that stay Python - a private -> shared
+page flush (``_flush_private_page``: an L2 lookup per line of the page;
+each resident line's eviction is one kernel call), a route's first
 registration (``MeshNetwork.resolve_path``), a page's classification
 (``RNucaPageTable.classify_data``) and, in the directory families, an
 ACKwise broadcast invalidation (``MeshNetwork.broadcast``).  DLS and
@@ -19,14 +21,14 @@ Neat enter ``engine.access`` on every access, hits included; the
 directory families enter it only on misses, because the scheduler kernel
 retires their L1 hits natively.  So the same rare steps are shared by
 about a quarter as many accesses, and weigh more per access.  When each
-access was serviced in Python, the counts were 3.28 (DLS), 9.5 (Neat)
-and 14.5 (victim, whose replica steps were Python hooks); the
-pure-Python twins read more still.
+access was serviced in Python, the counts were 3.28 (DLS), 9.5 (Neat),
+4.81 (phase, whose policy was a Python hook) and 14.5 (victim, whose
+replica steps were Python hooks); the pure-Python twins read more still.
 
 Each family's bound leaves about half a frame per access of headroom
-over its measured count, so it fails on one more Python frame per
-access - a Python hook on every miss - or on a kernel that silently falls
-back to its twin.
+over its measured count (0.39 for DLS and Neat), so it fails on one more
+Python frame per access - a Python hook on every miss - or on a kernel
+that silently falls back to its twin.
 """
 
 from __future__ import annotations
@@ -53,13 +55,13 @@ from repro.workloads.registry import load_workload
 #: access frame included; see the module docstring for the measured
 #: values).
 FAMILIES = {
-    "dls": (dls_protocol, 1.55),
-    "neat-eager": (neat_protocol, 1.55),
-    "neat-release": (lambda: neat_protocol("release"), 1.55),
-    "baseline": (baseline_protocol, 1.8),
-    "adaptive-4": (lambda: adaptive_protocol(4), 1.75),
-    "phase": (phase_protocol, 1.7),
-    "victim": (victim_replication_protocol, 1.8),
+    "dls": (dls_protocol, 2.0),
+    "neat-eager": (neat_protocol, 2.0),
+    "neat-release": (lambda: neat_protocol("release"), 2.0),
+    "baseline": (baseline_protocol, 4.0),
+    "adaptive-4": (lambda: adaptive_protocol(4), 3.8),
+    "phase": (phase_protocol, 3.2),
+    "victim": (victim_replication_protocol, 4.1),
 }
 
 

@@ -132,7 +132,7 @@ class TestWordInterleaving:
         assert ventry is not None and ventry.dirty
         # Force the word-0 home to evict its copy; word 3's value must
         # survive in the assembled final image.
-        engine._evict_l2_line(h0, line, ventry, 1000.0)
+        engine.home_kernel.evict_l2_line(h0, line, ventry, 1000.0)
         engine.l2[h0].remove(line)
         engine.check_final_state()
 
@@ -166,7 +166,7 @@ class TestWordInterleaving:
             for t, home in zip((1000.0, 2000.0), order):
                 ventry = engine.l2[home].lookup(line)
                 assert ventry is not None and ventry.dirty
-                engine._evict_l2_line(home, line, ventry, t)
+                engine.home_kernel.evict_l2_line(home, line, ventry, t)
                 engine.l2[home].remove(line)
             golden = engine.golden.line_snapshot(line)
             image = engine._dram_image[line]

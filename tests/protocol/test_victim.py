@@ -387,7 +387,7 @@ class TestEvictionCornerCases:
 
     def test_l2_fill_displaces_replica_before_active_home_line(self):
         """An incoming home line claims a replica's way via the L2 victim
-        path (``_evict_l2_line`` on a replica -> ``_drop_replica``)."""
+        path (the kernel's ``evict_l2_line`` on a replica drops it)."""
         engine = make_vr_engine(verify=True)
         addrs = [BASE + k * self.STRIDE for k in range(8)]
         t = self._share_pages_of(engine, addrs)
